@@ -9,10 +9,10 @@ Two claims of the whole-grid refactor are measured here and recorded in
    symbolic discriminator ONCE — trained angles and encoder angles both as
    bind-site columns — and feeds the full bindings matrix to the backend,
    so no per-sample circuits exist at all.  Wall clock is compared against
-   both the per-sample loop (one ``fidelity`` call per element) and the
-   batched circuit stream (the pre-refactor ``fidelity_matrix`` path), on
-   the sampled and noisy backends, and every comparison must stay
-   draw-for-draw **bit-identical** under a shared seed.
+   the per-circuit reference loop (one bound discriminator and one
+   ``Backend.run`` per element) on the sampled and noisy backends, and the
+   grid must stay draw-for-draw **bit-identical** to it under a shared
+   seed.
 
 2. **Predicted vs measured peak memory with a shared prefix.**  On the
    17-qubit synthetic-MNIST grid, the ``TilePlan.for_grid_sweep`` executor
@@ -34,10 +34,11 @@ import numpy as np
 from repro.analysis.cost import estimate_cost, verify_cost
 from repro.analysis.equiv import shared_prefix_length
 from repro.core.model import QuClassi
-from repro.core.swap_test import SwapTestFidelityEstimator
+from repro.core.swap_test import SwapTestFidelityEstimator, per_circuit_zero_probabilities
 from repro.datasets import generate_synthetic_mnist, load_iris, prepare_task
 from repro.hardware import IBMQBackend
 from repro.quantum.backend import SampledBackend
+from repro.quantum.fidelity import fidelities_from_swap_test_probabilities
 from repro.quantum.program import SweepProgram, TilePlan
 
 DEVICE = "ibmq_london"
@@ -67,11 +68,14 @@ def _trained_iris_model():
     return model, data
 
 
-def _estimator(builder, backend_factory, *, force_stream=False):
-    estimator = SwapTestFidelityEstimator(builder, backend=backend_factory(), shots=SHOTS)
-    if force_stream:
-        estimator.backend.supports_grid_programs = False
-    return estimator
+def _estimator(builder, backend_factory):
+    return SwapTestFidelityEstimator(builder, backend=backend_factory(), shots=SHOTS)
+
+
+def _run_loop_fidelities(builder, backend, rows, samples):
+    """The per-circuit reference: one ``Backend.run`` per grid element."""
+    zeros = per_circuit_zero_probabilities(builder, backend, rows, samples, SHOTS)
+    return fidelities_from_swap_test_probabilities(zeros).reshape(len(rows), len(samples))
 
 
 def _best_sweep_seconds(estimator, rows, samples):
@@ -91,43 +95,28 @@ def _grid_workload(model, data):
     return rows, samples
 
 
-def _compare_backend(builder, rows, samples, backend_factory, *, time_stream):
-    """Loop vs (stream vs) grid on fresh same-seeded backends of one kind."""
-    # Seed matches first: every mode's FIRST sweep on a fresh backend must
-    # produce bitwise the same numbers — that is the refactor's guarantee.
-    loop_estimator = _estimator(builder, backend_factory)
+def _compare_backend(builder, rows, samples, backend_factory):
+    """Per-circuit loop vs grid on fresh same-seeded backends of one kind."""
+    # Seed matches first: each mode's FIRST sweep on a fresh backend must
+    # produce bitwise the same numbers — that is the grid route's guarantee.
     loop_start = time.perf_counter()
-    loop_fidelities = np.stack(
-        [
-            [loop_estimator.fidelity(row, sample) for sample in samples]
-            for row in rows
-        ]
-    )
+    loop_fidelities = _run_loop_fidelities(builder, backend_factory(), rows, samples)
     per_sample_seconds = time.perf_counter() - loop_start
 
     grid_estimator = _estimator(builder, backend_factory)
     grid_fidelities = grid_estimator.fidelity_matrix(rows, samples)
     grid_seconds = _best_sweep_seconds(grid_estimator, rows, samples)
 
-    payload = {
+    return {
         "per_sample_seconds": per_sample_seconds,
         "grid_seconds": grid_seconds,
         "speedup_vs_per_sample": per_sample_seconds / grid_seconds,
         "seed_match": bool(np.array_equal(grid_fidelities, loop_fidelities)),
     }
-    if time_stream:
-        stream_estimator = _estimator(builder, backend_factory, force_stream=True)
-        stream_fidelities = stream_estimator.fidelity_matrix(rows, samples)
-        payload["stream_seconds"] = _best_sweep_seconds(stream_estimator, rows, samples)
-        payload["speedup_vs_stream"] = payload["stream_seconds"] / grid_seconds
-        payload["seed_match_vs_stream"] = bool(
-            np.array_equal(grid_fidelities, stream_fidelities)
-        )
-    return payload
 
 
 def run_iris_grid_benchmark():
-    """Per-sample loop vs circuit stream vs whole-grid on the Iris sweep."""
+    """Per-circuit loop vs whole-grid on the Iris sweep."""
     model, data = _trained_iris_model()
     rows, samples = _grid_workload(model, data)
     sampled = _compare_backend(
@@ -135,14 +124,12 @@ def run_iris_grid_benchmark():
         rows,
         samples,
         lambda: SampledBackend(shots=SHOTS, seed=SEED),
-        time_stream=True,
     )
     noisy = _compare_backend(
         model.builder,
         rows,
         samples,
         lambda: IBMQBackend(DEVICE, seed=SEED),
-        time_stream=False,
     )
     return {
         "workload": {
@@ -254,11 +241,7 @@ def run_grid_sweep_benchmark():
         "mnist_memory": memory,
         # Headline acceptance numbers.
         "speedup": iris["sampled"]["speedup_vs_per_sample"],
-        "seed_match": bool(
-            iris["sampled"]["seed_match"]
-            and iris["sampled"]["seed_match_vs_stream"]
-            and iris["noisy"]["seed_match"]
-        ),
+        "seed_match": bool(iris["sampled"]["seed_match"] and iris["noisy"]["seed_match"]),
     }
 
 
@@ -269,11 +252,9 @@ def test_grid_sweep_benchmark(bench_reporter):
     memory = payload["mnist_memory"]
     print()
     print(
-        f"iris grid: per-sample {iris['sampled']['per_sample_seconds']:.2f}s, "
-        f"stream {iris['sampled']['stream_seconds'] * 1000:.0f}ms, grid "
+        f"iris grid: per-sample {iris['sampled']['per_sample_seconds']:.2f}s, grid "
         f"{iris['sampled']['grid_seconds'] * 1000:.0f}ms "
-        f"({iris['sampled']['speedup_vs_per_sample']:.1f}x / "
-        f"{iris['sampled']['speedup_vs_stream']:.2f}x); noisy "
+        f"({iris['sampled']['speedup_vs_per_sample']:.1f}x); noisy "
         f"{iris['noisy']['speedup_vs_per_sample']:.1f}x; MNIST 17q peak "
         f"{memory['measured_peak_bytes'] / 2**20:.0f} MiB vs predicted "
         f"{memory['predicted_peak_bytes'] / 2**20:.0f} MiB, prefix "
@@ -283,7 +264,6 @@ def test_grid_sweep_benchmark(bench_reporter):
     assert payload["seed_match"] is True
     assert payload["speedup"] >= MIN_GRID_SPEEDUP
     assert iris["noisy"]["speedup_vs_per_sample"] >= MIN_GRID_SPEEDUP
-    assert iris["sampled"]["speedup_vs_stream"] > 1.0
     assert memory["shared_prefix_steps"] > 0
     assert memory["element_contractions"] < memory["element_contractions_unshared"]
     # The coarse model must bound the real peak within its calibrated band.
@@ -299,8 +279,7 @@ if __name__ == "__main__":
     iris = result["iris_grid"]
     memory = result["mnist_memory"]
     print(
-        f"iris sampled: per-sample {iris['sampled']['per_sample_seconds']:.2f}s  "
-        f"stream {iris['sampled']['stream_seconds'] * 1000:.0f}ms  grid "
+        f"iris sampled: per-sample {iris['sampled']['per_sample_seconds']:.2f}s  grid "
         f"{iris['sampled']['grid_seconds'] * 1000:.0f}ms  speedup "
         f"{iris['sampled']['speedup_vs_per_sample']:.1f}x"
     )

@@ -1,16 +1,15 @@
-"""Loop vs. batched noisy SWAP-test sweep on the Iris hardware workload.
+"""Per-circuit loop vs. whole-grid noisy SWAP-test sweep on the Iris hardware workload.
 
 Measures the hot path behind the simulated-hardware figures (paper
 Section 5.4): evaluating the SWAP-test fidelity of every (class, test sample)
-pair for a trained Iris model on a simulated IBM-Q device.  The loop path
-builds, transpiles (cache-amortised) and executes one density-matrix
-simulation per fidelity through ``Backend.run`` — the behaviour before this
-PR.  The batched path stacks the whole sweep into
-``SwapTestFidelityEstimator.fidelity_matrix``, which the noisy backend
-executes as cached transpile re-binds feeding a single vectorised
-:class:`~repro.quantum.batched_density.BatchedDensityMatrix` evolution (one
-einsum pass per gate and noise channel for the whole sweep) plus one stacked
-multinomial shot draw.
+pair for a trained Iris model on a simulated IBM-Q device.  The loop path is
+the per-circuit reference: it builds one bound discriminator per fidelity
+and executes it with ``Backend.run`` (transpilation cache-amortised, one
+density-matrix simulation per circuit).  The batched path hands the whole
+sweep to ``SwapTestFidelityEstimator.fidelity_matrix``, which the noisy
+backend executes as one compiled whole-grid program: one symbolic transpile
+per sweep feeding a vectorised density-matrix evolution (one einsum pass per
+gate and noise channel per tile) plus one stacked multinomial shot draw.
 
 The two paths must agree draw for draw under a shared seed (counts bit-equal,
 hence identical fidelity estimates) and the batched sweep must be at least 3x
@@ -26,9 +25,10 @@ import time
 import numpy as np
 
 from repro.core.model import QuClassi
-from repro.core.swap_test import SwapTestFidelityEstimator
+from repro.core.swap_test import SwapTestFidelityEstimator, per_circuit_zero_probabilities
 from repro.datasets import load_iris, prepare_task
 from repro.hardware import IBMQBackend
+from repro.quantum.fidelity import fidelities_from_swap_test_probabilities
 
 DEVICE = "ibmq_london"
 SHOTS = 1024
@@ -52,32 +52,29 @@ def _trained_iris_model():
 
 
 def _noisy_sweep(mode: str, model, samples):
-    """Evaluate the full noisy sweep; returns (seconds, fidelities, estimator).
+    """Evaluate the full noisy sweep; returns (seconds, fidelities, backend).
 
-    ``mode`` selects the execution path: ``"loop"`` runs one circuit per
-    fidelity through ``Backend.run`` (the pre-PR behaviour — transpilation is
-    already cache-amortised, but every circuit simulates its own density
-    matrix), ``"batched"`` stacks every (class, sample) discriminator into
-    one ``fidelity_matrix`` call.  Fresh same-seeded backends per call keep
-    the two paths draw-for-draw comparable.
+    ``mode`` selects the execution path: ``"loop"`` is the per-circuit
+    reference — one bound discriminator and one ``Backend.run`` per
+    fidelity (transpilation is cache-amortised, but every circuit simulates
+    its own density matrix); ``"batched"`` evaluates every (class, sample)
+    pair in one ``fidelity_matrix`` call.  Fresh same-seeded backends per
+    call keep the two paths draw-for-draw comparable.
     """
-    estimator = SwapTestFidelityEstimator(
-        model.builder, backend=IBMQBackend(DEVICE, seed=SEED), shots=SHOTS
-    )
+    backend = IBMQBackend(DEVICE, seed=SEED)
+    start = time.perf_counter()
     if mode == "batched":
-        start = time.perf_counter()
+        estimator = SwapTestFidelityEstimator(model.builder, backend=backend, shots=SHOTS)
         fidelities = estimator.fidelity_matrix(model.parameters_, samples)
-        elapsed = time.perf_counter() - start
     else:
-        start = time.perf_counter()
-        fidelities = np.stack(
-            [
-                [estimator.fidelity(parameters, sample) for sample in samples]
-                for parameters in model.parameters_
-            ]
+        zeros = per_circuit_zero_probabilities(
+            model.builder, backend, model.parameters_, samples, SHOTS
         )
-        elapsed = time.perf_counter() - start
-    return elapsed, fidelities, estimator
+        fidelities = fidelities_from_swap_test_probabilities(zeros).reshape(
+            len(model.parameters_), len(samples)
+        )
+    elapsed = time.perf_counter() - start
+    return elapsed, fidelities, backend
 
 
 def run_noisy_sweep_benchmark():
@@ -85,17 +82,18 @@ def run_noisy_sweep_benchmark():
 
     Each mode runs ``REPETITIONS`` times (fresh same-seeded backends per run,
     so every repetition draws identical samples) and reports its best time;
-    an untimed warm-up first fills the builder's discriminator-circuit cache
+    an untimed warm-up of each mode first fills the builder's circuit caches
     so both modes are measured in their steady state.
     """
     model, data = _trained_iris_model()
     samples = data.x_test if SAMPLE_LIMIT is None else data.x_test[:SAMPLE_LIMIT]
-    _noisy_sweep("batched", model, samples)  # warm-up (circuit cache)
+    for mode in ("loop", "batched"):
+        _noisy_sweep(mode, model, samples)  # warm-up (circuit caches)
     loop_seconds, loop_fidelities, _ = min(
         (_noisy_sweep("loop", model, samples) for _ in range(REPETITIONS)),
         key=lambda run: run[0],
     )
-    batched_seconds, batched_fidelities, batched_estimator = min(
+    batched_seconds, batched_fidelities, batched_backend = min(
         (_noisy_sweep("batched", model, samples) for _ in range(REPETITIONS)),
         key=lambda run: run[0],
     )
@@ -116,7 +114,7 @@ def run_noisy_sweep_benchmark():
         "batched_seconds": batched_seconds,
         "speedup_vs_loop": loop_seconds / batched_seconds,
         "seed_match": bool(np.array_equal(loop_fidelities, batched_fidelities)),
-        "transpile_cache": batched_estimator.backend.transpile_cache_stats,
+        "transpile_cache": batched_backend.transpile_cache_stats,
     }
 
 

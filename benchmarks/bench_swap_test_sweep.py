@@ -1,14 +1,14 @@
-"""Loop vs. batched SWAP-test sweep on the Iris shots-ablation workload.
+"""Per-circuit loop vs. whole-grid SWAP-test sweep on the Iris shots-ablation workload.
 
 Measures the hot path behind the shots ablation and the simulated-hardware
 figures: evaluating the SWAP-test fidelity of every (class, test sample) pair
-for a trained Iris model across the paper's shot grid.  The loop path builds
-and executes one discriminator circuit per fidelity through
-``Backend.run`` — the seed implementation this PR's numbers are measured
-against.  The batched path stacks the whole sweep into
+for a trained Iris model across the paper's shot grid.  The loop path is the
+per-circuit reference: it builds one bound discriminator per fidelity and
+executes it with ``Backend.run``.  The batched path hands the whole sweep to
 ``SwapTestFidelityEstimator.fidelity_matrix``, which the statevector backend
-executes as one vectorised :class:`~repro.quantum.batched.BatchedStatevector`
-pass per chunk with a single stacked RNG draw for the ancilla bits.
+executes as one compiled whole-grid program — a vectorised
+:class:`~repro.quantum.batched.BatchedStatevector` pass per tile with a
+single stacked RNG draw for the ancilla bits.
 
 The two paths must agree exactly for ``shots=None`` (to 1e-12) and
 draw-for-draw for sampled grid points under a shared seed, and the batched
@@ -25,10 +25,11 @@ import time
 import numpy as np
 
 from repro.core.model import QuClassi
-from repro.core.swap_test import SwapTestFidelityEstimator
+from repro.core.swap_test import SwapTestFidelityEstimator, per_circuit_zero_probabilities
 from repro.datasets import load_iris, prepare_task
 from repro.hardware import IBMQBackend
 from repro.quantum.backend import IdealBackend
+from repro.quantum.fidelity import fidelities_from_swap_test_probabilities
 
 SHOTS_GRID = (128, 512, 2048, 8192, None)
 TRAIN_EPOCHS = 10
@@ -47,34 +48,37 @@ def _trained_iris_model():
     return model, data
 
 
+def _run_loop_fidelities(builder, backend, parameter_matrix, samples, shots):
+    """The per-circuit reference: one bound discriminator and one ``Backend.run`` per pair."""
+    zeros = per_circuit_zero_probabilities(builder, backend, parameter_matrix, samples, shots)
+    return fidelities_from_swap_test_probabilities(zeros).reshape(
+        len(parameter_matrix), len(samples)
+    )
+
+
 def _shots_ablation_sweep(mode: str, model, samples):
     """Evaluate the full shots-ablation sweep; returns (seconds, estimates).
 
-    ``mode`` selects the execution path: ``"loop"`` runs one circuit per
-    fidelity through ``Backend.run`` (the seed behaviour), ``"batched"``
-    stacks every (class, sample) discriminator of a grid point into one
-    ``fidelity_matrix`` call.  Fresh same-seeded backends per grid point keep
-    the two paths draw-for-draw comparable.
+    ``mode`` selects the execution path: ``"loop"`` is the per-circuit
+    reference (:func:`_run_loop_fidelities`), ``"batched"`` evaluates every
+    (class, sample) pair of a grid point in one ``fidelity_matrix`` call.
+    Fresh same-seeded backends per grid point keep the two paths
+    draw-for-draw comparable.
     """
     elapsed = 0.0
     estimates = {}
     for shots in SHOTS_GRID:
-        estimator = SwapTestFidelityEstimator(
-            model.builder, backend=IdealBackend(seed=SEED), shots=shots
-        )
+        backend = IdealBackend(seed=SEED)
+        start = time.perf_counter()
         if mode == "batched":
-            start = time.perf_counter()
-            grid_point = estimator.fidelity_matrix(model.parameters_, samples)
-            elapsed += time.perf_counter() - start
+            grid_point = SwapTestFidelityEstimator(
+                model.builder, backend=backend, shots=shots
+            ).fidelity_matrix(model.parameters_, samples)
         else:
-            start = time.perf_counter()
-            grid_point = np.stack(
-                [
-                    [estimator.fidelity(parameters, sample) for sample in samples]
-                    for parameters in model.parameters_
-                ]
+            grid_point = _run_loop_fidelities(
+                model.builder, backend, model.parameters_, samples, shots
             )
-            elapsed += time.perf_counter() - start
+        elapsed += time.perf_counter() - start
         estimates["exact" if shots is None else shots] = grid_point
     return elapsed, estimates
 
@@ -87,15 +91,13 @@ def _noisy_sweep_check(model, samples):
     start = time.perf_counter()
     batched = batched_estimator.fidelity_matrix(model.parameters_, samples)
     batched_seconds = time.perf_counter() - start
-    loop_estimator = SwapTestFidelityEstimator(
-        model.builder, backend=IBMQBackend("ibmq_london", seed=SEED), shots=1024
-    )
     start = time.perf_counter()
-    loop = np.stack(
-        [
-            [loop_estimator.fidelity(parameters, sample) for sample in samples]
-            for parameters in model.parameters_
-        ]
+    loop = _run_loop_fidelities(
+        model.builder,
+        IBMQBackend("ibmq_london", seed=SEED),
+        model.parameters_,
+        samples,
+        1024,
     )
     loop_seconds = time.perf_counter() - start
     return {
@@ -113,12 +115,13 @@ def run_swap_test_sweep_benchmark():
 
     Each mode runs ``REPETITIONS`` times (fresh same-seeded backends per run,
     so every repetition draws identical samples) and reports its best time;
-    an untimed warm-up first fills the builder's discriminator-circuit cache
+    an untimed warm-up of each mode first fills the builder's circuit caches
     so both modes are measured in their steady state.
     """
     model, data = _trained_iris_model()
     samples = data.x_test
-    _shots_ablation_sweep("batched", model, samples)  # warm-up (circuit cache)
+    for mode in ("loop", "batched"):
+        _shots_ablation_sweep(mode, model, samples)  # warm-up (circuit caches)
     loop_seconds, loop_estimates = min(
         (_shots_ablation_sweep("loop", model, samples) for _ in range(REPETITIONS)),
         key=lambda run: run[0],

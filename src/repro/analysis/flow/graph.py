@@ -21,9 +21,9 @@ built on top (REP101–REP104) may reach more code than any concrete run, and
 false positives are handled with justified ``# repro: noqa`` suppressions —
 but it is never an under-approximation for the attribute-call patterns the
 sharded stack actually uses (``executor.map``, ``estimator.fidelity_matrix``,
-``backend.run_batch``, ...), which is what makes the race findings
-trustworthy.  See ``docs/static_analysis.md`` for what the detector does and
-does not prove.
+``backend.sweep_grid_zero_probabilities``, ...), which is what makes the race
+findings trustworthy.  See ``docs/static_analysis.md`` for what the detector
+does and does not prove.
 """
 
 from __future__ import annotations

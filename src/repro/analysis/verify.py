@@ -788,9 +788,10 @@ def verify_reference_suite() -> List[Diagnostic]:
     Builds the QuClassi discriminator circuits behind the paper figures
     (Iris QC-S/QC-D/QC-E at 4 features, the binary-MNIST QC-S at 8) and
     verifies, at the full level, every program the stack compiles from them:
-    the builder's symbolic trained-state program, the bound-sweep program of
-    a data-bound discriminator, and the transpile template's program with
-    the simulated IBM-Q London noise model attached.  Used by the CLI's
+    the builder's symbolic trained-state program, the whole-grid
+    discriminator program the SWAP-test estimator executes, and the
+    transpile template's program of one bound discriminator, all under the
+    simulated IBM-Q London noise model.  Used by the CLI's
     ``--verify`` pass and the clean-suite property test.
     """
     from repro.core.model import QuClassi
@@ -825,22 +826,23 @@ def verify_reference_suite() -> List[Diagnostic]:
             name=f"{dataset}-{architecture}:trained_state",
         )
         out.extend(verify_program(symbolic, noise_model=noise))
-        # Bound sweep program of one data-bound discriminator (run_batch path).
-        bound_circuit = builder.build(features, values)
-        bound = SweepProgram.compile(
-            bound_circuit,
-            bind_floats=True,
-            name=f"{dataset}-{architecture}:discriminator",
+        # Whole-grid program (the SWAP-test estimator's sweep route).
+        grid = SweepProgram.compile(
+            builder.symbolic_discriminator(),
+            bind_floats=False,
+            parameters=builder.grid_parameters,
+            name=f"{dataset}-{architecture}:grid",
         )
         out.extend(
             verify_program(
-                bound,
-                bindings=np.asarray([bound.binding_row(bound_circuit)]),
+                grid,
+                bindings=builder.grid_bindings(values[None, :], features[None, :]),
                 noise_model=noise,
             )
         )
+        bound_circuit = builder.build(features, values)
         out.extend(verify_circuit(bound_circuit))
-        # Transpile-template program (the noisy-backend sweep path).
+        # Transpile-template program (the per-circuit noisy ``run`` path).
         cache = TranspileCache()
         entry, _ = cache.template(bound_circuit)
         out.extend(verify_program(entry.ensure_program(), noise_model=noise))

@@ -85,7 +85,7 @@ class GradientRule(abc.ABC):
         sweep: the analytic engine evolves the whole shift matrix through
         its compiled :class:`~repro.quantum.program.SweepProgram`, and the
         SWAP-test estimator hands the full (shift-row x sample) grid to its
-        backend's program-sweep path, tiled under the estimator's amplitude
+        backend's whole-grid program, tiled under the estimator's amplitude
         budget.
         """
         parameters = np.asarray(parameters, dtype=float)

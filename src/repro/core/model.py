@@ -218,16 +218,9 @@ class QuClassi:
             raise ValidationError(
                 f"model expects {self.num_features} features, got {features.shape[1]}"
             )
-        if getattr(self.estimator, "supports_batch", False):
-            # One vectorised pass: the per-class parameter matrix is already
-            # the batch, so inference is a single (class-row x sample) tiled
-            # fidelity-matrix evaluation through the compiled sweep program.
-            return self.estimator.fidelity_matrix(self.parameters_, features).T
-        columns = [
-            self.estimator.fidelities(self.parameters_[class_index], features)
-            for class_index in range(self.num_classes)
-        ]
-        return np.stack(columns, axis=1)
+        # One (class-row x sample) fidelity matrix: the per-class parameter
+        # matrix is already the batch.
+        return self.estimator.fidelity_matrix(self.parameters_, features).T
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Softmaxed class probabilities, shape ``(n_samples, n_classes)``."""

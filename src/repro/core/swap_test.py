@@ -10,12 +10,8 @@ Two estimators implement the same interface:
   :class:`~repro.quantum.backend.Backend` (ideal, finite-shot, or a noisy
   simulated device), recovering the fidelity from the ancilla statistics.
   This is the path used for the hardware experiments and the shots ablation.
-  On simulator backends it is sweep-batched: a whole parameter-shift sweep of
-  discriminator circuits is stacked into
-  :meth:`~repro.quantum.backend.Backend.run_batch` calls, which the
-  statevector engine vectorises as one batched-statevector pass and the noisy
-  backends execute as cached transpile re-binds feeding one vectorised
-  batched-density-matrix pass under the device noise model.
+  Angle encoders run a whole parameter-shift sweep as one compiled
+  whole-grid program; other encoders run one bound circuit per element.
 """
 
 from __future__ import annotations
@@ -29,25 +25,43 @@ from repro.core.circuit_builder import DiscriminatorCircuitBuilder
 from repro.exceptions import ValidationError
 from repro.quantum.backend import Backend, IdealBackend
 from repro.quantum.batched import BatchedStatevector
-from repro.quantum.fidelity import (
-    fidelities_from_swap_test_probabilities,
-    fidelity_from_swap_test_probability,
-)
+from repro.quantum.fidelity import fidelities_from_swap_test_probabilities
 from repro.quantum.program import StatevectorEngine, SweepProgram, TilePlan
 from repro.quantum.statevector import Statevector
 from repro.utils.cache import LRUCache
 
 
-class FidelityEstimator(abc.ABC):
-    """Estimates the fidelity between a class's trained state and a data point."""
+def per_circuit_zero_probabilities(
+    builder: DiscriminatorCircuitBuilder,
+    backend: Backend,
+    parameter_matrix: np.ndarray,
+    feature_matrix: np.ndarray,
+    shots: Optional[int],
+) -> np.ndarray:
+    """Ancilla readouts via one :meth:`Backend.run` per (row, sample), row-major.
 
-    #: Whether :meth:`fidelity_matrix` vectorises over a batch of parameter
-    #: vectors.  The trainer and model check this flag to pick the batched
-    #: gradient/inference path.  The analytic estimator always batches; the
-    #: circuit-executing SWAP-test estimator mirrors its backend's
-    #: ``supports_batch`` (True on the simulator backends) and estimators
-    #: without batch support fall back to the per-evaluation loop.
-    supports_batch: bool = False
+    The per-circuit route of :class:`SwapTestFidelityEstimator` for
+    loop-only encoders, and the baseline the benchmarks time the whole-grid
+    program against.
+    """
+    return np.array(
+        [
+            backend.ancilla_zero_probability(
+                builder.build(features, parameter_values=row), shots=shots
+            )
+            for row in parameter_matrix
+            for features in feature_matrix
+        ],
+        dtype=float,
+    )
+
+
+class FidelityEstimator(abc.ABC):
+    """Estimates the fidelity between a class's trained state and a data point.
+
+    The trainer and model always call :meth:`fidelity_matrix`; subclasses
+    that only implement :meth:`fidelity` inherit its default per-row loop.
+    """
 
     def __init__(self, builder: DiscriminatorCircuitBuilder) -> None:
         self.builder = builder
@@ -98,8 +112,6 @@ class AnalyticFidelityEstimator(FidelityEstimator):
     single ``(batch, 2**n) @ (2**n, samples)`` matmul against the memoised
     data-state matrix.
     """
-
-    supports_batch = True
 
     #: Default bound on the memoised per-row data-state cache.
     DEFAULT_DATA_CACHE_SIZE = 4096
@@ -315,25 +327,23 @@ class AnalyticFidelityEstimator(FidelityEstimator):
 class SwapTestFidelityEstimator(FidelityEstimator):
     """Fidelity from SWAP-test ancilla statistics on an execution backend.
 
-    The estimator is sweep-batched and memory-bounded: :meth:`fidelities`
-    and :meth:`fidelity_matrix` hand the whole (parameter row x sample)
-    workload to
-    :meth:`~repro.quantum.backend.Backend.sweep_zero_probabilities` on
-    backends that execute compiled sweep programs — the backend compiles the
-    shared discriminator structure once (statevector program cache, or the
-    noisy transpile template's precomposed-superoperator program), consumes
-    the circuits only for their binding rows, and streams the grid tile by
-    tile under a :class:`~repro.quantum.program.TilePlan` derived from
-    ``max_batch_amplitudes``.  Backends without program support fall back to
-    chunked :meth:`~repro.quantum.backend.Backend.ancilla_zero_probabilities`
-    calls.  Circuit construction is amortised too — the data-bound
-    (trained-state symbolic) discriminator of each sample is memoised in an
-    LRU cache, so a parameter-shift sweep only pays a flat parameter re-bind
-    per circuit.
+    Every evaluation goes through :meth:`fidelity_matrix`, which takes one of
+    two routes, chosen by the encoder alone:
 
-    ``supports_batch`` mirrors the backend's flag: on the simulator backends
-    the trainer, :meth:`GradientRule.gradient_batched`, and QuClassi inference
-    route whole sweeps through :meth:`fidelity_matrix` automatically.
+    * **Whole-grid program** (encoders with ``supports_angle_columns``): the
+      builder's symbolic discriminator and the ``(rows x samples, columns)``
+      bindings matrix go to
+      :meth:`~repro.quantum.backend.Backend.sweep_grid_zero_probabilities`,
+      which compiles the circuit once and executes the grid tile by tile
+      under a :class:`~repro.quantum.program.TilePlan` derived from
+      ``max_batch_amplitudes``.  No per-sample circuit is built.
+    * **Per-circuit loop** (loop-only encoders such as amplitude and basis
+      encoding, whose circuits change structure per sample): one
+      :meth:`~repro.quantum.backend.Backend.run` call per element.
+
+    Both routes walk elements in the same row-major order, so sampled
+    results are draw-for-draw identical to the per-circuit loop under a
+    shared seed.
 
     Parameters
     ----------
@@ -345,15 +355,14 @@ class SwapTestFidelityEstimator(FidelityEstimator):
         Number of shots per circuit; ``None`` requests exact probabilities
         (only meaningful on noiseless backends).
     max_batch_amplitudes:
-        Amplitude budget of one sweep evaluation, counting **both** workload
-        axes: every in-flight (parameter row, data sample) pair costs its
-        full discriminator state — ``2**num_qubits`` complex entries on the
-        statevector backends, ``4**num_qubits`` on density backends — and
-        the two-axis :class:`~repro.quantum.program.TilePlan` (or, on
-        non-program backends, the chunk size) is derived from this bound.
+        Amplitude budget of one whole-grid sweep: every in-flight (parameter
+        row, data sample) pair costs its full discriminator state —
+        ``2**num_qubits`` complex entries on the statevector backends,
+        ``4**num_qubits`` on density backends — and the
+        :class:`~repro.quantum.program.TilePlan` is derived from this bound.
     """
 
-    #: Default amplitude budget per vectorised chunk (~128 MiB of complex128).
+    #: Default amplitude budget per tile (~128 MiB of complex128).
     DEFAULT_MAX_BATCH_AMPLITUDES = 2**23
 
     def __init__(
@@ -373,33 +382,9 @@ class SwapTestFidelityEstimator(FidelityEstimator):
                 f"max_batch_amplitudes must be positive, got {max_batch_amplitudes}"
             )
         self._max_batch_amplitudes = int(max_batch_amplitudes)
-        self._supports_batch_override: Optional[bool] = None
         #: Number of circuits executed so far (cost accounting for reports).
         self.circuits_executed = 0
 
-    @property
-    def supports_batch(self) -> bool:  # type: ignore[override]
-        """Whether sweeps run through the backend batch API.
-
-        Derived from the *current* backend (``backend`` is a public
-        attribute that callers swap, e.g. to re-score a trained model on a
-        noisy device), so the trainer and inference always see the flag of
-        the backend that will actually execute the sweep.  Assigning the
-        attribute (the ``estimator.supports_batch = False`` idiom used to
-        force the per-evaluation loop) pins an explicit override; assign
-        ``None`` to resume tracking the backend.
-        """
-        if self._supports_batch_override is not None:
-            return self._supports_batch_override
-        return bool(getattr(self.backend, "supports_batch", False))
-
-    @supports_batch.setter
-    def supports_batch(self, value: Optional[bool]) -> None:
-        self._supports_batch_override = None if value is None else bool(value)
-
-    # ------------------------------------------------------------------ #
-    # Circuit assembly
-    # ------------------------------------------------------------------ #
     def _per_element_amplitudes(self) -> int:
         """Complex entries one in-flight discriminator state costs.
 
@@ -413,80 +398,29 @@ class SwapTestFidelityEstimator(FidelityEstimator):
             return 2 ** (2 * num_qubits)
         return 2**num_qubits
 
-    def _zero_probabilities(self, circuits, rows: int, samples: int) -> np.ndarray:
-        """Ancilla readouts for one (rows x samples) sweep, memory-bounded.
-
-        On backends that execute compiled sweep programs
-        (``supports_programs``), the whole two-axis workload goes through one
-        :meth:`~repro.quantum.backend.Backend.sweep_zero_probabilities` call
-        under a :class:`~repro.quantum.program.TilePlan` derived from
-        ``max_batch_amplitudes`` — the budget counts every (shift row, data
-        sample) pair's full state, so both axes are accounted, and the
-        backend streams tiles without materialising per-element results.
-        Other backends fall back to chunked
-        :meth:`~repro.quantum.backend.Backend.ancilla_zero_probabilities`
-        calls over the lazily consumed circuit stream (only one chunk's
-        circuits are alive at a time).  Both paths are draw-for-draw
-        identical under a shared seed.
-        """
-        per_element = self._per_element_amplitudes()
-        if getattr(self.backend, "supports_programs", False):
-            plan = TilePlan.for_circuit_sweep(
-                rows, samples, per_element, self._max_batch_amplitudes
-            )
-            zeros = self.backend.sweep_zero_probabilities(
-                circuits, shots=self.shots, tile_plan=plan
-            )
-            self.circuits_executed += int(zeros.shape[0])  # repro: noqa REP101 -- estimators are rebuilt per shard from EstimatorSpec; the parent merges counts after the sweep
-            return zeros
-        iterator = iter(circuits)
-        first = next(iterator, None)
-        if first is None:
-            return np.zeros(0)
-        chunk_size = max(1, self._max_batch_amplitudes // per_element)
-        parts = []
-        chunk = [first]
-        for circuit in iterator:
-            if len(chunk) == chunk_size:
-                parts.append(
-                    self.backend.ancilla_zero_probabilities(chunk, shots=self.shots)
-                )
-                self.circuits_executed += len(chunk)  # repro: noqa REP101 -- estimators are rebuilt per shard from EstimatorSpec; the parent merges counts after the sweep
-                chunk = []
-            chunk.append(circuit)
-        parts.append(self.backend.ancilla_zero_probabilities(chunk, shots=self.shots))
-        self.circuits_executed += len(chunk)  # repro: noqa REP101 -- estimators are rebuilt per shard from EstimatorSpec; the parent merges counts after the sweep
-        return np.concatenate(parts)
-
-    def _grid_zero_probabilities(
+    def _grid_route(
         self, parameter_matrix: np.ndarray, feature_matrix: np.ndarray
     ) -> np.ndarray:
-        """Ancilla readouts for one sweep via the whole-grid program path.
+        """Ancilla readouts for one sweep via the whole-grid program route.
 
-        Binds the builder's symbolic discriminator once and feeds the full
-        ``(rows x samples, columns)`` bindings matrix to
-        :meth:`~repro.quantum.backend.Backend.sweep_grid_zero_probabilities`
-        — no per-sample circuits are constructed at all.  The
-        :meth:`~repro.quantum.program.TilePlan.for_grid_sweep` plan keeps
+        The :meth:`~repro.quantum.program.TilePlan.for_grid_sweep` plan keeps
         every tile inside one parameter row so the executor can evolve the
         trained-state prefix once per tile and broadcast it (certified by
         VER403) across the tile's samples.
         """
-        rows = parameter_matrix.shape[0]
-        samples = feature_matrix.shape[0]
-        bindings = self.builder.grid_bindings(parameter_matrix, feature_matrix)
         plan = TilePlan.for_grid_sweep(
-            rows, samples, self._per_element_amplitudes(), self._max_batch_amplitudes
+            parameter_matrix.shape[0],
+            feature_matrix.shape[0],
+            self._per_element_amplitudes(),
+            self._max_batch_amplitudes,
         )
-        zeros = self.backend.sweep_grid_zero_probabilities(
+        return self.backend.sweep_grid_zero_probabilities(
             self.builder.symbolic_discriminator(),
             self.builder.grid_parameters,
-            bindings,
+            self.builder.grid_bindings(parameter_matrix, feature_matrix),
             shots=self.shots,
             tile_plan=plan,
         )
-        self.circuits_executed += int(zeros.shape[0])  # repro: noqa REP101 -- estimators are rebuilt per shard from EstimatorSpec; the parent merges counts after the sweep
-        return zeros
 
     def clear_cache(self) -> None:
         """Drop the builder's memoised discriminator circuits."""
@@ -496,73 +430,34 @@ class SwapTestFidelityEstimator(FidelityEstimator):
     # Fidelity evaluation
     # ------------------------------------------------------------------ #
     def fidelity(self, parameter_values: Sequence[float], features: Sequence[float]) -> float:
-        circuit = self.builder.build(features, parameter_values=parameter_values)
-        probability_zero = self.backend.ancilla_zero_probability(circuit, shots=self.shots)
-        self.circuits_executed += 1
-        return fidelity_from_swap_test_probability(probability_zero)
+        """One-element :meth:`fidelity_matrix` sweep."""
+        features = self.builder._check_features(features)
+        return float(self.fidelities(parameter_values, features[None, :])[0])
 
     def fidelities(self, parameter_values: Sequence[float], feature_matrix: np.ndarray) -> np.ndarray:
-        """Fidelities for every sample row, executed as one circuit batch.
-
-        A one-row :meth:`fidelity_matrix` sweep — delegating keeps the two
-        paths order-identical, which the seed-matched RNG guarantees rely on.
-        """
+        """One-row :meth:`fidelity_matrix` sweep."""
         parameter_values = np.asarray(parameter_values, dtype=float)
         return self.fidelity_matrix(parameter_values[None, :], feature_matrix)[0]
 
     def fidelity_matrix(
         self, parameter_matrix: np.ndarray, feature_matrix: np.ndarray
     ) -> np.ndarray:
-        """Vectorised ``(batch, samples)`` fidelity matrix via the batch API.
-
-        When the backend executes whole-grid programs and the encoder
-        supports angle columns, the entire sweep routes through one
-        :meth:`_grid_zero_probabilities` call — a single compiled program
-        with the grid's bindings matrix, no per-sample circuits.  Otherwise
-        the discriminator circuits of every (parameter row, sample) pair —
-        all sharing one gate structure — stack into backend batches.  Both
-        paths walk elements in the same row-major order, so sampled sweeps
-        stay seed-identical either way.
-        """
+        """``(batch, samples)`` fidelity matrix through the encoder's route."""
         parameter_matrix = np.asarray(parameter_matrix, dtype=float)
         if parameter_matrix.ndim != 2:
             raise ValidationError(
                 f"parameter_matrix must be 2-D (batch, params), got shape {parameter_matrix.shape}"
             )
         feature_matrix = np.asarray(feature_matrix, dtype=float)
-
         rows = parameter_matrix.shape[0]
         samples = feature_matrix.shape[0]
         if rows == 0 or samples == 0:
             return np.zeros((rows, samples))
-        if (
-            self.supports_batch
-            and getattr(self.backend, "supports_grid_programs", False)
-            and self.builder.supports_grid_compile
-        ):
-            zeros = self._grid_zero_probabilities(parameter_matrix, feature_matrix)
-            fidelities = fidelities_from_swap_test_probabilities(zeros)
-            return fidelities.reshape(rows, samples)
-
-        # One cache lookup per sample (shared references), not one per
-        # (parameter row, sample) pair.  Binding the shared cached instances
-        # is safe: bind_parameters produces fresh circuits without touching
-        # the originals.
-        sample_circuits = [
-            self.builder._cached_data_bound_discriminator(features)
-            for features in feature_matrix
-        ]
-
-        def circuit_stream():
-            # Row-major (parameter row, then sample) order — the same order
-            # as the per-circuit loop, so sampled sweeps stay seed-identical.
-            for row in parameter_matrix:
-                binding = self.builder.parameter_binding(row)
-                for circuit in sample_circuits:
-                    yield circuit.bind_parameters(binding)
-
-        zeros = self._zero_probabilities(
-            circuit_stream(), parameter_matrix.shape[0], feature_matrix.shape[0]
-        )
-        fidelities = fidelities_from_swap_test_probabilities(zeros)
-        return fidelities.reshape(parameter_matrix.shape[0], feature_matrix.shape[0])
+        if self.builder.supports_grid_compile:
+            zeros = self._grid_route(parameter_matrix, feature_matrix)
+        else:
+            zeros = per_circuit_zero_probabilities(
+                self.builder, self.backend, parameter_matrix, feature_matrix, self.shots
+            )
+        self.circuits_executed += int(zeros.shape[0])  # repro: noqa REP101 -- estimators are rebuilt per shard from EstimatorSpec; the parent merges counts after the sweep
+        return fidelities_from_swap_test_probabilities(zeros).reshape(rows, samples)

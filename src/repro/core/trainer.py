@@ -16,22 +16,15 @@ Two update granularities are supported:
 * ``"stochastic"`` — one update per sample, the literal reading of
   Algorithm 1; used by the hardware-style experiments with small subsamples.
 
-When the model's estimator advertises ``supports_batch``, each gradient
-evaluation runs through :meth:`GradientRule.gradient_batched`: all ``2P``
-shifted parameter vectors are stacked into one matrix and evaluated in a
-single vectorised statevector/cost pass, which is numerically equivalent to
-the loop (same shifts, same reduction order) but removes the per-shift Python
-rebuild of the trained state.  The analytic estimator always batches; the
-circuit-executing SWAP-test estimator batches whenever its backend does
-(every simulator backend).  Under the hood the full (shift-row x sample)
-workload of one gradient evaluation executes as a *single tiled
-compile-once sweep*: the estimator's ``fidelity_matrix`` compiles the
-discriminator structure once into a
-:class:`~repro.quantum.program.SweepProgram` (cached across epochs) and
-streams the grid through memory-bounded
-:class:`~repro.quantum.program.TilePlan` tiles — see
-``docs/compile_once_programs.md``.  Estimators on backends without batch
-support keep the per-evaluation loop.
+Each gradient evaluation runs through :meth:`GradientRule.gradient_batched`:
+all ``2P`` shifted parameter vectors are stacked into one matrix and
+evaluated with a single ``fidelity_matrix`` call, which is numerically
+equivalent to the per-shift loop (same shifts, same reduction order).  The
+analytic estimator evolves the whole matrix in one statevector pass; the
+SWAP-test estimator runs the full (shift-row x sample) grid as one tiled
+compile-once program — see ``docs/compile_once_programs.md``.  Custom
+estimators that only implement ``fidelity`` get the base class's per-row
+``fidelity_matrix`` loop.
 
 Per-class random streams (order independence)
 ---------------------------------------------
@@ -120,11 +113,6 @@ class TrainerConfig:
 # --------------------------------------------------------------------------- #
 
 
-def _supports_batch(estimator) -> bool:
-    """Whether gradients run through the vectorised multi-loss sweep."""
-    return bool(getattr(estimator, "supports_batch", False))
-
-
 def _multi_loss_closure(estimator, cost_function, features: np.ndarray, targets: np.ndarray):
     """Vectorised loss over a ``(batch, params)`` parameter matrix."""
     batched_cost = getattr(cost_function, "batched", None)
@@ -177,22 +165,13 @@ def _class_epoch_update(
             for start in range(0, features.shape[0], size)
         ]
 
-    use_batched = _supports_batch(estimator)
     accumulated_norm_sq = 0.0
     for batch_features, batch_targets in batches:
-        if use_batched:
-            gradient = gradient_rule.gradient_batched(
-                _multi_loss_closure(estimator, cost_function, batch_features, batch_targets),
-                parameters,
-                epoch=epoch,
-            )
-        else:
-
-            def loss(parameter_vector: np.ndarray) -> float:
-                fidelities = estimator.fidelities(parameter_vector, batch_features)
-                return cost_function(fidelities, batch_targets)
-
-            gradient = gradient_rule.gradient(loss, parameters, epoch=epoch)
+        gradient = gradient_rule.gradient_batched(
+            _multi_loss_closure(estimator, cost_function, batch_features, batch_targets),
+            parameters,
+            epoch=epoch,
+        )
         parameters = parameters - config.learning_rate * gradient
         accumulated_norm_sq += float(np.dot(gradient, gradient))
     return parameters, accumulated_norm_sq
@@ -299,21 +278,6 @@ class Trainer:
     ) -> float:
         fidelities = self.model.estimator.fidelities(parameters, features)
         return self.cost_function(fidelities, targets)
-
-    def _uses_batched_path(self) -> bool:
-        """Whether gradients run through the vectorised multi-loss sweep.
-
-        The estimator must advertise batch support: the analytic statevector
-        engine always does, and the circuit-executing SWAP-test estimator
-        does whenever its backend can execute a sweep as a batch (all
-        simulator backends).  Otherwise the per-evaluation loop of
-        Algorithm 1 is kept.
-        """
-        return _supports_batch(self.model.estimator)
-
-    def _multi_loss(self, features: np.ndarray, targets: np.ndarray):
-        """Vectorised loss over a ``(batch, params)`` parameter matrix."""
-        return _multi_loss_closure(self.model.estimator, self.cost_function, features, targets)
 
     # ------------------------------------------------------------------ #
     # Fit loop

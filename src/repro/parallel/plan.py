@@ -265,7 +265,7 @@ class EstimatorSpec:
     The circuit builder itself is shipped (it is deterministic, shared data),
     while the execution backend travels as a :class:`BackendSpec` so every
     worker gets an isolated instance.  The estimator's tuning — memory
-    guards, cache bounds, a pinned ``supports_batch`` override — is carried
+    guards and cache bounds — is carried
     along so a worker-rebuilt estimator behaves exactly like the one the
     caller configured (dropping e.g. a lowered ``max_batch_amplitudes``
     would reintroduce the memory blow-up that bound was set to prevent).
@@ -277,7 +277,6 @@ class EstimatorSpec:
     max_batch_amplitudes: Optional[int] = None
     data_cache_size: Optional[int] = None
     data_matrix_cache_size: Optional[int] = None
-    supports_batch_override: Optional[bool] = None
 
     KINDS = ("analytic", "swap_test")
 
@@ -307,15 +306,11 @@ class EstimatorSpec:
         )
 
         if isinstance(estimator, AnalyticFidelityEstimator):
-            # ``supports_batch`` is a class attribute; an instance assignment
-            # (the ``estimator.supports_batch = False`` idiom that forces the
-            # per-evaluation loop) shadows it and must travel with the spec.
             return cls(
                 kind="analytic",
                 data_cache_size=estimator._data_state_cache.max_entries,
                 data_matrix_cache_size=estimator._data_matrix_cache.max_entries,
                 max_batch_amplitudes=estimator._max_batch_amplitudes,
-                supports_batch_override=estimator.__dict__.get("supports_batch"),
             )
         if isinstance(estimator, SwapTestFidelityEstimator):
             return cls(
@@ -323,7 +318,6 @@ class EstimatorSpec:
                 backend=BackendSpec.from_backend(estimator.backend),
                 shots=estimator.shots,
                 max_batch_amplitudes=estimator._max_batch_amplitudes,
-                supports_batch_override=estimator._supports_batch_override,
             )
         raise ValidationError(
             f"cannot derive an EstimatorSpec from {type(estimator).__name__}; "
@@ -338,7 +332,7 @@ class EstimatorSpec:
         )
 
         if self.kind == "analytic":
-            estimator = AnalyticFidelityEstimator(
+            return AnalyticFidelityEstimator(
                 builder,
                 data_cache_size=self.data_cache_size
                 or AnalyticFidelityEstimator.DEFAULT_DATA_CACHE_SIZE,
@@ -347,15 +341,11 @@ class EstimatorSpec:
                 max_batch_amplitudes=self.max_batch_amplitudes
                 or AnalyticFidelityEstimator.DEFAULT_MAX_BATCH_AMPLITUDES,
             )
-        else:
-            backend = self.backend.build() if self.backend is not None else None
-            estimator = SwapTestFidelityEstimator(
-                builder,
-                backend=backend,
-                shots=self.shots,
-                max_batch_amplitudes=self.max_batch_amplitudes
-                or SwapTestFidelityEstimator.DEFAULT_MAX_BATCH_AMPLITUDES,
-            )
-        if self.supports_batch_override is not None:
-            estimator.supports_batch = self.supports_batch_override
-        return estimator
+        backend = self.backend.build() if self.backend is not None else None
+        return SwapTestFidelityEstimator(
+            builder,
+            backend=backend,
+            shots=self.shots,
+            max_batch_amplitudes=self.max_batch_amplitudes
+            or SwapTestFidelityEstimator.DEFAULT_MAX_BATCH_AMPLITUDES,
+        )

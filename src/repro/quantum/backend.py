@@ -11,23 +11,23 @@ provided here:
   a density-matrix simulator with the device's noise model.  This is the base
   class of the simulated IBM-Q and IonQ machines in :mod:`repro.hardware`.
 
-Batch execution
----------------
-Every backend executes whole circuit batches through :meth:`Backend.run_batch`
-and exposes the SWAP-test readout for a sweep via
-:meth:`Backend.ancilla_zero_probabilities`.  The default implementations loop
-:meth:`Backend.run`; the statevector backends delegate to
-:meth:`~repro.quantum.simulator.StatevectorSimulator.run_batch`, which evolves
-a structure-sharing sweep as one vectorised pass, and :class:`NoisyBackend`
-re-binds each circuit through a structure-keyed
-:class:`~repro.quantum.transpiler.TranspileCache` (plus a per-width region
-cache) and then hands the whole transpiled sweep to
-:meth:`~repro.quantum.simulator.DensityMatrixSimulator.run_batch`, which
-evolves it as one :class:`~repro.quantum.batched_density.BatchedDensityMatrix`
-pass under the device noise model.  Backends whose batch path is worth routing
-sweeps through advertise ``supports_batch = True``, which the SWAP-test
-fidelity estimator mirrors; on every backend the batched results are
-equivalent to the loop (seed-identical counts where shots are sampled).
+Execution routes
+----------------
+A SWAP-test fidelity reaches a backend by exactly one of two routes:
+
+* :meth:`Backend.sweep_grid_zero_probabilities` — the whole-grid program.
+  One *symbolic* discriminator (trained parameters and data-encoder angles
+  unbound) compiles once into a
+  :class:`~repro.quantum.program.SweepProgram` and executes a
+  ``(rows x samples, columns)`` bindings matrix tile by tile.  The
+  statevector backends compile through their simulator's structure-keyed
+  program cache; :class:`NoisyBackend` transpiles the symbolic circuit once
+  through its :class:`~repro.quantum.transpiler.TranspileCache` and runs the
+  template's precomposed-superoperator program.
+* :meth:`Backend.run` — one bound circuit per call.  It is the reference the
+  grid route is tested against (seed-identical counts where shots are
+  sampled), and the route for encoders whose circuits cannot be expressed as
+  angle bind columns.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -80,43 +80,9 @@ class Backend(abc.ABC):
     #: Human-readable backend name (used in experiment reports).
     name: str = "backend"
 
-    #: Whether :meth:`run_batch` is worth routing whole sweeps through (a
-    #: vectorised engine or cached transpilation rather than a bare loop).
-    #: The SWAP-test fidelity estimator mirrors this flag as its own
-    #: ``supports_batch`` so the trainer and inference pick the batched path.
-    supports_batch: bool = False
-
-    #: Whether :meth:`sweep_zero_probabilities` executes through a cached
-    #: compiled :class:`~repro.quantum.program.SweepProgram` (compile-once,
-    #: tiled execution, no per-element result materialisation).  The
-    #: SWAP-test estimator routes its whole (shift-row x sample) workload
-    #: through that path when this is set.
-    supports_programs: bool = False
-
-    #: Whether :meth:`sweep_grid_zero_probabilities` executes whole-grid
-    #: programs — one *symbolic* circuit (trained parameters and data-encoder
-    #: angles unbound) compiled once, fed a ``(rows x samples, columns)``
-    #: bindings matrix.  No per-sample circuit is ever constructed or bound;
-    #: the SWAP-test estimator takes this path when the encoder supports
-    #: angle columns.
-    supports_grid_programs: bool = False
-
     @abc.abstractmethod
     def run(self, circuit: QuantumCircuit, shots: Optional[int] = None) -> SimulationResult:
         """Execute a fully bound circuit."""
-
-    def run_batch(
-        self, circuits: Sequence[QuantumCircuit], shots: Optional[int] = None
-    ) -> List[SimulationResult]:
-        """Execute a batch of bound circuits.
-
-        The base implementation loops :meth:`run`; subclasses override it
-        with vectorised or cache-amortised paths.  Results are returned in
-        input order and are equivalent to the loop (seed-identical where the
-        backend samples shots).
-        """
-        validate_shots(shots, self.name)
-        return [self.run(circuit, shots=shots) for circuit in circuits]
 
     @property
     def is_noisy(self) -> bool:
@@ -133,46 +99,6 @@ class Backend(abc.ABC):
         result = self.run(circuit, shots=shots)
         return result.marginal_probability(0, value=0)
 
-    def ancilla_zero_probabilities(
-        self, circuits: Sequence[QuantumCircuit], shots: Optional[int] = None
-    ) -> np.ndarray:
-        """SWAP-test readouts for a whole sweep of discriminator circuits.
-
-        Runs the batch through :meth:`run_batch` and returns ``P(bit 0 = 0)``
-        per circuit — the vector the batched fidelity estimator inverts into
-        fidelities.
-        """
-        results = self.run_batch(circuits, shots=shots)
-        return np.array(
-            [result.marginal_probability(0, value=0) for result in results], dtype=float
-        )
-
-    def sweep_zero_probabilities(
-        self,
-        circuits,
-        shots: Optional[int] = None,
-        tile_plan: Optional[TilePlan] = None,
-    ) -> np.ndarray:
-        """SWAP-test readouts of one structure-sharing sweep, tiled.
-
-        The compile-once hot path: backends with ``supports_programs`` pull
-        the circuits from the (lazily consumed) iterable only to extract
-        their binding rows, compile the shared structure once through their
-        program cache, and stream the whole sweep through
-        :meth:`~repro.quantum.simulator.StatevectorSimulator.run_sweep_program`
-        under ``tile_plan`` — so peak memory is one tile's state stack, not
-        the sweep's, and no per-element :class:`SimulationResult` (or final
-        state) is ever built.  Results are draw-for-draw identical to
-        :meth:`ancilla_zero_probabilities`.
-
-        Unlike :meth:`run_batch`, every circuit of the sweep **must** share
-        one structure; mismatches raise :class:`BackendError` instead of
-        falling back (by then earlier circuits of the stream have already
-        been consumed).  The base implementation simply materialises the
-        sweep and loops, so estimator code can call this unconditionally.
-        """
-        return self.ancilla_zero_probabilities(list(circuits), shots=shots)
-
     def sweep_grid_zero_probabilities(
         self,
         circuit: QuantumCircuit,
@@ -186,46 +112,19 @@ class Backend(abc.ABC):
         ``circuit`` is a single *symbolic* representative (trained parameters
         and data-encoder angles unbound), ``parameters`` its binding-column
         order, ``bindings`` the ``(rows x samples, columns)`` value matrix in
-        row-major grid order.  Backends advertising
-        ``supports_grid_programs`` compile the circuit once, execute the
-        bindings straight through the tiled program executor (shared
-        trained-state prefixes evolve once per tile when ``tile_plan`` claims
-        them, certified by VER403), and return ``P(bit 0 = 0)`` per grid
-        element — draw-for-draw identical to streaming bound per-sample
-        circuits through :meth:`sweep_zero_probabilities`.
+        row-major grid order.  Implementations compile the circuit once,
+        execute the bindings straight through the tiled program executor
+        (shared trained-state prefixes evolve once per tile when
+        ``tile_plan`` claims them, certified by VER403), and return
+        ``P(bit 0 = 0)`` per grid element — draw-for-draw identical to
+        calling :meth:`run` on each bound per-sample circuit in row-major
+        order.  A backend that only implements :meth:`run` raises here.
         """
         raise BackendError(
-            f"{self.name}: whole-grid program execution is not supported; "
-            "check supports_grid_programs before calling"
+            f"{self.name}: whole-grid program execution is not implemented; "
+            "override sweep_grid_zero_probabilities to run angle-encoded "
+            "SWAP-test sweeps on this backend"
         )
-
-
-def _statevector_sweep(
-    backend: "Backend",
-    simulator: StatevectorSimulator,
-    circuits,
-    shots: Optional[int],
-    tile_plan: Optional[TilePlan],
-) -> np.ndarray:
-    """Shared program-sweep implementation of the statevector backends."""
-    iterator = iter(circuits)
-    first = next(iterator, None)
-    if first is None:
-        return np.zeros(0)
-    program = simulator._sweep_program(first)
-    rows = [program.binding_row(first)]
-    for circuit in iterator:
-        if not program.matches_structure(circuit):
-            raise BackendError(
-                f"{backend.name}: sweep_zero_probabilities requires one shared "
-                f"circuit structure; '{circuit.name}' deviates from the sweep's"
-            )
-        rows.append(program.binding_row(circuit))
-    bindings = np.asarray(rows, dtype=float).reshape(len(rows), program.num_columns)
-    readout = simulator.run_sweep_program(
-        program, bindings, shots=shots, tile_plan=tile_plan
-    )
-    return readout.marginal_probabilities(0, 0)
 
 
 def _statevector_grid_sweep(
@@ -256,9 +155,6 @@ class IdealBackend(Backend):
     """Noise-free statevector execution with exact probabilities."""
 
     name = "ideal_simulator"
-    supports_batch = True
-    supports_programs = True
-    supports_grid_programs = True
 
     def __init__(self, seed: RandomState = None) -> None:
         self._simulator = StatevectorSimulator(seed=seed)
@@ -266,23 +162,6 @@ class IdealBackend(Backend):
     def run(self, circuit: QuantumCircuit, shots: Optional[int] = None) -> SimulationResult:
         shots = validate_shots(shots, self.name)
         return self._simulator.run(circuit, shots=shots)
-
-    def run_batch(
-        self, circuits: Sequence[QuantumCircuit], shots: Optional[int] = None
-    ) -> List[SimulationResult]:
-        """Vectorised batch execution on the statevector engine."""
-        shots = validate_shots(shots, self.name)
-        return self._simulator.run_batch(circuits, shots=shots)
-
-    def sweep_zero_probabilities(
-        self,
-        circuits,
-        shots: Optional[int] = None,
-        tile_plan: Optional[TilePlan] = None,
-    ) -> np.ndarray:
-        """Tiled compile-once sweep on the statevector engine."""
-        shots = validate_shots(shots, self.name)
-        return _statevector_sweep(self, self._simulator, circuits, shots, tile_plan)
 
     def sweep_grid_zero_probabilities(
         self,
@@ -303,9 +182,6 @@ class SampledBackend(Backend):
     """Statevector execution that always samples a finite number of shots."""
 
     name = "sampled_simulator"
-    supports_batch = True
-    supports_programs = True
-    supports_grid_programs = True
 
     def __init__(self, shots: int = 1024, seed: RandomState = None) -> None:
         self.shots = validate_shots(shots, self.name)
@@ -322,23 +198,6 @@ class SampledBackend(Backend):
 
     def run(self, circuit: QuantumCircuit, shots: Optional[int] = None) -> SimulationResult:
         return self._simulator.run(circuit, shots=self._resolve_shots(shots))
-
-    def run_batch(
-        self, circuits: Sequence[QuantumCircuit], shots: Optional[int] = None
-    ) -> List[SimulationResult]:
-        """Vectorised batch execution; every circuit is sampled."""
-        return self._simulator.run_batch(circuits, shots=self._resolve_shots(shots))
-
-    def sweep_zero_probabilities(
-        self,
-        circuits,
-        shots: Optional[int] = None,
-        tile_plan: Optional[TilePlan] = None,
-    ) -> np.ndarray:
-        """Tiled compile-once sweep; every element is sampled."""
-        return _statevector_sweep(
-            self, self._simulator, circuits, self._resolve_shots(shots), tile_plan
-        )
 
     def sweep_grid_zero_probabilities(
         self,
@@ -394,26 +253,18 @@ class DeviceProperties:
 class NoisyBackend(Backend):
     """Device-like backend: transpile, then run under a noise model.
 
-    Repeated sweeps over the same circuit structure (every SWAP-test
-    parameter-shift sweep) hit two caches: a per-width cache of the selected
-    chip region, and a structure-keyed
-    :class:`~repro.quantum.transpiler.TranspileCache` that re-binds rotation
-    angles into a previously transpiled template instead of re-running
-    decomposition and routing.  :meth:`run_batch` then executes the whole
-    re-bound sweep as one vectorised
-    :meth:`~repro.quantum.simulator.DensityMatrixSimulator.run_batch` pass
-    (transpiled circuits of one sweep share their structure by construction),
-    so noisy sweeps batch end to end instead of simulating one density matrix
-    per circuit.  :meth:`sweep_zero_probabilities` goes further: the whole
-    (shift-row x sample) workload executes straight from the cached
-    template's compiled :class:`~repro.quantum.program.SweepProgram` —
-    unitaries and noise channels precomposed into per-gate superoperators —
-    tiled under a :class:`~repro.quantum.program.TilePlan` memory budget.
+    Two caches amortise repeated work: a per-width cache of the selected chip
+    region, and a structure-keyed
+    :class:`~repro.quantum.transpiler.TranspileCache`.  :meth:`run` re-binds
+    each circuit's rotation angles into a previously transpiled template
+    instead of re-running decomposition and routing.
+    :meth:`sweep_grid_zero_probabilities` transpiles the symbolic
+    discriminator once and executes the whole (shift-row x sample) grid
+    straight from the template's compiled
+    :class:`~repro.quantum.program.SweepProgram` — unitaries and noise
+    channels precomposed into per-gate superoperators — tiled under a
+    :class:`~repro.quantum.program.TilePlan` memory budget.
     """
-
-    supports_batch = True
-    supports_programs = True
-    supports_grid_programs = True
 
     def __init__(
         self,
@@ -424,7 +275,7 @@ class NoisyBackend(Backend):
         self.properties = properties
         self.name = properties.name
         #: When True, every job *submission* (one :meth:`run` call, or one
-        #: whole :meth:`run_batch` — a batch is a single provider job) sleeps
+        #: whole grid sweep — a sweep is a single provider job) sleeps
         #: for the device's ``queue_latency_seconds``, modelling the shared
         #: public queue the paper remarks on.  Off by default: figure
         #: reproduction only book-keeps latency.  Sharded sweeps overlap
@@ -472,6 +323,14 @@ class NoisyBackend(Backend):
             )
         return shots
 
+    def _check_width(self, circuit: QuantumCircuit) -> None:
+        """Reject circuits wider than the device."""
+        if circuit.num_qubits > self.properties.num_qubits:
+            raise BackendError(
+                f"{self.name} has {self.properties.num_qubits} qubits, circuit needs "
+                f"{circuit.num_qubits}"
+            )
+
     @staticmethod
     def _transpile_stats(transpiled) -> Dict[str, int]:
         """Summary statistics of one transpilation, as reported in metadata."""
@@ -481,23 +340,6 @@ class NoisyBackend(Backend):
             "added_cx": transpiled.added_cx,
             "depth": transpiled.depth,
         }
-
-    def _transpile(self, circuit: QuantumCircuit):
-        """Transpile one circuit onto the selected chip region (cache-amortised).
-
-        Updates ``last_transpile_stats`` so repeated calls report the most
-        recently transpiled circuit, matching the per-circuit :meth:`run`
-        bookkeeping when a batch loops through here.
-        """
-        if circuit.num_qubits > self.properties.num_qubits:
-            raise BackendError(
-                f"{self.name} has {self.properties.num_qubits} qubits, circuit needs "
-                f"{circuit.num_qubits}"
-            )
-        local_map = self._local_coupling_map(circuit.num_qubits)
-        transpiled = self._transpile_cache.transpile(circuit, local_map)
-        self.last_transpile_stats = self._transpile_stats(transpiled)
-        return transpiled
 
     def _attach_metadata(self, result: SimulationResult, transpile_stats: Dict[str, int]) -> None:
         result.metadata.update(
@@ -515,119 +357,15 @@ class NoisyBackend(Backend):
 
     def run(self, circuit: QuantumCircuit, shots: Optional[int] = None) -> SimulationResult:
         shots = self._resolve_shots(shots)
+        self._check_width(circuit)
         self._queue_wait()
-        transpiled = self._transpile(circuit)
+        local_map = self._local_coupling_map(circuit.num_qubits)
+        transpiled = self._transpile_cache.transpile(circuit, local_map)
+        self.last_transpile_stats = self._transpile_stats(transpiled)
         result = self._simulator.run(transpiled.circuit, shots=shots)
         self._attach_metadata(result, self.last_transpile_stats)
         self._record_job(result)
         return result
-
-    def run_batch(
-        self, circuits: Sequence[QuantumCircuit], shots: Optional[int] = None
-    ) -> List[SimulationResult]:
-        """Execute a batch: cached transpilation, then one vectorised noisy pass.
-
-        Every circuit re-binds through the structure-keyed transpile cache
-        (one symbolic transpilation per structure, flat re-binds after), and
-        the transpiled sweep executes through
-        :meth:`~repro.quantum.simulator.DensityMatrixSimulator.run_batch` —
-        one :class:`~repro.quantum.batched_density.BatchedDensityMatrix`
-        evolution plus one stacked shot draw when the sweep shares structure,
-        a transparent per-circuit fallback otherwise.  Results are
-        seed-identical to looping :meth:`run`.
-        """
-        shots = self._resolve_shots(shots)
-        self._queue_wait()
-        transpiled = [self._transpile(circuit) for circuit in circuits]
-        results = self._simulator.run_batch(
-            [entry.circuit for entry in transpiled], shots=shots
-        )
-        for entry, result in zip(transpiled, results):
-            self._attach_metadata(result, self._transpile_stats(entry))
-            self._record_job(result)
-        return results
-
-    def sweep_zero_probabilities(
-        self,
-        circuits,
-        shots: Optional[int] = None,
-        tile_plan: Optional[TilePlan] = None,
-    ) -> np.ndarray:
-        """Compile-once tiled sweep under the device noise model.
-
-        Every circuit of the sweep resolves to **one**
-        :class:`~repro.quantum.transpiler.TranspileCache` template whose
-        compiled :class:`~repro.quantum.program.SweepProgram` (gate unitaries
-        and noise channels precomposed into per-gate superoperators) executes
-        the whole workload tile by tile — the *template* is never re-bound,
-        no per-gate channel resolution runs, and no per-element density
-        matrices are materialised.  The incoming (caller-bound) circuits are
-        consumed only to extract their slot-value binding rows; compiling the
-        data encoder's angles as bind sites too, so callers need not build
-        per-element circuits at all, is a ROADMAP item.  One sweep is one
-        provider job submission (a single queue wait), but every element is
-        still ledgered individually so job accounting matches the loop path.
-        """
-        shots = self._resolve_shots(shots)
-        iterator = iter(circuits)
-        first = next(iterator, None)
-        if first is None:
-            return np.zeros(0)
-        if first.num_qubits > self.properties.num_qubits:
-            raise BackendError(
-                f"{self.name} has {self.properties.num_qubits} qubits, circuit "
-                f"needs {first.num_qubits}"
-            )
-        self._queue_wait()
-        local_map = self._local_coupling_map(first.num_qubits)
-        entry, values = self._transpile_cache.template(first, local_map)
-        rows = [values]
-        names = [first.name]
-        for circuit in iterator:
-            if circuit.num_qubits != first.num_qubits:
-                raise BackendError(
-                    f"{self.name}: sweep_zero_probabilities requires one shared "
-                    f"circuit structure; '{circuit.name}' has a different width"
-                )
-            other, circuit_values = self._transpile_cache.template(circuit, local_map)
-            if other is not entry:
-                raise BackendError(
-                    f"{self.name}: sweep_zero_probabilities requires one shared "
-                    f"circuit structure; '{circuit.name}' deviates from the sweep's"
-                )
-            rows.append(circuit_values)
-            names.append(circuit.name)
-        # Fusion stays env-/simulator-default (optimize=None); the legality
-        # oracle consults the simulator's own noise model so the density
-        # engine's folded plans certify against the channels it will apply.
-        program = entry.ensure_program(
-            noise_model=getattr(self._simulator, "noise_model", None)
-        )
-        stats = self._transpile_stats(entry.result)
-        self.last_transpile_stats = stats
-        readout = self._simulator.run_sweep_program(
-            program,
-            np.asarray(rows, dtype=float).reshape(len(rows), program.num_columns),
-            shots=shots,
-            tile_plan=tile_plan,
-        )
-        for element, name in enumerate(names):
-            result = SimulationResult(
-                circuit_name=f"{name}_basis_routed",
-                probabilities=readout.probabilities[element],
-                counts=readout.counts[element] if readout.counts is not None else None,
-                shots=shots,
-                metadata={
-                    "engine": self._simulator.name,
-                    "noisy": not self.properties.noise_model.is_ideal,
-                    "batched": True,
-                    "batch_size": len(names),
-                    "program_sweep": True,
-                },
-            )
-            self._attach_metadata(result, stats)
-            self._record_job(result)
-        return readout.marginal_probabilities(0, 0)
 
     def sweep_grid_zero_probabilities(
         self,
@@ -657,11 +395,7 @@ class NoisyBackend(Backend):
             )
         if bindings.shape[0] == 0:
             return np.zeros(0)
-        if circuit.num_qubits > self.properties.num_qubits:
-            raise BackendError(
-                f"{self.name} has {self.properties.num_qubits} qubits, circuit "
-                f"needs {circuit.num_qubits}"
-            )
+        self._check_width(circuit)
         self._queue_wait()
         local_map = self._local_coupling_map(circuit.num_qubits)
         entry = self._transpile_cache.symbolic_template(
@@ -699,6 +433,6 @@ class NoisyBackend(Backend):
 
         The base class keeps no job records; the simulated providers in
         :mod:`repro.hardware` override this to append to their
-        :class:`~repro.hardware.job.JobLedger`, so single runs and batches
-        share one accounting path.
+        :class:`~repro.hardware.job.JobLedger`, so single runs and grid
+        sweeps share one accounting path.
         """

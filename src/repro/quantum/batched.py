@@ -36,7 +36,6 @@ import numpy as np
 
 from repro import arrays
 from repro.exceptions import SimulationError
-from repro.quantum import gates as gate_library
 from repro.quantum.statevector import marginal_probabilities
 
 
@@ -212,43 +211,6 @@ class BatchedStatevector:
         tensor = self._amplitudes.reshape((self._batch_size,) + (2,) * n)
         moved = arrays.einsum(f"{gate_sub},{in_sub}->{out_sub}", gate, tensor)
         self._amplitudes = np.ascontiguousarray(moved).reshape(self._batch_size, -1)
-        return self
-
-    def apply_program(self, program, parameter_matrix: np.ndarray) -> "BatchedStatevector":
-        """Apply a compiled gate program with per-element parameters.
-
-        ``program`` is a sequence of ``(gate_name, qubits, slots)`` entries
-        (the legacy flat-tuple format that predates
-        :class:`repro.quantum.program.SweepProgram`, kept as a public
-        convenience): each slot is ``("index", i)`` for the ``i``-th column
-        of ``parameter_matrix`` or ``("value", v)`` for a fixed angle.  Gates
-        whose slots are all fixed (or that take no parameters) are applied as
-        a single shared matrix; gates with per-element angles are built with
-        :func:`repro.quantum.gates.gate_matrix_batch`.  New code should
-        compile a :class:`~repro.quantum.program.SweepProgram` instead.
-        """
-        values = np.asarray(parameter_matrix, dtype=float)
-        if values.ndim != 2:
-            raise SimulationError(
-                f"parameter_matrix must be 2-D (batch, params), got shape {values.shape}"
-            )
-        if values.shape[0] != self._batch_size:
-            raise SimulationError(
-                f"parameter_matrix has {values.shape[0]} rows, batch is {self._batch_size}"
-            )
-        for name, qubits, slots in program:
-            if not slots:
-                self.apply_matrix(gate_library.gate_matrix(name), qubits)
-                continue
-            if all(kind == "value" for kind, _ in slots):
-                fixed = tuple(value for _, value in slots)
-                self.apply_matrix(gate_library.gate_matrix(name, *fixed), qubits)
-                continue
-            columns = tuple(
-                values[:, slot] if kind == "index" else np.full(self._batch_size, slot)
-                for kind, slot in slots
-            )
-            self.apply_matrix(gate_library.gate_matrix_batch(name, *columns), qubits)
         return self
 
     def evolve(self, circuit) -> "BatchedStatevector":

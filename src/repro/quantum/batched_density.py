@@ -388,7 +388,7 @@ class BatchedDensityMatrix:
             if instruction.is_measurement or instruction.name == "reset":
                 raise SimulationError(
                     "BatchedDensityMatrix.evolve only supports unitary circuits; "
-                    "use DensityMatrixSimulator.run_batch for measurements"
+                    "use DensityMatrixSimulator.run for measurements"
                 )
             self.apply_instruction(instruction)
         return self

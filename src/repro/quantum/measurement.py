@@ -164,9 +164,8 @@ def exact_clbit_probabilities(
     that qubit order); the result maps full classical-register bit strings
     (bit 0 leftmost) to probabilities, with zero-probability outcomes dropped
     exactly as the sampling helpers expect.  Shared by the per-circuit
-    simulators, the vectorised batch paths, and the compiled
-    :class:`~repro.quantum.program.SweepProgram` executor so every read-out
-    path produces identical outcome dictionaries.
+    simulators and the compiled :class:`~repro.quantum.program.SweepProgram`
+    executor so both read-out routes produce identical outcome dictionaries.
     """
     width = len(measured_qubits)
     out: Dict[str, float] = {}

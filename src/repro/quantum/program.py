@@ -2,11 +2,8 @@
 
 The training hot path is dominated by *structure-sharing sweeps*: every
 parameter-shift row and every data sample of a QuClassi gradient evaluation
-executes the **same** gate skeleton with different rotation angles.  Before
-this module, each ``run_batch`` call re-derived the per-gate plan — gate
-matrices looked up per call, noise channels resolved per gate per call — and
-batching was only possible along the flattened circuit list, so the 17-qubit
-MNIST sweeps either blew peak memory or fell back to loops.
+executes the **same** gate skeleton with different rotation angles, so the
+per-gate plan — gate matrices, noise channels — need only be derived once.
 
 :class:`SweepProgram` splits that hot path into **compile once / execute
 many**:
@@ -33,11 +30,11 @@ many**:
   shot sampling is draw-for-draw independent of the tiling).
 
 Consumers compile through caches so the plan is derived once per circuit
-*structure*: the simulators key programs by
-:func:`~repro.quantum.transpiler.circuit_structure_key`, and
-:class:`~repro.quantum.transpiler.TranspileCache` attaches a compiled program
-to every transpile template so noisy sweeps execute straight from the cache
-without re-binding circuits at all.
+*structure*: the simulators key whole-grid programs by
+:func:`~repro.quantum.transpiler.circuit_structure_key` plus the
+binding-column order, and :class:`~repro.quantum.transpiler.TranspileCache`
+attaches a compiled program to every transpile template so noisy sweeps
+execute straight from the cache.
 """
 
 from __future__ import annotations
@@ -296,11 +293,10 @@ class GateStep:
     at execution time.
 
     ``fused_from`` is the fusion pass's provenance: the ordered source steps
-    a fused step replaced.  It is what lets :meth:`SweepProgram.binding_row`
-    and :meth:`SweepProgram.matches_structure` keep working against original
-    circuits, what the density engine composes noise from (a fused step's
-    synthetic name must never reach a name-keyed channel lookup), and what
-    the VER4xx translation validator certifies the rewrite against.
+    a fused step replaced.  It is what the density engine composes noise
+    from (a fused step's synthetic name must never reach a name-keyed
+    channel lookup) and what the VER4xx translation validator certifies the
+    rewrite against.
     """
 
     name: str
@@ -319,7 +315,7 @@ class GateStep:
 # --------------------------------------------------------------------------- #
 
 #: Opt-in switch for plan-time fusion on the cached execution paths (the
-#: simulators' ``run_batch`` program cache and ``TranspileCache`` templates).
+#: simulators' program cache and ``TranspileCache`` templates).
 #: Off by default: fusion is certified-equivalent but regroups float matrix
 #: products, so the default paths keep the seed's bit-exact guarantees.
 OPTIMIZE_PROGRAMS_ENV = "REPRO_OPTIMIZE_PROGRAMS"
@@ -434,8 +430,7 @@ class SweepProgram:
         self.parameters = parameters
         #: ``(instruction position, param position)`` of each float column in
         #: the *reference* circuit (bound-reference mode only; barrier
-        #: positions included).  Introspection only — :meth:`binding_row`
-        #: extracts by walking gates so sibling barrier placement is free.
+        #: positions included).  Introspection only.
         self.column_sites = column_sites
         #: Source-step indices where the compiled circuit placed a barrier.
         #: The fusion pass never merges a run across one of these — the
@@ -470,9 +465,9 @@ class SweepProgram:
         Two modes cover every consumer:
 
         * ``bind_floats=True`` — the representative is one *bound* circuit of
-          a sweep (the ``run_batch`` fast path): every float gate angle
-          becomes a bindings column, because sibling circuits are free to
-          bind a different value there.  Symbolic parameters are rejected.
+          a sweep: every float gate angle becomes a bindings column, because
+          sibling circuits are free to bind a different value there.
+          Symbolic parameters are rejected.
         * ``bind_floats=False`` — the representative is *symbolic* (a
           transpile template or the builder's trained-state circuit): float
           angles are genuine structural constants (compiled into fixed
@@ -613,9 +608,7 @@ class SweepProgram:
         """The original compiled steps, flattened through fusion provenance.
 
         On an unoptimised program this is just ``iter(self.steps)``; on an
-        optimised one it re-yields the exact pre-fusion step sequence, which
-        is what keeps circuit-facing structure checks and binding extraction
-        working unchanged.
+        optimised one it re-yields the exact pre-fusion step sequence.
         """
         for step in self.steps:
             if step.fused_from:
@@ -727,90 +720,6 @@ class SweepProgram:
         assert_clean(diagnostics, context=f"{self.name}: plan-time fusion")
         verify_compilation(program)
         return program
-
-    # ------------------------------------------------------------------ #
-    # Binding extraction
-    # ------------------------------------------------------------------ #
-    def binding_row(self, circuit) -> List[float]:
-        """This bound circuit's values for every float column, in column order.
-
-        Only valid for programs compiled with ``bind_floats=True``.  The
-        walk pairs the circuit's gate instructions (barriers and
-        measurements skipped, so barrier placement is free to differ across
-        sweep siblings) against the compiled steps and checks gate names and
-        qubits as it extracts — a structure mismatch fails loudly instead of
-        silently mis-binding an angle into the wrong column.
-        """
-        if self.parameters:
-            raise SimulationError(
-                f"{self.name}: binding rows are extracted from bound circuits; "
-                "this program binds symbolic parameters — use a parameter "
-                "value matrix instead"
-            )
-
-        def mismatch() -> SimulationError:
-            return SimulationError(
-                f"{self.name}: circuit '{circuit.name}' does not share the "
-                "compiled gate structure"
-            )
-
-        step_iter = self.source_steps()
-        row: List[float] = []
-        for instruction in circuit.instructions:
-            if instruction.name == "barrier" or instruction.is_measurement:
-                continue
-            step = next(step_iter, None)
-            if (
-                step is None
-                or step.name != instruction.name
-                or step.qubits != instruction.qubits
-            ):
-                raise mismatch()
-            for value in instruction.params:
-                if isinstance(value, (Parameter, ScaledParameter)):
-                    raise SimulationError(
-                        f"{self.name}: circuit '{circuit.name}' has unbound "
-                        "parameters at a compiled bind site"
-                    )
-                row.append(float(value))
-        if next(step_iter, None) is not None or len(row) != self.num_columns:
-            raise mismatch()
-        return row
-
-    def matches_structure(self, circuit) -> bool:
-        """Whether ``circuit`` has the gate skeleton this program compiled."""
-        if (
-            circuit.num_qubits != self.num_qubits
-            or circuit.num_clbits != self.num_clbits
-        ):
-            return False
-        step_iter = self.source_steps()
-        measured: List[int] = []
-        bits: List[int] = []
-        for instruction in circuit.instructions:
-            if instruction.name == "barrier":
-                continue
-            if instruction.is_measurement:
-                measured.extend(instruction.qubits)
-                bits.extend(instruction.clbits)
-                continue
-            step = next(step_iter, None)
-            if (
-                step is None
-                or step.name != instruction.name
-                or step.qubits != instruction.qubits
-            ):
-                return False
-        return (
-            next(step_iter, None) is None
-            and tuple(measured) == self.measured_qubits
-            and tuple(bits) == self.clbits
-        )
-
-    def bindings_from_circuits(self, circuits: Sequence) -> np.ndarray:
-        """Stacked binding rows of a structure-sharing sweep of bound circuits."""
-        rows = [self.binding_row(circuit) for circuit in circuits]
-        return np.asarray(rows, dtype=float).reshape(len(rows), self.num_columns)
 
     def _check_bindings(self, bindings) -> np.ndarray:
         bindings = np.asarray(bindings, dtype=float)
@@ -944,9 +853,9 @@ class SweepProgram:
     def evolve(self, bindings, engine):
         """Evolve the whole batch at once; returns the engine's batched state.
 
-        Used by the ``run_batch`` executors, which must hand back every
-        element's final state.  ``bindings`` is a ``(batch, num_columns)``
-        float matrix (one row per sweep element).
+        Used by the analytic estimator, which needs every element's final
+        state.  ``bindings`` is a ``(batch, num_columns)`` float matrix (one
+        row per sweep element).
         """
         bindings = self._check_bindings(bindings)
         operands = self._resolve_operands(bindings)

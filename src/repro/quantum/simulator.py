@@ -13,27 +13,17 @@ Both return a :class:`SimulationResult` holding the final state, exact
 probabilities of the measured classical bits, and (when shots are requested)
 a :class:`~repro.quantum.measurement.Counts` histogram.
 
-Both engines additionally execute whole *batches* of structure-sharing
-circuits through compiled sweep programs: a parameter-shift sweep of
-SWAP-test discriminators differs only in rotation angles, so
-:meth:`StatevectorSimulator.run_batch` / :meth:`DensityMatrixSimulator.run_batch`
-compile the shared gate skeleton **once** into a
-:class:`~repro.quantum.program.SweepProgram` (cached per circuit structure),
-extract each circuit's angles as a bindings row, and evolve the whole sweep
-as one :class:`~repro.quantum.batched.BatchedStatevector` /
-:class:`~repro.quantum.batched_density.BatchedDensityMatrix` pass.  On the
+Both engines also execute compiled
+:class:`~repro.quantum.program.SweepProgram` sweeps through
+``run_sweep_program``: the program is cached per circuit structure
+(:meth:`_SweepProgramCacheMixin._grid_program`), streamed tile by tile under a
+:class:`~repro.quantum.program.TilePlan`, and only each element's read-out is
+kept — per-element states and results are never materialised.  On the
 mixed-state engine every gate's unitary and noise channels are *precomposed*
-into a single superoperator when the program is first planned, so repeat
-sweeps skip per-gate channel resolution entirely.  Per-circuit ancilla
-statistics are sampled from a single stacked RNG call; the batched results
-match the per-circuit loop — exactly for probabilities, and draw-for-draw
-for sampled counts under a shared seed.
-
-``run_sweep_program`` is the memory-bounded variant behind the backends'
-:meth:`~repro.quantum.backend.Backend.sweep_zero_probabilities`: it streams a
-compiled program tile by tile under a
-:class:`~repro.quantum.program.TilePlan` and keeps only each element's
-read-out, never materialising per-element states or results.
+into a single superoperator when the program is first planned.  Shot sampling
+draws every element from one stacked multinomial call, which consumes the RNG
+exactly like a loop of :meth:`StatevectorSimulator.run` /
+:meth:`DensityMatrixSimulator.run` calls — the per-circuit reference.
 """
 
 from __future__ import annotations
@@ -125,40 +115,6 @@ _check_deferred_measurement = check_deferred_measurement
 _exact_clbit_probabilities = exact_clbit_probabilities
 
 
-def _shares_structure(
-    circuits: Sequence[QuantumCircuit], per_circuit: Sequence[tuple]
-) -> bool:
-    """Whether every circuit has the same vectorisable gate skeleton.
-
-    Structure sharing means identical width, identical ordered
-    (name, qubits, clbits) sequences, fully bound parameters, and no resets
-    (projective resets need per-element RNG draws, which the vectorised
-    paths do not model).  ``per_circuit`` carries each circuit's instruction
-    tuple, fetched once by the caller.  Shared by both engines' ``run_batch``
-    so they accept exactly the same sweeps.
-    """
-    reference = per_circuit[0]
-    if any(inst.name == "reset" or inst.is_parameterized for inst in reference):
-        return False
-    for circuit, instructions in zip(circuits[1:], per_circuit[1:]):
-        if (
-            circuit.num_qubits != circuits[0].num_qubits
-            or circuit.num_clbits != circuits[0].num_clbits
-        ):
-            return False
-        if len(instructions) != len(reference):
-            return False
-        for inst, ref in zip(instructions, reference):
-            if (
-                inst.name != ref.name
-                or inst.qubits != ref.qubits
-                or inst.clbits != ref.clbits
-                or inst.is_parameterized
-            ):
-                return False
-    return True
-
-
 def _sample_counts_batch(
     rng: np.random.Generator,
     probabilities_per_element: Sequence[Dict[str, float]],
@@ -173,8 +129,7 @@ def _sample_counts_batch(
     :func:`~repro.quantum.measurement.counts_from_probabilities` calls.
     Heterogeneous key sets (some element has an exactly-zero outcome that the
     exact read-out dropped) fall back to the sequential path to keep the
-    stream aligned with the per-circuit loop.  Shared by both engines'
-    ``run_batch`` so the seed-identity guarantee has a single implementation.
+    stream aligned with the per-circuit loop.
     """
     key_sets = [tuple(probs.keys()) for probs in probabilities_per_element]
     if any(key_set != key_sets[0] for key_set in key_sets[1:]):
@@ -238,10 +193,10 @@ def _execute_sweep_readout(
 ) -> SweepReadout:
     """Run one compiled sweep and sample its read-out (both engines).
 
-    The exact same helper chain as ``run_batch`` —
     :func:`~repro.quantum.measurement.exact_clbit_probabilities` then
-    :func:`_sample_counts_batch` — so the program path consumes the RNG
-    draw-for-draw like the batched and per-circuit paths.
+    :func:`_sample_counts_batch` — the same read-out helpers as the
+    per-circuit ``run``, so the program path consumes the RNG draw-for-draw
+    like the per-circuit loop.
     """
     bindings = np.asarray(bindings, dtype=float)
     if bindings.shape[0] == 0:
@@ -262,7 +217,7 @@ def _execute_sweep_readout(
 
 
 class _SweepProgramCacheMixin:
-    """Structure-keyed compile-once cache shared by both simulators.
+    """Structure-keyed compile-once program cache shared by both simulators.
 
     Each cache entry keeps the *source* compile of a circuit structure plus,
     when plan-time fusion is enabled (``optimize_programs=True`` on the
@@ -294,33 +249,6 @@ class _SweepProgramCacheMixin:
             "entries": len(self._program_cache),
         }
 
-    def _sweep_program(self, reference: QuantumCircuit) -> SweepProgram:
-        """Compile (once per structure) the program of a bound sweep."""
-        key = circuit_structure_key(reference)
-        entry = self._program_cache.get(key)
-        if entry is None:
-            entry = {
-                "source": SweepProgram.compile(
-                    reference, bind_floats=True, name=f"{self.name}:{reference.name}"
-                )
-            }
-            self._program_cache.put(key, entry)
-            self._program_cache_misses += 1  # repro: noqa REP101 -- instrumentation counter; simulators are rebuilt per shard from specs, never shared across workers
-        else:
-            self._program_cache_hits += 1  # repro: noqa REP101 -- instrumentation counter; simulators are rebuilt per shard from specs, never shared across workers
-        if not resolve_optimization(self._optimize_programs):
-            return entry["source"]
-        noise = self._program_noise_model()
-        version = getattr(noise, "version", 0)
-        cached = entry.get("optimized")
-        if cached is None or cached[0] is not noise or cached[1] != version:
-            entry["optimized"] = (
-                noise,
-                version,
-                entry["source"].optimized(noise_model=noise),
-            )
-        return entry["optimized"][2]
-
     def _grid_program(
         self, reference: QuantumCircuit, parameters: Sequence
     ) -> SweepProgram:
@@ -328,10 +256,7 @@ class _SweepProgramCacheMixin:
 
         ``reference`` carries genuine symbolic parameters (trained angles
         and data-encoder sites); ``parameters`` fixes the binding-column
-        order.  Shares the LRU with :meth:`_sweep_program` under a
-        distinct-shape key — the structure key ignores parameter values, so
-        a bound sweep of the same skeleton must not collide with the
-        symbolic grid compile.
+        order and is part of the key.
         """
         key = (
             circuit_structure_key(reference),
@@ -373,8 +298,8 @@ class StatevectorSimulator(_SweepProgramCacheMixin):
     seed:
         Seed for shot sampling (exact probabilities are deterministic).
     optimize_programs:
-        Three-state plan-time fusion knob for the cached ``run_batch``
-        programs: ``True``/``False`` force it, ``None`` (default) defers to
+        Three-state plan-time fusion knob for the cached sweep programs:
+        ``True``/``False`` force it, ``None`` (default) defers to
         ``REPRO_OPTIMIZE_PROGRAMS``.  Fused programs are certified
         equivalent (VER4xx) before they execute.
     """
@@ -457,80 +382,6 @@ class StatevectorSimulator(_SweepProgramCacheMixin):
         stripped = circuit.remove_final_measurements()
         return self.run(stripped).statevector
 
-    # ------------------------------------------------------------------ #
-    # Batched execution
-    # ------------------------------------------------------------------ #
-    def run_batch(
-        self, circuits: Sequence[QuantumCircuit], shots: Optional[int] = None
-    ) -> List[SimulationResult]:
-        """Execute a batch of bound circuits, vectorising when they share structure.
-
-        When every circuit has the same gate skeleton (same instruction
-        sequence over the same qubits, angles free to differ — the shape of a
-        parameter-shift sweep), the whole batch evolves as one
-        :class:`~repro.quantum.batched.BatchedStatevector` pass: shared gates
-        apply a single matrix, parameterised gates a ``(batch, 2**k, 2**k)``
-        stack, and shot sampling for every element happens in one stacked
-        multinomial draw.  The results are equivalent to looping
-        :meth:`run` — bit strings, probabilities, and (because a stacked
-        multinomial consumes the generator exactly like per-row draws)
-        seed-identical counts.  The counts guarantee holds whenever the
-        batched evolution reproduces the loop's probabilities bit-for-bit;
-        vectorised einsum evolution can differ at the last ULP, which would
-        only flip a draw if it landed exactly on a sampling boundary.
-
-        Circuits with differing structures, resets, or unbound parameters
-        fall back to the per-circuit loop transparently.
-        """
-        circuits = list(circuits)
-        if not circuits:
-            # Mirror the loop semantics of ``Backend.run_batch``: an empty
-            # sweep yields an empty result list on every backend.
-            return []
-        if shots is not None and shots <= 0:
-            raise SimulationError(f"shots must be positive or None, got {shots}")
-        per_circuit = [circuit.instructions for circuit in circuits]
-        if not _shares_structure(circuits, per_circuit):
-            return [self.run(circuit, shots=shots) for circuit in circuits]
-
-        reference = circuits[0]
-        batch = len(circuits)
-        program = self._sweep_program(reference)
-        state = program.evolve(
-            program.bindings_from_circuits(circuits), StatevectorEngine()
-        )
-        measured_qubits = list(program.measured_qubits)
-        clbits = list(program.clbits)
-
-        probabilities_per_element: List[Dict[str, float]] = [{} for _ in range(batch)]
-        counts_per_element: List[Optional[Counts]] = [None] * batch
-        if measured_qubits:
-            joint = state.probabilities(measured_qubits)
-            probabilities_per_element = [
-                _exact_clbit_probabilities(
-                    joint[element], measured_qubits, clbits, reference.num_clbits
-                )
-                for element in range(batch)
-            ]
-            if shots is not None:
-                counts_per_element = _sample_counts_batch(
-                    self._rng, probabilities_per_element, shots
-                )
-        elif shots is not None:
-            raise SimulationError("cannot sample shots from a circuit without measurements")
-
-        return [
-            SimulationResult(
-                circuit_name=circuits[element].name,
-                probabilities=probabilities_per_element[element],
-                counts=counts_per_element[element],
-                statevector=state.statevector(element),
-                shots=shots,
-                metadata={"engine": self.name, "batched": True, "batch_size": batch},
-            )
-            for element in range(batch)
-        ]
-
     def run_sweep_program(
         self,
         program: SweepProgram,
@@ -541,10 +392,9 @@ class StatevectorSimulator(_SweepProgramCacheMixin):
         """Execute a compiled sweep tile by tile, keeping only read-outs.
 
         The memory-bounded hot path behind
-        :meth:`~repro.quantum.backend.Backend.sweep_zero_probabilities`:
+        :meth:`~repro.quantum.backend.Backend.sweep_grid_zero_probabilities`:
         per-element statevectors are dropped as each tile completes, and
-        shot sampling consumes the RNG exactly like :meth:`run_batch` (and
-        hence like the per-circuit loop).
+        shot sampling consumes the RNG exactly like a loop of :meth:`run`.
         """
         if shots is not None and shots <= 0:
             raise SimulationError(f"shots must be positive or None, got {shots}")
@@ -556,13 +406,11 @@ class StatevectorSimulator(_SweepProgramCacheMixin):
 class DensityMatrixSimulator(_SweepProgramCacheMixin):
     """Mixed-state simulator with optional gate and readout noise.
 
-    Like the statevector engine, whole batches of structure-sharing circuits
-    execute in one vectorised pass (:meth:`run_batch`): the sweep evolves as
-    a single :class:`~repro.quantum.batched_density.BatchedDensityMatrix`,
-    each gate's noise channels are resolved once and applied across the whole
-    batch, the readout-error convolution is vectorised over the batch axis,
-    and shot sampling happens in one stacked multinomial draw that consumes
-    the RNG exactly like the per-circuit loop.
+    :meth:`run` evolves one circuit, applying each gate and then its noise
+    channels.  :meth:`run_sweep_program` executes a compiled sweep as
+    :class:`~repro.quantum.batched_density.BatchedDensityMatrix` tiles with
+    every gate's noise precomposed into one superoperator; its shot sampling
+    consumes the RNG exactly like the per-circuit loop.
     """
 
     name = "density_matrix_simulator"
@@ -609,14 +457,31 @@ class DensityMatrixSimulator(_SweepProgramCacheMixin):
                 f"initial state has {state.num_qubits} qubits, circuit has {circuit.num_qubits}"
             )
 
-        measured_qubits, clbits = self._evolve_instructions(
-            circuit.instructions,
-            state,
-            apply_gate=lambda index, instruction: state.apply_instruction(instruction),
-            on_reset=lambda instruction: state.reset(
-                instruction.qubits[0], rng=self._rng
-            ),
-        )
+        measured_qubits: List[int] = []
+        measured_set: set = set()
+        clbits: List[int] = []
+        channel_plans: Dict[Tuple[str, int], list] = {}
+        for instruction in circuit.instructions:
+            if instruction.name == "barrier":
+                continue
+            _check_deferred_measurement(instruction, measured_set, self.name)
+            if instruction.is_measurement:
+                measured_qubits.extend(instruction.qubits)
+                measured_set.update(instruction.qubits)
+                clbits.extend(instruction.clbits)
+                continue
+            if instruction.name == "reset":
+                state.reset(instruction.qubits[0], rng=self._rng)
+                continue
+            state.apply_instruction(instruction)
+            for channel, width in self._gate_channel_plan(
+                channel_plans, instruction.name, instruction.num_qubits
+            ):
+                if width == instruction.num_qubits:
+                    state.apply_kraus(channel, instruction.qubits)
+                else:
+                    for qubit in instruction.qubits:
+                        state.apply_kraus(channel, (qubit,))
 
         probabilities: Dict[str, float] = {}
         counts: Optional[Counts] = None
@@ -642,58 +507,6 @@ class DensityMatrixSimulator(_SweepProgramCacheMixin):
             metadata={"engine": self.name, "noisy": not self.noise_model.is_ideal},
         )
 
-    def _evolve_instructions(
-        self,
-        instructions: Sequence,
-        state,
-        apply_gate,
-        on_reset=None,
-    ) -> Tuple[List[int], List[int]]:
-        """Walk a circuit's instructions, evolving ``state`` under the noise model.
-
-        The single implementation behind :meth:`run` and the vectorised
-        :meth:`run_batch` — deferred-measurement bookkeeping, gate
-        application, and the per-gate noise-channel dispatch (whole-gate
-        width vs. per-qubit) must stay identical between the two paths for
-        the loop/batch equivalence guarantee to hold.  ``state`` is either a
-        :class:`DensityMatrix` or a
-        :class:`~repro.quantum.batched_density.BatchedDensityMatrix`
-        (``apply_kraus`` is the shared surface); ``apply_gate(index,
-        instruction)`` applies one gate to it; ``on_reset`` handles resets
-        (``None`` on the batch path, whose structure check excludes them).
-        Returns the measured qubits and their classical bits, in order.
-        """
-        measured_qubits: List[int] = []
-        measured_set: set = set()
-        clbits: List[int] = []
-        channel_plans: Dict[Tuple[str, int], list] = {}
-        for index, instruction in enumerate(instructions):
-            if instruction.name == "barrier":
-                continue
-            _check_deferred_measurement(instruction, measured_set, self.name)
-            if instruction.is_measurement:
-                measured_qubits.extend(instruction.qubits)
-                measured_set.update(instruction.qubits)
-                clbits.extend(instruction.clbits)
-                continue
-            if instruction.name == "reset":
-                if on_reset is None:
-                    raise SimulationError(
-                        "the vectorised batch path cannot apply resets"
-                    )
-                on_reset(instruction)
-                continue
-            apply_gate(index, instruction)
-            for channel, width in self._gate_channel_plan(
-                channel_plans, instruction.name, instruction.num_qubits
-            ):
-                if width == instruction.num_qubits:
-                    state.apply_kraus(channel, instruction.qubits)
-                else:
-                    for qubit in instruction.qubits:
-                        state.apply_kraus(channel, (qubit,))
-        return measured_qubits, clbits
-
     def _gate_channel_plan(
         self,
         plans: Dict[Tuple[str, int], list],
@@ -703,9 +516,8 @@ class DensityMatrixSimulator(_SweepProgramCacheMixin):
         """Noise channels for one gate position, resolved and width-checked once.
 
         ``plans`` memoises the per-(gate name, qubit count) lookup for the
-        duration of one :meth:`run` / :meth:`run_batch` call, hoisting the
-        ``gate_channels`` list assembly and the channel-width computation out
-        of the per-gate (and, in the batch path, per-circuit) inner loop.
+        duration of one :meth:`run` call, hoisting the ``gate_channels`` list
+        assembly and the channel-width computation out of the per-gate loop.
         Each entry pairs a channel's Kraus operators with its qubit width.
         """
         key = (gate_name, gate_qubits)
@@ -734,89 +546,6 @@ class DensityMatrixSimulator(_SweepProgramCacheMixin):
         """
         return apply_readout_error(joint, measured_qubits, self.noise_model)
 
-    # ------------------------------------------------------------------ #
-    # Batched execution
-    # ------------------------------------------------------------------ #
-    def run_batch(
-        self, circuits: Sequence[QuantumCircuit], shots: Optional[int] = 1024
-    ) -> List[SimulationResult]:
-        """Execute a batch of bound circuits under the noise model, vectorising
-        when they share structure.
-
-        When every circuit has the same gate skeleton (same instruction
-        sequence over the same qubits, angles free to differ — the shape of a
-        parameter-shift sweep), the whole batch evolves as one
-        :class:`~repro.quantum.batched_density.BatchedDensityMatrix` pass:
-        shared gates and noise channels apply a single operator stackwide,
-        parameterised gates a ``(batch, 2**k, 2**k)`` stack, the readout-error
-        convolution runs over the whole batch at once, and shot sampling for
-        every element happens in one stacked multinomial draw.  The results
-        are equivalent to looping :meth:`run` — bit strings, probabilities,
-        and (because a stacked multinomial consumes the generator exactly like
-        per-circuit draws) seed-identical counts.  The counts guarantee holds
-        whenever the batched evolution reproduces the loop's probabilities
-        bit-for-bit; vectorised einsum evolution can differ at the last ULP,
-        which would only flip a draw if it landed exactly on a sampling
-        boundary.
-
-        Circuits with differing structures, resets, or unbound parameters
-        fall back to the per-circuit loop transparently.
-        """
-        circuits = list(circuits)
-        if not circuits:
-            # Mirror the loop semantics of ``Backend.run_batch``: an empty
-            # sweep yields an empty result list on every backend.
-            return []
-        if shots is not None and shots <= 0:
-            raise SimulationError(f"shots must be positive or None, got {shots}")
-        per_circuit = [circuit.instructions for circuit in circuits]
-        if not _shares_structure(circuits, per_circuit):
-            return [self.run(circuit, shots=shots) for circuit in circuits]
-
-        reference = circuits[0]
-        batch = len(circuits)
-        program = self._sweep_program(reference)
-        state = program.evolve(
-            program.bindings_from_circuits(circuits), self._program_engine()
-        )
-        measured_qubits = list(program.measured_qubits)
-        clbits = list(program.clbits)
-
-        probabilities_per_element: List[Dict[str, float]] = [{} for _ in range(batch)]
-        counts_per_element: List[Optional[Counts]] = [None] * batch
-        if measured_qubits:
-            joint = state.probabilities(measured_qubits)
-            joint = self._apply_readout_error(joint, measured_qubits)
-            probabilities_per_element = [
-                _exact_clbit_probabilities(
-                    joint[element], measured_qubits, clbits, reference.num_clbits
-                )
-                for element in range(batch)
-            ]
-            if shots is not None:
-                counts_per_element = _sample_counts_batch(
-                    self._rng, probabilities_per_element, shots
-                )
-        elif shots is not None:
-            raise SimulationError("cannot sample shots from a circuit without measurements")
-
-        return [
-            SimulationResult(
-                circuit_name=circuits[element].name,
-                probabilities=probabilities_per_element[element],
-                counts=counts_per_element[element],
-                density_matrix=state.density_matrix(element),
-                shots=shots,
-                metadata={
-                    "engine": self.name,
-                    "noisy": not self.noise_model.is_ideal,
-                    "batched": True,
-                    "batch_size": batch,
-                },
-            )
-            for element in range(batch)
-        ]
-
     def run_sweep_program(
         self,
         program: SweepProgram,
@@ -828,9 +557,9 @@ class DensityMatrixSimulator(_SweepProgramCacheMixin):
 
         Every gate applies its precomposed superoperator (unitary and noise
         folded together at plan time — no per-gate channel resolution), the
-        readout-error convolution and classical-bit re-indexing reuse the
-        ``run_batch`` helpers, and shot sampling consumes the RNG exactly
-        like :meth:`run_batch`.  Per-element density matrices are never
+        readout-error convolution and classical-bit re-indexing reuse
+        :meth:`run`'s helpers, and shot sampling consumes the RNG exactly
+        like a loop of :meth:`run`.  Per-element density matrices are never
         materialised, so peak memory is the largest tile's
         ``tile x 4**n`` stack rather than the whole sweep's.
         """

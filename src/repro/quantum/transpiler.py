@@ -23,9 +23,9 @@ with the same gate skeleton but different angles only pay a parameter
 re-binding, which is what makes repeated SWAP-test sweeps on the noisy
 backends cheap.  Each cached template additionally carries a compiled
 :class:`~repro.quantum.program.SweepProgram` (built lazily on first sweep
-use): the backends' program-sweep path executes whole sweeps straight from
-the cache — slot values in, tiled read-outs out — without materialising one
-bound circuit per sweep element.
+use): the noisy backend's whole-grid route executes whole sweeps straight
+from the cache — bindings in, tiled read-outs out — without materialising
+one bound circuit per sweep element.
 """
 
 from __future__ import annotations
@@ -549,13 +549,12 @@ class TranspileCache:
     ) -> Tuple[_TranspileTemplate, List[float]]:
         """The cached template for ``circuit``'s structure plus its slot values.
 
-        This is the compile-once seam the sweep executors build on: the
-        returned entry carries the symbolic transpilation *and* (via
+        :meth:`transpile` re-binds the value vector into the entry's symbolic
+        transpilation; the entry also carries (via
         :meth:`_TranspileTemplate.ensure_program`) the compiled
-        :class:`~repro.quantum.program.SweepProgram`, while the value vector
-        is the circuit's bindings row — so a whole sweep can execute straight
-        from the cache without materialising one bound circuit per element.
-        ``circuit`` must be fully bound.
+        :class:`~repro.quantum.program.SweepProgram` of the structure, for
+        which the value vector is a bindings row.  ``circuit`` must be fully
+        bound.
         """
         if any(inst.is_parameterized for inst in circuit.instructions):
             raise TranspilerError(

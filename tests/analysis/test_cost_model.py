@@ -30,7 +30,7 @@ ACCURACY_FACTOR = 1.5
 
 
 def compile_discriminator(num_features, architecture="s", seed=2022):
-    """One bound QuClassi discriminator program plus its binding row."""
+    """One bound QuClassi discriminator program plus its bindings row."""
     rng = ensure_rng(seed)
     builder = QuClassi(
         num_features=num_features, num_classes=2, architecture=architecture, seed=seed
@@ -40,7 +40,8 @@ def compile_discriminator(num_features, architecture="s", seed=2022):
         rng.uniform(0.0, np.pi, size=len(builder.parameters)),
     )
     program = SweepProgram.compile(circuit, bind_floats=True)
-    return program, program.binding_row(circuit)
+    row = [float(circuit.instructions[at].params[slot]) for at, slot in program.column_sites]
+    return program, row
 
 
 def codes_of(diagnostics):

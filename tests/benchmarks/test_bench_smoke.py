@@ -84,7 +84,6 @@ class TestPerfBenchEntryPointsTiny:
         payload = module.run_iris_grid_benchmark()
         assert payload["workload"]["grid_elements"] == 8
         assert payload["sampled"]["seed_match"] is True
-        assert payload["sampled"]["seed_match_vs_stream"] is True
         assert payload["noisy"]["seed_match"] is True
         memory = module.run_grid_memory_benchmark(
             rows=2, samples=4, budget_amplitudes=2**19
@@ -116,7 +115,7 @@ class TestPerfBenchEntryPointsTiny:
         module.TRAIN_EPOCHS = 1
         module.REPEAT_SWEEPS = 1
         payload_repeat = module.run_repeat_sweep_benchmark()
-        assert payload_repeat["seed_match_vs_runbatch"] is True
+        assert payload_repeat["seed_match_vs_run_loop"] is True
         assert payload_repeat["noise_plans_compiled"] == 1
         assert payload_repeat["transpile_cache"]["misses"] == 1
         payload_tiling = module.run_mnist_tiling_benchmark(

@@ -1,10 +1,14 @@
-"""Whole-grid SweepProgram path of the SWAP-test estimator.
+"""Whole-grid SweepProgram route of the SWAP-test estimator.
 
-The tentpole guarantee: routing a ``(rows x samples)`` fidelity sweep
-through ONE compiled program — encoder angles as bind columns, trained
-prefix evolved once per tile and broadcast — must be **draw-for-draw
-bit-identical** to the per-sample circuit stream it replaces, on every
-backend, with and without certified fusion, and under any tile budget.
+The guarantee: routing a ``(rows x samples)`` fidelity sweep through ONE
+compiled program — encoder angles as bind columns, trained prefix evolved
+once per tile and broadcast — must agree with the per-circuit reference,
+one bound discriminator and one ``Backend.run`` per grid element in
+row-major order (``tests/core/conftest.py``; the test names call it the
+*stream*).  Sampled and noisy fidelities match draw
+for draw on same-seeded backends; exact fidelities match within
+``atol=1e-12``.  This holds on every backend, with and without certified
+fusion, under any tile budget, and for every layer architecture.
 """
 
 import numpy as np
@@ -13,7 +17,12 @@ import pytest
 from repro.core.circuit_builder import DiscriminatorCircuitBuilder
 from repro.core.layers import LayerStack
 from repro.core.swap_test import AnalyticFidelityEstimator, SwapTestFidelityEstimator
-from repro.encoding import DualAngleEncoder, SingleAngleEncoder
+from repro.encoding import (
+    AmplitudeEncoder,
+    BasisEncoder,
+    DualAngleEncoder,
+    SingleAngleEncoder,
+)
 from repro.hardware import ibmq_london
 from repro.quantum.backend import IdealBackend, SampledBackend
 from repro.quantum.program import OPTIMIZE_PROGRAMS_ENV
@@ -55,54 +64,69 @@ BUDGETS = {
 }
 
 
-def grid_and_stream(builder, backend_key, budget, optimize):
-    """(grid estimator, stream-forced twin) with fresh same-seeded backends."""
-    estimators = []
-    for force_stream in (False, True):
-        backend, shots = BACKENDS[backend_key]()
-        estimator = SwapTestFidelityEstimator(
-            builder, backend=backend, shots=shots, max_batch_amplitudes=budget
-        )
-        if force_stream:
-            estimator.backend.supports_grid_programs = False
-        estimators.append(estimator)
-    return estimators
+def grid_and_reference(run_reference, builder, backend_key, budget, parameter_matrix, samples):
+    """(estimator fidelity matrix, per-circuit ``run`` reference) on twin backends."""
+    backend, shots = BACKENDS[backend_key]()
+    grid = SwapTestFidelityEstimator(
+        builder, backend=backend, shots=shots, max_batch_amplitudes=budget
+    ).fidelity_matrix(parameter_matrix, samples)
+    reference_backend, _ = BACKENDS[backend_key]()
+    reference = run_reference(builder, reference_backend, shots, parameter_matrix, samples)
+    return grid, reference
+
+
+def assert_route_agreement(backend_key, grid, reference):
+    if backend_key == "analytic":
+        np.testing.assert_allclose(grid, reference, rtol=0, atol=1e-12)
+    else:
+        np.testing.assert_array_equal(grid, reference)
 
 
 class TestGridMatchesStreamBitwise:
+    @pytest.mark.parametrize("architecture", ["s", "d", "e"])
     @pytest.mark.parametrize("backend_key", sorted(BACKENDS))
     @pytest.mark.parametrize("budget_key", sorted(BUDGETS))
     @pytest.mark.parametrize("optimize", ["0", "1"])
     def test_grid_sweep_is_bit_identical_to_stream(
-        self, builder, parameter_matrix, samples, backend_key, budget_key, optimize, monkeypatch
+        self, samples, backend_key, budget_key, optimize, architecture, monkeypatch,
+        run_reference,
     ):
         monkeypatch.setenv(OPTIMIZE_PROGRAMS_ENV, optimize)
-        budget = BUDGETS[budget_key](builder)
-        grid, stream = grid_and_stream(builder, backend_key, budget, optimize)
-        assert grid.backend.supports_grid_programs is True
-        grid_matrix = grid.fidelity_matrix(parameter_matrix, samples)
-        stream_matrix = stream.fidelity_matrix(parameter_matrix, samples)
-        np.testing.assert_array_equal(grid_matrix, stream_matrix)
+        builder = make_builder(architecture=architecture)
+        rng = np.random.default_rng(41)
+        parameter_matrix = rng.uniform(0, np.pi, size=(3, builder.num_parameters))
+        grid, reference = grid_and_reference(
+            run_reference,
+            builder,
+            backend_key,
+            BUDGETS[budget_key](builder),
+            parameter_matrix,
+            samples,
+        )
+        assert_route_agreement(backend_key, grid, reference)
 
-    def test_single_angle_encoder_grid_matches_stream(self, monkeypatch):
+    def test_single_angle_encoder_grid_matches_stream(self, monkeypatch, run_reference):
         monkeypatch.delenv(OPTIMIZE_PROGRAMS_ENV, raising=False)
         builder = make_builder(SingleAngleEncoder())
         rng = np.random.default_rng(43)
         matrix = rng.uniform(0, np.pi, size=(2, builder.num_parameters))
         features = rng.uniform(0.05, 0.95, size=(3, 4))
-        grid, stream = grid_and_stream(builder, "sampled", 2**20, "0")
-        np.testing.assert_array_equal(
-            grid.fidelity_matrix(matrix, features),
-            stream.fidelity_matrix(matrix, features),
+        grid, reference = grid_and_reference(
+            run_reference, builder, "sampled", 2**20, matrix, features
         )
+        np.testing.assert_array_equal(grid, reference)
 
-    def test_fidelities_row_delegates_to_the_grid(self, builder, samples):
+    def test_fidelities_row_delegates_to_the_grid(self, builder, samples, run_reference):
         rng = np.random.default_rng(44)
         values = rng.uniform(0, np.pi, builder.num_parameters)
-        grid, stream = grid_and_stream(builder, "noisy", 2**23, "0")
-        np.testing.assert_array_equal(
-            grid.fidelities(values, samples), stream.fidelities(values, samples)
+        row = SwapTestFidelityEstimator(
+            builder, backend=ibmq_london(seed=9), shots=128
+        ).fidelities(values, samples)
+        assert len(builder._data_bound_cache) == 0
+        grid, _ = grid_and_reference(
+            run_reference, builder, "noisy", 2**23, values[None, :], samples
         )
+        np.testing.assert_array_equal(row, grid[0])
 
     def test_empty_grid_short_circuits(self, builder, parameter_matrix):
         estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
@@ -115,6 +139,52 @@ class TestGridMatchesStreamBitwise:
         estimator.fidelity_matrix(parameter_matrix, samples)
         assert len(builder._data_bound_cache) == 0  # the point of the grid path
         assert estimator.circuits_executed == parameter_matrix.shape[0] * samples.shape[0]
+
+
+class TestLoopOnlyEncoders:
+    """Encoders without angle columns run one ``Backend.run`` per element.
+
+    Basis-encoded discriminators change gate structure with every sample,
+    so they can never share one compiled program; the estimator must loop
+    ``run`` for them instead of rejecting the sweep.
+    """
+
+    @pytest.mark.parametrize("encoder_cls", [BasisEncoder, AmplitudeEncoder])
+    @pytest.mark.parametrize("backend_key", sorted(BACKENDS))
+    def test_fidelity_matrix_matches_run_reference(
+        self, encoder_cls, backend_key, run_reference
+    ):
+        # Two features keep basis encoding inside ibmq_london's 5 qubits.
+        builder = make_builder(encoder_cls(), num_features=2)
+        assert not builder.supports_grid_compile
+        rng = np.random.default_rng(45)
+        matrix = rng.uniform(0, np.pi, size=(2, builder.num_parameters))
+        features = rng.uniform(0.05, 0.95, size=(3, 2))
+        estimated, reference = grid_and_reference(
+            run_reference, builder, backend_key, 2**23, matrix, features
+        )
+        np.testing.assert_array_equal(estimated, reference)
+
+    def test_noisy_loop_ledgers_every_element(self):
+        builder = make_builder(BasisEncoder(), num_features=2)
+        matrix = np.random.default_rng(47).uniform(0, np.pi, (1, builder.num_parameters))
+        backend = ibmq_london(seed=1)
+        SwapTestFidelityEstimator(builder, backend=backend, shots=64).fidelity_matrix(
+            matrix, np.array([[0.1, 0.9], [0.9, 0.1]])
+        )
+        # One transpile per sample structure, one ledger record per element.
+        assert backend.transpile_cache_stats["misses"] == 2
+        assert backend.ledger.num_jobs == 2
+
+    def test_loop_counts_every_element(self):
+        builder = make_builder(BasisEncoder())
+        estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
+        rng = np.random.default_rng(46)
+        estimator.fidelity_matrix(
+            rng.uniform(0, np.pi, size=(2, builder.num_parameters)),
+            rng.uniform(0.05, 0.95, size=(3, 4)),
+        )
+        assert estimator.circuits_executed == 6
 
 
 class TestGridBindings:

@@ -6,14 +6,16 @@ import pytest
 from repro.core.circuit_builder import DiscriminatorCircuitBuilder
 from repro.core.layers import LayerStack
 from repro.core.swap_test import AnalyticFidelityEstimator, SwapTestFidelityEstimator
-from repro.encoding import DualAngleEncoder
+from repro.encoding import BasisEncoder, DualAngleEncoder
 from repro.exceptions import ValidationError
 from repro.hardware import ibmq_london
 from repro.quantum.backend import IdealBackend, SampledBackend
 
 
-def make_builder(num_features: int = 4, architecture: str = "s") -> DiscriminatorCircuitBuilder:
-    encoder = DualAngleEncoder()
+def make_builder(
+    num_features: int = 4, architecture: str = "s", encoder=None
+) -> DiscriminatorCircuitBuilder:
+    encoder = encoder if encoder is not None else DualAngleEncoder()
     stack = LayerStack.from_architecture(architecture, encoder.num_qubits(num_features))
     return DiscriminatorCircuitBuilder(stack, encoder, num_features)
 
@@ -164,13 +166,12 @@ class TestAnalyticBatchedPath:
         with pytest.raises(ValidationError):
             estimator.trained_statevectors(np.zeros((2, builder.num_parameters + 1)))
 
-    def test_swap_test_fidelity_matrix_matches_loop(self, builder, samples):
+    def test_swap_test_fidelity_matrix_matches_loop(self, builder, samples, run_reference):
         estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
-        assert estimator.supports_batch is True
         rng = np.random.default_rng(12)
         matrix = rng.uniform(0, np.pi, size=(2, builder.num_parameters))
         batched = estimator.fidelity_matrix(matrix, samples)
-        loop = np.stack([estimator.fidelities(row, samples) for row in matrix])
+        loop = run_reference(builder, IdealBackend(), None, matrix, samples)
         np.testing.assert_allclose(batched, loop, atol=1e-12)
 
 
@@ -216,69 +217,43 @@ class TestDataStateCacheBound:
 
 
 class TestSwapTestBatchedPath:
-    """The SWAP-test estimator routes sweeps through the backend batch API."""
+    """The SWAP-test estimator runs whole sweeps as one grid program.
 
-    def test_supports_batch_mirrors_the_backend(self, builder):
-        assert SwapTestFidelityEstimator(builder, backend=IdealBackend()).supports_batch is True
-        assert (
-            SwapTestFidelityEstimator(builder, backend=SampledBackend(shots=64)).supports_batch
-            is True
-        )
-        assert SwapTestFidelityEstimator(builder, backend=ibmq_london()).supports_batch is True
+    The reference is the per-circuit loop: one ``Backend.run`` per
+    (parameter row, sample) pair on a same-seeded twin backend.
+    """
 
-        class LoopOnlyBackend(IdealBackend):
-            supports_batch = False
-
-        assert (
-            SwapTestFidelityEstimator(builder, backend=LoopOnlyBackend()).supports_batch is False
-        )
-
-    def test_supports_batch_tracks_backend_swaps(self, builder):
-        """The flag is derived live — swapping the backend must update it."""
-
-        class LoopOnlyBackend(IdealBackend):
-            supports_batch = False
-
-        estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend())
-        assert estimator.supports_batch is True
-        estimator.backend = LoopOnlyBackend()
-        assert estimator.supports_batch is False
-
-    def test_supports_batch_assignment_pins_an_override(self, builder):
-        """``estimator.supports_batch = False`` forces the loop path (trainer idiom)."""
-        estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend())
-        estimator.supports_batch = False
-        assert estimator.supports_batch is False
-        estimator.supports_batch = None  # resume tracking the backend
-        assert estimator.supports_batch is True
-
-    def test_exact_fidelities_match_per_circuit_loop(self, builder, parameters, samples):
+    def test_exact_fidelities_match_per_circuit_loop(
+        self, builder, parameters, samples, run_reference
+    ):
         estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
         batched = estimator.fidelities(parameters, samples)
-        loop = np.array([estimator.fidelity(parameters, row) for row in samples])
-        np.testing.assert_allclose(batched, loop, atol=1e-12)
+        loop = run_reference(builder, IdealBackend(), None, parameters[None, :], samples)
+        np.testing.assert_allclose(batched, loop[0], atol=1e-12)
 
-    def test_sampled_sweep_seed_matches_per_circuit_loop(self, builder, parameters, samples):
+    def test_sampled_sweep_seed_matches_per_circuit_loop(
+        self, builder, parameters, samples, run_reference
+    ):
         batched_estimator = SwapTestFidelityEstimator(
             builder, backend=SampledBackend(shots=400, seed=21), shots=400
         )
         batched = batched_estimator.fidelities(parameters, samples)
-        loop_estimator = SwapTestFidelityEstimator(
-            builder, backend=SampledBackend(shots=400, seed=21), shots=400
+        loop = run_reference(
+            builder, SampledBackend(shots=400, seed=21), 400, parameters[None, :], samples
         )
-        loop = np.array([loop_estimator.fidelity(parameters, row) for row in samples])
-        np.testing.assert_array_equal(batched, loop)
+        np.testing.assert_array_equal(batched, loop[0])
 
-    def test_noisy_sweep_seed_matches_per_circuit_loop(self, builder, parameters, samples):
+    def test_noisy_sweep_seed_matches_per_circuit_loop(
+        self, builder, parameters, samples, run_reference
+    ):
         batched_estimator = SwapTestFidelityEstimator(
             builder, backend=ibmq_london(seed=5), shots=256
         )
         batched = batched_estimator.fidelities(parameters, samples[:3])
-        loop_estimator = SwapTestFidelityEstimator(
-            builder, backend=ibmq_london(seed=5), shots=256
+        loop = run_reference(
+            builder, ibmq_london(seed=5), 256, parameters[None, :], samples[:3]
         )
-        loop = np.array([loop_estimator.fidelity(parameters, row) for row in samples[:3]])
-        np.testing.assert_array_equal(batched, loop)
+        np.testing.assert_array_equal(batched, loop[0])
         # The whole-grid path transpiles ONE symbolic template for the sweep;
         # a second sweep reuses it from the cache.
         stats = batched_estimator.backend.transpile_cache_stats
@@ -286,19 +261,14 @@ class TestSwapTestBatchedPath:
         batched_estimator.fidelities(parameters, samples[:3])
         assert batched_estimator.backend.transpile_cache_stats["hits"] >= 1
 
-    def test_fidelity_matrix_sampled_seed_matches_loop(self, builder, samples):
+    def test_fidelity_matrix_sampled_seed_matches_loop(self, builder, samples, run_reference):
         rng = np.random.default_rng(22)
         matrix = rng.uniform(0, np.pi, size=(4, builder.num_parameters))
         batched_estimator = SwapTestFidelityEstimator(
             builder, backend=SampledBackend(shots=300, seed=33), shots=300
         )
         batched = batched_estimator.fidelity_matrix(matrix, samples)
-        loop_estimator = SwapTestFidelityEstimator(
-            builder, backend=SampledBackend(shots=300, seed=33), shots=300
-        )
-        loop = np.stack(
-            [[loop_estimator.fidelity(row, s) for s in samples] for row in matrix]
-        )
+        loop = run_reference(builder, SampledBackend(shots=300, seed=33), 300, matrix, samples)
         np.testing.assert_array_equal(batched, loop)
 
     def test_chunked_batches_stay_equivalent(self, builder, parameters, samples):
@@ -322,32 +292,35 @@ class TestSwapTestBatchedPath:
         estimator.fidelity_matrix(matrix, samples)
         assert estimator.circuits_executed == 3 * len(samples)
 
-    def test_builder_circuit_cache_is_bounded(self, parameters):
-        encoder = DualAngleEncoder()
-        stack = LayerStack.from_architecture("s", encoder.num_qubits(4))
-        bounded = DiscriminatorCircuitBuilder(stack, encoder, 4, data_circuit_cache_size=2)
+    # The per-circuit loop (loop-only encoders) builds one memoised
+    # data-bound discriminator per sample; the caching tests drive it.
+    def test_builder_circuit_cache_is_bounded(self):
+        encoder = BasisEncoder()
+        stack = LayerStack.from_architecture("s", encoder.num_qubits(2))
+        bounded = DiscriminatorCircuitBuilder(stack, encoder, 2, data_circuit_cache_size=2)
         estimator = SwapTestFidelityEstimator(bounded, backend=IdealBackend(), shots=None)
-        estimator.backend.supports_grid_programs = False  # exercise the stream path
         rng = np.random.default_rng(24)
-        estimator.fidelities(parameters, rng.uniform(0.05, 0.95, size=(5, 4)))
+        parameters = rng.uniform(0, np.pi, bounded.num_parameters)
+        estimator.fidelities(parameters, rng.uniform(0.05, 0.95, size=(5, 2)))
         assert len(bounded._data_bound_cache) == 2
 
-    def test_clear_cache_drops_memoised_circuits(self, builder, parameters, samples):
+    def test_clear_cache_drops_memoised_circuits(self, samples):
+        builder = make_builder(num_features=2, encoder=BasisEncoder())
+        parameters = np.zeros(builder.num_parameters)
         estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
-        estimator.backend.supports_grid_programs = False  # exercise the stream path
-        estimator.fidelities(parameters, samples)
+        estimator.fidelities(parameters, samples[:, :2])
         assert len(builder._data_bound_cache) > 0
         estimator.clear_cache()
         assert len(builder._data_bound_cache) == 0
 
-    def test_cached_discriminator_reused_across_estimators(self, builder, parameters, samples):
+    def test_cached_discriminator_reused_across_estimators(self, samples):
+        builder = make_builder(num_features=2, encoder=BasisEncoder())
+        parameters = np.zeros(builder.num_parameters)
         first = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
-        first.backend.supports_grid_programs = False  # exercise the stream path
-        first.fidelities(parameters, samples)
+        first.fidelities(parameters, samples[:, :2])
         cached = len(builder._data_bound_cache)
         second = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
-        second.backend.supports_grid_programs = False
-        second.fidelities(parameters, samples)
+        second.fidelities(parameters, samples[:, :2])
         assert len(builder._data_bound_cache) == cached
 
     def test_invalid_configuration_rejected(self, builder):
@@ -365,7 +338,7 @@ class TestSwapTestBatchedPath:
 
     def test_trainer_selects_batched_path_for_simulator_backends(self):
         from repro.core.model import QuClassi
-        from repro.core.trainer import Trainer
+        from repro.core.trainer import Trainer, TrainerConfig
 
         model = QuClassi(
             num_features=4,
@@ -376,4 +349,15 @@ class TestSwapTestBatchedPath:
             shots=64,
             seed=0,
         )
-        assert Trainer(model)._uses_batched_path() is True
+        rows = []
+        sweep = model.estimator.fidelity_matrix
+
+        def recording_sweep(parameter_matrix, features):
+            rows.append(parameter_matrix.shape[0])
+            return sweep(parameter_matrix, features)
+
+        model.estimator.fidelity_matrix = recording_sweep
+        features = np.random.default_rng(25).uniform(0.05, 0.95, size=(4, 4))
+        Trainer(model, TrainerConfig(epochs=1)).fit(features, np.array([0, 1, 0, 1]))
+        # Every gradient evaluation is one sweep over all 2P shifted rows.
+        assert 2 * model.builder.num_parameters in rows

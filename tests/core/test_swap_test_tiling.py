@@ -84,22 +84,18 @@ class TestTiledSwapTestIdentity:
         ).fidelity_matrix(rows, samples)
         np.testing.assert_array_equal(tiled, whole)
 
-    def test_tiled_matches_per_circuit_loop(self, builder, parameter_matrix, samples):
-        """The tiled program path stays draw-for-draw equal to the loop."""
+    def test_tiled_matches_per_circuit_loop(
+        self, run_reference, builder, parameter_matrix, samples
+    ):
+        """The tiled grid stays draw-for-draw equal to one ``Backend.run`` per element."""
         tiled = SwapTestFidelityEstimator(
             builder,
             backend=SampledBackend(shots=200, seed=9),
             shots=200,
             max_batch_amplitudes=2**builder.layout.total_qubits * 2,
         ).fidelity_matrix(parameter_matrix, samples)
-        loop_estimator = SwapTestFidelityEstimator(
-            builder, backend=SampledBackend(shots=200, seed=9), shots=200
-        )
-        loop = np.stack(
-            [
-                [loop_estimator.fidelity(row, sample) for sample in samples]
-                for row in parameter_matrix
-            ]
+        loop = run_reference(
+            builder, SampledBackend(shots=200, seed=9), 200, parameter_matrix, samples
         )
         np.testing.assert_array_equal(tiled, loop)
 

@@ -5,8 +5,24 @@ import pytest
 
 from repro.core import QuClassi
 from repro.core.callbacks import Callback
+from repro.core.swap_test import FidelityEstimator
 from repro.core.trainer import Trainer, TrainerConfig
 from repro.exceptions import TrainingError
+
+
+class RowLoopEstimator(FidelityEstimator):
+    """Implements only ``fidelity``/``fidelities``: ``fidelity_matrix`` is the
+    base class's per-row loop, the path custom estimators take."""
+
+    def __init__(self, inner):
+        super().__init__(inner.builder)
+        self.inner = inner
+
+    def fidelity(self, parameter_values, features):
+        return self.inner.fidelity(parameter_values, features)
+
+    def fidelities(self, parameter_values, feature_matrix):
+        return self.inner.fidelities(parameter_values, feature_matrix)
 
 
 def separable_task(seed: int = 0, samples: int = 12):
@@ -182,13 +198,14 @@ class TestPerClassRngStreams:
 
 
 class TestBatchedLoopEquivalence:
-    """The batched gradient path must reproduce the loop path trajectory."""
+    """The vectorised analytic estimator must reproduce the trajectory of the
+    base class's per-row ``fidelity_matrix`` loop."""
 
     def _fit(self, force_loop: bool, **fit_kwargs):
         features, labels = separable_task()
         model = QuClassi(num_features=4, num_classes=2, architecture="s", seed=3)
         if force_loop:
-            model.estimator.supports_batch = False
+            model.estimator = RowLoopEstimator(model.estimator)
         history = model.fit(
             features,
             labels,
@@ -200,10 +217,17 @@ class TestBatchedLoopEquivalence:
 
     def test_analytic_estimator_uses_batched_path(self):
         model = QuClassi(num_features=4, num_classes=2, architecture="s", seed=0)
-        trainer = Trainer(model)
-        assert trainer._uses_batched_path() is True
-        model.estimator.supports_batch = False
-        assert trainer._uses_batched_path() is False
+        rows = []
+        sweep = model.estimator.fidelity_matrix
+
+        def recording_sweep(parameter_matrix, features):
+            rows.append(parameter_matrix.shape[0])
+            return sweep(parameter_matrix, features)
+
+        model.estimator.fidelity_matrix = recording_sweep
+        features, labels = separable_task()
+        Trainer(model, TrainerConfig(epochs=1)).fit(features, labels)
+        assert 2 * model.builder.num_parameters in rows
 
     def test_identical_parameter_trajectories(self):
         batched_model, batched_history = self._fit(force_loop=False)
@@ -235,6 +259,6 @@ class TestBatchedLoopEquivalence:
         features, labels = separable_task()
         model = QuClassi(num_features=4, num_classes=2, architecture="s", seed=3)
         batched = model.class_fidelities(features)
-        model.estimator.supports_batch = False
+        model.estimator = RowLoopEstimator(model.estimator)
         loop = model.class_fidelities(features)
         np.testing.assert_allclose(batched, loop, atol=1e-12)

@@ -100,24 +100,37 @@ class TestExecution:
         assert result.density_matrix.num_qubits == 5
 
 
+def grid_sweep(backend, model, features, shots):
+    """One whole-grid sweep of class 0's discriminator over ``features``."""
+    builder = model.builder
+    return backend.sweep_grid_zero_probabilities(
+        builder.symbolic_discriminator(),
+        builder.grid_parameters,
+        builder.grid_bindings(model.parameters_[:1], features),
+        shots=shots,
+    )
+
+
 class TestBatchExecution:
     def test_batch_counts_seed_match_the_run_loop(self):
-        """The vectorised noisy batch draws shot for shot like sequential runs."""
+        """The whole-grid noisy sweep draws shot for shot like sequential runs."""
         model = QuClassi(num_features=4, num_classes=2, architecture="s", seed=0)
-        rng = np.random.default_rng(0)
-        circuits = [
-            model.discriminator_circuit(0, rng.uniform(0, 1, 4)) for _ in range(4)
-        ]
-        batched = ibmq_london(seed=7).run_batch(circuits, shots=300)
+        features = np.random.default_rng(0).uniform(0, 1, (4, 4))
+        swept = grid_sweep(ibmq_london(seed=7), model, features, shots=300)
         loop_backend = ibmq_london(seed=7)
-        looped = [loop_backend.run(circuit, shots=300) for circuit in circuits]
-        assert [r.counts.data for r in batched] == [r.counts.data for r in looped]
+        looped = [
+            loop_backend.ancilla_zero_probability(
+                model.discriminator_circuit(0, row), shots=300
+            )
+            for row in features
+        ]
+        np.testing.assert_array_equal(swept, looped)
 
     @pytest.mark.parametrize("factory", [ibmq_london, ionq])
     def test_batch_records_every_job_in_the_ledger(self, factory):
         backend = factory(seed=0)
-        circuit = discriminator_circuit()
-        backend.run_batch([circuit, circuit.copy(), circuit.copy()], shots=128)
+        model = QuClassi(num_features=4, num_classes=2, architecture="s", seed=0)
+        grid_sweep(backend, model, np.full((3, 4), 0.5), shots=128)
         assert backend.ledger.num_jobs == 3
         assert backend.ledger.total_shots == 3 * 128
         assert all(record.cx_count >= 0 for record in backend.ledger.records)
@@ -148,7 +161,8 @@ class TestQueueLatencySimulation:
     def test_batch_is_one_job_submission(self, monkeypatch):
         slept = self._sleep_recorder(monkeypatch)
         backend = IBMQBackend("ibmq_london", seed=0, simulate_queue_latency=True)
-        backend.run_batch([discriminator_circuit()] * 3, shots=32)
+        model = QuClassi(num_features=4, num_classes=2, architecture="s", seed=0)
+        grid_sweep(backend, model, np.full((3, 4), 0.5), shots=32)
         assert slept == [backend.properties.queue_latency_seconds]
 
     def test_latency_does_not_change_sampled_counts(self, monkeypatch):

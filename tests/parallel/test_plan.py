@@ -187,7 +187,7 @@ class TestEstimatorSpec:
         assert isinstance(rebuilt.backend, SampledBackend)
 
     def test_round_trip_preserves_tuning(self):
-        """Memory guards and a pinned supports_batch override must travel."""
+        """Memory guards and cache bounds must travel."""
         from repro.core.swap_test import (
             AnalyticFidelityEstimator,
             SwapTestFidelityEstimator,
@@ -200,19 +200,15 @@ class TestEstimatorSpec:
             shots=32,
             max_batch_amplitudes=2**18,
         )
-        estimator.supports_batch = False
         rebuilt = EstimatorSpec.from_estimator(estimator).build(builder)
         assert rebuilt._max_batch_amplitudes == 2**18
-        assert rebuilt.supports_batch is False
 
         analytic = AnalyticFidelityEstimator(
             builder, data_cache_size=17, data_matrix_cache_size=3
         )
-        analytic.supports_batch = False
         rebuilt = EstimatorSpec.from_estimator(analytic).build(builder)
         assert rebuilt._data_state_cache.max_entries == 17
         assert rebuilt._data_matrix_cache.max_entries == 3
-        assert rebuilt.supports_batch is False
 
     def test_unknown_estimator_rejected(self):
         class Mystery:

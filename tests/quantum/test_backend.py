@@ -14,6 +14,7 @@ from repro.quantum.backend import (
 )
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import NoiseModel
+from repro.quantum.operations import Parameter
 from repro.quantum.topology import CouplingMap
 
 
@@ -121,6 +122,20 @@ def rotation_circuit(angles) -> QuantumCircuit:
     return qc
 
 
+PARAMS = [Parameter(name) for name in "abc"]
+
+
+def bindings(count, seed):
+    return np.random.default_rng(seed).uniform(0, np.pi, size=(count, 3))
+
+
+def grid(backend, rows, **kwargs):
+    """Whole-grid readouts of :func:`rotation_circuit` over ``rows`` of angles."""
+    return backend.sweep_grid_zero_probabilities(
+        rotation_circuit(PARAMS), PARAMS, rows, **kwargs
+    )
+
+
 class TestShotsValidation:
     """shots=0 must raise, never silently fall back to a default count."""
 
@@ -145,14 +160,14 @@ class TestShotsValidation:
         with pytest.raises(BackendError):
             NoisyBackend(make_device(), seed=0).run(ghz_circuit(), shots=0)
 
-    def test_run_batch_rejects_zero_shots(self):
+    def test_grid_sweep_rejects_zero_shots(self):
         for backend in (
             IdealBackend(),
             SampledBackend(shots=64, seed=0),
             NoisyBackend(make_device(), seed=0),
         ):
-            with pytest.raises(BackendError):
-                backend.run_batch([ghz_circuit()], shots=0)
+            with pytest.raises(BackendError, match="shots must be positive"):
+                grid(backend, bindings(1, seed=0), shots=0)
 
     def test_negative_shots_rejected_everywhere(self):
         for backend in (
@@ -164,46 +179,41 @@ class TestShotsValidation:
                 backend.run(ghz_circuit(), shots=-8)
 
 
-class TestSupportsBatch:
-    def test_simulator_backends_advertise_batch_support(self):
-        assert IdealBackend().supports_batch is True
-        assert SampledBackend(shots=64).supports_batch is True
-        assert NoisyBackend(make_device()).supports_batch is True
+class RecordingBackend(NoisyBackend):
+    """Noisy backend that keeps every per-element result it ledgers."""
 
-    def test_base_backend_defaults_to_no_batch_support(self):
-        class MinimalBackend(Backend):
-            def run(self, circuit, shots=None):
-                return IdealBackend().run(circuit, shots=shots)
+    def __init__(self, properties, seed=None):
+        super().__init__(properties, seed=seed)
+        self.results = []
 
-        assert MinimalBackend().supports_batch is False
+    def _record_job(self, result):
+        self.results.append(result)
 
 
 class TestRunBatch:
+    """The whole-grid route against a per-element loop of :meth:`Backend.run`."""
+
     def test_exact_batch_matches_per_circuit_runs(self):
-        rng = np.random.default_rng(5)
-        circuits = [rotation_circuit(rng.uniform(0, np.pi, 3)) for _ in range(7)]
-        backend = IdealBackend()
-        batched = backend.run_batch(circuits, shots=None)
-        for circuit, result in zip(circuits, batched):
-            single = IdealBackend().run(circuit, shots=None)
-            assert set(result.probabilities) == set(single.probabilities)
-            for key, value in single.probabilities.items():
-                assert result.probabilities[key] == pytest.approx(value, abs=1e-12)
+        rows = bindings(7, seed=5)
+        swept = grid(IdealBackend(), rows, shots=None)
+        for row, zero in zip(rows, swept):
+            single = IdealBackend().run(rotation_circuit(row), shots=None)
+            assert zero == pytest.approx(single.marginal_probability(0, 0), abs=1e-12)
 
     def test_sampled_batch_seed_matches_per_circuit_loop(self):
-        rng = np.random.default_rng(6)
-        circuits = [rotation_circuit(rng.uniform(0, np.pi, 3)) for _ in range(5)]
-        batched = SampledBackend(shots=300, seed=9).run_batch(circuits)
+        rows = bindings(5, seed=6)
+        swept = grid(SampledBackend(shots=300, seed=9), rows)
         loop_backend = SampledBackend(shots=300, seed=9)
-        looped = [loop_backend.run(circuit) for circuit in circuits]
-        assert [r.counts.data for r in batched] == [r.counts.data for r in looped]
+        looped = [loop_backend.ancilla_zero_probability(rotation_circuit(r)) for r in rows]
+        np.testing.assert_array_equal(swept, looped)
 
-    def test_ancilla_zero_probabilities_matches_scalar_helper(self):
-        rng = np.random.default_rng(7)
-        circuits = [rotation_circuit(rng.uniform(0, np.pi, 3)) for _ in range(4)]
+    def test_grid_readouts_match_scalar_helper(self):
+        rows = bindings(4, seed=7)
         backend = IdealBackend()
-        vector = backend.ancilla_zero_probabilities(circuits, shots=None)
-        scalars = [backend.ancilla_zero_probability(c, shots=None) for c in circuits]
+        vector = grid(backend, rows, shots=None)
+        scalars = [
+            backend.ancilla_zero_probability(rotation_circuit(r), shots=None) for r in rows
+        ]
         np.testing.assert_allclose(vector, scalars, atol=1e-12)
 
     def test_empty_batch_yields_empty_results_on_every_backend(self):
@@ -212,10 +222,84 @@ class TestRunBatch:
             SampledBackend(shots=64, seed=0),
             NoisyBackend(make_device(), seed=0),
         ):
-            assert backend.run_batch([]) == []
-            assert backend.ancilla_zero_probabilities([]).shape == (0,)
+            assert grid(backend, np.zeros((0, 3))).shape == (0,)
 
-    def test_base_class_run_batch_loops_run(self):
+    def test_noisy_batch_seed_matches_per_circuit_loop(self):
+        rows = bindings(4, seed=8)
+        swept = grid(NoisyBackend(make_device(), seed=3), rows, shots=200)
+        loop_backend = NoisyBackend(make_device(), seed=3)
+        looped = [
+            loop_backend.ancilla_zero_probability(rotation_circuit(r), shots=200)
+            for r in rows
+        ]
+        np.testing.assert_array_equal(swept, looped)
+
+    def test_noisy_batch_exact_probabilities_match_loop(self):
+        rows = bindings(5, seed=12)
+        backend = RecordingBackend(make_device(), seed=0)
+        grid(backend, rows)
+        loop_backend = NoisyBackend(make_device(), seed=0)
+        for row, result in zip(rows, backend.results):
+            single = loop_backend.run(rotation_circuit(row))
+            assert set(result.probabilities) == set(single.probabilities)
+            for key, value in single.probabilities.items():
+                assert result.probabilities[key] == pytest.approx(value, abs=1e-12)
+
+    def test_noisy_batch_is_vectorised_and_reports_metadata(self):
+        """One grid sweep is one compiled program with one ledger entry per element."""
+        backend = RecordingBackend(make_device(), seed=0)
+        grid(backend, bindings(3, seed=13), shots=100)
+        assert len(backend.results) == 3
+        for result in backend.results:
+            assert result.metadata["batched"] is True
+            assert result.metadata["batch_size"] == 3
+            assert result.metadata["backend"] == backend.name
+            assert result.metadata["transpile"]["cx_count"] >= 0
+            assert result.metadata["queue_latency_seconds"] == pytest.approx(42.0)
+        # One symbolic transpilation, reused by the next sweep.
+        stats = backend.transpile_cache_stats
+        assert (stats["hits"], stats["misses"]) == (0, 1)
+        grid(backend, bindings(2, seed=14), shots=100)
+        stats = backend.transpile_cache_stats
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+
+    def test_noisy_batch_enforces_shot_limit(self):
+        backend = NoisyBackend(make_device(), seed=0)
+        with pytest.raises(BackendError, match="at most 4096 shots"):
+            grid(backend, bindings(1, seed=0), shots=100_000)
+
+    def test_noisy_batch_rejects_too_wide_circuit(self):
+        backend = NoisyBackend(make_device(num_qubits=3), seed=0)
+        with pytest.raises(BackendError, match="has 3 qubits, circuit needs 4"):
+            backend.sweep_grid_zero_probabilities(ghz_circuit(4), [], np.zeros((1, 0)))
+
+    def test_noisy_batch_default_shots_match_run_default(self):
+        row = np.array([0.4, 0.8, 1.2])
+        backend = RecordingBackend(make_device(), seed=2)
+        grid(backend, row[None, :])
+        single = NoisyBackend(make_device(), seed=2).run(rotation_circuit(row))
+        assert backend.results[0].shots == single.shots == 1024
+        assert backend.results[0].counts.data == single.counts.data
+
+    def test_grid_entry_points_are_defined_on_each_class(self):
+        # Defined on each class itself: tracing wraps ``vars(cls)`` entries.
+        for cls in (IdealBackend, SampledBackend, NoisyBackend):
+            assert "sweep_grid_zero_probabilities" in vars(cls)
+
+    def test_run_only_backend_has_no_grid_route(self):
+        class MinimalBackend(Backend):
+            def run(self, circuit, shots=None):
+                return IdealBackend().run(circuit, shots=shots)
+
+        with pytest.raises(BackendError, match="grid program execution is not implemented"):
+            grid(MinimalBackend(), bindings(1, seed=0), shots=None)
+
+    def test_run_only_backend_serves_the_loop_route(self):
+        from repro.core.circuit_builder import DiscriminatorCircuitBuilder
+        from repro.core.layers import LayerStack
+        from repro.core.swap_test import SwapTestFidelityEstimator
+        from repro.encoding import BasisEncoder
+
         class CountingBackend(Backend):
             def __init__(self):
                 self.calls = 0
@@ -225,63 +309,17 @@ class TestRunBatch:
                 self.calls += 1
                 return self._inner.run(circuit, shots=shots)
 
+        encoder = BasisEncoder()
+        builder = DiscriminatorCircuitBuilder(
+            LayerStack.from_architecture("s", encoder.num_qubits(2)), encoder, 2
+        )
         backend = CountingBackend()
-        circuits = [rotation_circuit([0.1, 0.2, 0.3]), rotation_circuit([0.4, 0.5, 0.6])]
-        results = backend.run_batch(circuits, shots=None)
+        estimator = SwapTestFidelityEstimator(builder, backend=backend, shots=None)
+        fidelities = estimator.fidelity_matrix(
+            np.zeros((1, builder.num_parameters)), np.array([[0.1, 0.9], [0.9, 0.9]])
+        )
         assert backend.calls == 2
-        assert len(results) == 2
-
-    def test_noisy_batch_seed_matches_per_circuit_loop(self):
-        rng = np.random.default_rng(8)
-        circuits = [rotation_circuit(rng.uniform(0, np.pi, 3)) for _ in range(4)]
-        batched = NoisyBackend(make_device(), seed=3).run_batch(circuits, shots=200)
-        loop_backend = NoisyBackend(make_device(), seed=3)
-        looped = [loop_backend.run(circuit, shots=200) for circuit in circuits]
-        assert [r.counts.data for r in batched] == [r.counts.data for r in looped]
-
-    def test_noisy_batch_exact_probabilities_match_loop(self):
-        rng = np.random.default_rng(12)
-        circuits = [rotation_circuit(rng.uniform(0, np.pi, 3)) for _ in range(5)]
-        batched = NoisyBackend(make_device(), seed=0).run_batch(circuits, shots=None)
-        loop_backend = NoisyBackend(make_device(), seed=0)
-        for circuit, result in zip(circuits, batched):
-            single = loop_backend.run(circuit, shots=None)
-            assert set(result.probabilities) == set(single.probabilities)
-            for key, value in single.probabilities.items():
-                assert result.probabilities[key] == pytest.approx(value, abs=1e-12)
-
-    def test_noisy_batch_is_vectorised_and_reports_metadata(self):
-        """A structure-sharing sweep runs through the batched density engine."""
-        rng = np.random.default_rng(13)
-        circuits = [rotation_circuit(rng.uniform(0, np.pi, 3)) for _ in range(3)]
-        backend = NoisyBackend(make_device(), seed=0)
-        results = backend.run_batch(circuits, shots=100)
-        for result in results:
-            assert result.metadata["batched"] is True
-            assert result.metadata["batch_size"] == 3
-            assert result.metadata["backend"] == backend.name
-            assert result.metadata["transpile"]["cx_count"] >= 0
-            assert result.metadata["queue_latency_seconds"] == pytest.approx(42.0)
-        # One symbolic transpilation, then flat re-binds.
-        assert backend.transpile_cache_stats["misses"] == 1
-        assert backend.transpile_cache_stats["hits"] == 2
-
-    def test_noisy_batch_enforces_shot_limit(self):
-        backend = NoisyBackend(make_device(), seed=0)
-        with pytest.raises(BackendError):
-            backend.run_batch([rotation_circuit([0.1, 0.2, 0.3])], shots=100_000)
-
-    def test_noisy_batch_rejects_too_wide_circuit(self):
-        backend = NoisyBackend(make_device(num_qubits=3), seed=0)
-        with pytest.raises(BackendError):
-            backend.run_batch([ghz_circuit(4)], shots=64)
-
-    def test_noisy_batch_default_shots_match_run_default(self):
-        circuit = rotation_circuit([0.4, 0.8, 1.2])
-        batched = NoisyBackend(make_device(), seed=2).run_batch([circuit])
-        single = NoisyBackend(make_device(), seed=2).run(circuit)
-        assert batched[0].shots == single.shots == 1024
-        assert batched[0].counts.data == single.counts.data
+        assert fidelities.shape == (1, 2)
 
 
 class TestNoisyBackendTranspileCache:

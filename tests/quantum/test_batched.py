@@ -7,6 +7,8 @@ from repro.exceptions import SimulationError
 from repro.quantum import gates
 from repro.quantum.batched import BatchedStatevector
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.operations import Parameter
+from repro.quantum.program import StatevectorEngine, SweepProgram
 from repro.quantum.statevector import Statevector
 
 
@@ -167,14 +169,14 @@ class TestBatchedEvolveAndProgram:
             BatchedStatevector(2, 1).evolve(circuit)
 
     def test_apply_program_mixed_slots(self):
-        program = [
-            ("h", (0,), ()),
-            ("ry", (0,), (("index", 0),)),
-            ("rz", (1,), (("value", 0.3),)),
-            ("cry", (0, 1), (("index", 1),)),
-        ]
+        """A compiled program mixes fixed, constant-angle and per-element steps."""
+        a, b = Parameter("a"), Parameter("b")
+        circuit = QuantumCircuit(2)
+        circuit.h(0).ry(a, 0).rz(0.3, 1).cry(b, 0, 1)
+        program = SweepProgram.compile(circuit, bind_floats=False, parameters=[a, b])
         matrix = np.random.default_rng(5).uniform(-np.pi, np.pi, (BATCH, 2))
-        batch = BatchedStatevector(BATCH, 2).apply_program(program, matrix)
+        batch = program.evolve(matrix, StatevectorEngine())
+        assert isinstance(batch, BatchedStatevector)
         for element in range(BATCH):
             single = Statevector(2)
             single.apply_matrix(gates.HADAMARD, (0,))
@@ -184,11 +186,14 @@ class TestBatchedEvolveAndProgram:
             np.testing.assert_allclose(batch.amplitudes[element], single.data, atol=1e-12)
 
     def test_apply_program_validates_parameter_matrix(self):
-        state = BatchedStatevector(2, 1)
-        with pytest.raises(SimulationError):
-            state.apply_program([], np.zeros(3))
-        with pytest.raises(SimulationError):
-            state.apply_program([], np.zeros((3, 1)))
+        t = Parameter("t")
+        circuit = QuantumCircuit(1)
+        circuit.ry(t, 0)
+        program = SweepProgram.compile(circuit, bind_floats=False, parameters=[t])
+        with pytest.raises(SimulationError, match="must be 2-D"):
+            program.evolve(np.zeros(3), StatevectorEngine())
+        with pytest.raises(SimulationError, match="expected 1 binding column"):
+            program.evolve(np.zeros((3, 2)), StatevectorEngine())
 
 
 class TestBatchedProbabilitiesAndFidelities:

@@ -8,6 +8,7 @@ from repro.quantum import gates
 from repro.quantum.batched_density import BatchedDensityMatrix
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density_matrix import DensityMatrix
+from repro.quantum.simulator import DensityMatrixSimulator
 from repro.quantum.noise import (
     amplitude_damping_kraus,
     depolarizing_kraus,
@@ -117,6 +118,17 @@ class TestUnitaryEvolution:
         resetting.reset(0)
         with pytest.raises(SimulationError):
             BatchedDensityMatrix(1, 1).evolve(resetting)
+
+
+    def test_evolve_rejects_measurement_and_points_at_run(self):
+        qc = QuantumCircuit(1, 1)
+        qc.h(0).measure(0, 0)
+        with pytest.raises(
+            SimulationError, match=r"use DensityMatrixSimulator\.run for measurements"
+        ):
+            BatchedDensityMatrix(2, 1).evolve(qc)
+        # The method the message names exists and handles measurements.
+        assert DensityMatrixSimulator(seed=0).run(qc, shots=8).counts is not None
 
 
 class TestChannels:

@@ -30,9 +30,14 @@ def sweep_circuit(angles, name="sweep") -> QuantumCircuit:
     return qc
 
 
+def random_angles(count, seed) -> np.ndarray:
+    """Binding rows of a sweep: one row of the four rotation angles per element."""
+    return np.random.default_rng(seed).uniform(0, np.pi, size=(count, 4))
+
+
 def random_sweep(count, seed):
-    rng = np.random.default_rng(seed)
-    return [sweep_circuit(rng.uniform(0, np.pi, 4)) for _ in range(count)]
+    """Bound sweep siblings built from :func:`random_angles`."""
+    return [sweep_circuit(row) for row in random_angles(count, seed)]
 
 
 def zero_one(result) -> np.ndarray:
@@ -96,19 +101,13 @@ class TestTilePlan:
 
 class TestCompile:
     def test_bound_mode_columns_and_bindings(self):
-        circuits = random_sweep(5, seed=0)
-        program = SweepProgram.compile(circuits[0], bind_floats=True)
+        program = SweepProgram.compile(random_sweep(1, seed=0)[0], bind_floats=True)
         assert program.num_columns == 4
         assert program.parameters == ()
         assert program.measured_qubits == (0,)
         assert program.clbits == (0,)
-        bindings = program.bindings_from_circuits(circuits)
-        assert bindings.shape == (5, 4)
-        # Column order follows instruction order.
-        expected = np.array(
-            [[float(p) for inst in c.instructions if inst.is_gate for p in inst.params] for c in circuits]
-        )
-        np.testing.assert_array_equal(bindings, expected)
+        # Column order follows instruction order: ry, rz, ry, rz after the h.
+        assert program.column_sites == ((1, 0), (2, 0), (3, 0), (4, 0))
 
     def test_bound_mode_fixed_gates_have_matrices(self):
         program = SweepProgram.compile(random_sweep(1, seed=1)[0], bind_floats=True)
@@ -159,39 +158,24 @@ class TestCompile:
         with pytest.raises(SimulationError):
             SweepProgram.compile(qc, bind_floats=True)
 
-    def test_matches_structure(self):
-        circuits = random_sweep(2, seed=2)
-        program = SweepProgram.compile(circuits[0], bind_floats=True)
-        assert program.matches_structure(circuits[1])
-        other = QuantumCircuit(3, 1)
-        other.h(0).cx(0, 1).measure(0, 0)
-        assert not program.matches_structure(other)
-
-    def test_binding_row_rejects_unbound_site(self):
-        circuits = random_sweep(1, seed=3)
-        program = SweepProgram.compile(circuits[0], bind_floats=True)
-        symbolic = sweep_circuit([Parameter("a"), 0.1, 0.2, 0.3])
-        with pytest.raises(SimulationError):
-            program.binding_row(symbolic)
-
 
 class TestExecutionEquivalence:
     def test_statevector_matches_per_circuit_loop(self):
-        circuits = random_sweep(6, seed=4)
+        angles = random_angles(6, seed=4)
+        circuits = [sweep_circuit(row) for row in angles]
         program = SweepProgram.compile(circuits[0], bind_floats=True)
-        joint = program.execute(
-            program.bindings_from_circuits(circuits), StatevectorEngine()
-        )
+        joint = program.execute(angles, StatevectorEngine())
         for circuit, row in zip(circuits, joint):
             np.testing.assert_allclose(
                 row, zero_one(StatevectorSimulator().run(circuit)), atol=1e-12
             )
 
     def test_density_precomposed_matches_per_circuit_loop(self):
-        circuits = random_sweep(5, seed=5)
+        angles = random_angles(5, seed=5)
+        circuits = [sweep_circuit(row) for row in angles]
         program = SweepProgram.compile(circuits[0], bind_floats=True)
         engine = DensitySuperoperatorEngine(NOISE)
-        joint = program.execute(program.bindings_from_circuits(circuits), engine)
+        joint = program.execute(angles, engine)
         simulator = DensityMatrixSimulator(noise_model=NOISE)
         for circuit, row in zip(circuits, joint):
             np.testing.assert_allclose(
@@ -215,9 +199,8 @@ class TestExecutionEquivalence:
 
 class TestTiledExecution:
     def test_statevector_tiled_bit_identical(self):
-        circuits = random_sweep(7, seed=7)
-        program = SweepProgram.compile(circuits[0], bind_floats=True)
-        bindings = program.bindings_from_circuits(circuits)
+        bindings = random_angles(7, seed=7)
+        program = SweepProgram.compile(sweep_circuit(bindings[0]), bind_floats=True)
         full = program.execute(bindings, StatevectorEngine())
         for row_tile in (1, 2, 3, 5):
             plan = TilePlan(rows=7, samples=1, row_tile=row_tile, sample_tile=1)
@@ -225,9 +208,8 @@ class TestTiledExecution:
             np.testing.assert_array_equal(tiled, full)
 
     def test_density_tiled_matches_untiled(self):
-        circuits = random_sweep(6, seed=8)
-        program = SweepProgram.compile(circuits[0], bind_floats=True)
-        bindings = program.bindings_from_circuits(circuits)
+        bindings = random_angles(6, seed=8)
+        program = SweepProgram.compile(sweep_circuit(bindings[0]), bind_floats=True)
         engine = DensitySuperoperatorEngine(NOISE)
         full = program.execute(bindings, engine)
         for row_tile in (1, 2, 4):
@@ -239,17 +221,15 @@ class TestTiledExecution:
             np.testing.assert_allclose(tiled, full, atol=1e-12)
 
     def test_tile_plan_extent_mismatch_rejected(self):
-        circuits = random_sweep(3, seed=9)
-        program = SweepProgram.compile(circuits[0], bind_floats=True)
-        bindings = program.bindings_from_circuits(circuits)
+        bindings = random_angles(3, seed=9)
+        program = SweepProgram.compile(sweep_circuit(bindings[0]), bind_floats=True)
         plan = TilePlan(rows=4, samples=1, row_tile=2, sample_tile=1)
         with pytest.raises(SimulationError):
             program.execute(bindings, StatevectorEngine(), tile_plan=plan)
 
     def test_shared_angle_sweep_keeps_shared_path_under_tiling(self):
-        circuits = [sweep_circuit([0.3, 0.7, 0.2, 0.9]) for _ in range(4)]
-        program = SweepProgram.compile(circuits[0], bind_floats=True)
-        bindings = program.bindings_from_circuits(circuits)
+        bindings = np.tile([0.3, 0.7, 0.2, 0.9], (4, 1))
+        program = SweepProgram.compile(sweep_circuit(bindings[0]), bind_floats=True)
         full = program.execute(bindings, StatevectorEngine())
         plan = TilePlan(rows=4, samples=1, row_tile=3, sample_tile=1)
         np.testing.assert_array_equal(
@@ -281,9 +261,8 @@ class TestNoisePrecomposition:
         assert gate_noise_superoperator("h", (0,), NoiseModel.ideal()) is None
 
     def test_engine_plans_compile_once_per_program(self):
-        circuits = random_sweep(3, seed=11)
-        program = SweepProgram.compile(circuits[0], bind_floats=True)
-        bindings = program.bindings_from_circuits(circuits)
+        bindings = random_angles(3, seed=11)
+        program = SweepProgram.compile(sweep_circuit(bindings[0]), bind_floats=True)
         engine = DensitySuperoperatorEngine(NOISE)
         for _ in range(3):
             program.execute(bindings, engine)
@@ -302,9 +281,9 @@ class TestNoisePrecomposition:
         can grow new channels in place, and the precomposed superoperator
         plans must track it exactly like the per-circuit loop does.
         """
-        circuits = random_sweep(3, seed=12)
+        bindings = random_angles(3, seed=12)
+        circuits = [sweep_circuit(row) for row in bindings]
         program = SweepProgram.compile(circuits[0], bind_floats=True)
-        bindings = program.bindings_from_circuits(circuits)
         model = NoiseModel()
         engine = DensitySuperoperatorEngine(model)
         before = program.execute(bindings, engine)
@@ -320,48 +299,28 @@ class TestNoisePrecomposition:
 
 
 class TestSimulatorTracksLiveNoiseModel:
-    def test_run_batch_matches_run_after_in_place_mutation(self):
-        """run() and run_batch() must agree after the model grows channels."""
-        circuits = random_sweep(2, seed=13)
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_grid_program_matches_run_after_in_place_mutation(self, optimize):
+        """run() and the cached grid program must agree after the model grows
+        channels: the noise version change replans (and, with fusion,
+        re-derives the optimised program)."""
+        params = [Parameter(name) for name in "abcd"]
+        angles = np.random.default_rng(13).uniform(0, np.pi, size=(2, 4))
         model = NoiseModel()
-        simulator = DensityMatrixSimulator(noise_model=model, seed=0)
-        simulator.run_batch(circuits, shots=None)  # plans the ideal model
-        model.add_all_qubit_error(depolarizing_kraus(0.25, 1), 1)
-        batched = simulator.run_batch(circuits, shots=None)
-        for circuit, result in zip(circuits, batched):
-            loop = DensityMatrixSimulator(noise_model=model).run(circuit, shots=None)
-            assert result.probabilities["0"] == pytest.approx(
-                loop.probabilities["0"], abs=1e-10
-            )
-
-
-class TestBarrierInsensitiveBindings:
-    def test_binding_row_skips_sibling_barriers(self):
-        """Sweep siblings may place barriers differently; angles still map."""
-        reference = QuantumCircuit(2, 1, name="ref")
-        reference.barrier(0, 1)
-        reference.ry(0.1, 0).rz(0.2, 1)
-        reference.measure(0, 0)
-        sibling = QuantumCircuit(2, 1, name="sib")
-        sibling.ry(0.3, 0)
-        sibling.barrier(0, 1)
-        sibling.rz(0.4, 1)
-        sibling.measure(0, 0)
-        program = SweepProgram.compile(reference, bind_floats=True)
-        np.testing.assert_array_equal(
-            program.bindings_from_circuits([reference, sibling]),
-            [[0.1, 0.2], [0.3, 0.4]],
+        simulator = DensityMatrixSimulator(
+            noise_model=model, seed=0, optimize_programs=optimize
         )
 
-    def test_binding_row_rejects_gate_mismatch(self):
-        reference = QuantumCircuit(1, 1, name="ref")
-        reference.ry(0.1, 0).measure(0, 0)
-        other = QuantumCircuit(1, 1, name="other")
-        other.rx(0.1, 0).measure(0, 0)
-        shorter = QuantumCircuit(1, 1, name="short")
-        shorter.measure(0, 0)
-        program = SweepProgram.compile(reference, bind_floats=True)
-        with pytest.raises(SimulationError):
-            program.binding_row(other)
-        with pytest.raises(SimulationError):
-            program.binding_row(shorter)
+        def sweep():
+            program = simulator._grid_program(sweep_circuit(params), params)
+            return simulator.run_sweep_program(program, angles, shots=None)
+
+        sweep()  # plans the ideal model
+        model.add_all_qubit_error(depolarizing_kraus(0.25, 1), 1)
+        readout = sweep()
+        for row, probabilities in zip(angles, readout.probabilities):
+            loop = DensityMatrixSimulator(noise_model=model).run(
+                sweep_circuit(row), shots=None
+            )
+            assert probabilities["0"] == pytest.approx(loop.probabilities["0"], abs=1e-10)
+

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.hardware.calibration import get_calibration
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.operations import Parameter
 from repro.quantum.program import (
     DensitySuperoperatorEngine,
     OPTIMIZE_PROGRAMS_ENV,
@@ -57,6 +58,12 @@ def build_circuit(specs) -> QuantumCircuit:
     return qc
 
 
+def bound_angles(program, circuit) -> np.ndarray:
+    """The circuit's float angles as one bindings row, in the program's column order."""
+    row = [float(circuit.instructions[at].params[slot]) for at, slot in program.column_sites]
+    return np.array(row).reshape(1, -1)
+
+
 @pytest.fixture(scope="module")
 def london():
     return get_calibration("ibmq_london").noise_model()
@@ -69,7 +76,7 @@ class TestFusedEquivalenceProperty:
         circuit = build_circuit(specs)
         source = SweepProgram.compile(circuit, bind_floats=True)
         optimized = source.optimized()
-        bindings = np.array([source.binding_row(circuit)]).reshape(1, -1)
+        bindings = bound_angles(source, circuit)
         engine = StatevectorEngine()
         np.testing.assert_allclose(
             optimized.execute(bindings, engine),
@@ -84,7 +91,7 @@ class TestFusedEquivalenceProperty:
         circuit = build_circuit(specs)
         source = SweepProgram.compile(circuit, bind_floats=True)
         optimized = source.optimized(noise_model=noise)
-        bindings = np.array([source.binding_row(circuit)]).reshape(1, -1)
+        bindings = bound_angles(source, circuit)
         np.testing.assert_allclose(
             optimized.execute(bindings, DensitySuperoperatorEngine(noise)),
             source.execute(bindings, DensitySuperoperatorEngine(noise)),
@@ -117,36 +124,51 @@ def sweep_circuit(angle_row, name="sweep") -> QuantumCircuit:
     return qc
 
 
-def random_sweep(count, seed):
-    rng = np.random.default_rng(seed)
-    return [sweep_circuit(rng.uniform(0, np.pi, 3)) for _ in range(count)]
+PARAMS = [Parameter(name) for name in "abc"]
+
+
+def random_angles(count, seed):
+    return np.random.default_rng(seed).uniform(0, np.pi, size=(count, 3))
+
+
+def grid_program(simulator):
+    """The simulator's cached program of the symbolic sweep circuit."""
+    return simulator._grid_program(sweep_circuit(PARAMS), PARAMS)
+
+
+def grid_readout(simulator, angles, shots):
+    return simulator.run_sweep_program(grid_program(simulator), angles, shots=shots)
 
 
 class TestSeedBitIdentity:
     """Sampled counts must be bit-identical with fusion on vs off."""
 
     def test_statevector_counts_are_bit_identical(self):
-        circuits = random_sweep(6, seed=3)
-        fused = StatevectorSimulator(seed=11, optimize_programs=True).run_batch(
-            circuits, shots=400
+        angles = random_angles(6, seed=3)
+        fused = grid_readout(
+            StatevectorSimulator(seed=11, optimize_programs=True), angles, shots=400
         )
-        plain = StatevectorSimulator(seed=11, optimize_programs=False).run_batch(
-            circuits, shots=400
+        plain = grid_readout(
+            StatevectorSimulator(seed=11, optimize_programs=False), angles, shots=400
         )
-        assert [r.counts.data for r in fused] == [r.counts.data for r in plain]
-        for lhs, rhs in zip(fused, plain):
-            for key, value in rhs.probabilities.items():
-                assert lhs.probabilities[key] == pytest.approx(value, abs=1e-10)
+        assert [c.data for c in fused.counts] == [c.data for c in plain.counts]
+        for lhs, rhs in zip(fused.probabilities, plain.probabilities):
+            for key, value in rhs.items():
+                assert lhs[key] == pytest.approx(value, abs=1e-10)
 
     def test_density_counts_are_bit_identical(self, london):
-        circuits = random_sweep(5, seed=4)
-        fused = DensityMatrixSimulator(
-            noise_model=london, seed=13, optimize_programs=True
-        ).run_batch(circuits, shots=300)
-        plain = DensityMatrixSimulator(
-            noise_model=london, seed=13, optimize_programs=False
-        ).run_batch(circuits, shots=300)
-        assert [r.counts.data for r in fused] == [r.counts.data for r in plain]
+        angles = random_angles(5, seed=4)
+        fused = grid_readout(
+            DensityMatrixSimulator(noise_model=london, seed=13, optimize_programs=True),
+            angles,
+            shots=300,
+        )
+        plain = grid_readout(
+            DensityMatrixSimulator(noise_model=london, seed=13, optimize_programs=False),
+            angles,
+            shots=300,
+        )
+        assert [c.data for c in fused.counts] == [c.data for c in plain.counts]
 
     def test_fusion_actually_fires_on_the_sweep_shape(self, london):
         circuit = sweep_circuit([0.3, 0.7, 0.4])
@@ -170,14 +192,6 @@ class TestSeedBitIdentity:
                 assert step.is_fixed
                 assert step.slots == ()
                 assert all(source.is_fixed for source in step.fused_from)
-
-    def test_binding_row_works_against_the_optimized_program(self):
-        circuit = sweep_circuit([0.3, 0.7, 0.4])
-        sibling = sweep_circuit([0.9, 0.2, 0.8])
-        source = SweepProgram.compile(circuit, bind_floats=True)
-        optimized = source.optimized()
-        assert optimized.binding_row(sibling) == source.binding_row(sibling)
-        assert optimized.matches_structure(sibling)
 
 
 class TestOptInKnobs:
@@ -206,17 +220,15 @@ class TestOptInKnobs:
 
     def test_simulator_cache_serves_fused_programs_under_env(self, monkeypatch):
         monkeypatch.setenv(OPTIMIZE_PROGRAMS_ENV, "1")
-        simulator = StatevectorSimulator()
-        program = simulator._sweep_program(sweep_circuit([0.3, 0.7, 0.4]))
+        program = grid_program(StatevectorSimulator())
         assert any(step.fused_from for step in program.steps)
         monkeypatch.delenv(OPTIMIZE_PROGRAMS_ENV)
-        plain = StatevectorSimulator()._sweep_program(sweep_circuit([0.3, 0.7, 0.4]))
+        plain = grid_program(StatevectorSimulator())
         assert not any(step.fused_from for step in plain.steps)
 
     def test_constructor_flag_overrides_env(self, monkeypatch):
         monkeypatch.setenv(OPTIMIZE_PROGRAMS_ENV, "1")
-        simulator = StatevectorSimulator(optimize_programs=False)
-        program = simulator._sweep_program(sweep_circuit([0.3, 0.7, 0.4]))
+        program = grid_program(StatevectorSimulator(optimize_programs=False))
         assert not any(step.fused_from for step in program.steps)
 
     def test_compile_optimize_flag(self, london):

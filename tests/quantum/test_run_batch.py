@@ -1,4 +1,10 @@
-"""Tests for the vectorised batch path of :class:`StatevectorSimulator`."""
+"""The statevector simulator's compiled sweep route against per-circuit ``run``.
+
+A structure-sharing sweep compiles once through the simulator's program
+cache and executes through ``run_sweep_program``.  Per-circuit
+:meth:`StatevectorSimulator.run` is the reference: probabilities and final
+states agree within ``1e-12`` and sampled counts draw for draw.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +12,10 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.operations import Parameter
+from repro.quantum.program import StatevectorEngine
 from repro.quantum.simulator import StatevectorSimulator
+
+PARAMS = [Parameter(name) for name in "abcd"]
 
 
 def sweep_circuit(angles, name="sweep") -> QuantumCircuit:
@@ -21,106 +30,80 @@ def sweep_circuit(angles, name="sweep") -> QuantumCircuit:
     return qc
 
 
-def random_sweep(count, seed):
-    rng = np.random.default_rng(seed)
-    return [sweep_circuit(rng.uniform(0, np.pi, 4)) for _ in range(count)]
+def random_angles(count, seed):
+    return np.random.default_rng(seed).uniform(0, np.pi, size=(count, 4))
+
+
+def sweep_program(simulator):
+    return simulator._grid_program(sweep_circuit(PARAMS), PARAMS)
+
+
+def program_readout(simulator, angles, shots):
+    return simulator.run_sweep_program(sweep_program(simulator), angles, shots=shots)
 
 
 class TestVectorisedPath:
     def test_exact_probabilities_match_per_circuit_runs(self):
-        circuits = random_sweep(9, seed=0)
-        batched = StatevectorSimulator().run_batch(circuits, shots=None)
-        for circuit, result in zip(circuits, batched):
-            single = StatevectorSimulator().run(circuit, shots=None)
-            assert set(result.probabilities) == set(single.probabilities)
+        angles = random_angles(9, seed=0)
+        readout = program_readout(StatevectorSimulator(), angles, shots=None)
+        for row, probabilities in zip(angles, readout.probabilities):
+            single = StatevectorSimulator().run(sweep_circuit(row), shots=None)
+            assert set(probabilities) == set(single.probabilities)
             for key, value in single.probabilities.items():
-                assert result.probabilities[key] == pytest.approx(value, abs=1e-12)
+                assert probabilities[key] == pytest.approx(value, abs=1e-12)
 
     def test_statevectors_match_per_circuit_runs(self):
-        circuits = random_sweep(4, seed=1)
-        batched = StatevectorSimulator().run_batch(circuits, shots=None)
-        for circuit, result in zip(circuits, batched):
-            single = StatevectorSimulator().run(circuit, shots=None)
+        angles = random_angles(4, seed=1)
+        states = sweep_program(StatevectorSimulator()).evolve(angles, StatevectorEngine())
+        for element, row in enumerate(angles):
+            single = StatevectorSimulator().run(sweep_circuit(row), shots=None)
             np.testing.assert_allclose(
-                result.statevector.data, single.statevector.data, atol=1e-12
+                states.statevector(element).data, single.statevector.data, atol=1e-12
             )
 
     def test_sampled_counts_seed_match_the_loop(self):
         """One stacked multinomial call must consume the RNG like the loop."""
-        circuits = random_sweep(6, seed=2)
-        batched = StatevectorSimulator(seed=11).run_batch(circuits, shots=500)
+        angles = random_angles(6, seed=2)
+        readout = program_readout(StatevectorSimulator(seed=11), angles, shots=500)
         loop_sim = StatevectorSimulator(seed=11)
-        looped = [loop_sim.run(circuit, shots=500) for circuit in circuits]
-        assert [r.counts.data for r in batched] == [r.counts.data for r in looped]
+        looped = [loop_sim.run(sweep_circuit(row), shots=500) for row in angles]
+        assert [c.data for c in readout.counts] == [r.counts.data for r in looped]
 
     def test_identical_parameters_share_one_matrix(self):
         """All-equal angles take the shared-matrix branch and stay correct."""
-        circuits = [sweep_circuit([0.3, 0.7, 0.3, 0.7]) for _ in range(3)]
-        batched = StatevectorSimulator().run_batch(circuits, shots=None)
-        single = StatevectorSimulator().run(circuits[0], shots=None)
-        for result in batched:
+        angles = np.tile([0.3, 0.7, 0.3, 0.7], (3, 1))
+        readout = program_readout(StatevectorSimulator(), angles, shots=None)
+        single = StatevectorSimulator().run(sweep_circuit(angles[0]), shots=None)
+        for probabilities in readout.probabilities:
             for key, value in single.probabilities.items():
-                assert result.probabilities[key] == pytest.approx(value, abs=1e-12)
-
-    def test_batched_metadata_marks_the_vectorised_engine(self):
-        circuits = random_sweep(2, seed=3)
-        results = StatevectorSimulator().run_batch(circuits, shots=None)
-        assert all(r.metadata.get("batched") for r in results)
-        assert all(r.metadata["batch_size"] == 2 for r in results)
-
-
-class TestFallbacks:
-    def test_mixed_structures_fall_back_to_the_loop(self):
-        bell = QuantumCircuit(3, 1, name="bell")
-        bell.h(0).cx(0, 1).measure(0, 0)
-        circuits = [sweep_circuit([0.1, 0.2, 0.3, 0.4]), bell]
-        results = StatevectorSimulator().run_batch(circuits, shots=None)
-        assert len(results) == 2
-        assert not results[0].metadata.get("batched")
-        single = StatevectorSimulator().run(bell, shots=None)
-        for key, value in single.probabilities.items():
-            assert results[1].probabilities[key] == pytest.approx(value, abs=1e-12)
-
-    def test_reset_circuits_fall_back_to_the_loop(self):
-        qc = QuantumCircuit(2, 1, name="with_reset")
-        qc.h(0).reset(0).measure(0, 0)
-        results = StatevectorSimulator(seed=0).run_batch([qc, qc.copy()], shots=64)
-        assert len(results) == 2
-        assert not results[0].metadata.get("batched")
-
-    def test_fallback_sampling_seed_matches_the_loop(self):
-        bell = QuantumCircuit(3, 1, name="bell")
-        bell.h(0).cx(0, 1).measure(0, 0)
-        circuits = [sweep_circuit([0.1, 0.2, 0.3, 0.4]), bell]
-        batched = StatevectorSimulator(seed=4).run_batch(circuits, shots=128)
-        loop_sim = StatevectorSimulator(seed=4)
-        looped = [loop_sim.run(circuit, shots=128) for circuit in circuits]
-        assert [r.counts.data for r in batched] == [r.counts.data for r in looped]
+                assert probabilities[key] == pytest.approx(value, abs=1e-12)
 
 
 class TestValidation:
     def test_empty_batch_yields_empty_results(self):
-        """Matches the loop semantics of ``Backend.run_batch`` on every backend."""
-        assert StatevectorSimulator().run_batch([]) == []
+        readout = program_readout(StatevectorSimulator(), np.zeros((0, 4)), shots=16)
+        assert readout.probabilities == [] and readout.counts == []
 
     def test_zero_shots_rejected(self):
-        with pytest.raises(SimulationError):
-            StatevectorSimulator().run_batch(random_sweep(2, seed=5), shots=0)
+        with pytest.raises(SimulationError, match="shots must be positive"):
+            program_readout(StatevectorSimulator(), random_angles(2, seed=5), shots=0)
 
     def test_unbound_parameters_rejected(self):
-        qc = QuantumCircuit(1, 1)
-        qc.ry(Parameter("t"), 0).measure(0, 0)
-        with pytest.raises(SimulationError):
-            StatevectorSimulator().run_batch([qc, qc.copy()], shots=None)
+        with pytest.raises(SimulationError, match="binding column"):
+            program_readout(StatevectorSimulator(), np.zeros((2, 3)), shots=None)
 
     def test_shots_without_measurement_rejected(self):
+        t = Parameter("t")
         qc = QuantumCircuit(1)
-        qc.h(0)
-        with pytest.raises(SimulationError):
-            StatevectorSimulator().run_batch([qc, qc.copy()], shots=16)
+        qc.ry(t, 0)
+        simulator = StatevectorSimulator()
+        program = simulator._grid_program(qc, [t])
+        with pytest.raises(SimulationError, match="without measurements"):
+            simulator.run_sweep_program(program, np.zeros((2, 1)), shots=16)
 
     def test_double_measurement_rejected_in_batch(self):
+        t = Parameter("t")
         qc = QuantumCircuit(2, 2)
-        qc.h(0).measure(0, 0).measure(0, 1)
+        qc.ry(t, 0).measure(0, 0).measure(0, 1)
         with pytest.raises(SimulationError):
-            StatevectorSimulator().run_batch([qc, qc.copy()], shots=None)
+            StatevectorSimulator()._grid_program(qc, [t])
