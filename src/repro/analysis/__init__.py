@@ -1,170 +1,24 @@
-"""Static analysis for the repro stack.
+"""Static analysis for the repro stack, in two layers.
 
-Five coordinated pass families share one
-:class:`~repro.analysis.diagnostics.Diagnostic` record and one CLI
-(``python -m repro.analysis``):
+**Certificates** — imported by the runtime, and importing no tooling:
 
-* :mod:`repro.analysis.verify` — a static IR verifier over compiled
-  :class:`~repro.quantum.program.SweepProgram`s, circuits, tile plans, and
-  precomposed noise superoperators (``VER1xx`` codes).  A cheap structural
-  subset runs on every program compile; ``REPRO_VERIFY=1`` enables the full
-  numerical level (unitarity, CPTP) at compile and plan time.
-  :mod:`repro.analysis.cost` extends it with the static cost-model verifier
-  (``VER2xx``): peak amplitudes/bytes and contraction counts predicted per
-  tile plan and checked against the declared amplitude budget.
-* :mod:`repro.analysis.lint` — an AST contract linter (``REP001``–``REP005``
-  and ``REP106``) encoding the determinism, picklability, caching, timing,
-  and reporting contracts the batched/sharded execution stack depends on.
-* :mod:`repro.analysis.flow` — cross-module call-graph + dataflow analyzers
-  (``REP101``–``REP104``): shard-reachable races, Generator seed aliasing
-  across shard submissions, transitive payload picklability, and engine
-  buffers escaping into caches.
-* :mod:`repro.analysis.shapes` — a shape/dtype abstract interpreter over
-  the engine modules and compiled program metadata (``VER301``–``VER304``):
-  einsum subscript/operand agreement, amplitude-layout preservation,
-  silent complex→real downcasts, and promotions that would break a
-  configured ``complex64`` run.  Backed by the :mod:`repro.arrays` seam
-  and its lint rules ``REP201``/``REP202``.
-* :mod:`repro.analysis.equiv` — translation validation of the compile
-  pipeline (``VER401``–``VER430``): the fusion legality oracle, per-rewrite
-  certificates (fused unitary ≡ ordered source product, folded
-  superoperator ≡ composed source channels with CPTP preserved,
-  shared-prefix legality across shift rows), and the end-to-end witness
-  that an optimised :class:`~repro.quantum.program.SweepProgram` faithfully
-  translates its source.  The plan-time fusion pass
-  (:meth:`~repro.quantum.program.SweepProgram.optimized`) only ships
-  rewrites this family certifies.
+* :mod:`repro.analysis.diagnostics` — the shared
+  :class:`~repro.analysis.diagnostics.Diagnostic` record;
+* :mod:`repro.analysis.verify` — the ``VER1xx`` IR verifier that
+  :meth:`~repro.quantum.program.SweepProgram.compile`, the density engine's
+  step plans and :class:`~repro.quantum.noise.NoiseModel` run fail-closed;
+* :mod:`repro.analysis.equiv` — the ``VER4xx`` fusion legality oracle and
+  translation-validation certificates behind plan-time fusion and
+  shared-prefix tile execution;
+* :mod:`repro.analysis.cost` — the ``VER2xx`` static cost model.
 
-Findings flow through the shared report formats (:mod:`.report` for
-text/JSON, :mod:`.sarif` for SARIF 2.1.0) and the :mod:`.baseline` ratchet.
-See ``docs/static_analysis.md`` for the rule catalogue, verifier check
-list, CLI usage, and the inline-suppression syntax.
+**Tooling** — imported only by ``python -m repro.analysis``, the benches
+and the tests: the AST contract linter (:mod:`.lint`, :mod:`.rules`), the
+cross-module flow analyzers (:mod:`.flow`), the text/JSON report
+(:mod:`.report`) and the CLI (:mod:`.cli`).
+
+This package module deliberately re-exports nothing, so importing a
+certificate module never loads the tooling.  See
+``docs/static_analysis.md`` for the rule catalogue and the audit that
+decides which families stay.
 """
-
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_PATH,
-    baseline_payload,
-    load_baseline,
-    split_by_baseline,
-    validate_baseline_payload,
-    write_baseline,
-)
-from repro.analysis.cost import (
-    COST_CODES,
-    CostReport,
-    estimate_cost,
-    reference_cost_reports,
-    verify_cost,
-    verify_reference_costs,
-)
-from repro.analysis.diagnostics import (
-    Diagnostic,
-    Location,
-    Severity,
-    errors,
-    format_diagnostics,
-    has_errors,
-    sort_diagnostics,
-)
-from repro.analysis.equiv import (
-    EQUIV_CODES,
-    can_extend_fusion,
-    shared_prefix_length,
-    verify_fused_step,
-    verify_fused_superoperator_plan,
-    verify_reference_equivalence,
-    verify_shared_prefix,
-    verify_translation,
-)
-from repro.analysis.flow import (
-    FLOW_CODES,
-    FlowResult,
-    analyze_paths,
-    analyze_sources,
-    find_entry_points,
-)
-from repro.analysis.lint import LintResult, lint_paths, lint_source
-from repro.analysis.report import (
-    findings_payload,
-    format_text_report,
-    validate_findings_payload,
-)
-from repro.analysis.rules import LintContext, Rule, all_rules, select_rules
-from repro.analysis.sarif import sarif_payload, validate_sarif_payload
-from repro.analysis.shapes import (
-    SHAPE_CODES,
-    ShapeResult,
-    verify_program_shapes,
-    verify_reference_shapes,
-)
-from repro.analysis.verify import (
-    REPRO_VERIFY_ENV,
-    VERIFIER_CODES,
-    full_verification_enabled,
-    verify_channel,
-    verify_circuit,
-    verify_program,
-    verify_reference_suite,
-    verify_superoperator,
-    verify_tile_plan,
-)
-
-__all__ = [
-    "Diagnostic",
-    "Location",
-    "Severity",
-    "errors",
-    "format_diagnostics",
-    "has_errors",
-    "sort_diagnostics",
-    "LintResult",
-    "lint_paths",
-    "lint_source",
-    "FLOW_CODES",
-    "FlowResult",
-    "analyze_paths",
-    "analyze_sources",
-    "find_entry_points",
-    "findings_payload",
-    "format_text_report",
-    "validate_findings_payload",
-    "sarif_payload",
-    "validate_sarif_payload",
-    "DEFAULT_BASELINE_PATH",
-    "baseline_payload",
-    "load_baseline",
-    "split_by_baseline",
-    "validate_baseline_payload",
-    "write_baseline",
-    "LintContext",
-    "Rule",
-    "all_rules",
-    "select_rules",
-    "REPRO_VERIFY_ENV",
-    "VERIFIER_CODES",
-    "COST_CODES",
-    "EQUIV_CODES",
-    "can_extend_fusion",
-    "shared_prefix_length",
-    "verify_fused_step",
-    "verify_fused_superoperator_plan",
-    "verify_reference_equivalence",
-    "verify_shared_prefix",
-    "verify_translation",
-    "SHAPE_CODES",
-    "ShapeResult",
-    "verify_program_shapes",
-    "verify_reference_shapes",
-    "CostReport",
-    "estimate_cost",
-    "reference_cost_reports",
-    "verify_cost",
-    "verify_reference_costs",
-    "full_verification_enabled",
-    "verify_channel",
-    "verify_circuit",
-    "verify_program",
-    "verify_reference_suite",
-    "verify_superoperator",
-    "verify_tile_plan",
-]

@@ -1,22 +1,19 @@
 """Command-line entry point: ``python -m repro.analysis``.
 
-Runs the AST contract linter, the cross-module flow analyzers, *and* the
-shape/dtype abstract interpreter over source trees (and, with
-``--verify``, the IR, cost-model, program-shape, and translation-validation
-verifiers over the figure suite's representative compiled programs) and
-reports every finding through the shared diagnostic pipeline::
+Runs the AST contract linter and the cross-module flow analyzers over
+source trees (and, with ``--verify``, the IR, cost-model, and
+translation-validation verifiers over the figure suite's representative
+compiled programs) and reports every finding through the shared
+diagnostic pipeline::
 
-    python -m repro.analysis src benchmarks            # lint + flow + shapes
+    python -m repro.analysis src benchmarks            # lint + flow
     python -m repro.analysis --format json             # default paths, JSON
-    python -m repro.analysis --format sarif            # SARIF 2.1.0 log
     python -m repro.analysis src --select REP001,REP102
     python -m repro.analysis --verify                  # + IR/cost/equiv checks
-    python -m repro.analysis --jobs 4                  # shard per-file passes
-    python -m repro.analysis --baseline analysis_baseline.json
 
-Exit codes: ``0`` when no error-severity findings survive suppression (and
-the baseline, when one is given), ``1`` when at least one does, ``2`` on
-usage errors (unknown path or rule).
+Exit codes: ``0`` when no error-severity findings survive suppression,
+``1`` when at least one does, ``2`` on usage errors (unknown path or
+code).
 """
 
 from __future__ import annotations
@@ -43,8 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Static analysis for the repro stack: AST contract linter "
             "(REP0xx/REP106/REP2xx), cross-module concurrency & determinism "
-            "flow analyzers (REP101-REP104), shape/dtype abstract "
-            "interpreter (VER301-VER304), SweepProgram IR + cost-model "
+            "flow analyzers (REP101-REP104), SweepProgram IR + cost-model "
             "verifiers (VER1xx/VER2xx), and compile-pipeline translation "
             "validation (VER401-VER430)."
         ),
@@ -57,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format (default: text)",
     )
@@ -65,35 +61,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         metavar="CODES",
         help="comma-separated codes to run: lint rule, flow analyzer, "
-        "shape analyzer, and/or translation-validation codes (default: all)",
+        "and/or translation-validation codes (default: all); VER1xx/VER2xx "
+        "always run under --verify and cannot be selected",
     )
     parser.add_argument(
         "--verify",
         action="store_true",
         help="additionally compile the figure suite's representative "
         "SweepPrograms and run the full IR verifier, the static cost-model "
-        "verifier, the program-shape verifier, and the VER4xx translation "
-        "validator (fused vs source programs) over them (JSON output "
-        "gains a 'cost' section)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        default=1,
-        help="fan the per-file passes out over N ShardExecutor workers "
-        "(default: 1, serial); finding order is deterministic either way",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="subtract the accepted findings recorded in this baseline file; "
-        "only new findings gate the exit code",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        help="write the current findings as a new baseline to PATH and exit 0",
+        "verifier, and the VER4xx translation validator (fused vs source "
+        "programs) over them (JSON output gains a 'cost' section)",
     )
     return parser
 
@@ -111,31 +88,31 @@ def _resolve_paths(requested: Sequence[str]) -> List[str]:
 
 
 def _split_select(selected: Optional[str]):
-    """Partition ``--select`` into (lint, flow, shapes, equiv) code families.
+    """Partition ``--select`` into (lint, flow, equiv) code families.
 
     ``None`` in a slot means "run everything in that family"; an empty
-    tuple means "run nothing".  Flow, shape, and translation-validation
-    codes are carved out first; whatever remains must be lint rule codes,
-    so unknown codes surface through :func:`select_rules`'s error.
+    tuple means "run nothing".  A code no family knows is a usage error
+    whose message lists every selectable code.
     """
     from repro.analysis.equiv import EQUIV_CODES
     from repro.analysis.flow import FLOW_CODES
-    from repro.analysis.shapes import SHAPE_CODES
+    from repro.analysis.rules import all_rules
 
     if selected is None:
-        return None, None, None, None
+        return None, None, None
+    lint_codes = {rule.code for rule in all_rules()}
     codes = [code.strip().upper() for code in selected.split(",") if code.strip()]
+    known = lint_codes | set(FLOW_CODES) | set(EQUIV_CODES)
+    unknown = sorted(set(codes) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown code(s) {unknown}; selectable: {', '.join(sorted(known))} "
+            "(VER1xx/VER2xx run under --verify and cannot be selected)"
+        )
+    lint = tuple(code for code in codes if code in lint_codes)
     flow = tuple(code for code in codes if code in FLOW_CODES)
-    shapes = tuple(code for code in codes if code in SHAPE_CODES)
     equiv = tuple(code for code in codes if code in EQUIV_CODES)
-    lint = tuple(
-        code
-        for code in codes
-        if code not in FLOW_CODES
-        and code not in SHAPE_CODES
-        and code not in EQUIV_CODES
-    )
-    return lint, flow, shapes, equiv
+    return lint, flow, equiv
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -143,22 +120,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         paths = _resolve_paths(args.paths)
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-        lint_codes, flow_codes, shape_codes, equiv_codes = _split_select(args.select)
-        rules = select_rules(list(lint_codes)) if lint_codes else select_rules(None)
+        lint_codes, flow_codes, equiv_codes = _split_select(args.select)
         run_lint = lint_codes is None or bool(lint_codes)
         run_flow = flow_codes is None or bool(flow_codes)
-        run_shapes = shape_codes is None or bool(shape_codes)
         run_equiv = equiv_codes is None or bool(equiv_codes)
 
         diagnostics: List[Diagnostic] = []
         files_checked = 0
         suppressed_by_code: Dict[str, int] = {}
-        timings: Dict[str, float] = {"jobs": args.jobs}
+        timings: Dict[str, float] = {}
         if run_lint:
             started = time.perf_counter()
-            lint_result = lint_paths(paths, rules, jobs=args.jobs)
+            lint_result = lint_paths(paths, select_rules(lint_codes))
             timings["lint_seconds"] = time.perf_counter() - started
             diagnostics.extend(lint_result.diagnostics)
             files_checked = lint_result.files_checked
@@ -168,8 +141,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if run_flow:
             from repro.analysis.flow import analyze_paths
 
-            # The flow analyzers work on one cross-module graph, so they do
-            # not shard per file; --jobs covers the per-file passes.
             started = time.perf_counter()
             flow_result = analyze_paths(paths, flow_codes)
             timings["flow_seconds"] = time.perf_counter() - started
@@ -178,17 +149,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             merge_suppression_counts(
                 suppressed_by_code, flow_result.suppressed_by_code
             )
-        if run_shapes:
-            from repro.analysis.shapes import analyze_paths as analyze_shape_paths
-
-            started = time.perf_counter()
-            shape_result = analyze_shape_paths(paths, shape_codes)
-            timings["shapes_seconds"] = time.perf_counter() - started
-            diagnostics.extend(shape_result.diagnostics)
-            files_checked = max(files_checked, shape_result.files_checked)
-            merge_suppression_counts(
-                suppressed_by_code, shape_result.suppressed_by_code
-            )
     except (FileNotFoundError, ValueError) as exc:
         print(f"repro.analysis: {exc}", file=sys.stderr)
         return 2
@@ -196,13 +156,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cost_reports: Optional[List[dict]] = None
     if args.verify:
         from repro.analysis.cost import reference_cost_reports, verify_reference_costs
-        from repro.analysis.shapes import verify_reference_shapes
         from repro.analysis.verify import verify_reference_suite
 
         started = time.perf_counter()
         diagnostics.extend(verify_reference_suite())
         diagnostics.extend(verify_reference_costs())
-        diagnostics.extend(verify_reference_shapes())
         if run_equiv:
             from repro.analysis.equiv import verify_reference_equivalence
 
@@ -217,28 +175,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         timings["verify_seconds"] = time.perf_counter() - started
         cost_reports = [report.to_dict() for report in reference_cost_reports()]
 
-    if args.write_baseline:
-        from repro.analysis.baseline import write_baseline
-
-        payload, pruned = write_baseline(args.write_baseline, diagnostics)
-        print(
-            f"wrote baseline with {len(payload['findings'])} accepted "
-            f"finding(s) to {args.write_baseline}"
-            f" (pruned {pruned} stale entr{'y' if pruned == 1 else 'ies'})"
-        )
-        return 0
-
-    baselined = 0
-    if args.baseline:
-        from repro.analysis.baseline import load_baseline, split_by_baseline
-
-        try:
-            accepted = load_baseline(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"repro.analysis: {exc}", file=sys.stderr)
-            return 2
-        diagnostics, baselined = split_by_baseline(diagnostics, accepted)
-
     diagnostics = sort_diagnostics(diagnostics)
     suppressed = sum(suppressed_by_code.values())
     if args.format == "json":
@@ -252,15 +188,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             timings=timings,
         )
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        from repro.analysis.sarif import sarif_payload
-
-        print(json.dumps(sarif_payload(diagnostics), indent=2, sort_keys=True))
     else:
-        report = format_text_report(
-            diagnostics, files_checked=files_checked, suppressed=suppressed
+        print(
+            format_text_report(
+                diagnostics, files_checked=files_checked, suppressed=suppressed
+            )
         )
-        if baselined:
-            report += f"\n{baselined} baselined finding(s) ignored"
-        print(report)
     return 1 if has_errors(diagnostics) else 0

@@ -1,8 +1,7 @@
 """Translation validation of the compile pipeline (VER4xx).
 
-The fifth analysis family of :mod:`repro.analysis` (after the AST linter,
-the flow analyzers, the IR/cost verifiers, and the shape interpreter).
-Where the IR verifier checks one compiled
+A runtime certificate module of :mod:`repro.analysis`, beside the IR and
+cost verifiers.  Where the IR verifier checks one compiled
 :class:`~repro.quantum.program.SweepProgram` against its *own* invariants,
 this family checks an **optimised** program against its **source**: every
 algebraic rewrite the plan-time fusion pass performs is re-derived here
@@ -44,8 +43,8 @@ makes folding the run's noise superoperators behind the fused unitary
 exact (moving each appended conjugation left past the accumulated noise).
 Parametric bind sites and measurement barriers always block fusion.
 
-Findings surface through the shared CLI (``--verify``), SARIF/JSON
-outputs, the baseline ratchet, and ``--select`` like every other family.
+Findings surface through the shared CLI (``--verify``), its text/JSON
+outputs, and ``--select`` like every other family.
 """
 
 from __future__ import annotations

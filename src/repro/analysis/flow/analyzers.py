@@ -16,7 +16,8 @@ REP102 one ``numpy.random.Generator`` never flows into more than one shard
        (``spawn_rngs``/``spawn_seed_sequences``)
 REP103 payload classes (``*Spec``, ``Shard``/``ShardPlan``) stay
        *transitively* picklable: no field path reaches a threading
-       primitive or a live backend/simulator/estimator/executor type
+       primitive or a live backend/simulator/estimator/executor type, and
+       no field default holds a lambda or a threading primitive
 REP104 raw engine buffers (``BatchedStatevector._amplitudes``,
        ``BatchedDensityMatrix._matrices``) never escape into cached values
        without a ``.copy()``
@@ -338,6 +339,20 @@ def check_payload_picklability(project: Project) -> List[Diagnostic]:
                 # The class controls its own pickling (drops/recreates the
                 # offending fields) — its internals are its own business.
                 continue
+            for field, (problem, line) in sorted(info.unpicklable_defaults.items()):
+                out.append(
+                    _diag(
+                        "REP103",
+                        f"payload class {root.name} reaches {problem} in the "
+                        f"default of {' -> '.join(path + (f'{info.name}.{field}',))}"
+                        " — unpicklable under the process strategy",
+                        file=info.module.path,
+                        line=line,
+                        obj=root.qualname,
+                        hint="use a module-level function, and create locks "
+                        "lazily in __setstate__ like repro.utils.cache.LRUCache",
+                    )
+                )
             for field, (type_names, line) in sorted(info.field_types.items()):
                 field_path = path + (f"{info.name}.{field}",)
                 for type_name in type_names:

@@ -122,6 +122,11 @@ class ClassInfo:
     field_types: Dict[str, Tuple[Tuple[str, ...], int]] = dataclasses.field(
         default_factory=dict
     )
+    #: field name -> (why its class-level default is unpicklable, line) — a
+    #: lambda or a threading primitive anywhere in the default expression
+    unpicklable_defaults: Dict[str, Tuple[str, int]] = dataclasses.field(
+        default_factory=dict
+    )
     #: whether ``__init__`` stores a ``threading.Lock``/``RLock``/... field
     holds_threading_primitive: bool = False
     #: whether the class defines ``__getstate__`` (controls its own pickling)
@@ -165,6 +170,18 @@ def _is_threading_primitive_call(node: ast.AST) -> bool:
     return False
 
 
+def _unpicklable_default(value: Optional[ast.AST]) -> Optional[str]:
+    """Why a class-level field default cannot be pickled, if it cannot."""
+    if value is None:
+        return None
+    for node in ast.walk(value):
+        if isinstance(node, ast.Lambda):
+            return "a lambda"
+        if _is_threading_primitive_call(node):
+            return f"threading primitive '{ast.unparse(node.func)}()'"
+    return None
+
+
 def _class_info(node: ast.ClassDef, module: ModuleInfo) -> ClassInfo:
     info = ClassInfo(
         qualname=f"{module.name}.{node.name}" if module.name else node.name,
@@ -177,6 +194,20 @@ def _class_info(node: ast.ClassDef, module: ModuleInfo) -> ClassInfo:
         ),
     )
     for statement in node.body:
+        if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            problem = _unpicklable_default(statement.value)
+            if problem is not None:
+                targets = (
+                    statement.targets
+                    if isinstance(statement, ast.Assign)
+                    else [statement.target]
+                )
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        info.unpicklable_defaults[target.id] = (
+                            problem,
+                            statement.lineno,
+                        )
         if isinstance(statement, ast.AnnAssign) and isinstance(
             statement.target, ast.Name
         ):

@@ -153,10 +153,9 @@ def _statement_extents(source: str) -> List[Tuple[int, int]]:
 def justified_suppression_index(source: str) -> Dict[int, set]:
     """line -> codes justifiably suppressed there (bare noqas excluded).
 
-    The shared application point for *every* analysis family: the per-file
-    linter, the cross-module flow analyzers, and the shape interpreter
-    honour the same ``# repro: noqa CODE -- why`` comments, so one
-    suppression syntax covers REP and VER findings alike.  Bare
+    The shared application point for both source-analysis families: the
+    per-file linter and the cross-module flow analyzers honour the same
+    ``# repro: noqa CODE -- why`` comments.  Bare
     (unjustified) suppressions are not indexed — they suppress nothing and
     are reported as ``REP000`` by :func:`lint_source`.
 
@@ -318,36 +317,16 @@ def lint_paths(
     rules: Optional[Sequence[Rule]] = None,
     *,
     root: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> LintResult:
-    """Lint every Python file under ``paths``.
-
-    ``jobs > 1`` fans the per-file linting out through
-    :class:`repro.parallel.ShardExecutor` (one shard per file, thread
-    strategy — the executor the rest of the stack dogfoods).  Shard results
-    come back in shard-index order and are merged in that order before the
-    final sort, so the findings and the per-code suppression tallies are
-    identical to the serial pass.
-    """
+    """Lint every Python file under ``paths``."""
     rules = list(rules) if rules is not None else select_rules()
     diagnostics: List[Diagnostic] = []
     suppressed_by_code: Dict[str, int] = {}
     files = iter_python_files(paths)
-
-    def lint_file(path: str) -> Tuple[List[Diagnostic], Dict[str, int]]:
+    for path in files:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
-        return lint_source_accounted(source, path, rules, root=root)
-
-    if jobs is not None and jobs > 1 and len(files) > 1:
-        from repro.parallel import ShardExecutor, ShardPlan
-
-        executor = ShardExecutor(strategy="thread", max_workers=jobs)
-        plan = ShardPlan.from_items(files)
-        results = executor.map(lambda shard: lint_file(shard.payload), plan)
-    else:
-        results = [lint_file(path) for path in files]
-    for found, hidden in results:
+        found, hidden = lint_source_accounted(source, path, rules, root=root)
         diagnostics.extend(found)
         merge_suppression_counts(suppressed_by_code, hidden)
     return LintResult(

@@ -16,9 +16,10 @@ from repro.analysis.diagnostics import Diagnostic, Severity, sort_diagnostics
 #: Schema version of the JSON payload.  Version 2 added the per-rule-code
 #: ``summary.suppressed_by_code`` accounting and the optional machine-readable
 #: ``cost`` section (static cost-model reports, emitted under ``--verify``).
-#: Version 3 added the optional ``timings`` section: per-analyzer wall-clock
-#: seconds plus the ``--jobs`` fan-out width the run used.
-PAYLOAD_VERSION = 3
+#: Version 3 added the optional ``timings`` section of per-analyzer
+#: wall-clock seconds; version 4 dropped its ``jobs`` fan-out width along
+#: with the ``--jobs`` flag.
+PAYLOAD_VERSION = 4
 
 _REQUIRED_FINDING_KEYS = ("code", "severity", "message")
 _SEVERITIES = {severity.value for severity in Severity}
@@ -72,10 +73,7 @@ def findings_payload(
     if cost is not None:
         payload["cost"] = [dict(report) for report in cost]
     if timings is not None:
-        payload["timings"] = {
-            key: int(value) if key == "jobs" else float(value)
-            for key, value in timings.items()
-        }
+        payload["timings"] = {key: float(value) for key, value in timings.items()}
     return payload
 
 
@@ -184,16 +182,9 @@ def validate_findings_payload(payload: dict) -> List[str]:
         if not isinstance(timings, dict):
             problems.append("timings must be an object when present")
         else:
-            jobs = timings.get("jobs")
-            if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-                problems.append("timings.jobs must be a positive integer")
             for key, value in timings.items():
-                if key == "jobs":
-                    continue
                 if not key.endswith("_seconds"):
-                    problems.append(
-                        f"timings.{key} must be 'jobs' or end with '_seconds'"
-                    )
+                    problems.append(f"timings.{key} must end with '_seconds'")
                 elif (
                     not isinstance(value, (int, float))
                     or isinstance(value, bool)

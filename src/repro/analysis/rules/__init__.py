@@ -8,8 +8,6 @@ code   contract
 ====== ====================================================================
 REP001 library code never draws OS entropy: no seedless
        ``np.random.default_rng()`` and no global ``np.random.*`` calls
-REP002 ``*Spec`` classes stay picklable: no lambdas, locks, or live
-       backend/estimator references in their fields
 REP003 shared caches route through the locked ``repro.utils.cache.LRUCache``
        instead of ad-hoc module/class-level dicts
 REP004 execution engines never construct RNGs internally — randomness is
@@ -108,14 +106,12 @@ def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, in code order."""
     from repro.analysis.rules.arrays import ArraySeamRule, ComplexDtypeLiteralRule
     from repro.analysis.rules.caches import AdHocCacheRule
-    from repro.analysis.rules.picklable import SpecPicklableRule
     from repro.analysis.rules.reporting import BenchReportingRule
     from repro.analysis.rules.rng import EngineRngRule, SeedlessRngRule
     from repro.analysis.rules.timing import SleepRule
 
     return [
         SeedlessRngRule(),
-        SpecPicklableRule(),
         AdHocCacheRule(),
         EngineRngRule(),
         BenchReportingRule(),

@@ -25,7 +25,8 @@ VER111 measured qubits/clbits lie within their registers, measured once,
 VER120 fixed-step matrices are ``(2**k, 2**k)`` and unitary (full level)
 VER121 the fixed/parametric split is consistent (fixed steps carry a
        matrix, parametric steps do not)
-VER130 a (precomposed) superoperator/channel is trace preserving
+VER130 a (precomposed) superoperator/channel is well-formed (a complex
+       ``(4**k, 4**k)`` block for a density step plan) and trace preserving
 VER131 a (precomposed) superoperator is completely positive (Choi PSD)
 VER140 the tile plan exactly partitions the sweep grid it claims to cover
 VER141 a tile exceeds the plan's declared amplitude budget (warning)
@@ -74,7 +75,7 @@ VERIFIER_CODES = {
     "VER111": "measurement read-out outside the registers or inconsistent",
     "VER120": "fixed gate step matrix malformed or not unitary",
     "VER121": "fixed/parametric step split inconsistent with its matrix",
-    "VER130": "superoperator or channel is not trace preserving",
+    "VER130": "superoperator or channel is malformed or not trace preserving",
     "VER131": "superoperator is not completely positive",
     "VER140": "tile plan does not exactly partition the sweep grid",
     "VER141": "tile exceeds the plan's declared amplitude budget",
@@ -752,29 +753,48 @@ def verify_compilation(program: "SweepProgram") -> None:
     )
 
 
-def verify_step_plan_superoperators(program: "SweepProgram", plans) -> None:
-    """The :meth:`DensitySuperoperatorEngine.step_plans` hook (full level only).
+def step_plan_diagnostics(program: "SweepProgram", plans) -> List[Diagnostic]:
+    """Check a density engine's precomposed per-step superoperator plans.
 
-    Checks every precomposed per-step superoperator — the folded
-    unitary+noise matrix of fixed steps and the noise-only precomposition of
-    parametric sites — for CPTP before the engine ever contracts with it.
+    Every plan — the folded unitary+noise matrix of a fixed step, or the
+    noise-only precomposition of a parametric site — must be a complex
+    ``(4**k, 4**k)`` block for its step's ``k`` qubits (the flattened
+    density layout the engine contracts with) and CPTP.
     """
-    if not full_verification_enabled():
-        return
     out: List[Diagnostic] = []
     prog = f"program '{program.name}'"
     for index, (step, plan) in enumerate(zip(program.steps, plans)):
         kind, superop = plan
         if superop is None:
             continue
-        out.extend(
-            verify_superoperator(
-                superop,
-                len(step.qubits),
-                name=f"{prog} step {index} ({step.name}) {kind} superoperator plan",
+        name = f"{prog} step {index} ({step.name}) {kind} superoperator plan"
+        dtype = np.asarray(superop).dtype
+        if dtype.kind != "c":
+            out.append(
+                _diag(
+                    "VER130",
+                    f"real dtype {dtype}; density contraction operands must "
+                    "be complex",
+                    obj=name,
+                )
             )
-        )
-    assert_clean(out, context=f"planning noise superoperators for '{program.name}'")
+            continue
+        out.extend(verify_superoperator(superop, len(step.qubits), name=name))
+    return out
+
+
+def verify_step_plan_superoperators(program: "SweepProgram", plans) -> None:
+    """The :meth:`DensitySuperoperatorEngine.step_plans` hook (full level only).
+
+    Runs :func:`step_plan_diagnostics` before the engine ever contracts
+    with the plans, and raises on any error finding.
+    """
+    if not full_verification_enabled():
+        return
+    assert_clean(
+        step_plan_diagnostics(program, plans),
+        context=f"planning noise superoperators for '{program.name}'",
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -791,12 +811,14 @@ def verify_reference_suite() -> List[Diagnostic]:
     the builder's symbolic trained-state program, the whole-grid
     discriminator program the SWAP-test estimator executes, and the
     transpile template's program of one bound discriminator, all under the
-    simulated IBM-Q London noise model.  Used by the CLI's
-    ``--verify`` pass and the clean-suite property test.
+    simulated IBM-Q London noise model.  The density step plans of the grid
+    program and of the template program a noisy backend runs are checked
+    too, exactly as the London density engine precomposes them.  Used by
+    the CLI's ``--verify`` pass and the clean-suite property test.
     """
     from repro.core.model import QuClassi
     from repro.hardware.calibration import get_calibration
-    from repro.quantum.program import SweepProgram
+    from repro.quantum.program import DensitySuperoperatorEngine, SweepProgram
     from repro.quantum.transpiler import TranspileCache
     from repro.utils.rng import ensure_rng
 
@@ -846,4 +868,9 @@ def verify_reference_suite() -> List[Diagnostic]:
         cache = TranspileCache()
         entry, _ = cache.template(bound_circuit)
         out.extend(verify_program(entry.ensure_program(), noise_model=noise))
+        # Density step plans, as the London engine precomposes them for the
+        # grid and for the template program a noisy backend runs.
+        engine = DensitySuperoperatorEngine(noise)
+        for program in (grid, entry.ensure_program(noise_model=noise)):
+            out.extend(step_plan_diagnostics(program, engine.step_plans(program)))
     return out

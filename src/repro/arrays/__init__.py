@@ -16,15 +16,16 @@ Two contracts fall out of that seam, and both are machine-checked:
   ``REPRO_PRECISION`` environment variable) flips every configured-dtype
   allocation and cast between ``complex128``/``float64`` (the default, and
   the determinism contract's canonical precision) and
-  ``complex64``/``float32`` (opt-in, halves amplitude memory).  The
-  VER3xx shape/dtype abstract interpreter flags kernels that would silently
-  promote a configured-precision run back to ``complex128``.
+  ``complex64``/``float32`` (opt-in, halves amplitude memory).
+  ``tests/analysis/test_arrays_seam.py`` asserts at run time that no kernel
+  silently promotes a configured-precision run back to ``complex128``.
 
 Two kinds of dtype requests exist, and the distinction matters:
 
 * :data:`COMPLEX_DTYPE` / :data:`REAL_DTYPE` are the **canonical**
-  double-precision dtypes.  Gate matrices, Kraus operators, and verifier
-  arithmetic are always built at canonical precision — operators are tiny,
+  double-precision dtypes.  Gate matrices, Kraus operators, plan-time
+  precomposed superoperators and fused matrices, and verifier arithmetic
+  are always built at canonical precision — operators are tiny,
   and building them wide keeps their construction exact.  They are cast to
   the configured precision at the point of application.
 * :func:`complex_dtype` / :func:`real_dtype` return the **configured**

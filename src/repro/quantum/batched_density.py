@@ -38,6 +38,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import arrays
+from repro.arrays import COMPLEX_DTYPE
 from repro.exceptions import SimulationError
 from repro.quantum.statevector import marginal_probabilities
 
@@ -53,8 +54,16 @@ def conjugation_superoperator(operator: np.ndarray) -> np.ndarray:
     sequential channels compose by plain matrix multiplication (later
     channels on the left) — the mechanism behind the compile-time noise
     precomposition in :mod:`repro.quantum.program`.
+
+    The result keeps a complex operator's precision (a real one is taken as
+    canonical ``COMPLEX_DTYPE``): canonical gate matrices and Kraus
+    operators give the canonical superoperators the plan-time precomposition
+    needs, and callers cast per-tile operands with ``arrays.as_complex``
+    first.
     """
-    operator = arrays.as_complex(operator)
+    operator = np.asarray(operator)
+    if operator.dtype.kind != "c":
+        operator = operator.astype(COMPLEX_DTYPE)
     if operator.ndim == 3:
         batch, dim = operator.shape[0], operator.shape[1]
         conjugate = operator.conj()
@@ -75,7 +84,7 @@ def channel_superoperator(kraus_operators: Sequence[np.ndarray]) -> np.ndarray:
         raise SimulationError("a channel needs at least one Kraus operator")
     total: np.ndarray = None
     for kraus in kraus_operators:
-        term = conjugation_superoperator(arrays.as_complex(kraus))
+        term = conjugation_superoperator(kraus)
         total = term if total is None else total + term
     return total
 

@@ -343,11 +343,15 @@ def _lift_block(block, positions: Sequence[int], total_axes: int) -> np.ndarray:
     ``2**total_axes``-dimensional space (most-significant-axis-first index
     convention); the result acts as the identity everywhere else.  This is
     the engines' tensor-axis idiom — the VER4xx validator rebuilds the same
-    lift independently from ``kron`` and permutation matrices.
+    lift independently from ``kron`` and permutation matrices.  Lifts run at
+    compile and plan time, so they stay at the canonical ``COMPLEX_DTYPE``
+    whatever precision the engines are configured to.
     """
     j = len(positions)
-    op = arrays.as_complex(np.asarray(block)).reshape((2,) * (2 * j))
-    ident = arrays.eye(2**total_axes).reshape((2,) * (2 * total_axes))
+    op = np.asarray(block, dtype=COMPLEX_DTYPE).reshape((2,) * (2 * j))
+    ident = np.eye(2**total_axes, dtype=COMPLEX_DTYPE).reshape(
+        (2,) * (2 * total_axes)
+    )
     out = arrays.tensordot(
         op, ident, axes=(tuple(range(j, 2 * j)), tuple(positions))
     )
@@ -1067,8 +1071,8 @@ class DensitySuperoperatorEngine:
         if superop is None:
             state.apply_matrix(matrix, step.qubits)
             return
-        term = conjugation_superoperator(matrix)
-        state.apply_superoperator(superop @ term, step.qubits)
+        term = conjugation_superoperator(arrays.as_complex(matrix))
+        state.apply_superoperator(arrays.as_complex(superop) @ term, step.qubits)
 
     def joint_probabilities(self, state, measured_qubits) -> np.ndarray:
         joint = state.probabilities(measured_qubits)

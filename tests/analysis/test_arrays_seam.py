@@ -189,10 +189,82 @@ class TestSinglePrecisionEndToEnd:
         np.testing.assert_array_equal(first, second)
 
     def test_single_mode_states_are_actually_complex64(self):
-        program = SweepProgram.compile(
+        # The run-time form of the complex64 promotion contract: every
+        # engine, on plain and on fused programs, keeps its state buffers
+        # at the configured precision (a hard complex128 operand anywhere
+        # in a kernel chain would promote them back).
+        noise = NoiseModel.from_error_rates(0.01, 0.02, readout_error=0.03)
+        plain = SweepProgram.compile(
             sweep_circuit(np.full(4, 0.3)), bind_floats=True, name="dtype-probe"
+        )
+        fusable = QuantumCircuit(3, 1).h(0).cx(0, 1).t(1)
+        fusable = fusable.compose(sweep_circuit(np.full(4, 0.3)))
+        fused = {
+            engine: SweepProgram.compile(
+                fusable,
+                bind_floats=True,
+                optimize=True,
+                noise_model=model,
+                name=f"dtype-probe-fused-{engine}",
+            )
+            for engine, model in (("sv", None), ("dm", noise))
+        }
+        assert all(
+            any(step.fused_from for step in program.steps)
+            for program in fused.values()
         )
         bindings = np.full((2, 4), 0.3)
         with arrays.precision("single"):
-            state = program.evolve(bindings, StatevectorEngine())
-        assert state.amplitudes.dtype == np.complex64
+            states = [
+                program.evolve(bindings, StatevectorEngine()).amplitudes
+                for program in (plain, fused["sv"])
+            ] + [
+                program.evolve(bindings, DensitySuperoperatorEngine(noise)).matrices
+                for program in (plain, fused["dm"])
+            ]
+        assert [state.dtype for state in states] == [np.complex64] * 4
+
+
+class TestSinglePrecisionCertificates:
+    """Certified routes run, and agree with double, under ``single``.
+
+    Plan-time operators (fused lifts, precomposed superoperators) stay
+    canonical complex128 whatever the knob says, so their 1e-8
+    certificates (VER402 on a fused noisy step, VER130 on every density
+    step plan under ``REPRO_VERIFY=1``) hold; only the per-tile operands
+    are cast to the configured dtype.
+    """
+
+    NOISE = NoiseModel.from_error_rates(0.01, 0.02, readout_error=0.03)
+
+    def _probabilities(self, engine_kind, optimize):
+        noise = self.NOISE if engine_kind == "dm-noisy" else None
+        circuit = QuantumCircuit(3, 1).h(0).cx(0, 1).t(1)
+        circuit = circuit.compose(sweep_circuit(np.full(4, 0.3)))
+        program = SweepProgram.compile(
+            circuit,
+            bind_floats=True,
+            optimize=optimize,
+            noise_model=noise,
+            name=f"certified-{engine_kind}-{optimize}",
+        )
+        assert any(step.fused_from for step in program.steps) == optimize
+        if engine_kind == "sv":
+            engine = StatevectorEngine()
+        else:
+            engine = DensitySuperoperatorEngine(noise)
+        bindings = np.random.default_rng(5).uniform(0.0, np.pi, (4, 4))
+        return program.execute(bindings, engine)
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "fused"])
+    @pytest.mark.parametrize("engine_kind", ["sv", "dm-ideal", "dm-noisy"])
+    def test_full_verification_holds_in_single_mode(
+        self, engine_kind, optimize, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        reference = self._probabilities(engine_kind, optimize)
+        with arrays.precision("single"):
+            single = self._probabilities(engine_kind, optimize)
+            atol = arrays.sweep_atol()
+        assert single.shape == reference.shape
+        np.testing.assert_allclose(single, reference, atol=atol, rtol=0.0)

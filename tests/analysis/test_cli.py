@@ -57,6 +57,26 @@ class TestMainInProcess:
         assert main([str(tmp_path), "--select", "REP999"]) == 2
         assert "REP999" in capsys.readouterr().err
 
+    def test_unknown_select_code_lists_every_selectable_family(
+        self, tmp_path, capsys
+    ):
+        assert main([str(tmp_path), "--select", "FOO1"]) == 2
+        err = capsys.readouterr().err
+        # Lint, flow, and translation-validation codes are all selectable;
+        # the message says why VER1xx/VER2xx are not.
+        for code in ("REP001", "REP202", "REP101", "REP104", "VER401", "VER411"):
+            assert code in err
+        assert "--verify" in err
+
+    def test_timings_section_is_schema_valid(self, tmp_path, capsys):
+        write(tmp_path, "src/repro/bad.py", VIOLATION)
+        main([str(tmp_path), "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert validate_findings_payload(payload) == []
+        timings = payload["timings"]
+        for key in ("lint_seconds", "flow_seconds"):
+            assert key in timings and timings[key] >= 0.0
+
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == 2
         capsys.readouterr()
@@ -71,42 +91,6 @@ class TestMainInProcess:
         )
         assert main([str(tmp_path)]) == 0
         assert "1 suppressed" in capsys.readouterr().out
-
-
-class TestJobsFanOut:
-    """Satellite: ``--jobs N`` shards the per-file passes deterministically."""
-
-    def corpus(self, tmp_path):
-        write(tmp_path, "src/repro/bad_a.py", VIOLATION)
-        write(tmp_path, "src/repro/bad_b.py", VIOLATION)
-        write(tmp_path, "src/repro/clean.py", "X = 1\n")
-        write(tmp_path, "src/repro/bad_c.py", VIOLATION)
-        return str(tmp_path)
-
-    def test_jobs_output_is_identical_to_serial(self, tmp_path, capsys):
-        target = self.corpus(tmp_path)
-        assert main([target, "--format", "json"]) == 1
-        serial = json.loads(capsys.readouterr().out)
-        assert main([target, "--format", "json", "--jobs", "4"]) == 1
-        sharded = json.loads(capsys.readouterr().out)
-        assert sharded["findings"] == serial["findings"]
-        assert sharded["summary"] == serial["summary"]
-        assert sharded["timings"]["jobs"] == 4
-        assert serial["timings"]["jobs"] == 1
-
-    def test_timings_section_is_schema_valid(self, tmp_path, capsys):
-        target = self.corpus(tmp_path)
-        main([target, "--format", "json", "--jobs", "2"])
-        payload = json.loads(capsys.readouterr().out)
-        assert validate_findings_payload(payload) == []
-        timings = payload["timings"]
-        for key in ("lint_seconds", "flow_seconds", "shapes_seconds"):
-            assert key in timings and timings[key] >= 0.0
-
-    def test_invalid_jobs_is_usage_error(self, tmp_path, capsys):
-        write(tmp_path, "src/ok.py", "X = 1\n")
-        assert main([str(tmp_path), "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:
@@ -210,58 +194,3 @@ class TestSuppressionAccounting:
         engines = {entry["engine"] for entry in cost}
         assert engines == {"statevector", "density"}
         assert all(entry["peak_bytes"] > 0 for entry in cost)
-
-
-SHAPE_VIOLATION = (
-    "import numpy as np\n"
-    "def f(a, b):\n"
-    "    return np.einsum('ij,jk->ik', a)\n"
-)
-
-
-class TestShapeFamilyIntegration:
-    """The VER3xx shape family rides the same CLI as lint and flow."""
-
-    def test_shape_finding_surfaces_with_exit_one(self, tmp_path, capsys):
-        write(tmp_path, "src/repro/quantum/batched.py", SHAPE_VIOLATION)
-        assert main([str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "VER301" in out
-
-    def test_select_ver301_runs_only_the_shape_family(self, tmp_path, capsys):
-        write(tmp_path, "src/repro/quantum/batched.py", SHAPE_VIOLATION)
-        write(tmp_path, "src/repro/bad.py", VIOLATION)
-        assert main([str(tmp_path), "--select", "VER301"]) == 1
-        payload_codes = capsys.readouterr().out
-        assert "VER301" in payload_codes
-        assert "REP001" not in payload_codes
-
-    def test_select_lint_code_skips_shape_family(self, tmp_path, capsys):
-        write(tmp_path, "src/repro/quantum/batched.py", SHAPE_VIOLATION)
-        assert main([str(tmp_path), "--select", "REP001"]) == 0
-        capsys.readouterr()
-
-    def test_shape_finding_in_sarif_catalogue(self, tmp_path, capsys):
-        from repro.analysis.sarif import validate_sarif_payload
-
-        write(tmp_path, "src/repro/quantum/batched.py", SHAPE_VIOLATION)
-        assert main([str(tmp_path), "--format", "sarif"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert validate_sarif_payload(payload) == []
-        # The same fixture trips both families: the shape contract
-        # (VER301) and the kernel-seam lint rule (REP202).
-        rule_ids = {r["ruleId"] for r in payload["runs"][0]["results"]}
-        assert rule_ids == {"VER301", "REP202"}
-
-    def test_shape_suppressions_counted(self, tmp_path, capsys):
-        write(
-            tmp_path,
-            "src/repro/quantum/batched.py",
-            SHAPE_VIOLATION.replace(
-                ", a)",
-                ", a)  # repro: noqa VER301, REP202 -- corpus fixture",
-            ),
-        )
-        assert main([str(tmp_path), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["suppressed_by_code"].get("VER301") == 1

@@ -487,19 +487,18 @@ class TestReferenceEquivalence:
 
 
 class TestCliIntegration:
-    def test_split_select_carves_four_families(self):
-        lint, flow, shapes, equiv = _split_select("VER401,REP101,VER301,REP001")
+    def test_split_select_carves_three_families(self):
+        lint, flow, equiv = _split_select("VER401,REP101,REP001")
         assert lint == ("REP001",)
         assert flow == ("REP101",)
-        assert shapes == ("VER301",)
         assert equiv == ("VER401",)
 
     def test_split_select_none_runs_everything(self):
-        assert _split_select(None) == (None, None, None, None)
+        assert _split_select(None) == (None, None, None)
 
     def test_every_equiv_code_is_selectable(self):
         for code in EQUIV_CODES:
-            _, _, _, equiv = _split_select(code)
+            _, _, equiv = _split_select(code)
             assert equiv == (code,)
 
     def test_select_equiv_without_verify_runs_nothing(self, tmp_path):

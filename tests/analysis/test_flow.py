@@ -359,7 +359,7 @@ class BackendSpec:
         assert "SimBackend" in result.diagnostics[0].message
 
     def test_transitive_lock_via_helper_class_is_flagged(self):
-        """The graph-based upgrade over per-file REP002: two hops deep."""
+        """The graph walk reaches locks two hops deep, across modules."""
         specs = '''\
 from repro.helpers import Inner
 
@@ -404,6 +404,58 @@ class ShardPlan:
     def __init__(self, cache: SafeCache):
         self.cache = cache
 '''
+        result = analyze("src/repro/specs.py", source, codes=["REP103"])
+        assert codes_of(result) == []
+
+    # The five fixtures below are the corpus of the former per-file REP002
+    # rule, which REP103 replaces: class-level field defaults of a payload
+    # class are checked as well as its annotated field types.
+
+    def test_lambda_default_is_flagged(self):
+        source = (
+            "class BackendSpec:\n"
+            "    factory = lambda: object()\n"
+        )
+        result = analyze("src/repro/specs.py", source, codes=["REP103"])
+        assert codes_of(result) == ["REP103"]
+        assert lines_of(result) == [2]
+        assert "lambda" in result.diagnostics[0].message
+
+    def test_lock_default_is_flagged(self):
+        source = (
+            "import threading\n"
+            "class SweepSpec:\n"
+            "    guard = threading.Lock()\n"
+        )
+        result = analyze("src/repro/specs.py", source, codes=["REP103"])
+        assert codes_of(result) == ["REP103"]
+        assert lines_of(result) == [3]
+        assert "threading.Lock" in result.diagnostics[0].message
+
+    def test_live_backend_annotation_is_flagged(self):
+        source = (
+            "class EstimatorSpec:\n"
+            "    backend: QuantumBackend = None\n"
+        )
+        result = analyze("src/repro/specs.py", source, codes=["REP103"])
+        assert codes_of(result) == ["REP103"]
+        assert "QuantumBackend" in result.diagnostics[0].message
+
+    def test_plain_fields_are_clean(self):
+        source = (
+            "class BackendSpec:\n"
+            "    kind: str = 'ideal'\n"
+            "    shots: int = 1024\n"
+            "    child_spec: 'EstimatorSpec' = None\n"
+        )
+        result = analyze("src/repro/specs.py", source, codes=["REP103"])
+        assert codes_of(result) == []
+
+    def test_non_spec_classes_are_out_of_scope(self):
+        source = (
+            "class Engine:\n"
+            "    factory = lambda: object()\n"
+        )
         result = analyze("src/repro/specs.py", source, codes=["REP103"])
         assert codes_of(result) == []
 

@@ -80,56 +80,6 @@ class TestRep001SeedlessRng:
 
 
 # --------------------------------------------------------------------------- #
-# REP002 — *Spec classes stay picklable
-# --------------------------------------------------------------------------- #
-
-
-class TestRep002SpecPicklable:
-    def test_lambda_default_is_flagged(self):
-        source = (
-            "class BackendSpec:\n"
-            "    factory = lambda: object()\n"
-        )
-        findings, _ = lint(source)
-        assert codes(findings) == ["REP002"]
-
-    def test_lock_default_is_flagged(self):
-        source = (
-            "import threading\n"
-            "class SweepSpec:\n"
-            "    guard = threading.Lock()\n"
-        )
-        findings, _ = lint(source)
-        assert codes(findings) == ["REP002"]
-
-    def test_live_backend_annotation_is_flagged(self):
-        source = (
-            "class EstimatorSpec:\n"
-            "    backend: QuantumBackend = None\n"
-        )
-        findings, _ = lint(source)
-        assert codes(findings) == ["REP002"]
-
-    def test_plain_fields_are_clean(self):
-        source = (
-            "class BackendSpec:\n"
-            "    kind: str = 'ideal'\n"
-            "    shots: int = 1024\n"
-            "    child_spec: 'EstimatorSpec' = None\n"
-        )
-        findings, _ = lint(source)
-        assert findings == []
-
-    def test_non_spec_classes_are_out_of_scope(self):
-        source = (
-            "class Engine:\n"
-            "    factory = lambda: object()\n"
-        )
-        findings, _ = lint(source)
-        assert findings == []
-
-
-# --------------------------------------------------------------------------- #
 # REP003 — shared caches go through utils.cache.LRUCache
 # --------------------------------------------------------------------------- #
 

@@ -13,6 +13,7 @@ import pytest
 from repro.analysis.diagnostics import Severity
 from repro.analysis.verify import (
     full_verification_enabled,
+    step_plan_diagnostics,
     verify_channel,
     verify_circuit,
     verify_program,
@@ -23,7 +24,12 @@ from repro.exceptions import SimulationError
 from repro.quantum.batched_density import conjugation_superoperator
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.gates import HADAMARD, I2
-from repro.quantum.program import GateStep, SweepProgram, TilePlan
+from repro.quantum.program import (
+    DensitySuperoperatorEngine,
+    GateStep,
+    SweepProgram,
+    TilePlan,
+)
 
 
 def make_program(
@@ -234,6 +240,37 @@ class TestChannelChecks:
         program = make_program(steps=[fixed_step()])
         findings = verify_program(program, noise_model=model, level="full")
         assert "VER130" in codes(findings)
+
+
+class TestStepPlanChecks:
+    """A density engine's precomposed plans: complex ``(4**k, 4**k)`` CPTP."""
+
+    def plans(self):
+        from repro.quantum.noise import NoiseModel
+
+        program = make_program(
+            steps=[fixed_step(), parametric_step(0)], num_columns=1
+        )
+        engine = DensitySuperoperatorEngine(NoiseModel.from_error_rates(0.01, 0.02))
+        return program, list(engine.step_plans(program))
+
+    def test_engine_plans_are_clean(self):
+        program, plans = self.plans()
+        assert step_plan_diagnostics(program, plans) == []
+
+    def test_foreign_block_plan_is_ver130(self):
+        program, plans = self.plans()
+        plans[0] = ("fixed", np.eye(16, dtype=complex))  # 2-qubit block, 1q step
+        findings = step_plan_diagnostics(program, plans)
+        assert codes(findings) == ["VER130"]
+        assert "step 0" in findings[0].location.render()
+
+    def test_real_plan_is_ver130(self):
+        program, plans = self.plans()
+        plans[1] = ("parametric", plans[1][1].real)
+        findings = step_plan_diagnostics(program, plans)
+        assert codes(findings) == ["VER130"]
+        assert "complex" in findings[0].message
 
 
 # --------------------------------------------------------------------------- #
