@@ -11,8 +11,11 @@ computes what one tiled execution *will* allocate and contract —
 * the peak resident bytes, modelling the engine's einsum double-buffering
   (input and output amplitude arrays are live together during every step)
   plus the sweep-wide bindings matrix and read-out buffer;
-* the superoperator/einsum contraction count of the full sweep (one
-  contraction per compiled step per tile).
+* the step-application count of the full sweep (one per compiled step per
+  tile), and of those the dense contractions: every step on a density
+  engine, and on a statevector engine only the steps whose kernel class
+  (:mod:`repro.quantum.kernels`) is dense or controlled — permutation and
+  diagonal steps contract nothing.
 
 and verifies the prediction against the plan's declared
 ``max_amplitudes`` budget (the ``max_batch_amplitudes`` knob of the
@@ -96,6 +99,9 @@ class CostReport:
     #: Of which precomposed ``(4**k, 4**k)`` superoperator contractions
     #: (density engines contract every step as a superoperator; 0 otherwise).
     superoperator_contractions: int
+    #: Of which dense einsum contractions: every step on a density engine;
+    #: on a statevector engine the dense and controlled kernel-class steps.
+    dense_contractions: int
     #: The plan's declared budget (``None`` when undeclared).
     max_amplitudes: Optional[int]
     #: Leading steps evolved once per tile at batch 1 and broadcast (the
@@ -185,6 +191,15 @@ def estimate_cost(
         + readout_bytes
     )
     contractions = num_tiles * len(program.steps)
+    if engine == "density":
+        dense_contractions = contractions
+    else:
+        from repro.quantum.kernels import CONTROLLED, DENSE, classify_step
+
+        dense_steps = sum(
+            classify_step(step) in (DENSE, CONTROLLED) for step in program.steps
+        )
+        dense_contractions = num_tiles * dense_steps
     suffix_steps = len(program.steps) - shared_prefix_steps
     element_contractions = (
         num_tiles * shared_prefix_steps + sweep_elements * suffix_steps
@@ -206,6 +221,7 @@ def estimate_cost(
         peak_bytes=peak_bytes,
         contractions=contractions,
         superoperator_contractions=contractions if engine == "density" else 0,
+        dense_contractions=dense_contractions,
         max_amplitudes=plan.max_amplitudes,
         shared_prefix_steps=shared_prefix_steps,
         element_contractions=element_contractions,

@@ -18,6 +18,10 @@ VER402 a fused step's folded density superoperator equals the sequential
        and the folded matrix is still CPTP
 VER403 a claimed shared trained-state prefix only covers steps whose bind
        columns are constant across every shift row of the bindings
+VER404 a fused step spans a declared fusion barrier
+VER405 a statevector kernel-class plan reproduces its step's matrix on the
+       basis states of a register of the step's width (exactly for
+       permutations, within ``state_atol`` otherwise)
 VER410 an optimised program is a faithful translation of its source:
        structural metadata, bind-column maps, and the step algebra
        (flattened through fusion provenance) all agree
@@ -55,6 +59,8 @@ import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic, Location, Severity
 from repro.analysis.verify import DEFAULT_ATOL
+from repro.exceptions import SimulationError
+from repro.utils.cache import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.quantum.noise import NoiseModel
@@ -66,6 +72,7 @@ EQUIV_CODES = {
     "VER402": "folded superoperator differs from the composed source channels",
     "VER403": "claimed shared prefix reads a column that varies across rows",
     "VER404": "fused step spans a declared fusion barrier",
+    "VER405": "kernel-class plan does not reproduce its step's matrix",
     "VER410": "optimised program is not a faithful translation of its source",
     "VER411": "optimisation pass was vacuous: nothing fused (warning)",
 }
@@ -450,6 +457,89 @@ def verify_shared_prefix(
     return out
 
 
+#: Kernel-class certificate outcomes, keyed by everything the outcome
+#: depends on — kind, gate name, qubit ranks, precision and the matrix
+#: bytes.  Programs are rebuilt per model with the same steps, so a
+#: memoised certificate spares re-deriving an identical witness.
+_KERNEL_CERTIFICATES = LRUCache(max_entries=1024)
+
+
+def _kernel_class_mismatch(
+    kind: str, name: str, ranks: Tuple[int, ...], matrix: np.ndarray
+) -> str:
+    """Why the ``kind`` kernel fails ``matrix`` on qubits ``ranks`` ("" if not)."""
+    from repro import arrays
+    from repro.quantum import kernels
+    from repro.quantum.batched import BatchedStatevector
+    from repro.quantum.program import GateStep
+
+    k = len(ranks)
+    local = GateStep(name=name, qubits=ranks, slots=(), matrix=matrix)
+    expected = lift_unitary_kron(matrix, ranks, range(k))
+    try:
+        kernel = kernels.build_kernel(kind, local, k)
+    except SimulationError as exc:
+        return f"the {kind} kernel cannot be built for this step: {exc}"
+    for operand in (matrix, np.broadcast_to(matrix, (2**k,) + matrix.shape)):
+        state = BatchedStatevector.from_amplitudes(np.eye(2**k))
+        kernel.apply(state, operand)
+        actual = state.amplitudes.T
+        if kind == kernels.PERMUTATION:
+            matches = np.array_equal(actual, expected)
+        else:
+            matches = np.allclose(actual, expected, rtol=0.0, atol=arrays.state_atol())
+        if not matches:
+            return (
+                f"the {kind} kernel does not reproduce the step's matrix on "
+                "the basis states"
+            )
+    return ""
+
+
+def verify_kernel_plan(
+    step: "GateStep",
+    kind: str,
+    *,
+    program_name: str = "program",
+    index: Optional[int] = None,
+) -> List[Diagnostic]:
+    """VER405 — the ``kind`` kernel-class plan reproduces its step's matrix.
+
+    Builds the ``kind`` kernel (:mod:`repro.quantum.kernels`) for the step
+    moved onto a register of the step's own width (qubits relabelled by
+    rank, so their order — a reversed pair, a control above its target — is
+    kept), applies it to every basis state, with the matrix both shared and
+    per element, and compares the columns against the independent kron lift
+    of the step's matrix.  Parametric steps are checked at the kernels'
+    probe angles.  Permutation plans must match exactly; the other classes
+    within :func:`repro.arrays.state_atol`.  A kernel that cannot be built
+    for the step is a finding too.
+    """
+    from repro import arrays
+    from repro.quantum import kernels
+
+    ranks = tuple(sorted(step.qubits).index(qubit) for qubit in step.qubits)
+    matrix = np.asarray(kernels.representative_matrix(step))
+    key = (kind, step.name, ranks, arrays.get_precision(), matrix.tobytes())
+    reason = _KERNEL_CERTIFICATES.get(key)
+    if reason is None:
+        reason = _kernel_class_mismatch(kind, step.name, ranks, matrix)
+        _KERNEL_CERTIFICATES.put(key, reason)
+    if not reason:
+        return []
+    where = f"step '{step.name}'" if index is None else f"step {index} ('{step.name}')"
+    return [
+        _diag(
+            "VER405",
+            reason
+            + ("" if step.is_fixed else " (parametric: checked at the probe angles)"),
+            obj=f"program '{program_name}' {where} on qubits {step.qubits}",
+            hint="the step was classified into the wrong kernel class, "
+            "or the class kernel is wrong for this qubit placement",
+        )
+    ]
+
+
 # --------------------------------------------------------------------------- #
 # End-to-end witness (VER410 / VER411)
 # --------------------------------------------------------------------------- #
@@ -631,16 +721,16 @@ def verify_reference_equivalence() -> List[Diagnostic]:
     whole-grid program of the same workload — trained and encoder bind
     columns in one symbolic compile — is then fused and certified too:
     VER404 (via the translation witness) proves fusion never crossed the
-    trained/encoder barrier, and VER403 proves a single-row grid tile
-    legally shares its trained-state prefix before and after optimisation.
+    trained/encoder barrier, VER403 proves a single-row grid tile legally
+    shares its trained-state prefix before and after optimisation, and
+    VER405 certifies every grid step's statevector kernel-class plan.
     """
     from repro.core.model import QuClassi
     from repro.hardware.calibration import get_calibration
+    from repro.quantum.kernels import classify_step
     from repro.quantum.program import DensitySuperoperatorEngine, SweepProgram
     from repro.quantum.transpiler import TranspileCache
     from repro.utils.rng import ensure_rng
-
-    from repro.exceptions import SimulationError
 
     out: List[Diagnostic] = []
     noise = get_calibration("ibmq_london").noise_model()
@@ -737,6 +827,15 @@ def verify_reference_equivalence() -> List[Diagnostic]:
         feature_batch = rng.uniform(0.05, 0.95, size=(4, num_features))
         tile = builder.grid_bindings(values[None, :], feature_batch)
         for program in (grid_source, grid_optimized):
+            for index, step in enumerate(program.steps):
+                out.extend(
+                    verify_kernel_plan(
+                        step,
+                        classify_step(step),
+                        program_name=program.name,
+                        index=index,
+                    )
+                )
             prefix = shared_prefix_length(program, tile)
             if prefix == 0:
                 out.append(

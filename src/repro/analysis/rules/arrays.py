@@ -156,6 +156,7 @@ class ArraySeamRule(Rule):
     ENGINE_MODULES = (
         "quantum/batched.py",
         "quantum/batched_density.py",
+        "quantum/kernels.py",
         "quantum/program.py",
         "quantum/statevector.py",
         "quantum/density_matrix.py",

@@ -217,7 +217,7 @@ class AnalyticFidelityEstimator(FidelityEstimator):
         Angle-column encoders evaluate the whole batch as **one** compiled
         program pass through the :mod:`repro.arrays` kernels (no per-row
         Python circuit walk); other encoders keep the per-row loop.  The
-        batched einsum evolution can differ from the per-row
+        batched kernel evolution can differ from the per-row
         :class:`~repro.quantum.statevector.Statevector` contraction at the
         last ULP, like every other batched fast path.
         """

@@ -2,7 +2,10 @@
 
 :class:`BatchedStatevector` evolves a whole *stack* of ``n``-qubit states at
 once: amplitudes are stored as a ``(batch, 2**n)`` complex array and every
-gate application is a single einsum over the batch axis.  This is the engine
+gate application is one kernel over the batch axis — :meth:`apply_matrix`
+is the dense einsum, and the compiled-program engine dispatches cheaper
+permutation, diagonal and controlled kernels (:mod:`repro.quantum.kernels`)
+onto the writable :meth:`view`.  This is the engine
 behind the vectorised parameter-shift sweep — all ``2P`` shifted parameter
 vectors of a gradient evaluation become one batch, so the per-gate Python
 overhead of :class:`~repro.quantum.statevector.Statevector` is paid once per
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 import string
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +72,12 @@ class BatchedStatevector:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_amplitudes(cls, amplitudes: np.ndarray) -> "BatchedStatevector":
-        """Wrap an existing ``(batch, 2**n)`` amplitude array (copied)."""
+        """Wrap an existing ``(batch, 2**n)`` amplitude array (copied).
+
+        Every row must be a finite, unit-norm state (within
+        :func:`repro.arrays.state_atol`), like a single
+        :class:`~repro.quantum.statevector.Statevector`.
+        """
         amplitudes = arrays.as_complex(amplitudes)
         if amplitudes.ndim != 2:
             raise SimulationError(
@@ -79,6 +87,17 @@ class BatchedStatevector:
         num_qubits = int(round(math.log2(size))) if size else 0
         if size == 0 or 2**num_qubits != size:
             raise SimulationError(f"amplitude row length {size} is not a power of two")
+        # A NaN or infinite amplitude makes its row's norm non-finite, which
+        # fails the comparison too.
+        with np.errstate(invalid="ignore"):
+            norms = arrays.norm(amplitudes, axis=1)
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= arrays.state_atol()))
+        if bad.size:
+            row = int(bad[0])
+            raise SimulationError(
+                f"amplitude row {row} is not a finite unit-norm state "
+                f"(norm={norms[row]:.6g}); {bad.size} of {batch_size} row(s) invalid"
+            )
         state = cls(batch_size, num_qubits)
         state._amplitudes = amplitudes.copy()
         return state
@@ -112,7 +131,7 @@ class BatchedStatevector:
         The shared-prefix executor evolves a tile's common trained-state
         prefix once at batch 1 and then fans the state out across the tile.
         ``np.repeat`` of one evolved row is bit-identical to evolving a batch
-        of identical rows (the batched einsum is elementwise over the batch
+        of identical rows (every gate kernel is elementwise over the batch
         axis), which is what keeps the shared-prefix path seed-exact.
         """
         batch_size = int(batch_size)
@@ -138,6 +157,19 @@ class BatchedStatevector:
                 f"batch index {index} out of range for batch of {self._batch_size}"
             )
         return Statevector(self._amplitudes[index].copy())
+
+    def view(self, shape: Tuple[int, ...]) -> np.ndarray:
+        """Writable ``(batch,) + shape`` view of the amplitudes, for in-place kernels.
+
+        ``shape`` must factor one element's ``2**n`` amplitudes (a kernel
+        plan's collapsed layout); writes through the view evolve the state.
+        """
+        if math.prod(shape) != self._amplitudes.shape[1]:
+            raise SimulationError(
+                f"kernel layout {shape} does not factor a "
+                f"{self._num_qubits}-qubit state"
+            )
+        return self._amplitudes.reshape((self._batch_size,) + tuple(shape))
 
     def norms(self) -> np.ndarray:
         """Per-element Euclidean norms (1.0 for valid states)."""

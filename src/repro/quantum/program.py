@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import threading
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
@@ -51,6 +52,7 @@ from repro.analysis.verify import full_verification_enabled
 from repro.arrays import COMPLEX_DTYPE
 from repro.exceptions import SimulationError
 from repro.quantum import gates as gate_library
+from repro.quantum import kernels
 from repro.quantum.batched import BatchedStatevector
 from repro.quantum.batched_density import (
     BatchedDensityMatrix,
@@ -907,8 +909,21 @@ class SweepProgram:
 # --------------------------------------------------------------------------- #
 
 
+#: Certified kernel plans per program.  Module level, not per engine: the
+#: simulators and estimators build a fresh ``StatevectorEngine()`` per call,
+#: while a cached program lives across calls.
+_KERNEL_PLANS: "WeakKeyDictionary[SweepProgram, tuple]" = WeakKeyDictionary()
+_KERNEL_PLANS_LOCK = threading.Lock()
+
+
 class StatevectorEngine:
-    """Pure-state executor: every step is one batched einsum."""
+    """Pure-state executor: every step runs its kernel class's kernel.
+
+    :meth:`step_plans` classifies each step once per program
+    (:mod:`repro.quantum.kernels`: permutation, diagonal, controlled or
+    dense), certifies every plan with VER405, and memoises the plans for as
+    long as the program lives; :meth:`apply_step` only dispatches.
+    """
 
     name = "statevector"
     is_noisy = False
@@ -916,11 +931,29 @@ class StatevectorEngine:
     def initial_state(self, batch: int, num_qubits: int) -> BatchedStatevector:
         return BatchedStatevector(batch, num_qubits)
 
-    def step_plans(self, program: SweepProgram) -> Sequence[None]:
-        return (None,) * len(program.steps)
+    def step_plans(self, program: SweepProgram) -> tuple:
+        plans = _KERNEL_PLANS.get(program)
+        if plans is not None:
+            return plans
+        from repro.analysis.equiv import verify_kernel_plan
+        from repro.analysis.verify import assert_clean
+
+        kinds = [kernels.classify_step(step) for step in program.steps]
+        diagnostics = []
+        for index, (step, kind) in enumerate(zip(program.steps, kinds)):
+            diagnostics.extend(
+                verify_kernel_plan(step, kind, program_name=program.name, index=index)
+            )
+        assert_clean(diagnostics, context=f"{program.name}: kernel-class plans")
+        plans = tuple(
+            kernels.build_kernel(kind, step, program.num_qubits)
+            for step, kind in zip(program.steps, kinds)
+        )
+        with _KERNEL_PLANS_LOCK:
+            return _KERNEL_PLANS.setdefault(program, plans)
 
     def apply_step(self, state, step: GateStep, plan, matrix) -> None:
-        state.apply_matrix(matrix, step.qubits)
+        plan.apply(state, matrix)
 
     def joint_probabilities(self, state, measured_qubits) -> np.ndarray:
         return state.probabilities(measured_qubits)

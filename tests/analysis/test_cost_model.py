@@ -135,6 +135,40 @@ class TestEstimateCost:
         with pytest.raises(ValueError):
             estimate_cost(program, plan, shared_prefix_steps=len(program.steps) + 1)
 
+    @pytest.mark.parametrize("architecture", ["s", "d", "e"])
+    def test_dense_contractions_predict_the_einsum_calls(self, architecture, monkeypatch):
+        from repro import arrays
+
+        rng = ensure_rng(5)
+        builder = QuClassi(
+            num_features=4, num_classes=2, architecture=architecture, seed=5
+        ).builder
+        program = SweepProgram.compile(
+            builder.symbolic_discriminator(),
+            bind_floats=False,
+            parameters=builder.grid_parameters,
+        )
+        rows, samples = 2, 6
+        element = 2**program.num_qubits
+        plan = TilePlan.for_grid_sweep(rows, samples, element, 4 * element)
+        bindings = builder.grid_bindings(
+            rng.uniform(0.0, np.pi, size=(rows, len(builder.parameters))),
+            rng.uniform(0.05, 0.95, size=(samples, 4)),
+        )
+        engine = StatevectorEngine()
+        engine.step_plans(program)  # certify the plans before counting
+        calls = []
+        einsum = arrays.einsum
+        monkeypatch.setattr(
+            arrays, "einsum", lambda *args, **kw: calls.append(1) or einsum(*args, **kw)
+        )
+        program.execute(bindings, engine, tile_plan=plan)
+        report = estimate_cost(program, plan)
+        assert report.dense_contractions == len(calls)
+        assert 0 < report.dense_contractions < report.contractions
+        density = estimate_cost(program, plan, engine="density")
+        assert density.dense_contractions == density.contractions
+
 
 # --------------------------------------------------------------------------- #
 # The VER2xx budget corpus — every malformed plan must be rejected

@@ -151,6 +151,7 @@ class TestRep004EngineRng:
         for module in (
             "src/repro/quantum/batched.py",
             "src/repro/quantum/batched_density.py",
+            "src/repro/quantum/kernels.py",
             "src/repro/quantum/program.py",
         ):
             with open(module) as handle:

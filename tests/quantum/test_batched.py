@@ -94,6 +94,23 @@ class TestBatchedStatevectorBasics:
         with pytest.raises(SimulationError):
             BatchedStatevector.from_amplitudes(np.ones((2, 3), dtype=complex))
 
+    def test_from_amplitudes_rejects_non_finite_rows(self):
+        raw = np.eye(4, dtype=complex)[:3]
+        raw[1, 2] = np.nan
+        with pytest.raises(SimulationError, match=r"row 1 .*norm=nan"):
+            BatchedStatevector.from_amplitudes(raw)
+        raw[1, 2] = np.inf
+        with pytest.raises(SimulationError, match=r"row 1 .*norm=inf"):
+            BatchedStatevector.from_amplitudes(raw)
+
+    def test_from_amplitudes_rejects_non_unit_norm_rows(self):
+        raw = np.eye(4, dtype=complex)[:3]
+        raw[2] *= 1.5
+        with pytest.raises(SimulationError, match=r"row 2 .*norm=1\.5"):
+            BatchedStatevector.from_amplitudes(raw)
+        raw[2] = np.eye(4)[2] * (1 + 1e-12)
+        BatchedStatevector.from_amplitudes(raw)
+
     def test_from_statevectors_round_trip(self):
         singles = [Statevector(np.eye(4)[i], normalize=True) for i in range(3)]
         batch = BatchedStatevector.from_statevectors(singles)

@@ -1,0 +1,245 @@
+"""Differential tests of the statevector engine's gate kernels by class.
+
+Every library gate, on sorted, reversed and non-adjacent qubit placements,
+with shared and per-element matrices, at batch 1 (the shared-prefix path)
+and batch > 1, in double and single precision, is run through its class
+kernel and compared against :func:`~repro.quantum.program.lift_matrix`
+applied densely — exactly for permutations, within ``state_atol``
+otherwise.  VER405 is checked to refuse a plan of the wrong class.
+"""
+
+import numpy as np
+import pytest
+
+from repro import arrays
+from repro.exceptions import SimulationError
+from repro.quantum import gates, kernels
+from repro.quantum.batched import BatchedStatevector
+from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.operations import Instruction, Parameter
+from repro.quantum.program import GateStep, StatevectorEngine, SweepProgram, lift_matrix
+
+NUM_QUBITS = 5
+
+#: The kernel class of every library gate, fixed and parametric alike.
+CLASS_TABLE = {
+    "id": kernels.PERMUTATION,
+    "x": kernels.PERMUTATION,
+    "y": kernels.DENSE,
+    "z": kernels.DIAGONAL,
+    "h": kernels.DENSE,
+    "s": kernels.DIAGONAL,
+    "t": kernels.DIAGONAL,
+    "rx": kernels.DENSE,
+    "ry": kernels.DENSE,
+    "rz": kernels.DIAGONAL,
+    "r": kernels.DENSE,
+    "u3": kernels.DENSE,
+    "cx": kernels.PERMUTATION,
+    "cz": kernels.DIAGONAL,
+    "swap": kernels.PERMUTATION,
+    "rxx": kernels.DENSE,
+    "ryy": kernels.DENSE,
+    "rzz": kernels.DIAGONAL,
+    "crx": kernels.CONTROLLED,
+    "cry": kernels.CONTROLLED,
+    "crz": kernels.DIAGONAL,
+    "cswap": kernels.PERMUTATION,
+}
+
+#: Sorted, reversed and non-adjacent placements per gate width; the
+#: multi-qubit lists put the control above the lowest qubit too.
+PLACEMENTS = {
+    1: [(0,), (2,), (4,)],
+    2: [(0, 1), (1, 0), (3, 0), (1, 4)],
+    3: [(0, 1, 2), (2, 1, 0), (3, 0, 4), (1, 4, 2)],
+}
+
+CASES = [
+    (name, qubits)
+    for name, (width, _) in gates.GATE_SIGNATURES.items()
+    for qubits in PLACEMENTS[width]
+]
+
+
+def library_step(name, qubits, parametric):
+    num_params = gates.GATE_SIGNATURES[name][1]
+    if parametric:
+        slots = tuple(("column", column, 1.0) for column in range(num_params))
+        return GateStep(name=name, qubits=qubits, slots=slots)
+    angles = kernels.PROBE_ANGLES[:num_params]
+    return GateStep(
+        name=name,
+        qubits=qubits,
+        slots=tuple(("value", angle) for angle in angles),
+        matrix=gates.gate_matrix(name, *angles),
+    )
+
+
+def random_states(batch, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(batch, 2**NUM_QUBITS)) + 1j * rng.normal(
+        size=(batch, 2**NUM_QUBITS)
+    )
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+def operand(name, batch, per_element, seed):
+    """A shared matrix, or a per-element stack (distinct angles if any)."""
+    num_params = gates.GATE_SIGNATURES[name][1]
+    rng = np.random.default_rng(seed)
+    if not per_element:
+        return gates.gate_matrix(name, *rng.uniform(-np.pi, np.pi, size=num_params))
+    if num_params == 0:
+        matrix = gates.gate_matrix(name)
+        return np.broadcast_to(matrix, (batch,) + matrix.shape)
+    return gates.gate_matrix_batch(
+        name, *(rng.uniform(-np.pi, np.pi, size=batch) for _ in range(num_params))
+    )
+
+
+def dense_reference(amplitudes, matrix, qubits):
+    """``lift_matrix`` applied densely, element by element when batched."""
+    if matrix.ndim == 2:
+        return amplitudes @ lift_matrix(matrix, qubits, range(NUM_QUBITS)).T
+    return np.stack(
+        [
+            lift_matrix(element, qubits, range(NUM_QUBITS)) @ row
+            for element, row in zip(matrix, amplitudes)
+        ]
+    )
+
+
+class TestClassTable:
+    @pytest.mark.parametrize("name", sorted(gates.GATE_SIGNATURES))
+    def test_every_library_gate_has_its_class(self, name):
+        width, num_params = gates.GATE_SIGNATURES[name]
+        qubits = PLACEMENTS[width][0]
+        assert kernels.classify_step(library_step(name, qubits, False)) == CLASS_TABLE[name]
+        if num_params:
+            step = library_step(name, qubits, True)
+            assert kernels.classify_step(step) == CLASS_TABLE[name]
+
+    def test_table_covers_the_library(self):
+        assert set(CLASS_TABLE) == set(gates.GATE_SIGNATURES)
+
+    def test_engine_plans_carry_the_step_classes(self):
+        circuit = QuantumCircuit(NUM_QUBITS)
+        theta = Parameter("theta")
+        for name, (width, num_params) in gates.GATE_SIGNATURES.items():
+            circuit.append(
+                Instruction(name=name, qubits=PLACEMENTS[width][1], params=(theta,) * num_params)
+            )
+        program = SweepProgram.compile(circuit, bind_floats=False)
+        plans = StatevectorEngine().step_plans(program)
+        assert [plan.kind for plan in plans] == [CLASS_TABLE[s.name] for s in program.steps]
+        # Memoised per program, across fresh engines.
+        assert StatevectorEngine().step_plans(program) is plans
+
+    def test_fused_permutation_step_gets_the_permutation_class(self):
+        circuit = QuantumCircuit(2)
+        circuit.x(0)
+        circuit.cx(0, 1)
+        circuit.swap(1, 0)
+        program = SweepProgram.compile(circuit, bind_floats=False).optimized()
+        (fused,) = program.steps
+        assert fused.fused_from
+        assert kernels.classify_step(fused) == kernels.PERMUTATION
+        (plan,) = StatevectorEngine().step_plans(program)
+        assert plan.kind == kernels.PERMUTATION
+
+    def test_fused_dense_step_stays_dense(self):
+        circuit = QuantumCircuit(2)
+        circuit.h(0)
+        circuit.cx(0, 1)
+        program = SweepProgram.compile(circuit, bind_floats=False).optimized()
+        assert kernels.classify_step(program.steps[0]) == kernels.DENSE
+
+
+class TestKernelsMatchDenseLift:
+    @pytest.mark.parametrize("precision", arrays.PRECISIONS)
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("per_element", [False, True], ids=["shared", "per-element"])
+    @pytest.mark.parametrize("name,qubits", CASES, ids=[f"{n}{q}" for n, q in CASES])
+    def test_kernel_matches_lift(self, name, qubits, per_element, batch, precision):
+        parametric = gates.GATE_SIGNATURES[name][1] > 0
+        step = library_step(name, qubits, parametric)
+        kind = kernels.classify_step(step)
+        kernel = kernels.build_kernel(kind, step, NUM_QUBITS)
+        raw = random_states(batch, seed=len(qubits) + batch)
+        matrix = operand(name, batch, per_element, seed=sum(qubits))
+        with arrays.precision(precision):
+            state = BatchedStatevector.from_amplitudes(raw)
+            kernel.apply(state, matrix)
+            actual = state.amplitudes
+            expected = dense_reference(
+                arrays.as_complex(raw), np.asarray(matrix), qubits
+            )
+            assert actual.dtype == arrays.complex_dtype()
+            if kind == kernels.PERMUTATION:
+                np.testing.assert_array_equal(actual, expected)
+            else:
+                np.testing.assert_allclose(
+                    actual, expected, rtol=0, atol=arrays.state_atol()
+                )
+
+    def test_single_precision_state_stays_complex64(self):
+        with arrays.precision("single"):
+            circuit = QuantumCircuit(3)
+            circuit.h(0)
+            circuit.rz(Parameter("a"), 1)
+            circuit.cry(Parameter("b"), 2, 0)
+            circuit.cswap(0, 2, 1)
+            program = SweepProgram.compile(circuit, bind_floats=False)
+            bindings = np.array([[0.3, 1.1], [0.4, -0.2]])
+            state = program.evolve(bindings, StatevectorEngine())
+            assert state.amplitudes.dtype == np.complex64
+            np.testing.assert_allclose(state.norms(), 1.0, atol=arrays.state_atol())
+
+
+class TestVER405:
+    def wrong_class(self, monkeypatch, name, kind):
+        classify = kernels.classify_step
+        monkeypatch.setattr(
+            kernels,
+            "classify_step",
+            lambda step: kind if step.name == name else classify(step),
+        )
+
+    @pytest.mark.parametrize(
+        "name,kind",
+        [
+            ("h", kernels.PERMUTATION),
+            ("ry", kernels.DIAGONAL),
+            ("rxx", kernels.CONTROLLED),
+            ("cswap", kernels.CONTROLLED),
+            ("cry", kernels.DIAGONAL),
+        ],
+    )
+    def test_wrong_class_fails_plan_building_naming_the_step(
+        self, monkeypatch, name, kind
+    ):
+        width, num_params = gates.GATE_SIGNATURES[name]
+        circuit = QuantumCircuit(NUM_QUBITS)
+        circuit.x(4)
+        circuit.append(
+            Instruction(
+                name=name, qubits=PLACEMENTS[width][2], params=(Parameter("p"),) * num_params
+            )
+        )
+        program = SweepProgram.compile(circuit, bind_floats=False, name="sabotaged")
+        self.wrong_class(monkeypatch, name, kind)
+        with pytest.raises(SimulationError) as excinfo:
+            StatevectorEngine().step_plans(program)
+        message = str(excinfo.value)
+        assert "VER405" in message
+        assert f"step 1 ('{name}')" in message
+        assert "sabotaged" in message
+
+    def test_correct_plans_certify_clean(self):
+        from repro.analysis.equiv import verify_kernel_plan
+
+        for name, qubits in CASES:
+            for parametric in {False, gates.GATE_SIGNATURES[name][1] > 0}:
+                step = library_step(name, qubits, parametric)
+                assert verify_kernel_plan(step, kernels.classify_step(step)) == []
