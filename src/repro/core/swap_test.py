@@ -168,20 +168,8 @@ class AnalyticFidelityEstimator(FidelityEstimator):
     # ------------------------------------------------------------------ #
     def trained_statevector(self, parameter_values: Sequence[float]) -> Statevector:
         """Trained state ``|omega(theta)>`` on the standalone register."""
-        from repro.quantum import gates as gate_library
-
         values = np.asarray(parameter_values, dtype=float)
-        state = Statevector(self.builder.layout.state_width)
-        for step in self._program.steps:
-            if step.is_fixed:
-                state.apply_matrix(step.matrix, step.qubits)
-                continue
-            params = tuple(
-                slot[1] if slot[0] == "value" else slot[2] * values[slot[1]]
-                for slot in step.slots
-            )
-            state.apply_matrix(gate_library.gate_matrix(step.name, *params), step.qubits)
-        return state
+        return self.trained_statevectors(values[None, :]).statevector(0)
 
     def data_statevector(self, features: Sequence[float]) -> Statevector:
         """Encoded data state ``|phi(x)>`` (memoised per feature vector, LRU)."""

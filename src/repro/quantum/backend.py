@@ -24,10 +24,17 @@ A SWAP-test fidelity reaches a backend by exactly one of two routes:
   program cache; :class:`NoisyBackend` transpiles the symbolic circuit once
   through its :class:`~repro.quantum.transpiler.TranspileCache` and runs the
   template's precomposed-superoperator program.
-* :meth:`Backend.run` — one bound circuit per call.  It is the reference the
-  grid route is tested against (seed-identical counts where shots are
-  sampled), and the route for encoders whose circuits cannot be expressed as
-  angle bind columns.
+* :meth:`Backend.run` — one bound circuit per call, the route for encoders
+  whose circuits cannot be expressed as angle bind columns.  The simulators
+  compile it once per gate structure (every float angle a bind column) and
+  execute it on the same program engines as the grid route, so the two
+  agree draw for draw where shots are sampled.
+
+Neither route is its own reference: the per-state classes
+:class:`~repro.quantum.statevector.Statevector` and
+:class:`~repro.quantum.density_matrix.DensityMatrix`, which share no code
+with the program engines, are the independent reference both are tested
+against.
 """
 
 from __future__ import annotations

@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import math
 import string
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import arrays
 from repro.exceptions import SimulationError
-from repro.quantum.statevector import marginal_probabilities
+from repro.quantum.statevector import check_qubits, marginal_probabilities
 
 
 class BatchedStatevector:
@@ -101,14 +101,6 @@ class BatchedStatevector:
         state = cls(batch_size, num_qubits)
         state._amplitudes = amplitudes.copy()
         return state
-
-    @classmethod
-    def from_statevectors(cls, states: Iterable) -> "BatchedStatevector":
-        """Stack per-sample :class:`~repro.quantum.statevector.Statevector` objects."""
-        rows = [state.data for state in states]
-        if not rows:
-            raise SimulationError("cannot build a batch from zero statevectors")
-        return cls.from_amplitudes(np.stack(rows))
 
     @property
     def batch_size(self) -> int:
@@ -197,15 +189,8 @@ class BatchedStatevector:
         elements) or a ``(batch, 2**k, 2**k)`` stack with one unitary per
         element.  Returns ``self`` to allow chaining.
         """
-        qubits = tuple(int(q) for q in qubits)
+        qubits = check_qubits(qubits, self._num_qubits)
         k = len(qubits)
-        if len(set(qubits)) != k:
-            raise SimulationError(f"duplicate qubit indices in {qubits}")
-        for q in qubits:
-            if q < 0 or q >= self._num_qubits:
-                raise SimulationError(
-                    f"qubit index {q} out of range for {self._num_qubits} qubits"
-                )
         matrix = arrays.as_complex(matrix)
         per_element = matrix.ndim == 3
         if per_element:
@@ -243,22 +228,6 @@ class BatchedStatevector:
         tensor = self._amplitudes.reshape((self._batch_size,) + (2,) * n)
         moved = arrays.einsum(f"{gate_sub},{in_sub}->{out_sub}", gate, tensor)
         self._amplitudes = np.ascontiguousarray(moved).reshape(self._batch_size, -1)
-        return self
-
-    def evolve(self, circuit) -> "BatchedStatevector":
-        """Apply every gate of a bound, measurement-free circuit to all elements."""
-        for instruction in circuit.instructions:
-            if instruction.name == "barrier":
-                continue
-            if instruction.is_measurement or instruction.name == "reset":
-                raise SimulationError(
-                    "BatchedStatevector.evolve only supports unitary circuits"
-                )
-            if not instruction.is_gate:
-                raise SimulationError(
-                    f"cannot apply non-unitary instruction '{instruction.name}'"
-                )
-            self.apply_matrix(instruction.matrix(), instruction.qubits)
         return self
 
     # ------------------------------------------------------------------ #

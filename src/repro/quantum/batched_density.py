@@ -33,14 +33,14 @@ is the most significant bit of the basis index, so reshaping one element to
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import arrays
 from repro.arrays import COMPLEX_DTYPE
 from repro.exceptions import SimulationError
-from repro.quantum.statevector import marginal_probabilities
+from repro.quantum.statevector import check_qubits, marginal_probabilities
 
 
 def conjugation_superoperator(operator: np.ndarray) -> np.ndarray:
@@ -156,14 +156,6 @@ class BatchedDensityMatrix:
         state._matrices = matrices.copy()
         return state
 
-    @classmethod
-    def from_density_matrices(cls, states: Iterable) -> "BatchedDensityMatrix":
-        """Stack per-circuit :class:`~repro.quantum.density_matrix.DensityMatrix` objects."""
-        rows = [state.data for state in states]
-        if not rows:
-            raise SimulationError("cannot build a batch from zero density matrices")
-        return cls.from_matrices(np.stack(rows))
-
     @property
     def batch_size(self) -> int:
         """Number of states in the stack."""
@@ -246,42 +238,6 @@ class BatchedDensityMatrix:
     # ------------------------------------------------------------------ #
     # Evolution
     # ------------------------------------------------------------------ #
-    def _check_qubits(self, qubits: Sequence[int]) -> Tuple[int, ...]:
-        qubits = tuple(int(q) for q in qubits)
-        if len(set(qubits)) != len(qubits):
-            raise SimulationError(f"duplicate qubit indices in {qubits}")
-        for q in qubits:
-            if q < 0 or q >= self._num_qubits:
-                raise SimulationError(
-                    f"qubit index {q} out of range for {self._num_qubits} qubits"
-                )
-        return qubits
-
-    def _operator_term(self, operator: np.ndarray, k: int) -> Tuple[np.ndarray, bool]:
-        """One conjugation superoperator ``kron(K, K.conj())`` for ``K``.
-
-        ``K`` is a shared ``(2**k, 2**k)`` matrix (term shape
-        ``(4**k, 4**k)``) or a per-element ``(batch, 2**k, 2**k)`` stack
-        (term shape ``(batch, 4**k, 4**k)``).
-        """
-        operator = arrays.as_complex(operator)
-        if operator.ndim == 3:
-            if operator.shape != (self._batch_size, 2**k, 2**k):
-                raise SimulationError(
-                    f"batched operator shape {operator.shape} does not match batch "
-                    f"{self._batch_size} on {k} qubit(s)"
-                )
-            conjugate = operator.conj()
-            term = (
-                operator[:, :, None, :, None] * conjugate[:, None, :, None, :]
-            ).reshape(self._batch_size, 4**k, 4**k)
-            return term, True
-        if operator.shape != (2**k, 2**k):
-            raise SimulationError(
-                f"operator shape {operator.shape} does not match {k} qubit(s)"
-            )
-        return arrays.kron(operator, operator.conj()), False
-
     def _apply_superop(
         self, superop: np.ndarray, qubits: Tuple[int, ...], per_element: bool
     ) -> None:
@@ -325,7 +281,7 @@ class BatchedDensityMatrix:
         unitaries whose noise channels were precomposed into a single
         superoperator at compile time.  Returns ``self`` to allow chaining.
         """
-        qubits = self._check_qubits(qubits)
+        qubits = check_qubits(qubits, self._num_qubits)
         k = len(qubits)
         superop = arrays.as_complex(superop)
         per_element = superop.ndim == 3
@@ -346,58 +302,21 @@ class BatchedDensityMatrix:
 
         ``matrix`` is either a shared ``(2**k, 2**k)`` unitary (applied to
         all elements) or a ``(batch, 2**k, 2**k)`` stack with one unitary per
-        element.  Returns ``self`` to allow chaining.
+        element; it is applied as its :func:`conjugation_superoperator`.
+        Returns ``self`` to allow chaining.
         """
-        qubits = self._check_qubits(qubits)
-        superop, per_element = self._operator_term(matrix, len(qubits))
-        self._apply_superop(superop, qubits, per_element)
-        return self
-
-    def apply_kraus(
-        self, kraus_operators: Sequence[np.ndarray], qubits: Sequence[int]
-    ) -> "BatchedDensityMatrix":
-        """Apply a quantum channel ``rho -> sum_k K_k rho K_k†`` on ``qubits``.
-
-        Each Kraus operator is a shared ``(2**k, 2**k)`` matrix or a
-        per-element ``(batch, 2**k, 2**k)`` stack; flavours may be mixed
-        within one channel.
-        """
-        qubits = self._check_qubits(qubits)
-        kraus_operators = list(kraus_operators)
-        if not kraus_operators:
-            raise SimulationError("a channel needs at least one Kraus operator")
+        qubits = check_qubits(qubits, self._num_qubits)
         k = len(qubits)
-        superop: Optional[np.ndarray] = None
-        per_element = False
-        for kraus in kraus_operators:
-            term, term_per_element = self._operator_term(kraus, k)
-            if term_per_element and not per_element and superop is not None:
-                superop = superop[None]  # broadcast the shared prefix sum
-            elif per_element and not term_per_element:
-                term = term[None]
-            per_element = per_element or term_per_element
-            superop = term if superop is None else superop + term
-        self._apply_superop(superop, qubits, per_element)
-        return self
-
-    def apply_instruction(self, instruction) -> "BatchedDensityMatrix":
-        """Apply one bound gate instruction to every batch element."""
-        if instruction.name == "barrier":
-            return self
-        if not instruction.is_gate:
+        matrix = arrays.as_complex(matrix)
+        per_element = matrix.ndim == 3
+        if per_element and matrix.shape != (self._batch_size, 2**k, 2**k):
             raise SimulationError(
-                f"BatchedDensityMatrix cannot apply non-unitary instruction "
-                f"'{instruction.name}' directly"
+                f"batched operator shape {matrix.shape} does not match batch "
+                f"{self._batch_size} on {k} qubit(s)"
             )
-        return self.apply_matrix(instruction.matrix(), instruction.qubits)
-
-    def evolve(self, circuit) -> "BatchedDensityMatrix":
-        """Apply every gate of a bound, measurement-free circuit to all elements."""
-        for instruction in circuit.instructions:
-            if instruction.is_measurement or instruction.name == "reset":
-                raise SimulationError(
-                    "BatchedDensityMatrix.evolve only supports unitary circuits; "
-                    "use DensityMatrixSimulator.run for measurements"
-                )
-            self.apply_instruction(instruction)
+        if not per_element and matrix.shape != (2**k, 2**k):
+            raise SimulationError(
+                f"operator shape {matrix.shape} does not match {k} qubit(s)"
+            )
+        self._apply_superop(conjugation_superoperator(matrix), qubits, per_element)
         return self

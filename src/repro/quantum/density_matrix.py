@@ -20,7 +20,11 @@ import numpy as np
 from repro import arrays
 from repro.exceptions import SimulationError
 from repro.quantum.operations import Instruction
-from repro.quantum.statevector import Statevector
+from repro.quantum.statevector import (
+    Statevector,
+    check_qubits,
+    marginal_probabilities,
+)
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -126,16 +130,7 @@ class DensityMatrix:
         diagonal = diagonal / total
         if qubits is None:
             return diagonal
-        qubits = tuple(int(q) for q in qubits)
-        tensor = diagonal.reshape((2,) * self._num_qubits)
-        keep = set(qubits)
-        other_axes = tuple(ax for ax in range(self._num_qubits) if ax not in keep)
-        marginal = tensor.sum(axis=other_axes) if other_axes else tensor
-        if len(qubits) > 1:
-            sorted_qubits = sorted(qubits)
-            perm = [sorted_qubits.index(q) for q in qubits]
-            marginal = np.transpose(marginal, axes=perm)
-        return np.ascontiguousarray(marginal).reshape(-1)
+        return marginal_probabilities(diagonal[None, :], qubits, self._num_qubits)[0]
 
     def expectation_z(self, qubit: int) -> float:
         """Expectation value of Pauli-Z on ``qubit``."""
@@ -149,7 +144,12 @@ class DensityMatrix:
         """Embed a ``k``-qubit operator into the full ``n``-qubit space."""
         n = self._num_qubits
         k = len(qubits)
-        op_tensor = arrays.as_complex(matrix).reshape((2,) * (2 * k))
+        matrix = arrays.as_complex(matrix)
+        if matrix.shape != (2**k, 2**k):
+            raise SimulationError(
+                f"operator shape {matrix.shape} does not match {k} qubit(s)"
+            )
+        op_tensor = matrix.reshape((2,) * (2 * k))
         identity = arrays.eye(2**n).reshape((2,) * (2 * n))
         # Contract the operator's input axes with the identity's output axes
         # at the target positions to place the operator on ``qubits``.
@@ -159,20 +159,20 @@ class DensityMatrix:
 
     def apply_matrix(self, matrix: np.ndarray, qubits: Sequence[int]) -> "DensityMatrix":
         """Apply a unitary acting on ``qubits``: ``rho -> U rho U†``."""
-        qubits = tuple(int(q) for q in qubits)
-        for q in qubits:
-            if q < 0 or q >= self._num_qubits:
-                raise SimulationError(f"qubit index {q} out of range for {self._num_qubits} qubits")
-        full = self._expand_operator(arrays.as_complex(matrix), qubits)
+        qubits = check_qubits(qubits, self._num_qubits)
+        full = self._expand_operator(matrix, qubits)
         self._matrix = full @ self._matrix @ full.conj().T
         return self
 
     def apply_kraus(self, kraus_operators: Sequence[np.ndarray], qubits: Sequence[int]) -> "DensityMatrix":
         """Apply a quantum channel given by Kraus operators on ``qubits``."""
-        qubits = tuple(int(q) for q in qubits)
+        qubits = check_qubits(qubits, self._num_qubits)
+        kraus_operators = list(kraus_operators)
+        if not kraus_operators:
+            raise SimulationError("a channel needs at least one Kraus operator")
         result = np.zeros_like(self._matrix)
         for kraus in kraus_operators:
-            full = self._expand_operator(arrays.as_complex(kraus), qubits)
+            full = self._expand_operator(kraus, qubits)
             result += full @ self._matrix @ full.conj().T
         self._matrix = result
         return self

@@ -373,8 +373,8 @@ def apply_readout_error(
     array over ``measured_qubits`` (in that order); the confusion matrices
     contract over the outcome axes only, so the batched convolution applies
     every element's error in one :func:`numpy.tensordot` per measured qubit.
-    Shared by :class:`~repro.quantum.simulator.DensityMatrixSimulator` and the
-    compiled-program density engine so both read-out paths are bit-identical.
+    The read-out of the compiled-program density engine, which both
+    :class:`~repro.quantum.simulator.DensityMatrixSimulator` routes share.
     """
     joint = np.asarray(joint, dtype=float)
     single = joint.ndim == 1

@@ -964,12 +964,14 @@ def gate_noise_superoperator(
 ) -> Optional[np.ndarray]:
     """All of a gate's noise channels composed into one ``(4**k, 4**k)`` matrix.
 
-    Channels are composed in the exact order the per-circuit simulator
-    applies them — model order, and single-qubit channels after a multi-qubit
-    gate expand per qubit in instruction order — so the precomposed
-    superoperator is mathematically identical to the sequential Kraus
-    applications.  Returns ``None`` when the model attaches no channels to
-    the gate, letting fixed ideal gates skip the superoperator path.
+    Channels are composed in the order of the sequential Kraus walk — model
+    order, and single-qubit channels after a multi-qubit gate expand per
+    qubit in instruction order — so the precomposed superoperator is
+    mathematically identical to applying each channel in turn with
+    :meth:`~repro.quantum.density_matrix.DensityMatrix.apply_kraus`, the
+    reference ``run`` is tested against.  Returns ``None`` when the model
+    attaches no channels to the gate, letting fixed ideal gates skip the
+    superoperator path.
     """
     k = len(qubits)
     composed: Optional[np.ndarray] = None
@@ -992,7 +994,7 @@ def gate_noise_superoperator(
             # A single-qubit channel after a k-qubit gate acts on each of the
             # gate's qubits in turn; lift its Kraus operators to the k-qubit
             # block with identities around the target position, exactly like
-            # the per-gate ``apply_kraus(channel, (qubit,))`` dispatch.
+            # a per-qubit ``DensityMatrix.apply_kraus(channel, (qubit,))``.
             before = np.eye(2**position, dtype=COMPLEX_DTYPE)
             after = np.eye(2 ** (k - 1 - position), dtype=COMPLEX_DTYPE)
             lifted = [
@@ -1037,8 +1039,8 @@ class DensitySuperoperatorEngine:
             return cached[1]
         # First plan for this program, or the noise model was mutated
         # in place since the plan was precomposed (its ``add_*`` builders
-        # bump ``version``) — recompose so the batched paths track the
-        # live model exactly like the per-circuit ``run`` loop does.
+        # bump ``version``) — recompose so every execution tracks the live
+        # model.
         plans = tuple(self._plan_step(step) for step in program.steps)
         if full_verification_enabled():
             # REPRO_VERIFY=1: CPTP-check every precomposed superoperator plan

@@ -9,27 +9,36 @@ Two execution engines are provided:
   :class:`~repro.quantum.noise.NoiseModel`; the engine behind the simulated
   IBM-Q / IonQ hardware backends (Figs 11 and 12).
 
-Both return a :class:`SimulationResult` holding the final state, exact
-probabilities of the measured classical bits, and (when shots are requested)
-a :class:`~repro.quantum.measurement.Counts` histogram.
+Both apply gates through one route: a compiled
+:class:`~repro.quantum.program.SweepProgram` executed by a program engine
+(:class:`~repro.quantum.program.StatevectorEngine` with its kernel classes,
+or :class:`~repro.quantum.program.DensitySuperoperatorEngine`, which
+precomposes every gate's unitary and noise channels into one superoperator).
+Programs live in a structure-keyed LRU cache
+(:class:`_SweepProgramCacheMixin`):
 
-Both engines also execute compiled
-:class:`~repro.quantum.program.SweepProgram` sweeps through
-``run_sweep_program``: the program is cached per circuit structure
-(:meth:`_SweepProgramCacheMixin._grid_program`), streamed tile by tile under a
-:class:`~repro.quantum.program.TilePlan`, and only each element's read-out is
-kept — per-element states and results are never materialised.  On the
-mixed-state engine every gate's unitary and noise channels are *precomposed*
-into a single superoperator when the program is first planned.  Shot sampling
-draws every element from one stacked multinomial call, which consumes the RNG
-exactly like a loop of :meth:`StatevectorSimulator.run` /
-:meth:`DensityMatrixSimulator.run` calls — the per-circuit reference.
+* ``run`` compiles one *bound* circuit with ``bind_floats=True`` — every
+  float angle is a binding column — so all angle variants of one gate
+  structure share a single cache entry; the call evolves a one-row bindings
+  matrix and returns a :class:`SimulationResult` with the final state, the
+  exact probabilities of the measured classical bits and (when shots are
+  requested) a :class:`~repro.quantum.measurement.Counts` histogram.
+* ``run_sweep_program`` executes a whole-grid program
+  (:meth:`_SweepProgramCacheMixin._grid_program`) tile by tile under a
+  :class:`~repro.quantum.program.TilePlan`, keeping only each element's
+  read-out.  Shot sampling draws every element from one stacked multinomial
+  call, which consumes the RNG exactly like a loop of ``run`` calls.
+
+Mid-circuit resets are rejected by the compiler.  The per-state classes
+(:class:`~repro.quantum.statevector.Statevector`,
+:class:`~repro.quantum.density_matrix.DensityMatrix`) share no code with the
+engines and serve as the independent reference for both routes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -42,13 +51,12 @@ from repro.quantum.measurement import (
     exact_clbit_probabilities,
     normalize_outcome_probabilities,
 )
-from repro.quantum.noise import NoiseModel, apply_readout_error
+from repro.quantum.noise import NoiseModel
 from repro.quantum.program import (
     DensitySuperoperatorEngine,
     StatevectorEngine,
     SweepProgram,
     TilePlan,
-    check_deferred_measurement,
     resolve_optimization,
 )
 from repro.quantum.statevector import Statevector
@@ -104,15 +112,6 @@ class SimulationResult:
             if int(key[clbit]) == value:
                 total += prob
         return total
-
-
-#: Deferred-measurement validation — shared with the compiled-program path
-#: (see :func:`repro.quantum.program.check_deferred_measurement`).
-_check_deferred_measurement = check_deferred_measurement
-
-#: Classical-bit re-indexing — shared with the compiled-program path (see
-#: :func:`repro.quantum.measurement.exact_clbit_probabilities`).
-_exact_clbit_probabilities = exact_clbit_probabilities
 
 
 def _sample_counts_batch(
@@ -249,29 +248,19 @@ class _SweepProgramCacheMixin:
             "entries": len(self._program_cache),
         }
 
-    def _grid_program(
-        self, reference: QuantumCircuit, parameters: Sequence
+    def _cached_program(
+        self, key: tuple, compile_source: Callable[[], SweepProgram]
     ) -> SweepProgram:
-        """Compile (once per structure) the program of a *symbolic* grid sweep.
+        """The program cached under ``key``, compiled by ``compile_source`` on a miss.
 
-        ``reference`` carries genuine symbolic parameters (trained angles
-        and data-encoder sites); ``parameters`` fixes the binding-column
-        order and is part of the key.
+        With plan-time fusion enabled the certified fused variant for the
+        current noise model is returned instead, re-derived from the cached
+        source (never recompiled) when the model instance or its mutation
+        version changes.
         """
-        key = (
-            circuit_structure_key(reference),
-            tuple(param.name for param in parameters),
-        )
         entry = self._program_cache.get(key)
         if entry is None:
-            entry = {
-                "source": SweepProgram.compile(
-                    reference,
-                    bind_floats=False,
-                    parameters=parameters,
-                    name=f"{self.name}:grid({reference.name})",
-                )
-            }
+            entry = {"source": compile_source()}
             self._program_cache.put(key, entry)
             self._program_cache_misses += 1  # repro: noqa REP101 -- instrumentation counter; simulators are rebuilt per shard from specs, never shared across workers
         else:
@@ -288,6 +277,79 @@ class _SweepProgramCacheMixin:
                 entry["source"].optimized(noise_model=noise),
             )
         return entry["optimized"][2]
+
+    def _grid_program(
+        self, reference: QuantumCircuit, parameters: Sequence
+    ) -> SweepProgram:
+        """Compile (once per structure) the program of a *symbolic* grid sweep.
+
+        ``reference`` carries genuine symbolic parameters (trained angles
+        and data-encoder sites); ``parameters`` fixes the binding-column
+        order and is part of the key.
+        """
+        key = (
+            circuit_structure_key(reference),
+            tuple(param.name for param in parameters),
+        )
+        return self._cached_program(
+            key,
+            lambda: SweepProgram.compile(
+                reference,
+                bind_floats=False,
+                parameters=parameters,
+                name=f"{self.name}:grid({reference.name})",
+            ),
+        )
+
+    def _run_program(self, circuit: QuantumCircuit) -> SweepProgram:
+        """Compile (once per structure) the program of one *bound* circuit.
+
+        Every float angle is a binding column, so all angle variants of a
+        structure share the entry; :meth:`_execute_run` reads the bindings
+        row back out of the circuit in ``column_sites`` order.
+        """
+        return self._cached_program(
+            ("run", circuit_structure_key(circuit)),
+            lambda: SweepProgram.compile(
+                circuit, bind_floats=True, name=f"{self.name}:run({circuit.name})"
+            ),
+        )
+
+    def _execute_run(self, circuit: QuantumCircuit, shots: Optional[int], engine):
+        """Evolve one bound circuit through its cached program and read it out.
+
+        Returns ``(state, probabilities, counts)``: the engine's one-element
+        batched state, the exact classical-bit probabilities (readout error
+        included on the density engine) and the sampled counts, drawn with
+        the same helper and RNG stream as every other read-out.
+        """
+        if circuit.num_parameters:
+            unbound = [p.name for p in circuit.parameters]
+            raise SimulationError(f"circuit has unbound parameters: {unbound}")
+        program = self._run_program(circuit)
+        instructions = circuit.instructions
+        row = np.array(
+            [
+                float(instructions[position].params[param_position])
+                for position, param_position in program.column_sites
+            ],
+            dtype=float,
+        )
+        state = program.evolve(row[None, :], engine)
+        probabilities: Dict[str, float] = {}
+        counts: Optional[Counts] = None
+        if program.measured_qubits:
+            joint = engine.joint_probabilities(state, program.measured_qubits)[0]
+            probabilities = exact_clbit_probabilities(
+                joint, program.measured_qubits, program.clbits, circuit.num_clbits
+            )
+            if shots is not None:
+                counts = counts_from_probabilities(
+                    probabilities, shots, rng=self._rng, num_bits=circuit.num_clbits
+                )
+        elif shots is not None:
+            raise SimulationError("cannot sample shots from a circuit without measurements")
+        return state, probabilities, counts
 
 
 class StatevectorSimulator(_SweepProgramCacheMixin):
@@ -313,66 +375,25 @@ class StatevectorSimulator(_SweepProgramCacheMixin):
         self._init_program_cache(optimize_programs)
 
     def run(
-        self,
-        circuit: QuantumCircuit,
-        shots: Optional[int] = None,
-        initial_state: Optional[Statevector] = None,
+        self, circuit: QuantumCircuit, shots: Optional[int] = None
     ) -> SimulationResult:
         """Execute ``circuit`` and return a :class:`SimulationResult`.
 
         Measurements are deferred: the simulator evolves all unitary gates,
         computes the exact joint distribution of the measured qubits, and
-        (optionally) samples ``shots`` outcomes from it.  Mid-circuit resets
-        of *unmeasured-so-far* qubits are applied by projective sampling.
-        Circuits that deferral cannot represent — a gate or reset on an
-        already-measured qubit, or measuring the same qubit twice — raise
+        (optionally) samples ``shots`` outcomes from it.  Circuits that
+        deferral cannot represent — a gate on an already-measured qubit, or
+        measuring the same qubit twice — and mid-circuit resets raise
         :class:`~repro.exceptions.SimulationError`.
         """
-        if circuit.num_parameters:
-            unbound = [p.name for p in circuit.parameters]
-            raise SimulationError(f"circuit has unbound parameters: {unbound}")
-        state = initial_state.copy() if initial_state is not None else Statevector(circuit.num_qubits)
-        if state.num_qubits != circuit.num_qubits:
-            raise SimulationError(
-                f"initial state has {state.num_qubits} qubits, circuit has {circuit.num_qubits}"
-            )
-
-        measured_qubits: List[int] = []
-        measured_set: set = set()
-        clbits: List[int] = []
-        for instruction in circuit.instructions:
-            if instruction.name == "barrier":
-                continue
-            _check_deferred_measurement(instruction, measured_set, self.name)
-            if instruction.is_measurement:
-                measured_qubits.extend(instruction.qubits)
-                measured_set.update(instruction.qubits)
-                clbits.extend(instruction.clbits)
-                continue
-            if instruction.name == "reset":
-                state.reset(instruction.qubits[0], rng=self._rng)
-                continue
-            state.apply_instruction(instruction)
-
-        probabilities: Dict[str, float] = {}
-        counts: Optional[Counts] = None
-        if measured_qubits:
-            joint = state.probabilities(measured_qubits)
-            probabilities = _exact_clbit_probabilities(
-                joint, measured_qubits, clbits, circuit.num_clbits
-            )
-            if shots is not None:
-                counts = counts_from_probabilities(
-                    probabilities, shots, rng=self._rng, num_bits=circuit.num_clbits
-                )
-        elif shots is not None:
-            raise SimulationError("cannot sample shots from a circuit without measurements")
-
+        state, probabilities, counts = self._execute_run(
+            circuit, shots, StatevectorEngine()
+        )
         return SimulationResult(
             circuit_name=circuit.name,
             probabilities=probabilities,
             counts=counts,
-            statevector=state,
+            statevector=state.statevector(0),
             shots=shots,
             metadata={"engine": self.name},
         )
@@ -406,11 +427,13 @@ class StatevectorSimulator(_SweepProgramCacheMixin):
 class DensityMatrixSimulator(_SweepProgramCacheMixin):
     """Mixed-state simulator with optional gate and readout noise.
 
-    :meth:`run` evolves one circuit, applying each gate and then its noise
-    channels.  :meth:`run_sweep_program` executes a compiled sweep as
-    :class:`~repro.quantum.batched_density.BatchedDensityMatrix` tiles with
-    every gate's noise precomposed into one superoperator; its shot sampling
-    consumes the RNG exactly like the per-circuit loop.
+    Both :meth:`run` (one bound circuit, compiled once per structure) and
+    :meth:`run_sweep_program` (a whole-grid program, tile by tile) execute
+    as :class:`~repro.quantum.batched_density.BatchedDensityMatrix` states
+    on one :class:`~repro.quantum.program.DensitySuperoperatorEngine`, which
+    precomposes every gate's unitary and noise channels into one
+    superoperator and applies readout error at read-out.  Sweep shot
+    sampling consumes the RNG exactly like a loop of :meth:`run`.
     """
 
     name = "density_matrix_simulator"
@@ -442,109 +465,20 @@ class DensityMatrixSimulator(_SweepProgramCacheMixin):
         return self._engine
 
     def run(
-        self,
-        circuit: QuantumCircuit,
-        shots: Optional[int] = 1024,
-        initial_state: Optional[DensityMatrix] = None,
+        self, circuit: QuantumCircuit, shots: Optional[int] = 1024
     ) -> SimulationResult:
         """Execute ``circuit`` under the configured noise model."""
-        if circuit.num_parameters:
-            unbound = [p.name for p in circuit.parameters]
-            raise SimulationError(f"circuit has unbound parameters: {unbound}")
-        state = initial_state.copy() if initial_state is not None else DensityMatrix(circuit.num_qubits)
-        if state.num_qubits != circuit.num_qubits:
-            raise SimulationError(
-                f"initial state has {state.num_qubits} qubits, circuit has {circuit.num_qubits}"
-            )
-
-        measured_qubits: List[int] = []
-        measured_set: set = set()
-        clbits: List[int] = []
-        channel_plans: Dict[Tuple[str, int], list] = {}
-        for instruction in circuit.instructions:
-            if instruction.name == "barrier":
-                continue
-            _check_deferred_measurement(instruction, measured_set, self.name)
-            if instruction.is_measurement:
-                measured_qubits.extend(instruction.qubits)
-                measured_set.update(instruction.qubits)
-                clbits.extend(instruction.clbits)
-                continue
-            if instruction.name == "reset":
-                state.reset(instruction.qubits[0], rng=self._rng)
-                continue
-            state.apply_instruction(instruction)
-            for channel, width in self._gate_channel_plan(
-                channel_plans, instruction.name, instruction.num_qubits
-            ):
-                if width == instruction.num_qubits:
-                    state.apply_kraus(channel, instruction.qubits)
-                else:
-                    for qubit in instruction.qubits:
-                        state.apply_kraus(channel, (qubit,))
-
-        probabilities: Dict[str, float] = {}
-        counts: Optional[Counts] = None
-        if measured_qubits:
-            joint = state.probabilities(measured_qubits)
-            joint = self._apply_readout_error(joint, measured_qubits)
-            probabilities = _exact_clbit_probabilities(
-                joint, measured_qubits, clbits, circuit.num_clbits
-            )
-            if shots is not None:
-                counts = counts_from_probabilities(
-                    probabilities, shots, rng=self._rng, num_bits=circuit.num_clbits
-                )
-        elif shots is not None:
-            raise SimulationError("cannot sample shots from a circuit without measurements")
-
+        state, probabilities, counts = self._execute_run(
+            circuit, shots, self._program_engine()
+        )
         return SimulationResult(
             circuit_name=circuit.name,
             probabilities=probabilities,
             counts=counts,
-            density_matrix=state,
+            density_matrix=state.density_matrix(0),
             shots=shots,
             metadata={"engine": self.name, "noisy": not self.noise_model.is_ideal},
         )
-
-    def _gate_channel_plan(
-        self,
-        plans: Dict[Tuple[str, int], list],
-        gate_name: str,
-        gate_qubits: int,
-    ) -> list:
-        """Noise channels for one gate position, resolved and width-checked once.
-
-        ``plans`` memoises the per-(gate name, qubit count) lookup for the
-        duration of one :meth:`run` call, hoisting the ``gate_channels`` list
-        assembly and the channel-width computation out of the per-gate loop.
-        Each entry pairs a channel's Kraus operators with its qubit width.
-        """
-        key = (gate_name, gate_qubits)
-        plan = plans.get(key)
-        if plan is None:
-            plan = []
-            for channel in self.noise_model.gate_channels(gate_name, gate_qubits):
-                channel_width = int(np.log2(np.asarray(channel[0]).shape[0]))
-                if channel_width not in (gate_qubits, 1):
-                    raise SimulationError(
-                        f"noise channel width {channel_width} incompatible with gate "
-                        f"'{gate_name}' on {gate_qubits} qubit(s)"
-                    )
-                plan.append((channel, channel_width))
-            plans[key] = plan
-        return plan
-
-    def _apply_readout_error(
-        self, joint: np.ndarray, measured_qubits: Sequence[int]
-    ) -> np.ndarray:
-        """Convolve outcome distributions with per-qubit readout error.
-
-        Delegates to :func:`repro.quantum.noise.apply_readout_error`, the
-        single implementation shared with the compiled-program density
-        engine so both read-out paths stay bit-identical.
-        """
-        return apply_readout_error(joint, measured_qubits, self.noise_model)
 
     def run_sweep_program(
         self,
@@ -557,9 +491,9 @@ class DensityMatrixSimulator(_SweepProgramCacheMixin):
 
         Every gate applies its precomposed superoperator (unitary and noise
         folded together at plan time — no per-gate channel resolution), the
-        readout-error convolution and classical-bit re-indexing reuse
-        :meth:`run`'s helpers, and shot sampling consumes the RNG exactly
-        like a loop of :meth:`run`.  Per-element density matrices are never
+        readout-error convolution and classical-bit re-indexing are
+        :meth:`run`'s, and shot sampling consumes the RNG exactly like a
+        loop of :meth:`run`.  Per-element density matrices are never
         materialised, so peak memory is the largest tile's
         ``tile x 4**n`` stack rather than the whole sweep's.
         """

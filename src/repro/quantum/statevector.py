@@ -30,30 +30,35 @@ from repro.quantum.operations import Instruction
 from repro.utils.rng import RandomState, ensure_rng
 
 
-def marginal_probabilities(
-    probs: np.ndarray, qubits: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Marginalise ``(batch, 2**n)`` probabilities onto ``qubits`` in order.
+def check_qubits(qubits: Sequence[int], num_qubits: int) -> Tuple[int, ...]:
+    """``qubits`` as distinct in-range indices, or :class:`SimulationError`.
 
-    Shared by :class:`Statevector` and
-    :class:`~repro.quantum.batched.BatchedStatevector` so the validation and
-    axis bookkeeping (distinct qubits, range check, caller-order permutation)
-    have a single implementation.  Returns shape ``(batch, 2**len(qubits))``.
+    The one qubit-argument check of every state class, single and batched:
+    a duplicated qubit would collapse two tensor axes onto one (a wrong
+    shape or a silently wrong contraction), and an out-of-range index would
+    surface as a bare ``IndexError`` or wrap around.
     """
     qubits = tuple(int(q) for q in qubits)
     if len(set(qubits)) != len(qubits):
-        # A duplicated qubit collapses two requested axes onto one tensor
-        # axis, so the set-based reduction below and the permutation would
-        # silently disagree and return a wrong-shaped marginal.
-        raise SimulationError(
-            f"duplicate qubit indices in {qubits}; marginal probabilities "
-            "require distinct qubits"
-        )
+        raise SimulationError(f"duplicate qubit indices in {qubits}")
     for q in qubits:
         if q < 0 or q >= num_qubits:
             raise SimulationError(
                 f"qubit index {q} out of range for {num_qubits} qubits"
             )
+    return qubits
+
+
+def marginal_probabilities(
+    probs: np.ndarray, qubits: Sequence[int], num_qubits: int
+) -> np.ndarray:
+    """Marginalise ``(batch, 2**n)`` probabilities onto ``qubits`` in order.
+
+    Shared by every state class, single and batched, so the validation and
+    axis bookkeeping (distinct qubits, range check, caller-order permutation)
+    have a single implementation.  Returns shape ``(batch, 2**len(qubits))``.
+    """
+    qubits = check_qubits(qubits, num_qubits)
     batch = probs.shape[0]
     tensor = probs.reshape((batch,) + (2,) * num_qubits)
     keep = set(qubits)
@@ -166,16 +171,13 @@ class Statevector:
 
         Returns ``self`` to allow chaining.
         """
-        qubits = tuple(int(q) for q in qubits)
+        qubits = check_qubits(qubits, self._num_qubits)
         k = len(qubits)
         matrix = arrays.as_complex(matrix)
         if matrix.shape != (2**k, 2**k):
             raise SimulationError(
                 f"matrix shape {matrix.shape} does not match {k} qubit(s)"
             )
-        for q in qubits:
-            if q < 0 or q >= self._num_qubits:
-                raise SimulationError(f"qubit index {q} out of range for {self._num_qubits} qubits")
         n = self._num_qubits
         tensor = self._amplitudes.reshape((2,) * n)
         gate_tensor = matrix.reshape((2,) * (2 * k))

@@ -4,9 +4,8 @@ The guarantee: routing a ``(rows x samples)`` fidelity sweep through ONE
 compiled program — encoder angles as bind columns, trained prefix evolved
 once per tile and broadcast — must agree with the per-circuit reference,
 one bound discriminator and one ``Backend.run`` per grid element in
-row-major order (``tests/core/conftest.py``; the test names call it the
-*stream*).  Sampled and noisy fidelities match draw
-for draw on same-seeded backends; exact fidelities match within
+row-major order (``tests/core/conftest.py``).  Sampled and noisy fidelities
+match draw for draw on same-seeded backends; exact fidelities match within
 ``atol=1e-12``.  This holds on every backend, with and without certified
 fusion, under any tile budget, and for every layer architecture.
 """
@@ -82,12 +81,12 @@ def assert_route_agreement(backend_key, grid, reference):
         np.testing.assert_array_equal(grid, reference)
 
 
-class TestGridMatchesStreamBitwise:
+class TestGridMatchesRunBitwise:
     @pytest.mark.parametrize("architecture", ["s", "d", "e"])
     @pytest.mark.parametrize("backend_key", sorted(BACKENDS))
     @pytest.mark.parametrize("budget_key", sorted(BUDGETS))
     @pytest.mark.parametrize("optimize", ["0", "1"])
-    def test_grid_sweep_is_bit_identical_to_stream(
+    def test_grid_sweep_is_bit_identical_to_run(
         self, samples, backend_key, budget_key, optimize, architecture, monkeypatch,
         run_reference,
     ):
@@ -105,7 +104,7 @@ class TestGridMatchesStreamBitwise:
         )
         assert_route_agreement(backend_key, grid, reference)
 
-    def test_single_angle_encoder_grid_matches_stream(self, monkeypatch, run_reference):
+    def test_single_angle_encoder_grid_matches_run(self, monkeypatch, run_reference):
         monkeypatch.delenv(OPTIMIZE_PROGRAMS_ENV, raising=False)
         builder = make_builder(SingleAngleEncoder())
         rng = np.random.default_rng(43)
@@ -188,7 +187,7 @@ class TestLoopOnlyEncoders:
 
 
 class TestGridBindings:
-    def test_row_major_layout_matches_the_stream_order(self, builder, parameter_matrix, samples):
+    def test_row_major_layout_matches_the_run_order(self, builder, parameter_matrix, samples):
         bindings = builder.grid_bindings(parameter_matrix, samples)
         rows, params = parameter_matrix.shape
         angles = builder.encoder.angle_matrix(samples)

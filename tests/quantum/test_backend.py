@@ -1,9 +1,19 @@
-"""Tests for execution backends."""
+"""Tests for execution backends and their two routes.
+
+Every SWAP-test fidelity reaches a backend either through the whole-grid
+program route (``sweep_grid_zero_probabilities``, and the simulators'
+``run_sweep_program`` beneath it) or through one ``run`` per circuit.  The
+grid route is checked against a loop of ``run`` calls on a same-seeded
+twin: exact read-outs agree within ``1e-12`` and sampled read-outs draw for
+draw.  ``run`` itself is checked against the per-state reference classes in
+``test_run_reference.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import BackendError
+from repro.exceptions import BackendError, SimulationError
+from repro.hardware import IBMQBackend
 from repro.quantum.backend import (
     Backend,
     DeviceProperties,
@@ -13,8 +23,10 @@ from repro.quantum.backend import (
     validate_shots,
 )
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.noise import NoiseModel
+from repro.quantum.noise import NoiseModel, ReadoutError, depolarizing_kraus
 from repro.quantum.operations import Parameter
+from repro.quantum.program import StatevectorEngine, TilePlan
+from repro.quantum.simulator import DensityMatrixSimulator, StatevectorSimulator
 from repro.quantum.topology import CouplingMap
 
 
@@ -190,7 +202,7 @@ class RecordingBackend(NoisyBackend):
         self.results.append(result)
 
 
-class TestRunBatch:
+class TestGridRouteMatchesRun:
     """The whole-grid route against a per-element loop of :meth:`Backend.run`."""
 
     def test_exact_batch_matches_per_circuit_runs(self):
@@ -374,3 +386,271 @@ class TestNoisyBackendTranspileCache:
         first_map = backend._region_cache[2]
         backend.run(qc, shots=None)
         assert backend._region_cache[2] is first_map
+
+
+# --------------------------------------------------------------------------- #
+# The grid route on a SWAP-test discriminator: simulators and backends
+# --------------------------------------------------------------------------- #
+
+SWAP_PARAMS = [Parameter(name) for name in "abcd"]
+
+
+def swap_discriminator(angles, name="disc") -> QuantumCircuit:
+    """Minimal SWAP-test discriminator: ancilla + two 1-qubit registers."""
+    qc = QuantumCircuit(3, 1, name=name)
+    qc.h(0)
+    qc.ry(angles[0], 1).rz(angles[1], 1)
+    qc.ry(angles[2], 2).rz(angles[3], 2)
+    qc.cswap(0, 1, 2)
+    qc.h(0)
+    qc.measure(0, 0)
+    return qc
+
+
+def swap_angles(count, seed):
+    return np.random.default_rng(seed).uniform(0, np.pi, size=(count, 4))
+
+
+def noisy_model() -> NoiseModel:
+    return NoiseModel.from_error_rates(
+        0.01, 0.05, readout_error=0.04, t1=50.0, t2=60.0, gate_time=0.1
+    )
+
+
+#: The two simulators, the density one under gate noise and readout error.
+SIMULATORS = {
+    "statevector": lambda seed=None: StatevectorSimulator(seed=seed),
+    "density": lambda seed=None: DensityMatrixSimulator(noisy_model(), seed=seed),
+}
+
+
+def swap_program(simulator):
+    return simulator._grid_program(swap_discriminator(SWAP_PARAMS), SWAP_PARAMS)
+
+
+def simulator_grid(simulator, angles, shots):
+    return simulator.run_sweep_program(swap_program(simulator), angles, shots=shots)
+
+
+def assert_simulator_counts_match_run(simulator_factory, seed, angles, shots):
+    readout = simulator_grid(simulator_factory(seed), angles, shots)
+    loop_simulator = simulator_factory(seed)
+    looped = [loop_simulator.run(swap_discriminator(row), shots=shots) for row in angles]
+    assert [c.data for c in readout.counts] == [r.counts.data for r in looped]
+    return readout, looped
+
+
+@pytest.mark.parametrize("kind", sorted(SIMULATORS))
+class TestSimulatorGridRoute:
+    """``run_sweep_program`` on each simulator against its own ``run``."""
+
+    def test_exact_probabilities_match_run(self, kind):
+        angles = swap_angles(7, seed=0)
+        readout = simulator_grid(SIMULATORS[kind](), angles, None)
+        for row, probabilities in zip(angles, readout.probabilities):
+            single = SIMULATORS[kind]().run(swap_discriminator(row), shots=None)
+            assert set(probabilities) == set(single.probabilities)
+            for key, value in single.probabilities.items():
+                assert probabilities[key] == pytest.approx(value, abs=1e-12)
+
+    def test_sampled_counts_seed_match_run(self, kind):
+        """One stacked multinomial call must consume the RNG like the loop."""
+        assert_simulator_counts_match_run(SIMULATORS[kind], 11, swap_angles(6, seed=2), 500)
+
+    def test_identical_parameters_share_one_matrix(self, kind):
+        """All-equal angles take the shared-matrix branch and stay correct."""
+        angles = np.tile([0.3, 0.7, 0.3, 0.7], (3, 1))
+        readout = simulator_grid(SIMULATORS[kind](), angles, None)
+        single = SIMULATORS[kind]().run(swap_discriminator(angles[0]), shots=None)
+        for probabilities in readout.probabilities:
+            for key, value in single.probabilities.items():
+                assert probabilities[key] == pytest.approx(value, abs=1e-12)
+
+    def test_empty_batch_yields_empty_results(self, kind):
+        readout = simulator_grid(SIMULATORS[kind](), np.zeros((0, 4)), shots=16)
+        assert readout.probabilities == [] and readout.counts == []
+
+    def test_zero_shots_rejected(self, kind):
+        with pytest.raises(SimulationError, match="shots must be positive"):
+            simulator_grid(SIMULATORS[kind](), swap_angles(2, seed=5), shots=0)
+
+    def test_unbound_parameters_rejected(self, kind):
+        with pytest.raises(SimulationError, match="binding column"):
+            simulator_grid(SIMULATORS[kind](), np.zeros((2, 3)), shots=None)
+
+    def test_shots_without_measurement_rejected(self, kind):
+        t = Parameter("t")
+        qc = QuantumCircuit(1)
+        qc.ry(t, 0)
+        simulator = SIMULATORS[kind]()
+        program = simulator._grid_program(qc, [t])
+        with pytest.raises(SimulationError, match="without measurements"):
+            simulator.run_sweep_program(program, np.zeros((2, 1)), shots=16)
+
+    def test_double_measurement_rejected(self, kind):
+        t = Parameter("t")
+        qc = QuantumCircuit(2, 2)
+        qc.ry(t, 0).measure(0, 0).measure(0, 1)
+        with pytest.raises(SimulationError, match="measured more than"):
+            SIMULATORS[kind]()._grid_program(qc, [t])
+
+
+class TestSimulatorGridStates:
+    def test_statevectors_match_run(self):
+        angles = swap_angles(4, seed=1)
+        states = swap_program(StatevectorSimulator()).evolve(angles, StatevectorEngine())
+        for element, row in enumerate(angles):
+            single = StatevectorSimulator().run(swap_discriminator(row), shots=None)
+            np.testing.assert_allclose(
+                states.statevector(element).data, single.statevector.data, atol=1e-12
+            )
+
+    def test_density_matrices_match_run(self):
+        angles = swap_angles(4, seed=1)
+        simulator = DensityMatrixSimulator(noisy_model())
+        states = swap_program(simulator).evolve(angles, simulator._program_engine())
+        for element, row in enumerate(angles):
+            single = DensityMatrixSimulator(noisy_model()).run(
+                swap_discriminator(row), shots=None
+            )
+            np.testing.assert_allclose(
+                states.density_matrix(element).data,
+                single.density_matrix.data,
+                atol=1e-12,
+            )
+
+
+class TestDensitySimulatorNoiseModels:
+    """Draw-for-draw agreement holds for every kind of noise."""
+
+    @staticmethod
+    def factory(noise):
+        return lambda seed: DensityMatrixSimulator(noise, seed=seed)
+
+    def test_seed_match_with_gate_noise_only(self):
+        noise = NoiseModel().add_all_qubit_error(depolarizing_kraus(0.02), 1)
+        assert_simulator_counts_match_run(self.factory(noise), 5, swap_angles(5, seed=3), 256)
+
+    def test_seed_match_with_readout_error_only(self):
+        noise = NoiseModel().add_readout_error(ReadoutError(0.08, 0.03))
+        readout, looped = assert_simulator_counts_match_run(
+            self.factory(noise), 6, swap_angles(5, seed=4), 256
+        )
+        for probabilities, loop_result in zip(readout.probabilities, looped):
+            assert probabilities == pytest.approx(loop_result.probabilities)
+
+    def test_ideal_model_matches_run(self):
+        assert_simulator_counts_match_run(
+            self.factory(NoiseModel.ideal()), 3, swap_angles(4, seed=5), 128
+        )
+
+    def test_grid_metadata_marks_the_vectorised_engine(self):
+        backend = RecordingBackend(
+            DeviceProperties(
+                name="line3",
+                num_qubits=3,
+                coupling_map=CouplingMap.linear(3),
+                noise_model=noisy_model(),
+            ),
+            seed=0,
+        )
+        backend.sweep_grid_zero_probabilities(
+            swap_discriminator(SWAP_PARAMS), SWAP_PARAMS, swap_angles(2, seed=6), shots=64
+        )
+        assert len(backend.results) == 2
+        assert all(r.metadata["batched"] for r in backend.results)
+        assert all(r.metadata["batch_size"] == 2 for r in backend.results)
+        assert all(r.metadata["noisy"] for r in backend.results)
+
+
+def swap_grid(backend, rows, **kwargs):
+    return backend.sweep_grid_zero_probabilities(
+        swap_discriminator(SWAP_PARAMS), SWAP_PARAMS, rows, **kwargs
+    )
+
+
+def swap_run_loop(backend, rows, **kwargs):
+    return np.array(
+        [backend.ancilla_zero_probability(swap_discriminator(row), **kwargs) for row in rows]
+    )
+
+
+class TestStatevectorBackendGridRoute:
+    def test_ideal_sweep_matches_run_loop_exact(self):
+        rows = swap_angles(6, seed=0)
+        swept = swap_grid(IdealBackend(), rows, shots=None)
+        looped = swap_run_loop(IdealBackend(), rows, shots=None)
+        np.testing.assert_allclose(swept, looped, atol=1e-12)
+
+    def test_sampled_sweep_seed_matches_run_loop(self):
+        rows = swap_angles(5, seed=1)
+        swept = swap_grid(SampledBackend(shots=400, seed=7), rows)
+        looped = swap_run_loop(SampledBackend(shots=400, seed=7), rows)
+        np.testing.assert_array_equal(swept, looped)
+
+    def test_tile_plan_does_not_change_draws(self):
+        rows = swap_angles(6, seed=2)
+        plan = TilePlan(rows=6, samples=1, row_tile=2, sample_tile=1)
+        tiled = swap_grid(SampledBackend(shots=300, seed=5), rows, tile_plan=plan)
+        whole = swap_grid(SampledBackend(shots=300, seed=5), rows)
+        np.testing.assert_array_equal(tiled, whole)
+
+    def test_parameter_outside_the_ordering_rejected(self):
+        stray = Parameter("stray")
+        with pytest.raises(SimulationError, match="not in the provided parameter ordering"):
+            IdealBackend().sweep_grid_zero_probabilities(
+                swap_discriminator(SWAP_PARAMS[:3] + [stray]),
+                SWAP_PARAMS,
+                swap_angles(2, seed=3),
+            )
+
+    def test_shots_validated(self):
+        with pytest.raises(BackendError, match="shots must be positive"):
+            swap_grid(IdealBackend(), swap_angles(2, seed=4), shots=0)
+
+
+class TestDeviceBackendGridRoute:
+    """The grid route on an emulated IBM-Q device (transpiled, noisy, ledgered)."""
+
+    def test_sweep_seed_matches_run_loop(self):
+        rows = swap_angles(4, seed=5)
+        swept = swap_grid(IBMQBackend("ibmq_london", seed=13), rows, shots=256)
+        looped = swap_run_loop(IBMQBackend("ibmq_london", seed=13), rows, shots=256)
+        np.testing.assert_array_equal(swept, looped)
+
+    def test_sweep_ledgers_every_element_with_transpile_stats(self):
+        backend = IBMQBackend("ibmq_london", seed=1)
+        swap_grid(backend, swap_angles(3, seed=6), shots=64)
+        assert backend.ledger.num_jobs == 3
+        for record in backend.ledger.records:
+            assert record.shots == 64
+            assert record.cx_count > 0
+            assert record.circuit_name == "disc_basis_routed"
+        assert backend.last_transpile_stats["cx_count"] > 0
+
+    def test_sweep_rejects_one_dimensional_bindings(self):
+        backend = IBMQBackend("ibmq_london", seed=2)
+        with pytest.raises(BackendError, match="grid bindings must be 2-D"):
+            swap_grid(backend, np.zeros(4), shots=64)
+        assert backend.ledger.num_jobs == 0
+
+    def test_sweep_respects_device_width(self):
+        wide = QuantumCircuit(9, 1, name="too_wide")
+        wide.ry(SWAP_PARAMS[0], 0).measure(0, 0)
+        backend = IBMQBackend("ibmq_london", seed=0)
+        with pytest.raises(BackendError, match="has 5 qubits, circuit needs 9"):
+            backend.sweep_grid_zero_probabilities(
+                wide, SWAP_PARAMS[:1], np.zeros((1, 1)), shots=64
+            )
+
+    def test_empty_sweep_ledgers_nothing(self):
+        backend = IBMQBackend("ibmq_london", seed=0)
+        assert swap_grid(backend, np.zeros((0, 4)), shots=64).shape == (0,)
+        assert backend.ledger.num_jobs == 0
+
+    def test_tiled_sweep_seed_matches_whole(self):
+        rows = swap_angles(4, seed=8)
+        plan = TilePlan(rows=4, samples=1, row_tile=1, sample_tile=1)
+        tiled = swap_grid(IBMQBackend("ibmq_london", seed=21), rows, shots=128, tile_plan=plan)
+        whole = swap_grid(IBMQBackend("ibmq_london", seed=21), rows, shots=128)
+        np.testing.assert_array_equal(tiled, whole)

@@ -111,9 +111,9 @@ class TestBatchedStatevectorBasics:
         raw[2] = np.eye(4)[2] * (1 + 1e-12)
         BatchedStatevector.from_amplitudes(raw)
 
-    def test_from_statevectors_round_trip(self):
+    def test_from_amplitudes_round_trip(self):
         singles = [Statevector(np.eye(4)[i], normalize=True) for i in range(3)]
-        batch = BatchedStatevector.from_statevectors(singles)
+        batch = BatchedStatevector.from_amplitudes(np.stack([s.data for s in singles]))
         for index, single in enumerate(singles):
             assert batch.statevector(index).fidelity(single) == pytest.approx(1.0)
 
@@ -174,16 +174,12 @@ class TestBatchedEvolveAndProgram:
     def test_evolve_matches_per_sample_statevector(self):
         circuit = QuantumCircuit(QUBITS)
         circuit.h(0).ry(0.4, 1).cx(0, 2).rz(-0.7, 2).cry(1.1, 1, 2)
-        batch = BatchedStatevector(BATCH, QUBITS).evolve(circuit)
+        program = SweepProgram.compile(circuit, bind_floats=True)
+        row = np.array([0.4, -0.7, 1.1])
+        batch = program.evolve(np.tile(row, (BATCH, 1)), StatevectorEngine())
         single = Statevector(QUBITS).evolve(circuit)
         for element in range(BATCH):
             np.testing.assert_allclose(batch.amplitudes[element], single.data, atol=1e-12)
-
-    def test_evolve_rejects_measurement(self):
-        circuit = QuantumCircuit(1, 1)
-        circuit.h(0).measure(0, 0)
-        with pytest.raises(SimulationError):
-            BatchedStatevector(2, 1).evolve(circuit)
 
     def test_apply_program_mixed_slots(self):
         """A compiled program mixes fixed, constant-angle and per-element steps."""

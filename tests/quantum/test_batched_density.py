@@ -5,15 +5,34 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.quantum import gates
-from repro.quantum.batched_density import BatchedDensityMatrix
+from repro.quantum.batched_density import (
+    BatchedDensityMatrix,
+    channel_superoperator,
+)
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density_matrix import DensityMatrix
-from repro.quantum.simulator import DensityMatrixSimulator
 from repro.quantum.noise import (
+    NoiseModel,
     amplitude_damping_kraus,
     depolarizing_kraus,
     thermal_relaxation_kraus,
 )
+from repro.quantum.program import DensitySuperoperatorEngine, SweepProgram
+
+
+def evolve_stack(circuit, batch):
+    """``batch`` copies of a bound circuit evolved by the ideal density engine."""
+    program = SweepProgram.compile(circuit, bind_floats=True)
+    row = [circuit.instructions[pos].params[index] for pos, index in program.column_sites]
+    return program.evolve(
+        np.tile(np.asarray(row, dtype=float), (batch, 1)),
+        DensitySuperoperatorEngine(NoiseModel.ideal()),
+    )
+
+
+def apply_channel(stack, kraus, qubits):
+    """Apply a Kraus channel to a batched stack as one superoperator."""
+    return stack.apply_superoperator(channel_superoperator(kraus), qubits)
 
 
 def random_angles(batch, count, seed):
@@ -55,15 +74,15 @@ class TestConstruction:
         with pytest.raises(SimulationError, match="Hermitian"):
             BatchedDensityMatrix.from_matrices(non_hermitian)
 
-    def test_from_density_matrices(self):
+    def test_from_density_matrix_data(self):
         dm = DensityMatrix(1)
         dm.apply_matrix(gates.PAULI_X, (0,))
-        stack = BatchedDensityMatrix.from_density_matrices([DensityMatrix(1), dm])
+        stack = BatchedDensityMatrix.from_matrices(np.stack([DensityMatrix(1).data, dm.data]))
         np.testing.assert_allclose(stack.probabilities(), [[1, 0], [0, 1]], atol=1e-12)
 
-    def test_from_zero_density_matrices(self):
+    def test_from_zero_matrices(self):
         with pytest.raises(SimulationError):
-            BatchedDensityMatrix.from_density_matrices([])
+            BatchedDensityMatrix.from_matrices(np.zeros((0, 2, 2), dtype=complex))
 
     def test_density_matrix_extraction(self):
         stack = BatchedDensityMatrix(2, 1)
@@ -78,7 +97,7 @@ class TestUnitaryEvolution:
     def test_shared_matrix_matches_per_element_loop(self):
         qc = QuantumCircuit(3)
         qc.h(0).cx(0, 2).ry(0.4, 1).cswap(0, 1, 2)
-        stack = BatchedDensityMatrix(4, 3).evolve(qc)
+        stack = evolve_stack(qc, 4)
         single = DensityMatrix(3).evolve(qc)
         for element in range(4):
             np.testing.assert_allclose(
@@ -109,26 +128,10 @@ class TestUnitaryEvolution:
         with pytest.raises(SimulationError):
             stack.apply_matrix(np.stack([np.eye(2)] * 3), (0,))
 
-    def test_evolve_rejects_measurement_and_reset(self):
-        measured = QuantumCircuit(1, 1)
-        measured.measure(0, 0)
-        with pytest.raises(SimulationError):
-            BatchedDensityMatrix(1, 1).evolve(measured)
-        resetting = QuantumCircuit(1)
-        resetting.reset(0)
-        with pytest.raises(SimulationError):
-            BatchedDensityMatrix(1, 1).evolve(resetting)
-
-
-    def test_evolve_rejects_measurement_and_points_at_run(self):
-        qc = QuantumCircuit(1, 1)
-        qc.h(0).measure(0, 0)
-        with pytest.raises(
-            SimulationError, match=r"use DensityMatrixSimulator\.run for measurements"
-        ):
-            BatchedDensityMatrix(2, 1).evolve(qc)
-        # The method the message names exists and handles measurements.
-        assert DensityMatrixSimulator(seed=0).run(qc, shots=8).counts is not None
+    def test_per_element_matrix_shape_validation(self):
+        matrices = np.stack([np.eye(2, dtype=complex)] * 2)
+        with pytest.raises(SimulationError, match="batched operator shape"):
+            BatchedDensityMatrix(3, 1).apply_matrix(matrices, (0,))
 
 
 class TestChannels:
@@ -143,7 +146,7 @@ class TestChannels:
     def test_single_qubit_channels_match_loop(self, kraus):
         stack = BatchedDensityMatrix(3, 2)
         stack.apply_matrix(gates.HADAMARD, (0,))
-        stack.apply_kraus(kraus, (0,))
+        apply_channel(stack, kraus, (0,))
         single = DensityMatrix(2)
         single.apply_matrix(gates.HADAMARD, (0,))
         single.apply_kraus(kraus, (0,))
@@ -155,13 +158,13 @@ class TestChannels:
     def test_two_qubit_channel_preserves_traces(self):
         stack = BatchedDensityMatrix(4, 2)
         stack.apply_matrix(gates.HADAMARD, (0,))
-        stack.apply_kraus(depolarizing_kraus(0.4, 2), (0, 1))
+        apply_channel(stack, depolarizing_kraus(0.4, 2), (0, 1))
         np.testing.assert_allclose(stack.traces(), np.ones(4), atol=1e-12)
         assert np.all(stack.purities() < 1.0)
 
     def test_full_depolarization_gives_maximally_mixed(self):
         stack = BatchedDensityMatrix(2, 1)
-        stack.apply_kraus(depolarizing_kraus(1.0), (0,))
+        apply_channel(stack, depolarizing_kraus(1.0), (0,))
         np.testing.assert_allclose(
             stack.matrices, np.stack([np.eye(2) / 2] * 2), atol=1e-12
         )
@@ -175,20 +178,20 @@ class TestChannels:
         ).astype(complex)
         stack = BatchedDensityMatrix(2, 1)
         stack.apply_matrix(gates.PAULI_X, (0,))
-        stack.apply_kraus([k0, k1], (0,))
+        apply_channel(stack, [k0, k1], (0,))
         # gamma=0 leaves |1>, gamma=1 decays to |0>.
         np.testing.assert_allclose(stack.probabilities(), [[0, 1], [1, 0]], atol=1e-12)
 
     def test_empty_channel_rejected(self):
-        with pytest.raises(SimulationError):
-            BatchedDensityMatrix(1, 1).apply_kraus([], (0,))
+        with pytest.raises(SimulationError, match="at least one Kraus operator"):
+            channel_superoperator([])
 
 
 class TestProbabilities:
     def test_marginalisation_matches_density_matrix(self):
         qc = QuantumCircuit(3)
         qc.h(0).cx(0, 1).ry(0.9, 2)
-        stack = BatchedDensityMatrix(2, 3).evolve(qc)
+        stack = evolve_stack(qc, 2)
         single = DensityMatrix(3).evolve(qc)
         for qubits in [(0,), (2, 0), (1, 2)]:
             np.testing.assert_allclose(

@@ -212,3 +212,67 @@ class TestFidelity:
     def test_width_mismatch(self):
         with pytest.raises(SimulationError):
             DensityMatrix(1).fidelity(DensityMatrix(2))
+
+
+#: Bad qubit, operator and channel arguments to the per-state classes.
+FAIL_CLOSED_CASES = {
+    "dm_marginal_out_of_range": (
+        lambda: DensityMatrix(2).probabilities([5]),
+        "qubit index 5 out of range for 2 qubits",
+    ),
+    "dm_marginal_negative": (
+        lambda: DensityMatrix(2).probabilities([-1]),
+        "qubit index -1 out of range for 2 qubits",
+    ),
+    "dm_marginal_duplicate": (
+        lambda: DensityMatrix(2).probabilities([0, 0]),
+        r"duplicate qubit indices in \(0, 0\)",
+    ),
+    "dm_empty_channel": (
+        lambda: DensityMatrix(1).apply_kraus([], (0,)),
+        "a channel needs at least one Kraus operator",
+    ),
+    "dm_matrix_out_of_range": (
+        lambda: DensityMatrix(2).apply_matrix(gates.HADAMARD, (2,)),
+        "qubit index 2 out of range for 2 qubits",
+    ),
+    "dm_matrix_duplicate": (
+        lambda: DensityMatrix(2).apply_matrix(gates.CNOT, (1, 1)),
+        r"duplicate qubit indices in \(1, 1\)",
+    ),
+    "dm_matrix_shape": (
+        lambda: DensityMatrix(2).apply_matrix(np.eye(4), (0,)),
+        r"operator shape \(4, 4\) does not match 1 qubit\(s\)",
+    ),
+    "dm_kraus_out_of_range": (
+        lambda: DensityMatrix(2).apply_kraus(depolarizing_kraus(0.1), (3,)),
+        "qubit index 3 out of range for 2 qubits",
+    ),
+    "dm_kraus_duplicate": (
+        lambda: DensityMatrix(2).apply_kraus(depolarizing_kraus(0.1, 2), (0, 0)),
+        r"duplicate qubit indices in \(0, 0\)",
+    ),
+    "dm_kraus_shape": (
+        lambda: DensityMatrix(2).apply_kraus(depolarizing_kraus(0.1, 2), (0,)),
+        r"operator shape \(4, 4\) does not match 1 qubit\(s\)",
+    ),
+    "sv_matrix_out_of_range": (
+        lambda: Statevector(2).apply_matrix(gates.HADAMARD, (2,)),
+        "qubit index 2 out of range for 2 qubits",
+    ),
+    "sv_matrix_negative": (
+        lambda: Statevector(2).apply_matrix(gates.HADAMARD, (-1,)),
+        "qubit index -1 out of range for 2 qubits",
+    ),
+    "sv_matrix_duplicate": (
+        lambda: Statevector(2).apply_matrix(gates.CNOT, (0, 0)),
+        r"duplicate qubit indices in \(0, 0\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAIL_CLOSED_CASES))
+def test_per_state_classes_fail_closed(case):
+    call, message = FAIL_CLOSED_CASES[case]
+    with pytest.raises(SimulationError, match=message):
+        call()

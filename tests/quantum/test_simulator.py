@@ -64,17 +64,23 @@ class TestStatevectorSimulator:
         result = StatevectorSimulator(seed=0).run(bell_circuit())
         assert result.marginal_probability(0, 1) == pytest.approx(0.5)
 
-    def test_reset_handled(self):
+    @pytest.mark.parametrize("simulator_cls", [StatevectorSimulator, DensityMatrixSimulator])
+    def test_run_compiles_once_per_structure(self, simulator_cls):
+        """Every float angle is a bind column: angle variants share one program."""
+        simulator = simulator_cls(seed=0)
+        for angle in (0.1, 0.7, 1.3):
+            qc = QuantumCircuit(1, 1)
+            qc.ry(angle, 0).measure(0, 0)
+            result = simulator.run(qc, shots=None)
+            assert result.probabilities["1"] == pytest.approx(np.sin(angle / 2) ** 2)
+        assert simulator.program_cache_stats == {"hits": 2, "misses": 1, "entries": 1}
+
+    @pytest.mark.parametrize("simulator_cls", [StatevectorSimulator, DensityMatrixSimulator])
+    def test_reset_rejected(self, simulator_cls):
         qc = QuantumCircuit(1, 1)
         qc.x(0).reset(0).measure(0, 0)
-        result = StatevectorSimulator(seed=0).run(qc)
-        assert result.probabilities["0"] == pytest.approx(1.0)
-
-    def test_initial_state_width_checked(self):
-        from repro.quantum.statevector import Statevector
-
-        with pytest.raises(SimulationError):
-            StatevectorSimulator().run(bell_circuit(), initial_state=Statevector(1))
+        with pytest.raises(SimulationError, match="cannot compile resets"):
+            simulator_cls(seed=0).run(qc, shots=None)
 
     def test_statevector_helper_strips_measurements(self):
         sv = StatevectorSimulator().statevector(bell_circuit())
