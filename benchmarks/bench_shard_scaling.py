@@ -13,12 +13,13 @@ multi-backend scale-out pays: a ``thread`` executor overlaps the queue waits
 of all sites, so the sweep finishes in roughly one site's wall-clock instead
 of the sum — independent of host core count.  (A compute-bound per-class
 sharding measurement on the analytic estimator is recorded alongside for
-reference; its scaling tracks the host's free cores, which on a single-core
-CI box is ~1x.)
+reference, at ``min(4, os.cpu_count())`` threads with that worker count
+recorded next to its time; its scaling tracks the host's free cores, which
+on a single-core CI box is ~1x.)
 
-Sharding must not change the science: every worker reconstructs its backend
-from a spec with the same seed the serial sweep uses, and the payload
-records that all sharded runs reproduced the serial rows bit-for-bit.
+Sharding must not change the science: every cell builds its own backend
+with the same seed the serial sweep uses, and the payload records that all
+sharded runs reproduced the serial rows bit-for-bit.
 
 Timings are written to ``benchmarks/results/BENCH_shard_scaling.json``.
 Runs as a pytest test (``pytest benchmarks/bench_shard_scaling.py -s``) or
@@ -133,8 +134,9 @@ def run_shard_scaling_benchmark(
     compute_serial_seconds, compute_serial_weights = _compute_bound_fit(
         ShardExecutor("serial"), seed
     )
+    compute_workers = min(4, os.cpu_count() or 1)
     compute_sharded_seconds, compute_sharded_weights = _compute_bound_fit(
-        ShardExecutor("thread", max_workers=4), seed
+        ShardExecutor("thread", max_workers=compute_workers), seed
     )
 
     max_workers = str(max(worker_counts))
@@ -160,7 +162,8 @@ def run_shard_scaling_benchmark(
             "description": "per-class Trainer sharding, analytic estimator "
             "(scales with free cores, not queue overlap)",
             "serial_seconds": compute_serial_seconds,
-            "four_worker_seconds": compute_sharded_seconds,
+            "workers": compute_workers,
+            "sharded_seconds": compute_sharded_seconds,
             "speedup": compute_serial_seconds / compute_sharded_seconds,
             "weights_bit_identical": bool(
                 np.array_equal(compute_serial_weights, compute_sharded_weights)

@@ -11,9 +11,8 @@ Run with::
 
     python examples/iris_multiclass.py
 
-Pass ``--workers N`` to shard each model's per-class training across a
-worker pool (``--strategy`` picks thread or process workers); the trained
-models are bit-identical to the serial run.
+Pass ``--workers N`` to shard each model's per-class training across N
+worker threads; the trained models are bit-identical to the serial run.
 """
 
 import argparse
@@ -58,15 +57,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--workers", type=int, default=0,
-        help="shard per-class training across N workers (0 = serial)",
-    )
-    parser.add_argument(
-        "--strategy", choices=("thread", "process"), default="thread",
-        help="worker-pool strategy used with --workers",
+        help="shard per-class training across N threads (0 = serial)",
     )
     args = parser.parse_args()
     executor = (
-        ShardExecutor(args.strategy, max_workers=args.workers)
+        ShardExecutor("thread", max_workers=args.workers)
         if args.workers > 0
         else None
     )

@@ -20,22 +20,22 @@ Parallel execution
 ------------------
 QuClassi trains one independent state per class, and every figure sweep
 repeats training across backends, encodings, and shot counts.
-:mod:`repro.parallel` shards that outer loop across worker pools without
-changing a single number::
+:mod:`repro.parallel` shards that outer loop across worker threads
+without changing a single number::
 
     from repro.parallel import ShardExecutor
     from repro.experiments import fig11_hardware_iris_loss
 
-    executor = ShardExecutor("process", max_workers=4)
+    executor = ShardExecutor("thread", max_workers=4)
     model.fit(x, y, executor=executor)            # per-class training shards
     fig11_hardware_iris_loss(executor=executor)   # per-backend sweep cells
 
-Serial, thread, and process executor runs are bit-identical to each other
-(and, when training draws no shot-sampling randomness, to the plain
-non-executor fit): every class/cell draws from its own ``SeedSequence.spawn``
-stream keyed by shard index, workers rebuild backends from picklable specs
-instead of sharing live ones, and hardware-style job ledgers merge back in
-shard order.
+Serial and thread executor runs are bit-identical to each other (and, when
+training draws no shot-sampling randomness, to the plain non-executor fit):
+every class/cell draws from its own ``SeedSequence.spawn`` stream keyed by
+shard index, every shard builds its own backend from a spec instead of
+sharing a live one, and hardware-style job ledgers merge back in shard
+order.
 """
 
 from repro.version import __version__

@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Static analysis for the repro stack: AST contract linter "
             "(REP0xx/REP106/REP2xx), cross-module concurrency & determinism "
-            "flow analyzers (REP101-REP104), SweepProgram IR + cost-model "
+            "flow analyzers (REP101/REP102/REP104), SweepProgram IR + cost-model "
             "verifiers (VER1xx/VER2xx), and compile-pipeline translation "
             "validation (VER401-VER430)."
         ),

@@ -36,6 +36,7 @@ predictions stay within 1.5x of tracemalloc peaks measured by
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
@@ -331,86 +332,52 @@ def verify_cost(
     return out
 
 
-def reference_cost_reports() -> List[CostReport]:
-    """Cost reports of the figure suite's representative sweep programs.
+@functools.lru_cache(maxsize=None)
+def _reference_sweeps() -> tuple:
+    """``(program, plan, engine)`` for every reference workload and engine.
 
-    Compiles the same QuClassi discriminator programs as
-    :func:`repro.analysis.verify.verify_reference_suite` (Iris QC-S/QC-D/QC-E
-    at 4 features, binary-MNIST QC-S at 8) and predicts a representative
-    parameter-shift sweep for each — statevector and density engines — under
-    a tile plan derived from the estimators' default
-    ``max_batch_amplitudes``.  Feeds the machine-readable ``cost`` section of
-    the analysis payload (CLI ``--verify``).
+    Compiles each discriminator of
+    :func:`repro.analysis.verify.reference_workloads` and plans a
+    representative parameter-shift sweep (16 shift rows x a 64-sample test
+    batch) for it on both engines, under the SWAP-test estimator's default
+    ``max_batch_amplitudes``.  Built once per process, so the reports and
+    their budget verification see the very same ``(program, plan)`` pairs.
     """
-    import numpy as np
-
-    from repro.core.model import QuClassi
+    from repro.analysis.verify import reference_workloads
     from repro.core.swap_test import SwapTestFidelityEstimator
     from repro.quantum.program import SweepProgram, TilePlan
-    from repro.utils.rng import ensure_rng
 
     budget = SwapTestFidelityEstimator.DEFAULT_MAX_BATCH_AMPLITUDES
-    rng = ensure_rng(2022)
-    workloads = [
-        ("iris", 4, "s"),
-        ("iris", 4, "d"),
-        ("iris", 4, "e"),
-        ("mnist", 8, "s"),
-    ]
-    #: Representative sweep grid: parameter-shift rows x a test batch.
-    rows, samples = 16, 64
-    reports: List[CostReport] = []
-    for dataset, num_features, architecture in workloads:
-        builder = QuClassi(
-            num_features=num_features,
-            num_classes=2,
-            architecture=architecture,
-            seed=2022,
-        ).builder
-        values = rng.uniform(0.0, np.pi, size=len(builder.parameters))
-        features = rng.uniform(0.05, 1.0, size=num_features)
+    sweeps = []
+    for label, builder, values, features in reference_workloads():
         program = SweepProgram.compile(
             builder.build(features, values),
             bind_floats=True,
-            name=f"{dataset}-{architecture}:discriminator",
-        )
-        for engine in _ENGINE_KINDS:
-            element = _element_amplitudes(program.num_qubits, engine)
-            plan = TilePlan.for_circuit_sweep(rows, samples, element, budget)
-            reports.append(
-                estimate_cost(program, plan, engine=engine, mode="circuit_sweep")
-            )
-    return reports
-
-
-def verify_reference_costs() -> List[Diagnostic]:
-    """Budget-verify the reference suite's representative plans (all clean)."""
-    import numpy as np
-
-    from repro.core.model import QuClassi
-    from repro.core.swap_test import SwapTestFidelityEstimator
-    from repro.quantum.program import SweepProgram, TilePlan
-    from repro.utils.rng import ensure_rng
-
-    budget = SwapTestFidelityEstimator.DEFAULT_MAX_BATCH_AMPLITUDES
-    rng = ensure_rng(2022)
-    out: List[Diagnostic] = []
-    for dataset, num_features, architecture in [("iris", 4, "s"), ("mnist", 8, "s")]:
-        builder = QuClassi(
-            num_features=num_features,
-            num_classes=2,
-            architecture=architecture,
-            seed=2022,
-        ).builder
-        values = rng.uniform(0.0, np.pi, size=len(builder.parameters))
-        features = rng.uniform(0.05, 1.0, size=num_features)
-        program = SweepProgram.compile(
-            builder.build(features, values),
-            bind_floats=True,
-            name=f"{dataset}-{architecture}:discriminator",
+            name=f"{label}:discriminator",
         )
         for engine in _ENGINE_KINDS:
             element = _element_amplitudes(program.num_qubits, engine)
             plan = TilePlan.for_circuit_sweep(16, 64, element, budget)
-            out.extend(verify_cost(program, plan, engine=engine, mode="circuit_sweep"))
+            sweeps.append((program, plan, engine))
+    return tuple(sweeps)
+
+
+def reference_cost_reports() -> List[CostReport]:
+    """Cost reports of the reference suite's representative sweep programs.
+
+    One report per workload and engine (see :func:`_reference_sweeps`).
+    Feeds the machine-readable ``cost`` section of the analysis payload
+    (CLI ``--verify``).
+    """
+    return [
+        estimate_cost(program, plan, engine=engine, mode="circuit_sweep")
+        for program, plan, engine in _reference_sweeps()
+    ]
+
+
+def verify_reference_costs() -> List[Diagnostic]:
+    """Budget-verify the plans :func:`reference_cost_reports` reports on."""
+    out: List[Diagnostic] = []
+    for program, plan, engine in _reference_sweeps():
+        out.extend(verify_cost(program, plan, engine=engine, mode="circuit_sweep"))
     return out

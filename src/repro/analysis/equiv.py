@@ -725,7 +725,7 @@ def verify_reference_equivalence() -> List[Diagnostic]:
     shares its trained-state prefix before and after optimisation, and
     VER405 certifies every grid step's statevector kernel-class plan.
     """
-    from repro.core.model import QuClassi
+    from repro.analysis.verify import reference_workloads
     from repro.hardware.calibration import get_calibration
     from repro.quantum.kernels import classify_step
     from repro.quantum.program import DensitySuperoperatorEngine, SweepProgram
@@ -734,22 +734,15 @@ def verify_reference_equivalence() -> List[Diagnostic]:
 
     out: List[Diagnostic] = []
     noise = get_calibration("ibmq_london").noise_model()
-    rng = ensure_rng(2022)
-    workloads = [("iris", 4, "s"), ("mnist", 8, "s")]
-    for dataset, num_features, architecture in workloads:
-        builder = QuClassi(
-            num_features=num_features,
-            num_classes=2,
-            architecture=architecture,
-            seed=2022,
-        ).builder
-        values = rng.uniform(0.0, np.pi, size=len(builder.parameters))
-        features = rng.uniform(0.05, 1.0, size=num_features)
+    batch_rng = ensure_rng(2023)
+    for label, builder, values, features in reference_workloads(
+        ("iris-s", "mnist-s")
+    ):
         bound_circuit = builder.build(features, values)
         cache = TranspileCache()
         entry, row = cache.template(bound_circuit)
         source = entry.ensure_program(optimize=False)
-        label = f"{dataset}-{architecture}:transpiled"
+        transpiled = f"{label}:transpiled"
         try:
             noisy = source.optimized(noise_model=noise)
             ideal = source.optimized()
@@ -757,8 +750,8 @@ def verify_reference_equivalence() -> List[Diagnostic]:
             out.append(
                 _diag(
                     "VER410",
-                    f"optimising '{label}' failed its own certification: {exc}",
-                    obj=f"program '{label}'",
+                    f"optimising '{transpiled}' failed its own certification: {exc}",
+                    obj=f"program '{transpiled}'",
                 )
             )
             continue
@@ -803,7 +796,7 @@ def verify_reference_equivalence() -> List[Diagnostic]:
             builder.symbolic_discriminator(),
             bind_floats=False,
             parameters=builder.grid_parameters,
-            name=f"{dataset}-{architecture}:grid",
+            name=f"{label}:grid",
         )
         try:
             grid_optimized = grid_source.optimized()
@@ -824,7 +817,7 @@ def verify_reference_equivalence() -> List[Diagnostic]:
                     out.extend(
                         verify_fused_step(step, program_name=grid_optimized.name)
                     )
-        feature_batch = rng.uniform(0.05, 0.95, size=(4, num_features))
+        feature_batch = batch_rng.uniform(0.05, 0.95, size=(4, features.size))
         tile = builder.grid_bindings(values[None, :], feature_batch)
         for program in (grid_source, grid_optimized):
             for index, step in enumerate(program.steps):

@@ -1,4 +1,4 @@
-"""Cross-module flow analysis: call graph + dataflow behind REP101–REP104.
+"""Cross-module flow analysis: call graph + dataflow behind REP101/102/104.
 
 The third pass family of :mod:`repro.analysis` (after the per-file AST
 linter and the IR verifier).  Where the linter judges one file at a time,
@@ -12,8 +12,6 @@ reach — and checks the concurrency/determinism contracts that only exist
 * :func:`~repro.analysis.flow.analyzers.check_seed_aliasing` — REP102, one
   Generator flowing into many shard submissions (the defect class of the
   PR 4 trainer bug, caught statically);
-* :func:`~repro.analysis.flow.analyzers.check_payload_picklability` —
-  REP103, graph-based transitive picklability of shard payload classes;
 * :func:`~repro.analysis.flow.analyzers.check_buffer_escape` — REP104,
   raw engine buffers escaping into cached values.
 
@@ -35,7 +33,6 @@ from repro.analysis.diagnostics import Diagnostic, sort_diagnostics
 from repro.analysis.flow.analyzers import (
     FLOW_CODES,
     check_buffer_escape,
-    check_payload_picklability,
     check_seed_aliasing,
     check_shared_state,
     run_flow_analyzers,
@@ -59,7 +56,6 @@ __all__ = [
     "analyze_paths",
     "analyze_sources",
     "check_buffer_escape",
-    "check_payload_picklability",
     "check_seed_aliasing",
     "check_shared_state",
     "find_entry_points",

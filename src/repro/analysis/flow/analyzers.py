@@ -1,6 +1,6 @@
-"""The cross-module flow analyzers: REP101–REP104.
+"""The cross-module flow analyzers: REP101, REP102 and REP104.
 
-All four ride on the same :class:`~repro.analysis.flow.graph.Project` /
+All three ride on the same :class:`~repro.analysis.flow.graph.Project` /
 :class:`~repro.analysis.flow.graph.CallGraph` pair and report through the
 shared :class:`~repro.analysis.diagnostics.Diagnostic` record:
 
@@ -14,10 +14,6 @@ REP101 shard-reachable code never mutates shared state (attribute
 REP102 one ``numpy.random.Generator`` never flows into more than one shard
        submission — per-shard streams come from ``SeedSequence.spawn``
        (``spawn_rngs``/``spawn_seed_sequences``)
-REP103 payload classes (``*Spec``, ``Shard``/``ShardPlan``) stay
-       *transitively* picklable: no field path reaches a threading
-       primitive or a live backend/simulator/estimator/executor type, and
-       no field default holds a lambda or a threading primitive
 REP104 raw engine buffers (``BatchedStatevector._amplitudes``,
        ``BatchedDensityMatrix._matrices``) never escape into cached values
        without a ``.copy()``
@@ -57,22 +53,10 @@ FLOW_CODES = {
         "one numpy Generator flows into multiple shard submissions instead "
         "of per-shard SeedSequence.spawn streams"
     ),
-    "REP103": (
-        "shard payload class reaches an unpicklable field (threading "
-        "primitive or live backend/simulator/estimator/executor)"
-    ),
     "REP104": (
         "raw engine buffer escapes into a cached value without .copy()"
     ),
 }
-
-_LIVE_OBJECT_SUFFIXES = ("Backend", "Simulator", "Estimator", "Executor")
-_THREADING_FIELD_TYPES = {
-    "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore", "Event",
-    "Thread",
-}
-_PAYLOAD_ROOT_NAMES = {"Shard", "ShardPlan"}
-
 
 def _diag(
     code: str,
@@ -300,106 +284,6 @@ def check_seed_aliasing(
 
 
 # --------------------------------------------------------------------------- #
-# REP103 — transitive payload picklability
-# --------------------------------------------------------------------------- #
-
-
-def _payload_roots(project: Project) -> List:
-    roots = []
-    for info in project.classes.values():
-        if info.name.endswith("Spec") or info.name in _PAYLOAD_ROOT_NAMES:
-            roots.append(info)
-    return sorted(roots, key=lambda info: (info.module.path, info.node.lineno))
-
-
-def _field_problem(type_name: str, project: Project) -> Optional[str]:
-    """A terminal unpicklability reason for one annotation type name."""
-    if type_name in _THREADING_FIELD_TYPES:
-        return f"threading primitive '{type_name}'"
-    if type_name.endswith("Spec"):
-        return None  # sibling specs are picklable by the same contract
-    for suffix in _LIVE_OBJECT_SUFFIXES:
-        if type_name.endswith(suffix):
-            return f"live-object type '{type_name}' (suffix {suffix!r})"
-    return None
-
-
-def check_payload_picklability(project: Project) -> List[Diagnostic]:
-    """REP103: BFS from payload classes over field annotations."""
-    out: List[Diagnostic] = []
-    for root in _payload_roots(project):
-        stack: List[Tuple[object, Tuple[str, ...]]] = [(root, ())]
-        visited: Set[str] = set()
-        while stack:
-            info, path = stack.pop()
-            if info.qualname in visited:
-                continue
-            visited.add(info.qualname)
-            if info is not root and info.defines_getstate:
-                # The class controls its own pickling (drops/recreates the
-                # offending fields) — its internals are its own business.
-                continue
-            for field, (problem, line) in sorted(info.unpicklable_defaults.items()):
-                out.append(
-                    _diag(
-                        "REP103",
-                        f"payload class {root.name} reaches {problem} in the "
-                        f"default of {' -> '.join(path + (f'{info.name}.{field}',))}"
-                        " — unpicklable under the process strategy",
-                        file=info.module.path,
-                        line=line,
-                        obj=root.qualname,
-                        hint="use a module-level function, and create locks "
-                        "lazily in __setstate__ like repro.utils.cache.LRUCache",
-                    )
-                )
-            for field, (type_names, line) in sorted(info.field_types.items()):
-                field_path = path + (f"{info.name}.{field}",)
-                for type_name in type_names:
-                    problem = _field_problem(type_name, project)
-                    if problem is not None:
-                        out.append(
-                            _diag(
-                                "REP103",
-                                f"payload class {root.name} reaches {problem} "
-                                f"via {' -> '.join(field_path)} — unpicklable "
-                                "under the process strategy",
-                                file=info.module.path,
-                                line=line,
-                                obj=root.qualname,
-                                hint="carry a picklable spec/factory instead "
-                                "of the live object; rebuild it worker-side",
-                            )
-                        )
-                        continue
-                    for child in project.classes_by_name.get(type_name, []):
-                        if (
-                            child.holds_threading_primitive
-                            and not child.defines_getstate
-                        ):
-                            out.append(
-                                _diag(
-                                    "REP103",
-                                    f"payload class {root.name} reaches "
-                                    f"{child.name} via "
-                                    f"{' -> '.join(field_path)}, which stores "
-                                    "a threading primitive in __init__ without "
-                                    "__getstate__ — unpicklable under the "
-                                    "process strategy",
-                                    file=info.module.path,
-                                    line=line,
-                                    obj=root.qualname,
-                                    hint=f"give {child.name} __getstate__/"
-                                    "__setstate__ that drop and recreate the "
-                                    "lock (see repro.utils.cache.LRUCache)",
-                                )
-                            )
-                        elif child.qualname not in visited:
-                            stack.append((child, field_path))
-    return out
-
-
-# --------------------------------------------------------------------------- #
 # REP104 — engine buffers escaping into caches
 # --------------------------------------------------------------------------- #
 
@@ -465,7 +349,7 @@ def run_flow_analyzers(
 ) -> Tuple[List[Diagnostic], List[EntryPoint]]:
     """Run the selected flow analyzers over one project.
 
-    Returns ``(diagnostics, entry_points)``; ``codes=None`` runs all four.
+    Returns ``(diagnostics, entry_points)``; ``codes=None`` runs all three.
     """
     wanted = set(codes) if codes is not None else set(FLOW_CODES)
     facts_of = {
@@ -481,8 +365,6 @@ def run_flow_analyzers(
         out.extend(check_shared_state(project, graph, entry_points, facts_of))
     if "REP102" in wanted:
         out.extend(check_seed_aliasing(project, facts_of))
-    if "REP103" in wanted:
-        out.extend(check_payload_picklability(project))
     if "REP104" in wanted:
         out.extend(check_buffer_escape(project, facts_of))
     # Nested loops and overlapping walks can visit one site twice; a finding

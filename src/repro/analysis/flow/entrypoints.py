@@ -3,8 +3,7 @@
 A *shard entry point* is a function that executes on a worker — the first
 argument of a fan-out call.  Everything such a function can reach (per the
 :class:`~repro.analysis.flow.graph.CallGraph`) runs concurrently under the
-``thread`` strategy and in a separate interpreter under ``process``, which
-is the region the REP101/REP104 analyzers patrol.
+``thread`` strategy, which is the region the REP101/REP104 analyzers patrol.
 
 Recognised fan-out shapes, matching the stack's real submission seams:
 
@@ -19,7 +18,8 @@ Recognised fan-out shapes, matching the stack's real submission seams:
 The first argument must statically resolve to a project function (a bare
 name or a ``module.func`` attribute).  Lambdas and parameter-valued
 callables are invisible here — a documented precision limit (see the
-caveats section of ``docs/static_analysis.md``).
+caveats section of ``docs/static_analysis.md``).  This is why sweep cells
+and shard bodies are module-level functions, never lambdas.
 """
 
 from __future__ import annotations

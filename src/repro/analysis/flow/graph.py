@@ -17,13 +17,13 @@ sites with a deliberately cheap strategy:
   drown the graph.
 
 The resolution is an *over*-approximation by construction — the analyzers
-built on top (REP101–REP104) may reach more code than any concrete run, and
-false positives are handled with justified ``# repro: noqa`` suppressions —
-but it is never an under-approximation for the attribute-call patterns the
-sharded stack actually uses (``executor.map``, ``estimator.fidelity_matrix``,
-``backend.sweep_grid_zero_probabilities``, ...), which is what makes the race
-findings trustworthy.  See ``docs/static_analysis.md`` for what the detector
-does and does not prove.
+built on top (REP101, REP102, REP104) may reach more code than any concrete
+run, and false positives are handled with justified ``# repro: noqa``
+suppressions — but it is never an under-approximation for the
+attribute-call patterns the sharded stack actually uses (``executor.map``,
+``estimator.fidelity_matrix``, ``backend.sweep_grid_zero_probabilities``,
+...), which is what makes the race findings trustworthy.  See
+``docs/static_analysis.md`` for what the detector does and does not prove.
 """
 
 from __future__ import annotations
@@ -111,75 +111,14 @@ class FunctionInfo:
 
 @dataclasses.dataclass
 class ClassInfo:
-    """One class definition with the field facts REP103 walks."""
+    """One class definition with the thread-safety fact REP101 reads."""
 
     qualname: str
     name: str
     node: ast.ClassDef
     module: ModuleInfo
-    #: field name -> (annotation type names, line) — dataclass fields,
-    #: class-level annotated assignments, and ``self.x = Ctor(...)`` inits
-    field_types: Dict[str, Tuple[Tuple[str, ...], int]] = dataclasses.field(
-        default_factory=dict
-    )
-    #: field name -> (why its class-level default is unpicklable, line) — a
-    #: lambda or a threading primitive anywhere in the default expression
-    unpicklable_defaults: Dict[str, Tuple[str, int]] = dataclasses.field(
-        default_factory=dict
-    )
-    #: whether ``__init__`` stores a ``threading.Lock``/``RLock``/... field
-    holds_threading_primitive: bool = False
-    #: whether the class defines ``__getstate__`` (controls its own pickling)
-    defines_getstate: bool = False
     #: whether the class opts in as thread-safe (``__thread_safe__ = True``)
     thread_safe: bool = False
-    base_names: Tuple[str, ...] = ()
-
-
-_THREADING_PRIMITIVE_NAMES = {
-    "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore", "Event",
-    "Barrier", "local", "Thread",
-}
-
-
-def _annotation_names(annotation: Optional[ast.AST]) -> Tuple[str, ...]:
-    """Every plain type name mentioned in an annotation expression."""
-    if annotation is None:
-        return ()
-    names: List[str] = []
-    for node in ast.walk(annotation):
-        if isinstance(node, ast.Name):
-            names.append(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.append(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # String annotations ("BackendSpec") are forward references.
-            names.append(node.value.strip().strip("'\""))
-    return tuple(names)
-
-
-def _is_threading_primitive_call(node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    if isinstance(func, ast.Attribute) and func.attr in _THREADING_PRIMITIVE_NAMES:
-        base = func.value
-        return isinstance(base, ast.Name) and base.id == "threading"
-    if isinstance(func, ast.Name) and func.id in _THREADING_PRIMITIVE_NAMES:
-        return func.id in {"Lock", "RLock", "Condition", "Semaphore"}
-    return False
-
-
-def _unpicklable_default(value: Optional[ast.AST]) -> Optional[str]:
-    """Why a class-level field default cannot be pickled, if it cannot."""
-    if value is None:
-        return None
-    for node in ast.walk(value):
-        if isinstance(node, ast.Lambda):
-            return "a lambda"
-        if _is_threading_primitive_call(node):
-            return f"threading primitive '{ast.unparse(node.func)}()'"
-    return None
 
 
 def _class_info(node: ast.ClassDef, module: ModuleInfo) -> ClassInfo:
@@ -188,98 +127,18 @@ def _class_info(node: ast.ClassDef, module: ModuleInfo) -> ClassInfo:
         name=node.name,
         node=node,
         module=module,
-        base_names=tuple(
-            base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
-            for base in node.bases
-        ),
     )
     for statement in node.body:
-        if isinstance(statement, (ast.Assign, ast.AnnAssign)):
-            problem = _unpicklable_default(statement.value)
-            if problem is not None:
-                targets = (
-                    statement.targets
-                    if isinstance(statement, ast.Assign)
-                    else [statement.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        info.unpicklable_defaults[target.id] = (
-                            problem,
-                            statement.lineno,
-                        )
-        if isinstance(statement, ast.AnnAssign) and isinstance(
-            statement.target, ast.Name
-        ):
-            info.field_types[statement.target.id] = (
-                _annotation_names(statement.annotation),
-                statement.lineno,
+        if (
+            isinstance(statement, ast.Assign)
+            and isinstance(statement.value, ast.Constant)
+            and statement.value.value is True
+            and any(
+                isinstance(target, ast.Name) and target.id == "__thread_safe__"
+                for target in statement.targets
             )
-        elif isinstance(statement, ast.Assign):
-            for target in statement.targets:
-                if isinstance(target, ast.Name) and target.id == "__thread_safe__":
-                    if (
-                        isinstance(statement.value, ast.Constant)
-                        and statement.value.value is True
-                    ):
-                        info.thread_safe = True
-        elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if statement.name == "__getstate__":
-                info.defines_getstate = True
-            if statement.name == "__init__":
-                parameter_types = {
-                    arg.arg: _annotation_names(arg.annotation)
-                    for arg in (
-                        statement.args.posonlyargs
-                        + statement.args.args
-                        + statement.args.kwonlyargs
-                    )
-                    if arg.annotation is not None
-                }
-                for sub in ast.walk(statement):
-                    if (
-                        isinstance(sub, ast.Assign)
-                        and len(sub.targets) == 1
-                        and isinstance(sub.targets[0], ast.Attribute)
-                        and isinstance(sub.targets[0].value, ast.Name)
-                        and sub.targets[0].value.id == "self"
-                    ):
-                        field = sub.targets[0].attr
-                        if _is_threading_primitive_call(sub.value):
-                            info.holds_threading_primitive = True
-                        if isinstance(sub.value, ast.Call):
-                            ctor = sub.value.func
-                            ctor_name = (
-                                ctor.id
-                                if isinstance(ctor, ast.Name)
-                                else getattr(ctor, "attr", None)
-                            )
-                            if ctor_name:
-                                info.field_types.setdefault(
-                                    field, ((ctor_name,), sub.lineno)
-                                )
-                        elif (
-                            isinstance(sub.value, ast.Name)
-                            and sub.value.id in parameter_types
-                        ):
-                            # ``self.x = x`` — the field's type is the
-                            # annotated constructor parameter's.
-                            info.field_types.setdefault(
-                                field,
-                                (parameter_types[sub.value.id], sub.lineno),
-                            )
-                    elif isinstance(sub, ast.AnnAssign) and isinstance(
-                        sub.target, ast.Attribute
-                    ):
-                        target = sub.target
-                        if (
-                            isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            info.field_types.setdefault(
-                                target.attr,
-                                (_annotation_names(sub.annotation), sub.lineno),
-                            )
+        ):
+            info.thread_safe = True
     return info
 
 
@@ -342,7 +201,6 @@ class Project:
         self.functions: Dict[str, FunctionInfo] = {}  # by qualname
         self.functions_by_name: Dict[str, List[FunctionInfo]] = {}
         self.classes: Dict[str, ClassInfo] = {}  # by qualname
-        self.classes_by_name: Dict[str, List[ClassInfo]] = {}
 
     @classmethod
     def from_sources(cls, sources: Sequence[Tuple[str, str]]) -> "Project":
@@ -369,7 +227,6 @@ class Project:
                 )
             for info in classes:
                 project.classes[info.qualname] = info
-                project.classes_by_name.setdefault(info.name, []).append(info)
         return project
 
     # ------------------------------------------------------------------ #

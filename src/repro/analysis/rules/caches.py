@@ -95,7 +95,7 @@ class AdHocCacheRule(Rule):
                                 "is unbounded, unlocked, and shared across "
                                 "threads/instances",
                                 hint="use repro.utils.cache.LRUCache (bounded, "
-                                "thread-safe, pickle-aware)",
+                                "thread-safe)",
                             )
                         )
         return out

@@ -1,7 +1,7 @@
 """RNG discipline rules: REP001 (library code) and REP004 (engines).
 
 The whole determinism story of the stack — seed-identical batched vs loop
-execution, bit-identical serial/thread/process sharding, reproducible figure
+execution, bit-identical serial/thread sharding, reproducible figure
 sweeps — rests on *every* random draw flowing from an injected seed or a
 ``SeedSequence`` child stream.  One seedless ``default_rng()`` buried in a
 fallback path (the bug this PR fixes in ``repro.quantum.measurement``)

@@ -48,7 +48,7 @@ Two verification levels keep the hot path honest without taxing it:
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -802,11 +802,49 @@ def verify_step_plan_superoperators(program: "SweepProgram", plans) -> None:
 # --------------------------------------------------------------------------- #
 
 
+#: The figure suite's reference discriminators: label -> (features, architecture).
+REFERENCE_WORKLOADS = {
+    "iris-s": (4, "s"),
+    "iris-d": (4, "d"),
+    "iris-e": (4, "e"),
+    "mnist-s": (8, "s"),
+}
+
+
+def reference_workloads(
+    labels: Sequence[str] = tuple(REFERENCE_WORKLOADS),
+) -> Iterator[Tuple[str, object, np.ndarray, np.ndarray]]:
+    """Yield ``(label, builder, values, features)`` per reference workload.
+
+    The QuClassi discriminators behind the paper figures (Iris QC-S/QC-D/QC-E
+    at 4 features, the binary-MNIST QC-S at 8), each with trained-parameter
+    values and one feature vector.  Every workload draws from its own stream
+    spawned from seed 2022, so its values do not depend on which subset a
+    caller asks for.  The verifier, the cost model and the equivalence
+    checker all run on these.
+    """
+    from repro.core.model import QuClassi
+    from repro.utils.rng import spawn_rngs
+
+    streams = dict(zip(REFERENCE_WORKLOADS, spawn_rngs(2022, len(REFERENCE_WORKLOADS))))
+    for label in labels:
+        num_features, architecture = REFERENCE_WORKLOADS[label]
+        builder = QuClassi(
+            num_features=num_features,
+            num_classes=2,
+            architecture=architecture,
+            seed=2022,
+        ).builder
+        rng = streams[label]
+        values = rng.uniform(0.0, np.pi, size=len(builder.parameters))
+        features = rng.uniform(0.05, 1.0, size=num_features)
+        yield label, builder, values, features
+
+
 def verify_reference_suite() -> List[Diagnostic]:
     """Compile and fully verify the figure suite's representative programs.
 
-    Builds the QuClassi discriminator circuits behind the paper figures
-    (Iris QC-S/QC-D/QC-E at 4 features, the binary-MNIST QC-S at 8) and
+    Takes the QuClassi discriminators of :func:`reference_workloads` and
     verifies, at the full level, every program the stack compiles from them:
     the builder's symbolic trained-state program, the whole-grid
     discriminator program the SWAP-test estimator executes, and the
@@ -816,36 +854,19 @@ def verify_reference_suite() -> List[Diagnostic]:
     too, exactly as the London density engine precomposes them.  Used by
     the CLI's ``--verify`` pass and the clean-suite property test.
     """
-    from repro.core.model import QuClassi
     from repro.hardware.calibration import get_calibration
     from repro.quantum.program import DensitySuperoperatorEngine, SweepProgram
     from repro.quantum.transpiler import TranspileCache
-    from repro.utils.rng import ensure_rng
 
     out: List[Diagnostic] = []
     noise = get_calibration("ibmq_london").noise_model()
-    rng = ensure_rng(2022)
-    workloads = [
-        ("iris", 4, "s"),
-        ("iris", 4, "d"),
-        ("iris", 4, "e"),
-        ("mnist", 8, "s"),
-    ]
-    for dataset, num_features, architecture in workloads:
-        builder = QuClassi(
-            num_features=num_features,
-            num_classes=2,
-            architecture=architecture,
-            seed=2022,
-        ).builder
-        values = rng.uniform(0.0, np.pi, size=len(builder.parameters))
-        features = rng.uniform(0.05, 1.0, size=num_features)
+    for label, builder, values, features in reference_workloads():
         # Symbolic trained-state program (the analytic estimator's compile).
         symbolic = SweepProgram.compile(
             builder.trained_state_circuit(None),
             bind_floats=False,
             parameters=builder.parameters,
-            name=f"{dataset}-{architecture}:trained_state",
+            name=f"{label}:trained_state",
         )
         out.extend(verify_program(symbolic, noise_model=noise))
         # Whole-grid program (the SWAP-test estimator's sweep route).
@@ -853,7 +874,7 @@ def verify_reference_suite() -> List[Diagnostic]:
             builder.symbolic_discriminator(),
             bind_floats=False,
             parameters=builder.grid_parameters,
-            name=f"{dataset}-{architecture}:grid",
+            name=f"{label}:grid",
         )
         out.extend(
             verify_program(

@@ -185,9 +185,9 @@ class QuClassi:
         """Train the per-class states; see :class:`~repro.core.trainer.Trainer`.
 
         ``executor`` optionally shards the per-class training loops across a
-        :class:`~repro.parallel.ShardExecutor` worker pool (or a strategy
-        string ``"serial"``/``"thread"``/``"process"``); the result is
-        bit-identical across the three strategies (and matches
+        :class:`~repro.parallel.ShardExecutor` (or a strategy string
+        ``"serial"``/``"thread"``); the result is bit-identical across the
+        two strategies (and matches
         ``executor=None`` whenever training draws no shot-sampling
         randomness — see :mod:`repro.parallel`).
         """

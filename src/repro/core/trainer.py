@@ -46,17 +46,17 @@ runs produce identical per-class results.
 
 Sharded execution
 -----------------
-``fit(..., executor=ShardExecutor("process", max_workers=4))`` distributes
-the per-class training loops across a worker pool: each class is one shard
-whose unit of work is the existing batched-gradient fast path.  Workers
-rebuild their fidelity estimator from a picklable
-:class:`~repro.parallel.plan.EstimatorSpec` (live backends are never
-pickled) with a per-class spawned shot-sampling stream, return their
-per-epoch parameter snapshots, and the parent reconstructs the usual
+``fit(..., executor=ShardExecutor("thread", max_workers=4))`` distributes
+the per-class training loops across worker threads: each class is one shard
+whose unit of work is the existing batched-gradient fast path.  Each shard
+builds its own fidelity estimator and backend from an
+:class:`~repro.parallel.plan.EstimatorSpec` (so it owns its RNG stream,
+ledger and counters) with a per-class spawned shot-sampling stream, returns
+its per-epoch parameter snapshots, and the parent reconstructs the usual
 :class:`~repro.core.callbacks.TrainingHistory` from the snapshots — so the
-sharded result is bit-identical across the ``serial``, ``thread``, and
-``process`` strategies.  Hardware-style job ledgers are merged back in shard
-(class) order.  Because shards train to completion before metrics are
+sharded result is bit-identical across the ``serial`` and ``thread``
+strategies.  Hardware-style job ledgers are merged back in shard (class)
+order.  Because shards train to completion before metrics are
 reconstructed, callbacks fire *after* training: early stopping truncates the
 reported history and restores the stop-epoch parameters but cannot save the
 already-spent compute, and per-epoch ``elapsed_seconds`` records the
@@ -141,8 +141,8 @@ def _class_epoch_update(
 
     Pure with respect to everything outside its arguments: all randomness
     (the minibatch shuffle) comes from the class's own ``rng`` stream, so a
-    class's trajectory is identical whether this runs in the serial loop, a
-    thread, or another process.  Returns ``(updated_parameters,
+    class's trajectory is identical whether this runs in the serial loop or
+    on a worker thread.  Returns ``(updated_parameters,
     squared_gradient_norm)``.
     """
     if config.shuffle:
@@ -179,7 +179,7 @@ def _class_epoch_update(
 
 @dataclasses.dataclass
 class _ClassShardTask:
-    """Picklable description of one class's full training run."""
+    """Everything one class's full training run needs, as a shard payload."""
 
     class_index: int
     config: TrainerConfig
@@ -296,10 +296,10 @@ class Trainer:
         features, labels, validation_data:
             The training task.
         executor:
-            ``None`` (default) trains the per-class loops serially in
-            process.  A :class:`~repro.parallel.ShardExecutor` (or a strategy
-            string ``"serial"``/``"thread"``/``"process"``) shards the
-            per-class training across its worker pool; results are
+            ``None`` (default) trains the per-class loops serially on the
+            model's own estimator.  A :class:`~repro.parallel.ShardExecutor`
+            (or a strategy string ``"serial"``/``"thread"``) shards the
+            per-class training across its worker threads; results are
             bit-identical across strategies (see the module docstring for
             the callback/timing caveats of sharded mode).
         """
@@ -464,7 +464,7 @@ class Trainer:
         results: List[_ClassShardResult] = executor.map(_run_class_shard, plan)
 
         # Deterministic ledger merge: shard (class) order, then each worker's
-        # submission order — identical for serial, thread, and process runs.
+        # submission order — identical for serial and thread runs.
         parent_ledger = getattr(
             getattr(self.model.estimator, "backend", None), "ledger", None
         )

@@ -9,10 +9,12 @@ return an :class:`~repro.experiments.harness.ExperimentResult`.
 The multi-cell sweeps (fig6b, fig9–12 and the ablations) additionally accept
 an ``executor`` — a :class:`~repro.parallel.ShardExecutor` or strategy string
 — that fans their independent (backend, class, setting) cells out across a
-worker pool via :func:`~repro.experiments.harness.run_cells`.  Each cell is a
-module-level function (picklable for process pools) that constructs its own
-models and backends from seeds, so sharded sweeps are bit-identical to the
-serial ones.
+thread pool via :func:`~repro.experiments.harness.run_cells`.  Each cell is a
+module-level function that constructs its own models and backends from
+seeds, so sharded sweeps are bit-identical to the serial ones.  Cells are
+named functions, not lambdas, because REP101's entry-point finder
+(``repro.analysis.flow.entrypoints``) only sees statically resolvable
+functions.
 
 The index of experiment id → paper anchor → bench target lives in DESIGN.md;
 EXPERIMENTS.md records paper-vs-measured values for each.

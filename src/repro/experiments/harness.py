@@ -116,7 +116,12 @@ def timed(func, *args, **kwargs) -> TimedRun:
 
 
 def _run_sweep_cell(shard):
-    """Module-level shard trampoline (picklable for process executors)."""
+    """Module-level shard trampoline.
+
+    REP101's entry-point finder (``repro.analysis.flow.entrypoints``) only
+    sees statically resolvable functions, so the shard body is a named
+    function rather than a lambda or closure.
+    """
     cell_fn, payload = shard.payload
     return cell_fn(payload)
 
@@ -137,8 +142,9 @@ def run_cells(
     back in payload order, and every cell must construct its own backends
     from specs/seeds inside the cell so results cannot depend on the
     strategy (this is what keeps sharded figure sweeps bit-identical to
-    serial ones).  For the ``process`` strategy ``cell_fn`` must be a
-    module-level function and the payloads picklable.
+    serial ones).  ``cell_fn`` should be a module-level function: the flow
+    analyzers check what it can reach for thread-shard races only when they
+    can resolve it statically.
 
     A failing cell aborts the sweep fast, raising a
     :class:`~repro.parallel.ShardError` that names the cell's key.

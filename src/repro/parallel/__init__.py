@@ -2,35 +2,29 @@
 
 QuClassi trains one independent discriminator per class, and the paper's
 figure sweeps repeat that training across backends, shot counts, and
-encodings — an embarrassingly shard-parallel outer loop.  This package
-distributes it without changing the science:
+encodings — an embarrassingly shard-parallel outer loop.  This package runs
+it on threads without changing the science:
 
-* :class:`~repro.parallel.plan.ShardPlan` fixes shard identities, splits, and
-  per-shard ``SeedSequence`` streams *before* execution, so results are
-  invariant to worker count and completion order.
-* :class:`~repro.parallel.executor.ShardExecutor` runs shards under a
-  ``serial``, ``thread``, or ``process`` strategy, failing fast with
-  shard-attributed :class:`~repro.parallel.executor.ShardError`\\ s.
+* :class:`~repro.parallel.plan.ShardPlan` fixes shard identities before
+  execution; every stochastic draw comes from a stream spawned by shard
+  index, so results do not depend on worker count or completion order.
+* :class:`~repro.parallel.executor.ShardExecutor` runs shards ``serial`` or
+  on ``thread``\\ s, bit-identically, failing fast with shard-attributed
+  :class:`~repro.parallel.executor.ShardError`\\ s.
 * :class:`~repro.parallel.plan.BackendSpec` /
-  :class:`~repro.parallel.plan.EstimatorSpec` reconstruct backends inside each
-  worker from picklable recipes (live backends are never pickled); job
-  ledgers are merged back deterministically by shard index.
+  :class:`~repro.parallel.plan.EstimatorSpec` build one fresh backend per
+  shard; job ledgers are merged back by shard index.
 
-The ``serial``, ``thread``, and ``process`` strategies are bit-identical to
-*each other*: the per-shard unit of work is the batched engine of PRs 1–3,
-and every stochastic draw comes from a stream spawned by shard index, not by
-execution order.  Executor-sharded training also matches a plain
-``executor=None`` fit whenever training draws no shot-sampling randomness
-(the analytic estimator); on shot-sampled backends the sharded runs draw
-per-shard streams instead of the live backend's single stream, so they are
-reproducible across strategies and worker counts but not seed-for-seed equal
-to the non-executor loop.
+Sharded training also matches a plain ``executor=None`` fit when training
+draws no shot-sampling randomness (the analytic estimator).  On
+shot-sampled backends the shards draw per-shard streams instead of the live
+backend's single stream.
 
 Typical use::
 
     from repro.parallel import ShardExecutor
 
-    model.fit(x, y, executor=ShardExecutor("process", max_workers=4))
+    model.fit(x, y, executor=ShardExecutor("thread", max_workers=4))
 """
 
 from repro.parallel.executor import ShardError, ShardExecutor

@@ -1,26 +1,14 @@
-"""Shard execution strategies.
+"""Shard execution strategies: ``serial`` (the reference loop) and ``thread``.
 
-:class:`ShardExecutor` runs the shards of a
-:class:`~repro.parallel.plan.ShardPlan` through one of three strategies —
-``serial`` (in-process loop, the reference semantics), ``thread``
-(``ThreadPoolExecutor``; the numerical kernels release the GIL inside BLAS
-and the simulated-hardware queue waits overlap), and ``process``
-(``ProcessPoolExecutor``; true multi-core isolation, requiring picklable
-work functions and payloads).
-
-All strategies return results in *shard-index order* regardless of
-completion order, and all failures surface as :class:`ShardError` carrying
-the failing shard's index and key.  Worker failures fail fast: the first
-raised exception cancels every not-yet-started shard, and a worker process
-dying mid-shard (``BrokenProcessPool``) is reported as a ``ShardError``
-instead of hanging the sweep.
+Threads pay because the numerical kernels release the GIL inside BLAS and
+simulated-hardware queue waits overlap.  Both strategies return results in
+shard-index order and raise a :class:`ShardError` naming the failing shard;
+the first thread failure cancels every not-yet-started shard.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import os
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence
 
 from repro.exceptions import ReproError, ValidationError
@@ -44,37 +32,20 @@ class ShardError(ReproError):
         self.shard_index = shard_index
         self.shard_key = shard_key
 
-    def __reduce__(self):
-        # Exception.__reduce__ would replay only ``args`` (the message) and
-        # lose the shard attribution; a ShardError raised inside a process
-        # worker must survive the pickle round-trip back to the parent.
-        return (type(self), (self.args[0], self.shard_index, self.shard_key))
-
-
-def _shard_error(shard: Shard, cause: BaseException, note: str = "") -> ShardError:
-    detail = f": {note}" if note else ""
-    return ShardError(
-        f"shard {shard.index} {shard.key!r} failed{detail} "
-        f"({type(cause).__name__}: {cause})",
-        shard_index=shard.index,
-        shard_key=shard.key,
-    )
-
 
 class ShardExecutor:
-    """Runs shard work functions under a serial, thread, or process strategy.
+    """Runs shard work functions serially or on a thread pool.
 
     Parameters
     ----------
     strategy:
-        ``"serial"``, ``"thread"``, or ``"process"``.
+        ``"serial"`` or ``"thread"``.
     max_workers:
-        Worker-pool size for the concurrent strategies; defaults to the
-        number of shards submitted (capped at 32 for threads).  Ignored by
-        ``serial``.
+        Thread-pool size; defaults to the number of shards submitted,
+        capped at 32.  Ignored by ``serial``.
     """
 
-    STRATEGIES = ("serial", "thread", "process")
+    STRATEGIES = ("serial", "thread")
 
     def __init__(self, strategy: str = "serial", max_workers: Optional[int] = None) -> None:
         strategy = str(strategy).strip().lower()
@@ -95,10 +66,7 @@ class ShardExecutor:
         """Run ``fn`` over every shard, returning results in shard order.
 
         ``shards`` may be a :class:`~repro.parallel.plan.ShardPlan` or any
-        shard sequence.  For the ``process`` strategy ``fn`` must be a
-        module-level function and every payload picklable — live backends
-        travel as :class:`~repro.parallel.plan.BackendSpec` factories, never
-        as objects.
+        shard sequence.
         """
         if isinstance(shards, ShardPlan):
             shards = shards.shards
@@ -107,54 +75,16 @@ class ShardExecutor:
             return []
         if self.strategy == "serial" or len(shards) == 1:
             return [self._call(fn, shard) for shard in shards]
-        if self.strategy == "thread":
-            pool_cls = concurrent.futures.ThreadPoolExecutor
-            workers = self.max_workers or min(len(shards), 32)
-        else:
-            pool_cls = concurrent.futures.ProcessPoolExecutor
-            # Each worker is a full interpreter holding its own simulators;
-            # default to the core count, not the shard count, so a wide sweep
-            # does not fork dozens of oversubscribed processes.
-            workers = self.max_workers or min(len(shards), os.cpu_count() or 1)
-        workers = max(1, min(workers, len(shards)))
-        return self._map_pool(pool_cls, workers, fn, shards)
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _call(fn: Callable[[Shard], object], shard: Shard) -> object:
-        try:
-            return fn(shard)
-        except ShardError:
-            raise
-        except Exception as error:
-            raise _shard_error(shard, error) from error
-
-    def _map_pool(self, pool_cls, workers: int, fn, shards: List[Shard]) -> List[object]:
         results: List[object] = [None] * len(shards)
-        with pool_cls(max_workers=workers) as pool:
-            futures = {}
-            try:
-                for position, shard in enumerate(shards):
-                    futures[pool.submit(fn, shard)] = (position, shard)
-            except BrokenProcessPool as error:
-                raise ShardError(
-                    f"worker pool died while submitting shards ({error})",
-                    shard_index=-1,
-                    shard_key=(),
-                ) from error
+        workers = min(self.max_workers or 32, len(shards))
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = {
+                pool.submit(self._call, fn, shard): position
+                for position, shard in enumerate(shards)
+            }
             try:
                 for future in concurrent.futures.as_completed(futures):
-                    position, shard = futures[future]
-                    try:
-                        results[position] = future.result()
-                    except ShardError:
-                        raise
-                    except BrokenProcessPool as error:
-                        # A worker process died (OOM, hard crash): attribute
-                        # the failure instead of waiting on a broken pool.
-                        raise _shard_error(shard, error, "worker process died") from error
-                    except Exception as error:
-                        raise _shard_error(shard, error) from error
+                    results[futures[future]] = future.result()
             except BaseException:
                 # Fail fast: drop every shard that has not started yet so one
                 # bad cell does not leave the sweep running to completion.
@@ -163,3 +93,17 @@ class ShardExecutor:
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
         return results
+
+    @staticmethod
+    def _call(fn: Callable[[Shard], object], shard: Shard) -> object:
+        try:
+            return fn(shard)
+        except ShardError:
+            raise
+        except Exception as error:
+            raise ShardError(
+                f"shard {shard.index} {shard.key!r} failed "
+                f"({type(error).__name__}: {error})",
+                shard_index=shard.index,
+                shard_key=shard.key,
+            ) from error

@@ -2,31 +2,25 @@
 
 A *shard* is one self-contained unit of a figure sweep — one class's whole
 training run, one (backend, setting) sweep cell — that a
-:class:`~repro.parallel.executor.ShardExecutor` can hand to a worker.  The
-planning layer owns everything that must be decided *before* workers start so
-that results cannot depend on execution order:
+:class:`~repro.parallel.executor.ShardExecutor` can hand to a worker thread.
+The planning layer owns everything that must be decided *before* workers
+start so that results cannot depend on execution order:
 
-* :class:`ShardPlan` fixes the shard indices and keys up front and offers
-  count-balanced (:meth:`ShardPlan.chunks`) and weight-balanced
-  (:meth:`ShardPlan.balanced_chunks`) splits for static worker assignment.
-* :meth:`ShardPlan.spawn_seed_sequences` derives one independent
-  ``SeedSequence`` child per shard *by shard index*, so shard ``i`` draws the
-  same stream whether it runs first, last, or on another process.
-* :class:`BackendSpec` / :class:`EstimatorSpec` are picklable *factories*:
-  live backends (with their open ledgers, caches, and RNG state) are never
-  shipped to a worker — the worker reconstructs a fresh backend from the spec
-  and the parent merges ledgers back deterministically by shard index.
+* :class:`ShardPlan` fixes the shard indices and keys up front; callers
+  spawn one stream per shard index with :func:`repro.utils.rng.spawn_rngs`.
+* :class:`BackendSpec` / :class:`EstimatorSpec` are *factories*: every shard
+  builds its own backend from the spec, so it owns its RNG stream, its job
+  ledger and its counters, and the caller merges ledgers back by shard
+  index.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Sequence, Tuple
 
 from repro.exceptions import ValidationError
-from repro.utils.rng import RandomState, spawn_seed_sequences
+from repro.utils.rng import RandomState
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,7 +71,6 @@ class ShardPlan:
             ]
         )
 
-    # ------------------------------------------------------------------ #
     @property
     def shards(self) -> Tuple[Shard, ...]:
         return self._shards
@@ -91,100 +84,18 @@ class ShardPlan:
     def __getitem__(self, index: int) -> Shard:
         return self._shards[index]
 
-    # ------------------------------------------------------------------ #
-    # Splitting
-    # ------------------------------------------------------------------ #
-    def chunks(self, num_workers: int) -> List[List[Shard]]:
-        """Contiguous count-balanced split into at most ``num_workers`` chunks.
-
-        Chunk sizes differ by at most one and empty chunks are dropped, so
-        ``chunks(4)`` of a 3-shard plan yields three singleton chunks.
-        """
-        if num_workers <= 0:
-            raise ValidationError(f"num_workers must be positive, got {num_workers}")
-        total = len(self._shards)
-        num_chunks = min(num_workers, total)
-        if num_chunks == 0:
-            return []
-        base, extra = divmod(total, num_chunks)
-        result = []
-        start = 0
-        for chunk_index in range(num_chunks):
-            size = base + (1 if chunk_index < extra else 0)
-            result.append(list(self._shards[start : start + size]))
-            start += size
-        return result
-
-    def balanced_chunks(
-        self, num_workers: int, weights: Sequence[float]
-    ) -> List[List[Shard]]:
-        """Weight-balanced split (greedy longest-processing-time assignment).
-
-        Heavier shards (e.g. the 10-class MNIST cell next to binary Iris
-        cells) are placed first onto the least-loaded worker, which bounds
-        the makespan at 4/3 of optimal.  Within each chunk shards keep their
-        plan order, so per-chunk execution stays deterministic.
-        """
-        if num_workers <= 0:
-            raise ValidationError(f"num_workers must be positive, got {num_workers}")
-        weights = [float(weight) for weight in weights]
-        if len(weights) != len(self._shards):
-            raise ValidationError(
-                f"got {len(weights)} weights for {len(self._shards)} shards"
-            )
-        if any(weight < 0 for weight in weights):
-            raise ValidationError("shard weights must be non-negative")
-        num_chunks = min(num_workers, len(self._shards))
-        if num_chunks == 0:
-            return []
-        loads = [0.0] * num_chunks
-        assignment: List[List[Shard]] = [[] for _ in range(num_chunks)]
-        order = sorted(
-            range(len(self._shards)), key=lambda i: (-weights[i], i)
-        )
-        for shard_index in order:
-            lightest = min(range(num_chunks), key=lambda c: (loads[c], c))
-            loads[lightest] += weights[shard_index]
-            assignment[lightest].append(self._shards[shard_index])
-        for chunk in assignment:
-            chunk.sort(key=lambda shard: shard.index)
-        return [chunk for chunk in assignment if chunk]
-
-    # ------------------------------------------------------------------ #
-    # Determinism helpers
-    # ------------------------------------------------------------------ #
-    def spawn_seed_sequences(self, seed: RandomState) -> List[np.random.SeedSequence]:
-        """One independent ``SeedSequence`` child per shard, by shard index.
-
-        All children are spawned up front from the root (via
-        :func:`repro.utils.rng.spawn_seed_sequences`), so shard ``i``
-        receives the same stream regardless of how shards are chunked,
-        reordered, or raced across workers — the invariant the bit-identical
-        serial/thread/process guarantee rests on.
-        """
-        return spawn_seed_sequences(seed, len(self._shards))
-
-    def spawn_rngs(self, seed: RandomState) -> List[np.random.Generator]:
-        """Per-shard generators over :meth:`spawn_seed_sequences`."""
-        return [
-            np.random.default_rng(child) for child in self.spawn_seed_sequences(seed)
-        ]
-
-
-# --------------------------------------------------------------------------- #
-# Backend / estimator factories
-# --------------------------------------------------------------------------- #
-
 
 @dataclasses.dataclass(frozen=True)
 class BackendSpec:
-    """Picklable recipe for reconstructing an execution backend in a worker.
+    """Recipe for building one fresh execution backend per shard.
 
-    Live backends are deliberately never pickled: they carry open job
-    ledgers, transpile caches, and RNG state whose duplication across workers
-    would double-count jobs and correlate shot noise.  A spec carries only
-    what construction needs; each worker builds its own instance, usually
-    seeded with a per-shard stream via :meth:`with_seed`.
+    Thread shards must not share a live backend: each shard owns its RNG
+    stream, its job ledger and its counters, or shards would correlate shot
+    noise, interleave ledger records and double-count jobs.  Rebuilding from
+    a spec is the simplest way to get that isolation; a "fork the live
+    backend" method would spread the same per-type knowledge over every
+    backend class.  A spec carries only what construction needs, and each
+    shard seeds its instance with a per-shard stream via :meth:`with_seed`.
     """
 
     kind: str
@@ -192,6 +103,8 @@ class BackendSpec:
     shots: Optional[int] = None
     seed: RandomState = None
     simulate_queue_latency: bool = False
+    #: Provider queue latency; ``None`` keeps the device's calibrated value.
+    queue_latency_seconds: Optional[float] = None
 
     KINDS = ("ideal", "sampled", "ibmq", "ionq")
 
@@ -209,31 +122,41 @@ class BackendSpec:
     def from_backend(cls, backend) -> "BackendSpec":
         """Derive the spec describing an existing backend instance.
 
-        The spec intentionally omits the backend's RNG state — workers are
+        The spec intentionally omits the backend's RNG state — shards are
         expected to re-seed via :meth:`with_seed` with a per-shard stream.
+        A provider backend's queue latency is carried over; a noise model
+        that no longer matches the device calibration cannot be, so it raises
+        :class:`~repro.exceptions.ValidationError` instead of being dropped.
         """
         from repro.hardware.ibmq import IBMQBackend
         from repro.hardware.ionq import IonQBackend
         from repro.quantum.backend import IdealBackend, SampledBackend
 
-        if isinstance(backend, IBMQBackend):
-            return cls(
-                kind="ibmq",
-                device=backend.name,
+        if isinstance(backend, (IBMQBackend, IonQBackend)):
+            spec = cls(
+                kind="ibmq" if isinstance(backend, IBMQBackend) else "ionq",
+                device=backend.name if isinstance(backend, IBMQBackend) else None,
                 simulate_queue_latency=backend.simulate_queue_latency,
+                queue_latency_seconds=backend.properties.queue_latency_seconds,
             )
-        if isinstance(backend, IonQBackend):
-            return cls(
-                kind="ionq",
-                simulate_queue_latency=backend.simulate_queue_latency,
-            )
+            model = backend.properties.noise_model
+            if (
+                model is not backend._simulator.noise_model
+                or model.version != spec.build().properties.noise_model.version
+            ):
+                raise ValidationError(
+                    f"{backend.name}'s noise_model was changed after calibration; "
+                    "sharded execution rebuilds each backend from its device "
+                    "calibration and cannot carry a changed noise_model"
+                )
+            return spec
         if isinstance(backend, SampledBackend):
             return cls(kind="sampled", shots=backend.shots)
         if isinstance(backend, IdealBackend):
             return cls(kind="ideal")
         raise ValidationError(
             f"cannot derive a BackendSpec from {type(backend).__name__}; "
-            "sharded execution reconstructs backends per worker and only knows "
+            "sharded execution rebuilds backends per shard and only knows "
             "the ideal/sampled simulators and the IBMQ/IonQ providers"
         )
 
@@ -248,27 +171,31 @@ class BackendSpec:
         if self.kind == "sampled":
             return SampledBackend(shots=self.shots or 1024, seed=self.seed)
         if self.kind == "ibmq":
-            return IBMQBackend(
+            backend = IBMQBackend(
                 self.device or "ibmq_london",
                 seed=self.seed,
                 simulate_queue_latency=self.simulate_queue_latency,
             )
-        return IonQBackend(
-            seed=self.seed, simulate_queue_latency=self.simulate_queue_latency
-        )
+        else:
+            backend = IonQBackend(
+                seed=self.seed, simulate_queue_latency=self.simulate_queue_latency
+            )
+        if self.queue_latency_seconds is not None:
+            backend.properties.queue_latency_seconds = self.queue_latency_seconds
+        return backend
 
 
 @dataclasses.dataclass(frozen=True)
 class EstimatorSpec:
-    """Picklable recipe for reconstructing a fidelity estimator in a worker.
+    """Recipe for building one fresh fidelity estimator per shard.
 
-    The circuit builder itself is shipped (it is deterministic, shared data),
-    while the execution backend travels as a :class:`BackendSpec` so every
-    worker gets an isolated instance.  The estimator's tuning — memory
-    guards and cache bounds — is carried
-    along so a worker-rebuilt estimator behaves exactly like the one the
-    caller configured (dropping e.g. a lowered ``max_batch_amplitudes``
-    would reintroduce the memory blow-up that bound was set to prevent).
+    The circuit builder is shared (it is deterministic data behind locked
+    caches), while the execution backend travels as a :class:`BackendSpec`
+    so every shard gets its own instance.  The estimator's tuning — memory
+    guards and cache bounds — is carried along so a shard-built estimator
+    behaves exactly like the one the caller configured (dropping e.g. a
+    lowered ``max_batch_amplitudes`` would reintroduce the memory blow-up
+    that bound was set to prevent).
     """
 
     kind: str

@@ -481,15 +481,6 @@ class TranspileCache:
         self.hits = 0
         self.misses = 0
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_stats_lock"]  # locks cannot pickle; workers get a fresh one
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._stats_lock = threading.Lock()
-
     def __len__(self) -> int:
         return len(self._entries)
 

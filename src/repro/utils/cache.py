@@ -48,15 +48,6 @@ class LRUCache:
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]  # locks cannot pickle; workers get a fresh one
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     @property
     def max_entries(self) -> int:
         """The configured size bound."""

@@ -3,9 +3,10 @@
 Every code a pass can emit has a row in ``docs/static_analysis.md`` and a
 "kept" verdict in its audit table.  Every selectable code (lint, flow,
 VER4xx) routes to exactly its own family; every ``VER1xx``/``VER2xx`` code
-is refused with a pointer to ``--verify``.  The cut codes (REP002, VER3xx)
-and the cut CLI flags (SARIF output, the baseline ratchet, ``--jobs``) are
-gone from the catalogue and the parser, and their audit rows say so.
+is refused with a pointer to ``--verify``.  The cut codes (REP002, REP103,
+VER3xx) and the cut CLI flags (SARIF output, the baseline ratchet,
+``--jobs``) are gone from the catalogue and the parser, and their audit
+rows say so.
 """
 
 import os
@@ -31,7 +32,7 @@ SELECTABLE = {
 }
 VERIFY_ONLY = tuple(sorted(VERIFIER_CODES)) + tuple(sorted(COST_CODES))
 EVERY_CODE = ("REP000",) + tuple(SELECTABLE) + VERIFY_ONLY
-CUT_CODES = ("REP002", "VER301", "VER302", "VER303", "VER304")
+CUT_CODES = ("REP002", "REP103", "VER301", "VER302", "VER303", "VER304")
 
 VIOLATION = "import numpy as np\nrng = np.random.default_rng()\n"
 

@@ -289,6 +289,35 @@ class TestReferenceSuite:
     def test_reference_plans_verify_clean(self):
         assert verify_reference_costs() == []
 
+    def test_verification_checks_exactly_the_reported_pairs(self, monkeypatch):
+        import repro.analysis.cost as cost
+
+        def recorder(real, calls):
+            def record(program, plan, **kwargs):
+                calls.append((program, plan, kwargs["engine"]))
+                return real(program, plan, **kwargs)
+
+            return record
+
+        reported, verified = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(cost, "estimate_cost", recorder(cost.estimate_cost, reported))
+            reference_cost_reports()
+        monkeypatch.setattr(cost, "verify_cost", recorder(cost.verify_cost, verified))
+        verify_reference_costs()
+        assert len(verified) == len(reported) == 8
+        for (p1, plan1, e1), (p2, plan2, e2) in zip(reported, verified):
+            assert p1 is p2 and plan1 is plan2 and e1 == e2
+
+    def test_verification_does_not_recompile(self, monkeypatch):
+        reference_cost_reports()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_reference_costs recompiled a program")
+
+        monkeypatch.setattr(SweepProgram, "compile", refuse)
+        assert verify_reference_costs() == []
+
 
 class TestTracemallocCalibration:
     """Predicted peak bytes within 1.5x of a measured tiled execution."""

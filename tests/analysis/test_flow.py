@@ -103,6 +103,25 @@ def run(executor, shards, tally):
 '''
 
 
+class TestThreadSafeFact:
+    """``ClassInfo.thread_safe``: the one class fact REP101 reads."""
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ("    __thread_safe__ = True\n", True),
+            ("    __thread_safe__ = False\n", False),
+            ("    total = 0\n", False),
+            ("    def __init__(self):\n        self.__thread_safe__ = True\n", False),
+        ],
+        ids=["declared", "declared-false", "absent", "instance-attribute"],
+    )
+    def test_only_a_class_level_true_opts_in(self, body, expected):
+        source = "class Tally:\n" + body
+        project = Project.from_sources([("src/repro/tally.py", source)])
+        assert project.classes["repro.tally.Tally"].thread_safe is expected
+
+
 class TestRep101SharedState:
     def test_attribute_rmw_and_module_dict_store_are_flagged(self):
         result = analyze("src/repro/race.py", RACE, codes=["REP101"])
@@ -330,149 +349,6 @@ def compute(item, rng):
 
 
 # --------------------------------------------------------------------------- #
-# REP103 — transitive payload picklability
-# --------------------------------------------------------------------------- #
-
-
-class TestRep103Picklability:
-    def test_direct_threading_field_is_flagged(self):
-        source = '''\
-import threading
-
-class EstimatorSpec:
-    guard: threading.Lock
-'''
-        result = analyze("src/repro/specs.py", source, codes=["REP103"])
-        assert codes_of(result) == ["REP103"]
-        assert "threading primitive" in result.diagnostics[0].message
-
-    def test_live_backend_field_is_flagged(self):
-        source = '''\
-class SimBackend:
-    pass
-
-class BackendSpec:
-    backend: "SimBackend"
-'''
-        result = analyze("src/repro/specs.py", source, codes=["REP103"])
-        assert codes_of(result) == ["REP103"]
-        assert "SimBackend" in result.diagnostics[0].message
-
-    def test_transitive_lock_via_helper_class_is_flagged(self):
-        """The graph walk reaches locks two hops deep, across modules."""
-        specs = '''\
-from repro.helpers import Inner
-
-class Middle:
-    def __init__(self, inner: Inner):
-        self.inner = inner
-
-class ShardPlan:
-    def __init__(self, middle: Middle):
-        self.middle = middle
-'''
-        helpers = '''\
-import threading
-
-class Inner:
-    def __init__(self):
-        self._lock = threading.Lock()
-'''
-        result = analyze(
-            "src/repro/specs.py", specs,
-            "src/repro/helpers.py", helpers,
-            codes=["REP103"],
-        )
-        assert codes_of(result) == ["REP103"]
-        message = result.diagnostics[0].message
-        assert "ShardPlan" in message and "Inner" in message
-
-    def test_getstate_dropping_the_lock_is_clean(self):
-        source = '''\
-import threading
-
-class SafeCache:
-    def __init__(self):
-        self._lock = threading.Lock()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-class ShardPlan:
-    def __init__(self, cache: SafeCache):
-        self.cache = cache
-'''
-        result = analyze("src/repro/specs.py", source, codes=["REP103"])
-        assert codes_of(result) == []
-
-    # The five fixtures below are the corpus of the former per-file REP002
-    # rule, which REP103 replaces: class-level field defaults of a payload
-    # class are checked as well as its annotated field types.
-
-    def test_lambda_default_is_flagged(self):
-        source = (
-            "class BackendSpec:\n"
-            "    factory = lambda: object()\n"
-        )
-        result = analyze("src/repro/specs.py", source, codes=["REP103"])
-        assert codes_of(result) == ["REP103"]
-        assert lines_of(result) == [2]
-        assert "lambda" in result.diagnostics[0].message
-
-    def test_lock_default_is_flagged(self):
-        source = (
-            "import threading\n"
-            "class SweepSpec:\n"
-            "    guard = threading.Lock()\n"
-        )
-        result = analyze("src/repro/specs.py", source, codes=["REP103"])
-        assert codes_of(result) == ["REP103"]
-        assert lines_of(result) == [3]
-        assert "threading.Lock" in result.diagnostics[0].message
-
-    def test_live_backend_annotation_is_flagged(self):
-        source = (
-            "class EstimatorSpec:\n"
-            "    backend: QuantumBackend = None\n"
-        )
-        result = analyze("src/repro/specs.py", source, codes=["REP103"])
-        assert codes_of(result) == ["REP103"]
-        assert "QuantumBackend" in result.diagnostics[0].message
-
-    def test_plain_fields_are_clean(self):
-        source = (
-            "class BackendSpec:\n"
-            "    kind: str = 'ideal'\n"
-            "    shots: int = 1024\n"
-            "    child_spec: 'EstimatorSpec' = None\n"
-        )
-        result = analyze("src/repro/specs.py", source, codes=["REP103"])
-        assert codes_of(result) == []
-
-    def test_non_spec_classes_are_out_of_scope(self):
-        source = (
-            "class Engine:\n"
-            "    factory = lambda: object()\n"
-        )
-        result = analyze("src/repro/specs.py", source, codes=["REP103"])
-        assert codes_of(result) == []
-
-    def test_sibling_spec_fields_are_exempt(self):
-        """BackendSpec-typed fields do not trip the *Backend live suffix."""
-        source = '''\
-class BackendSpec:
-    device: str
-
-class EstimatorSpec:
-    backend_spec: BackendSpec
-'''
-        result = analyze("src/repro/specs.py", source, codes=["REP103"])
-        assert codes_of(result) == []
-
-
-# --------------------------------------------------------------------------- #
 # REP104 — engine buffers escaping into caches
 # --------------------------------------------------------------------------- #
 
@@ -520,11 +396,11 @@ def collect(out, key, state):
 
 class TestOrchestration:
     def test_codes_filter_restricts_analyzers(self):
-        result = analyze("src/repro/race.py", RACE, codes=["REP103"])
+        result = analyze("src/repro/race.py", RACE, codes=["REP104"])
         assert codes_of(result) == []
 
-    def test_catalogue_has_all_four_codes(self):
-        assert sorted(FLOW_CODES) == ["REP101", "REP102", "REP103", "REP104"]
+    def test_catalogue_has_all_three_codes(self):
+        assert sorted(FLOW_CODES) == ["REP101", "REP102", "REP104"]
 
     def test_syntax_error_files_are_skipped_not_fatal(self):
         result = analyze(

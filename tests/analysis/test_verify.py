@@ -404,6 +404,45 @@ class TestCircuitChecks:
 # --------------------------------------------------------------------------- #
 
 
+class TestReferenceWorkloads:
+    """The one figure-suite fixture the verifier, cost model and equivalence
+    checker share."""
+
+    def test_yields_the_figure_suite_in_order(self):
+        from repro.analysis.verify import reference_workloads
+
+        labels = [label for label, *_ in reference_workloads()]
+        assert labels == ["iris-s", "iris-d", "iris-e", "mnist-s"]
+
+    @pytest.mark.parametrize("label", ["iris-s", "iris-d", "iris-e", "mnist-s"])
+    def test_values_do_not_depend_on_the_subset(self, label):
+        from repro.analysis.verify import reference_workloads
+
+        full = {name: (v, f) for name, _, v, f in reference_workloads()}
+        ((name, _, values, features),) = reference_workloads((label,))
+        assert name == label
+        np.testing.assert_array_equal(values, full[label][0])
+        np.testing.assert_array_equal(features, full[label][1])
+
+    @pytest.mark.parametrize(
+        "label, num_features, architecture",
+        [("iris-s", 4, "s"), ("iris-d", 4, "d"), ("iris-e", 4, "e"), ("mnist-s", 8, "s")],
+    )
+    def test_workload_matches_its_discriminator(self, label, num_features, architecture):
+        from repro.analysis.verify import reference_workloads
+        from repro.core.model import QuClassi
+
+        ((_, builder, values, features),) = reference_workloads((label,))
+        expected = QuClassi(
+            num_features=num_features, num_classes=2, architecture=architecture, seed=2022
+        ).builder
+        assert builder.parameters == expected.parameters
+        assert values.shape == (len(builder.parameters),)
+        assert features.shape == (num_features,)
+        assert np.all((values >= 0.0) & (values <= np.pi))
+        assert np.all((features >= 0.05) & (features <= 1.0))
+
+
 class TestReferenceSuite:
     def test_reference_suite_is_clean(self):
         from repro.analysis.verify import verify_reference_suite

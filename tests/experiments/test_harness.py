@@ -24,6 +24,12 @@ def _failing_cell(payload):
     return payload
 
 
+def _site_cell(site):
+    if site == "ibmq_rome":
+        raise RuntimeError("queue rejected the job")
+    return site.upper()
+
+
 class TestSeries:
     def test_final_value(self):
         assert Series("loss", [1, 2, 3], [0.9, 0.5, 0.2]).final == 0.2
@@ -106,6 +112,29 @@ class TestRunCells:
         with pytest.raises(ShardError) as excinfo:
             run_cells(_failing_cell, [0, 1], keys=[("site", "a"), ("site", "b")])
         assert excinfo.value.shard_key == ("site", "b")
+
+    def test_thread_shard_failure_names_its_cell(self):
+        from repro.experiments.harness import run_cells
+        from repro.parallel import ShardError, ShardExecutor
+
+        sites = ["ibmq_london", "ibmq_rome", "ibmq_melbourne"]
+        with pytest.raises(ShardError) as excinfo:
+            run_cells(
+                _site_cell,
+                sites,
+                keys=[("backend", site) for site in sites],
+                executor=ShardExecutor("thread", max_workers=2),
+            )
+        error = excinfo.value
+        assert type(error) is ShardError
+        assert str(error) == (
+            "shard 1 ('backend', 'ibmq_rome') failed "
+            "(RuntimeError: queue rejected the job)"
+        )
+        assert error.shard_index == 1
+        assert error.shard_key == ("backend", "ibmq_rome")
+        assert type(error.__cause__) is RuntimeError
+        assert str(error.__cause__) == "queue rejected the job"
 
 
 class TestTrainingHelpers:

@@ -1,6 +1,5 @@
 """Unit tests for the shard executor strategies and their failure semantics."""
 
-import os
 import threading
 import time
 
@@ -20,28 +19,21 @@ def _fail_on_two(shard):
     return shard.payload
 
 
-def _kill_worker_process(shard):  # pragma: no cover - dies before returning
-    os._exit(13)
-
-
-class TestShardErrorPickling:
-    def test_round_trip_keeps_shard_attribution(self):
-        import pickle
-
-        error = pickle.loads(pickle.dumps(ShardError("boom", 1, ("class", 1))))
-        assert error.shard_index == 1
-        assert error.shard_key == ("class", 1)
-        assert "boom" in str(error)
-
-
 class TestConstruction:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValidationError):
             ShardExecutor("fleet")
 
+    def test_process_strategy_is_gone(self):
+        with pytest.raises(ValidationError, match=r"\('serial', 'thread'\)"):
+            ShardExecutor("process")
+
     def test_invalid_max_workers_rejected(self):
         with pytest.raises(ValidationError):
             ShardExecutor("thread", max_workers=0)
+
+    def test_strategy_name_is_normalised(self):
+        assert ShardExecutor("  Thread ").strategy == "thread"
 
 
 class TestMapSemantics:
@@ -84,6 +76,27 @@ class TestMapSemantics:
         assert elapsed < 0.35  # 4 x 0.1s serially; overlapped well under that
 
 
+    def test_serial_runs_on_the_calling_thread(self):
+        caller = threading.get_ident()
+        plan = ShardPlan.from_items(list(range(4)))
+        seen = ShardExecutor("serial").map(lambda shard: threading.get_ident(), plan)
+        assert seen == [caller] * 4
+
+    def test_max_workers_caps_the_thread_pool(self):
+        plan = ShardPlan.from_items([0.02] * 6)
+        seen = set()
+        lock = threading.Lock()
+
+        def record_thread(shard):
+            with lock:
+                seen.add(threading.get_ident())
+            time.sleep(shard.payload)
+
+        ShardExecutor("thread", max_workers=2).map(record_thread, plan)
+        assert 1 <= len(seen) <= 2
+        assert threading.get_ident() not in seen
+
+
 class TestFailureSemantics:
     @pytest.mark.parametrize("strategy", ["serial", "thread"])
     def test_failure_attributes_shard_and_chains_cause(self, strategy):
@@ -110,26 +123,24 @@ class TestFailureSemantics:
         # Fail-fast: the queue of 64 shards must not have drained fully.
         assert len(executed) < 64
 
-
-@pytest.mark.slow
-class TestProcessStrategy:
-    """Process-pool executions (opt-in via ``pytest -m slow``)."""
-
-    def test_results_in_shard_order(self):
-        plan = ShardPlan.from_items(list(range(5)))
-        results = ShardExecutor("process", max_workers=2).map(_double, plan)
-        assert results == [i * 2 for i in range(5)]
-
-    def test_worker_exception_is_attributed(self):
-        plan = ShardPlan.from_items([1, 2], keys=["ok", "bad"])
+    def test_failure_message_names_shard_key_and_cause(self):
+        plan = ShardPlan.from_items([1, 2, 3], keys=[("cell", i) for i in (1, 2, 3)])
         with pytest.raises(ShardError) as excinfo:
-            ShardExecutor("process", max_workers=2).map(_fail_on_two, plan)
-        assert excinfo.value.shard_key == ("bad",)
+            ShardExecutor("serial").map(_fail_on_two, plan)
+        assert str(excinfo.value) == (
+            "shard 1 ('cell', 2) failed (RuntimeError: cell exploded)"
+        )
 
-    def test_dead_worker_fails_fast_instead_of_hanging(self):
+    @pytest.mark.parametrize("strategy", ["serial", "thread"])
+    def test_inner_shard_error_passes_through_unwrapped(self, strategy):
+        inner = ShardError("inner shard failed", shard_index=7, shard_key=("class", 7))
+
+        def reraise(shard):
+            if shard.index == 1:
+                raise inner
+            return shard.index
+
         plan = ShardPlan.from_items([0, 1, 2])
-        start = time.perf_counter()
         with pytest.raises(ShardError) as excinfo:
-            ShardExecutor("process", max_workers=2).map(_kill_worker_process, plan)
-        assert time.perf_counter() - start < 30.0
-        assert "died" in str(excinfo.value) or "pool" in str(excinfo.value)
+            ShardExecutor(strategy, max_workers=2).map(reraise, plan)
+        assert excinfo.value is inner

@@ -1,14 +1,12 @@
-"""Unit tests for shard planning: splits, seed streams, and spec round-trips."""
+"""Unit tests for shard planning: plan construction and spec round-trips."""
 
-import pickle
-
-import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
 from repro.hardware import IBMQBackend, IonQBackend
 from repro.parallel import BackendSpec, EstimatorSpec, Shard, ShardPlan
 from repro.quantum.backend import IdealBackend, SampledBackend
+from repro.quantum.noise import NoiseModel, ReadoutError
 
 
 class TestShardPlanConstruction:
@@ -33,72 +31,6 @@ class TestShardPlanConstruction:
     def test_non_contiguous_indices_rejected(self):
         with pytest.raises(ValidationError):
             ShardPlan([Shard(index=1, key=("x",))])
-
-
-class TestShardPlanSplitting:
-    def test_chunks_are_contiguous_and_balanced(self):
-        plan = ShardPlan.from_items(list(range(7)))
-        chunks = plan.chunks(3)
-        assert [len(chunk) for chunk in chunks] == [3, 2, 2]
-        flattened = [shard.index for chunk in chunks for shard in chunk]
-        assert flattened == list(range(7))
-
-    def test_chunks_drop_empty_workers(self):
-        plan = ShardPlan.from_items(list(range(3)))
-        assert len(plan.chunks(5)) == 3
-
-    def test_chunks_invalid_worker_count(self):
-        with pytest.raises(ValidationError):
-            ShardPlan.from_items([1]).chunks(0)
-
-    def test_balanced_chunks_spread_heavy_shards(self):
-        plan = ShardPlan.from_items(list(range(4)))
-        # One huge cell (index 0) and three tiny ones: LPT must isolate the
-        # huge one instead of stacking work next to it.
-        chunks = plan.balanced_chunks(2, weights=[100.0, 1.0, 1.0, 1.0])
-        loads = sorted(
-            sum(100.0 if shard.index == 0 else 1.0 for shard in chunk)
-            for chunk in chunks
-        )
-        assert loads == [3.0, 100.0]
-
-    def test_balanced_chunks_preserve_order_within_chunk(self):
-        plan = ShardPlan.from_items(list(range(6)))
-        chunks = plan.balanced_chunks(2, weights=[5, 4, 3, 3, 4, 5])
-        for chunk in chunks:
-            indices = [shard.index for shard in chunk]
-            assert indices == sorted(indices)
-
-    def test_balanced_chunks_weight_count_mismatch(self):
-        with pytest.raises(ValidationError):
-            ShardPlan.from_items([1, 2]).balanced_chunks(2, weights=[1.0])
-
-    def test_balanced_chunks_negative_weight_rejected(self):
-        with pytest.raises(ValidationError):
-            ShardPlan.from_items([1, 2]).balanced_chunks(2, weights=[1.0, -1.0])
-
-
-class TestSeedSpawning:
-    def test_streams_depend_only_on_shard_index(self):
-        plan = ShardPlan.from_items(list(range(4)))
-        first = [rng.random() for rng in plan.spawn_rngs(7)]
-        second = [rng.random() for rng in plan.spawn_rngs(7)]
-        assert first == second
-        assert len(set(first)) == len(first)
-
-    def test_different_roots_give_different_streams(self):
-        plan = ShardPlan.from_items(list(range(2)))
-        assert [r.random() for r in plan.spawn_rngs(0)] != [
-            r.random() for r in plan.spawn_rngs(1)
-        ]
-
-    def test_seed_sequences_are_picklable(self):
-        plan = ShardPlan.from_items(list(range(2)))
-        sequences = plan.spawn_seed_sequences(3)
-        restored = pickle.loads(pickle.dumps(sequences))
-        assert [
-            np.random.default_rng(child).random() for child in restored
-        ] == [np.random.default_rng(child).random() for child in plan.spawn_seed_sequences(3)]
 
 
 class TestBackendSpec:
@@ -131,13 +63,38 @@ class TestBackendSpec:
         rebuilt = BackendSpec.from_backend(backend).build()
         assert rebuilt.simulate_queue_latency is True
 
-    def test_specs_are_picklable(self):
-        spec = BackendSpec.from_backend(IBMQBackend("ibmq_melbourne")).with_seed(
-            np.random.default_rng(5)
+    @pytest.mark.parametrize("backend_type", [IBMQBackend, IonQBackend])
+    def test_round_trip_preserves_changed_queue_latency(self, backend_type):
+        backend = backend_type()
+        backend.properties.queue_latency_seconds = 0.001
+        rebuilt = BackendSpec.from_backend(backend).build()
+        assert rebuilt.properties.queue_latency_seconds == 0.001
+
+    @staticmethod
+    def _mutate_noise_model(backend):
+        backend.properties.noise_model.add_readout_error(ReadoutError(0.2, 0.2))
+
+    @staticmethod
+    def _replace_noise_model(backend):
+        # Same construction as the calibration, so the same version counter:
+        # only the object identity shows the change.
+        profile = backend.calibration
+        backend.properties.noise_model = NoiseModel.from_error_rates(
+            single_qubit_error=0.01,
+            two_qubit_error=0.05,
+            readout_error=0.1,
+            t1=profile.t1_us,
+            t2=profile.t2_us,
+            gate_time=profile.gate_time_us,
         )
-        restored = pickle.loads(pickle.dumps(spec))
-        assert restored.device == "ibmq_melbourne"
-        assert restored.build().name == "ibmq_melbourne"
+
+    @pytest.mark.parametrize("change", ["_mutate_noise_model", "_replace_noise_model"])
+    @pytest.mark.parametrize("backend_type", [IBMQBackend, IonQBackend])
+    def test_changed_noise_model_is_refused_not_dropped(self, backend_type, change):
+        backend = backend_type()
+        getattr(self, change)(backend)
+        with pytest.raises(ValidationError, match="noise_model"):
+            BackendSpec.from_backend(backend)
 
     def test_with_seed_drives_shot_sampling(self):
         from repro.quantum.circuit import QuantumCircuit

@@ -2,13 +2,10 @@
 
 The whole point of ``repro.parallel`` is distributing the per-class training
 and figure sweeps *without changing the science*: same losses, same
-parameters, same sampled counts, same job ledgers — for every executor
-strategy.  These tests pin that guarantee on the Iris workloads
+parameters, same sampled counts, same job ledgers — for both executor
+strategies.  These tests pin that guarantee on the Iris workloads
 (``QuClassi.fit`` per-class sharding and a fig6b-sized sweep), plus the
 trainer-level order-independence it rests on.
-
-Thread-strategy equivalence runs in the default suite; the process-pool
-variants live behind the ``slow`` marker per the repo's marker policy.
 """
 
 import numpy as np
@@ -77,13 +74,6 @@ class TestFitEquivalenceAnalytic:
     def test_strategy_string_is_accepted(self, iris):
         _assert_same_run(_fit_analytic(iris, None), _fit_analytic(iris, "thread"))
 
-    @pytest.mark.slow
-    def test_process_equals_serial(self, iris):
-        _assert_same_run(
-            _fit_analytic(iris, None),
-            _fit_analytic(iris, ShardExecutor("process", max_workers=2)),
-        )
-
 
 class TestFitEquivalenceSampled:
     """Shot-sampled training: identical counts, losses, and ledgers."""
@@ -101,14 +91,6 @@ class TestFitEquivalenceSampled:
             iris, ShardExecutor("thread", max_workers=3), lambda: IBMQBackend("ibmq_london", seed=11)
         )
         _assert_same_run(serial, threaded)
-
-    @pytest.mark.slow
-    def test_process_equals_serial_executor_on_sampled_backend(self, iris):
-        serial = _fit_sampled(iris, ShardExecutor("serial"), lambda: SampledBackend(shots=128, seed=11))
-        forked = _fit_sampled(
-            iris, ShardExecutor("process", max_workers=2), lambda: SampledBackend(shots=128, seed=11)
-        )
-        _assert_same_run(serial, forked)
 
 
 class TestLedgerMergeDeterminism:
@@ -135,6 +117,31 @@ class TestLedgerMergeDeterminism:
         )
         job_ids = [record.job_id for record in model.estimator.backend.ledger.records]
         assert job_ids == list(range(len(job_ids)))
+
+
+class TestProviderConfigurationCarriesOver:
+    """Regression: shard backends used to drop a changed queue latency."""
+
+    @staticmethod
+    def _fast_queue_london():
+        backend = IBMQBackend("ibmq_london", seed=11)
+        backend.properties.queue_latency_seconds = 0.001
+        return backend
+
+    def _ledgered_latencies(self, iris, executor):
+        model = _fit_sampled(iris, executor, self._fast_queue_london)
+        return [
+            record.queue_latency_seconds
+            for record in model.estimator.backend.ledger.records
+        ]
+
+    def test_thread_shards_ledger_the_parent_latency(self, iris):
+        plain = self._ledgered_latencies(iris, None)
+        threaded = self._ledgered_latencies(
+            iris, ShardExecutor("thread", max_workers=2)
+        )
+        assert plain and set(plain) == {0.001}
+        assert threaded == plain
 
 
 class TestTrainerOrderIndependence:
@@ -179,7 +186,7 @@ class TestTrainerOrderIndependence:
 
 
 class TestSweepEquivalence:
-    """fig6b-sized sweep through run_cells: serial vs thread (vs process: slow)."""
+    """fig6b-sized sweep through run_cells: serial vs thread."""
 
     def _sweep(self, executor):
         return fig6b_iris_accuracy(
@@ -188,13 +195,6 @@ class TestSweepEquivalence:
 
     def test_thread_sweep_matches_serial(self):
         assert self._sweep(None).rows == self._sweep(ShardExecutor("thread", max_workers=3)).rows
-
-    @pytest.mark.slow
-    def test_process_sweep_matches_serial(self):
-        assert (
-            self._sweep(None).rows
-            == self._sweep(ShardExecutor("process", max_workers=2)).rows
-        )
 
 
 class TestShardedModeBehaviour:

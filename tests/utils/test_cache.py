@@ -1,5 +1,7 @@
 """Tests for the shared bounded LRU cache."""
 
+import threading
+
 import pytest
 
 from repro.utils.cache import LRUCache
@@ -55,3 +57,48 @@ class TestLRUCache:
     def test_none_values_rejected(self):
         with pytest.raises(ValueError):
             LRUCache(2).put("a", None)
+
+
+class TestLRUCacheUnderThreads:
+    """Thread shards share builder and estimator caches; the lock must hold."""
+
+    def hammer(self, cache, work, threads=4):
+        errors = []
+        barrier = threading.Barrier(threads)
+
+        def run(worker):
+            barrier.wait()
+            try:
+                work(worker)
+            except Exception as error:  # pragma: no cover - the failure mode
+                errors.append(error)
+
+        pool = [threading.Thread(target=run, args=(w,)) for w in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+        assert errors == []
+
+    def test_concurrent_puts_keep_the_bound(self):
+        cache = LRUCache(8)
+
+        def work(worker):
+            for i in range(500):
+                cache.put((worker, i), i)
+
+        self.hammer(cache, work)
+        assert len(cache) == 8
+
+    def test_lookups_racing_evictions_never_fail(self):
+        cache = LRUCache(4)
+
+        def work(worker):
+            for i in range(2000):
+                key = i % 16
+                value = cache.get(key)
+                assert value is None or value == key
+                cache.put(key, key)
+
+        self.hammer(cache, work)
+        assert len(cache) == 4

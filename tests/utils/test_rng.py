@@ -40,6 +40,18 @@ class TestSpawnRngs:
         second = [g.random() for g in spawn_rngs(7, 3)]
         assert first == second
 
+    def test_different_roots_give_different_streams(self):
+        assert [g.random() for g in spawn_rngs(0, 2)] != [
+            g.random() for g in spawn_rngs(1, 2)
+        ]
+
+    def test_stream_depends_only_on_its_index(self):
+        """Stream ``k`` is the same however many siblings are spawned with it,
+        so a class's training stream does not depend on the class count."""
+        reference = [g.random() for g in spawn_rngs(11, 3)]
+        for count in (3, 5, 10):
+            assert [g.random() for g in spawn_rngs(11, count)[:3]] == reference
+
     def test_negative_count_raises(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
