@@ -8,8 +8,10 @@ and executes it with ``Backend.run`` (transpilation cache-amortised, one
 density-matrix simulation per circuit).  The batched path hands the whole
 sweep to ``SwapTestFidelityEstimator.fidelity_matrix``, which the noisy
 backend executes as one compiled whole-grid program: one symbolic transpile
-per sweep feeding a vectorised density-matrix evolution (one einsum pass per
-gate and noise channel per tile) plus one stacked multinomial shot draw.
+per sweep feeding a vectorised density-matrix evolution (one matmul per gate,
+its noise channels precomposed into the same superoperator, and at most one
+transpose copy where the layout schedule moves the gate's axes) plus one
+stacked multinomial shot draw.
 
 The two paths must agree draw for draw under a shared seed (counts bit-equal,
 hence identical fidelity estimates) and the batched sweep must be at least 3x

@@ -296,7 +296,7 @@ def run_fusion_benchmark():
             diagnostics.extend(verify_fused_step(step, program_name=fused.name))
             diagnostics.extend(
                 verify_fused_superoperator_plan(
-                    step, plan[1], noise, program_name=fused.name
+                    step, plan.superop, noise, program_name=fused.name
                 )
             )
     error_codes = sorted(

@@ -22,6 +22,10 @@ VER404 a fused step spans a declared fusion barrier
 VER405 a statevector kernel-class plan reproduces its step's matrix on the
        basis states of a register of the step's width (exactly for
        permutations, within ``state_atol`` otherwise)
+VER406 the density engine's layout-scheduled evolution of a program equals
+       the per-state :class:`~repro.quantum.density_matrix.DensityMatrix`
+       evolution of every bindings row (within ``1e-12`` in double
+       precision)
 VER410 an optimised program is a faithful translation of its source:
        structural metadata, bind-column maps, and the step algebra
        (flattened through fusion provenance) all agree
@@ -73,6 +77,7 @@ EQUIV_CODES = {
     "VER403": "claimed shared prefix reads a column that varies across rows",
     "VER404": "fused step spans a declared fusion barrier",
     "VER405": "kernel-class plan does not reproduce its step's matrix",
+    "VER406": "layout-scheduled density evolution differs from the per-state reference",
     "VER410": "optimised program is not a faithful translation of its source",
     "VER411": "optimisation pass was vacuous: nothing fused (warning)",
 }
@@ -541,6 +546,84 @@ def verify_kernel_plan(
 
 
 # --------------------------------------------------------------------------- #
+# Density layout schedule (VER406)
+# --------------------------------------------------------------------------- #
+
+
+def reference_density_matrices(
+    program: "SweepProgram", bindings, noise_model: "NoiseModel"
+) -> np.ndarray:
+    """``(batch, 2**n, 2**n)`` per-state evolution of every bindings row.
+
+    The independent oracle of the density engine: one
+    :class:`~repro.quantum.density_matrix.DensityMatrix` per row walks the
+    program's source steps (through fusion provenance), applying each gate
+    and then each of the model's channels as Kraus operators in the full
+    space — a single-qubit channel after a multi-qubit gate once per gate
+    qubit.  No superoperator, precomposition or axis layout is shared with
+    the engine.
+    """
+    from repro.quantum.density_matrix import DensityMatrix
+    from repro.quantum.gates import gate_matrix
+
+    out = []
+    for row in np.asarray(bindings, dtype=float):
+        rho = DensityMatrix(program.num_qubits)
+        for step in program.source_steps():
+            matrix = step.matrix
+            if matrix is None:
+                angles = [
+                    slot[1] if slot[0] == "value" else slot[2] * row[slot[1]]
+                    for slot in step.slots
+                ]
+                matrix = gate_matrix(step.name, *angles)
+            rho.apply_matrix(matrix, step.qubits)
+            k = len(step.qubits)
+            for channel in noise_model.gate_channels(step.name, k):
+                if np.asarray(channel[0]).shape[0] == 2**k:
+                    rho.apply_kraus(channel, step.qubits)
+                else:
+                    for qubit in step.qubits:
+                        rho.apply_kraus(channel, (qubit,))
+        out.append(rho.data)
+    return np.stack(out)
+
+
+def verify_density_schedule(
+    program: "SweepProgram", bindings, noise_model: "NoiseModel"
+) -> List[Diagnostic]:
+    """VER406 — the scheduled density engine matches the per-state reference.
+
+    Evolves ``bindings`` through a fresh
+    :class:`~repro.quantum.program.DensitySuperoperatorEngine` (layout
+    schedule, permuted and lifted superoperators, transposes) and compares
+    the canonical matrices with :func:`reference_density_matrices`, within
+    ``1e-12`` in double precision (:func:`repro.arrays.sweep_atol` in
+    single).
+    """
+    from repro import arrays
+    from repro.quantum.program import DensitySuperoperatorEngine
+
+    atol = max(1e-12, arrays.sweep_atol())
+    engine = DensitySuperoperatorEngine(noise_model)
+    actual = program.evolve(bindings, engine).matrices
+    expected = reference_density_matrices(program, bindings, noise_model)
+    error = float(np.max(np.abs(actual - expected)))
+    if error <= atol:
+        return []
+    return [
+        _diag(
+            "VER406",
+            f"layout-scheduled density evolution differs from the per-state "
+            f"DensityMatrix reference by {error:.3e} (atol {atol:g})",
+            obj=f"program '{program.name}' density schedule",
+            hint="a layout step contracted the wrong axes, or a permuted or "
+            "lifted superoperator is wrong for its block order",
+        )
+    ]
+
+
+# --------------------------------------------------------------------------- #
 # End-to-end witness (VER410 / VER411)
 # --------------------------------------------------------------------------- #
 
@@ -724,6 +807,9 @@ def verify_reference_equivalence() -> List[Diagnostic]:
     trained/encoder barrier, VER403 proves a single-row grid tile legally
     shares its trained-state prefix before and after optimisation, and
     VER405 certifies every grid step's statevector kernel-class plan.
+    Last, VER406 runs every noisy program of every reference workload that
+    fits the London chip through the density engine's layout schedule and
+    checks it against the per-state reference.
     """
     from repro.analysis.verify import reference_workloads
     from repro.hardware.calibration import get_calibration
@@ -733,7 +819,8 @@ def verify_reference_equivalence() -> List[Diagnostic]:
     from repro.utils.rng import ensure_rng
 
     out: List[Diagnostic] = []
-    noise = get_calibration("ibmq_london").noise_model()
+    london = get_calibration("ibmq_london")
+    noise = london.noise_model()
     batch_rng = ensure_rng(2023)
     for label, builder, values, features in reference_workloads(
         ("iris-s", "mnist-s")
@@ -771,7 +858,7 @@ def verify_reference_equivalence() -> List[Diagnostic]:
                     out.extend(
                         verify_fused_superoperator_plan(
                             step,
-                            plan[1],
+                            plan.superop,
                             noise,
                             program_name=noisy.name,
                         )
@@ -843,4 +930,32 @@ def verify_reference_equivalence() -> List[Diagnostic]:
                     )
                 )
             out.extend(verify_shared_prefix(program, tile, prefix))
+    # VER406 on every noisy program of every reference workload the London
+    # chip can run (a wider register never reaches its density engine): the
+    # symbolic grid, its transpiled template (the noisy grid route) and the
+    # per-circuit template (the noisy ``run`` route), fused when
+    # REPRO_OPTIMIZE_PROGRAMS=1, all under the London model.
+    for label, builder, values, features in reference_workloads():
+        if builder.layout.total_qubits > london.num_qubits:
+            continue
+        tile = builder.grid_bindings(
+            values[None, :], batch_rng.uniform(0.05, 0.95, size=(3, features.size))
+        )
+        grid = SweepProgram.compile(
+            builder.symbolic_discriminator(),
+            bind_floats=False,
+            parameters=builder.grid_parameters,
+            name=f"{label}:grid",
+        )
+        cache = TranspileCache()
+        routed = cache.symbolic_template(
+            builder.symbolic_discriminator(), builder.grid_parameters
+        )
+        entry, row = cache.template(builder.build(features, values))
+        for program, bindings in (
+            (grid, tile),
+            (routed.ensure_program(noise_model=noise), tile),
+            (entry.ensure_program(noise_model=noise), np.asarray(row, dtype=float)[None, :]),
+        ):
+            out.extend(verify_density_schedule(program, bindings, noise))
     return out

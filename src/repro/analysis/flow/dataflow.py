@@ -85,7 +85,7 @@ class FunctionFacts:
 
 
 #: Private engine-buffer attributes whose escape REP104 tracks.
-ENGINE_BUFFER_ATTRIBUTES = frozenset({"_amplitudes", "_matrices"})
+ENGINE_BUFFER_ATTRIBUTES = frozenset({"_amplitudes", "_matrices", "_spare"})
 
 
 def _call_name(call: ast.Call) -> Optional[str]:

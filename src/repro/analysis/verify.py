@@ -764,7 +764,7 @@ def step_plan_diagnostics(program: "SweepProgram", plans) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     prog = f"program '{program.name}'"
     for index, (step, plan) in enumerate(zip(program.steps, plans)):
-        kind, superop = plan
+        kind, superop = plan.kind, plan.superop
         if superop is None:
             continue
         name = f"{prog} step {index} ({step.name}) {kind} superoperator plan"

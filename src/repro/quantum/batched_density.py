@@ -1,16 +1,37 @@
-"""Batched mixed-state simulation.
+"""Batched mixed-state simulation with a tracked axis layout.
 
 :class:`BatchedDensityMatrix` evolves a whole *stack* of ``n``-qubit density
-operators at once: states are stored as a ``(batch, 2**n, 2**n)`` complex
-array and every unitary or Kraus channel is folded into one
-``(4**k, 4**k)`` *superoperator* — ``sum_k kron(K_k, K_k.conj())`` — that
-contracts only the affected qubits' (row, column) axis pair in a single BLAS
-matmul over the whole batch.  This is what makes the vectorised noisy sweep
-fast: where :class:`~repro.quantum.density_matrix.DensityMatrix` embeds every
-Kraus operator into the full ``2**n``-dimensional space and pays two full
-matmuls per operator *per circuit*, the batched engine pays one small
-contraction per *channel* for the entire sweep, touching only the ``4**k``
-local dimensions instead of redundantly multiplying identity blocks.
+operators at once.  Every unitary or Kraus channel is folded into one
+``(4**k, 4**k)`` *superoperator* — ``sum_k kron(K_k, K_k.conj())`` — and a
+step is one BLAS matmul over the whole batch against the affected qubits'
+(row, column) axes.  Where :class:`~repro.quantum.density_matrix.DensityMatrix`
+embeds every Kraus operator into the full ``2**n``-dimensional space and pays
+two full matmuls per operator *per circuit*, the batched engine pays one
+small contraction per *channel* for the entire sweep.
+
+Each element is a ``(2,) * (2 * n)`` tensor with one row (ket) axis and one
+column (bra) axis per qubit.  The stack does not keep those axes in the
+canonical order between steps.  It stores them in a tracked *physical*
+order (:attr:`BatchedDensityMatrix.layout`) and a matmul contracts whatever
+axes trail that order.  :func:`plan_layout` decides, per step, how the
+step meets the layout:
+
+* its row and column axes already form the trailing block, in any order:
+  no copy, and the superoperator is permuted into the block's order;
+* a 1-qubit step whose qubit sits in a trailing 2-qubit block: no copy, and
+  its superoperator is lifted to ``16 x 16`` with an identity on the other
+  qubit;
+* otherwise one transpose copy moves the step's axes to the end, qubit by
+  qubit as (row, column) pairs, and the rest keep their relative order.
+
+The stack owns two buffers and ping-pongs between them, so a step holds at
+most two stack-sized arrays.  The canonical ``(batch, 2**n, 2**n)`` layout
+is rebuilt only when a caller reads the matrices; probabilities and traces
+read the diagonal straight out of the physical layout.  The compiled-program
+engine plans a program's whole layout schedule once
+(:meth:`~repro.quantum.program.DensitySuperoperatorEngine.step_plans`);
+:meth:`BatchedDensityMatrix.apply_superoperator` plans one step on the fly
+through the same :func:`plan_layout`.
 
 Operators come in two flavours, mirroring
 :class:`~repro.quantum.batched.BatchedStatevector`:
@@ -23,16 +44,19 @@ Operators come in two flavours, mirroring
 
 Conventions
 -----------
-Axis 0 is always the batch axis.  Within each batch element the layout
-matches :class:`~repro.quantum.density_matrix.DensityMatrix` exactly: qubit 0
-is the most significant bit of the basis index, so reshaping one element to
-``(2,) * (2 * n)`` maps axis ``q`` to qubit ``q``'s row index and axis
-``n + q`` to its column index.
+Axis 0 is always the batch axis.  In the canonical order, which every
+accessor returns, each element matches
+:class:`~repro.quantum.density_matrix.DensityMatrix` exactly: qubit 0 is the
+most significant bit of the basis index, so logical axis ``q`` is qubit
+``q``'s row index and logical axis ``n + q`` its column index.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+import string
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,6 +113,98 @@ def channel_superoperator(kraus_operators: Sequence[np.ndarray]) -> np.ndarray:
     return total
 
 
+def canonical_layout(num_qubits: int) -> Tuple[int, ...]:
+    """The canonical axis order: every row axis, then every column axis."""
+    return tuple(range(2 * num_qubits))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class LayoutStep:
+    """How one contraction meets a stack's tracked axis layout.
+
+    Attributes
+    ----------
+    source, target:
+        Logical axes in physical order before and after the step.
+    transpose:
+        The tensor-axis permutation (batch axis first) that takes ``source``
+        to ``target``, or ``None`` when the step contracts in place.
+    gather:
+        ``(4**m,)`` map from a physical index of the trailing ``2m``-axis
+        block to the step's canonical vectorised index (row multi-index,
+        then column multi-index, qubits in step order).
+    mask:
+        ``None``, or the boolean ``(4**m, 4**m)`` identity on the axes of
+        the block that the step does not act on (a lifted 1-qubit step).
+    """
+
+    source: Tuple[int, ...]
+    target: Tuple[int, ...]
+    transpose: Optional[Tuple[int, ...]]
+    gather: np.ndarray
+    mask: Optional[np.ndarray]
+
+    def physical(self, superop: np.ndarray) -> np.ndarray:
+        """A canonical superoperator, shared or per element, in block order.
+
+        Pure reindexing (and, for a lift, zeroing): the entries are the
+        canonical ones, so the result is exact.
+        """
+        operator = np.take(np.take(superop, self.gather, axis=-2), self.gather, axis=-1)
+        return operator if self.mask is None else operator * self.mask
+
+
+def _bits(width: int) -> np.ndarray:
+    """``(2**width, width)`` binary digits of every index, most significant first."""
+    return (np.arange(2**width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+
+
+@functools.lru_cache(maxsize=4096)
+def plan_layout(source: Tuple[int, ...], qubits: Tuple[int, ...]) -> LayoutStep:
+    """Plan one step on ``qubits`` against the physical axis order ``source``.
+
+    The step contracts in place when its row and column axes already form
+    the trailing block, or — for one qubit — when it sits in a trailing
+    2-qubit block, which it then acts on through a lifted ``16 x 16``
+    operator.  Otherwise one transpose moves its axes to the end as (row,
+    column) pairs in step order, the other axes keeping their order.
+    Memoised: a schedule revisits the same (layout, support) pairs.
+    """
+    n = len(source) // 2
+    k = len(qubits)
+    step_axes = tuple(qubits) + tuple(n + q for q in qubits)
+    target = source
+    block = source[-2 * k:]
+    if set(block) != set(step_axes):
+        pair = source[-4:]
+        pair_qubits = {axis % n for axis in pair}
+        lifted = (
+            k == 1
+            and len(pair_qubits) == 2
+            and qubits[0] in pair_qubits
+            and set(pair) == pair_qubits | {n + q for q in pair_qubits}
+        )
+        if lifted:
+            block = pair
+        else:
+            block = tuple(axis for q in qubits for axis in (q, n + q))
+            target = tuple(axis for axis in source if axis not in block) + block
+    bits = _bits(len(block))
+    weights = 2 ** np.arange(2 * k - 1, -1, -1)
+    gather = bits[:, [block.index(axis) for axis in step_axes]] @ weights
+    spectators = [j for j, axis in enumerate(block) if axis not in step_axes]
+    mask = None
+    if spectators:
+        rest = bits[:, spectators] @ (2 ** np.arange(len(spectators) - 1, -1, -1))
+        mask = rest[:, None] == rest[None, :]
+        mask.setflags(write=False)
+    gather.setflags(write=False)
+    transpose = None
+    if target != source:
+        transpose = (0,) + tuple(1 + source.index(axis) for axis in target)
+    return LayoutStep(source, target, transpose, gather, mask)
+
+
 class BatchedDensityMatrix:
     """A stack of ``batch`` density operators on ``num_qubits`` qubits.
 
@@ -108,12 +224,19 @@ class BatchedDensityMatrix:
             raise SimulationError(f"batch_size must be positive, got {batch_size}")
         if num_qubits <= 0:
             raise SimulationError(f"need at least one qubit, got {num_qubits}")
-        dim = 2**num_qubits
-        matrices = arrays.zeros((batch_size, dim, dim))
-        matrices[:, 0, 0] = 1.0
-        self._batch_size = batch_size
+        matrices = arrays.zeros((batch_size, 4**num_qubits))
+        matrices[:, 0] = 1.0
+        self._adopt(matrices, num_qubits, canonical_layout(num_qubits))
+
+    def _adopt(
+        self, matrices: np.ndarray, num_qubits: int, layout: Tuple[int, ...]
+    ) -> None:
+        """Own a ``(batch, 4**n)`` buffer whose element axes are in ``layout``."""
+        self._batch_size = matrices.shape[0]
         self._num_qubits = num_qubits
         self._matrices = matrices
+        self._spare: Optional[np.ndarray] = None
+        self._layout = layout
 
     # ------------------------------------------------------------------ #
     # Constructors and accessors
@@ -152,8 +275,12 @@ class BatchedDensityMatrix:
             raise SimulationError(
                 "every density matrix in the stack must be Hermitian"
             )
-        state = cls(batch_size, num_qubits)
-        state._matrices = matrices.copy()
+        state = cls.__new__(cls)
+        state._adopt(
+            matrices.reshape(batch_size, dim * dim).copy(),
+            num_qubits,
+            canonical_layout(num_qubits),
+        )
         return state
 
     @property
@@ -167,9 +294,42 @@ class BatchedDensityMatrix:
         return self._num_qubits
 
     @property
+    def layout(self) -> Tuple[int, ...]:
+        """Logical axes in physical order (:func:`canonical_layout` when fresh)."""
+        return self._layout
+
+    def _tensor(self) -> np.ndarray:
+        """The buffer as a ``(batch,) + (2,) * 2n`` tensor in physical order."""
+        return self._matrices.reshape(
+            (self._batch_size,) + (2,) * (2 * self._num_qubits)
+        )
+
+    def _canonical(self) -> np.ndarray:
+        """The ``(batch, 2**n, 2**n)`` stack, a view when the layout is canonical."""
+        dim = 2**self._num_qubits
+        order = (0,) + tuple(
+            1 + self._layout.index(axis) for axis in canonical_layout(self._num_qubits)
+        )
+        return self._tensor().transpose(order).reshape(self._batch_size, dim, dim)
+
+    def _diagonal(self) -> np.ndarray:
+        """Per-element ``(batch, 2**n)`` diagonal, read out of the physical layout."""
+        n = self._num_qubits
+        labels = string.ascii_lowercase
+        subscripts = (
+            "Z"
+            + "".join(labels[axis % n] for axis in self._layout)
+            + "->Z"
+            + labels[:n]
+        )
+        return arrays.einsum(subscripts, self._tensor()).reshape(
+            self._batch_size, 2**n
+        )
+
+    @property
     def matrices(self) -> np.ndarray:
-        """The ``(batch, 2**n, 2**n)`` density stack (a copy)."""
-        return self._matrices.copy()
+        """The canonical ``(batch, 2**n, 2**n)`` density stack (a copy)."""
+        return self._canonical().copy()
 
     def broadcast_to(self, batch_size: int) -> "BatchedDensityMatrix":
         """Repeat a single-element batch into a ``batch_size``-element one.
@@ -178,6 +338,7 @@ class BatchedDensityMatrix:
         engine's shared-prefix execution: ``np.repeat`` of one evolved
         density matrix is bit-identical to evolving a stack of identical
         ones, because every batched contraction is elementwise over axis 0.
+        The copy keeps the physical layout.
         """
         batch_size = int(batch_size)
         if self._batch_size != 1:
@@ -188,9 +349,11 @@ class BatchedDensityMatrix:
         if batch_size <= 0:
             raise SimulationError(f"batch_size must be positive, got {batch_size}")
         state = BatchedDensityMatrix.__new__(BatchedDensityMatrix)
-        state._batch_size = batch_size
-        state._num_qubits = self._num_qubits
-        state._matrices = np.repeat(self._matrices, batch_size, axis=0)
+        state._adopt(
+            np.repeat(self._matrices, batch_size, axis=0),
+            self._num_qubits,
+            self._layout,
+        )
         return state
 
     def density_matrix(self, index: int):
@@ -202,16 +365,17 @@ class BatchedDensityMatrix:
                 f"batch index {index} out of range for batch of {self._batch_size}"
             )
         return DensityMatrix._from_trusted(
-            self._matrices[index].copy(), self._num_qubits
+            self._canonical()[index].copy(), self._num_qubits
         )
 
     def traces(self) -> np.ndarray:
         """Per-element traces (1.0 for valid states)."""
-        return np.real(arrays.einsum("bii->b", self._matrices))
+        return np.real(self._diagonal().sum(axis=1))
 
     def purities(self) -> np.ndarray:
         """Per-element purities ``Tr(rho^2)``; 1.0 for pure states."""
-        return np.real(arrays.einsum("bij,bji->b", self._matrices, self._matrices))
+        matrices = self._canonical()
+        return np.real(arrays.einsum("bij,bji->b", matrices, matrices))
 
     def probabilities(self, qubits: Optional[Sequence[int]] = None) -> np.ndarray:
         """Per-element Z-basis probabilities, shape ``(batch, 2**m)``.
@@ -223,7 +387,7 @@ class BatchedDensityMatrix:
         :class:`~repro.exceptions.SimulationError` instead of yielding NaN
         probabilities.
         """
-        diagonal = np.clip(np.real(arrays.einsum("bii->bi", self._matrices)), 0.0, None)
+        diagonal = np.clip(np.real(self._diagonal()), 0.0, None)
         totals = diagonal.sum(axis=1)
         if not np.all(np.isfinite(totals)) or np.any(totals <= 0.0):
             raise SimulationError(
@@ -238,36 +402,43 @@ class BatchedDensityMatrix:
     # ------------------------------------------------------------------ #
     # Evolution
     # ------------------------------------------------------------------ #
-    def _apply_superop(
-        self, superop: np.ndarray, qubits: Tuple[int, ...], per_element: bool
-    ) -> None:
-        """Contract a channel superoperator with the qubits' axis pairs.
+    def apply_planned(self, step: LayoutStep, operator: np.ndarray) -> None:
+        """Contract ``operator`` with the trailing block ``step`` planned.
 
-        Each batch element is viewed as a ``(2,) * (2n)`` tensor whose axis
-        ``q`` is qubit ``q``'s row (ket) index and axis ``n + q`` its column
-        (bra) index.  The ``2k`` axes belonging to ``qubits`` are moved to
-        the end and flattened into a length-``4**k`` vectorised index, so the
-        whole channel — every Kraus operator at once — is a single
-        ``(rest, 4**k) @ (4**k, 4**k)`` matmul across the entire batch
-        (batched matmul for a per-element superoperator stack).
+        ``operator`` is the step's superoperator already in the block's
+        physical order (:meth:`LayoutStep.physical`), shared ``(4**m,
+        4**m)`` or per element ``(batch, 4**m, 4**m)``.  When ``step``
+        carries a transpose, one copy into the spare buffer moves the
+        block's axes to the end first; the matmul then writes into the
+        other buffer, so the step holds exactly two stack-sized arrays.
+        A plan made for another layout raises instead of contracting the
+        wrong axes.
         """
-        n = self._num_qubits
-        k = len(qubits)
-        dim = 2**n
-        tensor = self._matrices.reshape((self._batch_size,) + (2,) * (2 * n))
-        source_axes = tuple(1 + q for q in qubits) + tuple(1 + n + q for q in qubits)
-        ndim = 1 + 2 * n
-        dest_axes = tuple(range(ndim - 2 * k, ndim))
-        moved = np.moveaxis(tensor, source_axes, dest_axes)
-        moved_shape = moved.shape
-        if per_element:
-            flat = np.ascontiguousarray(moved).reshape(self._batch_size, -1, 4**k)
-            out = arrays.matmul(flat, superop.transpose(0, 2, 1))
+        if step.source != self._layout:
+            raise SimulationError(
+                f"layout step planned for axis order {step.source} applied to "
+                f"a stack in axis order {self._layout}"
+            )
+        current = self._matrices
+        spare = self._spare if self._spare is not None else np.empty_like(current)
+        if step.transpose is not None:
+            tensor = self._tensor()
+            np.copyto(spare.reshape(tensor.shape), tensor.transpose(step.transpose))
+            current, spare = spare, current
+        operator = operator.astype(current.dtype, copy=False)
+        width = operator.shape[-1]
+        if operator.ndim == 3:
+            arrays.matmul(
+                current.reshape(self._batch_size, -1, width),
+                operator.transpose(0, 2, 1),
+                out=spare.reshape(self._batch_size, -1, width),
+            )
         else:
-            flat = np.ascontiguousarray(moved).reshape(-1, 4**k)
-            out = arrays.matmul(flat, superop.T)
-        out = np.moveaxis(out.reshape(moved_shape), dest_axes, source_axes)
-        self._matrices = np.ascontiguousarray(out).reshape(self._batch_size, dim, dim)
+            arrays.matmul(
+                current.reshape(-1, width), operator.T, out=spare.reshape(-1, width)
+            )
+        self._matrices, self._spare = spare, current
+        self._layout = step.target
 
     def apply_superoperator(
         self, superop: np.ndarray, qubits: Sequence[int]
@@ -276,10 +447,11 @@ class BatchedDensityMatrix:
 
         ``superop`` is a shared ``(4**k, 4**k)`` matrix (applied to all
         elements) or a per-element ``(batch, 4**k, 4**k)`` stack in the
-        vectorised index layout of :func:`conjugation_superoperator`.  This is
-        the public surface the compiled-program executor uses to apply
-        unitaries whose noise channels were precomposed into a single
-        superoperator at compile time.  Returns ``self`` to allow chaining.
+        canonical vectorised index layout of :func:`conjugation_superoperator`.
+        The step is planned against the current layout by :func:`plan_layout`
+        and contracted by :meth:`apply_planned`, the same route the compiled
+        engine's precomputed schedule takes.  Returns ``self`` to allow
+        chaining.
         """
         qubits = check_qubits(qubits, self._num_qubits)
         k = len(qubits)
@@ -294,7 +466,8 @@ class BatchedDensityMatrix:
                 f"{'batch ' + str(self._batch_size) + ' on ' if per_element else ''}"
                 f"{k} qubit(s)"
             )
-        self._apply_superop(superop, qubits, per_element)
+        step = plan_layout(self._layout, qubits)
+        self.apply_planned(step, step.physical(superop))
         return self
 
     def apply_matrix(self, matrix: np.ndarray, qubits: Sequence[int]) -> "BatchedDensityMatrix":
@@ -318,5 +491,4 @@ class BatchedDensityMatrix:
             raise SimulationError(
                 f"operator shape {matrix.shape} does not match {k} qubit(s)"
             )
-        self._apply_superop(conjugation_superoperator(matrix), qubits, per_element)
-        return self
+        return self.apply_superoperator(conjugation_superoperator(matrix), qubits)

@@ -56,8 +56,11 @@ from repro.quantum import kernels
 from repro.quantum.batched import BatchedStatevector
 from repro.quantum.batched_density import (
     BatchedDensityMatrix,
+    LayoutStep,
+    canonical_layout,
     channel_superoperator,
     conjugation_superoperator,
+    plan_layout,
 )
 from repro.quantum.noise import NoiseModel, apply_readout_error
 from repro.quantum.operations import Parameter, ScaledParameter
@@ -805,6 +808,7 @@ class SweepProgram:
     def _evolve_tile(
         self,
         engine,
+        plans: tuple,
         operands: List,
         start: int,
         stop: int,
@@ -813,6 +817,7 @@ class SweepProgram:
     ):
         """Evolve one contiguous tile ``[start, stop)`` of the sweep.
 
+        ``plans`` are the engine's step plans, resolved once per sweep.
         When ``shared_bindings`` is provided (the tile plan claims a shared
         trained-state prefix), the longest prefix of steps whose operands are
         constant across the tile is evolved **once** at batch size 1 and the
@@ -823,7 +828,6 @@ class SweepProgram:
         reusing a state the tile does not actually share.
         """
         batch = stop - start
-        plans = engine.step_plans(self)
         prefix = 0
         if shared_bindings is not None and batch > 1:
             from repro.analysis.equiv import (
@@ -856,6 +860,25 @@ class SweepProgram:
             engine.apply_step(state, step, plans[index], matrix)
         return state
 
+    def _pin_noise(self, engine) -> Optional[int]:
+        """The noise-model version a sweep's plans were resolved under."""
+        return engine.noise_model.version if engine.is_noisy else None
+
+    def _check_noise_pinned(self, engine, pinned: Optional[int], start: int, stop: int) -> None:
+        """Fail closed when the noise model changed while the sweep ran.
+
+        A sweep resolves its plans once; a model mutated between (or inside)
+        its tiles would leave the rest of the sweep on stale plans.
+        """
+        current = self._pin_noise(engine)
+        if current != pinned:
+            raise SimulationError(
+                f"{self.name}: noise_model changed during the sweep (version "
+                f"{pinned} when its plans were resolved, {current} after tile "
+                f"[{start}, {stop})); mutate a noise model between sweeps, "
+                "not during one"
+            )
+
     def evolve(self, bindings, engine):
         """Evolve the whole batch at once; returns the engine's batched state.
 
@@ -865,7 +888,11 @@ class SweepProgram:
         """
         bindings = self._check_bindings(bindings)
         operands = self._resolve_operands(bindings)
-        return self._evolve_tile(engine, operands, 0, bindings.shape[0])
+        pinned = self._pin_noise(engine)
+        total = bindings.shape[0]
+        state = self._evolve_tile(engine, engine.step_plans(self), operands, 0, total)
+        self._check_noise_pinned(engine, pinned, 0, total)
+        return state
 
     def execute(self, bindings, engine, *, tile_plan: Optional[TilePlan] = None) -> np.ndarray:
         """Tiled execution: joint read-out probabilities, final states dropped.
@@ -876,7 +903,9 @@ class SweepProgram:
         The concatenated result is bit-identical to the untiled pass — per
         element the arithmetic is the same, only the batch extent differs.
         Peak engine memory is bounded by the largest tile instead of the
-        whole sweep.
+        whole sweep.  The engine's step plans are resolved once for the
+        whole sweep, and a noise model mutated while the sweep runs raises
+        :class:`~repro.exceptions.SimulationError`.
         """
         bindings = self._check_bindings(bindings)
         if not self.measured_qubits:
@@ -895,11 +924,14 @@ class SweepProgram:
             tiles = tile_plan.flat_tiles()
         operands = self._resolve_operands(bindings)
         shared = bindings if (tile_plan is not None and tile_plan.shared_prefix) else None
+        pinned = self._pin_noise(engine)
+        plans = engine.step_plans(self)
         out = np.empty((total, 2 ** len(self.measured_qubits)), dtype=float)
         for start, stop in tiles:
             state = self._evolve_tile(
-                engine, operands, start, stop, shared_bindings=shared
+                engine, plans, operands, start, stop, shared_bindings=shared
             )
+            self._check_noise_pinned(engine, pinned, start, stop)
             out[start:stop] = engine.joint_probabilities(state, self.measured_qubits)
         return out
 
@@ -1008,16 +1040,37 @@ def gate_noise_superoperator(
     return composed
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class DensityStepPlan:
+    """One step of a density program, planned against the layout schedule.
+
+    ``superop`` is the canonical ``(4**k, 4**k)`` plan the certificates
+    check: the folded unitary and noise of a fixed step, or the noise alone
+    of a parametric bind site (``None`` when the model attaches none).
+    ``layout`` is the step's entry in the schedule, and ``operator`` a fixed
+    step's ``superop`` already in ``layout``'s physical block order.
+    """
+
+    kind: str
+    superop: Optional[np.ndarray]
+    layout: LayoutStep
+    operator: Optional[np.ndarray]
+
+
 class DensitySuperoperatorEngine:
     """Mixed-state executor with compile-time noise precomposition.
 
-    Per program, each gate step is planned **once** (and memoised while the
-    program stays cached): fixed gates fold their unitary and every attached
-    noise channel into a single ``(4**k, 4**k)`` superoperator; parametric
-    bind sites precompose their noise channels alone, and at execution time
-    the per-tile gate superoperator is left-multiplied by that matrix — one
-    contraction per gate instead of one per gate *plus one per channel*, and
-    no Kraus-channel resolution at all on repeat sweeps.
+    Per program and noise-model version, :meth:`step_plans` plans every step
+    **once**: fixed gates fold their unitary and every attached noise
+    channel into a single ``(4**k, 4**k)`` superoperator, and parametric
+    bind sites precompose their noise channels alone (at execution time the
+    per-tile gate superoperator is left-multiplied by that matrix).  The
+    same pass plans the *layout schedule*: walking the steps from the
+    canonical axis order, :func:`~repro.quantum.batched_density.plan_layout`
+    gives each step either no transpose or one, and a fixed step's
+    superoperator is stored already permuted (or lifted) into the physical
+    order it will meet.  A noisy step is then one matmul and at most one
+    transpose copy, with no Kraus-channel resolution on repeat sweeps.
     """
 
     name = "density_superoperator"
@@ -1039,9 +1092,16 @@ class DensitySuperoperatorEngine:
             return cached[1]
         # First plan for this program, or the noise model was mutated
         # in place since the plan was precomposed (its ``add_*`` builders
-        # bump ``version``) — recompose so every execution tracks the live
-        # model.
-        plans = tuple(self._plan_step(step) for step in program.steps)
+        # bump ``version``) — recompose so every sweep tracks the live model.
+        layout = canonical_layout(program.num_qubits)
+        plans = []
+        for step in program.steps:
+            kind, superop = self._plan_step(step)
+            entry = plan_layout(layout, step.qubits)
+            layout = entry.target
+            operator = entry.physical(superop) if kind == "fixed" else None
+            plans.append(DensityStepPlan(kind, superop, entry, operator))
+        plans = tuple(plans)
         if full_verification_enabled():
             # REPRO_VERIFY=1: CPTP-check every precomposed superoperator plan
             # before the engine ever contracts with it.
@@ -1098,16 +1158,14 @@ class DensitySuperoperatorEngine:
         )
         return folded
 
-    def apply_step(self, state, step: GateStep, plan, matrix) -> None:
-        kind, superop = plan
-        if kind == "fixed":
-            state.apply_superoperator(superop, step.qubits)
-            return
-        if superop is None:
-            state.apply_matrix(matrix, step.qubits)
-            return
-        term = conjugation_superoperator(arrays.as_complex(matrix))
-        state.apply_superoperator(arrays.as_complex(superop) @ term, step.qubits)
+    def apply_step(self, state, step: GateStep, plan: DensityStepPlan, matrix) -> None:
+        operator = plan.operator
+        if operator is None:
+            operator = conjugation_superoperator(arrays.as_complex(matrix))
+            if plan.superop is not None:
+                operator = arrays.as_complex(plan.superop) @ operator
+            operator = plan.layout.physical(operator)
+        state.apply_planned(plan.layout, operator)
 
     def joint_probabilities(self, state, measured_qubits) -> np.ndarray:
         joint = state.probabilities(measured_qubits)

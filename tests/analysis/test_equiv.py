@@ -24,6 +24,7 @@ from repro.analysis.equiv import (
     shared_prefix_length,
     verify_fused_step,
     verify_fused_superoperator_plan,
+    verify_density_schedule,
     verify_shared_prefix,
     verify_translation,
 )
@@ -477,6 +478,35 @@ class TestFusionBarriers:
         assert any(step.fused_from for step in optimized.steps)
         assert optimized.fusion_barriers == source.fusion_barriers
         assert verify_translation(source, optimized) == []
+
+
+class TestDensitySchedule:
+    """VER406: the layout-scheduled density engine vs per-state evolution."""
+
+    def program_and_bindings(self):
+        qc = QuantumCircuit(3, 3)
+        qc.h(0).cx(0, 2).rz(0.3, 2).h(2).cx(1, 0).ry(0.7, 1).cswap(2, 0, 1)
+        qc.measure_all()
+        program = SweepProgram.compile(qc, bind_floats=True)
+        bindings = np.random.default_rng(3).uniform(0, np.pi, size=(2, program.num_columns))
+        return program, bindings
+
+    def test_scheduled_engine_certifies_clean(self, london):
+        program, bindings = self.program_and_bindings()
+        assert verify_density_schedule(program, bindings, london) == []
+
+    def test_a_wrong_block_order_is_ver406(self, london, monkeypatch):
+        from repro.quantum.batched_density import LayoutStep
+
+        program, bindings = self.program_and_bindings()
+        real = LayoutStep.physical
+        monkeypatch.setattr(
+            LayoutStep, "physical", lambda self, superop: real(self, superop)[..., ::-1, ::-1]
+        )
+        findings = verify_density_schedule(program, bindings, london)
+        assert [finding.code for finding in findings] == ["VER406"]
+        assert "differs from the per-state DensityMatrix reference" in findings[0].message
+        assert program.name in findings[0].location.render()
 
 
 class TestReferenceEquivalence:

@@ -7,6 +7,8 @@ to produce.  Each test asserts the exact diagnostic code and location the
 verifier must emit for that defect.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -260,14 +262,15 @@ class TestStepPlanChecks:
 
     def test_foreign_block_plan_is_ver130(self):
         program, plans = self.plans()
-        plans[0] = ("fixed", np.eye(16, dtype=complex))  # 2-qubit block, 1q step
+        # 2-qubit block, 1q step
+        plans[0] = dataclasses.replace(plans[0], superop=np.eye(16, dtype=complex))
         findings = step_plan_diagnostics(program, plans)
         assert codes(findings) == ["VER130"]
         assert "step 0" in findings[0].location.render()
 
     def test_real_plan_is_ver130(self):
         program, plans = self.plans()
-        plans[1] = ("parametric", plans[1][1].real)
+        plans[1] = dataclasses.replace(plans[1], superop=plans[1].superop.real)
         findings = step_plan_diagnostics(program, plans)
         assert codes(findings) == ["VER130"]
         assert "complex" in findings[0].message

@@ -1,0 +1,322 @@
+"""The layout-tracked density engine against the per-state reference.
+
+:class:`BatchedDensityMatrix` keeps its axes in whatever physical order the
+last step left them, and :meth:`DensitySuperoperatorEngine.step_plans`
+plans that order once per program (``plan_layout``: no transpose, one
+transpose, or a 1-qubit step lifted into a trailing 2-qubit block).  The
+reference shares none of that: one :class:`DensityMatrix` per bindings row
+applies each gate, then each of the model's channels as Kraus operators in
+the full space.  Random programs cover 1-, 2- and 3-qubit supports in both
+qubit orders, repeated same-pair runs, 1-qubit steps inside and outside the
+trailing block, fixed and parametric steps (shared and per element), noise
+models, batch sizes, fusion up to 3 qubits, and tiles with and without a
+shared prefix.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.exceptions import SimulationError
+from repro.quantum import gates
+from repro.quantum.batched_density import (
+    BatchedDensityMatrix,
+    canonical_layout,
+    conjugation_superoperator,
+    plan_layout,
+)
+from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.density_matrix import DensityMatrix
+from repro.quantum.noise import (
+    NoiseModel,
+    ReadoutError,
+    amplitude_damping_kraus,
+    apply_readout_error,
+    depolarizing_kraus,
+)
+from repro.quantum.operations import Parameter, gate
+from repro.quantum.program import DensitySuperoperatorEngine, SweepProgram, TilePlan
+
+ATOL = 1e-12
+
+ONE_QUBIT = ("h", "x", "rx", "ry", "rz")
+TWO_QUBIT = ("cx", "cz", "swap", "crx", "rzz")
+
+
+def per_qubit_model() -> NoiseModel:
+    """Single-qubit channels after every gate width, plus readout error."""
+    model = NoiseModel()
+    model.add_gate_error("cx", depolarizing_kraus(0.03, 2))
+    model.add_all_qubit_error(amplitude_damping_kraus(0.05), 1)
+    model.add_all_qubit_error(depolarizing_kraus(0.04, 1), 2)
+    model.add_all_qubit_error(depolarizing_kraus(0.02, 1), 3)
+    model.add_readout_error(ReadoutError(0.05, 0.02))
+    return model
+
+
+NOISE_MODELS = {
+    "ideal": NoiseModel.ideal,
+    "rates": lambda: NoiseModel.from_error_rates(0.01, 0.02, readout_error=0.03),
+    "per_qubit": per_qubit_model,
+}
+
+
+# --------------------------------------------------------------------------- #
+# Random programs
+# --------------------------------------------------------------------------- #
+
+
+@st.composite
+def gate_ops(draw, num_qubits):
+    """One drawn op group: ``[(name, qubits, angle mode), ...]``."""
+    order = draw(st.permutations(range(num_qubits)))
+    mode = st.sampled_from(("fixed", "shared", "per_element"))
+
+    def one(qubit):
+        name = draw(st.sampled_from(ONE_QUBIT))
+        return (name, (qubit,), draw(mode) if name[0] == "r" else None)
+
+    def two(pair):
+        name = draw(st.sampled_from(TWO_QUBIT))
+        return (name, tuple(pair), draw(mode) if name in ("crx", "rzz") else None)
+
+    kinds = ["1q", "2q", "pair_run", "pair_then_1q"] + (["3q"] if num_qubits > 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "1q":
+        return [one(order[0])]
+    if kind == "2q":
+        return [two(order[:2])]
+    if kind == "3q":
+        return [("cswap", tuple(order[:3]), None)]
+    a, b = order[:2]
+    if kind == "pair_run":
+        return [("cx", (a, b), None), ("cx", (b, a), None), ("cx", (a, b), None)]
+    inside = draw(st.sampled_from(order[:2] if num_qubits == 2 else order[:3]))
+    return [two((a, b)), one(inside)]
+
+
+@st.composite
+def sweeps(draw):
+    """``(circuit, parameters, bindings, model key)`` of one random sweep."""
+    num_qubits = draw(st.integers(2, 4))
+    ops = [
+        op
+        for _ in range(draw(st.integers(1, 6)))
+        for op in draw(gate_ops(num_qubits))
+    ]
+    batch = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    circuit = QuantumCircuit(num_qubits, num_qubits)
+    parameters, columns = [], []
+    for name, qubits, mode in ops:
+        if mode is None:
+            circuit.append(gate(name, qubits))
+        elif mode == "fixed":
+            circuit.append(gate(name, qubits, float(rng.uniform(0, np.pi))))
+        else:
+            parameter = Parameter(f"p{len(parameters)}")
+            parameters.append(parameter)
+            values = rng.uniform(0, np.pi, size=batch)
+            columns.append(np.full(batch, values[0]) if mode == "shared" else values)
+            circuit.append(gate(name, qubits, parameter))
+    circuit.measure_all()
+    bindings = np.stack(columns, axis=1) if columns else np.zeros((batch, 0))
+    return circuit, parameters, bindings, draw(st.sampled_from(sorted(NOISE_MODELS)))
+
+
+def reference_matrices(circuit, parameters, bindings, model):
+    """Per-row :class:`DensityMatrix` evolution: gates, then Kraus channels."""
+    out = []
+    for row in bindings:
+        bound = circuit.bind_parameters(dict(zip(parameters, row)))
+        rho = DensityMatrix(circuit.num_qubits)
+        for instruction in bound.instructions:
+            if not instruction.is_gate:
+                continue
+            rho.apply_matrix(instruction.matrix(), instruction.qubits)
+            k = len(instruction.qubits)
+            for channel in model.gate_channels(instruction.name, k):
+                if np.asarray(channel[0]).shape[0] == 2**k:
+                    rho.apply_kraus(channel, instruction.qubits)
+                else:
+                    for qubit in instruction.qubits:
+                        rho.apply_kraus(channel, (qubit,))
+        out.append(rho.data)
+    return np.stack(out)
+
+
+def reference_readout(matrices, measured, model):
+    diagonal = np.clip(np.real(np.einsum("bii->bi", matrices)), 0.0, None)
+    probs = diagonal / diagonal.sum(axis=1, keepdims=True)
+    num_qubits = int(np.log2(matrices.shape[1]))
+    tensor = probs.reshape((-1,) + (2,) * num_qubits)
+    others = tuple(1 + q for q in range(num_qubits) if q not in measured)
+    joint = tensor.sum(axis=others).transpose(
+        (0,) + tuple(1 + sorted(measured).index(q) for q in measured)
+    )
+    return apply_readout_error(joint.reshape(len(probs), -1), measured, model)
+
+
+# --------------------------------------------------------------------------- #
+# The differential test
+# --------------------------------------------------------------------------- #
+
+
+class TestScheduledEngineMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sweep=sweeps(),
+        fuse=st.booleans(),
+        tiling=st.sampled_from(("whole", "tiles", "shared_prefix")),
+        budget=st.integers(1, 3),
+    )
+    def test_states_and_readout(self, sweep, fuse, tiling, budget):
+        circuit, parameters, bindings, model_key = sweep
+        model = NOISE_MODELS[model_key]()
+        program = SweepProgram.compile(circuit, bind_floats=False, parameters=parameters)
+        if fuse:
+            program = program.optimized(noise_model=model, max_fused_qubits=3)
+        expected = reference_matrices(circuit, parameters, bindings, model)
+        state = program.evolve(bindings, DensitySuperoperatorEngine(model))
+        np.testing.assert_allclose(state.matrices, expected, rtol=0, atol=ATOL)
+
+        batch = bindings.shape[0]
+        element = 4**program.num_qubits
+        plan = {
+            "whole": None,
+            "tiles": TilePlan.for_circuit_sweep(batch, 1, element, budget * element),
+            "shared_prefix": TilePlan.for_grid_sweep(1, batch, element, budget * element),
+        }[tiling]
+        readout = program.execute(bindings, DensitySuperoperatorEngine(model), tile_plan=plan)
+        np.testing.assert_allclose(
+            readout,
+            reference_readout(expected, program.measured_qubits, model),
+            rtol=0,
+            atol=ATOL,
+        )
+
+
+# --------------------------------------------------------------------------- #
+# Accessors on a permuted layout
+# --------------------------------------------------------------------------- #
+
+
+def permuted_stack(batch):
+    """A noisy 3-qubit stack whose tracked layout is not canonical."""
+    rng = np.random.default_rng(7)
+    stack = BatchedDensityMatrix(batch, 3)
+    stack.apply_matrix(gates.ry_batch(rng.uniform(0, np.pi, batch)), (2,))
+    stack.apply_matrix(gates.CNOT, (2, 0))
+    stack.apply_superoperator(
+        sum(conjugation_superoperator(k) for k in depolarizing_kraus(0.2, 2)), (0, 1)
+    )
+    stack.apply_matrix(gates.rx_batch(rng.uniform(0, np.pi, batch)), (1,))
+    stack.apply_matrix(gates.HADAMARD, (0,))
+    assert stack.layout != canonical_layout(3)
+    return stack
+
+
+def canonical_reference(batch):
+    """The same evolution, one :class:`DensityMatrix` per element."""
+    rng = np.random.default_rng(7)
+    thetas = rng.uniform(0, np.pi, batch)
+    phis = rng.uniform(0, np.pi, batch)
+    out = []
+    for theta, phi in zip(thetas, phis):
+        rho = DensityMatrix(3)
+        rho.apply_matrix(gates.ry(theta), (2,))
+        rho.apply_matrix(gates.CNOT, (2, 0))
+        rho.apply_kraus(depolarizing_kraus(0.2, 2), (0, 1))
+        rho.apply_matrix(gates.rx(phi), (1,))
+        rho.apply_matrix(gates.HADAMARD, (0,))
+        out.append(rho.data)
+    return np.stack(out)
+
+
+class TestAccessorsOnPermutedLayout:
+    def test_every_accessor_reads_the_canonical_value(self):
+        stack, expected = permuted_stack(4), canonical_reference(4)
+        np.testing.assert_allclose(stack.matrices, expected, rtol=0, atol=ATOL)
+        for index in range(4):
+            np.testing.assert_allclose(
+                stack.density_matrix(index).data, expected[index], rtol=0, atol=ATOL
+            )
+        np.testing.assert_allclose(
+            stack.traces(), np.real(np.einsum("bii->b", expected)), rtol=0, atol=ATOL
+        )
+        np.testing.assert_allclose(
+            stack.purities(),
+            np.real(np.einsum("bij,bji->b", expected, expected)),
+            rtol=0,
+            atol=ATOL,
+        )
+        for qubits in (None, (0,), (2, 0), (1, 2, 0)):
+            canonical = [DensityMatrix._from_trusted(m, 3).probabilities(qubits) for m in expected]
+            np.testing.assert_allclose(
+                stack.probabilities(qubits), np.stack(canonical), rtol=0, atol=ATOL
+            )
+
+    def test_readout_is_exactly_the_canonical_stacks(self):
+        stack = permuted_stack(3)
+        rebuilt = BatchedDensityMatrix.from_matrices(stack.matrices)
+        assert rebuilt.layout == canonical_layout(3)
+        np.testing.assert_array_equal(rebuilt.matrices, stack.matrices)
+        for qubits in (None, (1,), (2, 0)):
+            np.testing.assert_array_equal(
+                rebuilt.probabilities(qubits), stack.probabilities(qubits)
+            )
+
+    def test_broadcast_keeps_the_layout(self):
+        single = permuted_stack(1)
+        wide = single.broadcast_to(3)
+        assert wide.layout == single.layout
+        np.testing.assert_array_equal(wide.matrices, np.repeat(single.matrices, 3, axis=0))
+        wide.apply_matrix(gates.PAULI_X, (2,))
+        single.apply_matrix(gates.PAULI_X, (2,))
+        np.testing.assert_array_equal(wide.matrices[2], single.matrices[0])
+
+
+# --------------------------------------------------------------------------- #
+# The schedule itself
+# --------------------------------------------------------------------------- #
+
+
+class TestLayoutSchedule:
+    def test_same_pair_run_needs_one_transpose(self):
+        layout, moves = canonical_layout(5), 0
+        for qubits in [(3, 0), (0, 3), (3, 0), (0,), (3,), (0, 3)]:
+            step = plan_layout(layout, qubits)
+            moves += step.transpose is not None
+            layout = step.target
+        assert moves == 1
+
+    def test_one_qubit_step_in_the_trailing_pair_is_lifted(self):
+        layout = plan_layout(canonical_layout(3), (2, 0)).target
+        assert plan_layout(layout, (0,)).mask is None  # its own pair trails
+        step = plan_layout(layout, (2,))
+        assert step.transpose is None and step.mask is not None
+        assert step.physical(np.eye(4)).shape == (16, 16)
+        outside = plan_layout(layout, (1,))
+        assert outside.transpose is not None and outside.mask is None
+
+    def test_engine_plans_the_schedule_once_per_program(self):
+        qc = QuantumCircuit(3, 3)
+        qc.h(0).cx(0, 2).rz(0.3, 2).cx(2, 0).ry(0.4, 1).cswap(1, 0, 2)
+        qc.measure_all()
+        program = SweepProgram.compile(qc, bind_floats=False)
+        plans = DensitySuperoperatorEngine(per_qubit_model()).step_plans(program)
+        layout = canonical_layout(3)
+        for plan in plans:
+            assert plan.layout.source == layout
+            layout = plan.layout.target
+        assert [plan.layout.transpose is not None for plan in plans] == [
+            True, True, False, False, True, False,
+        ]
+
+    def test_a_plan_for_another_layout_raises(self):
+        stack = BatchedDensityMatrix(1, 3)
+        stale = plan_layout(canonical_layout(3), (0,))
+        stack.apply_matrix(gates.HADAMARD, (1,))
+        with pytest.raises(SimulationError, match="layout step planned for axis order"):
+            stack.apply_planned(stale, stale.physical(np.eye(4, dtype=complex)))

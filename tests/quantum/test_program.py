@@ -298,6 +298,59 @@ class TestNoisePrecomposition:
             )
 
 
+class TestNoiseModelPinnedPerSweep:
+    """A sweep resolves its plans once; a model mutated inside it raises."""
+
+    def mutating_engine(self, model, after_calls):
+        """An engine whose ``apply_step`` grows the model on call ``after_calls``."""
+        engine = DensitySuperoperatorEngine(model)
+        real = engine.apply_step
+        calls = []
+
+        def apply_step(state, step, plan, matrix):
+            calls.append(1)
+            if len(calls) == after_calls:
+                model.add_all_qubit_error(depolarizing_kraus(0.2, 1), 1)
+            real(state, step, plan, matrix)
+
+        engine.apply_step = apply_step
+        return engine
+
+    def test_mutation_inside_a_tile_names_both_versions(self):
+        bindings = random_angles(4, seed=14)
+        program = SweepProgram.compile(sweep_circuit(bindings[0]), bind_floats=True)
+        model = NoiseModel()
+        engine = self.mutating_engine(model, after_calls=len(program.steps) + 1)
+        plan = TilePlan.for_circuit_sweep(4, 1, 2**3, 2 * 2**3)
+        with pytest.raises(SimulationError) as excinfo:
+            program.execute(bindings, engine, tile_plan=plan)
+        assert str(excinfo.value) == (
+            "sweep(sweep): noise_model changed during the sweep (version 0 when "
+            "its plans were resolved, 1 after tile [2, 4)); mutate a noise model "
+            "between sweeps, not during one"
+        )
+        assert engine.plans_compiled == 1
+
+    def test_evolve_pins_the_model_too(self):
+        bindings = random_angles(2, seed=15)
+        program = SweepProgram.compile(sweep_circuit(bindings[0]), bind_floats=True)
+        model = NoiseModel()
+        with pytest.raises(SimulationError, match=r"version 0 when its plans were resolved, 1 after tile \[0, 2\)"):
+            program.evolve(bindings, self.mutating_engine(model, after_calls=1))
+
+    def test_plans_resolved_once_per_sweep(self, monkeypatch):
+        bindings = random_angles(6, seed=16)
+        program = SweepProgram.compile(sweep_circuit(bindings[0]), bind_floats=True)
+        engine = DensitySuperoperatorEngine(NOISE)
+        calls = []
+        real = engine.step_plans
+        monkeypatch.setattr(engine, "step_plans", lambda p: calls.append(1) or real(p))
+        plan = TilePlan.for_circuit_sweep(6, 1, 2**3, 2**3)
+        program.execute(bindings, engine, tile_plan=plan)
+        assert plan.num_tiles == 6
+        assert len(calls) == 1
+
+
 class TestSimulatorTracksLiveNoiseModel:
     @pytest.mark.parametrize("optimize", [False, True])
     def test_grid_program_matches_run_after_in_place_mutation(self, optimize):
