@@ -21,18 +21,17 @@ in ``benchmarks/results/BENCH_program_compile.json``:
    tracemalloc peaks for both modes are recorded and the tiled peak must
    stay under the untiled requirement.
 
-3. **Certified plan-time fusion.**  With ``REPRO_OPTIMIZE_PROGRAMS=1`` the
-   transpile template serves a fused program whose runs of fixed gates cost
-   one precomposed superoperator contraction each instead of one per source
-   gate; the VER4xx translation validator certifies every rewrite, the
-   contraction drop is recorded through the VER2xx cost model, and the
-   noisy Iris sweep stays bit-identical to the unfused path.
+3. **Composed density schedule.**  The density engine multiplies each run
+   of fixed steps on one trailing block into a single operator at plan
+   time, so the noisy Iris template dispatches fewer matmuls per tile than
+   it has steps.  The VER2xx cost model counts the schedule's matmuls and
+   transposes through the engine's own grouping; the benchmark records
+   both beside the step count and checks them against the engine's plans.
 
 Runs as a pytest test (``pytest benchmarks/bench_program_compile.py -s``) or
 standalone (``PYTHONPATH=src python benchmarks/bench_program_compile.py``).
 """
 
-import os
 import time
 import tracemalloc
 
@@ -45,11 +44,7 @@ from repro.datasets import generate_synthetic_mnist, load_iris, prepare_task
 from repro.hardware import IBMQBackend
 from repro.quantum.backend import SampledBackend
 from repro.quantum.fidelity import fidelities_from_swap_test_probabilities
-from repro.quantum.program import (
-    OPTIMIZE_PROGRAMS_ENV,
-    SweepProgram,
-    TilePlan,
-)
+from repro.quantum.program import DensitySuperoperatorEngine, SweepProgram, TilePlan
 
 DEVICE = "ibmq_london"
 SHOTS = 1024
@@ -231,114 +226,41 @@ def run_mnist_tiling_benchmark(
     }
 
 
-def run_fusion_benchmark():
-    """Certified plan-time fusion on the noisy Iris repeat sweep.
+def run_schedule_benchmark():
+    """Steps, matmuls and transposes per tile of the noisy Iris template.
 
-    Measures the third claim: with ``REPRO_OPTIMIZE_PROGRAMS=1`` the cached
-    transpile template serves a certified fused program, every fused run of
-    fixed gates costs one superoperator contraction instead of one per
-    source gate, and — because the rewrite is certified equivalent and the
-    readout sampling consumes the RNG identically — the sweep numbers stay
-    bit-identical to the unfused path on same-seeded backends.
+    The program is the transpiled whole-grid template the London backend
+    runs for every Iris sweep; the counts come from the VER2xx cost model,
+    which walks the engine's own ``density_schedule``, and are checked
+    against the engine's plans (a folded step has a ``None`` plan).
     """
-    from repro.analysis.diagnostics import Severity
-    from repro.analysis.equiv import (
-        verify_fused_step,
-        verify_fused_superoperator_plan,
-        verify_translation,
+    backend = IBMQBackend(DEVICE, seed=SEED)
+    builder = QuClassi(
+        num_features=4, num_classes=3, architecture="s", seed=SEED, backend=backend
+    ).builder
+    entry = backend._transpile_cache.symbolic_template(
+        builder.symbolic_discriminator(),
+        builder.grid_parameters,
+        backend._local_coupling_map(builder.layout.total_qubits),
     )
-    from repro.hardware.calibration import get_calibration
-    from repro.quantum.program import DensitySuperoperatorEngine
-    from repro.quantum.transpiler import TranspileCache
-
-    model, data = _trained_iris_model()
-    samples = data.x_test
-
-    plain = SwapTestFidelityEstimator(
-        model.builder, backend=IBMQBackend(DEVICE, seed=SEED), shots=SHOTS
-    )
-    _, plain_fidelities = _timed_sweep(plain, model.parameters_, samples)
-    plain_warm_seconds = min(
-        _timed_sweep(plain, model.parameters_, samples)[0]
-        for _ in range(REPEAT_SWEEPS)
-    )
-
-    previous = os.environ.get(OPTIMIZE_PROGRAMS_ENV)
-    os.environ[OPTIMIZE_PROGRAMS_ENV] = "1"
-    try:
-        fused_estimator = SwapTestFidelityEstimator(
-            model.builder, backend=IBMQBackend(DEVICE, seed=SEED), shots=SHOTS
-        )
-        _, fused_fidelities = _timed_sweep(
-            fused_estimator, model.parameters_, samples
-        )
-        fused_warm_seconds = min(
-            _timed_sweep(fused_estimator, model.parameters_, samples)[0]
-            for _ in range(REPEAT_SWEEPS)
-        )
-    finally:
-        if previous is None:
-            os.environ.pop(OPTIMIZE_PROGRAMS_ENV, None)
-        else:
-            os.environ[OPTIMIZE_PROGRAMS_ENV] = previous
-
-    # Static side: re-derive the template's fused program and certify every
-    # rewrite explicitly (the execution path above already did, loudly).
-    noise = get_calibration(DEVICE).noise_model()
-    cache = TranspileCache()
-    entry, _ = cache.template(model.builder.build(samples[0], model.parameters_[0]))
-    source = entry.ensure_program(optimize=False)
-    fused = entry.ensure_program(optimize=True, noise_model=noise)
-    diagnostics = list(verify_translation(source, fused))
-    engine = DensitySuperoperatorEngine(noise)
-    for step, plan in zip(fused.steps, engine.step_plans(fused)):
-        if step.fused_from:
-            diagnostics.extend(verify_fused_step(step, program_name=fused.name))
-            diagnostics.extend(
-                verify_fused_superoperator_plan(
-                    step, plan.superop, noise, program_name=fused.name
-                )
-            )
-    error_codes = sorted(
-        {d.code for d in diagnostics if d.severity is Severity.ERROR}
-    )
-
-    # Contraction counts through the VER2xx cost model: fusion shrinks the
-    # step sequence, and contractions scale with it per tile.
-    rows = int(model.parameters_.shape[0])
-    element_amplitudes = 2**source.num_qubits
-    tile_plan = TilePlan.for_circuit_sweep(
-        rows,
-        int(samples.shape[0]),
-        element_amplitudes,
-        rows * int(samples.shape[0]) * element_amplitudes,
-    )
-    unfused_cost = estimate_cost(source, tile_plan, engine="density")
-    fused_cost = estimate_cost(fused, tile_plan, engine="density")
-
+    program = entry.ensure_program()
+    element_amplitudes = 4**program.num_qubits
+    one_tile = TilePlan.for_circuit_sweep(1, 1, element_amplitudes, element_amplitudes)
+    cost = estimate_cost(program, one_tile, engine="density")
+    plans = DensitySuperoperatorEngine(backend._simulator.noise_model).step_plans(program)
     return {
         "workload": {
             "dataset": "iris",
             "architecture": "s",
             "device": DEVICE,
-            "shots": SHOTS,
-            "rows": rows,
-            "num_samples": int(samples.shape[0]),
-            "seed": SEED,
+            "program": program.name,
+            "num_qubits": int(program.num_qubits),
         },
-        "certified": not error_codes,
-        "codes": error_codes,
-        "steps_unfused": len(source.steps),
-        "steps_fused": len(fused.steps),
-        "fused_steps": sum(1 for step in fused.steps if step.fused_from),
-        "contractions_unfused": int(unfused_cost.contractions),
-        "contractions_fused": int(fused_cost.contractions),
-        "contraction_reduction": float(
-            unfused_cost.contractions / fused_cost.contractions
-        ),
-        "plain_warm_seconds": plain_warm_seconds,
-        "fused_warm_seconds": fused_warm_seconds,
-        "seed_match": bool(np.array_equal(fused_fidelities, plain_fidelities)),
+        "steps": len(program.steps),
+        "matmuls": int(cost.contractions),
+        "transposes": int(cost.transposes),
+        "folded_steps": sum(plan is None for plan in plans),
+        "engine_dispatched_steps": sum(plan is not None for plan in plans),
     }
 
 
@@ -347,7 +269,7 @@ def run_program_compile_benchmark():
     return {
         "repeat_sweep": run_repeat_sweep_benchmark(),
         "mnist_tiling": run_mnist_tiling_benchmark(),
-        "fusion": run_fusion_benchmark(),
+        "schedule": run_schedule_benchmark(),
     }
 
 
@@ -356,16 +278,15 @@ def test_program_compile_benchmark(bench_reporter):
     path = bench_reporter("program_compile", payload)
     repeat = payload["repeat_sweep"]
     tiling = payload["mnist_tiling"]
-    fusion = payload["fusion"]
+    schedule = payload["schedule"]
     print()
     print(
         f"noisy repeat sweep: cold {repeat['cold_sweep_seconds']:.2f}s, warm "
         f"{repeat['warm_sweep_seconds']:.2f}s ({repeat['repeat_speedup']:.1f}x), "
         f"vs run loop {repeat['speedup_vs_run_loop']:.1f}x; MNIST 17q tiled peak "
         f"{tiling['tiled_peak_bytes'] / 2**20:.0f} MiB vs untiled "
-        f"{tiling['untiled_peak_bytes'] / 2**20:.0f} MiB; fusion "
-        f"{fusion['contractions_unfused']} -> {fusion['contractions_fused']} "
-        f"contractions -> {path}"
+        f"{tiling['untiled_peak_bytes'] / 2**20:.0f} MiB; schedule "
+        f"{schedule['steps']} steps -> {schedule['matmuls']} matmuls -> {path}"
     )
     assert repeat["seed_match_vs_run_loop"] is True
     assert repeat["noise_plans_compiled"] == 1
@@ -373,11 +294,9 @@ def test_program_compile_benchmark(bench_reporter):
     assert tiling["seed_match_tiled_vs_untiled"] is True
     assert tiling["tiled_peak_bytes"] < tiling["untiled_requirement_bytes"]
     assert tiling["cost_findings"] == ["VER205"]
-    assert fusion["certified"] is True
-    assert fusion["codes"] == []
-    assert fusion["fused_steps"] > 0
-    assert fusion["contractions_fused"] < fusion["contractions_unfused"]
-    assert fusion["seed_match"] is True
+    assert schedule["matmuls"] < schedule["steps"]
+    assert schedule["matmuls"] == schedule["engine_dispatched_steps"]
+    assert schedule["matmuls"] + schedule["folded_steps"] == schedule["steps"]
 
 
 if __name__ == "__main__":
@@ -398,11 +317,9 @@ if __name__ == "__main__":
         f"untiled peak {tiling['untiled_peak_bytes'] / 2**20:.0f} MiB  "
         f"reduction {tiling['peak_reduction']:.1f}x"
     )
-    fusion = result["fusion"]
+    schedule = result["schedule"]
     print(
-        f"fusion: {fusion['steps_unfused']} -> {fusion['steps_fused']} steps  "
-        f"{fusion['contractions_unfused']} -> {fusion['contractions_fused']} "
-        f"contractions  certified={fusion['certified']}  "
-        f"seed_match={fusion['seed_match']}"
+        f"schedule: {schedule['steps']} steps  {schedule['matmuls']} matmuls  "
+        f"{schedule['transposes']} transposes per tile"
     )
     print(f"report written to {report_path}")

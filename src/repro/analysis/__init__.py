@@ -7,9 +7,9 @@
 * :mod:`repro.analysis.verify` — the ``VER1xx`` IR verifier that
   :meth:`~repro.quantum.program.SweepProgram.compile`, the density engine's
   step plans and :class:`~repro.quantum.noise.NoiseModel` run fail-closed;
-* :mod:`repro.analysis.equiv` — the ``VER4xx`` fusion legality oracle and
-  translation-validation certificates behind plan-time fusion and
-  shared-prefix tile execution;
+* :mod:`repro.analysis.equiv` — the ``VER4xx`` equivalence certificates
+  behind shared-prefix tile execution, the statevector kernel classes and
+  the density engine's composed layout schedule;
 * :mod:`repro.analysis.cost` — the ``VER2xx`` static cost model.
 
 **Tooling** — imported only by ``python -m repro.analysis``, the benches

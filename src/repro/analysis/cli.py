@@ -1,8 +1,8 @@
 """Command-line entry point: ``python -m repro.analysis``.
 
 Runs the AST contract linter and the cross-module flow analyzers over
-source trees (and, with ``--verify``, the IR, cost-model, and
-translation-validation verifiers over the figure suite's representative
+source trees (and, with ``--verify``, the IR and cost-model verifiers
+and the equivalence certificates over the figure suite's representative
 compiled programs) and reports every finding through the shared
 diagnostic pipeline::
 
@@ -41,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Static analysis for the repro stack: AST contract linter "
             "(REP0xx/REP106/REP2xx), cross-module concurrency & determinism "
             "flow analyzers (REP101/REP102/REP104), SweepProgram IR + cost-model "
-            "verifiers (VER1xx/VER2xx), and compile-pipeline translation "
-            "validation (VER401-VER430)."
+            "verifiers (VER1xx/VER2xx), and execution-plan equivalence "
+            "certificates (VER403-VER406)."
         ),
     )
     parser.add_argument(
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         metavar="CODES",
         help="comma-separated codes to run: lint rule, flow analyzer, "
-        "and/or translation-validation codes (default: all); VER1xx/VER2xx "
+        "and/or equivalence-certificate codes (default: all); VER1xx/VER2xx "
         "always run under --verify and cannot be selected",
     )
     parser.add_argument(
@@ -69,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="additionally compile the figure suite's representative "
         "SweepPrograms and run the full IR verifier, the static cost-model "
-        "verifier, and the VER4xx translation validator (fused vs source "
-        "programs) over them (JSON output gains a 'cost' section)",
+        "verifier, and the VER4xx equivalence certificates (shared "
+        "prefixes, kernel classes, composed density schedules) over them "
+        "(JSON output gains a 'cost' section)",
     )
     return parser
 

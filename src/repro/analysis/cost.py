@@ -11,9 +11,14 @@ computes what one tiled execution *will* allocate and contract —
 * the peak resident bytes, modelling the engine's einsum double-buffering
   (input and output amplitude arrays are live together during every step)
   plus the sweep-wide bindings matrix and read-out buffer;
-* the step-application count of the full sweep (one per compiled step per
-  tile), and of those the dense contractions: every step on a density
-  engine, and on a statevector engine only the steps whose kernel class
+* the step-application count of the full sweep, one per dispatched step
+  per tile: every compiled step on a statevector engine, and on a density
+  engine one matmul per entry of the composed layout schedule
+  (:func:`~repro.quantum.program.density_schedule`, the grouping the
+  engine itself uses, so a run of fixed steps folded into one operator
+  counts once) plus the schedule's transpose copies;
+* of those the dense contractions: every matmul on a density engine, and
+  on a statevector engine only the steps whose kernel class
   (:mod:`repro.quantum.kernels`) is dense or controlled — permutation and
   diagonal steps contract nothing.
 
@@ -95,10 +100,12 @@ class CostReport:
     bytes_per_amplitude: int
     #: Predicted peak resident bytes of one execution (see module docstring).
     peak_bytes: int
-    #: Step applications over the whole sweep: ``num_tiles * len(steps)``.
+    #: Step applications over the whole sweep: ``num_tiles`` times the
+    #: dispatched steps (every step on a statevector engine; the composed
+    #: schedule's matmuls on a density engine).
     contractions: int
-    #: Of which precomposed ``(4**k, 4**k)`` superoperator contractions
-    #: (density engines contract every step as a superoperator; 0 otherwise).
+    #: Of which precomposed superoperator matmuls (every density-engine
+    #: contraction; 0 otherwise).
     superoperator_contractions: int
     #: Of which dense einsum contractions: every step on a density engine;
     #: on a statevector engine the dense and controlled kernel-class steps.
@@ -113,6 +120,9 @@ class CostReport:
     #: once per tile instead of once per element, so this is the quantity
     #: the whole-grid executor actually reduces.
     element_contractions: int = 0
+    #: Transpose copies of the density layout schedule over the whole
+    #: sweep (0 on a statevector engine).
+    transposes: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready rendering for the analysis payload's ``cost`` section."""
@@ -191,20 +201,25 @@ def estimate_cost(
         + bindings_bytes
         + readout_bytes
     )
-    contractions = num_tiles * len(program.steps)
     if engine == "density":
-        dense_contractions = contractions
+        from repro.quantum.program import density_schedule
+
+        entries, heads = density_schedule(program)
+        dispatched = [head == index for index, head in enumerate(heads)]
+        transposes = num_tiles * sum(entry.transpose is not None for entry in entries)
+        contractions = dense_contractions = num_tiles * sum(dispatched)
     else:
         from repro.quantum.kernels import CONTROLLED, DENSE, classify_step
 
-        dense_steps = sum(
+        dispatched = [True] * len(program.steps)
+        transposes = 0
+        contractions = num_tiles * len(program.steps)
+        dense_contractions = num_tiles * sum(
             classify_step(step) in (DENSE, CONTROLLED) for step in program.steps
         )
-        dense_contractions = num_tiles * dense_steps
-    suffix_steps = len(program.steps) - shared_prefix_steps
-    element_contractions = (
-        num_tiles * shared_prefix_steps + sweep_elements * suffix_steps
-    )
+    element_contractions = num_tiles * sum(
+        dispatched[:shared_prefix_steps]
+    ) + sweep_elements * sum(dispatched[shared_prefix_steps:])
     return CostReport(
         program=program.name,
         engine=engine,
@@ -226,6 +241,7 @@ def estimate_cost(
         max_amplitudes=plan.max_amplitudes,
         shared_prefix_steps=shared_prefix_steps,
         element_contractions=element_contractions,
+        transposes=transposes,
     )
 
 

@@ -759,14 +759,16 @@ def step_plan_diagnostics(program: "SweepProgram", plans) -> List[Diagnostic]:
     Every plan — the folded unitary+noise matrix of a fixed step, or the
     noise-only precomposition of a parametric site — must be a complex
     ``(4**k, 4**k)`` block for its step's ``k`` qubits (the flattened
-    density layout the engine contracts with) and CPTP.
+    density layout the engine contracts with) and CPTP.  A ``None`` plan is
+    a step folded into an earlier run head: the engine checks its plan
+    before folding it, and VER406 certifies the composed schedule.
     """
     out: List[Diagnostic] = []
     prog = f"program '{program.name}'"
     for index, (step, plan) in enumerate(zip(program.steps, plans)):
-        kind, superop = plan.kind, plan.superop
-        if superop is None:
+        if plan is None or plan.superop is None:
             continue
+        kind, superop = plan.kind, plan.superop
         name = f"{prog} step {index} ({step.name}) {kind} superoperator plan"
         dtype = np.asarray(superop).dtype
         if dtype.kind != "c":
@@ -892,6 +894,6 @@ def verify_reference_suite() -> List[Diagnostic]:
         # Density step plans, as the London engine precomposes them for the
         # grid and for the template program a noisy backend runs.
         engine = DensitySuperoperatorEngine(noise)
-        for program in (grid, entry.ensure_program(noise_model=noise)):
+        for program in (grid, entry.ensure_program()):
             out.extend(step_plan_diagnostics(program, engine.step_plans(program)))
     return out

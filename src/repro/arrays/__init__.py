@@ -24,8 +24,8 @@ Two kinds of dtype requests exist, and the distinction matters:
 
 * :data:`COMPLEX_DTYPE` / :data:`REAL_DTYPE` are the **canonical**
   double-precision dtypes.  Gate matrices, Kraus operators, plan-time
-  precomposed superoperators and fused matrices, and verifier arithmetic
-  are always built at canonical precision — operators are tiny,
+  precomposed superoperators and the density schedule's composed runs,
+  and verifier arithmetic are always built at canonical precision — operators are tiny,
   and building them wide keeps their construction exact.  They are cast to
   the configured precision at the point of application.
 * :func:`complex_dtype` / :func:`real_dtype` return the **configured**

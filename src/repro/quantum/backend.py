@@ -408,9 +408,7 @@ class NoisyBackend(Backend):
         entry = self._transpile_cache.symbolic_template(
             circuit, parameters, local_map
         )
-        program = entry.ensure_program(
-            noise_model=getattr(self._simulator, "noise_model", None)
-        )
+        program = entry.ensure_program()
         stats = self._transpile_stats(entry.result)
         self.last_transpile_stats = stats
         readout = self._simulator.run_sweep_program(

@@ -11,7 +11,7 @@ program** into one of four kernel classes, and each class has its own kernel:
 class          steps                                           kernel
 =============  ==============================================  ==============================
 permutation    ``x``, ``cx``, ``swap``, ``cswap``, any fixed    in place: move only the
-               or fused 0/1 permutation matrix                  sub-blocks the permutation moves
+               0/1 permutation matrix                           sub-blocks the permutation moves
 diagonal       ``z``, ``s``, ``t``, ``cz``, ``rz``, ``crz``,    in place: multiply by the
                ``rzz``, any fixed diagonal matrix               diagonal broadcast onto the
                                                                 step's qubit axes
@@ -22,7 +22,7 @@ dense          everything else                                  the full einsum 
 =============  ==============================================  ==============================
 
 Parametric steps classify by gate-library name (:data:`PARAMETRIC_CLASSES`);
-fixed and fused steps classify from their matrix, exactly (no tolerance), so
+fixed steps classify from their matrix, exactly (no tolerance), so
 a matrix only leaves the dense class when its structure is exact.
 
 Kernels work on a *collapsed* view of the ``(batch, 2**n)`` amplitudes: the
@@ -51,7 +51,7 @@ CONTROLLED = "controlled"
 DENSE = "dense"
 
 #: Kernel class of each parametric library gate; a parametric gate absent
-#: here is dense.  Fixed and fused steps classify from their matrix instead.
+#: here is dense.  Fixed steps classify from their matrix instead.
 PARAMETRIC_CLASSES: Dict[str, str] = {
     "rz": DIAGONAL,
     "crz": DIAGONAL,

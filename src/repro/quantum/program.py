@@ -19,7 +19,9 @@ many**:
   step, the gate's noise channels into a single ``(4**k, 4**k)``
   superoperator — and for fixed gates the unitary itself is folded in — so a
   repeat sweep on a noisy backend applies **one** contraction per gate and
-  never resolves Kraus channels again.
+  never resolves Kraus channels again.  Runs of fixed gates on one block of
+  the layout schedule (:func:`density_schedule`) are multiplied into a
+  single contraction at plan time.
 * :meth:`SweepProgram.execute` streams the sweep through
   :class:`~repro.quantum.batched.BatchedStatevector` /
   :class:`~repro.quantum.batched_density.BatchedDensityMatrix` tile by tile
@@ -296,114 +298,36 @@ class GateStep:
     reads a bindings column (the step is *fixed* across the whole sweep);
     parametric steps build a shared or per-element matrix from the bindings
     at execution time.
-
-    ``fused_from`` is the fusion pass's provenance: the ordered source steps
-    a fused step replaced.  It is what the density engine composes noise
-    from (a fused step's synthetic name must never reach a name-keyed
-    channel lookup) and what the VER4xx translation validator certifies the
-    rewrite against.
     """
 
     name: str
     qubits: Tuple[int, ...]
     slots: Tuple[Slot, ...]
     matrix: Optional[np.ndarray] = None
-    fused_from: Optional[Tuple["GateStep", ...]] = None
 
     @property
     def is_fixed(self) -> bool:
         return self.matrix is not None
 
 
-# --------------------------------------------------------------------------- #
-# Plan-time fusion
-# --------------------------------------------------------------------------- #
-
-#: Opt-in switch for plan-time fusion on the cached execution paths (the
-#: simulators' program cache and ``TranspileCache`` templates).
-#: Off by default: fusion is certified-equivalent but regroups float matrix
-#: products, so the default paths keep the seed's bit-exact guarantees.
+#: The retired plan-time fusion switch.  Density schedules now fold runs of
+#: fixed steps by default (:func:`density_schedule`), so the variable has no
+#: meaning left: :meth:`SweepProgram.compile` refuses to run while it is set.
 OPTIMIZE_PROGRAMS_ENV = "REPRO_OPTIMIZE_PROGRAMS"
 
 
 def optimization_enabled() -> bool:
-    """Whether ``REPRO_OPTIMIZE_PROGRAMS`` asks for plan-time fusion."""
+    """Whether ``REPRO_OPTIMIZE_PROGRAMS`` is set to a true value.
+
+    The only reader of the retired variable; a true value makes every
+    compile fail closed instead of silently meaning nothing.
+    """
     return os.environ.get(OPTIMIZE_PROGRAMS_ENV, "").strip().lower() in {
         "1",
         "true",
         "yes",
         "on",
     }
-
-
-def resolve_optimization(flag: Optional[bool]) -> bool:
-    """Resolve a three-state ``optimize`` knob (``None`` = environment)."""
-    return optimization_enabled() if flag is None else bool(flag)
-
-
-def _lift_block(block, positions: Sequence[int], total_axes: int) -> np.ndarray:
-    """Embed an operator on ``len(positions)`` binary axes into ``total_axes``.
-
-    ``block`` is a ``(2**j, 2**j)`` matrix acting on axes ``positions`` of a
-    ``2**total_axes``-dimensional space (most-significant-axis-first index
-    convention); the result acts as the identity everywhere else.  This is
-    the engines' tensor-axis idiom — the VER4xx validator rebuilds the same
-    lift independently from ``kron`` and permutation matrices.  Lifts run at
-    compile and plan time, so they stay at the canonical ``COMPLEX_DTYPE``
-    whatever precision the engines are configured to.
-    """
-    j = len(positions)
-    op = np.asarray(block, dtype=COMPLEX_DTYPE).reshape((2,) * (2 * j))
-    ident = np.eye(2**total_axes, dtype=COMPLEX_DTYPE).reshape(
-        (2,) * (2 * total_axes)
-    )
-    out = arrays.tensordot(
-        op, ident, axes=(tuple(range(j, 2 * j)), tuple(positions))
-    )
-    out = np.moveaxis(out, tuple(range(j)), tuple(positions))
-    return out.reshape(2**total_axes, 2**total_axes)
-
-
-def lift_matrix(
-    matrix, qubits: Sequence[int], union: Sequence[int]
-) -> np.ndarray:
-    """Lift a gate matrix on ``qubits`` to the fused ``union`` register."""
-    union = tuple(union)
-    positions = [union.index(qubit) for qubit in qubits]
-    return _lift_block(matrix, positions, len(union))
-
-
-def lift_superoperator(
-    superoperator, qubits: Sequence[int], union: Sequence[int]
-) -> np.ndarray:
-    """Lift a ``(4**k, 4**k)`` superoperator on ``qubits`` to the ``union``.
-
-    A superoperator on ``vec(rho)`` has one row-index axis and one
-    column-index axis per qubit; both families lift to the same qubit
-    positions, offset by the union width on the column side.
-    """
-    union = tuple(union)
-    m = len(union)
-    positions = [union.index(qubit) for qubit in qubits]
-    return _lift_block(
-        superoperator, positions + [m + p for p in positions], 2 * m
-    )
-
-
-def _fuse_run(run: Sequence[GateStep]) -> GateStep:
-    """Merge a legal run of fixed steps into one provenance-carrying step."""
-    union = tuple(sorted({qubit for step in run for qubit in step.qubits}))
-    matrix: Optional[np.ndarray] = None
-    for step in run:
-        lifted = lift_matrix(step.matrix, step.qubits, union)
-        matrix = lifted if matrix is None else lifted @ matrix
-    return GateStep(
-        name="fused(" + "+".join(step.name for step in run) + ")",
-        qubits=union,
-        slots=(),
-        matrix=matrix,
-        fused_from=tuple(run),
-    )
 
 
 class SweepProgram:
@@ -427,7 +351,6 @@ class SweepProgram:
         parameters: Tuple[Parameter, ...],
         column_sites: Tuple[Tuple[int, int], ...],
         name: str,
-        fusion_barriers: Tuple[int, ...] = (),
     ) -> None:
         self.num_qubits = int(num_qubits)
         self.num_clbits = int(num_clbits)
@@ -441,12 +364,6 @@ class SweepProgram:
         #: the *reference* circuit (bound-reference mode only; barrier
         #: positions included).  Introspection only.
         self.column_sites = column_sites
-        #: Source-step indices where the compiled circuit placed a barrier.
-        #: The fusion pass never merges a run across one of these — the
-        #: whole-grid compile path barriers the trained/encoder boundary so
-        #: a claimed shared prefix survives optimisation — and the VER404
-        #: translation check rejects any fused step that straddles one.
-        self.fusion_barriers: Tuple[int, ...] = tuple(fusion_barriers)
         self.name = name
 
     # ------------------------------------------------------------------ #
@@ -460,16 +377,8 @@ class SweepProgram:
         bind_floats: bool,
         parameters: Optional[Sequence[Parameter]] = None,
         name: Optional[str] = None,
-        optimize: bool = False,
-        noise_model: Optional[NoiseModel] = None,
     ) -> "SweepProgram":
         """Compile one representative circuit into a sweep program.
-
-        ``optimize=True`` additionally runs the certified plan-time fusion
-        pass (:meth:`optimized`) on the result; ``noise_model`` is the model
-        the program will execute under, consulted by the fusion legality
-        oracle's channel-commutation checks (pass the density engine's model
-        for noisy sweeps, ``None`` for statevector execution).
 
         Two modes cover every consumer:
 
@@ -487,8 +396,15 @@ class SweepProgram:
 
         Resets are rejected (they need per-element projective randomness the
         vectorised engines do not model), as are circuits the
-        deferred-measurement strategy cannot represent.
+        deferred-measurement strategy cannot represent.  So is any compile
+        while the retired ``REPRO_OPTIMIZE_PROGRAMS`` variable is set.
         """
+        if optimization_enabled():
+            raise SimulationError(
+                f"{OPTIMIZE_PROGRAMS_ENV} was removed: plan-time fusion is gone "
+                "and density schedules now fold runs of fixed steps by "
+                f"default; unset {OPTIMIZE_PROGRAMS_ENV}"
+            )
         program_name = name or f"sweep({getattr(circuit, 'name', 'circuit')})"
         column_of: Dict[Parameter, int] = {}
         explicit_order = parameters is not None
@@ -500,7 +416,6 @@ class SweepProgram:
                     )
                 column_of[param] = len(column_of)
         column_sites: List[Tuple[int, int]] = []
-        fusion_barriers: List[int] = []
         steps: List[GateStep] = []
         measured_qubits: List[int] = []
         measured_set: set = set()
@@ -520,11 +435,6 @@ class SweepProgram:
 
         for position, instruction in enumerate(circuit.instructions):
             if instruction.name == "barrier":
-                # Barriers compile to no step, but they *do* pin a fusion
-                # boundary: record the index of the next step so the
-                # optimisation pass never merges a run across the barrier.
-                if steps and (not fusion_barriers or fusion_barriers[-1] != len(steps)):
-                    fusion_barriers.append(len(steps))
                 continue
             check_deferred_measurement(instruction, measured_set, program_name)
             if instruction.is_measurement:
@@ -593,9 +503,6 @@ class SweepProgram:
             ),
             column_sites=tuple(column_sites),
             name=program_name,
-            fusion_barriers=tuple(
-                barrier for barrier in fusion_barriers if barrier < len(steps)
-            ),
         )
         # Static verification at the compile boundary: the cheap structural
         # subset (bind-column/qubit/read-out bounds) always runs — compiles
@@ -605,128 +512,6 @@ class SweepProgram:
         # numbers three layers down.
         from repro.analysis.verify import verify_compilation
 
-        verify_compilation(program)
-        if optimize:
-            program = program.optimized(noise_model=noise_model)
-        return program
-
-    # ------------------------------------------------------------------ #
-    # Plan-time fusion
-    # ------------------------------------------------------------------ #
-    def source_steps(self) -> Iterator[GateStep]:
-        """The original compiled steps, flattened through fusion provenance.
-
-        On an unoptimised program this is just ``iter(self.steps)``; on an
-        optimised one it re-yields the exact pre-fusion step sequence.
-        """
-        for step in self.steps:
-            if step.fused_from:
-                yield from step.fused_from
-            else:
-                yield step
-
-    def _with_steps(self, steps: Sequence[GateStep]) -> "SweepProgram":
-        return SweepProgram(
-            num_qubits=self.num_qubits,
-            num_clbits=self.num_clbits,
-            steps=steps,
-            measured_qubits=self.measured_qubits,
-            clbits=self.clbits,
-            num_columns=self.num_columns,
-            parameters=self.parameters,
-            column_sites=self.column_sites,
-            name=self.name,
-            fusion_barriers=self.fusion_barriers,
-        )
-
-    def optimized(
-        self,
-        *,
-        noise_model: Optional[NoiseModel] = None,
-        max_fused_qubits: Optional[int] = None,
-        atol: Optional[float] = None,
-    ) -> "SweepProgram":
-        """Certified plan-time fusion: merge legal runs of fixed gates.
-
-        Walks the step sequence greedily, growing runs of fixed unitaries
-        that the :mod:`repro.analysis.equiv` legality oracle admits —
-        overlapping qubit tuples within ``max_fused_qubits``, and (under
-        ``noise_model``) only while every appended gate's conjugation
-        commutes with the run's accumulated noise superoperators, so folding
-        the noise behind one fused unitary on the density engine stays
-        exact.  Parametric bind sites always flush the current run.
-
-        Every rewrite is certified before the program is returned: the
-        VER410 translation witness plus a VER401 certificate per fused step,
-        both re-deriving the lifts through an independent code path; a
-        failed certificate raises instead of shipping a wrong plan.  Returns
-        ``self`` when nothing fuses.
-        """
-        from repro.analysis.equiv import (
-            DEFAULT_MAX_FUSED_QUBITS,
-            can_extend_fusion,
-            verify_fused_step,
-            verify_translation,
-        )
-        from repro.analysis.verify import (
-            DEFAULT_ATOL,
-            assert_clean,
-            verify_compilation,
-        )
-
-        if max_fused_qubits is None:
-            max_fused_qubits = DEFAULT_MAX_FUSED_QUBITS
-        if atol is None:
-            atol = DEFAULT_ATOL
-        steps: List[GateStep] = []
-        run: List[GateStep] = []
-
-        def admits(candidates: List[GateStep], step: GateStep) -> bool:
-            ok, _ = can_extend_fusion(
-                candidates,
-                step,
-                noise_model=noise_model,
-                max_fused_qubits=max_fused_qubits,
-                atol=atol,
-            )
-            return ok
-
-        def flush() -> None:
-            if not run:
-                return
-            steps.append(run[0] if len(run) == 1 else _fuse_run(run))
-            run.clear()
-
-        barriers = set(self.fusion_barriers)
-        position = 0
-        for step in self.steps:
-            if position in barriers:
-                # A declared fusion boundary (compiled from a circuit
-                # barrier): never extend a run across it, so rewrites stay
-                # legal for the shared-prefix execution path.
-                flush()
-            position += len(step.fused_from) if step.fused_from else 1
-            if admits(run, step):
-                run.append(step)
-                continue
-            flush()
-            if admits(run, step):
-                run.append(step)
-            else:
-                steps.append(step)
-        flush()
-        if not any(step.fused_from for step in steps):
-            return self
-        program = self._with_steps(steps)
-        diagnostics = list(verify_translation(self, program, atol=atol))
-        for fused in program.steps:
-            if fused.fused_from:
-                diagnostics.extend(
-                    verify_fused_step(
-                        fused, program_name=program.name, atol=atol
-                    )
-                )
-        assert_clean(diagnostics, context=f"{self.name}: plan-time fusion")
         verify_compilation(program)
         return program
 
@@ -817,8 +602,10 @@ class SweepProgram:
     ):
         """Evolve one contiguous tile ``[start, stop)`` of the sweep.
 
-        ``plans`` are the engine's step plans, resolved once per sweep.
-        When ``shared_bindings`` is provided (the tile plan claims a shared
+        ``plans`` are the engine's step plans, resolved once per sweep; a
+        ``None`` plan marks a step the engine folded into an earlier one
+        (:func:`density_schedule`), and it is never dispatched.  When
+        ``shared_bindings`` is provided (the tile plan claims a shared
         trained-state prefix), the longest prefix of steps whose operands are
         constant across the tile is evolved **once** at batch size 1 and the
         resulting state broadcast across the tile before the per-element
@@ -846,18 +633,24 @@ class SweepProgram:
         if prefix:
             state = engine.initial_state(1, self.num_qubits)
             for index in range(prefix):
+                plan = plans[index]
+                if plan is None:
+                    continue
                 step = self.steps[index]
                 matrix = self._step_matrix(
                     step, operands[index], start, start + 1
                 )
-                engine.apply_step(state, step, plans[index], matrix)
+                engine.apply_step(state, step, plan, matrix)
             state = state.broadcast_to(batch)
         else:
             state = engine.initial_state(batch, self.num_qubits)
         for index in range(prefix, len(self.steps)):
+            plan = plans[index]
+            if plan is None:
+                continue
             step = self.steps[index]
             matrix = self._step_matrix(step, operands[index], start, stop)
-            engine.apply_step(state, step, plans[index], matrix)
+            engine.apply_step(state, step, plan, matrix)
         return state
 
     def _pin_noise(self, engine) -> Optional[int]:
@@ -1040,15 +833,52 @@ def gate_noise_superoperator(
     return composed
 
 
+def density_schedule(
+    program: SweepProgram,
+) -> Tuple[Tuple[LayoutStep, ...], Tuple[int, ...]]:
+    """A density program's layout schedule and the run each step folds into.
+
+    Walks the steps from the canonical axis order through
+    :func:`~repro.quantum.batched_density.plan_layout`, giving each step its
+    :class:`~repro.quantum.batched_density.LayoutStep`.  ``heads[i]`` is
+    ``i`` for a step the engine dispatches, or the index of the earlier
+    fixed step whose operator absorbs it.  A fixed step joins the run of the
+    fixed step before it when it needs no transpose and contracts a block of
+    the run head's width: the layout has not moved since the head, so that
+    is the head's own trailing block.  Parametric steps and transposes end a
+    run.  The grouping reads only qubit supports and fixedness, never a
+    noise model, so the engine and the VER2xx cost model share it.
+    """
+    layout = canonical_layout(program.num_qubits)
+    entries: List[LayoutStep] = []
+    heads: List[int] = []
+    head: Optional[int] = None
+    for index, step in enumerate(program.steps):
+        entry = plan_layout(layout, step.qubits)
+        layout = entry.target
+        joins = (
+            step.is_fixed
+            and head is not None
+            and entry.transpose is None
+            and entry.gather.size == entries[head].gather.size
+        )
+        if not joins:
+            head = index if step.is_fixed else None
+        entries.append(entry)
+        heads.append(head if joins else index)
+    return tuple(entries), tuple(heads)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class DensityStepPlan:
-    """One step of a density program, planned against the layout schedule.
+    """One dispatched step of a density program, planned against the schedule.
 
-    ``superop`` is the canonical ``(4**k, 4**k)`` plan the certificates
-    check: the folded unitary and noise of a fixed step, or the noise alone
-    of a parametric bind site (``None`` when the model attaches none).
-    ``layout`` is the step's entry in the schedule, and ``operator`` a fixed
-    step's ``superop`` already in ``layout``'s physical block order.
+    ``superop`` is the step's own canonical ``(4**k, 4**k)`` plan, which
+    the certificates check: the folded unitary and noise of a fixed step,
+    or the noise alone of a parametric bind site (``None`` when the model
+    attaches none).  ``layout`` is the step's entry in the schedule, and
+    ``operator`` a fixed step's operator in ``layout``'s physical block
+    order — for a run head, the product of every folded step's operator.
     """
 
     kind: str
@@ -1065,11 +895,12 @@ class DensitySuperoperatorEngine:
     channel into a single ``(4**k, 4**k)`` superoperator, and parametric
     bind sites precompose their noise channels alone (at execution time the
     per-tile gate superoperator is left-multiplied by that matrix).  The
-    same pass plans the *layout schedule*: walking the steps from the
-    canonical axis order, :func:`~repro.quantum.batched_density.plan_layout`
-    gives each step either no transpose or one, and a fixed step's
+    same pass follows the *layout schedule* of :func:`density_schedule`:
+    each step gets either no transpose or one, and a fixed step's
     superoperator is stored already permuted (or lifted) into the physical
-    order it will meet.  A noisy step is then one matmul and at most one
+    order it will meet.  Each run of fixed steps on one trailing block is
+    then multiplied into its head's operator, and the folded steps get a
+    ``None`` plan.  A dispatched step is one matmul and at most one
     transpose copy, with no Kraus-channel resolution on repeat sweeps.
     """
 
@@ -1093,70 +924,37 @@ class DensitySuperoperatorEngine:
         # First plan for this program, or the noise model was mutated
         # in place since the plan was precomposed (its ``add_*`` builders
         # bump ``version``) — recompose so every sweep tracks the live model.
-        layout = canonical_layout(program.num_qubits)
-        plans = []
-        for step in program.steps:
+        entries, heads = density_schedule(program)
+        plans: List[Optional[DensityStepPlan]] = []
+        for step, entry in zip(program.steps, entries):
             kind, superop = self._plan_step(step)
-            entry = plan_layout(layout, step.qubits)
-            layout = entry.target
             operator = entry.physical(superop) if kind == "fixed" else None
             plans.append(DensityStepPlan(kind, superop, entry, operator))
-        plans = tuple(plans)
         if full_verification_enabled():
             # REPRO_VERIFY=1: CPTP-check every precomposed superoperator plan
             # before the engine ever contracts with it.
             from repro.analysis.verify import verify_step_plan_superoperators
 
             verify_step_plan_superoperators(program, plans)
+        for index, head in enumerate(heads):
+            if head != index:
+                # Later operators on the left: the head now applies the run.
+                plans[head] = dataclasses.replace(
+                    plans[head], operator=plans[index].operator @ plans[head].operator
+                )
+                plans[index] = None
+        plans = tuple(plans)
         self._plans[program] = (version, plans)
         self.plans_compiled += 1  # repro: noqa REP101 -- instrumentation counter on a per-backend engine; workers rebuild backends from specs, never share one engine
         return plans
 
     def _plan_step(self, step: GateStep):
-        if step.fused_from:
-            # Provenance first: the model's *default* channels are keyed by
-            # qubit count, so a name lookup on the fused step's synthetic
-            # name would still attach a spurious k-qubit channel.
-            return ("fixed", self._fused_superoperator(step))
         noise = gate_noise_superoperator(step.name, step.qubits, self.noise_model)
         if not step.is_fixed:
             return ("parametric", noise)
         if noise is None:
             return ("fixed", conjugation_superoperator(step.matrix))
         return ("fixed", noise @ conjugation_superoperator(step.matrix))
-
-    def _fused_superoperator(self, step: GateStep) -> np.ndarray:
-        """Fold the provenance steps' noise behind the fused unitary.
-
-        Noise is composed exclusively from the *source* steps' own channels,
-        lifted onto the fused qubit tuple in source order.  The fold is
-        certified against an independently lifted sequential composition
-        (VER402) every time it is composed — cheap at fused width, and it
-        makes a program optimised under a different noise model than this
-        engine's fail loudly instead of producing wrong sweep numbers.
-        """
-        from repro.analysis.equiv import verify_fused_superoperator_plan
-        from repro.analysis.verify import assert_clean
-
-        noise: Optional[np.ndarray] = None
-        for source in step.fused_from:
-            channel = gate_noise_superoperator(
-                source.name, source.qubits, self.noise_model
-            )
-            if channel is None:
-                continue
-            lifted = lift_superoperator(channel, source.qubits, step.qubits)
-            noise = lifted if noise is None else lifted @ noise
-        folded = conjugation_superoperator(step.matrix)
-        if noise is not None:
-            folded = noise @ folded
-        assert_clean(
-            verify_fused_superoperator_plan(
-                step, folded, self.noise_model, program_name=self.name
-            ),
-            context=f"{self.name}: folding noise into fused step '{step.name}'",
-        )
-        return folded
 
     def apply_step(self, state, step: GateStep, plan: DensityStepPlan, matrix) -> None:
         operator = plan.operator

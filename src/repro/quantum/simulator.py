@@ -57,7 +57,6 @@ from repro.quantum.program import (
     StatevectorEngine,
     SweepProgram,
     TilePlan,
-    resolve_optimization,
 )
 from repro.quantum.statevector import Statevector
 from repro.quantum.transpiler import circuit_structure_key
@@ -218,26 +217,17 @@ def _execute_sweep_readout(
 class _SweepProgramCacheMixin:
     """Structure-keyed compile-once program cache shared by both simulators.
 
-    Each cache entry keeps the *source* compile of a circuit structure plus,
-    when plan-time fusion is enabled (``optimize_programs=True`` on the
-    simulator or ``REPRO_OPTIMIZE_PROGRAMS=1``), the certified optimised
-    variant for the simulator's current noise model — re-derived from the
-    cached source (never recompiled) when the model instance or its mutation
-    version changes.
+    Each entry is the compiled program of one circuit structure; the
+    engines plan it (and the density engine replans it when the noise model
+    changes) without recompiling.
     """
 
     PROGRAM_CACHE_SIZE = 64
 
-    def _init_program_cache(self, optimize_programs: Optional[bool] = None) -> None:
+    def _init_program_cache(self) -> None:
         self._program_cache = LRUCache(self.PROGRAM_CACHE_SIZE)
         self._program_cache_hits = 0
         self._program_cache_misses = 0
-        #: Three-state fusion knob: ``None`` defers to the environment.
-        self._optimize_programs = optimize_programs
-
-    def _program_noise_model(self):
-        """Noise model the fusion legality oracle consults (engine-specific)."""
-        return None
 
     @property
     def program_cache_stats(self) -> Dict[str, int]:
@@ -251,32 +241,15 @@ class _SweepProgramCacheMixin:
     def _cached_program(
         self, key: tuple, compile_source: Callable[[], SweepProgram]
     ) -> SweepProgram:
-        """The program cached under ``key``, compiled by ``compile_source`` on a miss.
-
-        With plan-time fusion enabled the certified fused variant for the
-        current noise model is returned instead, re-derived from the cached
-        source (never recompiled) when the model instance or its mutation
-        version changes.
-        """
-        entry = self._program_cache.get(key)
-        if entry is None:
-            entry = {"source": compile_source()}
-            self._program_cache.put(key, entry)
+        """The program cached under ``key``, compiled by ``compile_source`` on a miss."""
+        program = self._program_cache.get(key)
+        if program is None:
+            program = compile_source()
+            self._program_cache.put(key, program)
             self._program_cache_misses += 1  # repro: noqa REP101 -- instrumentation counter; simulators are rebuilt per shard from specs, never shared across workers
         else:
             self._program_cache_hits += 1  # repro: noqa REP101 -- instrumentation counter; simulators are rebuilt per shard from specs, never shared across workers
-        if not resolve_optimization(self._optimize_programs):
-            return entry["source"]
-        noise = self._program_noise_model()
-        version = getattr(noise, "version", 0)
-        cached = entry.get("optimized")
-        if cached is None or cached[0] is not noise or cached[1] != version:
-            entry["optimized"] = (
-                noise,
-                version,
-                entry["source"].optimized(noise_model=noise),
-            )
-        return entry["optimized"][2]
+        return program
 
     def _grid_program(
         self, reference: QuantumCircuit, parameters: Sequence
@@ -359,20 +332,13 @@ class StatevectorSimulator(_SweepProgramCacheMixin):
     ----------
     seed:
         Seed for shot sampling (exact probabilities are deterministic).
-    optimize_programs:
-        Three-state plan-time fusion knob for the cached sweep programs:
-        ``True``/``False`` force it, ``None`` (default) defers to
-        ``REPRO_OPTIMIZE_PROGRAMS``.  Fused programs are certified
-        equivalent (VER4xx) before they execute.
     """
 
     name = "statevector_simulator"
 
-    def __init__(
-        self, seed: RandomState = None, optimize_programs: Optional[bool] = None
-    ) -> None:
+    def __init__(self, seed: RandomState = None) -> None:
         self._rng = ensure_rng(seed)
-        self._init_program_cache(optimize_programs)
+        self._init_program_cache()
 
     def run(
         self, circuit: QuantumCircuit, shots: Optional[int] = None
@@ -442,16 +408,11 @@ class DensityMatrixSimulator(_SweepProgramCacheMixin):
         self,
         noise_model: Optional[NoiseModel] = None,
         seed: RandomState = None,
-        optimize_programs: Optional[bool] = None,
     ) -> None:
         self.noise_model = noise_model if noise_model is not None else NoiseModel.ideal()
         self._rng = ensure_rng(seed)
-        self._init_program_cache(optimize_programs)
+        self._init_program_cache()
         self._engine: Optional[DensitySuperoperatorEngine] = None
-
-    def _program_noise_model(self) -> NoiseModel:
-        """Fusion legality consults the simulator's live noise model."""
-        return self.noise_model
 
     def _program_engine(self) -> DensitySuperoperatorEngine:
         """The precomposing superoperator engine for the *current* noise model.

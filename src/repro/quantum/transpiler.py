@@ -280,10 +280,10 @@ def route_circuit(
     for instruction in circuit.instructions:
         if instruction.name == "barrier":
             # Barriers survive routing with their qubits mapped to the
-            # current layout: they carry fusion-boundary semantics (the
-            # whole-grid compile path barriers the trained/encoder seam)
-            # and cost nothing — compilation, binding walks and depth
-            # statistics all skip them.
+            # current layout, so a routed circuit keeps the seams its
+            # builder marked (the whole-grid discriminator barriers the
+            # trained/encoder seam).  They cost nothing: compilation,
+            # binding walks and depth statistics all skip them.
             routed.append(
                 Instruction(
                     name="barrier",
@@ -414,23 +414,15 @@ class _TranspileTemplate:
     result: TranspileResult
     slots: Tuple[Parameter, ...]
     program: object = None
-    #: ``(noise_model, version, program)`` of the certified fused variant.
-    optimized: object = None
 
-    def ensure_program(self, *, optimize=None, noise_model=None):
+    def ensure_program(self):
         """Compile (once) and return the template's sweep program.
 
         The program's binding columns are ordered exactly like ``slots``, so
         the slot-value vector extracted from an incoming bound circuit is
         directly a bindings row.
-
-        ``optimize`` is the three-state plan-time fusion knob (``None``
-        defers to ``REPRO_OPTIMIZE_PROGRAMS``); when enabled, the certified
-        fused variant for ``noise_model`` is derived once from the cached
-        source program and re-derived only when the model instance or its
-        mutation version changes.
         """
-        from repro.quantum.program import SweepProgram, resolve_optimization
+        from repro.quantum.program import SweepProgram
 
         if self.program is None:
             self.program = SweepProgram.compile(
@@ -439,17 +431,7 @@ class _TranspileTemplate:
                 parameters=self.slots,
                 name=f"transpiled({self.result.circuit.name})",
             )
-        if not resolve_optimization(optimize):
-            return self.program
-        version = getattr(noise_model, "version", 0)
-        cached = self.optimized
-        if cached is None or cached[0] is not noise_model or cached[1] != version:
-            self.optimized = (
-                noise_model,
-                version,
-                self.program.optimized(noise_model=noise_model),
-            )
-        return self.optimized[2]
+        return self.program
 
 
 class TranspileCache:

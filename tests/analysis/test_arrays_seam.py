@@ -144,6 +144,12 @@ def sweep_circuit(angles):
     return qc
 
 
+def composing_circuit():
+    """A sweep whose density schedule folds ``t(0)`` and ``cx(1, 0)`` into ``cx(0, 1)``."""
+    qc = QuantumCircuit(3, 1).h(0).cx(0, 1).t(0).cx(1, 0)
+    return qc.compose(sweep_circuit(np.full(4, 0.3)))
+
+
 class TestSinglePrecisionEndToEnd:
     """The documented complex64-vs-complex128 tolerance on Iris sweeps."""
 
@@ -190,37 +196,26 @@ class TestSinglePrecisionEndToEnd:
 
     def test_single_mode_states_are_actually_complex64(self):
         # The run-time form of the complex64 promotion contract: every
-        # engine, on plain and on fused programs, keeps its state buffers
-        # at the configured precision (a hard complex128 operand anywhere
-        # in a kernel chain would promote them back).
+        # engine, on plain programs and on density programs whose schedule
+        # composes runs of fixed steps, keeps its state buffers at the
+        # configured precision (a hard complex128 operand anywhere in a
+        # kernel chain would promote them back).
         noise = NoiseModel.from_error_rates(0.01, 0.02, readout_error=0.03)
         plain = SweepProgram.compile(
             sweep_circuit(np.full(4, 0.3)), bind_floats=True, name="dtype-probe"
         )
-        fusable = QuantumCircuit(3, 1).h(0).cx(0, 1).t(1)
-        fusable = fusable.compose(sweep_circuit(np.full(4, 0.3)))
-        fused = {
-            engine: SweepProgram.compile(
-                fusable,
-                bind_floats=True,
-                optimize=True,
-                noise_model=model,
-                name=f"dtype-probe-fused-{engine}",
-            )
-            for engine, model in (("sv", None), ("dm", noise))
-        }
-        assert all(
-            any(step.fused_from for step in program.steps)
-            for program in fused.values()
+        composed = SweepProgram.compile(
+            composing_circuit(), bind_floats=True, name="dtype-probe-composed"
         )
+        assert None in DensitySuperoperatorEngine(noise).step_plans(composed)
         bindings = np.full((2, 4), 0.3)
         with arrays.precision("single"):
             states = [
                 program.evolve(bindings, StatevectorEngine()).amplitudes
-                for program in (plain, fused["sv"])
+                for program in (plain, composed)
             ] + [
                 program.evolve(bindings, DensitySuperoperatorEngine(noise)).matrices
-                for program in (plain, fused["dm"])
+                for program in (plain, composed)
             ]
         assert [state.dtype for state in states] == [np.complex64] * 4
 
@@ -228,43 +223,41 @@ class TestSinglePrecisionEndToEnd:
 class TestSinglePrecisionCertificates:
     """Certified routes run, and agree with double, under ``single``.
 
-    Plan-time operators (fused lifts, precomposed superoperators) stay
-    canonical complex128 whatever the knob says, so their 1e-8
-    certificates (VER402 on a fused noisy step, VER130 on every density
-    step plan under ``REPRO_VERIFY=1``) hold; only the per-tile operands
-    are cast to the configured dtype.
+    Plan-time operators (precomposed superoperators and the composed runs
+    of the density schedule) stay canonical complex128 whatever the knob
+    says, so their 1e-8 certificates (VER130 on every density step plan
+    under ``REPRO_VERIFY=1``) hold; only the per-tile operands are cast to
+    the configured dtype.
     """
 
     NOISE = NoiseModel.from_error_rates(0.01, 0.02, readout_error=0.03)
 
-    def _probabilities(self, engine_kind, optimize):
-        noise = self.NOISE if engine_kind == "dm-noisy" else None
-        circuit = QuantumCircuit(3, 1).h(0).cx(0, 1).t(1)
-        circuit = circuit.compose(sweep_circuit(np.full(4, 0.3)))
+    def _probabilities(self, engine_kind):
         program = SweepProgram.compile(
-            circuit,
-            bind_floats=True,
-            optimize=optimize,
-            noise_model=noise,
-            name=f"certified-{engine_kind}-{optimize}",
+            composing_circuit(), bind_floats=True, name=f"certified-{engine_kind}"
         )
-        assert any(step.fused_from for step in program.steps) == optimize
         if engine_kind == "sv":
             engine = StatevectorEngine()
         else:
-            engine = DensitySuperoperatorEngine(noise)
+            engine = DensitySuperoperatorEngine(
+                self.NOISE if engine_kind == "dm-noisy" else None
+            )
+            plans = engine.step_plans(program)
+            assert None in plans
+            assert all(
+                plan.operator.dtype == np.complex128
+                for plan in plans
+                if plan is not None and plan.operator is not None
+            )
         bindings = np.random.default_rng(5).uniform(0.0, np.pi, (4, 4))
         return program.execute(bindings, engine)
 
-    @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "fused"])
     @pytest.mark.parametrize("engine_kind", ["sv", "dm-ideal", "dm-noisy"])
-    def test_full_verification_holds_in_single_mode(
-        self, engine_kind, optimize, monkeypatch
-    ):
+    def test_full_verification_holds_in_single_mode(self, engine_kind, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY", "1")
-        reference = self._probabilities(engine_kind, optimize)
+        reference = self._probabilities(engine_kind)
         with arrays.precision("single"):
-            single = self._probabilities(engine_kind, optimize)
+            single = self._probabilities(engine_kind)
             atol = arrays.sweep_atol()
         assert single.shape == reference.shape
         np.testing.assert_allclose(single, reference, atol=atol, rtol=0.0)

@@ -62,9 +62,9 @@ class TestMainInProcess:
     ):
         assert main([str(tmp_path), "--select", "FOO1"]) == 2
         err = capsys.readouterr().err
-        # Lint, flow, and translation-validation codes are all selectable;
+        # Lint, flow, and equivalence-certificate codes are all selectable;
         # the message says why VER1xx/VER2xx are not.
-        for code in ("REP001", "REP202", "REP101", "REP104", "VER401", "VER411"):
+        for code in ("REP001", "REP202", "REP101", "REP104", "VER403", "VER406"):
             assert code in err
         assert "--verify" in err
 

@@ -170,6 +170,66 @@ class TestEstimateCost:
         assert density.dense_contractions == density.contractions
 
 
+class TestDensityScheduleCount:
+    """Density contractions are the composed schedule's matmuls per tile."""
+
+    def test_predicted_matmuls_equal_the_dispatched_steps_of_one_tile(
+        self, london_template, monkeypatch
+    ):
+        from repro.quantum.program import DensitySuperoperatorEngine
+
+        program, noise = london_template
+        bindings = ensure_rng(3).uniform(0.0, np.pi, size=(4, program.num_columns))
+        element = 4**program.num_qubits
+        plan = TilePlan.for_circuit_sweep(4, 1, element, 4 * element)
+        report = estimate_cost(program, plan, engine="density")
+        assert report.num_tiles == 1
+        calls, transposes = [], []
+        real = DensitySuperoperatorEngine.apply_step
+
+        def counted(self, state, step, plan, matrix):
+            calls.append(step.name)
+            transposes.append(plan.layout.transpose is not None)
+            return real(self, state, step, plan, matrix)
+
+        monkeypatch.setattr(DensitySuperoperatorEngine, "apply_step", counted)
+        program.execute(bindings, DensitySuperoperatorEngine(noise), tile_plan=plan)
+        assert len(program.steps) == 68
+        assert report.contractions == report.superoperator_contractions == len(calls) == 42
+        assert report.transposes == sum(transposes) == 28
+
+    def test_every_tile_pays_the_schedule(self, london_template):
+        program, _ = london_template
+        element = 4**program.num_qubits
+        one = estimate_cost(
+            program, TilePlan.for_circuit_sweep(6, 1, element, 6 * element), engine="density"
+        )
+        many = estimate_cost(
+            program, TilePlan.for_circuit_sweep(6, 1, element, 2 * element), engine="density"
+        )
+        assert many.num_tiles == 3
+        assert many.contractions == 3 * one.contractions
+        assert many.transposes == 3 * one.transposes
+        statevector = estimate_cost(program, TilePlan.for_circuit_sweep(6, 1, 2, 12))
+        assert statevector.contractions == len(program.steps)
+        assert statevector.transposes == 0
+
+    def test_shared_prefix_charges_only_dispatched_steps(self, london_template):
+        from repro.quantum.program import density_schedule
+
+        program, _ = london_template
+        _, heads = density_schedule(program)
+        dispatched = [head == index for index, head in enumerate(heads)]
+        element = 4**program.num_qubits
+        plan = TilePlan.for_grid_sweep(2, 4, element, 4 * element)
+        prefix = 20
+        report = estimate_cost(program, plan, engine="density", shared_prefix_steps=prefix)
+        assert report.element_contractions == (
+            report.num_tiles * sum(dispatched[:prefix])
+            + plan.total_elements * sum(dispatched[prefix:])
+        )
+
+
 # --------------------------------------------------------------------------- #
 # The VER2xx budget corpus — every malformed plan must be rejected
 # --------------------------------------------------------------------------- #

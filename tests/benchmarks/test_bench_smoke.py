@@ -123,6 +123,9 @@ class TestPerfBenchEntryPointsTiny:
         )
         assert payload_tiling["seed_match_tiled_vs_untiled"] is True
         assert payload_tiling["tiled_peak_bytes"] < payload_tiling["untiled_peak_bytes"]
+        payload_schedule = module.run_schedule_benchmark()
+        assert payload_schedule["matmuls"] < payload_schedule["steps"]
+        assert payload_schedule["matmuls"] == payload_schedule["engine_dispatched_steps"]
 
 
 class TestBenchJsonReporting:

@@ -6,8 +6,9 @@ once per tile and broadcast — must agree with the per-circuit reference,
 one bound discriminator and one ``Backend.run`` per grid element in
 row-major order (``tests/core/conftest.py``).  Sampled and noisy fidelities
 match draw for draw on same-seeded backends; exact fidelities match within
-``atol=1e-12``.  This holds on every backend, with and without certified
-fusion, under any tile budget, and for every layer architecture.
+``atol=1e-12``.  This holds on every backend (the noisy one through the
+density engine's composed schedule), under any tile budget, and for every
+layer architecture.
 """
 
 import numpy as np
@@ -24,7 +25,6 @@ from repro.encoding import (
 )
 from repro.hardware import ibmq_london
 from repro.quantum.backend import IdealBackend, SampledBackend
-from repro.quantum.program import OPTIMIZE_PROGRAMS_ENV
 
 
 def make_builder(encoder=None, num_features: int = 4, architecture: str = "s"):
@@ -85,12 +85,9 @@ class TestGridMatchesRunBitwise:
     @pytest.mark.parametrize("architecture", ["s", "d", "e"])
     @pytest.mark.parametrize("backend_key", sorted(BACKENDS))
     @pytest.mark.parametrize("budget_key", sorted(BUDGETS))
-    @pytest.mark.parametrize("optimize", ["0", "1"])
     def test_grid_sweep_is_bit_identical_to_run(
-        self, samples, backend_key, budget_key, optimize, architecture, monkeypatch,
-        run_reference,
+        self, samples, backend_key, budget_key, architecture, run_reference,
     ):
-        monkeypatch.setenv(OPTIMIZE_PROGRAMS_ENV, optimize)
         builder = make_builder(architecture=architecture)
         rng = np.random.default_rng(41)
         parameter_matrix = rng.uniform(0, np.pi, size=(3, builder.num_parameters))
@@ -104,8 +101,7 @@ class TestGridMatchesRunBitwise:
         )
         assert_route_agreement(backend_key, grid, reference)
 
-    def test_single_angle_encoder_grid_matches_run(self, monkeypatch, run_reference):
-        monkeypatch.delenv(OPTIMIZE_PROGRAMS_ENV, raising=False)
+    def test_single_angle_encoder_grid_matches_run(self, run_reference):
         builder = make_builder(SingleAngleEncoder())
         rng = np.random.default_rng(43)
         matrix = rng.uniform(0, np.pi, size=(2, builder.num_parameters))

@@ -3,14 +3,16 @@
 :class:`BatchedDensityMatrix` keeps its axes in whatever physical order the
 last step left them, and :meth:`DensitySuperoperatorEngine.step_plans`
 plans that order once per program (``plan_layout``: no transpose, one
-transpose, or a 1-qubit step lifted into a trailing 2-qubit block).  The
-reference shares none of that: one :class:`DensityMatrix` per bindings row
-applies each gate, then each of the model's channels as Kraus operators in
-the full space.  Random programs cover 1-, 2- and 3-qubit supports in both
-qubit orders, repeated same-pair runs, 1-qubit steps inside and outside the
-trailing block, fixed and parametric steps (shared and per element), noise
-models, batch sizes, fusion up to 3 qubits, and tiles with and without a
-shared prefix.
+transpose, or a 1-qubit step lifted into a trailing 2-qubit block) and
+composes each run of fixed steps on one trailing block into its head's
+operator (``density_schedule``).  The reference shares none of that: one
+:class:`DensityMatrix` per bindings row applies each gate, then each of
+the model's channels as Kraus operators in the full space.  Random programs
+cover 1-, 2- and 3-qubit supports in both qubit orders, repeated same-pair
+runs, 1-qubit runs on one qubit, 1-qubit steps inside and outside the
+trailing block, runs broken by a parametric step or a transpose, fixed and
+parametric steps (shared and per element), noise models, batch sizes, both
+precisions, and tiles with and without a shared prefix.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import arrays
 from repro.exceptions import SimulationError
 from repro.quantum import gates
 from repro.quantum.batched_density import (
@@ -36,7 +39,12 @@ from repro.quantum.noise import (
     depolarizing_kraus,
 )
 from repro.quantum.operations import Parameter, gate
-from repro.quantum.program import DensitySuperoperatorEngine, SweepProgram, TilePlan
+from repro.quantum.program import (
+    DensitySuperoperatorEngine,
+    SweepProgram,
+    TilePlan,
+    density_schedule,
+)
 
 ATOL = 1e-12
 
@@ -81,7 +89,9 @@ def gate_ops(draw, num_qubits):
         name = draw(st.sampled_from(TWO_QUBIT))
         return (name, tuple(pair), draw(mode) if name in ("crx", "rzz") else None)
 
-    kinds = ["1q", "2q", "pair_run", "pair_then_1q"] + (["3q"] if num_qubits > 2 else [])
+    kinds = ["1q", "2q", "pair_run", "pair_then_1q", "1q_run", "pair_both_orders"]
+    if num_qubits > 2:
+        kinds += ["3q", "run_broken_by_transpose"]
     kind = draw(st.sampled_from(kinds))
     if kind == "1q":
         return [one(order[0])]
@@ -89,9 +99,15 @@ def gate_ops(draw, num_qubits):
         return [two(order[:2])]
     if kind == "3q":
         return [("cswap", tuple(order[:3]), None)]
+    if kind == "1q_run":
+        return [one(order[0]) for _ in range(draw(st.integers(2, 4)))]
     a, b = order[:2]
     if kind == "pair_run":
         return [("cx", (a, b), None), ("cx", (b, a), None), ("cx", (a, b), None)]
+    if kind == "pair_both_orders":
+        return [two((a, b)), two((b, a)), one(draw(st.sampled_from((a, b))))]
+    if kind == "run_broken_by_transpose":
+        return [two((a, b)), one(order[2]), two((b, a))]
     inside = draw(st.sampled_from(order[:2] if num_qubits == 2 else order[:3]))
     return [two((a, b)), one(inside)]
 
@@ -107,10 +123,18 @@ def sweeps(draw):
     ]
     batch = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    circuit, parameters, bindings = build_sweep(num_qubits, ops, batch, rng)
+    return circuit, parameters, bindings, draw(st.sampled_from(sorted(NOISE_MODELS)))
+
+
+def build_sweep(num_qubits, ops, batch, rng):
+    """``(circuit, parameters, bindings)`` of ``ops`` with angles drawn from ``rng``."""
     circuit = QuantumCircuit(num_qubits, num_qubits)
     parameters, columns = [], []
     for name, qubits, mode in ops:
-        if mode is None:
+        if name == "barrier":
+            circuit.barrier(*qubits)
+        elif mode is None:
             circuit.append(gate(name, qubits))
         elif mode == "fixed":
             circuit.append(gate(name, qubits, float(rng.uniform(0, np.pi))))
@@ -122,7 +146,7 @@ def sweeps(draw):
             circuit.append(gate(name, qubits, parameter))
     circuit.measure_all()
     bindings = np.stack(columns, axis=1) if columns else np.zeros((batch, 0))
-    return circuit, parameters, bindings, draw(st.sampled_from(sorted(NOISE_MODELS)))
+    return circuit, parameters, bindings
 
 
 def reference_matrices(circuit, parameters, bindings, model):
@@ -163,38 +187,201 @@ def reference_readout(matrices, measured, model):
 # --------------------------------------------------------------------------- #
 
 
+def check_against_reference(circuit, parameters, bindings, model, tiling, budget):
+    """Evolve and read out through the composed schedule; compare to the reference."""
+    program = SweepProgram.compile(circuit, bind_floats=False, parameters=parameters)
+    expected = reference_matrices(circuit, parameters, bindings, model)
+    atol = max(ATOL, arrays.sweep_atol())
+    state = program.evolve(bindings, DensitySuperoperatorEngine(model))
+    assert state.matrices.dtype == arrays.complex_dtype()
+    np.testing.assert_allclose(state.matrices, expected, rtol=0, atol=atol)
+
+    batch = bindings.shape[0]
+    element = 4**program.num_qubits
+    plan = {
+        "whole": None,
+        "tiles": TilePlan.for_circuit_sweep(batch, 1, element, budget * element),
+        "shared_prefix": TilePlan.for_grid_sweep(1, batch, element, budget * element),
+    }[tiling]
+    readout = program.execute(bindings, DensitySuperoperatorEngine(model), tile_plan=plan)
+    np.testing.assert_allclose(
+        readout,
+        reference_readout(expected, program.measured_qubits, model),
+        rtol=0,
+        atol=atol,
+    )
+    return program
+
+
 class TestScheduledEngineMatchesReference:
     @settings(max_examples=80, deadline=None)
     @given(
         sweep=sweeps(),
-        fuse=st.booleans(),
+        precision=st.sampled_from(("double", "single")),
         tiling=st.sampled_from(("whole", "tiles", "shared_prefix")),
         budget=st.integers(1, 3),
     )
-    def test_states_and_readout(self, sweep, fuse, tiling, budget):
+    def test_states_and_readout(self, sweep, precision, tiling, budget):
         circuit, parameters, bindings, model_key = sweep
-        model = NOISE_MODELS[model_key]()
-        program = SweepProgram.compile(circuit, bind_floats=False, parameters=parameters)
-        if fuse:
-            program = program.optimized(noise_model=model, max_fused_qubits=3)
-        expected = reference_matrices(circuit, parameters, bindings, model)
-        state = program.evolve(bindings, DensitySuperoperatorEngine(model))
-        np.testing.assert_allclose(state.matrices, expected, rtol=0, atol=ATOL)
+        with arrays.precision(precision):
+            check_against_reference(
+                circuit, parameters, bindings, NOISE_MODELS[model_key](), tiling, budget
+            )
 
-        batch = bindings.shape[0]
-        element = 4**program.num_qubits
-        plan = {
-            "whole": None,
-            "tiles": TilePlan.for_circuit_sweep(batch, 1, element, budget * element),
-            "shared_prefix": TilePlan.for_grid_sweep(1, batch, element, budget * element),
-        }[tiling]
-        readout = program.execute(bindings, DensitySuperoperatorEngine(model), tile_plan=plan)
-        np.testing.assert_allclose(
-            readout,
-            reference_readout(expected, program.measured_qubits, model),
-            rtol=0,
-            atol=ATOL,
+
+# --------------------------------------------------------------------------- #
+# Composed runs of fixed steps
+# --------------------------------------------------------------------------- #
+
+#: Named programs, each with the steps its schedule must fold: fixed runs on
+#: one block, runs a parametric step or a transpose breaks, runs both inside
+#: a shared prefix (before the first per-element step) and after it, and the
+#: edges of the width rule.
+RUN_PATTERNS = {
+    "2q_then_lifted_1q": (
+        3,
+        [("cx", (0, 2), None), ("h", (0,), None), ("rz", (0,), "fixed"),
+         ("ry", (1,), "fixed"), ("x", (1,), None)],
+        [1, 2, 4],
+    ),
+    "same_pair_both_orders": (
+        3,
+        [("cx", (1, 2), None), ("cx", (2, 1), None), ("cz", (1, 2), None),
+         ("swap", (2, 1), None), ("rzz", (2, 1), "fixed")],
+        [1, 2, 3, 4],
+    ),
+    "1q_run_on_one_qubit": (
+        3,
+        [("h", (1,), None), ("rz", (1,), "fixed"), ("x", (1,), None), ("ry", (1,), "fixed")],
+        [1, 2, 3],
+    ),
+    "broken_by_a_parametric_step": (
+        3,
+        [("cx", (0, 1), None), ("ry", (0,), "per_element"), ("cx", (1, 0), None),
+         ("h", (0,), None)],
+        [3],
+    ),
+    "broken_by_a_transpose": (
+        4,
+        [("cx", (0, 1), None), ("cx", (1, 0), None), ("h", (3,), None),
+         ("cx", (0, 1), None), ("h", (0,), None)],
+        [1, 4],
+    ),
+    "3q_run": (
+        3,
+        [("cswap", (0, 1, 2), None), ("cswap", (0, 2, 1), None), ("cswap", (1, 0, 2), None)],
+        [1, 2],
+    ),
+    "inside_and_after_a_shared_prefix": (
+        4,
+        [("h", (0,), None), ("cx", (0, 1), None), ("rx", (0,), "fixed"),
+         ("ry", (1,), "shared"), ("cx", (1, 0), None), ("h", (0,), None),
+         ("ry", (0,), "per_element"), ("cx", (2, 3), None), ("cx", (3, 2), None),
+         ("t", (2,), None)],
+        [2, 5, 8, 9],
+    ),
+    "lifted_1q_head_then_its_pair": (
+        3,
+        [("cx", (0, 1), None), ("ry", (1,), "per_element"), ("h", (0,), None),
+         ("cx", (1, 0), None), ("t", (0,), None)],
+        [3, 4],
+    ),
+    # A 1-qubit step on the trailing qubit contracts a 4 x 4 block, not the
+    # head's 16 x 16 one: it starts its own run, and the next 2-qubit step
+    # starts another.
+    "1q_on_the_trailing_qubit_stays_apart": (
+        3,
+        [("cx", (0, 1), None), ("t", (1,), None), ("s", (1,), None),
+         ("cx", (0, 1), None)],
+        [2],
+    ),
+    # Compiled programs record no barriers, so a run folds across one.
+    "across_a_barrier": (
+        3,
+        [("h", (2,), None), ("barrier", (0, 1, 2), None), ("x", (2,), None),
+         ("rz", (2,), "fixed")],
+        [1, 2],
+    ),
+}
+
+
+def folded_steps(program):
+    _, heads = density_schedule(program)
+    return [index for index, head in enumerate(heads) if head != index]
+
+
+class TestComposedSchedule:
+    @pytest.mark.parametrize("tiling", ["whole", "tiles", "shared_prefix"])
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("pattern", sorted(RUN_PATTERNS))
+    def test_pattern_folds_and_matches_reference(self, pattern, precision, tiling):
+        num_qubits, ops, folded = RUN_PATTERNS[pattern]
+        circuit, parameters, bindings = build_sweep(
+            num_qubits, ops, 3, np.random.default_rng(11)
         )
+        with arrays.precision(precision):
+            program = check_against_reference(
+                circuit, parameters, bindings, per_qubit_model(), tiling, 2
+            )
+        assert folded_steps(program) == folded
+
+    def test_folded_steps_get_no_plan_and_heads_carry_the_product(self):
+        num_qubits, ops, folded = RUN_PATTERNS["same_pair_both_orders"]
+        circuit, parameters, _ = build_sweep(num_qubits, ops, 1, np.random.default_rng(0))
+        program = SweepProgram.compile(circuit, bind_floats=False, parameters=parameters)
+        model = per_qubit_model()
+        plans = DensitySuperoperatorEngine(model).step_plans(program)
+        assert [index for index, plan in enumerate(plans) if plan is None] == folded
+        head = plans[0]
+        # The head keeps its own canonical superoperator for the
+        # certificates; its operator is the whole run, later steps on the
+        # left, each in the physical order of the block they share.
+        entries, _ = density_schedule(program)
+        engine = DensitySuperoperatorEngine(model)
+        product = np.eye(16, dtype=complex)
+        for step, entry in zip(program.steps, entries):
+            product = entry.physical(engine._plan_step(step)[1]) @ product
+        np.testing.assert_allclose(head.operator, product, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(head.superop, engine._plan_step(program.steps[0])[1])
+
+    @pytest.mark.parametrize("pattern", sorted(RUN_PATTERNS))
+    def test_folds_depend_on_supports_and_fixedness_only(self, pattern):
+        num_qubits, ops, folded = RUN_PATTERNS[pattern]
+        circuit, parameters, _ = build_sweep(num_qubits, ops, 1, np.random.default_rng(0))
+        program = SweepProgram.compile(circuit, bind_floats=False, parameters=parameters)
+        for model in NOISE_MODELS.values():
+            plans = DensitySuperoperatorEngine(model()).step_plans(program)
+            assert [index for index, plan in enumerate(plans) if plan is None] == folded
+
+    @pytest.mark.parametrize("pattern", sorted(RUN_PATTERNS))
+    def test_composing_only_regroups_the_products(self, pattern, monkeypatch):
+        from repro.quantum import program as program_module
+
+        num_qubits, ops, _ = RUN_PATTERNS[pattern]
+        circuit, parameters, bindings = build_sweep(
+            num_qubits, ops, 3, np.random.default_rng(5)
+        )
+        program = SweepProgram.compile(circuit, bind_floats=False, parameters=parameters)
+        model = per_qubit_model()
+        composed = program.evolve(bindings, DensitySuperoperatorEngine(model)).matrices
+        real = program_module.density_schedule
+
+        def unfolded(target):
+            entries, heads = real(target)
+            return entries, tuple(range(len(heads)))
+
+        monkeypatch.setattr(program_module, "density_schedule", unfolded)
+        engine = DensitySuperoperatorEngine(model)
+        assert None not in engine.step_plans(program)
+        stepwise = program.evolve(bindings, engine).matrices
+        np.testing.assert_allclose(composed, stepwise, rtol=0, atol=1e-14)
+
+    def test_london_template_folds_26_of_68_steps(self, london_template):
+        program, _ = london_template
+        entries, _ = density_schedule(program)
+        assert len(program.steps) == 68
+        assert len(folded_steps(program)) == 26
+        assert sum(entry.transpose is not None for entry in entries) == 28
 
 
 # --------------------------------------------------------------------------- #
@@ -302,16 +489,22 @@ class TestLayoutSchedule:
 
     def test_engine_plans_the_schedule_once_per_program(self):
         qc = QuantumCircuit(3, 3)
-        qc.h(0).cx(0, 2).rz(0.3, 2).cx(2, 0).ry(0.4, 1).cswap(1, 0, 2)
+        qc.h(0).cx(0, 2).rz(0.3, 0).cx(2, 0).ry(0.4, 1).cswap(1, 0, 2)
         qc.measure_all()
         program = SweepProgram.compile(qc, bind_floats=False)
-        plans = DensitySuperoperatorEngine(per_qubit_model()).step_plans(program)
+        engine = DensitySuperoperatorEngine(per_qubit_model())
+        plans = engine.step_plans(program)
+        assert engine.step_plans(program) is plans
         layout = canonical_layout(3)
         for plan in plans:
+            if plan is None:  # folded: the layout does not move
+                continue
             assert plan.layout.source == layout
             layout = plan.layout.target
-        assert [plan.layout.transpose is not None for plan in plans] == [
-            True, True, False, False, True, False,
+        # rz(0) is lifted into the trailing (0, 2) block and cx(2, 0) needs
+        # no transpose, so both fold into cx(0, 2).
+        assert [None if plan is None else plan.layout.transpose is not None for plan in plans] == [
+            True, True, None, None, True, False,
         ]
 
     def test_a_plan_for_another_layout_raises(self):

@@ -3,8 +3,8 @@
 Every library gate, on sorted, reversed and non-adjacent qubit placements,
 with shared and per-element matrices, at batch 1 (the shared-prefix path)
 and batch > 1, in double and single precision, is run through its class
-kernel and compared against :func:`~repro.quantum.program.lift_matrix`
-applied densely — exactly for permutations, within ``state_atol``
+kernel and compared against
+:func:`~repro.analysis.equiv.lift_unitary_kron` applied densely — exactly for permutations, within ``state_atol``
 otherwise.  VER405 is checked to refuse a plan of the wrong class.
 """
 
@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from repro import arrays
+from repro.analysis.equiv import lift_unitary_kron
 from repro.exceptions import SimulationError
 from repro.quantum import gates, kernels
 from repro.quantum.batched import BatchedStatevector
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.operations import Instruction, Parameter
-from repro.quantum.program import GateStep, StatevectorEngine, SweepProgram, lift_matrix
+from repro.quantum.program import GateStep, StatevectorEngine, SweepProgram
 
 NUM_QUBITS = 5
 
@@ -99,12 +100,12 @@ def operand(name, batch, per_element, seed):
 
 
 def dense_reference(amplitudes, matrix, qubits):
-    """``lift_matrix`` applied densely, element by element when batched."""
+    """The kron lift applied densely, element by element when batched."""
     if matrix.ndim == 2:
-        return amplitudes @ lift_matrix(matrix, qubits, range(NUM_QUBITS)).T
+        return amplitudes @ lift_unitary_kron(matrix, qubits, range(NUM_QUBITS)).T
     return np.stack(
         [
-            lift_matrix(element, qubits, range(NUM_QUBITS)) @ row
+            lift_unitary_kron(element, qubits, range(NUM_QUBITS)) @ row
             for element, row in zip(matrix, amplitudes)
         ]
     )
@@ -135,25 +136,6 @@ class TestClassTable:
         assert [plan.kind for plan in plans] == [CLASS_TABLE[s.name] for s in program.steps]
         # Memoised per program, across fresh engines.
         assert StatevectorEngine().step_plans(program) is plans
-
-    def test_fused_permutation_step_gets_the_permutation_class(self):
-        circuit = QuantumCircuit(2)
-        circuit.x(0)
-        circuit.cx(0, 1)
-        circuit.swap(1, 0)
-        program = SweepProgram.compile(circuit, bind_floats=False).optimized()
-        (fused,) = program.steps
-        assert fused.fused_from
-        assert kernels.classify_step(fused) == kernels.PERMUTATION
-        (plan,) = StatevectorEngine().step_plans(program)
-        assert plan.kind == kernels.PERMUTATION
-
-    def test_fused_dense_step_stays_dense(self):
-        circuit = QuantumCircuit(2)
-        circuit.h(0)
-        circuit.cx(0, 1)
-        program = SweepProgram.compile(circuit, bind_floats=False).optimized()
-        assert kernels.classify_step(program.steps[0]) == kernels.DENSE
 
 
 class TestKernelsMatchDenseLift:

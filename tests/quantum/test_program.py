@@ -9,11 +9,13 @@ from repro.quantum.density_matrix import DensityMatrix
 from repro.quantum.noise import NoiseModel, depolarizing_kraus
 from repro.quantum.operations import Parameter, ScaledParameter
 from repro.quantum.program import (
+    OPTIMIZE_PROGRAMS_ENV,
     DensitySuperoperatorEngine,
     StatevectorEngine,
     SweepProgram,
     TilePlan,
     gate_noise_superoperator,
+    optimization_enabled,
 )
 from repro.quantum.simulator import DensityMatrixSimulator, StatevectorSimulator
 
@@ -97,6 +99,47 @@ class TestTilePlan:
             TilePlan.for_circuit_sweep(1, 1, element_amplitudes=0, max_amplitudes=8)
         with pytest.raises(SimulationError):
             TilePlan.for_state_overlap(1, 1, state_amplitudes=4, max_amplitudes=0)
+
+
+RETIRED_KNOB_MESSAGE = (
+    "REPRO_OPTIMIZE_PROGRAMS was removed: plan-time fusion is gone and density "
+    "schedules now fold runs of fixed steps by default; unset "
+    "REPRO_OPTIMIZE_PROGRAMS"
+)
+
+
+class TestRetiredOptimizeKnob:
+    """The removed fusion switch fails closed instead of meaning nothing."""
+
+    @pytest.mark.parametrize("value", ["1", "true", "YES", " on "])
+    def test_compile_refuses_while_the_variable_is_set(self, value, monkeypatch):
+        monkeypatch.setenv(OPTIMIZE_PROGRAMS_ENV, value)
+        assert optimization_enabled()
+        with pytest.raises(SimulationError) as excinfo:
+            SweepProgram.compile(sweep_circuit([0.1, 0.2, 0.3, 0.4]), bind_floats=True)
+        assert str(excinfo.value) == RETIRED_KNOB_MESSAGE
+
+    @pytest.mark.parametrize("value", ["", "0", "off"])
+    def test_an_unset_or_false_variable_compiles(self, value, monkeypatch):
+        monkeypatch.setenv(OPTIMIZE_PROGRAMS_ENV, value)
+        assert not optimization_enabled()
+        SweepProgram.compile(sweep_circuit([0.1, 0.2, 0.3, 0.4]), bind_floats=True)
+
+    @pytest.mark.parametrize(
+        "simulator", [StatevectorSimulator, DensityMatrixSimulator], ids=["sv", "dm"]
+    )
+    def test_every_route_compiles_through_the_refusal(self, simulator, monkeypatch):
+        monkeypatch.setenv(OPTIMIZE_PROGRAMS_ENV, "1")
+        with pytest.raises(SimulationError, match="REPRO_OPTIMIZE_PROGRAMS was removed"):
+            simulator().run(sweep_circuit([0.1, 0.2, 0.3, 0.4]), shots=None)
+
+    def test_the_knobs_are_not_accepted(self):
+        with pytest.raises(TypeError):
+            SweepProgram.compile(sweep_circuit([0.1] * 4), bind_floats=True, optimize=True)
+        with pytest.raises(TypeError):
+            StatevectorSimulator(optimize_programs=True)
+        with pytest.raises(TypeError):
+            DensityMatrixSimulator(optimize_programs=True)
 
 
 class TestCompile:
@@ -352,17 +395,13 @@ class TestNoiseModelPinnedPerSweep:
 
 
 class TestSimulatorTracksLiveNoiseModel:
-    @pytest.mark.parametrize("optimize", [False, True])
-    def test_grid_program_matches_run_after_in_place_mutation(self, optimize):
+    def test_grid_program_matches_run_after_in_place_mutation(self):
         """run() and the cached grid program must agree after the model grows
-        channels: the noise version change replans (and, with fusion,
-        re-derives the optimised program)."""
+        channels: the noise version change replans the composed schedule."""
         params = [Parameter(name) for name in "abcd"]
         angles = np.random.default_rng(13).uniform(0, np.pi, size=(2, 4))
         model = NoiseModel()
-        simulator = DensityMatrixSimulator(
-            noise_model=model, seed=0, optimize_programs=optimize
-        )
+        simulator = DensityMatrixSimulator(noise_model=model, seed=0)
 
         def sweep():
             program = simulator._grid_program(sweep_circuit(params), params)

@@ -5,8 +5,9 @@ runs fail-closed (``diagnostics``, ``verify``, ``equiv``; ``cost`` is
 available but unused at run time) and the developer tooling (linter, flow
 analyzers, report, CLI).  A fresh interpreter imports the runtime
 packages, runs a sampled SWAP-test grid sweep that shares its trained-state
-prefix and a fused noisy sweep, and must end with nothing but the
-certificate modules of ``repro.analysis`` loaded.
+prefix and a noisy sweep whose density schedule composes a run of fixed
+steps, and must end with nothing but the certificate modules of
+``repro.analysis`` loaded.
 """
 
 import json
@@ -51,14 +52,13 @@ fidelities = estimator.fidelity_matrix(
 assert fidelities.shape == (2, 3)
 prefix_certified = "repro.analysis.equiv" in sys.modules
 
-# A fused noisy sweep on the emulated ibmq_london.
+# A noisy sweep on the emulated ibmq_london whose schedule folds t(0) and
+# cx(1, 0) into the cx(0, 1) before them.
 params = [Parameter(name) for name in "ab"]
-circuit = QuantumCircuit(3, 1, name="fusable")
-circuit.h(0).cx(0, 1).t(1).ry(params[0], 1).rz(params[1], 2).h(0).measure(0, 0)
+circuit = QuantumCircuit(3, 1, name="composed")
+circuit.h(0).cx(0, 1).t(0).cx(1, 0).ry(params[0], 1).rz(params[1], 2).h(0).measure(0, 0)
 simulator = DensityMatrixSimulator(
-    noise_model=get_calibration("ibmq_london").noise_model(),
-    seed=3,
-    optimize_programs=True,
+    noise_model=get_calibration("ibmq_london").noise_model(), seed=3
 )
 program = simulator._grid_program(circuit, params)
 readout = simulator.run_sweep_program(
@@ -68,7 +68,7 @@ assert len(readout.counts) == 4
 
 print(json.dumps({
     "prefix_certified": prefix_certified,
-    "fused": any(step.fused_from for step in program.steps),
+    "composed": None in simulator._program_engine().step_plans(program),
     "analysis_modules": sorted(
         name for name in sys.modules if name.startswith("repro.analysis")
     ),
@@ -79,7 +79,6 @@ print(json.dumps({
 def test_runtime_loads_only_the_certificate_modules():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    env.pop("REPRO_OPTIMIZE_PROGRAMS", None)
     proc = subprocess.run(
         [sys.executable, "-c", RUNTIME_SCRIPT],
         capture_output=True,
@@ -91,7 +90,7 @@ def test_runtime_loads_only_the_certificate_modules():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     # Both sweeps really took the certified routes.
     assert result["prefix_certified"]
-    assert result["fused"]
+    assert result["composed"]
     assert result["analysis_modules"] == [
         "repro.analysis",
         "repro.analysis.diagnostics",
