@@ -21,12 +21,14 @@ in ``benchmarks/results/BENCH_program_compile.json``:
    tracemalloc peaks for both modes are recorded and the tiled peak must
    stay under the untiled requirement.
 
-3. **Composed density schedule.**  The density engine multiplies each run
-   of fixed steps on one trailing block into a single operator at plan
-   time, so the noisy Iris template dispatches fewer matmuls per tile than
-   it has steps.  The VER2xx cost model counts the schedule's matmuls and
-   transposes through the engine's own grouping; the benchmark records
-   both beside the step count and checks them against the engine's plans.
+3. **Composed density schedule and observable readout.**  The density
+   engine multiplies each run of fixed steps on one trailing block into a
+   single operator at plan time, so the noisy Iris template has fewer
+   dispatched plans than steps; the benchmark checks the schedule's count
+   against the engine's plans.  The fixed tail after the readout split is
+   folded into a measurement observable, so a tile runs only the plans
+   before the split plus one readout matmul, as the VER2xx cost model
+   counts it.
 
 Runs as a pytest test (``pytest benchmarks/bench_program_compile.py -s``) or
 standalone (``PYTHONPATH=src python benchmarks/bench_program_compile.py``).
@@ -44,7 +46,12 @@ from repro.datasets import generate_synthetic_mnist, load_iris, prepare_task
 from repro.hardware import IBMQBackend
 from repro.quantum.backend import SampledBackend
 from repro.quantum.fidelity import fidelities_from_swap_test_probabilities
-from repro.quantum.program import DensitySuperoperatorEngine, SweepProgram, TilePlan
+from repro.quantum.program import (
+    DensitySuperoperatorEngine,
+    SweepProgram,
+    TilePlan,
+    density_schedule,
+)
 
 DEVICE = "ibmq_london"
 SHOTS = 1024
@@ -230,9 +237,12 @@ def run_schedule_benchmark():
     """Steps, matmuls and transposes per tile of the noisy Iris template.
 
     The program is the transpiled whole-grid template the London backend
-    runs for every Iris sweep; the counts come from the VER2xx cost model,
-    which walks the engine's own ``density_schedule``, and are checked
+    runs for every Iris sweep.  ``matmuls`` and ``transposes`` are the
+    dispatched plans of the engine's own ``density_schedule``, checked
     against the engine's plans (a folded step has a ``None`` plan).
+    ``split`` is where the observable readout starts, and
+    ``per_tile_matmuls`` what one tile runs with it: the dispatched plans
+    before the split plus one readout matmul, from the VER2xx cost model.
     """
     backend = IBMQBackend(DEVICE, seed=SEED)
     builder = QuClassi(
@@ -247,7 +257,9 @@ def run_schedule_benchmark():
     element_amplitudes = 4**program.num_qubits
     one_tile = TilePlan.for_circuit_sweep(1, 1, element_amplitudes, element_amplitudes)
     cost = estimate_cost(program, one_tile, engine="density")
-    plans = DensitySuperoperatorEngine(backend._simulator.noise_model).step_plans(program)
+    entries, heads = density_schedule(program)
+    engine = DensitySuperoperatorEngine(backend._simulator.noise_model)
+    plans = engine.step_plans(program)
     return {
         "workload": {
             "dataset": "iris",
@@ -257,10 +269,13 @@ def run_schedule_benchmark():
             "num_qubits": int(program.num_qubits),
         },
         "steps": len(program.steps),
-        "matmuls": int(cost.contractions),
-        "transposes": int(cost.transposes),
+        "matmuls": sum(head == index for index, head in enumerate(heads)),
+        "transposes": sum(entry.transpose is not None for entry in entries),
         "folded_steps": sum(plan is None for plan in plans),
         "engine_dispatched_steps": sum(plan is not None for plan in plans),
+        "split": engine.readout_plan(program, plans).split,
+        "per_tile_matmuls": int(cost.contractions),
+        "per_tile_transposes": int(cost.transposes),
     }
 
 
@@ -286,7 +301,8 @@ def test_program_compile_benchmark(bench_reporter):
         f"vs run loop {repeat['speedup_vs_run_loop']:.1f}x; MNIST 17q tiled peak "
         f"{tiling['tiled_peak_bytes'] / 2**20:.0f} MiB vs untiled "
         f"{tiling['untiled_peak_bytes'] / 2**20:.0f} MiB; schedule "
-        f"{schedule['steps']} steps -> {schedule['matmuls']} matmuls -> {path}"
+        f"{schedule['steps']} steps -> {schedule['matmuls']} matmuls, "
+        f"{schedule['per_tile_matmuls']} per tile from split {schedule['split']} -> {path}"
     )
     assert repeat["seed_match_vs_run_loop"] is True
     assert repeat["noise_plans_compiled"] == 1
@@ -320,6 +336,7 @@ if __name__ == "__main__":
     schedule = result["schedule"]
     print(
         f"schedule: {schedule['steps']} steps  {schedule['matmuls']} matmuls  "
-        f"{schedule['transposes']} transposes per tile"
+        f"{schedule['transposes']} transposes; split {schedule['split']}  "
+        f"{schedule['per_tile_matmuls']} matmuls per tile"
     )
     print(f"report written to {report_path}")

@@ -16,7 +16,12 @@ computes what one tiled execution *will* allocate and contract —
   engine one matmul per entry of the composed layout schedule
   (:func:`~repro.quantum.program.density_schedule`, the grouping the
   engine itself uses, so a run of fixed steps folded into one operator
-  counts once) plus the schedule's transpose copies;
+  counts once) before the readout split
+  (:func:`~repro.quantum.program.density_readout_split`, the engine's own
+  rule), one readout matmul for the fixed tail folded into the
+  measurement observable, and the prefix schedule's transpose copies;
+* the bytes each step moves over the sweep (its matmul reads and writes
+  every element's state, and so does its transpose) and the readout's;
 * of those the dense contractions: every matmul on a density engine, and
   on a statevector engine only the steps whose kernel class
   (:mod:`repro.quantum.kernels`) is dense or controlled — permutation and
@@ -43,7 +48,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Location, Severity
 
@@ -101,8 +106,9 @@ class CostReport:
     #: Predicted peak resident bytes of one execution (see module docstring).
     peak_bytes: int
     #: Step applications over the whole sweep: ``num_tiles`` times the
-    #: dispatched steps (every step on a statevector engine; the composed
-    #: schedule's matmuls on a density engine).
+    #: dispatched steps (every step on a statevector engine; on a density
+    #: engine the composed schedule's matmuls before the readout split,
+    #: plus the one observable readout matmul).
     contractions: int
     #: Of which precomposed superoperator matmuls (every density-engine
     #: contraction; 0 otherwise).
@@ -123,6 +129,14 @@ class CostReport:
     #: Transpose copies of the density layout schedule over the whole
     #: sweep (0 on a statevector engine).
     transposes: int = 0
+    #: Bytes each program step moves over the whole sweep: reading and
+    #: writing every element's state once for its matmul or kernel, and
+    #: again for a transpose; 0 for a step folded into a run head or into
+    #: the measurement observable.
+    step_bytes_moved: Tuple[int, ...] = ()
+    #: Every step's bytes plus the readout's: it reads each element's
+    #: state once, and an observable readout reads the observable per tile.
+    bytes_moved: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready rendering for the analysis payload's ``cost`` section."""
@@ -201,25 +215,49 @@ def estimate_cost(
         + bindings_bytes
         + readout_bytes
     )
+    state_bytes = element_amplitudes * bytes_per_amplitude
+    readout_bytes_moved = sweep_elements * state_bytes
     if engine == "density":
-        from repro.quantum.program import density_schedule
+        from repro.quantum.program import density_readout_split, density_schedule
 
         entries, heads = density_schedule(program)
-        dispatched = [head == index for index, head in enumerate(heads)]
-        transposes = num_tiles * sum(entry.transpose is not None for entry in entries)
-        contractions = dense_contractions = num_tiles * sum(dispatched)
+        split, _ = density_readout_split(program)
+        stop = len(program.steps) if split is None else split
+        dispatched = [head == index and index < stop for index, head in enumerate(heads)]
+        moves = [
+            dispatched[index] * (1 + (entry.transpose is not None))
+            for index, entry in enumerate(entries)
+        ]
+        transposes = num_tiles * sum(
+            entry.transpose is not None for entry in entries[:stop]
+        )
+        readout_matmuls = 0 if split is None else 1
+        contractions = dense_contractions = num_tiles * (sum(dispatched) + readout_matmuls)
+        readout_bytes_moved += (
+            num_tiles * readout_matmuls * 2 ** len(program.measured_qubits) * state_bytes
+        )
     else:
         from repro.quantum.kernels import CONTROLLED, DENSE, classify_step
 
-        dispatched = [True] * len(program.steps)
+        dispatched = moves = [1] * len(program.steps)
         transposes = 0
         contractions = num_tiles * len(program.steps)
         dense_contractions = num_tiles * sum(
             classify_step(step) in (DENSE, CONTROLLED) for step in program.steps
         )
-    element_contractions = num_tiles * sum(
-        dispatched[:shared_prefix_steps]
-    ) + sweep_elements * sum(dispatched[shared_prefix_steps:])
+    # A shared-prefix step evolves one element per tile, every other
+    # dispatched step every element.
+    step_elements = [
+        num_tiles if index < shared_prefix_steps else sweep_elements
+        for index in range(len(program.steps))
+    ]
+    element_contractions = sum(
+        count * elements for count, elements in zip(dispatched, step_elements)
+    )
+    step_bytes_moved = tuple(
+        2 * count * elements * state_bytes
+        for count, elements in zip(moves, step_elements)
+    )
     return CostReport(
         program=program.name,
         engine=engine,
@@ -242,6 +280,8 @@ def estimate_cost(
         shared_prefix_steps=shared_prefix_steps,
         element_contractions=element_contractions,
         transposes=transposes,
+        step_bytes_moved=step_bytes_moved,
+        bytes_moved=sum(step_bytes_moved) + readout_bytes_moved,
     )
 
 

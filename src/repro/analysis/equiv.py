@@ -19,14 +19,19 @@ VER406 the density engine's layout-scheduled evolution of a program, with
        its runs of fixed steps composed, equals the per-state
        :class:`~repro.quantum.density_matrix.DensityMatrix` evolution of
        every bindings row (within ``1e-12`` in double precision)
+VER407 the density engine's readout — the prefix evolved to the readout
+       split, the fixed tail folded into a measurement observable — equals
+       the per-state evolution of the whole program, its diagonal
+       marginalised onto the measured qubits and convolved with the
+       readout error (within ``1e-12`` in double precision)
 ====== ====================================================================
 
 The engines lift gate blocks with tensor-axis algebra; the certificates
 rebuild every lift from scratch with ``kron`` plus explicit
 qubit-permutation matrices (VER405) or walk full-space
 :class:`~repro.quantum.density_matrix.DensityMatrix` Kraus applications
-(VER406) — genuinely different code paths, so a bug in either side makes
-the two disagree and the certificate fail.
+(VER406, VER407) — genuinely different code paths, so a bug in either side
+makes the two disagree and the certificate fail.
 
 Findings surface through the shared CLI (``--verify``), its text/JSON
 outputs, and ``--select`` like every other family.
@@ -51,6 +56,7 @@ EQUIV_CODES = {
     "VER403": "claimed shared prefix reads a column that varies across rows",
     "VER405": "kernel-class plan does not reproduce its step's matrix",
     "VER406": "layout-scheduled density evolution differs from the per-state reference",
+    "VER407": "observable readout differs from the per-state evolution's marginal",
 }
 
 
@@ -354,13 +360,60 @@ def verify_density_schedule(
     ]
 
 
+def verify_observable_readout(
+    program: "SweepProgram", bindings, noise_model: "NoiseModel"
+) -> List[Diagnostic]:
+    """VER407 — the observable readout matches the per-state reference.
+
+    Reads ``bindings`` out through a fresh
+    :class:`~repro.quantum.program.DensitySuperoperatorEngine` exactly as
+    a sweep does (:meth:`~repro.quantum.program.SweepProgram.execute`: the
+    steps before the readout plan's split, then one matmul with the
+    measurement observable its backward walk folded the tail into) and
+    compares with :func:`reference_density_matrices` of the *whole*
+    program: the diagonal marginalised onto the measured qubits and
+    convolved with the model's readout error, within ``1e-12`` in double
+    precision (:func:`repro.arrays.sweep_atol` in single).
+    """
+    from repro import arrays
+    from repro.quantum.noise import apply_readout_error
+    from repro.quantum.program import DensitySuperoperatorEngine
+    from repro.quantum.statevector import marginal_probabilities
+
+    atol = max(1e-12, arrays.sweep_atol())
+    engine = DensitySuperoperatorEngine(noise_model)
+    readout = engine.readout_plan(program, engine.step_plans(program))
+    actual = program.execute(bindings, engine)
+    matrices = reference_density_matrices(program, bindings, noise_model)
+    joint = marginal_probabilities(
+        np.real(np.einsum("bii->bi", matrices)),
+        program.measured_qubits,
+        program.num_qubits,
+    )
+    expected = apply_readout_error(joint, program.measured_qubits, noise_model)
+    error = float(np.max(np.abs(actual - expected)))
+    if error <= atol:
+        return []
+    return [
+        _diag(
+            "VER407",
+            f"observable readout ({readout.reason}) differs from the per-state "
+            f"DensityMatrix marginal by {error:.3e} (atol {atol:g})",
+            obj=f"program '{program.name}' readout",
+            hint="the backward walk skipped or misapplied a tail plan, used "
+            "the wrong inverse transpose, or started from the wrong outcome "
+            "selectors",
+        )
+    ]
+
+
 # --------------------------------------------------------------------------- #
 # Figure-suite reference equivalence (the CLI's ``--verify`` entry)
 # --------------------------------------------------------------------------- #
 
 
 def verify_reference_equivalence() -> List[Diagnostic]:
-    """Certify the reference programs' execution plans (VER403/405/406).
+    """Certify the reference programs' execution plans (VER403/405/406/407).
 
     For each reference workload: a parameter-shift bindings matrix over the
     transpile-template program is checked for shared-prefix legality
@@ -370,7 +423,8 @@ def verify_reference_equivalence() -> List[Diagnostic]:
     step's statevector kernel-class plan.  Last, VER406 runs every noisy
     program of every reference workload that fits the London chip through
     the density engine's composed layout schedule and checks it against the
-    per-state reference.
+    per-state reference, and VER407 checks the same programs' observable
+    readout.
     """
     from repro.analysis.verify import reference_workloads
     from repro.hardware.calibration import get_calibration
@@ -429,11 +483,12 @@ def verify_reference_equivalence() -> List[Diagnostic]:
                 )
             )
         out.extend(verify_shared_prefix(grid, tile, prefix))
-    # VER406 on every noisy program of every reference workload the London
-    # chip can run (a wider register never reaches its density engine): the
-    # symbolic grid, its transpiled template (the noisy grid route) and the
-    # per-circuit template (the noisy ``run`` route), all under the London
-    # model, each through its composed schedule.
+    # VER406 and VER407 on every noisy program of every reference workload
+    # the London chip can run (a wider register never reaches its density
+    # engine): the symbolic grid, its transpiled template (the noisy grid
+    # route) and the per-circuit template (the noisy ``run`` route), all
+    # under the London model, each through its composed schedule and its
+    # observable readout.
     for label, builder, values, features in reference_workloads():
         if builder.layout.total_qubits > london.num_qubits:
             continue
@@ -457,4 +512,5 @@ def verify_reference_equivalence() -> List[Diagnostic]:
             (entry.ensure_program(), np.asarray(row, dtype=float)[None, :]),
         ):
             out.extend(verify_density_schedule(program, bindings, noise))
+            out.extend(verify_observable_readout(program, bindings, noise))
     return out

@@ -32,6 +32,7 @@ _COST_INT_KEYS = (
     "peak_bytes",
     "num_tiles",
     "contractions",
+    "bytes_moved",
 )
 
 

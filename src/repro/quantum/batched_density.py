@@ -27,8 +27,10 @@ step meets the layout:
 The stack owns two buffers and ping-pongs between them, so a step holds at
 most two stack-sized arrays.  The canonical ``(batch, 2**n, 2**n)`` layout
 is rebuilt only when a caller reads the matrices; probabilities and traces
-read the diagonal straight out of the physical layout.  The compiled-program
-engine plans a program's whole layout schedule once
+read the diagonal straight out of the physical layout, and
+:meth:`BatchedDensityMatrix.observable_probabilities` reads outcome
+probabilities through a plan-time measurement observable in that layout.
+The compiled-program engine plans a program's whole layout schedule once
 (:meth:`~repro.quantum.program.DensitySuperoperatorEngine.step_plans`);
 :meth:`BatchedDensityMatrix.apply_superoperator` plans one step on the fly
 through the same :func:`plan_layout`.
@@ -152,6 +154,18 @@ class LayoutStep:
         """
         operator = np.take(np.take(superop, self.gather, axis=-2), self.gather, axis=-1)
         return operator if self.mask is None else operator * self.mask
+
+
+def _normalised(marginal: np.ndarray) -> np.ndarray:
+    """Clip ``(batch, 2**m)`` outcome probabilities at 0 and renormalise each row."""
+    clipped = np.clip(marginal, 0.0, None)
+    totals = clipped.sum(axis=1)
+    if not np.all(np.isfinite(totals)) or np.any(totals <= 0.0):
+        raise SimulationError(
+            "cannot compute probabilities: a density-matrix diagonal is "
+            "all zero or not finite"
+        )
+    return clipped / totals[:, None]
 
 
 def _bits(width: int) -> np.ndarray:
@@ -380,24 +394,43 @@ class BatchedDensityMatrix:
     def probabilities(self, qubits: Optional[Sequence[int]] = None) -> np.ndarray:
         """Per-element Z-basis probabilities, shape ``(batch, 2**m)``.
 
-        Clips small negative diagonal entries (numerical noise from Kraus
-        accumulation) and renormalises each element, exactly as
-        :meth:`DensityMatrix.probabilities` does per circuit.  Elements whose
-        diagonal sums to zero or is not finite raise
+        Marginalises the diagonal onto ``qubits`` first, then clips small
+        negative outcome probabilities (numerical noise from Kraus
+        accumulation) and renormalises each element.  Clipping the
+        ``2**m`` marginal rather than each diagonal entry is what
+        :meth:`observable_probabilities` can do, so both readouts agree;
+        against :meth:`DensityMatrix.probabilities`, which clips entries,
+        the two differ only in the last ULP.  Elements whose marginal sums
+        to zero or is not finite raise
         :class:`~repro.exceptions.SimulationError` instead of yielding NaN
         probabilities.
         """
-        diagonal = np.clip(np.real(self._diagonal()), 0.0, None)
-        totals = diagonal.sum(axis=1)
-        if not np.all(np.isfinite(totals)) or np.any(totals <= 0.0):
+        marginal = np.real(self._diagonal())
+        if qubits is not None:
+            marginal = marginal_probabilities(marginal, qubits, self._num_qubits)
+        return _normalised(marginal)
+
+    def observable_probabilities(
+        self, observable: np.ndarray, layout: Tuple[int, ...]
+    ) -> np.ndarray:
+        """Outcome probabilities read through a measurement observable.
+
+        ``observable`` is a ``(4**n, 2**m)`` matrix whose column ``j`` maps
+        an element, flattened in the physical axis order ``layout``, to the
+        probability of outcome ``j`` (see
+        :meth:`~repro.quantum.program.DensitySuperoperatorEngine.readout_plan`).
+        The readout is one ``(batch, 4**n) @ (4**n, 2**m)`` matmul, clipped
+        and renormalised as :meth:`probabilities` does.  An observable
+        planned for another layout raises instead of reading the wrong
+        entries.
+        """
+        if layout != self._layout:
             raise SimulationError(
-                "cannot compute probabilities: a density-matrix diagonal is "
-                "all zero or not finite"
+                f"observable planned for axis order {layout} read out of a "
+                f"stack in axis order {self._layout}"
             )
-        probs = diagonal / totals[:, None]
-        if qubits is None:
-            return probs
-        return marginal_probabilities(probs, qubits, self._num_qubits)
+        observable = observable.astype(self._matrices.dtype, copy=False)
+        return _normalised(np.real(arrays.matmul(self._matrices, observable)))
 
     # ------------------------------------------------------------------ #
     # Evolution

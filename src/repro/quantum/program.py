@@ -21,7 +21,9 @@ many**:
   repeat sweep on a noisy backend applies **one** contraction per gate and
   never resolves Kraus channels again.  Runs of fixed gates on one block of
   the layout schedule (:func:`density_schedule`) are multiplied into a
-  single contraction at plan time.
+  single contraction at plan time, and the fixed tail after the last
+  parametric step is folded into a measurement observable
+  (:class:`ReadoutPlan`), so a tile reads out with one matmul.
 * :meth:`SweepProgram.execute` streams the sweep through
   :class:`~repro.quantum.batched.BatchedStatevector` /
   :class:`~repro.quantum.batched_density.BatchedDensityMatrix` tile by tile
@@ -534,22 +536,23 @@ class SweepProgram:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _resolve_operands(self, bindings: np.ndarray) -> List:
+    def _resolve_operands(self, bindings: np.ndarray, steps: range) -> List:
         """Per-step gate-operand plan for one sweep's **full** bindings.
 
-        For every parametric step, decide once — from the whole batch, never
-        from an individual tile — whether the step binds identical angles
-        everywhere (shared ``(2**k, 2**k)`` matrix, built here) or genuinely
-        per-element angles (the evaluated columns, sliced per tile later).
-        Making the shared/batched decision tile-independent is what keeps
-        tiled execution bit-identical to the untiled pass: a one-element tile
-        must not collapse onto the shared-matrix code path when the full
-        sweep takes the batched one.
+        For every parametric step in ``steps``, decide once — from the whole
+        batch, never from an individual tile — whether the step binds
+        identical angles everywhere (shared ``(2**k, 2**k)`` matrix, built
+        here) or genuinely per-element angles (the evaluated columns, sliced
+        per tile later).  Making the shared/batched decision tile-independent
+        is what keeps tiled execution bit-identical to the untiled pass: a
+        one-element tile must not collapse onto the shared-matrix code path
+        when the full sweep takes the batched one.  Fixed steps and steps
+        outside ``steps`` get ``None``.
         """
-        operands: List = []
-        for step in self.steps:
+        operands: List = [None] * len(self.steps)
+        for index in steps:
+            step = self.steps[index]
             if step.is_fixed:
-                operands.append(None)
                 continue
             columns: List = []
             scalars: List[float] = []
@@ -569,11 +572,12 @@ class SweepProgram:
                 else:
                     shared = False
             if shared:
-                operands.append(
-                    ("shared", gate_library.gate_matrix(step.name, *scalars))
+                operands[index] = (
+                    "shared",
+                    gate_library.gate_matrix(step.name, *scalars),
                 )
             else:
-                operands.append(("batched", columns))
+                operands[index] = ("batched", columns)
         return operands
 
     def _step_matrix(self, step: GateStep, operand, start: int, stop: int):
@@ -598,25 +602,29 @@ class SweepProgram:
         start: int,
         stop: int,
         *,
+        steps: range,
+        state=None,
         shared_bindings: Optional[np.ndarray] = None,
     ):
-        """Evolve one contiguous tile ``[start, stop)`` of the sweep.
+        """Evolve one contiguous tile ``[start, stop)`` through ``steps``.
 
         ``plans`` are the engine's step plans, resolved once per sweep; a
         ``None`` plan marks a step the engine folded into an earlier one
-        (:func:`density_schedule`), and it is never dispatched.  When
-        ``shared_bindings`` is provided (the tile plan claims a shared
-        trained-state prefix), the longest prefix of steps whose operands are
-        constant across the tile is evolved **once** at batch size 1 and the
-        resulting state broadcast across the tile before the per-element
-        suffix runs.  Every such claim is certified by the VER403
-        ``verify_shared_prefix`` gate first — an illegal claim raises
+        (:func:`density_schedule`), and it is never dispatched.  Without a
+        ``state`` the tile starts from ``|0...0>`` at step 0; with one, the
+        steps continue the state an earlier call left at ``steps.start``.
+        When ``shared_bindings`` is provided (the tile plan claims a shared
+        trained-state prefix), the longest prefix of steps whose operands
+        are constant across the tile is evolved **once** at batch size 1 and
+        the resulting state broadcast across the tile before the
+        per-element suffix runs.  Every such claim is certified by the
+        VER403 ``verify_shared_prefix`` gate first — an illegal claim raises
         :class:`~repro.exceptions.SimulationError` instead of silently
         reusing a state the tile does not actually share.
         """
         batch = stop - start
-        prefix = 0
-        if shared_bindings is not None and batch > 1:
+        prefix = 0 if state is None else steps.start
+        if state is None and shared_bindings is not None and batch > 1:
             from repro.analysis.equiv import (
                 shared_prefix_length,
                 verify_shared_prefix,
@@ -624,13 +632,13 @@ class SweepProgram:
             from repro.analysis.verify import assert_clean
 
             tile_bindings = shared_bindings[start:stop]
-            prefix = shared_prefix_length(self, tile_bindings)
+            prefix = min(shared_prefix_length(self, tile_bindings), steps.stop)
             if prefix:
                 assert_clean(
                     list(verify_shared_prefix(self, tile_bindings, prefix)),
                     context=f"{self.name}: shared-prefix tile execution",
                 )
-        if prefix:
+        if state is None and prefix:
             state = engine.initial_state(1, self.num_qubits)
             for index in range(prefix):
                 plan = plans[index]
@@ -642,9 +650,9 @@ class SweepProgram:
                 )
                 engine.apply_step(state, step, plan, matrix)
             state = state.broadcast_to(batch)
-        else:
+        elif state is None:
             state = engine.initial_state(batch, self.num_qubits)
-        for index in range(prefix, len(self.steps)):
+        for index in range(prefix, steps.stop):
             plan = plans[index]
             if plan is None:
                 continue
@@ -672,18 +680,30 @@ class SweepProgram:
                 "not during one"
             )
 
-    def evolve(self, bindings, engine):
+    def evolve(self, bindings, engine, *, steps: Optional[range] = None, state=None):
         """Evolve the whole batch at once; returns the engine's batched state.
 
         Used by the analytic estimator, which needs every element's final
         state.  ``bindings`` is a ``(batch, num_columns)`` float matrix (one
-        row per sweep element).
+        row per sweep element).  ``steps`` (every step by default) bounds
+        the steps applied; ``state`` continues, in place, the state an
+        earlier call left at ``steps.start`` — how ``run`` reads out at the
+        split of its readout plan and still returns the final state.
         """
         bindings = self._check_bindings(bindings)
-        operands = self._resolve_operands(bindings)
+        steps = range(len(self.steps)) if steps is None else steps
+        operands = self._resolve_operands(bindings, steps)
         pinned = self._pin_noise(engine)
         total = bindings.shape[0]
-        state = self._evolve_tile(engine, engine.step_plans(self), operands, 0, total)
+        state = self._evolve_tile(
+            engine,
+            engine.step_plans(self),
+            operands,
+            0,
+            total,
+            steps=steps,
+            state=state,
+        )
         self._check_noise_pinned(engine, pinned, 0, total)
         return state
 
@@ -698,7 +718,10 @@ class SweepProgram:
         Peak engine memory is bounded by the largest tile instead of the
         whole sweep.  The engine's step plans are resolved once for the
         whole sweep, and a noise model mutated while the sweep runs raises
-        :class:`~repro.exceptions.SimulationError`.
+        :class:`~repro.exceptions.SimulationError`.  Each tile evolves up
+        to the split of the engine's :class:`ReadoutPlan` and reads out
+        there: on the density engine the fixed tail after the split is
+        folded into the plan's measurement observable.
         """
         bindings = self._check_bindings(bindings)
         if not self.measured_qubits:
@@ -715,23 +738,114 @@ class SweepProgram:
                     f"elements but the bindings have {total} rows"
                 )
             tiles = tile_plan.flat_tiles()
-        operands = self._resolve_operands(bindings)
         shared = bindings if (tile_plan is not None and tile_plan.shared_prefix) else None
         pinned = self._pin_noise(engine)
         plans = engine.step_plans(self)
+        readout = engine.readout_plan(self, plans)
+        operands = self._resolve_operands(bindings, range(readout.split))
         out = np.empty((total, 2 ** len(self.measured_qubits)), dtype=float)
         for start, stop in tiles:
             state = self._evolve_tile(
-                engine, plans, operands, start, stop, shared_bindings=shared
+                engine,
+                plans,
+                operands,
+                start,
+                stop,
+                steps=range(readout.split),
+                shared_bindings=shared,
             )
             self._check_noise_pinned(engine, pinned, start, stop)
-            out[start:stop] = engine.joint_probabilities(state, self.measured_qubits)
+            out[start:stop] = engine.joint_probabilities(
+                state, self.measured_qubits, readout
+            )
         return out
 
 
 # --------------------------------------------------------------------------- #
 # Execution engines
 # --------------------------------------------------------------------------- #
+
+
+#: Widest measurement observable the density engine folds a tail into:
+#: ``2**m`` rows of ``4**n`` amplitudes, at most the estimators' default
+#: ``max_batch_amplitudes``.  A shape rule on the program alone, so a grid
+#: sweep and ``run`` of one program always read out the same way.
+OBSERVABLE_MAX_AMPLITUDES = 2**23
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ReadoutPlan:
+    """Where an engine stops evolving a program's tiles, and how it reads out.
+
+    Every tile evolves the first ``split`` steps.  With ``observable``
+    ``None`` the readout is *stepwise*: ``split`` is the end of the
+    program and the final state's diagonal is marginalised.  Otherwise
+    ``observable`` is the ``(4**n, 2**m)`` measurement observable of the
+    fixed tail after the split: column ``j`` maps a state at the split,
+    flattened in the physical axis order ``layout``, to the probability of
+    outcome ``j`` after the tail.  ``reason`` records the choice.
+    """
+
+    split: int
+    observable: Optional[np.ndarray]
+    layout: Optional[Tuple[int, ...]]
+    reason: str
+
+
+def density_readout_split(program: "SweepProgram") -> Tuple[Optional[int], str]:
+    """Where the density engine splits ``program`` for its observable readout.
+
+    Returns ``(split, reason)``.  ``split`` is the index after the last
+    parametric step (0 for an all-fixed program): every step from there on
+    is fixed, so the tail can be folded into a measurement observable at
+    plan time.  ``split`` is ``None`` — stepwise readout — when nothing is
+    measured or the observable's ``2**m * 4**n`` amplitudes exceed
+    :data:`OBSERVABLE_MAX_AMPLITUDES`.  The rule reads only the program,
+    never a noise model or tile plan, so the engine and the VER2xx cost
+    model share it.
+    """
+    m, n = len(program.measured_qubits), program.num_qubits
+    if not m:
+        return None, "stepwise: the program measures no qubit"
+    size = 2**m * 4**n
+    if size > OBSERVABLE_MAX_AMPLITUDES:
+        return None, (
+            f"stepwise: a {2**m} x {4**n} observable ({size} amplitudes) "
+            f"exceeds the {OBSERVABLE_MAX_AMPLITUDES}-amplitude bound"
+        )
+    split = 1 + max(
+        (index for index, step in enumerate(program.steps) if not step.is_fixed),
+        default=-1,
+    )
+    return split, (
+        f"observable: steps [{split}, {len(program.steps)}) fold into "
+        f"{2**m} readout row(s)"
+    )
+
+
+def outcome_selectors(
+    measured_qubits: Sequence[int], num_qubits: int, layout: Tuple[int, ...]
+) -> np.ndarray:
+    """``(2**m, 4**n)`` 0/1 covectors of the measured outcomes on the diagonal.
+
+    Row ``j`` sums the diagonal entries whose measured bits (in
+    ``measured_qubits`` order, first most significant) spell ``j``, read
+    in the physical axis order ``layout``.
+    """
+    basis = np.arange(2**num_qubits)
+    bits = [(basis >> (num_qubits - 1 - qubit)) & 1 for qubit in range(num_qubits)]
+    # The physical index of diagonal entry (b, b): qubit q's row and column
+    # axes both carry bit q of b, at their positions in ``layout``.
+    weight = {axis: 2 ** (len(layout) - 1 - i) for i, axis in enumerate(layout)}
+    diagonal = sum(
+        bits[q] * (weight[q] + weight[num_qubits + q]) for q in range(num_qubits)
+    )
+    outcome = np.zeros_like(basis)
+    for qubit in measured_qubits:
+        outcome = 2 * outcome + bits[qubit]
+    selectors = np.zeros((2 ** len(measured_qubits), 4**num_qubits), dtype=COMPLEX_DTYPE)
+    selectors[outcome, diagonal] = 1.0
+    return selectors
 
 
 #: Certified kernel plans per program.  Module level, not per engine: the
@@ -777,10 +891,21 @@ class StatevectorEngine:
         with _KERNEL_PLANS_LOCK:
             return _KERNEL_PLANS.setdefault(program, plans)
 
+    def readout_plan(self, program: SweepProgram, plans: tuple) -> ReadoutPlan:
+        """Always stepwise: a dense ``2**n x 2**n`` observable would not fit."""
+        return ReadoutPlan(
+            len(program.steps),
+            None,
+            None,
+            "stepwise: the statevector engine reads the final state",
+        )
+
     def apply_step(self, state, step: GateStep, plan, matrix) -> None:
         plan.apply(state, matrix)
 
-    def joint_probabilities(self, state, measured_qubits) -> np.ndarray:
+    def joint_probabilities(
+        self, state, measured_qubits, readout: ReadoutPlan
+    ) -> np.ndarray:
         return state.probabilities(measured_qubits)
 
 
@@ -902,6 +1027,11 @@ class DensitySuperoperatorEngine:
     then multiplied into its head's operator, and the folded steps get a
     ``None`` plan.  A dispatched step is one matmul and at most one
     transpose copy, with no Kraus-channel resolution on repeat sweeps.
+
+    The same pass folds the fixed tail after the program's last parametric
+    step (:func:`density_readout_split`) into a measurement observable by
+    walking the tail's plans backwards (:meth:`readout_plan`).  A tile then
+    evolves only the steps before the split and reads out with one matmul.
     """
 
     name = "density_superoperator"
@@ -909,6 +1039,7 @@ class DensitySuperoperatorEngine:
 
     def __init__(self, noise_model: Optional[NoiseModel] = None) -> None:
         self.noise_model = noise_model if noise_model is not None else NoiseModel.ideal()
+        #: Per program: ``(noise version, step plans, readout plan)``.
         self._plans: "WeakKeyDictionary[SweepProgram, tuple]" = WeakKeyDictionary()
         #: Plan compilations performed (cache-instrumentation for benchmarks).
         self.plans_compiled = 0
@@ -944,9 +1075,56 @@ class DensitySuperoperatorEngine:
                 )
                 plans[index] = None
         plans = tuple(plans)
-        self._plans[program] = (version, plans)
+        self._plans[program] = (version, plans, self._fold_tail(program, plans))
         self.plans_compiled += 1  # repro: noqa REP101 -- instrumentation counter on a per-backend engine; workers rebuild backends from specs, never share one engine
         return plans
+
+    def readout_plan(self, program: SweepProgram, plans: tuple) -> ReadoutPlan:
+        """The readout plan built with ``plans`` by :meth:`step_plans`.
+
+        Cached beside the step plans under the same noise-model version, so
+        a mutated model replans both together; plans from another pass get
+        their own fold.
+        """
+        cached = self._plans.get(program)
+        if cached is not None and cached[1] is plans:
+            return cached[2]
+        return self._fold_tail(program, plans)
+
+    def _fold_tail(self, program: SweepProgram, plans: tuple) -> ReadoutPlan:
+        """Walk the tail's plans backwards from the outcome selectors.
+
+        A dispatched step maps a state ``X`` (rows of the trailing block's
+        width ``w``) to ``X @ operator.T`` after its optional transpose, so
+        an observable row ``o`` read after the step equals the row
+        ``o.reshape(-1, w) @ operator`` read before it, put back through the
+        inverse transpose.  Folded (``None``) plans are already inside
+        their head's operator and never move the layout.
+        """
+        split, reason = density_readout_split(program)
+        if split is None:
+            return ReadoutPlan(len(program.steps), None, None, reason)
+        n, rows = program.num_qubits, 2 ** len(program.measured_qubits)
+        layout = canonical_layout(n)
+        for plan in plans:
+            if plan is not None:
+                layout = plan.layout.target
+        observable = outcome_selectors(program.measured_qubits, n, layout)
+        for plan in reversed(plans[split:]):
+            if plan is None:
+                continue
+            width = plan.operator.shape[-1]
+            observable = (observable.reshape(rows, -1, width) @ plan.operator).reshape(
+                rows, -1
+            )
+            if plan.layout.transpose is not None:
+                observable = (
+                    observable.reshape((rows,) + (2,) * (2 * n))
+                    .transpose(np.argsort(plan.layout.transpose))
+                    .reshape(rows, -1)
+                )
+            layout = plan.layout.source
+        return ReadoutPlan(split, np.ascontiguousarray(observable.T), layout, reason)
 
     def _plan_step(self, step: GateStep):
         noise = gate_noise_superoperator(step.name, step.qubits, self.noise_model)
@@ -965,6 +1143,11 @@ class DensitySuperoperatorEngine:
             operator = plan.layout.physical(operator)
         state.apply_planned(plan.layout, operator)
 
-    def joint_probabilities(self, state, measured_qubits) -> np.ndarray:
-        joint = state.probabilities(measured_qubits)
+    def joint_probabilities(
+        self, state, measured_qubits, readout: ReadoutPlan
+    ) -> np.ndarray:
+        if readout.observable is None:
+            joint = state.probabilities(measured_qubits)
+        else:
+            joint = state.observable_probabilities(readout.observable, readout.layout)
         return apply_readout_error(joint, measured_qubits, self.noise_model)

@@ -292,9 +292,13 @@ class _SweepProgramCacheMixin:
         """Evolve one bound circuit through its cached program and read it out.
 
         Returns ``(state, probabilities, counts)``: the engine's one-element
-        batched state, the exact classical-bit probabilities (readout error
-        included on the density engine) and the sampled counts, drawn with
-        the same helper and RNG stream as every other read-out.
+        batched final state, the exact classical-bit probabilities (readout
+        error included on the density engine) and the sampled counts, drawn
+        with the same helper and RNG stream as every other read-out.  The
+        probabilities come from the route a one-element grid of the program
+        takes — evolve to the split of the engine's readout plan and read
+        out there — and the fixed tail is applied afterwards only for the
+        returned state.
         """
         if circuit.num_parameters:
             unbound = [p.name for p in circuit.parameters]
@@ -308,11 +312,13 @@ class _SweepProgramCacheMixin:
             ],
             dtype=float,
         )
-        state = program.evolve(row[None, :], engine)
+        bindings = row[None, :]
+        readout = engine.readout_plan(program, engine.step_plans(program))
+        state = program.evolve(bindings, engine, steps=range(readout.split))
         probabilities: Dict[str, float] = {}
         counts: Optional[Counts] = None
         if program.measured_qubits:
-            joint = engine.joint_probabilities(state, program.measured_qubits)[0]
+            joint = engine.joint_probabilities(state, program.measured_qubits, readout)[0]
             probabilities = exact_clbit_probabilities(
                 joint, program.measured_qubits, program.clbits, circuit.num_clbits
             )
@@ -322,6 +328,12 @@ class _SweepProgramCacheMixin:
                 )
         elif shots is not None:
             raise SimulationError("cannot sample shots from a circuit without measurements")
+        state = program.evolve(
+            bindings,
+            engine,
+            steps=range(readout.split, len(program.steps)),
+            state=state,
+        )
         return state, probabilities, counts
 
 

@@ -171,11 +171,12 @@ class TestEstimateCost:
 
 
 class TestDensityScheduleCount:
-    """Density contractions are the composed schedule's matmuls per tile."""
+    """Density contractions are the prefix schedule's matmuls plus one readout."""
 
     def test_predicted_matmuls_equal_the_dispatched_steps_of_one_tile(
         self, london_template, monkeypatch
     ):
+        from repro import arrays
         from repro.quantum.program import DensitySuperoperatorEngine
 
         program, noise = london_template
@@ -184,7 +185,9 @@ class TestDensityScheduleCount:
         plan = TilePlan.for_circuit_sweep(4, 1, element, 4 * element)
         report = estimate_cost(program, plan, engine="density")
         assert report.num_tiles == 1
-        calls, transposes = [], []
+        engine = DensitySuperoperatorEngine(noise)
+        engine.step_plans(program)  # plan (and fold the tail) before counting
+        calls, transposes, matmuls = [], [], []
         real = DensitySuperoperatorEngine.apply_step
 
         def counted(self, state, step, plan, matrix):
@@ -192,11 +195,17 @@ class TestDensityScheduleCount:
             transposes.append(plan.layout.transpose is not None)
             return real(self, state, step, plan, matrix)
 
+        matmul = arrays.matmul
         monkeypatch.setattr(DensitySuperoperatorEngine, "apply_step", counted)
-        program.execute(bindings, DensitySuperoperatorEngine(noise), tile_plan=plan)
+        monkeypatch.setattr(
+            arrays, "matmul", lambda *args, **kw: matmuls.append(1) or matmul(*args, **kw)
+        )
+        program.execute(bindings, engine, tile_plan=plan)
         assert len(program.steps) == 68
-        assert report.contractions == report.superoperator_contractions == len(calls) == 42
-        assert report.transposes == sum(transposes) == 28
+        # Steps 0-8 are dispatched; the fixed tail 9-67 is one readout matmul.
+        assert len(calls) == 9
+        assert report.contractions == report.superoperator_contractions == len(matmuls) == 10
+        assert report.transposes == sum(transposes) == 5
 
     def test_every_tile_pays_the_schedule(self, london_template):
         program, _ = london_template
@@ -215,19 +224,40 @@ class TestDensityScheduleCount:
         assert statevector.transposes == 0
 
     def test_shared_prefix_charges_only_dispatched_steps(self, london_template):
-        from repro.quantum.program import density_schedule
+        from repro.quantum.program import density_readout_split, density_schedule
 
         program, _ = london_template
         _, heads = density_schedule(program)
-        dispatched = [head == index for index, head in enumerate(heads)]
+        split, _ = density_readout_split(program)
+        dispatched = [head == index and index < split for index, head in enumerate(heads)]
         element = 4**program.num_qubits
         plan = TilePlan.for_grid_sweep(2, 4, element, 4 * element)
-        prefix = 20
+        prefix = 5
         report = estimate_cost(program, plan, engine="density", shared_prefix_steps=prefix)
         assert report.element_contractions == (
             report.num_tiles * sum(dispatched[:prefix])
             + plan.total_elements * sum(dispatched[prefix:])
         )
+
+    def test_bytes_moved_follow_the_split(self, london_template):
+        from repro.quantum.program import density_readout_split
+
+        program, _ = london_template
+        element = 4**program.num_qubits
+        plan = TilePlan.for_circuit_sweep(4, 1, element, 4 * element)
+        report = estimate_cost(program, plan, engine="density")
+        split, _ = density_readout_split(program)
+        state_bytes = element * report.bytes_per_amplitude
+        moved = report.step_bytes_moved
+        assert len(moved) == len(program.steps)
+        assert not any(moved[split:])
+        # Each prefix step reads and writes the 4-element tile, twice with
+        # a transpose.
+        assert sum(moved) == 2 * 4 * state_bytes * (9 + 5)
+        # The readout reads the tile and the 2-row observable once.
+        assert report.bytes_moved - sum(moved) == 4 * state_bytes + 2 * state_bytes
+        statevector = estimate_cost(program, TilePlan.for_circuit_sweep(4, 1, 32, 128))
+        assert statevector.step_bytes_moved == (2 * 4 * 32 * report.bytes_per_amplitude,) * 68
 
 
 # --------------------------------------------------------------------------- #

@@ -2,7 +2,8 @@
 
 Exercises the independent kron/permutation lift, the shared-prefix
 certificate (VER403), the composed density schedule against the per-state
-reference (VER406), the reference suite and the CLI's ``--select``
+reference (VER406), the observable readout against the per-state measured
+marginal (VER407), the reference suite and the CLI's ``--select``
 integration: a deliberately broken plan must fire its *exact* code, and
 sound plans must stay clean.
 """
@@ -20,11 +21,13 @@ from repro.analysis.equiv import (
     qubit_permutation_matrix,
     shared_prefix_length,
     verify_density_schedule,
+    verify_observable_readout,
     verify_shared_prefix,
 )
 from repro.hardware.calibration import get_calibration
 from repro.quantum import gates
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.operations import Parameter
 from repro.quantum.program import SweepProgram
 
 
@@ -158,6 +161,53 @@ class TestDensitySchedule:
         # the next dispatched step's layout guard refuses to contract it.
         with pytest.raises(SimulationError, match="layout step planned for axis order"):
             verify_density_schedule(program, bindings, london)
+
+
+class TestObservableReadout:
+    """VER407: the folded-tail readout vs the per-state measured marginal."""
+
+    def program_and_bindings(self):
+        theta = Parameter("theta")
+        qc = QuantumCircuit(3, 2)
+        qc.ry(theta, 0).h(1).cx(0, 1).rz(0.3, 1).h(2).cx(1, 2).cswap(2, 0, 1).cx(0, 2)
+        qc.measure(2, 0)
+        qc.measure(0, 1)
+        program = SweepProgram.compile(qc, bind_floats=False)
+        bindings = np.random.default_rng(4).uniform(0, np.pi, size=(3, 1))
+        return program, bindings
+
+    def test_observable_readout_certifies_clean(self, london):
+        from repro.quantum.program import DensitySuperoperatorEngine
+
+        program, bindings = self.program_and_bindings()
+        engine = DensitySuperoperatorEngine(london)
+        readout = engine.readout_plan(program, engine.step_plans(program))
+        assert readout.split == 1 and readout.observable is not None
+        assert verify_observable_readout(program, bindings, london) == []
+
+    def test_a_tail_plan_dropped_from_the_walk_is_ver407(self, london, monkeypatch):
+        from repro.quantum.program import DensitySuperoperatorEngine
+
+        program, bindings = self.program_and_bindings()
+        real = DensitySuperoperatorEngine._fold_tail
+
+        def drop_one(self, target, plans):
+            # The last dispatched tail step that moves no axes: skipping it
+            # keeps every layout consistent and only loses its operator.
+            index = max(
+                i for i, plan in enumerate(plans)
+                if plan is not None and plan.layout.transpose is None
+            )
+            return real(self, target, plans[:index] + (None,) + plans[index + 1:])
+
+        monkeypatch.setattr(DensitySuperoperatorEngine, "_fold_tail", drop_one)
+        findings = verify_observable_readout(program, bindings, london)
+        assert [finding.code for finding in findings] == ["VER407"]
+        assert findings[0].message.startswith(
+            "observable readout (observable: steps [1, 8) fold into 4 readout "
+            "row(s)) differs from the per-state DensityMatrix marginal by "
+        )
+        assert program.name in findings[0].location.render()
 
 
 class TestReferenceEquivalence:

@@ -13,6 +13,13 @@ runs, 1-qubit runs on one qubit, 1-qubit steps inside and outside the
 trailing block, runs broken by a parametric step or a transpose, fixed and
 parametric steps (shared and per element), noise models, batch sizes, both
 precisions, and tiles with and without a shared prefix.
+
+Every random program is read out twice: stepwise, from the final state's
+diagonal, and through the readout plan's measurement observable, which
+folds the fixed tail after the last parametric step at plan time.  The
+draws include programs with no tail, all-fixed programs (the whole program
+is the tail) and two or three measured qubits in non-sorted order, each
+with its own readout error.
 """
 
 import numpy as np
@@ -41,8 +48,11 @@ from repro.quantum.noise import (
 from repro.quantum.operations import Parameter, gate
 from repro.quantum.program import (
     DensitySuperoperatorEngine,
+    ReadoutPlan,
+    StatevectorEngine,
     SweepProgram,
     TilePlan,
+    density_readout_split,
     density_schedule,
 )
 
@@ -63,10 +73,19 @@ def per_qubit_model() -> NoiseModel:
     return model
 
 
+def readout_per_qubit_model() -> NoiseModel:
+    """Gate noise plus a different readout error on every qubit."""
+    model = NoiseModel.from_error_rates(0.02, 0.03)
+    for qubit in range(4):
+        model.add_readout_error(ReadoutError(0.02 + 0.03 * qubit, 0.01 + 0.02 * qubit), qubit)
+    return model
+
+
 NOISE_MODELS = {
     "ideal": NoiseModel.ideal,
     "rates": lambda: NoiseModel.from_error_rates(0.01, 0.02, readout_error=0.03),
     "per_qubit": per_qubit_model,
+    "readout_per_qubit": readout_per_qubit_model,
 }
 
 
@@ -114,21 +133,36 @@ def gate_ops(draw, num_qubits):
 
 @st.composite
 def sweeps(draw):
-    """``(circuit, parameters, bindings, model key)`` of one random sweep."""
+    """``(circuit, parameters, bindings, model key)`` of one random sweep.
+
+    ``tail`` shapes where the readout split falls: anywhere (``mixed``), at
+    the end (a parametric last step) or at 0 (every angle fixed).  The
+    measured qubits are a drawn subset in a drawn order.
+    """
     num_qubits = draw(st.integers(2, 4))
     ops = [
         op
         for _ in range(draw(st.integers(1, 6)))
         for op in draw(gate_ops(num_qubits))
     ]
+    tail = draw(st.sampled_from(("mixed", "none", "whole_program")))
+    if tail == "none":
+        ops.append(("ry", (draw(st.integers(0, num_qubits - 1)),), "per_element"))
+    elif tail == "whole_program":
+        ops = [(name, qubits, mode and "fixed") for name, qubits, mode in ops]
+    order = draw(st.permutations(range(num_qubits)))
+    measured = order[: draw(st.integers(1, min(3, num_qubits)))]
     batch = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    circuit, parameters, bindings = build_sweep(num_qubits, ops, batch, rng)
+    circuit, parameters, bindings = build_sweep(num_qubits, ops, batch, rng, measured)
     return circuit, parameters, bindings, draw(st.sampled_from(sorted(NOISE_MODELS)))
 
 
-def build_sweep(num_qubits, ops, batch, rng):
-    """``(circuit, parameters, bindings)`` of ``ops`` with angles drawn from ``rng``."""
+def build_sweep(num_qubits, ops, batch, rng, measured=None):
+    """``(circuit, parameters, bindings)`` of ``ops`` with angles drawn from ``rng``.
+
+    Measures every qubit, or ``measured`` in that order.
+    """
     circuit = QuantumCircuit(num_qubits, num_qubits)
     parameters, columns = [], []
     for name, qubits, mode in ops:
@@ -144,7 +178,10 @@ def build_sweep(num_qubits, ops, batch, rng):
             values = rng.uniform(0, np.pi, size=batch)
             columns.append(np.full(batch, values[0]) if mode == "shared" else values)
             circuit.append(gate(name, qubits, parameter))
-    circuit.measure_all()
+    if measured is None:
+        circuit.measure_all()
+    for clbit, qubit in enumerate(measured or ()):
+        circuit.measure(qubit, clbit)
     bindings = np.stack(columns, axis=1) if columns else np.zeros((batch, 0))
     return circuit, parameters, bindings
 
@@ -188,13 +225,27 @@ def reference_readout(matrices, measured, model):
 
 
 def check_against_reference(circuit, parameters, bindings, model, tiling, budget):
-    """Evolve and read out through the composed schedule; compare to the reference."""
+    """Evolve and read out through the composed schedule; compare to the reference.
+
+    The final states and the stepwise readout of the whole evolution are
+    checked, and so is ``execute``, which reads out through the
+    observable the fixed tail was folded into.
+    """
     program = SweepProgram.compile(circuit, bind_floats=False, parameters=parameters)
     expected = reference_matrices(circuit, parameters, bindings, model)
+    expected_readout = reference_readout(expected, program.measured_qubits, model)
     atol = max(ATOL, arrays.sweep_atol())
-    state = program.evolve(bindings, DensitySuperoperatorEngine(model))
+    engine = DensitySuperoperatorEngine(model)
+    state = program.evolve(bindings, engine)
     assert state.matrices.dtype == arrays.complex_dtype()
     np.testing.assert_allclose(state.matrices, expected, rtol=0, atol=atol)
+    stepwise = ReadoutPlan(len(program.steps), None, None, "stepwise")
+    np.testing.assert_allclose(
+        engine.joint_probabilities(state, program.measured_qubits, stepwise),
+        expected_readout,
+        rtol=0,
+        atol=atol,
+    )
 
     batch = bindings.shape[0]
     element = 4**program.num_qubits
@@ -203,10 +254,14 @@ def check_against_reference(circuit, parameters, bindings, model, tiling, budget
         "tiles": TilePlan.for_circuit_sweep(batch, 1, element, budget * element),
         "shared_prefix": TilePlan.for_grid_sweep(1, batch, element, budget * element),
     }[tiling]
-    readout = program.execute(bindings, DensitySuperoperatorEngine(model), tile_plan=plan)
+    engine = DensitySuperoperatorEngine(model)
+    readout = engine.readout_plan(program, engine.step_plans(program))
+    assert readout.observable is not None
+    assert readout.split == density_readout_split(program)[0]
+    assert all(step.is_fixed for step in program.steps[readout.split:])
     np.testing.assert_allclose(
-        readout,
-        reference_readout(expected, program.measured_qubits, model),
+        program.execute(bindings, engine, tile_plan=plan),
+        expected_readout,
         rtol=0,
         atol=atol,
     )
@@ -513,3 +568,123 @@ class TestLayoutSchedule:
         stack.apply_matrix(gates.HADAMARD, (1,))
         with pytest.raises(SimulationError, match="layout step planned for axis order"):
             stack.apply_planned(stale, stale.physical(np.eye(4, dtype=complex)))
+
+
+# --------------------------------------------------------------------------- #
+# The readout plan
+# --------------------------------------------------------------------------- #
+
+
+def tail_program():
+    """One parametric step, then a fixed tail; qubits 2 and 0 measured."""
+    circuit, parameters, bindings = build_sweep(
+        3,
+        [("ry", (1,), "per_element"), ("cx", (1, 0), None), ("h", (2,), None),
+         ("cx", (0, 2), None), ("rz", (2,), "fixed")],
+        4,
+        np.random.default_rng(17),
+        measured=(2, 0),
+    )
+    program = SweepProgram.compile(circuit, bind_floats=False, parameters=parameters)
+    return circuit, parameters, bindings, program
+
+
+class TestReadoutPlan:
+    def test_a_mutated_noise_model_rebuilds_the_observable(self):
+        circuit, parameters, bindings, program = tail_program()
+        model = per_qubit_model()
+        engine = DensitySuperoperatorEngine(model)
+        before = engine.readout_plan(program, engine.step_plans(program))
+        assert engine.readout_plan(program, engine.step_plans(program)) is before
+        program.execute(bindings, engine)
+        model.add_all_qubit_error(depolarizing_kraus(0.2, 1), 1)
+        plans = engine.step_plans(program)
+        after = engine.readout_plan(program, plans)
+        assert engine.plans_compiled == 2
+        assert after is not before and after.split == before.split == 1
+        assert not np.allclose(after.observable, before.observable)
+        np.testing.assert_allclose(
+            program.execute(bindings, engine),
+            reference_readout(
+                reference_matrices(circuit, parameters, bindings, model), (2, 0), model
+            ),
+            rtol=0,
+            atol=ATOL,
+        )
+
+    def test_plans_from_another_pass_get_their_own_fold(self):
+        _, _, _, program = tail_program()
+        engine = DensitySuperoperatorEngine(per_qubit_model())
+        plans = engine.step_plans(program)
+        cached = engine.readout_plan(program, plans)
+        other = engine.readout_plan(program, tuple(list(plans)))
+        assert other is not cached
+        assert (other.split, other.layout) == (cached.split, cached.layout)
+        np.testing.assert_array_equal(other.observable, cached.observable)
+
+    def test_a_program_past_the_scope_bound_keeps_stepwise_readout(self):
+        from repro.core.swap_test import SwapTestFidelityEstimator
+        from repro.quantum.program import OBSERVABLE_MAX_AMPLITUDES
+
+        assert OBSERVABLE_MAX_AMPLITUDES == SwapTestFidelityEstimator.DEFAULT_MAX_BATCH_AMPLITUDES
+        wide = QuantumCircuit(11, 2)
+        wide.h(0).cx(0, 10)
+        wide.measure(10, 0)
+        wide.measure(0, 1)
+        program = SweepProgram.compile(wide, bind_floats=False)
+        engine = DensitySuperoperatorEngine(per_qubit_model())
+        readout = engine.readout_plan(program, engine.step_plans(program))
+        assert (readout.split, readout.observable, readout.layout) == (2, None, None)
+        assert readout.reason == (
+            "stepwise: a 4 x 4194304 observable (16777216 amplitudes) exceeds "
+            "the 8388608-amplitude bound"
+        )
+        # One measured qubit fits the bound exactly and folds the tail.
+        single = QuantumCircuit(11, 1)
+        single.h(0).cx(0, 10)
+        single.measure(10, 0)
+        assert density_readout_split(SweepProgram.compile(single, bind_floats=False))[0] == 0
+
+    def test_stepwise_readout_past_the_bound_matches_the_reference(self, monkeypatch):
+        from repro.quantum import program as program_module
+
+        circuit, parameters, bindings, program = tail_program()
+        monkeypatch.setattr(program_module, "OBSERVABLE_MAX_AMPLITUDES", 4**3)
+        engine = DensitySuperoperatorEngine(per_qubit_model())
+        readout = engine.readout_plan(program, engine.step_plans(program))
+        assert readout.observable is None and readout.split == len(program.steps)
+        assert readout.reason.startswith("stepwise: a 4 x 64 observable")
+        model = per_qubit_model()
+        np.testing.assert_allclose(
+            program.execute(bindings, engine),
+            reference_readout(
+                reference_matrices(circuit, parameters, bindings, model), (2, 0), model
+            ),
+            rtol=0,
+            atol=ATOL,
+        )
+
+    def test_a_state_in_another_layout_fails_closed(self):
+        _, _, bindings, program = tail_program()
+        engine = DensitySuperoperatorEngine(per_qubit_model())
+        readout = engine.readout_plan(program, engine.step_plans(program))
+        # ry(1) moved qubit 1's axes last; the tail starts from there.
+        assert readout.layout == (0, 2, 3, 5, 1, 4)
+        fresh = BatchedDensityMatrix(bindings.shape[0], 3)
+        with pytest.raises(SimulationError) as excinfo:
+            engine.joint_probabilities(fresh, program.measured_qubits, readout)
+        assert str(excinfo.value) == (
+            "observable planned for axis order (0, 2, 3, 5, 1, 4) read out of a "
+            "stack in axis order (0, 1, 2, 3, 4, 5)"
+        )
+
+    def test_the_statevector_plan_is_always_stepwise(self):
+        _, _, _, program = tail_program()
+        engine = StatevectorEngine()
+        readout = engine.readout_plan(program, engine.step_plans(program))
+        assert (readout.split, readout.observable, readout.layout, readout.reason) == (
+            len(program.steps),
+            None,
+            None,
+            "stepwise: the statevector engine reads the final state",
+        )
