@@ -10,22 +10,17 @@ Reproduces the workflow behind the paper's Fig. 6 at example scale:
 Run with::
 
     python examples/iris_multiclass.py
-
-Pass ``--workers N`` to shard each model's per-class training across N
-worker threads; the trained models are bit-identical to the serial run.
 """
 
-import argparse
 import tempfile
 
 from repro.baselines import dnn_for_parameter_budget
 from repro.core import QuClassi
 from repro.datasets import load_iris, prepare_task
 from repro.experiments import format_table
-from repro.parallel import ShardExecutor
 
 
-def train_quclassi_variants(data, epochs: int = 20, executor=None):
+def train_quclassi_variants(data, epochs: int = 20):
     """Train one model per layer architecture and return {name: model}."""
     models = {}
     for architecture in ("s", "sd", "sde"):
@@ -35,10 +30,7 @@ def train_quclassi_variants(data, epochs: int = 20, executor=None):
             architecture=architecture,
             seed=0,
         )
-        model.fit(
-            data.x_train, data.y_train, epochs=epochs, learning_rate=0.1,
-            executor=executor,
-        )
+        model.fit(data.x_train, data.y_train, epochs=epochs, learning_rate=0.1)
         models[f"QC-{architecture.upper()}"] = model
     return models
 
@@ -54,21 +46,9 @@ def train_dnn_baselines(data, budgets=(12, 56, 112), epochs: int = 30):
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="shard per-class training across N threads (0 = serial)",
-    )
-    args = parser.parse_args()
-    executor = (
-        ShardExecutor("thread", max_workers=args.workers)
-        if args.workers > 0
-        else None
-    )
-
     data = prepare_task(load_iris(), test_fraction=0.3, rng=0)
 
-    quantum_models = train_quclassi_variants(data, executor=executor)
+    quantum_models = train_quclassi_variants(data)
     classical_models = train_dnn_baselines(data)
 
     rows = []

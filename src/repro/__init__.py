@@ -14,28 +14,15 @@ subpackages for the full API:
 * :mod:`repro.baselines` — classical DNN, TFQ-like and QuantumFlow-like models.
 * :mod:`repro.hardware`  — simulated IBM-Q and IonQ devices.
 * :mod:`repro.experiments` — the per-figure experiment harness.
-* :mod:`repro.parallel`  — sharded multi-backend execution of sweeps.
 
-Parallel execution
-------------------
+Execution is serial
+-------------------
 QuClassi trains one independent state per class, and every figure sweep
-repeats training across backends, encodings, and shot counts.
-:mod:`repro.parallel` shards that outer loop across worker threads
-without changing a single number::
-
-    from repro.parallel import ShardExecutor
-    from repro.experiments import fig11_hardware_iris_loss
-
-    executor = ShardExecutor("thread", max_workers=4)
-    model.fit(x, y, executor=executor)            # per-class training shards
-    fig11_hardware_iris_loss(executor=executor)   # per-backend sweep cells
-
-Serial and thread executor runs are bit-identical to each other (and, when
-training draws no shot-sampling randomness, to the plain non-executor fit):
-every class/cell draws from its own ``SeedSequence.spawn`` stream keyed by
-shard index, every shard builds its own backend from a spec instead of
-sharing a live one, and hardware-style job ledgers merge back in shard
-order.
+repeats training across backends, encodings, and shot counts.  Both loops
+run serially: every class draws from its own ``SeedSequence.spawn`` stream,
+so the class order cannot change a result, and every figure-sweep cell
+builds its own seeded backend.  Simulated hardware queue latency is
+recorded in job metadata and ledgers, never slept.
 """
 
 from repro.version import __version__

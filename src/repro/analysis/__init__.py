@@ -14,8 +14,7 @@
 
 **Tooling** — imported only by ``python -m repro.analysis``, the benches
 and the tests: the AST contract linter (:mod:`.lint`, :mod:`.rules`), the
-cross-module flow analyzers (:mod:`.flow`), the text/JSON report
-(:mod:`.report`) and the CLI (:mod:`.cli`).
+text/JSON report (:mod:`.report`) and the CLI (:mod:`.cli`).
 
 This package module deliberately re-exports nothing, so importing a
 certificate module never loads the tooling.  See

@@ -1,14 +1,13 @@
 """Command-line entry point: ``python -m repro.analysis``.
 
-Runs the AST contract linter and the cross-module flow analyzers over
-source trees (and, with ``--verify``, the IR and cost-model verifiers
-and the equivalence certificates over the figure suite's representative
-compiled programs) and reports every finding through the shared
-diagnostic pipeline::
+Runs the AST contract linter over source trees (and, with ``--verify``,
+the IR and cost-model verifiers and the equivalence certificates over the
+figure suite's representative compiled programs) and reports every finding
+through the shared diagnostic pipeline::
 
-    python -m repro.analysis src benchmarks            # lint + flow
+    python -m repro.analysis src benchmarks            # lint
     python -m repro.analysis --format json             # default paths, JSON
-    python -m repro.analysis src --select REP001,REP102
+    python -m repro.analysis src --select REP001,REP104
     python -m repro.analysis --verify                  # + IR/cost/equiv checks
 
 Exit codes: ``0`` when no error-severity findings survive suppression,
@@ -26,7 +25,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.diagnostics import Diagnostic, has_errors, sort_diagnostics
-from repro.analysis.lint import lint_paths, merge_suppression_counts
+from repro.analysis.lint import lint_paths
 from repro.analysis.report import findings_payload, format_text_report
 from repro.analysis.rules import select_rules
 
@@ -39,10 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Static analysis for the repro stack: AST contract linter "
-            "(REP0xx/REP106/REP2xx), cross-module concurrency & determinism "
-            "flow analyzers (REP101/REP102/REP104), SweepProgram IR + cost-model "
+            "(REP0xx/REP104/REP106/REP2xx), SweepProgram IR + cost-model "
             "verifiers (VER1xx/VER2xx), and execution-plan equivalence "
-            "certificates (VER403-VER406)."
+            "certificates (VER403-VER407)."
         ),
     )
     parser.add_argument(
@@ -60,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select",
         metavar="CODES",
-        help="comma-separated codes to run: lint rule, flow analyzer, "
-        "and/or equivalence-certificate codes (default: all); VER1xx/VER2xx "
+        help="comma-separated codes to run: lint rule and/or "
+        "equivalence-certificate codes (default: all); VER1xx/VER2xx "
         "always run under --verify and cannot be selected",
     )
     parser.add_argument(
@@ -89,21 +87,20 @@ def _resolve_paths(requested: Sequence[str]) -> List[str]:
 
 
 def _split_select(selected: Optional[str]):
-    """Partition ``--select`` into (lint, flow, equiv) code families.
+    """Partition ``--select`` into (lint, equiv) code families.
 
     ``None`` in a slot means "run everything in that family"; an empty
     tuple means "run nothing".  A code no family knows is a usage error
     whose message lists every selectable code.
     """
     from repro.analysis.equiv import EQUIV_CODES
-    from repro.analysis.flow import FLOW_CODES
     from repro.analysis.rules import all_rules
 
     if selected is None:
-        return None, None, None
+        return None, None
     lint_codes = {rule.code for rule in all_rules()}
     codes = [code.strip().upper() for code in selected.split(",") if code.strip()]
-    known = lint_codes | set(FLOW_CODES) | set(EQUIV_CODES)
+    known = lint_codes | set(EQUIV_CODES)
     unknown = sorted(set(codes) - known)
     if unknown:
         raise ValueError(
@@ -111,9 +108,8 @@ def _split_select(selected: Optional[str]):
             "(VER1xx/VER2xx run under --verify and cannot be selected)"
         )
     lint = tuple(code for code in codes if code in lint_codes)
-    flow = tuple(code for code in codes if code in FLOW_CODES)
     equiv = tuple(code for code in codes if code in EQUIV_CODES)
-    return lint, flow, equiv
+    return lint, equiv
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -121,9 +117,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         paths = _resolve_paths(args.paths)
-        lint_codes, flow_codes, equiv_codes = _split_select(args.select)
+        lint_codes, equiv_codes = _split_select(args.select)
         run_lint = lint_codes is None or bool(lint_codes)
-        run_flow = flow_codes is None or bool(flow_codes)
         run_equiv = equiv_codes is None or bool(equiv_codes)
 
         diagnostics: List[Diagnostic] = []
@@ -136,20 +131,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             timings["lint_seconds"] = time.perf_counter() - started
             diagnostics.extend(lint_result.diagnostics)
             files_checked = lint_result.files_checked
-            merge_suppression_counts(
-                suppressed_by_code, lint_result.suppressed_by_code
-            )
-        if run_flow:
-            from repro.analysis.flow import analyze_paths
-
-            started = time.perf_counter()
-            flow_result = analyze_paths(paths, flow_codes)
-            timings["flow_seconds"] = time.perf_counter() - started
-            diagnostics.extend(flow_result.diagnostics)
-            files_checked = max(files_checked, flow_result.files_checked)
-            merge_suppression_counts(
-                suppressed_by_code, flow_result.suppressed_by_code
-            )
+            suppressed_by_code = dict(lint_result.suppressed_by_code)
     except (FileNotFoundError, ValueError) as exc:
         print(f"repro.analysis: {exc}", file=sys.stderr)
         return 2

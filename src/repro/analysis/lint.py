@@ -153,9 +153,8 @@ def _statement_extents(source: str) -> List[Tuple[int, int]]:
 def justified_suppression_index(source: str) -> Dict[int, set]:
     """line -> codes justifiably suppressed there (bare noqas excluded).
 
-    The shared application point for both source-analysis families: the
-    per-file linter and the cross-module flow analyzers honour the same
-    ``# repro: noqa CODE -- why`` comments.  Bare
+    Every lint rule honours the same ``# repro: noqa CODE -- why``
+    comments.  Bare
     (unjustified) suppressions are not indexed — they suppress nothing and
     are reported as ``REP000`` by :func:`lint_source`.
 

@@ -1,7 +1,7 @@
 """Rule registry of the AST contract linter.
 
-Each rule encodes one contract the batched/sharded execution stack depends
-on (see ``docs/static_analysis.md`` for the full catalogue with rationale):
+Each rule encodes one contract the batched execution stack depends on (see
+``docs/static_analysis.md`` for the full catalogue with rationale):
 
 ====== ====================================================================
 code   contract
@@ -14,8 +14,9 @@ REP004 execution engines never construct RNGs internally — randomness is
        injected by callers
 REP005 every ``bench_*.py`` records a perf point through the shared
        ``experiments.reporting`` writer
-REP106 library code never blocks on ``time.sleep`` outside the documented
-       ``simulate_queue_latency`` queue-wait path
+REP104 raw engine buffers (``_amplitudes``/``_matrices``/``_spare``) never
+       reach a cache without a ``.copy()``
+REP106 library code never blocks on ``time.sleep``
 REP201 complex dtypes are named only inside the ``repro.arrays`` seam —
        literal ``dtype=complex``/``np.complex128`` bypasses the precision
        config
@@ -105,7 +106,7 @@ class Rule:
 def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, in code order."""
     from repro.analysis.rules.arrays import ArraySeamRule, ComplexDtypeLiteralRule
-    from repro.analysis.rules.caches import AdHocCacheRule
+    from repro.analysis.rules.caches import AdHocCacheRule, BufferEscapeRule
     from repro.analysis.rules.reporting import BenchReportingRule
     from repro.analysis.rules.rng import EngineRngRule, SeedlessRngRule
     from repro.analysis.rules.timing import SleepRule
@@ -115,6 +116,7 @@ def all_rules() -> List[Rule]:
         AdHocCacheRule(),
         EngineRngRule(),
         BenchReportingRule(),
+        BufferEscapeRule(),
         SleepRule(),
         ComplexDtypeLiteralRule(),
         ArraySeamRule(),

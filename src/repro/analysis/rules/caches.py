@@ -1,11 +1,16 @@
-"""REP003 — shared caches must route through ``repro.utils.cache.LRUCache``.
+"""Cache contracts: REP003 (bounded, locked caches) and REP104 (no aliasing).
 
-PR 2 unified the memoisation caches behind one bounded, locked LRU after
-unbounded ad-hoc dicts leaked memory across sweeps, and PR 4 made it
-thread-safe because thread-strategy shard workers share builder/estimator
-caches.  A new module- or class-level ``_SOMETHING_CACHE = {}`` silently
-reopens both holes: it is unbounded, unlocked, and — at class level —
-shared across every instance and thread.
+REP003: the memoisation caches share one bounded, locked LRU after unbounded
+ad-hoc dicts leaked memory across sweeps.  A new module- or class-level
+``_SOMETHING_CACHE = {}`` silently reopens that hole: it is unbounded,
+unlocked, and — at class level — shared across every instance.
+
+REP104: the batched engines evolve their state buffers (``_amplitudes``,
+``_matrices`` and the ping-pong ``_spare``) in place, so a cache entry that
+aliases one is corrupted by the next sweep.  The rule is per function: a
+buffer read (or a local name bound to one) must not reach ``.put(key,
+value)`` or a subscript store into a ``*cache*``/``*memo*`` name; a
+``.copy()`` breaks the taint.
 """
 
 from __future__ import annotations
@@ -107,3 +112,77 @@ class AdHocCacheRule(Rule):
             for statement in node.body
             if isinstance(statement, (ast.Assign, ast.AnnAssign))
         ]
+
+
+#: Engine buffers that later evolve in place.
+ENGINE_BUFFER_ATTRIBUTES = frozenset({"_amplitudes", "_matrices", "_spare"})
+
+
+def _is_buffer_read(node: ast.AST) -> bool:
+    """Whether an expression reads a raw engine buffer without copying."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr in ENGINE_BUFFER_ATTRIBUTES
+
+
+def _cached_value(node: ast.AST) -> Optional[ast.AST]:
+    """The value ``node`` stores into a cache, or ``None``."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "put"
+        and len(node.args) >= 2
+    ):
+        return node.args[1]
+    if (
+        isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Subscript)
+    ):
+        base = node.targets[0].value
+        name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+        if _CACHE_NAME.search(name):
+            return node.value
+    return None
+
+
+class BufferEscapeRule(Rule):
+    """REP104 — no raw engine buffer stored into a cache without ``.copy()``."""
+
+    code = "REP104"
+    name = "engine-buffers-stay-out-of-caches"
+    description = "raw engine buffer escapes into a cached value without .copy()"
+
+    def applies(self, context: LintContext) -> bool:
+        return True
+
+    def check(self, context: LintContext) -> Iterable[Diagnostic]:
+        # Nested functions are walked twice; a finding is keyed by its anchor.
+        out = {}
+        for function in ast.walk(context.tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            tainted = set()
+            for node in ast.walk(function):
+                if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_buffer_read(
+                    node.value
+                ):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    tainted.update(t.id for t in targets if isinstance(t, ast.Name))
+            for node in ast.walk(function):
+                value = _cached_value(node)
+                if value is None or not (
+                    _is_buffer_read(value)
+                    or (isinstance(value, ast.Name) and value.id in tainted)
+                ):
+                    continue
+                out[(value.lineno, value.col_offset)] = self.diagnostic(
+                    context,
+                    value,
+                    f"raw engine buffer '{ast.unparse(value)}' escapes into a "
+                    "cached value — the cache entry aliases mutable engine "
+                    "state and corrupts on the next sweep",
+                    hint="store a .copy() (the engines' public "
+                    ".amplitudes/.matrices properties already copy)",
+                )
+        return list(out.values())

@@ -1,7 +1,7 @@
 """RNG discipline rules: REP001 (library code) and REP004 (engines).
 
 The whole determinism story of the stack — seed-identical batched vs loop
-execution, bit-identical serial/thread sharding, reproducible figure
+execution, order-independent per-class training, reproducible figure
 sweeps — rests on *every* random draw flowing from an injected seed or a
 ``SeedSequence`` child stream.  One seedless ``default_rng()`` buried in a
 fallback path (the bug this PR fixes in ``repro.quantum.measurement``)
@@ -118,7 +118,7 @@ class SeedlessRngRule(Rule):
       a silent OS-entropy draw; and
     * calls to the global/legacy ``np.random.*`` API (``np.random.seed``,
       ``np.random.uniform``, ...) whose hidden global state leaks across
-      shards and threads.
+      callers.
 
     Constructions (``np.random.Generator``, ``SeedSequence``, seeded
     ``default_rng(seed)``) are allowed — they are exactly how randomness is
@@ -155,7 +155,7 @@ class SeedlessRngRule(Rule):
                         context,
                         call,
                         f"global np.random.{attr}() uses hidden module state "
-                        "shared across shards and threads",
+                        "shared across every caller",
                         hint="draw from an injected np.random.Generator (see "
                         "repro.utils.rng.spawn_rngs for independent streams)",
                     )

@@ -1,14 +1,9 @@
-"""REP106: no ``time.sleep`` in library code outside the queue-latency path.
+"""REP106: no ``time.sleep`` in library code.
 
-The serving layer and persistent worker fleet on the roadmap will run
-library code in latency-sensitive hot loops; a stray ``time.sleep`` — left
-over from debugging, or smuggled in as a cheap backoff — stalls a whole
-worker.  The one sanctioned sleep is the simulated hardware queue wait in
-:meth:`repro.quantum.backend.QuantumBackend._queue_wait`, which is (a)
-off by default and (b) lexically guarded by the documented
-``simulate_queue_latency`` switch.  The rule encodes exactly that shape:
-a sleep is allowed only inside a function whose body references
-``simulate_queue_latency``.
+The library computes; it never waits.  A stray ``time.sleep`` — left over
+from debugging, or smuggled in as a cheap backoff — stalls every caller's
+training loop.  Simulated hardware queue latency is book-kept in job
+metadata and the ledger (``queue_latency_seconds``), never slept.
 """
 
 from __future__ import annotations
@@ -19,27 +14,13 @@ from typing import Iterable, List, Set
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.rules import LintContext, Rule
 
-_GUARD_NAME = "simulate_queue_latency"
-
-
-def _mentions_guard(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and sub.attr == _GUARD_NAME:
-            return True
-        if isinstance(sub, ast.Name) and sub.id == _GUARD_NAME:
-            return True
-    return False
-
 
 class SleepRule(Rule):
     """Library code must not block on ``time.sleep``."""
 
     code = "REP106"
     name = "no-sleep-in-library"
-    description = (
-        "time.sleep stalls serving/worker hot loops; only the documented "
-        "simulate_queue_latency path may sleep"
-    )
+    description = "time.sleep stalls the caller; library code never sleeps"
 
     def applies(self, context: LintContext) -> bool:
         return context.is_library and not context.is_test
@@ -59,15 +40,6 @@ class SleepRule(Rule):
                             sleep_aliases.add(alias.asname or "sleep")
 
         out: List[Diagnostic] = []
-        guarded_spans: List[tuple] = []
-        for node in ast.walk(context.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if _mentions_guard(node):
-                    guarded_spans.append((node.lineno, node.end_lineno or node.lineno))
-
-        def is_guarded(lineno: int) -> bool:
-            return any(start <= lineno <= stop for start, stop in guarded_spans)
-
         for node in ast.walk(context.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -78,16 +50,15 @@ class SleepRule(Rule):
                 and isinstance(func.value, ast.Name)
                 and func.value.id in time_aliases
             ) or (isinstance(func, ast.Name) and func.id in sleep_aliases)
-            if not is_sleep or is_guarded(node.lineno):
+            if not is_sleep:
                 continue
             out.append(
                 self.diagnostic(
                     context,
                     node,
-                    "time.sleep in library code blocks serving/worker hot "
-                    "loops; only the simulate_queue_latency path may sleep",
-                    hint="poll without blocking, or gate the wait behind the "
-                    "documented simulate_queue_latency switch",
+                    "time.sleep in library code stalls the caller",
+                    hint="book-keep the delay (e.g. in job metadata) instead "
+                    "of waiting it out",
                 )
             )
         return out

@@ -139,8 +139,8 @@ class DNNClassifier:
         targets = one_hot(labels, self.num_classes)
         optimizer = SGD(learning_rate=learning_rate, momentum=momentum)
         # Default to the constructor-seeded stream: a bare ``fit()`` must be
-        # deterministic given the model seed, or figure sweeps (and their
-        # sharded equivalents) cannot be reproduced bit-for-bit.
+        # deterministic given the model seed, or figure sweeps cannot be
+        # reproduced bit-for-bit.
         generator = ensure_rng(rng) if rng is not None else self._rng
         history = DNNHistory()
 

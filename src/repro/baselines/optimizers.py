@@ -69,4 +69,4 @@ class SGD(Optimizer):
 
     def end_epoch(self) -> None:
         """Apply the per-epoch learning-rate decay."""
-        self.learning_rate *= self.decay  # repro: noqa REP101 -- optimizer belongs to a model built inside the sweep cell; worker-local by construction
+        self.learning_rate *= self.decay

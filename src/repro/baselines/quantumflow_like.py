@@ -181,9 +181,9 @@ class QFpNetLikeClassifier:
                 projection = np.sum(grad_w_hat * w_hat, axis=1, keepdims=True)
                 grad_w_p = (grad_w_hat - projection * w_hat) / norms
 
-                self.weights_output -= learning_rate * grad_w_out  # repro: noqa REP101 -- model is built inside the sweep cell; worker-local by construction
-                self.bias_output -= learning_rate * grad_b_out  # repro: noqa REP101 -- model is built inside the sweep cell; worker-local by construction
-                self.weights_p -= learning_rate * grad_w_p  # repro: noqa REP101 -- model is built inside the sweep cell; worker-local by construction
+                self.weights_output -= learning_rate * grad_w_out
+                self.bias_output -= learning_rate * grad_b_out
+                self.weights_p -= learning_rate * grad_w_p
             history.losses.append(epoch_loss / max(batches, 1))
             history.train_accuracies.append(self.score(features, labels))
             history.validation_accuracies.append(

@@ -180,7 +180,7 @@ class TFQLikeClassifier:
                         self._loss(forward, x_batch, y_batch)
                         - self._loss(backward, x_batch, y_batch)
                     )
-                self.parameters_ -= learning_rate * gradient  # repro: noqa REP101 -- model is built inside the sweep cell; worker-local by construction
+                self.parameters_ -= learning_rate * gradient
             history.losses.append(self._loss(self.parameters_, features, labels))
             history.train_accuracies.append(self.score(features, labels))
             history.validation_accuracies.append(

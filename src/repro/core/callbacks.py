@@ -123,7 +123,7 @@ class EarlyStopping(Callback):
             self._best = record.loss
             self._stale_epochs = 0
         else:
-            self._stale_epochs += 1  # repro: noqa REP101 -- callbacks fire in the parent's history-reconstruction loop, never on workers
+            self._stale_epochs += 1
             if self._stale_epochs >= self.patience:
                 self._stop = True
 

@@ -180,17 +180,8 @@ class QuClassi:
         one_vs_rest: bool = True,
         callbacks: Optional[Sequence[Callback]] = None,
         rng: RandomState = None,
-        executor=None,
     ) -> TrainingHistory:
-        """Train the per-class states; see :class:`~repro.core.trainer.Trainer`.
-
-        ``executor`` optionally shards the per-class training loops across a
-        :class:`~repro.parallel.ShardExecutor` (or a strategy string
-        ``"serial"``/``"thread"``); the result is bit-identical across the
-        two strategies (and matches
-        ``executor=None`` whenever training draws no shot-sampling
-        randomness — see :mod:`repro.parallel`).
-        """
+        """Train the per-class states; see :class:`~repro.core.trainer.Trainer`."""
         config = TrainerConfig(
             learning_rate=learning_rate,
             epochs=epochs,
@@ -201,9 +192,7 @@ class QuClassi:
             one_vs_rest=one_vs_rest,
         )
         trainer = Trainer(self, config=config, callbacks=callbacks, rng=rng if rng is not None else self._rng)
-        self.history_ = trainer.fit(
-            features, labels, validation_data=validation_data, executor=executor
-        )
+        self.history_ = trainer.fit(features, labels, validation_data=validation_data)
         return self.history_
 
     # ------------------------------------------------------------------ #

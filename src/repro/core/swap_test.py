@@ -447,5 +447,5 @@ class SwapTestFidelityEstimator(FidelityEstimator):
             zeros = per_circuit_zero_probabilities(
                 self.builder, self.backend, parameter_matrix, feature_matrix, self.shots
             )
-        self.circuits_executed += int(zeros.shape[0])  # repro: noqa REP101 -- estimators are rebuilt per shard from EstimatorSpec; the parent merges counts after the sweep
+        self.circuits_executed += int(zeros.shape[0])
         return fidelities_from_swap_test_probabilities(zeros).reshape(rows, samples)

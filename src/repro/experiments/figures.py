@@ -6,15 +6,12 @@ ablations called out in DESIGN.md.  Every function accepts size knobs
 laptop; pass larger values to approach the paper's full runs.  All functions
 return an :class:`~repro.experiments.harness.ExperimentResult`.
 
-The multi-cell sweeps (fig6b, fig9–12 and the ablations) additionally accept
-an ``executor`` — a :class:`~repro.parallel.ShardExecutor` or strategy string
-— that fans their independent (backend, class, setting) cells out across a
-thread pool via :func:`~repro.experiments.harness.run_cells`.  Each cell is a
-module-level function that constructs its own models and backends from
-seeds, so sharded sweeps are bit-identical to the serial ones.  Cells are
-named functions, not lambdas, because REP101's entry-point finder
-(``repro.analysis.flow.entrypoints``) only sees statically resolvable
-functions.
+The multi-cell sweeps (fig6b, fig9–12 and the ablations) run their
+independent (backend, class, setting) cells through
+:func:`~repro.experiments.harness.run_cells`.  Each cell is a module-level
+function that constructs its own models and backends from seeds, so a cell's
+result does not depend on the cells run before it, and a failing cell names
+its key.
 
 The index of experiment id → paper anchor → bench target lives in DESIGN.md;
 EXPERIMENTS.md records paper-vs-measured values for each.
@@ -123,12 +120,10 @@ def fig6b_iris_accuracy(
     dnn_budgets: Sequence[int] = (12, 56, 112),
     epochs: int = 20,
     seed: RandomState = 0,
-    executor=None,
 ) -> ExperimentResult:
     """Fig. 6b: Iris test accuracy of QC-S/QC-SD/QC-SDE vs DNN-kP baselines.
 
-    Every bar is one independent sweep cell, so ``executor`` fans the whole
-    figure out across workers.
+    Every bar is one independent sweep cell.
     """
     data = prepare_iris_task(seed=seed)
     result = ExperimentResult(
@@ -142,7 +137,6 @@ def fig6b_iris_accuracy(
         _fig6b_cell,
         cells,
         keys=[(kind, setting) for kind, setting, *_ in cells],
-        executor=executor,
     )
     for row in rows:
         result.add_row(**row)
@@ -292,11 +286,10 @@ def fig9_binary_classification(
     epochs: int = 25,
     dnn_budgets: Sequence[int] = (306, 1218),
     seed: RandomState = 0,
-    executor=None,
 ) -> ExperimentResult:
     """Fig. 9: binary synthetic-MNIST accuracy — QC-S vs QF-pNet-like vs TFQ-like vs DNNs.
 
-    One sweep cell per digit pair; ``executor`` fans the pairs out.
+    One sweep cell per digit pair.
     """
     result = ExperimentResult(
         experiment_id="fig9",
@@ -307,7 +300,6 @@ def fig9_binary_classification(
         _fig9_cell,
         [(pair, samples_per_digit, epochs, tuple(dnn_budgets), seed) for pair in pairs],
         keys=[("pair", f"{pair[0]}/{pair[1]}") for pair in pairs],
-        executor=executor,
     )
     for row in rows:
         result.add_row(**row)
@@ -347,13 +339,11 @@ def fig10_multiclass_classification(
     epochs: int = 15,
     dnn_budgets: Sequence[int] = (306, 1308),
     seed: RandomState = 0,
-    executor=None,
 ) -> ExperimentResult:
     """Fig. 10: multi-class synthetic-MNIST accuracy — QC-S vs QF-pNet-like vs DNNs.
 
     TensorFlow-Quantum is absent, exactly as in the paper, because its
-    published classifier is binary-only.  One sweep cell per task;
-    ``executor`` fans the tasks out.
+    published classifier is binary-only.  One sweep cell per task.
     """
     result = ExperimentResult(
         experiment_id="fig10",
@@ -364,7 +354,6 @@ def fig10_multiclass_classification(
         _fig10_cell,
         [(task, samples_per_digit, epochs, tuple(dnn_budgets), seed) for task in tasks],
         keys=[("task", "/".join(str(d) for d in task)) for task in tasks],
-        executor=executor,
     )
     for row in rows:
         result.add_row(**row)
@@ -379,9 +368,8 @@ def fig10_multiclass_classification(
 def _fig11_cell(payload):
     """One fig11 curve: Iris training on one (simulated) backend.
 
-    The backend is constructed *inside* the cell from its site name — the
-    backend-factory idiom that keeps each shard's job ledger and sampling
-    stream isolated under concurrent execution.
+    The backend is constructed *inside* the cell from its site name, so each
+    cell has its own job ledger and sampling stream.
     """
     site, data, epochs, shots, seed = payload
     backend = None if site == "simulator" else IBMQBackend(site, seed=seed)
@@ -415,7 +403,6 @@ def fig11_hardware_iris_loss(
     samples_per_class: int = 4,
     shots: int = 8000,
     seed: RandomState = 0,
-    executor=None,
 ) -> ExperimentResult:
     """Fig. 11: Iris training-loss curves on simulated IBM-Q sites vs the simulator.
 
@@ -425,7 +412,7 @@ def fig11_hardware_iris_loss(
     The simulator backends batch: each gradient step executes all ``2P``
     shifted discriminator sweeps through the backend batch API, with the
     noisy sites re-binding their cached transpilation per circuit.  One
-    sweep cell per backend; ``executor`` fans the sites out.
+    sweep cell per backend.
     """
     result = ExperimentResult(
         experiment_id="fig11",
@@ -440,7 +427,6 @@ def fig11_hardware_iris_loss(
         _fig11_cell,
         [(site, data, epochs, shots, seed) for site in cells],
         keys=[("backend", site) for site in cells],
-        executor=executor,
     )
     for site, epochs_axis, losses, row in outcomes:
         result.add_series(site, epochs_axis, losses)
@@ -484,7 +470,6 @@ def fig12_hardware_mnist_accuracy(
     shots: int = 8192,
     device: str = "ibmq_rome",
     seed: RandomState = 0,
-    executor=None,
 ) -> ExperimentResult:
     """Fig. 12: 4-dimensional MNIST binary accuracy — simulator architectures vs IBM-Q Rome vs TFQ.
 
@@ -492,7 +477,7 @@ def fig12_hardware_mnist_accuracy(
     hardware column reports the trained QC-S model *evaluated* through the
     noisy IBM-Q Rome backend (noise corrupts the SWAP-test fidelities at
     inference time).  One sweep cell per digit pair (each cell builds its
-    own device backend); ``executor`` fans the pairs out.
+    own device backend).
     """
     result = ExperimentResult(
         experiment_id="fig12",
@@ -506,7 +491,6 @@ def fig12_hardware_mnist_accuracy(
             for pair in pairs
         ],
         keys=[("pair", f"{pair[0]}/{pair[1]}") for pair in pairs],
-        executor=executor,
     )
     for row in rows:
         result.add_row(**row)
@@ -609,7 +593,6 @@ def _ablation_encoding_cell(payload) -> Dict[str, object]:
 def ablation_encoding(
     epochs: int = 15,
     seed: RandomState = 0,
-    executor=None,
 ) -> ExperimentResult:
     """Ablation (§4.2): dual-dimension-per-qubit vs one-dimension-per-qubit encoding on Iris."""
     data = prepare_iris_task(seed=seed)
@@ -623,7 +606,6 @@ def ablation_encoding(
         _ablation_encoding_cell,
         [(encoder, label, data, epochs, seed) for encoder, label in settings],
         keys=[("encoding", label) for _, label in settings],
-        executor=executor,
     )
     for row in rows:
         result.add_row(**row)
@@ -646,7 +628,6 @@ def _ablation_gradient_cell(payload):
 def ablation_gradient_rule(
     epochs: int = 15,
     seed: RandomState = 0,
-    executor=None,
 ) -> ExperimentResult:
     """Ablation (§4.4): the paper's epoch-scaled shift vs the fixed parameter-shift rule."""
     data = prepare_iris_task(seed=seed)
@@ -660,7 +641,6 @@ def ablation_gradient_rule(
         _ablation_gradient_cell,
         [(rule, data, epochs, seed) for rule in rules],
         keys=[("gradient_rule", rule) for rule in rules],
-        executor=executor,
     )
     for rule, epochs_axis, losses, row in outcomes:
         result.add_series(rule, epochs_axis, losses)
@@ -683,7 +663,6 @@ def _ablation_shots_cell(payload) -> Dict[str, object]:
 def ablation_swap_test_shots(
     shots_grid: Sequence[Optional[int]] = (128, 512, 2048, 8192, None),
     seed: RandomState = 0,
-    executor=None,
 ) -> ExperimentResult:
     """Ablation: SWAP-test fidelity estimation error vs shot count.
 
@@ -693,8 +672,7 @@ def ablation_swap_test_shots(
     batched :meth:`~repro.core.swap_test.SwapTestFidelityEstimator.fidelity_matrix`
     sweep — the workload that ``benchmarks/bench_swap_test_sweep.py`` times
     against the per-circuit loop.  The model is trained once; each grid point
-    is one sweep cell (own freshly seeded backend), so ``executor`` fans the
-    grid out.
+    is one sweep cell with its own freshly seeded backend.
     """
     data = prepare_iris_task(seed=seed)
     model = train_quclassi(data, architecture="s", epochs=10, seed=seed)
@@ -713,7 +691,6 @@ def ablation_swap_test_shots(
             for shots in shots_grid
         ],
         keys=[("shots", "exact" if shots is None else shots) for shots in shots_grid],
-        executor=executor,
     )
     for row in rows:
         result.add_row(**row)

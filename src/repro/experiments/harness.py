@@ -17,6 +17,7 @@ import numpy as np
 from repro.baselines import DNNClassifier, dnn_for_parameter_budget
 from repro.core import QuClassi
 from repro.datasets import PreparedData
+from repro.exceptions import ValidationError
 from repro.utils.rng import RandomState
 
 
@@ -92,12 +93,9 @@ def timed(func, *args, **kwargs) -> TimedRun:
     """Call ``func`` and measure its wall-clock duration.
 
     Failures propagate with their full context intact: the original
-    exception (and its ``__cause__`` chain — e.g. a
-    :class:`~repro.parallel.ShardError` naming the failing (class index,
-    cell key) of an executor submission) is re-raised as-is, annotated with
-    how long the call ran before dying.  An earlier version re-raised
-    through a bare wrapper that dropped the worker exception's context,
-    which made sharded sweep failures unattributable.
+    exception (and its ``__cause__`` chain and notes, e.g. the failing
+    sweep cell that :func:`run_cells` names) is re-raised as-is, annotated
+    with how long the call ran before dying.
     """
     start = time.perf_counter()
     try:
@@ -115,50 +113,35 @@ def timed(func, *args, **kwargs) -> TimedRun:
 # --------------------------------------------------------------------------- #
 
 
-def _run_sweep_cell(shard):
-    """Module-level shard trampoline.
-
-    REP101's entry-point finder (``repro.analysis.flow.entrypoints``) only
-    sees statically resolvable functions, so the shard body is a named
-    function rather than a lambda or closure.
-    """
-    cell_fn, payload = shard.payload
-    return cell_fn(payload)
-
-
 def run_cells(
     cell_fn,
     payloads: Sequence[object],
     keys: Optional[Sequence[tuple]] = None,
-    executor=None,
 ) -> List[object]:
-    """Run one sweep-cell function over every payload, optionally sharded.
+    """Run one sweep-cell function over every payload, in payload order.
 
-    The unit the figure sweeps fan out over: ``cell_fn(payload)`` computes
+    The unit the figure sweeps iterate over: ``cell_fn(payload)`` computes
     one (backend, class, setting) cell — one site's training run, one
-    (digit-pair, architecture) column, one shots grid point.  ``executor``
-    is a :class:`~repro.parallel.ShardExecutor` (or a strategy string);
-    ``None`` runs the cells serially in plan order.  Results always come
-    back in payload order, and every cell must construct its own backends
-    from specs/seeds inside the cell so results cannot depend on the
-    strategy (this is what keeps sharded figure sweeps bit-identical to
-    serial ones).  ``cell_fn`` should be a module-level function: the flow
-    analyzers check what it can reach for thread-shard races only when they
-    can resolve it statically.
+    (digit-pair, architecture) column, one shots grid point.  Every cell
+    builds its own backends from seeds inside the cell, so a cell's result
+    does not depend on the cells run before it.
 
-    A failing cell aborts the sweep fast, raising a
-    :class:`~repro.parallel.ShardError` that names the cell's key.
+    A failing cell stops the sweep: its own exception propagates, with a
+    note naming the cell's index and key (``keys[i]``, or ``("cell", i)``).
     """
-    from repro.parallel import ShardExecutor, ShardPlan
-
-    plan = ShardPlan.from_items(
-        [(cell_fn, payload) for payload in payloads], keys=keys
-    )
-    if executor is None:
-        executor = ShardExecutor("serial")
-    elif not isinstance(executor, ShardExecutor):
-        executor = ShardExecutor(executor)
-    return executor.map(_run_sweep_cell, plan)
+    payloads = list(payloads)
+    if keys is None:
+        keys = [("cell", index) for index in range(len(payloads))]
+    elif len(keys) != len(payloads):
+        raise ValidationError(f"got {len(keys)} keys for {len(payloads)} payloads")
+    results = []
+    for index, (key, payload) in enumerate(zip(keys, payloads)):
+        try:
+            results.append(cell_fn(payload))
+        except Exception as error:
+            error.add_note(f"sweep cell {index} {key!r} failed")
+            raise
+    return results
 
 
 # --------------------------------------------------------------------------- #

@@ -28,18 +28,9 @@ class IBMQBackend(NoisyBackend):
         :func:`repro.hardware.calibration.available_devices`.
     seed:
         Seed for shot sampling.
-    simulate_queue_latency:
-        When True, each job submission actually sleeps for the site's
-        calibrated queue latency instead of only book-keeping it (see
-        :class:`~repro.quantum.backend.NoisyBackend`).
     """
 
-    def __init__(
-        self,
-        device: str = "ibmq_london",
-        seed: RandomState = None,
-        simulate_queue_latency: bool = False,
-    ) -> None:
+    def __init__(self, device: str = "ibmq_london", seed: RandomState = None) -> None:
         profile = get_calibration(device)
         if not profile.name.startswith("ibmq"):
             raise ValueError(f"{device!r} is not an IBM-Q device profile")
@@ -52,9 +43,7 @@ class IBMQBackend(NoisyBackend):
             max_shots=8192,
             queue_latency_seconds=profile.queue_latency_seconds,
         )
-        super().__init__(
-            properties, seed=seed, simulate_queue_latency=simulate_queue_latency
-        )
+        super().__init__(properties, seed=seed)
         #: Ledger of every job executed on this backend instance.
         self.ledger = JobLedger()
 

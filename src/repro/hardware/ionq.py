@@ -26,9 +26,7 @@ from repro.utils.rng import RandomState
 class IonQBackend(NoisyBackend):
     """Simulated IonQ trapped-ion device (fully connected)."""
 
-    def __init__(
-        self, seed: RandomState = None, simulate_queue_latency: bool = False
-    ) -> None:
+    def __init__(self, seed: RandomState = None) -> None:
         profile = get_calibration("ionq_trapped_ion")
         self.calibration: CalibrationProfile = profile
         properties = DeviceProperties(
@@ -39,9 +37,7 @@ class IonQBackend(NoisyBackend):
             max_shots=10_000,
             queue_latency_seconds=profile.queue_latency_seconds,
         )
-        super().__init__(
-            properties, seed=seed, simulate_queue_latency=simulate_queue_latency
-        )
+        super().__init__(properties, seed=seed)
         #: Ledger of every job executed on this backend instance.
         self.ledger = JobLedger()
 

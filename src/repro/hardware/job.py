@@ -57,22 +57,6 @@ class JobLedger:
         self._records.append(record)
         return record
 
-    def extend(self, records: List[JobRecord]) -> List[JobRecord]:
-        """Append already-executed records (e.g. from a worker's shard ledger).
-
-        Used by sharded execution to merge per-worker ledgers back into the
-        parent backend's ledger: the caller iterates shards in shard-index
-        order and each worker's records arrive in submission order, so the
-        merged sequence is deterministic no matter how the shards raced.
-        Job ids are re-issued from this ledger's own counter so the merged
-        ledger stays contiguous.
-        """
-        merged = []
-        for record in records:
-            merged.append(dataclasses.replace(record, job_id=next(self._counter)))
-        self._records.extend(merged)
-        return merged
-
     # ------------------------------------------------------------------ #
     @property
     def records(self) -> List[JobRecord]:

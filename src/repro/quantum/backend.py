@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-import time
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -277,18 +276,9 @@ class NoisyBackend(Backend):
         self,
         properties: DeviceProperties,
         seed: RandomState = None,
-        simulate_queue_latency: bool = False,
     ) -> None:
         self.properties = properties
         self.name = properties.name
-        #: When True, every job *submission* (one :meth:`run` call, or one
-        #: whole grid sweep — a sweep is a single provider job) sleeps
-        #: for the device's ``queue_latency_seconds``, modelling the shared
-        #: public queue the paper remarks on.  Off by default: figure
-        #: reproduction only book-keeps latency.  Sharded sweeps overlap
-        #: these waits across backends, which is where multi-backend
-        #: scale-out wins on real hardware.
-        self.simulate_queue_latency = bool(simulate_queue_latency)
         self._rng = ensure_rng(seed)
         self._simulator = DensityMatrixSimulator(noise_model=properties.noise_model, seed=self._rng)
         #: Statistics of the most recent transpilation (CX count, SWAPs, depth).
@@ -357,15 +347,9 @@ class NoisyBackend(Backend):
             }
         )
 
-    def _queue_wait(self) -> None:
-        """Sleep out the simulated queue for one job submission (opt-in)."""
-        if self.simulate_queue_latency and self.properties.queue_latency_seconds > 0:
-            time.sleep(self.properties.queue_latency_seconds)
-
     def run(self, circuit: QuantumCircuit, shots: Optional[int] = None) -> SimulationResult:
         shots = self._resolve_shots(shots)
         self._check_width(circuit)
-        self._queue_wait()
         local_map = self._local_coupling_map(circuit.num_qubits)
         transpiled = self._transpile_cache.transpile(circuit, local_map)
         self.last_transpile_stats = self._transpile_stats(transpiled)
@@ -389,9 +373,9 @@ class NoisyBackend(Backend):
         (no slot twin — the circuit's own parameters are the slots) and the
         cached template's compiled program executes the whole bindings grid
         tile by tile.  No per-sample circuit is constructed, bound or
-        transpiled anywhere; one sweep is one provider job submission (a
-        single queue wait), with every grid element still ledgered
-        individually so job accounting matches the per-sample paths.
+        transpiled anywhere; one sweep is one provider job submission, with
+        every grid element still ledgered individually so job accounting
+        matches the per-sample paths.
         """
         shots = self._resolve_shots(shots)
         bindings = np.asarray(bindings, dtype=float)
@@ -403,7 +387,6 @@ class NoisyBackend(Backend):
         if bindings.shape[0] == 0:
             return np.zeros(0)
         self._check_width(circuit)
-        self._queue_wait()
         local_map = self._local_coupling_map(circuit.num_qubits)
         entry = self._transpile_cache.symbolic_template(
             circuit, parameters, local_map

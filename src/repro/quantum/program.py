@@ -1076,7 +1076,7 @@ class DensitySuperoperatorEngine:
                 plans[index] = None
         plans = tuple(plans)
         self._plans[program] = (version, plans, self._fold_tail(program, plans))
-        self.plans_compiled += 1  # repro: noqa REP101 -- instrumentation counter on a per-backend engine; workers rebuild backends from specs, never share one engine
+        self.plans_compiled += 1
         return plans
 
     def readout_plan(self, program: SweepProgram, plans: tuple) -> ReadoutPlan:

@@ -246,9 +246,9 @@ class _SweepProgramCacheMixin:
         if program is None:
             program = compile_source()
             self._program_cache.put(key, program)
-            self._program_cache_misses += 1  # repro: noqa REP101 -- instrumentation counter; simulators are rebuilt per shard from specs, never shared across workers
+            self._program_cache_misses += 1
         else:
-            self._program_cache_hits += 1  # repro: noqa REP101 -- instrumentation counter; simulators are rebuilt per shard from specs, never shared across workers
+            self._program_cache_hits += 1
         return program
 
     def _grid_program(

@@ -458,7 +458,7 @@ class TranspileCache:
         #: Number of cache hits (re-binds) and misses (full transpilations).
         # The counters get their own lock: ``_entries`` serialises its own
         # accesses internally, but ``hits += 1`` is a read-modify-write that
-        # thread-strategy shards sharing one cache would race (REP101).
+        # two threads sharing one cache would race.
         self._stats_lock = threading.Lock()
         self.hits = 0
         self.misses = 0

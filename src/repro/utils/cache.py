@@ -21,15 +21,9 @@ class LRUCache:
     ``None`` is reserved as the miss sentinel: values stored in the cache
     must not be ``None`` (none of the memoised objects are).
 
-    Thread-safe: thread-strategy shard executors share builder/estimator
-    caches across workers, and the lookup's get-then-``move_to_end`` pair
+    Thread-safe: every mutation holds ``_lock``, so callers on different
+    threads may share one cache; the lookup's get-then-``move_to_end`` pair
     would otherwise race a concurrent eviction into a ``KeyError``.
-
-    The ``__thread_safe__`` class annotation is read by the static flow
-    analyzer (:mod:`repro.analysis.flow`): classes declaring it are exempt
-    from the REP101 shared-write check, because every mutation is serialised
-    behind ``_lock``.  Only declare it on classes that actually uphold that
-    contract — the analyzer takes the annotation at its word.
 
     Parameters
     ----------
@@ -37,9 +31,6 @@ class LRUCache:
         Maximum number of entries held; the least recently used entries are
         evicted beyond it.
     """
-
-    #: Audited: every mutation below holds ``_lock``.  Read by REP101.
-    __thread_safe__ = True
 
     def __init__(self, max_entries: int) -> None:
         if max_entries <= 0:

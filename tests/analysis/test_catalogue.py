@@ -1,13 +1,13 @@
 """The diagnostic catalogue, ``--select`` and the docs agree, code by code.
 
 Every code a pass can emit has a row in ``docs/static_analysis.md`` and a
-"kept" verdict in its audit table.  Every selectable code (lint, flow,
-VER4xx) routes to exactly its own family; every ``VER1xx``/``VER2xx`` code
-is refused with a pointer to ``--verify``.  The cut codes (REP002, REP103,
-VER3xx, and the fusion certificates VER401/402/404/410/411) and the cut CLI
-flags (SARIF output, the baseline ratchet,
-``--jobs``) are gone from the catalogue and the parser, and their audit
-rows say so.
+"kept" verdict in its audit table.  Every selectable code (lint, VER4xx)
+routes to exactly its own family; every ``VER1xx``/``VER2xx`` code is
+refused with a pointer to ``--verify``.  The cut codes (REP002, the flow
+analyzers' REP101/REP102/REP103, VER3xx, and the fusion certificates
+VER401/402/404/410/411) and the cut CLI flags (SARIF output, the baseline
+ratchet, ``--jobs``) are gone from the catalogue and the parser, and their
+audit rows say so.
 """
 
 import os
@@ -18,7 +18,6 @@ import pytest
 from repro.analysis.cli import _split_select, main
 from repro.analysis.cost import COST_CODES
 from repro.analysis.equiv import EQUIV_CODES
-from repro.analysis.flow import FLOW_CODES
 from repro.analysis.rules import all_rules
 from repro.analysis.verify import VERIFIER_CODES
 
@@ -28,7 +27,6 @@ DOCS = os.path.join(REPO_ROOT, "docs", "static_analysis.md")
 LINT_CODES = tuple(rule.code for rule in all_rules())
 SELECTABLE = {
     **{code: "lint" for code in LINT_CODES},
-    **{code: "flow" for code in sorted(FLOW_CODES)},
     **{code: "equiv" for code in sorted(EQUIV_CODES)},
 }
 VERIFY_ONLY = tuple(sorted(VERIFIER_CODES)) + tuple(sorted(COST_CODES))
@@ -38,6 +36,8 @@ EVERY_CODE = ("REP000",) + tuple(SELECTABLE) + VERIFY_ONLY
 KEPT_EQUIV_CODES = ("VER403", "VER405", "VER406", "VER407")
 CUT_CODES = (
     "REP002",
+    "REP101",
+    "REP102",
     "REP103",
     "VER301",
     "VER302",
@@ -79,9 +79,12 @@ def audit_verdict(code):
 
 class TestEveryCodeIsCatalogued:
     def test_families_are_disjoint(self):
-        families = [set(LINT_CODES), set(FLOW_CODES), set(EQUIV_CODES)]
+        families = [set(LINT_CODES), set(EQUIV_CODES)]
         families += [set(VERIFIER_CODES), set(COST_CODES)]
         assert sum(len(family) for family in families) == len(set().union(*families))
+
+    def test_buffer_escape_check_is_a_lint_rule(self):
+        assert SELECTABLE["REP104"] == "lint"
 
     def test_equivalence_family_is_the_kept_certificates(self):
         assert tuple(sorted(EQUIV_CODES)) == KEPT_EQUIV_CODES
@@ -98,8 +101,8 @@ class TestEveryCodeIsCatalogued:
 class TestSelect:
     @pytest.mark.parametrize("code", sorted(SELECTABLE))
     def test_selectable_code_routes_to_exactly_its_family(self, code):
-        lint, flow, equiv = _split_select(code.lower())
-        routed = {"lint": lint, "flow": flow, "equiv": equiv}
+        lint, equiv = _split_select(code.lower())
+        routed = {"lint": lint, "equiv": equiv}
         for family, codes in routed.items():
             assert codes == ((code,) if family == SELECTABLE[code] else ())
 
@@ -161,4 +164,6 @@ class TestCuts:
         with open(DOCS, encoding="utf-8") as handle:
             headings = [line for line in handle if line.startswith("#")]
         for heading in headings:
-            assert not re.search(r"SARIF|[Bb]aseline|--jobs|VER3", heading), heading
+            assert not re.search(
+                r"SARIF|[Bb]aseline|--jobs|VER3|[Ff]low analy", heading
+            ), heading

@@ -62,10 +62,12 @@ class TestMainInProcess:
     ):
         assert main([str(tmp_path), "--select", "FOO1"]) == 2
         err = capsys.readouterr().err
-        # Lint, flow, and equivalence-certificate codes are all selectable;
-        # the message says why VER1xx/VER2xx are not.
-        for code in ("REP001", "REP202", "REP101", "REP104", "VER403", "VER406"):
+        # Lint and equivalence-certificate codes are selectable; the message
+        # says why VER1xx/VER2xx are not.  The cut flow codes are gone.
+        for code in ("REP001", "REP202", "REP104", "VER403", "VER406"):
             assert code in err
+        for code in ("REP101", "REP102"):
+            assert code not in err
         assert "--verify" in err
 
     def test_timings_section_is_schema_valid(self, tmp_path, capsys):
@@ -74,8 +76,8 @@ class TestMainInProcess:
         payload = json.loads(capsys.readouterr().out)
         assert validate_findings_payload(payload) == []
         timings = payload["timings"]
-        for key in ("lint_seconds", "flow_seconds"):
-            assert key in timings and timings[key] >= 0.0
+        assert set(timings) == {"lint_seconds"}
+        assert timings["lint_seconds"] >= 0.0
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == 2
@@ -119,6 +121,48 @@ class TestModuleEntryPoint:
         assert payload["summary"]["errors"] == 0
 
 
+class TestSelectBufferEscape:
+    """``--select REP104`` runs the buffer-escape lint rule alone."""
+
+    FIXTURES = {
+        "put-of-raw-amplitudes": (
+            "def memoise(cache, key, state):\n"
+            "    cache.put(key, state._amplitudes)\n",
+            [2],
+        ),
+        "tainted-name-into-cache": (
+            "def memoise(self, key, state):\n"
+            "    raw = state._matrices\n"
+            "    self._cache[key] = raw\n",
+            [3],
+        ),
+        "copy-breaks-the-taint": (
+            "def memoise(cache, key, state):\n"
+            "    cache.put(key, state._amplitudes.copy())\n",
+            [],
+        ),
+        "non-cache-store": (
+            "def collect(out, key, state):\n"
+            "    out[key] = state._amplitudes\n",
+            [],
+        ),
+    }
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    def test_select_rep104_flags_exactly_the_escapes(self, fixture, tmp_path, capsys):
+        source, lines = self.FIXTURES[fixture]
+        # A seedless RNG in the same tree shows that only REP104 ran.
+        write(tmp_path, "src/repro/escape.py", VIOLATION + source)
+        exit_code = main([str(tmp_path), "--select", "REP104", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        offset = VIOLATION.count("\n")
+        assert exit_code == (1 if lines else 0)
+        assert [finding["code"] for finding in payload["findings"]] == ["REP104"] * len(lines)
+        assert [finding["line"] for finding in payload["findings"]] == [
+            line + offset for line in lines
+        ]
+
+
 class TestSuppressionAccounting:
     """Satellite: per-code suppression counts survive the JSON round-trip."""
 
@@ -128,13 +172,11 @@ class TestSuppressionAccounting:
             "import numpy as np\n"
             "rng = np.random.default_rng()  # repro: noqa REP001 -- corpus\n"
         ),
-        # Flow-family suppression (REP101): shard-reachable shared write.
-        "src/repro/sharded.py": (
-            "counts = {}\n"
-            "def worker(item):\n"
-            "    counts[item] = 1  # repro: noqa REP101 -- corpus\n"
-            "def run(executor, items):\n"
-            "    executor.map(worker, items)\n"
+        # A second lint rule's suppression (REP104): a raw engine buffer
+        # stored into a cache.
+        "src/repro/escape.py": (
+            "def memoise(cache, key, state):\n"
+            "    cache.put(key, state._amplitudes)  # repro: noqa REP104 -- corpus\n"
         ),
     }
 
@@ -156,33 +198,32 @@ class TestSuppressionAccounting:
             env=env,
         )
 
-    def test_both_families_counted_in_json_summary(self, tmp_path):
+    def test_both_codes_counted_in_json_summary(self, tmp_path):
         proc = self.run_cli(self.write_fixture(tmp_path), "--format", "json")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         payload = json.loads(proc.stdout)
         assert validate_findings_payload(payload) == []
         summary = payload["summary"]
-        assert summary["suppressed_by_code"] == {"REP001": 1, "REP101": 1}
+        assert summary["suppressed_by_code"] == {"REP001": 1, "REP104": 1}
         assert summary["suppressed"] == 2
         assert payload["findings"] == []
 
-    def test_select_narrows_the_accounting_to_that_family(self, tmp_path):
+    def test_select_narrows_the_accounting_to_that_code(self, tmp_path):
         target = self.write_fixture(tmp_path)
-        proc = self.run_cli(target, "--select", "REP101", "--format", "json")
+        proc = self.run_cli(target, "--select", "REP104", "--format", "json")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         summary = json.loads(proc.stdout)["summary"]
-        assert summary["suppressed_by_code"] == {"REP101": 1}
+        assert summary["suppressed_by_code"] == {"REP104": 1}
         assert summary["suppressed"] == 1
 
     def test_shipped_tree_accounts_its_own_suppressions(self):
         proc = self.run_cli("src", "benchmarks", "--format", "json")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         payload = json.loads(proc.stdout)
-        by_code = payload["summary"]["suppressed_by_code"]
-        # The executor/trainer/harness state the flow pass cannot prove safe
-        # is suppressed inline with justifications, and every one is counted.
-        assert by_code.get("REP101", 0) >= 10
-        assert payload["summary"]["suppressed"] == sum(by_code.values())
+        # The shipped tree is clean without a single suppression.
+        assert payload["findings"] == []
+        assert payload["summary"]["suppressed_by_code"] == {}
+        assert payload["summary"]["suppressed"] == 0
 
     def test_verify_adds_schema_valid_cost_section(self):
         proc = self.run_cli("src", "--verify", "--format", "json")

@@ -218,18 +218,17 @@ class TestReferenceEquivalence:
 
 
 class TestCliIntegration:
-    def test_split_select_carves_three_families(self):
-        lint, flow, equiv = _split_select("VER406,REP101,REP001")
-        assert lint == ("REP001",)
-        assert flow == ("REP101",)
+    def test_split_select_carves_two_families(self):
+        lint, equiv = _split_select("VER406,REP104,REP001")
+        assert lint == ("REP104", "REP001")
         assert equiv == ("VER406",)
 
     def test_split_select_none_runs_everything(self):
-        assert _split_select(None) == (None, None, None)
+        assert _split_select(None) == (None, None)
 
     def test_every_equiv_code_is_selectable(self):
         for code in EQUIV_CODES:
-            _, _, equiv = _split_select(code)
+            _, equiv = _split_select(code)
             assert equiv == (code,)
 
     def test_select_equiv_without_verify_runs_nothing(self, tmp_path):

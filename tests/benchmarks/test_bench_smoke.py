@@ -94,22 +94,6 @@ class TestPerfBenchEntryPointsTiny:
         )
         assert memory["measured_peak_bytes"] > 0
 
-    def test_shard_scaling(self):
-        module = load_bench_module("bench_shard_scaling")
-        payload = module.run_shard_scaling_benchmark(
-            sites=("ibmq_london", "ibmq_rome"),
-            epochs=1,
-            samples_per_class=2,
-            shots=64,
-            queue_latency_seconds=0.02,
-            worker_counts=(2,),
-        )
-        assert payload["rows_bit_identical"] is True
-        assert payload["compute_bound_fit"]["weights_bit_identical"] is True
-        assert payload["workload"]["sites"] == ["ibmq_london", "ibmq_rome"]
-        assert payload["worker_seconds"]["2"] > 0
-        assert payload["jobs_per_cell"] > 0
-
     def test_program_compile(self):
         module = load_bench_module("bench_program_compile")
         module.TRAIN_EPOCHS = 1
@@ -189,12 +173,6 @@ class TestPerfBenchFullSize:
         payload = module.run_noisy_sweep_benchmark()
         assert payload["seed_match"] is True
         assert payload["speedup_vs_loop"] >= module.MIN_SPEEDUP
-
-    def test_shard_scaling_meets_speedup_floor(self):
-        module = load_bench_module("bench_shard_scaling")
-        payload = module.run_shard_scaling_benchmark()
-        assert payload["rows_bit_identical"] is True
-        assert payload["speedup_at_max_workers"] >= module.MIN_SPEEDUP
 
 
 class TestStaticAnalysisOverBenchmarks:

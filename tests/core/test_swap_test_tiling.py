@@ -17,7 +17,6 @@ from repro.core.swap_test import AnalyticFidelityEstimator, SwapTestFidelityEsti
 from repro.encoding import DualAngleEncoder
 from repro.exceptions import ValidationError
 from repro.hardware import ibmq_london
-from repro.parallel import EstimatorSpec
 from repro.quantum.backend import IdealBackend, SampledBackend
 
 
@@ -132,12 +131,6 @@ class TestAnalyticTiling:
     def test_budget_validated(self, builder):
         with pytest.raises(ValidationError):
             AnalyticFidelityEstimator(builder, max_batch_amplitudes=0)
-
-    def test_estimator_spec_round_trips_budget(self, builder):
-        estimator = AnalyticFidelityEstimator(builder, max_batch_amplitudes=1234)
-        spec = EstimatorSpec.from_estimator(estimator)
-        rebuilt = spec.build(builder)
-        assert rebuilt._max_batch_amplitudes == 1234
 
 
 class TestCompileOnceCaches:

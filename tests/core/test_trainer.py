@@ -1,13 +1,19 @@
 """Tests for the trainer and its configuration."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core import QuClassi
 from repro.core.callbacks import Callback
 from repro.core.swap_test import FidelityEstimator
-from repro.core.trainer import Trainer, TrainerConfig
+from repro.core.trainer import Trainer, TrainerConfig, _class_epoch_update
+from repro.datasets import load_iris, prepare_task
 from repro.exceptions import TrainingError
+from repro.hardware import IBMQBackend
+from repro.quantum.backend import SampledBackend
+from repro.utils.rng import spawn_rngs
 
 
 class RowLoopEstimator(FidelityEstimator):
@@ -195,6 +201,156 @@ class TestPerClassRngStreams:
             Trainer(model, config, rng=fit_seed).fit(features, labels)
             weights.append(model.get_weights())
         assert not np.array_equal(weights[0], weights[1])
+
+
+class TestTrainerOrderIndependence:
+    """Per-class streams, not one shared ``self.rng``, drive each class's shuffles."""
+
+    @pytest.fixture(scope="class")
+    def iris(self):
+        return prepare_task(load_iris(), samples_per_class=8, test_fraction=0.25, rng=0)
+
+    @staticmethod
+    def _fit(iris, architecture="s", epochs=3):
+        model = QuClassi(num_features=4, num_classes=3, architecture=architecture, seed=3)
+        model.fit(
+            iris.x_train, iris.y_train, epochs=epochs, learning_rate=0.1, rng=7,
+            validation_data=(iris.x_test, iris.y_test),
+        )
+        return model
+
+    @staticmethod
+    def _train_classes_alone(iris, order, architecture="s", epochs=3):
+        """Each class's parameters after ``_class_epoch_update`` alone, in ``order``."""
+        reference = QuClassi(num_features=4, num_classes=3, architecture=architecture, seed=3)
+        config = TrainerConfig(epochs=epochs, learning_rate=0.1)
+        trainer = Trainer(reference, config=config, rng=7)
+        class_rngs = spawn_rngs(trainer.rng, reference.num_classes)
+        features = np.asarray(iris.x_train, dtype=float)
+        trained = {}
+        for class_index in order:
+            parameters = reference.parameters_[class_index]
+            targets = (np.asarray(iris.y_train) == class_index).astype(float)
+            for epoch in range(1, config.epochs + 1):
+                parameters, _ = _class_epoch_update(
+                    reference.estimator,
+                    trainer.gradient_rule,
+                    trainer.cost_function,
+                    config,
+                    parameters,
+                    features,
+                    targets,
+                    epoch,
+                    class_rngs[class_index],
+                )
+            trained[class_index] = parameters
+        return trained
+
+    @pytest.fixture(scope="class")
+    def fitted(self, iris):
+        return self._fit(iris)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_classes_trained_out_of_order_match_fit(self, iris, fitted, order):
+        """Training class c alone, in any class order, matches class c in ``fit``.
+
+        With one shared generator threaded through the class loop this could
+        not hold: class 1's shuffles depended on class 0 having drawn first.
+        """
+        for class_index, parameters in self._train_classes_alone(iris, order).items():
+            np.testing.assert_array_equal(parameters, fitted.parameters_[class_index])
+
+    @pytest.mark.parametrize("architecture", ["s", "sd", "sde"])
+    def test_out_of_order_classes_match_fit_for_every_architecture(self, iris, architecture):
+        fitted = self._fit(iris, architecture, epochs=2)
+        trained = self._train_classes_alone(iris, [2, 0, 1], architecture, epochs=2)
+        for class_index, parameters in trained.items():
+            np.testing.assert_array_equal(parameters, fitted.parameters_[class_index])
+
+    def test_early_stop_halts_training_at_the_stop_epoch(self, iris):
+        """Callbacks fire during training, so a stop saves the remaining epochs."""
+
+        class StopAfterFirstEpoch(Callback):
+            def should_stop(self):
+                return True
+
+        def fit(epochs, callbacks):
+            model = QuClassi(num_features=4, num_classes=3, architecture="s", seed=3)
+            config = TrainerConfig(epochs=epochs, learning_rate=0.1)
+            history = Trainer(model, config, callbacks=callbacks, rng=7).fit(
+                iris.x_train, iris.y_train
+            )
+            return model, history
+
+        stopped, history = fit(5, [StopAfterFirstEpoch()])
+        one_epoch, _ = fit(1, [])
+        assert len(history.records) == 1
+        np.testing.assert_array_equal(stopped.parameters_, one_epoch.parameters_)
+
+    def test_rerun_with_same_seed_is_identical(self, iris, fitted):
+        assert_same_run(fitted, self._fit(iris))
+
+
+def assert_same_run(reference, other):
+    np.testing.assert_array_equal(reference.parameters_, other.parameters_)
+    assert reference.history_.losses == other.history_.losses
+    assert (
+        reference.history_.per_class_losses().tolist()
+        == other.history_.per_class_losses().tolist()
+    )
+    assert reference.history_.train_accuracies == other.history_.train_accuracies
+
+
+class TestShotSampledFitReproducibility:
+    """Shot-sampled fits repeat exactly: same counts, losses and job ledgers."""
+
+    @pytest.fixture(scope="class")
+    def iris(self):
+        return prepare_task(load_iris(), samples_per_class=8, test_fraction=0.25, rng=0)
+
+    @staticmethod
+    def _fit(iris, backend):
+        model = QuClassi(
+            num_features=4, num_classes=3, architecture="s", seed=3,
+            estimator="swap_test", backend=backend, shots=128,
+        )
+        model.fit(
+            iris.x_train, iris.y_train, epochs=2, learning_rate=0.1, rng=7,
+            batch_size=None,
+        )
+        return model
+
+    @staticmethod
+    def _ledger_signature(model):
+        return [
+            (record.job_id, record.circuit_name, record.shots, record.cx_count, record.depth)
+            for record in model.estimator.backend.ledger.records
+        ]
+
+    def test_sampled_backend_rerun_is_identical(self, iris):
+        assert_same_run(
+            self._fit(iris, SampledBackend(shots=128, seed=11)),
+            self._fit(iris, SampledBackend(shots=128, seed=11)),
+        )
+
+    def test_noisy_backend_rerun_is_identical_with_the_same_ledger(self, iris):
+        first = self._fit(iris, IBMQBackend("ibmq_london", seed=11))
+        second = self._fit(iris, IBMQBackend("ibmq_london", seed=11))
+        assert_same_run(first, second)
+        jobs = self._ledger_signature(first)
+        assert jobs, "training should have ledgered jobs"
+        assert jobs == self._ledger_signature(second)
+        assert [job[0] for job in jobs] == list(range(len(jobs)))
+
+    def test_noisy_fit_ledgers_the_backend_latency(self, iris):
+        backend = IBMQBackend("ibmq_london", seed=11)
+        backend.properties.queue_latency_seconds = 0.001
+        model = self._fit(iris, backend)
+        latencies = {
+            record.queue_latency_seconds
+            for record in model.estimator.backend.ledger.records
+        }
+        assert latencies == {0.001}
 
 
 class TestBatchedLoopEquivalence:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_iris, prepare_task
+from repro.exceptions import TrainingError
 from repro.experiments.harness import (
     ExperimentResult,
     Series,
@@ -80,18 +81,18 @@ class TestTimed:
         assert isinstance(excinfo.value.__cause__, KeyError)
         assert any("explode" in note for note in excinfo.value.__notes__)
 
-    def test_shard_error_keeps_cell_attribution(self):
-        """Shard failures inside timed() still name the (class, cell) key."""
+    def test_cell_failure_keeps_its_type_and_cell_note(self):
+        """A cell failure inside timed() keeps its type and both notes."""
         from repro.experiments.harness import run_cells
-        from repro.parallel import ShardError
 
         def bad_cell(payload):
             raise ValueError(f"bad payload {payload}")
 
-        with pytest.raises(ShardError) as excinfo:
+        with pytest.raises(ValueError, match="bad payload x") as excinfo:
             timed(run_cells, bad_cell, ["x"], keys=[("cell", "x")])
-        assert excinfo.value.shard_key == ("cell", "x")
-        assert isinstance(excinfo.value.__cause__, ValueError)
+        notes = excinfo.value.__notes__
+        assert notes[0] == "sweep cell 0 ('cell', 'x') failed"
+        assert notes[1].startswith("timed: run_cells failed after ")
 
 
 class TestRunCells:
@@ -100,41 +101,80 @@ class TestRunCells:
 
         assert run_cells(_square_cell, [3, 1, 2]) == [9, 1, 4]
 
-    def test_executor_strategy_string(self):
-        from repro.experiments.harness import run_cells
-
-        assert run_cells(_square_cell, [3, 1, 2], executor="thread") == [9, 1, 4]
-
     def test_failing_cell_names_its_key(self):
         from repro.experiments.harness import run_cells
-        from repro.parallel import ShardError
 
-        with pytest.raises(ShardError) as excinfo:
+        with pytest.raises(ValueError, match="bad cell") as excinfo:
             run_cells(_failing_cell, [0, 1], keys=[("site", "a"), ("site", "b")])
-        assert excinfo.value.shard_key == ("site", "b")
+        assert excinfo.value.__notes__ == ["sweep cell 1 ('site', 'b') failed"]
 
-    def test_thread_shard_failure_names_its_cell(self):
+    def test_failure_stops_the_sweep_and_keeps_the_original_error(self):
         from repro.experiments.harness import run_cells
-        from repro.parallel import ShardError, ShardExecutor
+
+        seen = []
+
+        def cell(site):
+            seen.append(site)
+            return _site_cell(site)
 
         sites = ["ibmq_london", "ibmq_rome", "ibmq_melbourne"]
-        with pytest.raises(ShardError) as excinfo:
-            run_cells(
-                _site_cell,
-                sites,
-                keys=[("backend", site) for site in sites],
-                executor=ShardExecutor("thread", max_workers=2),
-            )
+        with pytest.raises(RuntimeError) as excinfo:
+            run_cells(cell, sites, keys=[("backend", site) for site in sites])
         error = excinfo.value
-        assert type(error) is ShardError
-        assert str(error) == (
-            "shard 1 ('backend', 'ibmq_rome') failed "
-            "(RuntimeError: queue rejected the job)"
-        )
-        assert error.shard_index == 1
-        assert error.shard_key == ("backend", "ibmq_rome")
-        assert type(error.__cause__) is RuntimeError
-        assert str(error.__cause__) == "queue rejected the job"
+        assert type(error) is RuntimeError
+        assert str(error) == "queue rejected the job"
+        assert error.__notes__ == ["sweep cell 1 ('backend', 'ibmq_rome') failed"]
+        assert seen == ["ibmq_london", "ibmq_rome"]
+
+    def test_default_keys_are_cell_indices(self):
+        from repro.experiments.harness import run_cells
+
+        with pytest.raises(ValueError) as excinfo:
+            run_cells(_failing_cell, [0, 1])
+        assert excinfo.value.__notes__ == ["sweep cell 1 ('cell', 1) failed"]
+
+    @pytest.mark.parametrize(
+        "error", [ValueError("v"), KeyError("k"), RuntimeError("r"), TrainingError("t")],
+        ids=lambda error: type(error).__name__,
+    )
+    def test_every_exception_type_propagates_unwrapped(self, error):
+        from repro.experiments.harness import run_cells
+
+        def cell(payload):
+            raise error
+
+        with pytest.raises(type(error)) as excinfo:
+            run_cells(cell, ["only"], keys=[("site", "only")])
+        assert excinfo.value is error
+        assert error.__notes__ == ["sweep cell 0 ('site', 'only') failed"]
+
+    def test_empty_sweep_returns_no_results(self):
+        from repro.experiments.harness import run_cells
+
+        assert run_cells(_square_cell, []) == []
+
+    def test_payloads_may_be_any_iterable(self):
+        from repro.experiments.harness import run_cells
+
+        assert run_cells(_square_cell, (n for n in (2, 3))) == [4, 9]
+
+    def test_fig6b_sweep_repeats_exactly(self):
+        """A figure sweep's cells seed their own models: reruns match row for row."""
+        from repro.experiments import fig6b_iris_accuracy
+
+        def sweep():
+            return fig6b_iris_accuracy(architectures=("s", "sd"), dnn_budgets=(56,), epochs=2)
+
+        first, second = sweep(), sweep()
+        assert [row["model"] for row in first.rows] == ["QC-S", "QC-SD", "DNN-59P"]
+        assert first.rows == second.rows
+
+    def test_key_count_mismatch_is_rejected(self):
+        from repro.exceptions import ValidationError
+        from repro.experiments.harness import run_cells
+
+        with pytest.raises(ValidationError, match="got 1 keys for 2 payloads"):
+            run_cells(_square_cell, [1, 2], keys=[("cell", "a")])
 
 
 class TestTrainingHelpers:

@@ -13,6 +13,7 @@ from repro.hardware import (
     ibmq_rome,
     ionq,
 )
+from repro.hardware.calibration import available_devices
 from repro.quantum import IdealBackend
 from repro.quantum.circuit import QuantumCircuit
 
@@ -137,13 +138,11 @@ class TestBatchExecution:
 
 
 class TestQueueLatencySimulation:
-    """Opt-in queue waits: one sleep per job submission, none by default."""
+    """Calibrated queue latency is book-kept in metadata and the ledger, never slept."""
 
     def _sleep_recorder(self, monkeypatch):
         slept = []
-        monkeypatch.setattr(
-            "repro.quantum.backend.time.sleep", lambda seconds: slept.append(seconds)
-        )
+        monkeypatch.setattr("time.sleep", lambda seconds: slept.append(seconds))
         return slept
 
     def test_disabled_by_default(self, monkeypatch):
@@ -152,32 +151,31 @@ class TestQueueLatencySimulation:
         backend.run(discriminator_circuit(), shots=32)
         assert slept == []
 
-    def test_run_sleeps_once_per_submission(self, monkeypatch):
+    @pytest.mark.parametrize("device", available_devices())
+    def test_run_and_sweep_record_the_calibrated_latency(self, device, monkeypatch):
         slept = self._sleep_recorder(monkeypatch)
-        backend = IBMQBackend("ibmq_london", seed=0, simulate_queue_latency=True)
-        backend.run(discriminator_circuit(), shots=32)
-        assert slept == [backend.properties.queue_latency_seconds]
-
-    def test_batch_is_one_job_submission(self, monkeypatch):
-        slept = self._sleep_recorder(monkeypatch)
-        backend = IBMQBackend("ibmq_london", seed=0, simulate_queue_latency=True)
-        model = QuClassi(num_features=4, num_classes=2, architecture="s", seed=0)
-        grid_sweep(backend, model, np.full((3, 4), 0.5), shots=32)
-        assert slept == [backend.properties.queue_latency_seconds]
-
-    def test_latency_does_not_change_sampled_counts(self, monkeypatch):
-        self._sleep_recorder(monkeypatch)
-        circuit = discriminator_circuit()
-        plain = IBMQBackend("ibmq_london", seed=5).run(circuit, shots=64).counts
-        simulated = (
-            IBMQBackend("ibmq_london", seed=5, simulate_queue_latency=True)
-            .run(circuit, shots=64)
-            .counts
+        backend = (
+            IonQBackend(seed=0) if device.startswith("ionq") else IBMQBackend(device, seed=0)
         )
-        assert plain == simulated
+        latency = backend.calibration.queue_latency_seconds
+        assert latency > 0
+        result = backend.run(discriminator_circuit(), shots=32)
+        model = QuClassi(num_features=4, num_classes=2, architecture="s", seed=0)
+        grid_sweep(backend, model, np.full((2, 4), 0.5), shots=32)
+        assert result.metadata["queue_latency_seconds"] == latency
+        assert [record.queue_latency_seconds for record in backend.ledger.records] == [
+            latency
+        ] * 3
+        assert backend.ledger.total_queue_latency_seconds == pytest.approx(3 * latency)
+        assert [record.job_id for record in backend.ledger.records] == [0, 1, 2]
+        assert slept == []
 
-    def test_ionq_accepts_flag(self, monkeypatch):
+    def test_changed_latency_is_what_the_ledger_records(self, monkeypatch):
+        """The ledger books the backend's current latency, not the calibration's."""
         slept = self._sleep_recorder(monkeypatch)
-        backend = IonQBackend(seed=0, simulate_queue_latency=True)
-        backend.run(discriminator_circuit(), shots=32)
-        assert slept == [backend.properties.queue_latency_seconds]
+        backend = ibmq_london(seed=0)
+        backend.properties.queue_latency_seconds = 0.001
+        result = backend.run(discriminator_circuit(), shots=32)
+        assert result.metadata["queue_latency_seconds"] == 0.001
+        assert backend.ledger.records[0].queue_latency_seconds == 0.001
+        assert slept == []

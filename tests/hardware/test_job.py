@@ -56,45 +56,3 @@ class TestJobLedger:
         record = JobLedger().record("b", result, 0.0)
         assert record.cx_count == 0
         assert record.shots is None
-
-
-class TestLedgerExtend:
-    """Merging worker-shard ledgers back into a parent ledger."""
-
-    def _worker_ledger(self, count: int) -> JobLedger:
-        ledger = JobLedger()
-        for index in range(count):
-            ledger.record("worker", fake_result(cx=index), 1.0)
-        return ledger
-
-    def test_extend_preserves_submission_order(self):
-        parent = JobLedger()
-        parent.extend(self._worker_ledger(3).records)
-        assert [record.cx_count for record in parent.records] == [0, 1, 2]
-
-    def test_extend_renumbers_job_ids_contiguously(self):
-        parent = JobLedger()
-        parent.record("parent", fake_result(), 0.0)
-        parent.extend(self._worker_ledger(2).records)
-        parent.extend(self._worker_ledger(2).records)
-        assert [record.job_id for record in parent.records] == [0, 1, 2, 3, 4]
-
-    def test_extend_does_not_mutate_source_records(self):
-        worker = self._worker_ledger(2)
-        parent = JobLedger()
-        parent.record("parent", fake_result(), 0.0)
-        parent.extend(worker.records)
-        assert [record.job_id for record in worker.records] == [0, 1]
-
-    def test_shard_order_merge_is_deterministic(self):
-        """Merging shard ledgers in index order gives one canonical sequence."""
-        shard_ledgers = [self._worker_ledger(2), self._worker_ledger(3)]
-        merged_a = JobLedger()
-        for ledger in shard_ledgers:
-            merged_a.extend(ledger.records)
-        merged_b = JobLedger()
-        for ledger in shard_ledgers:
-            merged_b.extend(ledger.records)
-        assert [
-            (record.job_id, record.cx_count) for record in merged_a.records
-        ] == [(record.job_id, record.cx_count) for record in merged_b.records]

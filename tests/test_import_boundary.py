@@ -2,8 +2,8 @@
 
 ``repro.analysis`` has two layers: the certificate modules the runtime
 runs fail-closed (``diagnostics``, ``verify``, ``equiv``; ``cost`` is
-available but unused at run time) and the developer tooling (linter, flow
-analyzers, report, CLI).  A fresh interpreter imports the runtime
+available but unused at run time) and the developer tooling (linter,
+report, CLI).  A fresh interpreter imports the runtime
 packages, runs a sampled SWAP-test grid sweep that shares its trained-state
 prefix and a noisy sweep whose density schedule composes a run of fixed
 steps, and must end with nothing but the certificate modules of

@@ -60,7 +60,7 @@ class TestLRUCache:
 
 
 class TestLRUCacheUnderThreads:
-    """Thread shards share builder and estimator caches; the lock must hold."""
+    """Threads sharing one cache never race it: every mutation holds the lock."""
 
     def hammer(self, cache, work, threads=4):
         errors = []
