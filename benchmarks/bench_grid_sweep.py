@@ -14,13 +14,13 @@ Two claims of the whole-grid refactor are measured here and recorded in
    grid must stay draw-for-draw **bit-identical** to it under a shared
    seed.
 
-2. **Predicted vs measured peak memory with a shared prefix.**  On the
-   17-qubit synthetic-MNIST grid, the ``TilePlan.for_grid_sweep`` executor
-   evolves the trained-state prefix once per single-row tile (certified by
-   VER403) and broadcasts it across the tile's samples.  The VER2xx cost
-   model predicts the tiled sweep's peak bytes and its prefix-discounted
-   per-element contraction count; tracemalloc measures the real peak
-   alongside.
+2. **Predicted vs measured peak memory with a row-constant prefix.**  On
+   the 17-qubit synthetic-MNIST grid, under a
+   ``TilePlan.for_circuit_sweep`` plan, the executor evolves the
+   trained-state prefix once per grid row of each tile and repeats it
+   across the row's samples in the tile.  The VER2xx cost model predicts
+   the tiled sweep's peak bytes and its prefix-discounted per-element
+   contraction count; tracemalloc measures the real peak alongside.
 
 Runs as a pytest test (``pytest benchmarks/bench_grid_sweep.py -s``) or
 standalone (``PYTHONPATH=src python benchmarks/bench_grid_sweep.py``).
@@ -177,10 +177,10 @@ def run_grid_memory_benchmark(rows=None, samples=None, budget_amplitudes=None):
         name="mnist-16-s:grid",
     )
     element_amplitudes = 2**program.num_qubits
-    plan = TilePlan.for_grid_sweep(
+    plan = TilePlan.for_circuit_sweep(
         rows, features.shape[0], element_amplitudes, budget_amplitudes
     )
-    # The shared prefix of one single-row tile: trained columns constant.
+    # The row-constant prefix: trained columns constant within a grid row.
     bindings = builder.grid_bindings(parameter_matrix, features)
     prefix_steps = shared_prefix_length(program, bindings[: features.shape[0]])
     predicted = estimate_cost(program, plan, shared_prefix_steps=prefix_steps)

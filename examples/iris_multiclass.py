@@ -12,6 +12,7 @@ Run with::
     python examples/iris_multiclass.py
 """
 
+import os
 import tempfile
 
 from repro.baselines import dnn_for_parameter_budget
@@ -72,12 +73,12 @@ def main() -> None:
         final = per_class[-1, class_index]
         print(f"  class {class_name}: first={per_class[0, class_index]:.3f} final={final:.3f}")
 
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
-        path = handle.name
-    best.save(path)
-    restored = QuClassi.load(path)
-    assert restored.score(data.x_test, data.y_test) == best.score(data.x_test, data.y_test)
-    print(f"\nsaved and reloaded {best_name} from {path}")
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, f"{best_name}.json")
+        best.save(path)
+        restored = QuClassi.load(path)
+        assert restored.score(data.x_test, data.y_test) == best.score(data.x_test, data.y_test)
+    print(f"\nsaved and reloaded {best_name} through a temporary directory")
 
 
 if __name__ == "__main__":

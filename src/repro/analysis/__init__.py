@@ -8,8 +8,8 @@
   :meth:`~repro.quantum.program.SweepProgram.compile`, the density engine's
   step plans and :class:`~repro.quantum.noise.NoiseModel` run fail-closed;
 * :mod:`repro.analysis.equiv` — the ``VER4xx`` equivalence certificates
-  behind shared-prefix tile execution, the statevector kernel classes and
-  the density engine's composed layout schedule;
+  behind the statevector kernel classes and the density engine's composed
+  layout schedule and observable readout;
 * :mod:`repro.analysis.cost` — the ``VER2xx`` static cost model.
 
 **Tooling** — imported only by ``python -m repro.analysis``, the benches

@@ -8,7 +8,7 @@ computes what one tiled execution *will* allocate and contract —
 * the peak amplitude count of one tile's working set (``2**n`` complex
   entries per element on a statevector engine, ``4**n`` on a density
   engine);
-* the peak resident bytes, modelling the engine's einsum double-buffering
+* the peak resident bytes, modelling the engine's double-buffering
   (input and output amplitude arrays are live together during every step)
   plus the sweep-wide bindings matrix and read-out buffer;
 * the step-application count of the full sweep, one per dispatched step
@@ -67,12 +67,11 @@ COST_CODES = {
 #: live prediction uses :func:`repro.arrays.complex_itemsize`, so a
 #: ``set_precision("single")`` run is budgeted at 8 bytes per amplitude.
 BYTES_PER_AMPLITUDE = 16
-#: Live amplitude arrays per einsum step: the input state, the einsum
-#: output, and one internal contraction intermediate (``np.einsum`` routes
-#: two-operand contractions through a BLAS path that materialises a
-#: reordered copy), measured against tracemalloc in
-#: ``tests/analysis/test_cost_model.py``.
-EINSUM_LIVE_ARRAYS = 3
+#: Live amplitude arrays per per-element step: the tile's state and the
+#: kernel's (or matmul's) output.  The executor frees each tile before it
+#: allocates the next, so no earlier tile adds to the peak; measured
+#: against tracemalloc in ``tests/analysis/test_cost_model.py``.
+EINSUM_LIVE_ARRAYS = 2
 #: VER203 fires when a *tiling* plan uses less than this fraction of the
 #: budget — the sweep pays per-tile contraction overhead it did not need to.
 UNDERUTILISATION_FRACTION = 0.25
@@ -118,13 +117,14 @@ class CostReport:
     dense_contractions: int
     #: The plan's declared budget (``None`` when undeclared).
     max_amplitudes: Optional[int]
-    #: Leading steps evolved once per tile at batch 1 and broadcast (the
-    #: VER403-certified shared trained-state prefix); 0 when not shared.
+    #: Leading steps evolved once per grid row of each tile and then
+    #: repeated across the row's elements (the row-constant trained-state
+    #: prefix); 0 when none.
     shared_prefix_steps: int = 0
-    #: Per-element step applications over the whole sweep.  Without prefix
-    #: sharing every element pays every step; a shared prefix pays its steps
-    #: once per tile instead of once per element, so this is the quantity
-    #: the whole-grid executor actually reduces.
+    #: Per-element step applications over the whole sweep.  Without a
+    #: prefix every element pays every step; a prefix step pays once per
+    #: grid row of each tile instead, so this is the quantity the
+    #: whole-grid executor actually reduces.
     element_contractions: int = 0
     #: Transpose copies of the density layout schedule over the whole
     #: sweep (0 on a statevector engine).
@@ -179,11 +179,14 @@ def estimate_cost(
     semantics (``circuit_sweep``: contiguous element tiles of a
     ``rows x samples`` grid; ``state_overlap``: a row-state tile and a
     sample-state tile resident together, as in the analytic estimator).
-    ``shared_prefix_steps`` declares how many leading steps a
-    ``TilePlan.for_grid_sweep`` execution evolves once per tile and
-    broadcasts (:func:`repro.analysis.equiv.shared_prefix_length`); those
-    steps cost one element per tile instead of one per grid element in the
-    ``element_contractions`` account.
+    ``shared_prefix_steps`` declares how many leading steps the executor
+    evolves once per grid row of each tile and then repeats across the
+    row's elements (the steps whose operands are constant within every
+    grid row; :func:`repro.analysis.equiv.shared_prefix_length` of one
+    row's bindings); in the ``element_contractions`` account those steps
+    cost one element per row of each tile
+    (:meth:`~repro.quantum.program.TilePlan.tile_rows`) instead of one per
+    grid element.
     """
     if engine not in _ENGINE_KINDS:
         raise ValueError(f"engine must be one of {_ENGINE_KINDS}, got {engine!r}")
@@ -245,10 +248,15 @@ def estimate_cost(
         dense_contractions = num_tiles * sum(
             classify_step(step) in (DENSE, CONTROLLED) for step in program.steps
         )
-    # A shared-prefix step evolves one element per tile, every other
-    # dispatched step every element.
+    # A prefix step evolves one element per grid row of each tile, every
+    # other dispatched step every element.
+    prefix_elements = num_tiles
+    if mode == "circuit_sweep":
+        prefix_elements = sum(
+            len(plan.tile_rows(start, stop)[0]) for start, stop in plan.flat_tiles()
+        )
     step_elements = [
-        num_tiles if index < shared_prefix_steps else sweep_elements
+        prefix_elements if index < shared_prefix_steps else sweep_elements
         for index in range(len(program.steps))
     ]
     element_contractions = sum(
@@ -300,10 +308,7 @@ def verify_cost(
     of its budget, and a VER205 warning when the budget holds a statevector
     element but not a single density (``4**n``) element — a noisy backend
     could not run the program under it at all.  Plans without a declared
-    budget verify vacuously.  Prefix-shared plans
-    (``TilePlan.for_grid_sweep``) are exempt from VER203: their single-row
-    tiles are what makes the shared trained-state prefix legal, not an
-    under-sized budget.
+    budget verify vacuously.
     """
     report = estimate_cost(program, plan, engine=engine, mode=mode)
     budget = report.max_amplitudes
@@ -350,13 +355,6 @@ def verify_cost(
         if (
             report.num_tiles > 1
             and report.peak_amplitudes < budget * UNDERUTILISATION_FRACTION
-            # Prefix-shared grid plans tile one parameter row at a time ON
-            # PURPOSE: the trained columns must be constant within a tile
-            # for the executor to evolve the trained-state prefix once and
-            # broadcast it.  Growing such a tile toward the budget would
-            # forfeit the shared prefix, so small tiles are not waste here
-            # and the under-utilisation warning would be a false positive.
-            and not getattr(plan, "shared_prefix", False)
         ):
             out.append(
                 diag(

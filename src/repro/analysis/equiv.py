@@ -3,9 +3,12 @@
 A runtime certificate module of :mod:`repro.analysis`, beside the IR and
 cost verifiers.  Where the IR verifier checks one compiled
 :class:`~repro.quantum.program.SweepProgram` against its *own* invariants,
-this family checks that what the engines actually run — a shared
-trained-state prefix, a kernel-class plan, a composed density schedule —
-computes what the program says, each through an independent code path.
+this family checks that what the engines actually run — a kernel-class
+plan, a composed density schedule, an observable readout — computes what
+the program says, each through an independent code path.  VER403 checks
+the reference programs' trained-state prefix; it has no runtime gate, since
+the grid executor decides its row-constant prefix from the very bindings it
+evolves.
 
 ====== ====================================================================
 code   contract
@@ -418,8 +421,8 @@ def verify_reference_equivalence() -> List[Diagnostic]:
     For each reference workload: a parameter-shift bindings matrix over the
     transpile-template program is checked for shared-prefix legality
     (VER403); the whole-grid program — trained and encoder bind columns in
-    one symbolic compile — must let a single-row grid tile share a non-empty
-    trained-state prefix, legally (VER403); and VER405 certifies every grid
+    one symbolic compile — must give one grid row's samples a non-empty
+    common trained-state prefix, legally (VER403); and VER405 certifies every grid
     step's statevector kernel-class plan.  Last, VER406 runs every noisy
     program of every reference workload that fits the London chip through
     the density engine's composed layout schedule and checks it against the

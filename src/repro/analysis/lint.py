@@ -263,7 +263,7 @@ def lint_source_accounted(
     *,
     root: Optional[str] = None,
 ) -> Tuple[List[Diagnostic], Dict[str, int]]:
-    """:func:`lint_source` with per-rule-code suppression accounting."""
+    """:func:`lint_source` with per-rule-code suppression accounting, in source order."""
     normalized = normalize_path(path, root)
     try:
         tree = ast.parse(source, filename=path)
@@ -308,7 +308,7 @@ def lint_source_accounted(
         raw, justified_suppression_index(source)
     )
     out.extend(kept)
-    return out, suppressed_by_code
+    return sort_diagnostics(out), suppressed_by_code
 
 
 def lint_paths(

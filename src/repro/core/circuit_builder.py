@@ -168,9 +168,9 @@ class DiscriminatorCircuitBuilder:
         Same instruction skeleton as :meth:`_construct_discriminator` — the
         compiled whole-grid program is structure-identical to every bound
         per-sample discriminator — with a barrier marking the
-        trained/encoder seam that a shared trained-state prefix is claimed
-        up to (VER403 certifies each claim from the bind columns; the
-        compiled program records no barriers).  Cached: the circuit depends
+        trained/encoder seam (the compiled program records no barriers; the
+        executor finds the row-constant trained-state prefix from the bind
+        columns).  Cached: the circuit depends
         only on the model structure.  Callers must not mutate it.
         """
         if not self.supports_grid_compile:

@@ -391,12 +391,12 @@ class SwapTestFidelityEstimator(FidelityEstimator):
     ) -> np.ndarray:
         """Ancilla readouts for one sweep via the whole-grid program route.
 
-        The :meth:`~repro.quantum.program.TilePlan.for_grid_sweep` plan keeps
-        every tile inside one parameter row so the executor can evolve the
-        trained-state prefix once per tile and broadcast it (certified by
-        VER403) across the tile's samples.
+        The :meth:`~repro.quantum.program.TilePlan.for_circuit_sweep` plan
+        fills each tile to the budget, whole parameter rows at a time when a
+        row fits; the executor evolves the trained-state prefix once per
+        row a tile touches and repeats it across that row's samples.
         """
-        plan = TilePlan.for_grid_sweep(
+        plan = TilePlan.for_circuit_sweep(
             parameter_matrix.shape[0],
             feature_matrix.shape[0],
             self._per_element_amplitudes(),

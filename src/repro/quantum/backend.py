@@ -120,8 +120,8 @@ class Backend(abc.ABC):
         order, ``bindings`` the ``(rows x samples, columns)`` value matrix in
         row-major grid order.  Implementations compile the circuit once,
         execute the bindings straight through the tiled program executor
-        (shared trained-state prefixes evolve once per tile when
-        ``tile_plan`` claims them, certified by VER403), and return
+        (steps constant within each grid row of ``tile_plan`` — the
+        trained-state prefix — evolve once per row a tile touches), and return
         ``P(bit 0 = 0)`` per grid element — draw-for-draw identical to
         calling :meth:`run` on each bound per-sample circuit in row-major
         order.  A backend that only implements :meth:`run` raises here.

@@ -117,27 +117,19 @@ class BatchedStatevector:
         """The ``(batch, 2**n)`` amplitude array (a copy)."""
         return self._amplitudes.copy()
 
-    def broadcast_to(self, batch_size: int) -> "BatchedStatevector":
-        """Repeat a single-element batch into a ``batch_size``-element one.
+    def repeat(self, counts) -> "BatchedStatevector":
+        """Repeat element ``i`` ``counts[i] > 0`` times, in order, into a new stack.
 
-        The shared-prefix executor evolves a tile's common trained-state
-        prefix once at batch 1 and then fans the state out across the tile.
-        ``np.repeat`` of one evolved row is bit-identical to evolving a batch
-        of identical rows (every gate kernel is elementwise over the batch
-        axis), which is what keeps the shared-prefix path seed-exact.
+        The grid executor evolves a tile's row-constant prefix once per grid
+        row and then expands each row's state to the row's elements.
+        ``np.repeat`` of an evolved element is bit-identical to evolving its
+        copies (every gate kernel is elementwise over the batch axis), which
+        is what keeps the prefix seed-exact.
         """
-        batch_size = int(batch_size)
-        if self._batch_size != 1:
-            raise SimulationError(
-                "broadcast_to requires a single-element batch, got "
-                f"{self._batch_size}"
-            )
-        if batch_size <= 0:
-            raise SimulationError(f"batch_size must be positive, got {batch_size}")
         state = BatchedStatevector.__new__(BatchedStatevector)
-        state._batch_size = batch_size
+        state._amplitudes = np.repeat(self._amplitudes, counts, axis=0)
+        state._batch_size = state._amplitudes.shape[0]
         state._num_qubits = self._num_qubits
-        state._amplitudes = np.repeat(self._amplitudes, batch_size, axis=0)
         return state
 
     def statevector(self, index: int):

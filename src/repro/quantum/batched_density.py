@@ -345,26 +345,16 @@ class BatchedDensityMatrix:
         """The canonical ``(batch, 2**n, 2**n)`` density stack (a copy)."""
         return self._canonical().copy()
 
-    def broadcast_to(self, batch_size: int) -> "BatchedDensityMatrix":
-        """Repeat a single-element batch into a ``batch_size``-element one.
+    def repeat(self, counts) -> "BatchedDensityMatrix":
+        """Repeat element ``i`` ``counts[i] > 0`` times, keeping the physical layout.
 
-        Counterpart of :meth:`BatchedStatevector.broadcast_to` for the noisy
-        engine's shared-prefix execution: ``np.repeat`` of one evolved
-        density matrix is bit-identical to evolving a stack of identical
-        ones, because every batched contraction is elementwise over axis 0.
-        The copy keeps the physical layout.
+        Counterpart of :meth:`BatchedStatevector.repeat
+        <repro.quantum.batched.BatchedStatevector.repeat>` for the noisy
+        engine: every batched contraction is elementwise over axis 0.
         """
-        batch_size = int(batch_size)
-        if self._batch_size != 1:
-            raise SimulationError(
-                "broadcast_to requires a single-element batch, got "
-                f"{self._batch_size}"
-            )
-        if batch_size <= 0:
-            raise SimulationError(f"batch_size must be positive, got {batch_size}")
         state = BatchedDensityMatrix.__new__(BatchedDensityMatrix)
         state._adopt(
-            np.repeat(self._matrices, batch_size, axis=0),
+            np.repeat(self._matrices, counts, axis=0),
             self._num_qubits,
             self._layout,
         )

@@ -112,7 +112,10 @@ class TilePlan:
     hold so that the tile's working set stays under a single amplitude
     budget, and enumerates the tiles in **row-major contiguous** order —
     the same order as the untiled pass and the per-circuit loop, which is
-    what keeps tiled shot sampling draw-for-draw identical.
+    what keeps tiled shot sampling draw-for-draw identical.  A tile may hold
+    several grid rows; :meth:`SweepProgram.execute` evolves the steps that
+    are constant within each row once per row the tile touches
+    (:meth:`tile_rows`).
 
     Two cost models are provided as constructors:
 
@@ -125,6 +128,9 @@ class TilePlan:
       the accounting that makes the budget honest about **both** axes
       instead of only the batch of trained states.
 
+    Both raise :class:`~repro.exceptions.SimulationError` when the budget
+    cannot hold the smallest tile.
+
     Attributes
     ----------
     rows, samples:
@@ -134,13 +140,6 @@ class TilePlan:
         single-row tiles so flat enumeration stays contiguous.
     max_amplitudes:
         The budget the plan was derived from (recorded for reports).
-    shared_prefix:
-        When ``True``, :meth:`SweepProgram.execute` evolves each tile's
-        shared trained-state prefix **once** and broadcasts it across the
-        tile — legal only when every binding row of a tile agrees on the
-        prefix columns, which :meth:`for_grid_sweep` guarantees by cutting
-        single-row tiles; every use is certified by the VER403
-        ``verify_shared_prefix`` gate at execution time.
     """
 
     rows: int
@@ -148,7 +147,6 @@ class TilePlan:
     row_tile: int
     sample_tile: int
     max_amplitudes: Optional[int] = None
-    shared_prefix: bool = False
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.samples < 0:
@@ -161,23 +159,34 @@ class TilePlan:
             )
 
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _fitting(what: str, size: int, max_amplitudes: int, smallest: int) -> int:
+        """How many ``size``-amplitude states fit the budget; at least ``smallest``."""
+        if size <= 0 or max_amplitudes <= 0:
+            raise SimulationError(
+                f"{what}_amplitudes and max_amplitudes must be positive, got "
+                f"{size} and {max_amplitudes}"
+            )
+        if max_amplitudes < smallest * size:
+            raise SimulationError(
+                f"amplitude budget {max_amplitudes} cannot hold the smallest "
+                f"tile, {smallest} state(s) of {size} amplitudes; raise "
+                f"max_amplitudes to at least {smallest * size}"
+            )
+        return max_amplitudes // size
+
     @classmethod
     def for_circuit_sweep(
         cls, rows: int, samples: int, element_amplitudes: int, max_amplitudes: int
     ) -> "TilePlan":
         """Plan a sweep whose every (row, sample) pair is one circuit state."""
-        if element_amplitudes <= 0 or max_amplitudes <= 0:
-            raise SimulationError(
-                "element_amplitudes and max_amplitudes must be positive, got "
-                f"{element_amplitudes} and {max_amplitudes}"
-            )
-        budget_elements = max(1, max_amplitudes // element_amplitudes)
+        budget_elements = cls._fitting("element", element_amplitudes, max_amplitudes, 1)
         if samples and budget_elements >= samples:
-            row_tile = max(1, budget_elements // samples)
+            row_tile = budget_elements // samples
             sample_tile = samples
         else:
             row_tile = 1
-            sample_tile = max(1, min(samples, budget_elements) or 1)
+            sample_tile = min(samples, budget_elements) or 1
         return cls(
             rows=rows,
             samples=samples,
@@ -190,43 +199,17 @@ class TilePlan:
     def for_grid_sweep(
         cls, rows: int, samples: int, element_amplitudes: int, max_amplitudes: int
     ) -> "TilePlan":
-        """Plan a whole-grid sweep whose tiles share a trained-state prefix.
-
-        Same element cost model as :meth:`for_circuit_sweep`, but tiles are
-        cut one *row* at a time (``row_tile=1``) so that every tile holds a
-        single parameter-shift row — within such a tile the trained-state
-        columns are constant and only the encoder columns vary, which is
-        exactly the precondition for the certified shared-prefix execution
-        path (``shared_prefix=True``).
-        """
-        if element_amplitudes <= 0 or max_amplitudes <= 0:
-            raise SimulationError(
-                "element_amplitudes and max_amplitudes must be positive, got "
-                f"{element_amplitudes} and {max_amplitudes}"
-            )
-        budget_elements = max(1, max_amplitudes // element_amplitudes)
-        return cls(
-            rows=rows,
-            samples=samples,
-            row_tile=1,
-            sample_tile=max(1, min(samples, budget_elements) or 1),
-            max_amplitudes=int(max_amplitudes),
-            shared_prefix=True,
-        )
+        """The :meth:`for_circuit_sweep` plan, under the name older callers use."""
+        return cls.for_circuit_sweep(rows, samples, element_amplitudes, max_amplitudes)
 
     @classmethod
     def for_state_overlap(
         cls, rows: int, samples: int, state_amplitudes: int, max_amplitudes: int
     ) -> "TilePlan":
         """Plan a tiled overlap matmul holding row states and sample columns."""
-        if state_amplitudes <= 0 or max_amplitudes <= 0:
-            raise SimulationError(
-                "state_amplitudes and max_amplitudes must be positive, got "
-                f"{state_amplitudes} and {max_amplitudes}"
-            )
-        budget_states = max(2, max_amplitudes // state_amplitudes)
-        sample_tile = max(1, min(samples, budget_states // 2) or 1)
-        row_tile = max(1, min(rows, budget_states - sample_tile) or 1)
+        budget_states = cls._fitting("state", state_amplitudes, max_amplitudes, 2)
+        sample_tile = min(samples, budget_states // 2) or 1
+        row_tile = min(rows, budget_states - sample_tile) or 1
         return cls(
             rows=rows,
             samples=samples,
@@ -245,7 +228,7 @@ class TilePlan:
     def tile_elements(self) -> int:
         """Largest number of grid elements alive in one tile."""
         if self.sample_tile >= self.samples:
-            return self.row_tile * max(self.samples, 1)
+            return min(self.row_tile, self.rows) * max(self.samples, 1)
         return self.sample_tile
 
     @property
@@ -281,6 +264,18 @@ class TilePlan:
             base = row * self.samples
             for start, stop in self.sample_tiles():
                 yield base + start, base + stop
+
+    def tile_rows(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The grid rows the flat tile ``[start, stop)`` touches.
+
+        Returns ``(firsts, counts)``: the flat index of the tile's first
+        element in each row it touches, and how many of its elements lie in
+        that row.  ``counts`` sums to ``stop - start`` whether the tile
+        spans whole rows, splits one, or starts and ends mid-row.
+        """
+        rows = np.arange(start // self.samples, (stop - 1) // self.samples + 2)
+        bounds = np.clip(rows * self.samples, start, stop)
+        return bounds[:-1], np.diff(bounds)
 
 
 # --------------------------------------------------------------------------- #
@@ -536,18 +531,22 @@ class SweepProgram:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _resolve_operands(self, bindings: np.ndarray, steps: range) -> List:
+    def _resolve_operands(
+        self, bindings: np.ndarray, steps: range, samples: Optional[int] = None
+    ) -> List:
         """Per-step gate-operand plan for one sweep's **full** bindings.
 
         For every parametric step in ``steps``, decide once — from the whole
-        batch, never from an individual tile — whether the step binds
-        identical angles everywhere (shared ``(2**k, 2**k)`` matrix, built
-        here) or genuinely per-element angles (the evaluated columns, sliced
-        per tile later).  Making the shared/batched decision tile-independent
-        is what keeps tiled execution bit-identical to the untiled pass: a
-        one-element tile must not collapse onto the shared-matrix code path
-        when the full sweep takes the batched one.  Fixed steps and steps
-        outside ``steps`` get ``None``.
+        batch, never from an individual tile — how the step binds its
+        angles: identically everywhere (``shared``: one ``(2**k, 2**k)``
+        matrix, built here), identically within each grid row of
+        ``samples`` consecutive elements (``rows``), or per element
+        (``batched``); the latter two keep the evaluated columns, sliced per
+        tile later.  Making the decision tile-independent is what keeps
+        tiled execution bit-identical to the untiled pass: a one-element
+        tile must not collapse onto the shared-matrix code path when the
+        full sweep takes the batched one.  Fixed steps and steps outside
+        ``steps`` get ``None``; without ``samples`` no step is ``rows``.
         """
         operands: List = [None] * len(self.steps)
         for index in steps:
@@ -556,7 +555,7 @@ class SweepProgram:
                 continue
             columns: List = []
             scalars: List[float] = []
-            shared = True
+            kind = "shared"
             for slot in step.slots:
                 if slot[0] == "value":
                     columns.append(slot[1])
@@ -567,21 +566,29 @@ class SweepProgram:
                 if coefficient != 1.0:
                     values = values * coefficient
                 columns.append(values)
-                if shared and np.all(values == values[0]):
+                if kind == "shared" and np.all(values == values[0]):
                     scalars.append(float(values[0]))
+                elif kind != "batched" and samples and np.all(
+                    values.reshape(-1, samples) == values[::samples, None]
+                ):
+                    kind = "rows"
                 else:
-                    shared = False
-            if shared:
+                    kind = "batched"
+            if kind == "shared":
                 operands[index] = (
                     "shared",
                     gate_library.gate_matrix(step.name, *scalars),
                 )
             else:
-                operands[index] = ("batched", columns)
+                operands[index] = (kind, columns)
         return operands
 
-    def _step_matrix(self, step: GateStep, operand, start: int, stop: int):
-        """The gate matrix (shared or batched) for one tile of one step."""
+    def _step_matrix(self, step: GateStep, operand, elements):
+        """The gate matrix (shared or batched) of one step for ``elements``.
+
+        ``elements`` selects flat sweep elements: a tile's slice, or the
+        index array of one element per grid row.
+        """
         if operand is None:
             return step.matrix
         if operand[0] == "shared":
@@ -589,10 +596,26 @@ class SweepProgram:
         return gate_library.gate_matrix_batch(
             step.name,
             *(
-                column if np.isscalar(column) else column[start:stop]
+                column if np.isscalar(column) else column[elements]
                 for column in operand[1]
             ),
         )
+
+    def _apply_steps(self, engine, plans, operands, state, steps: range, elements) -> None:
+        """Apply ``steps`` to ``state``, whose batch holds ``elements``.
+
+        ``plans`` are the engine's step plans, resolved once per sweep; a
+        ``None`` plan marks a step the engine folded into an earlier one
+        (:func:`density_schedule`), and it is never dispatched.
+        """
+        for index in steps:
+            plan = plans[index]
+            if plan is None:
+                continue
+            step = self.steps[index]
+            engine.apply_step(
+                state, step, plan, self._step_matrix(step, operands[index], elements)
+            )
 
     def _evolve_tile(
         self,
@@ -604,61 +627,35 @@ class SweepProgram:
         *,
         steps: range,
         state=None,
-        shared_bindings: Optional[np.ndarray] = None,
+        prefix: int = 0,
+        tile_plan: Optional[TilePlan] = None,
     ):
         """Evolve one contiguous tile ``[start, stop)`` through ``steps``.
 
-        ``plans`` are the engine's step plans, resolved once per sweep; a
-        ``None`` plan marks a step the engine folded into an earlier one
-        (:func:`density_schedule`), and it is never dispatched.  Without a
-        ``state`` the tile starts from ``|0...0>`` at step 0; with one, the
-        steps continue the state an earlier call left at ``steps.start``.
-        When ``shared_bindings`` is provided (the tile plan claims a shared
-        trained-state prefix), the longest prefix of steps whose operands
-        are constant across the tile is evolved **once** at batch size 1 and
-        the resulting state broadcast across the tile before the
-        per-element suffix runs.  Every such claim is certified by the
-        VER403 ``verify_shared_prefix`` gate first — an illegal claim raises
-        :class:`~repro.exceptions.SimulationError` instead of silently
-        reusing a state the tile does not actually share.
+        Without a ``state`` the tile starts from ``|0...0>`` at step 0; with
+        one, the steps continue the state an earlier call left at
+        ``steps.start``.  The first ``prefix`` steps — every operand fixed,
+        ``shared`` or ``rows`` (:meth:`_resolve_operands`) — evolve once per
+        grid row of ``tile_plan`` that the tile touches, and one
+        ``repeat`` then expands each row's state to its elements.  Repeating
+        an evolved state is bit-identical to evolving its copies (every
+        kernel is elementwise over the batch axis), and the prefix is
+        decided from the very bindings that feed the evolution, so it needs
+        no certificate of its own.
         """
-        batch = stop - start
-        prefix = 0 if state is None else steps.start
-        if state is None and shared_bindings is not None and batch > 1:
-            from repro.analysis.equiv import (
-                shared_prefix_length,
-                verify_shared_prefix,
-            )
-            from repro.analysis.verify import assert_clean
-
-            tile_bindings = shared_bindings[start:stop]
-            prefix = min(shared_prefix_length(self, tile_bindings), steps.stop)
-            if prefix:
-                assert_clean(
-                    list(verify_shared_prefix(self, tile_bindings, prefix)),
-                    context=f"{self.name}: shared-prefix tile execution",
-                )
         if state is None and prefix:
-            state = engine.initial_state(1, self.num_qubits)
-            for index in range(prefix):
-                plan = plans[index]
-                if plan is None:
-                    continue
-                step = self.steps[index]
-                matrix = self._step_matrix(
-                    step, operands[index], start, start + 1
-                )
-                engine.apply_step(state, step, plan, matrix)
-            state = state.broadcast_to(batch)
+            firsts, counts = tile_plan.tile_rows(start, stop)
+            state = engine.initial_state(len(firsts), self.num_qubits)
+            self._apply_steps(engine, plans, operands, state, range(prefix), firsts)
+            if len(firsts) < stop - start:
+                state = state.repeat(counts)
         elif state is None:
-            state = engine.initial_state(batch, self.num_qubits)
-        for index in range(prefix, steps.stop):
-            plan = plans[index]
-            if plan is None:
-                continue
-            step = self.steps[index]
-            matrix = self._step_matrix(step, operands[index], start, stop)
-            engine.apply_step(state, step, plan, matrix)
+            state = engine.initial_state(stop - start, self.num_qubits)
+        else:
+            prefix = steps.start
+        self._apply_steps(
+            engine, plans, operands, state, range(prefix, steps.stop), slice(start, stop)
+        )
         return state
 
     def _pin_noise(self, engine) -> Optional[int]:
@@ -721,7 +718,9 @@ class SweepProgram:
         :class:`~repro.exceptions.SimulationError`.  Each tile evolves up
         to the split of the engine's :class:`ReadoutPlan` and reads out
         there: on the density engine the fixed tail after the split is
-        folded into the plan's measurement observable.
+        folded into the plan's measurement observable.  With a
+        ``tile_plan``, the leading steps constant within each of its grid
+        rows evolve once per row a tile touches (:meth:`_evolve_tile`).
         """
         bindings = self._check_bindings(bindings)
         if not self.measured_qubits:
@@ -738,11 +737,17 @@ class SweepProgram:
                     f"elements but the bindings have {total} rows"
                 )
             tiles = tile_plan.flat_tiles()
-        shared = bindings if (tile_plan is not None and tile_plan.shared_prefix) else None
         pinned = self._pin_noise(engine)
         plans = engine.step_plans(self)
         readout = engine.readout_plan(self, plans)
-        operands = self._resolve_operands(bindings, range(readout.split))
+        steps = range(readout.split)
+        samples = None if tile_plan is None else tile_plan.samples
+        operands = self._resolve_operands(bindings, steps, samples)
+        # The prefix ends at the first per-element step.
+        prefix = 0
+        if samples is not None:
+            batched = (i for i in steps if operands[i] and operands[i][0] == "batched")
+            prefix = next(batched, readout.split)
         out = np.empty((total, 2 ** len(self.measured_qubits)), dtype=float)
         for start, stop in tiles:
             state = self._evolve_tile(
@@ -751,13 +756,15 @@ class SweepProgram:
                 operands,
                 start,
                 stop,
-                steps=range(readout.split),
-                shared_bindings=shared,
+                steps=steps,
+                prefix=prefix,
+                tile_plan=tile_plan,
             )
             self._check_noise_pinned(engine, pinned, start, stop)
             out[start:stop] = engine.joint_probabilities(
                 state, self.measured_qubits, readout
             )
+            del state  # free the tile before the next one is allocated
         return out
 
 

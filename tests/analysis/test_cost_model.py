@@ -15,12 +15,14 @@ import pytest
 
 from repro.analysis.cost import (
     COST_CODES,
+    EINSUM_LIVE_ARRAYS,
     estimate_cost,
     reference_cost_reports,
     verify_cost,
     verify_reference_costs,
 )
 from repro.analysis.diagnostics import Severity
+from repro.analysis.equiv import shared_prefix_length
 from repro.core.model import QuClassi
 from repro.quantum.program import StatevectorEngine, SweepProgram, TilePlan
 from repro.utils.rng import ensure_rng
@@ -107,10 +109,13 @@ class TestEstimateCost:
             assert key in payload
         assert payload["shared_prefix_steps"] == 0
 
-    def test_shared_prefix_steps_discount_element_contractions(self):
+    @pytest.mark.parametrize("tile_elements,prefix_rows", [(8, 8), (12, 8), (3, 16)])
+    def test_shared_prefix_steps_discount_element_contractions(
+        self, tile_elements, prefix_rows
+    ):
         program, _ = compile_discriminator(4)
         element = 2**program.num_qubits
-        plan = TilePlan.for_grid_sweep(8, 4, element, element * 4)
+        plan = TilePlan.for_circuit_sweep(8, 4, element, element * tile_elements)
         baseline = estimate_cost(program, plan)
         assert baseline.element_contractions == plan.total_elements * len(
             program.steps
@@ -118,18 +123,60 @@ class TestEstimateCost:
         prefix = 3
         shared = estimate_cost(program, plan, shared_prefix_steps=prefix)
         assert shared.shared_prefix_steps == prefix
-        # Prefix steps cost one element per TILE instead of one per element.
+        # Prefix steps cost one element per grid row of each tile instead of
+        # one per element: 8 rows over whole-row tiles, 16 when every row
+        # is split in two.
         assert shared.element_contractions == (
-            shared.num_tiles * prefix
+            prefix_rows * prefix
             + plan.total_elements * (len(program.steps) - prefix)
         )
         assert shared.element_contractions < baseline.element_contractions
         # The einsum-call count is tiling-determined either way.
         assert shared.contractions == baseline.contractions
 
+    @pytest.mark.parametrize("engine_name", ["statevector", "density"])
+    def test_element_contractions_equal_the_traced_step_elements(self, engine_name):
+        """On multi-row tiles the prediction counts what ``apply_step`` sees."""
+        from repro.quantum.program import DensitySuperoperatorEngine
+
+        rng = ensure_rng(6)
+        builder = QuClassi(num_features=4, num_classes=2, architecture="d", seed=6).builder
+        program = SweepProgram.compile(
+            builder.symbolic_discriminator(),
+            bind_floats=False,
+            parameters=builder.grid_parameters,
+        )
+        rows, samples = 3, 4
+        bindings = builder.grid_bindings(
+            rng.uniform(0.0, np.pi, size=(rows, len(builder.parameters))),
+            rng.uniform(0.05, 0.95, size=(samples, 4)),
+        )
+        density = engine_name == "density"
+        engine = DensitySuperoperatorEngine() if density else StatevectorEngine()
+        element = (4 if density else 2) ** program.num_qubits
+        plan = TilePlan.for_circuit_sweep(rows, samples, element, 8 * element)
+        assert list(plan.flat_tiles()) == [(0, 8), (8, 12)]
+        prefix = shared_prefix_length(program, bindings[:samples])
+        assert 0 < prefix < len(program.steps)
+        elements = []
+        apply_step = engine.apply_step
+
+        def traced(state, step, step_plan, matrix):
+            elements.append(state.batch_size)
+            return apply_step(state, step, step_plan, matrix)
+
+        engine.apply_step = traced
+        program.execute(bindings, engine, tile_plan=plan)
+        report = estimate_cost(
+            program, plan, engine=engine_name, shared_prefix_steps=prefix
+        )
+        assert report.element_contractions == sum(elements)
+        # Plus one observable readout matmul per density tile.
+        assert report.contractions == len(elements) + density * plan.num_tiles
+
     def test_shared_prefix_steps_out_of_range_rejected(self):
         program, _ = compile_discriminator(4)
-        plan = TilePlan.for_grid_sweep(2, 2, 2**program.num_qubits, 2**20)
+        plan = TilePlan.for_circuit_sweep(2, 2, 2**program.num_qubits, 2**20)
         with pytest.raises(ValueError):
             estimate_cost(program, plan, shared_prefix_steps=-1)
         with pytest.raises(ValueError):
@@ -150,7 +197,7 @@ class TestEstimateCost:
         )
         rows, samples = 2, 6
         element = 2**program.num_qubits
-        plan = TilePlan.for_grid_sweep(rows, samples, element, 4 * element)
+        plan = TilePlan.for_circuit_sweep(rows, samples, element, 4 * element)
         bindings = builder.grid_bindings(
             rng.uniform(0.0, np.pi, size=(rows, len(builder.parameters))),
             rng.uniform(0.05, 0.95, size=(samples, 4)),
@@ -231,12 +278,13 @@ class TestDensityScheduleCount:
         split, _ = density_readout_split(program)
         dispatched = [head == index and index < split for index, head in enumerate(heads)]
         element = 4**program.num_qubits
-        plan = TilePlan.for_grid_sweep(2, 4, element, 4 * element)
+        plan = TilePlan.for_circuit_sweep(2, 4, element, 8 * element)
+        assert plan.num_tiles == 1
         prefix = 5
         report = estimate_cost(program, plan, engine="density", shared_prefix_steps=prefix)
+        # One tile of two grid rows: each prefix step evolves both rows.
         assert report.element_contractions == (
-            report.num_tiles * sum(dispatched[:prefix])
-            + plan.total_elements * sum(dispatched[prefix:])
+            2 * sum(dispatched[:prefix]) + plan.total_elements * sum(dispatched[prefix:])
         )
 
     def test_bytes_moved_follow_the_split(self, london_template):
@@ -301,23 +349,19 @@ class TestVerifyCost:
         assert codes_of(diagnostics) == ["VER203"]
         assert diagnostics[0].severity is Severity.WARNING
 
-    def test_prefix_shared_grid_plan_is_exempt_from_ver203(self):
-        """Regression: grid plans' single-row tiles are deliberate, not waste.
+    def test_grid_plan_fills_the_budget_without_an_exemption(self):
+        """Grid plans tile whole rows up to the budget, so VER203 stays quiet.
 
-        ``TilePlan.for_grid_sweep`` tiles one parameter row at a time so the
-        executor can evolve the shared trained-state prefix once per tile —
-        the cost model used to flag exactly this shape as under-utilised.
-        The hand-built twin WITHOUT the ``shared_prefix`` claim pins the old
-        false positive: same geometry, VER203 fires.
+        The single-row twin of the same grid under the same budget is the
+        under-utilised shape VER203 exists to flag.
         """
         program, _ = compile_discriminator(4)
         element = 2**program.num_qubits
-        grid_plan = TilePlan.for_grid_sweep(64, 8, element, element * 512)
-        assert grid_plan.shared_prefix is True
-        assert grid_plan.row_tile == 1
+        grid_plan = TilePlan.for_grid_sweep(64, 8, element, element * 256)
+        assert (grid_plan.row_tile, grid_plan.num_tiles) == (32, 2)
         assert verify_cost(program, grid_plan) == []
         twin = TilePlan(
-            rows=64, samples=8, row_tile=1, sample_tile=8, max_amplitudes=element * 512
+            rows=64, samples=8, row_tile=1, sample_tile=8, max_amplitudes=element * 256
         )
         assert codes_of(verify_cost(program, twin)) == ["VER203"]
 
@@ -475,7 +519,7 @@ class TestDtypeAwareCost:
         # Only amplitude bytes follow the knob — the float64 bindings and
         # read-out buffers (the sampling boundary) are knob-independent,
         # so the delta is exactly the halved amplitude term.
-        amplitude_term = 3 * double.peak_amplitudes * 16
+        amplitude_term = EINSUM_LIVE_ARRAYS * double.peak_amplitudes * 16
         assert double.peak_bytes - single.peak_bytes == amplitude_term // 2
         assert single.peak_bytes < double.peak_bytes
 

@@ -305,6 +305,19 @@ class TestRep106Sleep:
         assert codes(findings) == ["REP106", "REP106"]
         assert sorted(finding.location.line for finding in findings) == [4, 6]
 
+    def test_findings_come_back_in_line_order(self):
+        """``ast.walk`` meets the shallower sleep first; the result is sorted."""
+        source = (
+            "import time\n"
+            "def wait():\n"
+            "    if True:\n"
+            "        time.sleep(0.1)\n"
+            "def retry():\n"
+            "    time.sleep(1)\n"
+        )
+        findings, _ = lint(source)
+        assert [finding.location.line for finding in findings] == [4, 6]
+
     def test_non_library_code_is_exempt(self):
         source = "import time\ntime.sleep(1)\n"
         findings, _ = lint(source, path="tests/test_example.py")

@@ -12,7 +12,7 @@ cover 1-, 2- and 3-qubit supports in both qubit orders, repeated same-pair
 runs, 1-qubit runs on one qubit, 1-qubit steps inside and outside the
 trailing block, runs broken by a parametric step or a transpose, fixed and
 parametric steps (shared and per element), noise models, batch sizes, both
-precisions, and tiles with and without a shared prefix.
+precisions, and tiles with and without a row-constant prefix.
 
 Every random program is read out twice: stepwise, from the final state's
 diagonal, and through the readout plan's measurement observable, which
@@ -229,8 +229,16 @@ def check_against_reference(circuit, parameters, bindings, model, tiling, budget
 
     The final states and the stepwise readout of the whole evolution are
     checked, and so is ``execute``, which reads out through the
-    observable the fixed tail was folded into.
+    observable the fixed tail was folded into.  The ``grid`` tiling turns
+    each bindings row into a grid row of two samples that differ only in
+    the last column, so the steps before its first bind site are
+    row-constant and evolve once per row a tile touches.
     """
+    batch = bindings.shape[0]
+    if tiling == "grid":
+        bindings = np.repeat(bindings, 2, axis=0)
+        if bindings.shape[1]:
+            bindings[1::2, -1] += 0.5
     program = SweepProgram.compile(circuit, bind_floats=False, parameters=parameters)
     expected = reference_matrices(circuit, parameters, bindings, model)
     expected_readout = reference_readout(expected, program.measured_qubits, model)
@@ -247,12 +255,12 @@ def check_against_reference(circuit, parameters, bindings, model, tiling, budget
         atol=atol,
     )
 
-    batch = bindings.shape[0]
     element = 4**program.num_qubits
     plan = {
         "whole": None,
         "tiles": TilePlan.for_circuit_sweep(batch, 1, element, budget * element),
-        "shared_prefix": TilePlan.for_grid_sweep(1, batch, element, budget * element),
+        # 1, 3 or 5 elements: split rows, one row, then two rows per tile.
+        "grid": TilePlan.for_circuit_sweep(batch, 2, element, (2 * budget - 1) * element),
     }[tiling]
     engine = DensitySuperoperatorEngine(model)
     readout = engine.readout_plan(program, engine.step_plans(program))
@@ -273,7 +281,7 @@ class TestScheduledEngineMatchesReference:
     @given(
         sweep=sweeps(),
         precision=st.sampled_from(("double", "single")),
-        tiling=st.sampled_from(("whole", "tiles", "shared_prefix")),
+        tiling=st.sampled_from(("whole", "tiles", "grid")),
         budget=st.integers(1, 3),
     )
     def test_states_and_readout(self, sweep, precision, tiling, budget):
@@ -366,7 +374,7 @@ def folded_steps(program):
 
 
 class TestComposedSchedule:
-    @pytest.mark.parametrize("tiling", ["whole", "tiles", "shared_prefix"])
+    @pytest.mark.parametrize("tiling", ["whole", "tiles", "grid"])
     @pytest.mark.parametrize("precision", ["double", "single"])
     @pytest.mark.parametrize("pattern", sorted(RUN_PATTERNS))
     def test_pattern_folds_and_matches_reference(self, pattern, precision, tiling):
@@ -509,14 +517,14 @@ class TestAccessorsOnPermutedLayout:
                 rebuilt.probabilities(qubits), stack.probabilities(qubits)
             )
 
-    def test_broadcast_keeps_the_layout(self):
-        single = permuted_stack(1)
-        wide = single.broadcast_to(3)
-        assert wide.layout == single.layout
-        np.testing.assert_array_equal(wide.matrices, np.repeat(single.matrices, 3, axis=0))
+    def test_repeat_keeps_the_layout(self):
+        pair = permuted_stack(2)
+        wide = pair.repeat([1, 2])
+        assert wide.layout == pair.layout
+        np.testing.assert_array_equal(wide.matrices, np.repeat(pair.matrices, [1, 2], axis=0))
         wide.apply_matrix(gates.PAULI_X, (2,))
-        single.apply_matrix(gates.PAULI_X, (2,))
-        np.testing.assert_array_equal(wide.matrices[2], single.matrices[0])
+        pair.apply_matrix(gates.PAULI_X, (2,))
+        np.testing.assert_array_equal(wide.matrices[2], pair.matrices[1])
 
 
 # --------------------------------------------------------------------------- #

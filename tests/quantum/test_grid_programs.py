@@ -1,15 +1,15 @@
-"""Shared-prefix grid execution of compiled SweepPrograms.
+"""Row-constant prefix execution of compiled SweepPrograms.
 
-Unit-level coverage of the whole-grid executor machinery:
-``TilePlan.for_grid_sweep`` geometry, ``broadcast_to`` on both batched
-state classes, prefix-shared tile evolution (bit-identical to the plain
-tiled path), and the fail-closed VER403 certification gate.
+Unit-level coverage of the whole-grid executor machinery: the
+``shared``/``rows``/``batched`` operand decision made once per sweep,
+``TilePlan.tile_rows`` geometry, ``repeat`` on both batched state classes,
+and prefix tile evolution — once per grid row a tile touches — against
+per-element evolution, bit for bit, on both engines.
 """
 
 import numpy as np
 import pytest
 
-from repro.exceptions import SimulationError
 from repro.quantum.circuit import Parameter, QuantumCircuit
 from repro.quantum.program import (
     DensitySuperoperatorEngine,
@@ -19,10 +19,14 @@ from repro.quantum.program import (
 )
 
 
-def grid_program(num_trained: int = 2, num_data: int = 2):
-    """Two-qubit program: trained columns, a seam barrier, data columns."""
-    trained = [Parameter(f"theta_{i}") for i in range(num_trained)]
-    data = [Parameter(f"x_{i}") for i in range(num_data)]
+def grid_program(late_trained: bool = False):
+    """Two-qubit program: trained columns, a seam barrier, data columns.
+
+    With ``late_trained`` a third trained rotation follows the data
+    rotations, so a row-constant step comes after a per-element one.
+    """
+    trained = [Parameter(f"theta_{i}") for i in range(3 if late_trained else 2)]
+    data = [Parameter(f"x_{i}") for i in range(2)]
     qc = QuantumCircuit(2, 2, name="grid")
     qc.h(0)
     qc.ry(trained[0], 0)
@@ -30,6 +34,8 @@ def grid_program(num_trained: int = 2, num_data: int = 2):
     qc.barrier(0, 1)
     qc.ry(data[0], 1)
     qc.rz(data[1], 1)
+    if late_trained:
+        qc.rx(trained[2], 0)
     qc.cx(0, 1)
     qc.measure_all()
     return SweepProgram.compile(
@@ -37,127 +43,193 @@ def grid_program(num_trained: int = 2, num_data: int = 2):
     )
 
 
-def grid_bindings(rows: int = 3, samples: int = 4, seed: int = 5):
+def grid_bindings(program, rows: int = 3, samples: int = 4, seed: int = 5):
     """Row-major grid: trained columns constant within each row's block."""
     rng = np.random.default_rng(seed)
-    trained = rng.uniform(0, np.pi, size=(rows, 2))
+    num_trained = program.num_columns - 2
+    trained = rng.uniform(0, np.pi, size=(rows, num_trained))
     data = rng.uniform(0, np.pi, size=(samples, 2))
     return np.hstack(
         [np.repeat(trained, samples, axis=0), np.tile(data, (rows, 1))]
     )
 
 
-class TestForGridSweep:
-    def test_single_row_tiles_with_shared_prefix(self):
-        plan = TilePlan.for_grid_sweep(8, 16, 4, 64)
-        assert plan.shared_prefix is True
-        assert plan.row_tile == 1
-        assert plan.sample_tile == 16  # budget holds 16 elements
-        assert plan.max_amplitudes == 64
+class SpanPlan(TilePlan):
+    """A grid plan with hand-picked contiguous tiles (any start and stop)."""
 
-    def test_sample_tile_clamped_by_budget(self):
-        plan = TilePlan.for_grid_sweep(4, 100, 4, 64)
-        assert plan.sample_tile == 16
-        assert plan.num_tiles == 4 * 7  # ceil(100 / 16) tiles per row
+    spans = ()
 
-    def test_budget_below_one_element_still_progresses(self):
-        plan = TilePlan.for_grid_sweep(2, 3, 16, 8)
-        assert plan.sample_tile == 1
-
-    def test_default_plans_do_not_claim_sharing(self):
-        assert TilePlan.for_circuit_sweep(4, 4, 4, 64).shared_prefix is False
-        assert TilePlan(rows=2, samples=2, row_tile=1, sample_tile=2).shared_prefix is False
+    def flat_tiles(self):
+        yield from self.spans
 
 
-class TestBroadcastTo:
-    @pytest.mark.parametrize("engine", [StatevectorEngine(), DensitySuperoperatorEngine()])
-    def test_broadcast_equals_evolving_identical_rows(self, engine):
+def span_plan(rows, samples, spans):
+    plan = SpanPlan(rows=rows, samples=samples, row_tile=rows, sample_tile=samples)
+    object.__setattr__(plan, "spans", tuple(spans))
+    return plan
+
+
+def recording(engine):
+    """``engine`` with every dispatched step's batch size recorded."""
+    batches = []
+    apply_step = engine.apply_step
+
+    def record(state, step, plan, matrix):
+        batches.append((step.name, state.batch_size))
+        return apply_step(state, step, plan, matrix)
+
+    engine.apply_step = record
+    return engine, batches
+
+
+ENGINES = [StatevectorEngine, DensitySuperoperatorEngine]
+
+
+def element_amplitudes(engine, program):
+    return (4 if engine.is_noisy else 2) ** program.num_qubits
+
+
+class TestOperandKinds:
+    def test_each_parametric_step_gets_one_kind_per_sweep(self):
+        program = grid_program(late_trained=True)
+        bindings = grid_bindings(program)
+        kinds = [
+            None if operand is None else operand[0]
+            for operand in program._resolve_operands(
+                bindings, range(len(program.steps)), samples=4
+            )
+        ]
+        # h, ry(theta), rz(theta), ry(x), rz(x), rx(theta), cx
+        assert kinds == [None, "rows", "rows", "batched", "batched", "rows", None]
+
+    def test_without_grid_rows_nothing_is_row_constant(self):
         program = grid_program()
-        row = grid_bindings(rows=1, samples=1)[0]
-        single = program.evolve(row[None, :], engine)
-        repeated = program.evolve(np.tile(row, (5, 1)), engine)
-        broadcast = single.broadcast_to(5)
-        np.testing.assert_array_equal(
-            broadcast.probabilities(), repeated.probabilities()
+        bindings = grid_bindings(program)
+        kinds = {
+            operand[0]
+            for operand in program._resolve_operands(bindings, range(len(program.steps)))
+            if operand is not None
+        }
+        assert kinds == {"batched"}
+
+    def test_a_column_equal_everywhere_is_shared(self):
+        program = grid_program()
+        bindings = grid_bindings(program, rows=1)
+        operands = program._resolve_operands(bindings, range(len(program.steps)), samples=4)
+        assert operands[1][0] == "shared"
+        assert operands[1][1].shape == (2, 2)
+
+
+class TestTileRows:
+    @pytest.mark.parametrize(
+        "start,stop,firsts,counts",
+        [
+            (0, 12, [0, 4, 8], [4, 4, 4]),  # whole rows
+            (4, 8, [4], [4]),  # one whole row
+            (5, 7, [5], [2]),  # inside one row
+            (3, 9, [3, 4, 8], [1, 4, 1]),  # starts and ends mid-row
+            (11, 12, [11], [1]),
+        ],
+    )
+    def test_firsts_and_counts(self, start, stop, firsts, counts):
+        plan = TilePlan(rows=3, samples=4, row_tile=3, sample_tile=4)
+        got_firsts, got_counts = plan.tile_rows(start, stop)
+        assert got_firsts.tolist() == firsts
+        assert got_counts.tolist() == counts
+
+    def test_grid_sweep_is_the_circuit_sweep_plan(self):
+        assert TilePlan.for_grid_sweep(8, 16, 4, 512) == TilePlan.for_circuit_sweep(
+            8, 16, 4, 512
         )
+        plan = TilePlan.for_grid_sweep(8, 16, 4, 512)
+        assert (plan.row_tile, plan.sample_tile) == (8, 16)  # one whole-grid tile
 
-    def test_broadcast_requires_singleton_batch(self):
+
+class TestRepeat:
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_repeat_equals_evolving_the_copies(self, engine_cls):
         program = grid_program()
-        state = program.evolve(grid_bindings(rows=1, samples=2), StatevectorEngine())
-        with pytest.raises(SimulationError):
-            state.broadcast_to(3)
-
-    def test_broadcast_size_must_be_positive(self):
-        program = grid_program()
-        state = program.evolve(grid_bindings(rows=1, samples=1), StatevectorEngine())
-        with pytest.raises(SimulationError):
-            state.broadcast_to(0)
+        rows = grid_bindings(program, rows=2, samples=1)
+        counts = [3, 2]
+        single = program.evolve(rows, engine_cls())
+        copies = program.evolve(np.repeat(rows, counts, axis=0), engine_cls())
+        repeated = single.repeat(counts)
+        assert repeated.batch_size == 5
+        np.testing.assert_array_equal(repeated.probabilities(), copies.probabilities())
 
 
-class TestSharedPrefixExecution:
-    @pytest.mark.parametrize("engine", [StatevectorEngine(), DensitySuperoperatorEngine()])
-    @pytest.mark.parametrize("sample_budget", [1, 2, 4])
-    def test_shared_execution_is_bit_identical_to_plain_tiling(
-        self, engine, sample_budget
+class TestRowPrefixExecution:
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    @pytest.mark.parametrize(
+        "tile_elements,tiles",
+        [
+            (12, [(0, 12)]),  # one whole-grid tile: 3 rows
+            (8, [(0, 8), (8, 12)]),  # two rows, then one
+            (3, [(0, 3), (3, 4), (4, 7), (7, 8), (8, 11), (11, 12)]),  # split rows
+        ],
+    )
+    def test_derived_plans_are_bit_identical_to_per_element(
+        self, engine_cls, tile_elements, tiles
     ):
         program = grid_program()
-        bindings = grid_bindings(rows=3, samples=4)
-        element = 2**program.num_qubits
-        shared_plan = TilePlan.for_grid_sweep(3, 4, element, element * sample_budget)
-        plain = program.execute(bindings, engine)
-        shared = program.execute(bindings, engine, tile_plan=shared_plan)
-        np.testing.assert_array_equal(shared, plain)
-
-    def test_prefix_certification_runs_for_every_shared_tile(self, monkeypatch):
-        import repro.analysis.equiv as equiv
-
-        calls = []
-        real = equiv.verify_shared_prefix
-
-        def counting(program, bindings, prefix_steps):
-            calls.append(prefix_steps)
-            return real(program, bindings, prefix_steps)
-
-        monkeypatch.setattr(equiv, "verify_shared_prefix", counting)
-        program = grid_program()
-        bindings = grid_bindings(rows=3, samples=4)
-        element = 2**program.num_qubits
-        plan = TilePlan.for_grid_sweep(3, 4, element, element * 4)
-        program.execute(bindings, StatevectorEngine(), tile_plan=plan)
-        # One certified claim per multi-element tile (3 rows = 3 tiles),
-        # each covering the fixed h + the two trained steps.
-        assert calls == [3, 3, 3]
-
-    def test_illegal_claim_raises_simulation_error(self, monkeypatch):
-        import repro.analysis.equiv as equiv
-
-        real = equiv.verify_shared_prefix
-
-        def sabotaged(program, bindings, prefix_steps):
-            return real(program, bindings, len(program.steps) + 1)
-
-        monkeypatch.setattr(equiv, "verify_shared_prefix", sabotaged)
-        program = grid_program()
-        bindings = grid_bindings(rows=2, samples=3)
-        element = 2**program.num_qubits
-        plan = TilePlan.for_grid_sweep(2, 3, element, element * 3)
-        with pytest.raises(SimulationError, match="shared-prefix tile execution"):
-            program.execute(bindings, StatevectorEngine(), tile_plan=plan)
-
-    def test_row_varying_tile_falls_back_to_full_evolution(self):
-        """A tile spanning rows shares only the fixed prefix — still exact."""
-        program = grid_program()
-        bindings = grid_bindings(rows=3, samples=2)
-        element = 2**program.num_qubits
-        # Hand-built shared-prefix plan whose tiles span parameter rows.
-        plan = TilePlan(
-            rows=3,
-            samples=2,
-            row_tile=3,
-            sample_tile=2,
-            max_amplitudes=element * 6,
-            shared_prefix=True,
+        bindings = grid_bindings(program)
+        element = element_amplitudes(engine_cls, program)
+        plan = TilePlan.for_circuit_sweep(3, 4, element, tile_elements * element)
+        assert list(plan.flat_tiles()) == tiles
+        plain = program.execute(bindings, engine_cls())
+        np.testing.assert_array_equal(
+            program.execute(bindings, engine_cls(), tile_plan=plan), plain
         )
-        plain = program.execute(bindings, StatevectorEngine())
-        shared = program.execute(bindings, StatevectorEngine(), tile_plan=plan)
-        np.testing.assert_array_equal(shared, plain)
+
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_tiles_starting_and_ending_mid_row(self, engine_cls):
+        program = grid_program()
+        bindings = grid_bindings(program)
+        plan = span_plan(3, 4, [(0, 3), (3, 9), (9, 12)])
+        engine, batches = recording(engine_cls())
+        got = program.execute(bindings, engine, tile_plan=plan)
+        np.testing.assert_array_equal(got, program.execute(bindings, engine_cls()))
+        # Tile [3, 9) touches rows 0, 1 and 2: its prefix (h, ry, rz) runs
+        # at batch 3, the data steps at its 6 elements.
+        per_tile = len(batches) // 3
+        middle = [batch for _, batch in batches[per_tile : 2 * per_tile]]
+        assert middle == [3] * 3 + [6] * (per_tile - 3)
+
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_row_constant_step_after_a_per_element_step_stays_per_element(
+        self, engine_cls
+    ):
+        program = grid_program(late_trained=True)
+        bindings = grid_bindings(program)
+        element = element_amplitudes(engine_cls, program)
+        plan = TilePlan.for_circuit_sweep(3, 4, element, 12 * element)
+        engine, batches = recording(engine_cls())
+        got = program.execute(bindings, engine, tile_plan=plan)
+        np.testing.assert_array_equal(got, program.execute(bindings, engine_cls()))
+        # h, ry(theta), rz(theta) once per row; ry(x), rz(x) and the
+        # row-constant rx(theta) after them per element.
+        assert [batch for _, batch in batches[:6]] == [3, 3, 3, 12, 12, 12]
+        assert batches[5][0] == "rx"
+
+    def test_identical_rows_make_the_whole_program_prefix(self):
+        program = grid_program()
+        bindings = np.tile(grid_bindings(program, rows=1, samples=1), (12, 1))
+        element = element_amplitudes(StatevectorEngine, program)
+        plan = TilePlan.for_circuit_sweep(3, 4, element, 12 * element)
+        engine, batches = recording(StatevectorEngine())
+        got = program.execute(bindings, engine, tile_plan=plan)
+        np.testing.assert_array_equal(got, program.execute(bindings, StatevectorEngine()))
+        assert {batch for _, batch in batches} == {3}
+
+    def test_execution_runs_no_prefix_certificate(self, monkeypatch):
+        import repro.analysis.equiv as equiv
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the executor consulted a prefix certificate")
+
+        monkeypatch.setattr(equiv, "shared_prefix_length", refuse)
+        monkeypatch.setattr(equiv, "verify_shared_prefix", refuse)
+        program = grid_program()
+        element = element_amplitudes(StatevectorEngine, program)
+        plan = TilePlan.for_circuit_sweep(3, 4, element, 12 * element)
+        program.execute(grid_bindings(program), StatevectorEngine(), tile_plan=plan)

@@ -72,10 +72,26 @@ class TestTilePlan:
         covered = [i for start, stop in tiles for i in range(start, stop)]
         assert covered == list(range(20))
 
-    def test_circuit_sweep_tiny_budget_degrades_to_single_elements(self):
-        plan = TilePlan.for_circuit_sweep(3, 2, element_amplitudes=8, max_amplitudes=1)
+    def test_circuit_sweep_budget_below_one_element_raises(self):
+        with pytest.raises(SimulationError) as error:
+            TilePlan.for_circuit_sweep(3, 2, element_amplitudes=8, max_amplitudes=1)
+        assert str(error.value) == (
+            "amplitude budget 1 cannot hold the smallest tile, 1 state(s) of 8 "
+            "amplitudes; raise max_amplitudes to at least 8"
+        )
+        plan = TilePlan.for_circuit_sweep(3, 2, element_amplitudes=8, max_amplitudes=8)
         assert plan.tile_elements == 1
         assert len(list(plan.flat_tiles())) == 6
+
+    def test_state_overlap_budget_below_a_row_and_a_sample_state_raises(self):
+        with pytest.raises(SimulationError) as error:
+            TilePlan.for_state_overlap(3, 2, state_amplitudes=4, max_amplitudes=7)
+        assert str(error.value) == (
+            "amplitude budget 7 cannot hold the smallest tile, 2 state(s) of 4 "
+            "amplitudes; raise max_amplitudes to at least 8"
+        )
+        plan = TilePlan.for_state_overlap(3, 2, state_amplitudes=4, max_amplitudes=8)
+        assert (plan.row_tile, plan.sample_tile) == (1, 1)
 
     def test_state_overlap_budgets_both_operands(self):
         plan = TilePlan.for_state_overlap(100, 50, state_amplitudes=4, max_amplitudes=80)

@@ -4,8 +4,8 @@
 runs fail-closed (``diagnostics``, ``verify``, ``equiv``; ``cost`` is
 available but unused at run time) and the developer tooling (linter,
 report, CLI).  A fresh interpreter imports the runtime
-packages, runs a sampled SWAP-test grid sweep that shares its trained-state
-prefix and a noisy sweep whose density schedule composes a run of fixed
+packages, runs a sampled SWAP-test grid sweep whose kernel-class plans are
+certified and a noisy sweep whose density schedule composes a run of fixed
 steps, and must end with nothing but the certificate modules of
 ``repro.analysis`` loaded.
 """
@@ -39,8 +39,9 @@ from repro.quantum.simulator import DensityMatrixSimulator
 
 rng = np.random.default_rng(7)
 
-# A sampled grid sweep: 2 trained-parameter rows x 3 samples, so every
-# row tile shares its trained-state prefix (certified by VER403).
+# A sampled grid sweep: 2 trained-parameter rows x 3 samples in one tile
+# whose trained-state prefix evolves once per row; its statevector
+# kernel-class plans are certified (VER405).
 builder = QuClassi(num_features=4, num_classes=2, architecture="s", seed=0).builder
 estimator = SwapTestFidelityEstimator(
     builder, backend=SampledBackend(shots=64, seed=1), shots=64
@@ -50,7 +51,7 @@ fidelities = estimator.fidelity_matrix(
     rng.uniform(0.05, 0.95, (3, 4)),
 )
 assert fidelities.shape == (2, 3)
-prefix_certified = "repro.analysis.equiv" in sys.modules
+kernels_certified = "repro.analysis.equiv" in sys.modules
 
 # A noisy sweep on the emulated ibmq_london whose schedule folds t(0) and
 # cx(1, 0) into the cx(0, 1) before them.
@@ -67,7 +68,7 @@ readout = simulator.run_sweep_program(
 assert len(readout.counts) == 4
 
 print(json.dumps({
-    "prefix_certified": prefix_certified,
+    "kernels_certified": kernels_certified,
     "composed": None in simulator._program_engine().step_plans(program),
     "analysis_modules": sorted(
         name for name in sys.modules if name.startswith("repro.analysis")
@@ -89,7 +90,7 @@ def test_runtime_loads_only_the_certificate_modules():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     # Both sweeps really took the certified routes.
-    assert result["prefix_certified"]
+    assert result["kernels_certified"]
     assert result["composed"]
     assert result["analysis_modules"] == [
         "repro.analysis",
