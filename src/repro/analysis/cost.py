@@ -22,10 +22,12 @@ computes what one tiled execution *will* allocate and contract —
   measurement observable, and the prefix schedule's transpose copies;
 * the bytes each step moves over the sweep (its matmul reads and writes
   every element's state, and so does its transpose) and the readout's;
-* of those the dense contractions: every matmul on a density engine, and
-  on a statevector engine only the steps whose kernel class
-  (:mod:`repro.quantum.kernels`) is dense or controlled — permutation and
-  diagonal steps contract nothing.
+* of those the einsum and matmul calls: every density contraction is a
+  matmul; on a statevector engine a dense step wider than one qubit is one
+  einsum, a one-qubit dense or controlled step is one matmul when its 2x2
+  update variant (:func:`repro.quantum.kernels.update_variant`, the
+  kernels' own rule) is a matmul and none when it is the axpy, and
+  permutation and diagonal steps contract nothing.
 
 and verifies the prediction against the plan's declared
 ``max_amplitudes`` budget (the ``max_batch_amplitudes`` knob of the
@@ -68,7 +70,8 @@ COST_CODES = {
 #: ``set_precision("single")`` run is budgeted at 8 bytes per amplitude.
 BYTES_PER_AMPLITUDE = 16
 #: Live amplitude arrays per per-element step: the tile's state and the
-#: kernel's (or matmul's) output.  The executor frees each tile before it
+#: kernel's output (the einsum's or matmul's, or the 2x2 axpy's two
+#: half-state products).  The executor frees each tile before it
 #: allocates the next, so no earlier tile adds to the peak; measured
 #: against tracemalloc in ``tests/analysis/test_cost_model.py``.
 EINSUM_LIVE_ARRAYS = 2
@@ -112,9 +115,13 @@ class CostReport:
     #: Of which precomposed superoperator matmuls (every density-engine
     #: contraction; 0 otherwise).
     superoperator_contractions: int
-    #: Of which dense einsum contractions: every step on a density engine;
-    #: on a statevector engine the dense and controlled kernel-class steps.
-    dense_contractions: int
+    #: ``repro.arrays.einsum`` calls of the step kernels: the statevector
+    #: dense steps wider than one qubit (0 on a density engine).
+    einsum_contractions: int
+    #: ``repro.arrays.matmul`` calls of the step kernels: every density
+    #: contraction; on a statevector engine the 2x2 updates whose variant
+    #: is a matmul.
+    matmul_contractions: int
     #: The plan's declared budget (``None`` when undeclared).
     max_amplitudes: Optional[int]
     #: Leading steps evolved once per grid row of each tile and then
@@ -235,18 +242,35 @@ def estimate_cost(
             entry.transpose is not None for entry in entries[:stop]
         )
         readout_matmuls = 0 if split is None else 1
-        contractions = dense_contractions = num_tiles * (sum(dispatched) + readout_matmuls)
+        contractions = matmul_contractions = num_tiles * (
+            sum(dispatched) + readout_matmuls
+        )
+        einsum_contractions = 0
         readout_bytes_moved += (
             num_tiles * readout_matmuls * 2 ** len(program.measured_qubits) * state_bytes
         )
     else:
-        from repro.quantum.kernels import CONTROLLED, DENSE, classify_step
+        from repro.quantum.kernels import (
+            DENSE,
+            MATMUL_LEFT,
+            MATMUL_RIGHT,
+            classify_step,
+            update_variant,
+        )
 
         dispatched = moves = [1] * len(program.steps)
         transposes = 0
         contractions = num_tiles * len(program.steps)
-        dense_contractions = num_tiles * sum(
-            classify_step(step) in (DENSE, CONTROLLED) for step in program.steps
+        kinds = [classify_step(step) for step in program.steps]
+        variants = [
+            update_variant(kind, step.qubits, program.num_qubits)
+            for kind, step in zip(kinds, program.steps)
+        ]
+        einsum_contractions = num_tiles * sum(
+            kind == DENSE and variant is None for kind, variant in zip(kinds, variants)
+        )
+        matmul_contractions = num_tiles * sum(
+            variant in (MATMUL_LEFT, MATMUL_RIGHT) for variant in variants
         )
     # A prefix step evolves one element per grid row of each tile, every
     # other dispatched step every element.
@@ -283,7 +307,8 @@ def estimate_cost(
         peak_bytes=peak_bytes,
         contractions=contractions,
         superoperator_contractions=contractions if engine == "density" else 0,
-        dense_contractions=dense_contractions,
+        einsum_contractions=einsum_contractions,
+        matmul_contractions=matmul_contractions,
         max_amplitudes=plan.max_amplitudes,
         shared_prefix_steps=shared_prefix_steps,
         element_contractions=element_contractions,

@@ -16,7 +16,8 @@ code   contract
 VER403 a claimed shared trained-state prefix only covers steps whose bind
        columns are constant across every shift row of the bindings
 VER405 a statevector kernel-class plan reproduces its step's matrix on the
-       basis states of a register of the step's width (exactly for
+       basis states of a register of the step's qubits plus one spectator
+       per run of untouched qubits of its real placement (exactly for
        permutations, within ``state_atol`` otherwise)
 VER406 the density engine's layout-scheduled evolution of a program, with
        its runs of fixed steps composed, equals the per-state
@@ -42,7 +43,7 @@ outputs, and ``--select`` like every other family.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -201,30 +202,54 @@ def verify_shared_prefix(
 # --------------------------------------------------------------------------- #
 
 #: Kernel-class certificate outcomes, keyed by everything the outcome
-#: depends on — kind, gate name, qubit ranks, precision and the matrix
-#: bytes.  Programs are rebuilt per model with the same steps, so a
-#: memoised certificate spares re-deriving an identical witness.
+#: depends on — kind, gate name, the certificate register's placement,
+#: update variant, precision and the matrix bytes.  Programs are rebuilt
+#: per model with the same steps, so a memoised certificate spares
+#: re-deriving an identical witness.
 _KERNEL_CERTIFICATES = LRUCache(max_entries=1024)
 
 
+def certificate_placement(
+    qubits: Sequence[int], num_qubits: int
+) -> Tuple[Tuple[int, ...], int]:
+    """``qubits`` on the smallest register that keeps their kernel layout.
+
+    The step's qubits keep their order, and each run of untouched qubits of
+    the real ``num_qubits`` register — above, between or below them —
+    becomes one spectator qubit.  The kernel built there has the real
+    placement's axis structure, so it runs the same 2x2 update variant
+    (:func:`repro.quantum.kernels.update_variant`).  Returns the relabelled
+    qubits and the register width.
+    """
+    local: Dict[int, int] = {}
+    width = 0
+    previous = -1
+    for qubit in sorted(qubits):
+        width += qubit - previous > 1
+        local[qubit] = width
+        width += 1
+        previous = qubit
+    width += previous < num_qubits - 1
+    return tuple(local[qubit] for qubit in qubits), width
+
+
 def _kernel_class_mismatch(
-    kind: str, name: str, ranks: Tuple[int, ...], matrix: np.ndarray
+    kind: str, name: str, qubits: Tuple[int, ...], width: int, matrix: np.ndarray
 ) -> str:
-    """Why the ``kind`` kernel fails ``matrix`` on qubits ``ranks`` ("" if not)."""
+    """Why the ``kind`` kernel fails ``matrix`` on ``qubits`` of ``width`` ("" if not)."""
     from repro import arrays
     from repro.quantum import kernels
     from repro.quantum.batched import BatchedStatevector
     from repro.quantum.program import GateStep
 
-    k = len(ranks)
-    local = GateStep(name=name, qubits=ranks, slots=(), matrix=matrix)
-    expected = lift_unitary_kron(matrix, ranks, range(k))
+    local = GateStep(name=name, qubits=qubits, slots=(), matrix=matrix)
+    expected = lift_unitary_kron(matrix, qubits, range(width))
     try:
-        kernel = kernels.build_kernel(kind, local, k)
+        kernel = kernels.build_kernel(kind, local, width)
     except SimulationError as exc:
         return f"the {kind} kernel cannot be built for this step: {exc}"
-    for operand in (matrix, np.broadcast_to(matrix, (2**k,) + matrix.shape)):
-        state = BatchedStatevector.from_amplitudes(np.eye(2**k))
+    for operand in (matrix, np.broadcast_to(matrix, (2**width,) + matrix.shape)):
+        state = BatchedStatevector.from_amplitudes(np.eye(2**width))
         kernel.apply(state, operand)
         actual = state.amplitudes.T
         if kind == kernels.PERMUTATION:
@@ -243,30 +268,39 @@ def verify_kernel_plan(
     step: "GateStep",
     kind: str,
     *,
+    num_qubits: Optional[int] = None,
     program_name: str = "program",
     index: Optional[int] = None,
 ) -> List[Diagnostic]:
     """VER405 — the ``kind`` kernel-class plan reproduces its step's matrix.
 
     Builds the ``kind`` kernel (:mod:`repro.quantum.kernels`) for the step
-    moved onto a register of the step's own width (qubits relabelled by
-    rank, so their order — a reversed pair, a control above its target — is
-    kept), applies it to every basis state, with the matrix both shared and
-    per element, and compares the columns against the independent kron lift
-    of the step's matrix.  Parametric steps are checked at the kernels'
-    probe angles.  Permutation plans must match exactly; the other classes
-    within :func:`repro.arrays.state_atol`.  A kernel that cannot be built
-    for the step is a finding too.
+    moved onto a small register (:func:`certificate_placement`): the step's
+    qubits in their order — a reversed pair, a control above its target —
+    plus one spectator qubit for each run of untouched qubits the real
+    ``num_qubits`` register has (by default the smallest register holding
+    the step).  The certificate thereby runs the 2x2 update variant the
+    real plan runs.  It applies the kernel to every basis state, with the
+    matrix both shared and per element, and compares the columns against
+    the independent kron lift of the step's matrix.  Parametric steps are
+    checked at the kernels' probe angles.  Permutation plans must match
+    exactly; the other classes within :func:`repro.arrays.state_atol`.  A
+    kernel that cannot be built for the step is a finding too.
     """
     from repro import arrays
     from repro.quantum import kernels
 
-    ranks = tuple(sorted(step.qubits).index(qubit) for qubit in step.qubits)
+    if num_qubits is None:
+        num_qubits = max(step.qubits) + 1
+    qubits, width = certificate_placement(step.qubits, num_qubits)
+    variant = kernels.update_variant(kind, step.qubits, num_qubits)
     matrix = np.asarray(kernels.representative_matrix(step))
-    key = (kind, step.name, ranks, arrays.get_precision(), matrix.tobytes())
+    key = (
+        kind, step.name, qubits, width, variant, arrays.get_precision(), matrix.tobytes()
+    )
     reason = _KERNEL_CERTIFICATES.get(key)
     if reason is None:
-        reason = _kernel_class_mismatch(kind, step.name, ranks, matrix)
+        reason = _kernel_class_mismatch(kind, step.name, qubits, width, matrix)
         _KERNEL_CERTIFICATES.put(key, reason)
     if not reason:
         return []
@@ -469,7 +503,11 @@ def verify_reference_equivalence() -> List[Diagnostic]:
         for index, step in enumerate(grid.steps):
             out.extend(
                 verify_kernel_plan(
-                    step, classify_step(step), program_name=grid.name, index=index
+                    step,
+                    classify_step(step),
+                    num_qubits=grid.num_qubits,
+                    program_name=grid.name,
+                    index=index,
                 )
             )
         prefix = shared_prefix_length(grid, tile)

@@ -888,7 +888,13 @@ class StatevectorEngine:
         diagnostics = []
         for index, (step, kind) in enumerate(zip(program.steps, kinds)):
             diagnostics.extend(
-                verify_kernel_plan(step, kind, program_name=program.name, index=index)
+                verify_kernel_plan(
+                    step,
+                    kind,
+                    num_qubits=program.num_qubits,
+                    program_name=program.name,
+                    index=index,
+                )
             )
         assert_clean(diagnostics, context=f"{program.name}: kernel-class plans")
         plans = tuple(

@@ -24,6 +24,7 @@ from repro.analysis.cost import (
 from repro.analysis.diagnostics import Severity
 from repro.analysis.equiv import shared_prefix_length
 from repro.core.model import QuClassi
+from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.program import StatevectorEngine, SweepProgram, TilePlan
 from repro.utils.rng import ensure_rng
 
@@ -182,9 +183,12 @@ class TestEstimateCost:
         with pytest.raises(ValueError):
             estimate_cost(program, plan, shared_prefix_steps=len(program.steps) + 1)
 
-    @pytest.mark.parametrize("architecture", ["s", "d", "e"])
-    def test_dense_contractions_predict_the_einsum_calls(self, architecture, monkeypatch):
+    @pytest.mark.parametrize("architecture", ["s", "d", "e", "sde"])
+    def test_predicted_einsum_and_matmul_calls_equal_the_traced_calls(
+        self, architecture, monkeypatch
+    ):
         from repro import arrays
+        from repro.quantum import kernels
 
         rng = ensure_rng(5)
         builder = QuClassi(
@@ -203,18 +207,44 @@ class TestEstimateCost:
             rng.uniform(0.05, 0.95, size=(samples, 4)),
         )
         engine = StatevectorEngine()
-        engine.step_plans(program)  # certify the plans before counting
-        calls = []
-        einsum = arrays.einsum
-        monkeypatch.setattr(
-            arrays, "einsum", lambda *args, **kw: calls.append(1) or einsum(*args, **kw)
-        )
+        plans = engine.step_plans(program)  # certify the plans before counting
+        calls = {"einsum": 0, "matmul": 0}
+
+        def counting(name):
+            original = getattr(arrays, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(arrays, name, counting(name))
         program.execute(bindings, engine, tile_plan=plan)
         report = estimate_cost(program, plan)
-        assert report.dense_contractions == len(calls)
-        assert 0 < report.dense_contractions < report.contractions
+        assert report.einsum_contractions == calls["einsum"]
+        assert report.matmul_contractions == calls["matmul"]
+        assert 0 < report.matmul_contractions < report.contractions
+        # Interior one-qubit dense steps run the axpy: no contraction call.
+        variants = {getattr(getattr(p, "update", None), "variant", None) for p in plans}
+        assert kernels.AXPY in variants
         density = estimate_cost(program, plan, engine="density")
-        assert density.dense_contractions == density.contractions
+        assert density.matmul_contractions == density.contractions
+        assert density.einsum_contractions == 0
+
+    def test_wide_dense_steps_are_einsum_calls(self):
+        circuit = QuantumCircuit(4)
+        for qubit in range(4):
+            circuit.h(qubit)
+        circuit.rxx(0.4, 1, 2)
+        circuit.cry(0.3, 0, 3)
+        program = SweepProgram.compile(circuit, bind_floats=True)
+        plan = TilePlan.for_circuit_sweep(1, 3, 16, 64)
+        report = estimate_cost(program, plan)
+        # h(0): left matmul, h(1), h(2): axpy, h(3): right matmul; rxx: the
+        # einsum; cry on (0, 3): the right matmul of the control=1 half.
+        assert (report.einsum_contractions, report.matmul_contractions) == (1, 3)
 
 
 class TestDensityScheduleCount:
@@ -252,6 +282,7 @@ class TestDensityScheduleCount:
         # Steps 0-8 are dispatched; the fixed tail 9-67 is one readout matmul.
         assert len(calls) == 9
         assert report.contractions == report.superoperator_contractions == len(matmuls) == 10
+        assert report.matmul_contractions == 10
         assert report.transposes == sum(transposes) == 5
 
     def test_every_tile_pays_the_schedule(self, london_template):
