@@ -273,7 +273,7 @@ def run_schedule_benchmark():
         "transposes": sum(entry.transpose is not None for entry in entries),
         "folded_steps": sum(plan is None for plan in plans),
         "engine_dispatched_steps": sum(plan is not None for plan in plans),
-        "split": engine.readout_plan(program, plans).split,
+        "split": engine.readout_plan(program).split,
         "per_tile_matmuls": int(cost.contractions),
         "per_tile_transposes": int(cost.transposes),
     }

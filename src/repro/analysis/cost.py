@@ -27,7 +27,13 @@ computes what one tiled execution *will* allocate and contract —
   einsum, a one-qubit dense or controlled step is one matmul when its 2x2
   update variant (:func:`repro.quantum.kernels.update_variant`, the
   kernels' own rule) is a matmul and none when it is the axpy, and
-  permutation and diagonal steps contract nothing.
+  permutation and diagonal steps contract nothing;
+* for a SWAP test on a statevector engine, which reads out as a register
+  overlap (:meth:`~repro.quantum.program.StatevectorEngine.readout_plan`,
+  the engine's own rule), the same accounts over the two register
+  sub-programs alone, at the register's width and placement: no full
+  ``2**n`` state is built, and a tile holds both registers of each
+  element plus register A's grid rows.
 
 and verifies the prediction against the plan's declared
 ``max_amplitudes`` budget (the ``max_batch_amplitudes`` knob of the
@@ -100,7 +106,9 @@ class CostReport:
     num_tiles: int
     #: Elements resident in the largest tile's working set.
     tile_elements: int
-    #: Amplitudes of the largest tile's working set (the budgeted quantity).
+    #: Amplitudes of the largest tile's working set: ``tile_elements *
+    #: element_amplitudes``, or for an overlap readout both registers of
+    #: every element plus register A's grid rows.
     peak_amplitudes: int
     #: Bytes per amplitude at the precision configured when the report was
     #: built (16 under double, 8 under single — see ``repro.arrays``).
@@ -108,9 +116,10 @@ class CostReport:
     #: Predicted peak resident bytes of one execution (see module docstring).
     peak_bytes: int
     #: Step applications over the whole sweep: ``num_tiles`` times the
-    #: dispatched steps (every step on a statevector engine; on a density
-    #: engine the composed schedule's matmuls before the readout split,
-    #: plus the one observable readout matmul).
+    #: dispatched steps (every step on a statevector engine, or the
+    #: register steps of an overlap readout; on a density engine the
+    #: composed schedule's matmuls before the readout split, plus the one
+    #: observable readout matmul).
     contractions: int
     #: Of which precomposed superoperator matmuls (every density-engine
     #: contraction; 0 otherwise).
@@ -193,7 +202,9 @@ def estimate_cost(
     row's bindings); in the ``element_contractions`` account those steps
     cost one element per row of each tile
     (:meth:`~repro.quantum.program.TilePlan.tile_rows`) instead of one per
-    grid element.
+    grid element.  The readout mode is read off the program: a SWAP test
+    on the statevector engine is charged its register sub-programs'
+    steps only (see the module docstring).
     """
     if engine not in _ENGINE_KINDS:
         raise ValueError(f"engine must be one of {_ENGINE_KINDS}, got {engine!r}")
@@ -220,13 +231,43 @@ def estimate_cost(
     )
     bindings_bytes = sweep_elements * program.num_columns * 8
     readout_bytes = sweep_elements * (2 ** len(program.measured_qubits)) * 8
-    peak_bytes = (
-        EINSUM_LIVE_ARRAYS * peak_amplitudes * bytes_per_amplitude
-        + bindings_bytes
-        + readout_bytes
-    )
     state_bytes = element_amplitudes * bytes_per_amplitude
     readout_bytes_moved = sweep_elements * state_bytes
+    # A prefix step evolves one element per grid row of each tile, every
+    # other dispatched step every element.
+    prefix_elements = num_tiles
+    registers = None
+    if mode == "circuit_sweep":
+        tile_rows = [
+            len(plan.tile_rows(start, stop)[0]) for start, stop in plan.flat_tiles()
+        ]
+        prefix_elements = sum(tile_rows)
+        if engine == "statevector":
+            from repro.quantum.program import StatevectorEngine
+
+            registers = StatevectorEngine().readout_plan(program).registers
+    # Each step's qubits on the ``width``-qubit state it is dispatched to,
+    # or ``None`` for a step no tile dispatches.
+    if registers is not None:
+        # Overlap readout: only the two register sub-programs' steps run,
+        # each on its ``2**k``-amplitude register; every tile holds both
+        # registers of every element plus register A's grid rows, and the
+        # readout reads both registers once.
+        width = len(registers[0].qubits)
+        placements: List[Optional[Tuple[int, ...]]] = [None] * len(program.steps)
+        for register in registers:
+            for index, step in zip(register.steps, register.program.steps):
+                placements[index] = step.qubits
+        state_bytes = 2**width * bytes_per_amplitude
+        peak_amplitudes = (2 * tile_elements + max(tile_rows, default=0)) * 2**width
+        # Register B's kernel output is live beside both registers.
+        live_amplitudes = peak_amplitudes + tile_elements * 2**width
+        readout_bytes_moved = sweep_elements * 2 * state_bytes
+    else:
+        width = program.num_qubits
+        placements = [step.qubits for step in program.steps]
+        live_amplitudes = EINSUM_LIVE_ARRAYS * peak_amplitudes
+    peak_bytes = live_amplitudes * bytes_per_amplitude + bindings_bytes + readout_bytes
     if engine == "density":
         from repro.quantum.program import density_readout_split, density_schedule
 
@@ -258,26 +299,22 @@ def estimate_cost(
             update_variant,
         )
 
-        dispatched = moves = [1] * len(program.steps)
+        dispatched = moves = [int(qubits is not None) for qubits in placements]
         transposes = 0
-        contractions = num_tiles * len(program.steps)
-        kinds = [classify_step(step) for step in program.steps]
+        contractions = num_tiles * sum(dispatched)
+        kinds = [
+            classify_step(step) if qubits is not None else None
+            for step, qubits in zip(program.steps, placements)
+        ]
         variants = [
-            update_variant(kind, step.qubits, program.num_qubits)
-            for kind, step in zip(kinds, program.steps)
+            update_variant(kind, qubits, width) if qubits is not None else None
+            for kind, qubits in zip(kinds, placements)
         ]
         einsum_contractions = num_tiles * sum(
             kind == DENSE and variant is None for kind, variant in zip(kinds, variants)
         )
         matmul_contractions = num_tiles * sum(
             variant in (MATMUL_LEFT, MATMUL_RIGHT) for variant in variants
-        )
-    # A prefix step evolves one element per grid row of each tile, every
-    # other dispatched step every element.
-    prefix_elements = num_tiles
-    if mode == "circuit_sweep":
-        prefix_elements = sum(
-            len(plan.tile_rows(start, stop)[0]) for start, stop in plan.flat_tiles()
         )
     step_elements = [
         prefix_elements if index < shared_prefix_steps else sweep_elements

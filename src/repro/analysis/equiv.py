@@ -4,8 +4,8 @@ A runtime certificate module of :mod:`repro.analysis`, beside the IR and
 cost verifiers.  Where the IR verifier checks one compiled
 :class:`~repro.quantum.program.SweepProgram` against its *own* invariants,
 this family checks that what the engines actually run — a kernel-class
-plan, a composed density schedule, an observable readout — computes what
-the program says, each through an independent code path.  VER403 checks
+plan, a composed density schedule, an observable or overlap readout —
+computes what the program says, each through an independent code path.  VER403 checks
 the reference programs' trained-state prefix; it has no runtime gate, since
 the grid executor decides its row-constant prefix from the very bindings it
 evolves.
@@ -28,13 +28,19 @@ VER407 the density engine's readout — the prefix evolved to the readout
        the per-state evolution of the whole program, its diagonal
        marginalised onto the measured qubits and convolved with the
        readout error (within ``1e-12`` in double precision)
+VER408 the statevector engine's overlap readout of a SWAP test — its two
+       register sub-programs evolved, ``P(ancilla = 0)`` read from their
+       overlap — equals the stepwise evolution of the whole program, its
+       final state marginalised onto the ancilla (within ``1e-12`` in
+       double precision)
 ====== ====================================================================
 
 The engines lift gate blocks with tensor-axis algebra; the certificates
 rebuild every lift from scratch with ``kron`` plus explicit
 qubit-permutation matrices (VER405) or walk full-space
 :class:`~repro.quantum.density_matrix.DensityMatrix` Kraus applications
-(VER406, VER407) — genuinely different code paths, so a bug in either side
+(VER406, VER407) or the whole program's state (VER408) — genuinely
+different code paths, so a bug in either side
 makes the two disagree and the certificate fail.
 
 Findings surface through the shared CLI (``--verify``), its text/JSON
@@ -61,6 +67,7 @@ EQUIV_CODES = {
     "VER405": "kernel-class plan does not reproduce its step's matrix",
     "VER406": "layout-scheduled density evolution differs from the per-state reference",
     "VER407": "observable readout differs from the per-state evolution's marginal",
+    "VER408": "overlap readout differs from the stepwise evolution's marginal",
 }
 
 
@@ -419,7 +426,7 @@ def verify_observable_readout(
 
     atol = max(1e-12, arrays.sweep_atol())
     engine = DensitySuperoperatorEngine(noise_model)
-    readout = engine.readout_plan(program, engine.step_plans(program))
+    readout = engine.readout_plan(program)
     actual = program.execute(bindings, engine)
     matrices = reference_density_matrices(program, bindings, noise_model)
     joint = marginal_probabilities(
@@ -444,13 +451,69 @@ def verify_observable_readout(
     ]
 
 
+def verify_overlap_readout(program: "SweepProgram", bindings) -> List[Diagnostic]:
+    """VER408 — the overlap readout matches the stepwise marginal.
+
+    Reads ``bindings`` out through a fresh
+    :class:`~repro.quantum.program.StatevectorEngine` exactly as a sweep
+    does (:meth:`~repro.quantum.program.SweepProgram.execute`: the two
+    register sub-programs evolved, ``P(ancilla = 0)`` read from their
+    overlap) and compares with the whole program evolved step by step, its
+    final state marginalised onto the measured ancilla, within ``1e-12``
+    in double precision (:func:`repro.arrays.sweep_atol` in single).  A
+    program the engine does not read out as an overlap is a finding: the
+    check is run on programs that must take that route.
+    """
+    from repro import arrays
+    from repro.quantum.program import StatevectorEngine
+
+    obj = f"program '{program.name}' overlap readout"
+    engine = StatevectorEngine()
+    readout = engine.readout_plan(program)
+    if readout.registers is None:
+        return [
+            _diag(
+                "VER408",
+                f"the program does not read out as a register overlap ({readout.reason})",
+                obj=obj,
+                hint="a SWAP-test program ends with one cswap(ancilla, a, b) "
+                "per register pair and a final h on the measured ancilla",
+            )
+        ]
+    atol = max(1e-12, arrays.sweep_atol())
+    actual = program.execute(bindings, engine)
+    expected = program.evolve(bindings, engine).probabilities(program.measured_qubits)
+    error = float(np.max(np.abs(actual - expected)))
+    if error <= atol:
+        return []
+    return [
+        _diag(
+            "VER408",
+            f"overlap readout ({readout.reason}) differs from the stepwise "
+            f"marginal by {error:.3e} (atol {atol:g})",
+            obj=obj,
+            hint="register B's local qubits must follow the cswap pairing, "
+            "and every register step must keep its parent's bind slots",
+        )
+    ]
+
+
 # --------------------------------------------------------------------------- #
 # Figure-suite reference equivalence (the CLI's ``--verify`` entry)
 # --------------------------------------------------------------------------- #
 
 
+#: The grid programs VER408 runs on: Iris QC-S and the 17-qubit MNIST
+#: QC-S and QC-SDE discriminators, as ``(label, features, architecture)``.
+OVERLAP_REFERENCE_PROGRAMS = (
+    ("iris-s", 4, "s"),
+    ("mnist17-s", 16, "s"),
+    ("mnist17-sde", 16, "sde"),
+)
+
+
 def verify_reference_equivalence() -> List[Diagnostic]:
-    """Certify the reference programs' execution plans (VER403/405/406/407).
+    """Certify the reference programs' execution plans (VER403/405/406/407/408).
 
     For each reference workload: a parameter-shift bindings matrix over the
     transpile-template program is checked for shared-prefix legality
@@ -461,9 +524,12 @@ def verify_reference_equivalence() -> List[Diagnostic]:
     program of every reference workload that fits the London chip through
     the density engine's composed layout schedule and checks it against the
     per-state reference, and VER407 checks the same programs' observable
-    readout.
+    readout.  VER408 checks the overlap readout of the
+    :data:`OVERLAP_REFERENCE_PROGRAMS` grid programs over two parameter
+    rows of three samples each.
     """
     from repro.analysis.verify import reference_workloads
+    from repro.core.model import QuClassi
     from repro.hardware.calibration import get_calibration
     from repro.quantum.kernels import classify_step
     from repro.quantum.program import SweepProgram
@@ -554,4 +620,19 @@ def verify_reference_equivalence() -> List[Diagnostic]:
         ):
             out.extend(verify_density_schedule(program, bindings, noise))
             out.extend(verify_observable_readout(program, bindings, noise))
+    for label, num_features, architecture in OVERLAP_REFERENCE_PROGRAMS:
+        builder = QuClassi(
+            num_features=num_features, num_classes=2, architecture=architecture, seed=2022
+        ).builder
+        grid = SweepProgram.compile(
+            builder.symbolic_discriminator(),
+            bind_floats=False,
+            parameters=builder.grid_parameters,
+            name=f"{label}:grid",
+        )
+        bindings = builder.grid_bindings(
+            batch_rng.uniform(0.0, np.pi, size=(2, len(builder.parameters))),
+            batch_rng.uniform(0.05, 0.95, size=(3, num_features)),
+        )
+        out.extend(verify_overlap_readout(grid, bindings))
     return out

@@ -12,6 +12,11 @@ Two estimators implement the same interface:
   This is the path used for the hardware experiments and the shots ablation.
   Angle encoders run a whole parameter-shift sweep as one compiled
   whole-grid program; other encoders run one bound circuit per element.
+  On the statevector backends the discriminator is never evolved whole:
+  the engine reads the ancilla from the overlap of the two registers
+  (:func:`~repro.quantum.program.swap_test_registers`), the same
+  ``|<omega|phi>|^2`` the analytic estimator computes, and samples shots
+  from it.  The tile budget still counts full discriminator states.
 """
 
 from __future__ import annotations

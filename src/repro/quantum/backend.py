@@ -30,6 +30,12 @@ A SWAP-test fidelity reaches a backend by exactly one of two routes:
   execute it on the same program engines as the grid route, so the two
   agree draw for draw where shots are sampled.
 
+On the statevector backends both routes read a SWAP-test discriminator
+out as the overlap of its two registers: the engine evolves each register
+as a sub-program and reads ``P(ancilla = 0) = (1 + |<A|B>|**2) / 2``, never
+the ``2**n`` state (``run`` evolves that state only to return it).  So a
+grid element and ``run`` of one program read out through one routine.
+
 Neither route is its own reference: the per-state classes
 :class:`~repro.quantum.statevector.Statevector` and
 :class:`~repro.quantum.density_matrix.DensityMatrix`, which share no code

@@ -24,6 +24,13 @@ many**:
   single contraction at plan time, and the fixed tail after the last
   parametric step is folded into a measurement observable
   (:class:`ReadoutPlan`), so a tile reads out with one matmul.
+* :class:`StatevectorEngine` reads a SWAP test — ``h`` on the ancilla, two
+  registers that never touch, then one ``cswap(ancilla, a_i, b_i)`` per
+  pair and a final ``h`` — as a register overlap
+  (:func:`swap_test_registers`): each register evolves as its own
+  sub-program and ``P(ancilla = 0) = (1 + |<A|B>|**2) / 2``, so the
+  ``2**n`` discriminator state is never built.  Every other program reads
+  its final state stepwise.
 * :meth:`SweepProgram.execute` streams the sweep through
   :class:`~repro.quantum.batched.BatchedStatevector` /
   :class:`~repro.quantum.batched_density.BatchedDensityMatrix` tile by tile
@@ -43,6 +50,7 @@ execute straight from the cache.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import os
 import threading
@@ -331,7 +339,9 @@ class SweepProgram:
     """Compiled execution plan of one structure-sharing sweep.
 
     Build via :meth:`compile`; execute via :meth:`evolve` (full batch, final
-    states retained) or :meth:`execute` (tiled, read-out probabilities only).
+    states retained), :meth:`execute` (tiled, read-out probabilities only)
+    or :meth:`read_out` (the readout first and the final states on
+    demand, for ``run``).
     Programs are immutable after compilation and safe to cache/share across
     calls — all per-execution state lives in the engines' batched states.
     """
@@ -626,33 +636,28 @@ class SweepProgram:
         stop: int,
         *,
         steps: range,
-        state=None,
         prefix: int = 0,
         tile_plan: Optional[TilePlan] = None,
     ):
-        """Evolve one contiguous tile ``[start, stop)`` through ``steps``.
+        """Evolve one contiguous tile ``[start, stop)`` from ``|0...0>``.
 
-        Without a ``state`` the tile starts from ``|0...0>`` at step 0; with
-        one, the steps continue the state an earlier call left at
-        ``steps.start``.  The first ``prefix`` steps — every operand fixed,
-        ``shared`` or ``rows`` (:meth:`_resolve_operands`) — evolve once per
-        grid row of ``tile_plan`` that the tile touches, and one
-        ``repeat`` then expands each row's state to its elements.  Repeating
-        an evolved state is bit-identical to evolving its copies (every
-        kernel is elementwise over the batch axis), and the prefix is
+        ``steps`` starts at step 0.  The first ``prefix`` steps — every
+        operand fixed, ``shared`` or ``rows`` (:meth:`_resolve_operands`) —
+        evolve once per grid row of ``tile_plan`` that the tile touches, and
+        one ``repeat`` then expands each row's state to its elements.
+        Repeating an evolved state is bit-identical to evolving its copies
+        (every kernel is elementwise over the batch axis), and the prefix is
         decided from the very bindings that feed the evolution, so it needs
         no certificate of its own.
         """
-        if state is None and prefix:
+        if prefix:
             firsts, counts = tile_plan.tile_rows(start, stop)
             state = engine.initial_state(len(firsts), self.num_qubits)
             self._apply_steps(engine, plans, operands, state, range(prefix), firsts)
             if len(firsts) < stop - start:
                 state = state.repeat(counts)
-        elif state is None:
-            state = engine.initial_state(stop - start, self.num_qubits)
         else:
-            prefix = steps.start
+            state = engine.initial_state(stop - start, self.num_qubits)
         self._apply_steps(
             engine, plans, operands, state, range(prefix, steps.stop), slice(start, stop)
         )
@@ -677,32 +682,62 @@ class SweepProgram:
                 "not during one"
             )
 
-    def evolve(self, bindings, engine, *, steps: Optional[range] = None, state=None):
+    def evolve(self, bindings, engine):
         """Evolve the whole batch at once; returns the engine's batched state.
 
         Used by the analytic estimator, which needs every element's final
         state.  ``bindings`` is a ``(batch, num_columns)`` float matrix (one
-        row per sweep element).  ``steps`` (every step by default) bounds
-        the steps applied; ``state`` continues, in place, the state an
-        earlier call left at ``steps.start`` — how ``run`` reads out at the
-        split of its readout plan and still returns the final state.
+        row per sweep element).
         """
         bindings = self._check_bindings(bindings)
-        steps = range(len(self.steps)) if steps is None else steps
+        steps = range(len(self.steps))
         operands = self._resolve_operands(bindings, steps)
         pinned = self._pin_noise(engine)
         total = bindings.shape[0]
         state = self._evolve_tile(
-            engine,
-            engine.step_plans(self),
-            operands,
-            0,
-            total,
-            steps=steps,
-            state=state,
+            engine, engine.step_plans(self), operands, 0, total, steps=steps
         )
         self._check_noise_pinned(engine, pinned, 0, total)
         return state
+
+    def read_out(self, bindings, engine):
+        """The readout of ``bindings`` as ``run`` needs it, and their final states.
+
+        Returns ``(joint, final_state)``: the ``(batch, 2**m)`` joint
+        distribution of the measured qubits (``None`` without measurements)
+        and a callable, to be called at most once, that returns the
+        engine's batched final state.  The readout takes the route of
+        :meth:`execute` on the same bindings, so it equals the untiled
+        sweep bit for bit.  Stepwise or at an observable split, the batch
+        evolves to the split and reads out there, and ``final_state``
+        applies the steps after the split.  An overlap readout evolves only
+        the two registers, and ``final_state`` evolves the whole program:
+        a caller that needs only the readout never builds the ``2**n``
+        state.
+        """
+        bindings = self._check_bindings(bindings)
+        total = bindings.shape[0]
+        steps = range(len(self.steps))
+        pinned = self._pin_noise(engine)
+        plans, readout = engine.sweep_plans(self)
+        operands = self._resolve_operands(bindings, steps)
+        if readout.mode == "overlap":
+            joint = self._overlap_tile(engine, readout, operands, 0, total, 0, None)
+            return joint, lambda: self.evolve(bindings, engine)
+        split = readout.split
+        state = self._evolve_tile(engine, plans, operands, 0, total, steps=range(split))
+        joint = None
+        if self.measured_qubits:
+            joint = engine.joint_probabilities(state, self.measured_qubits, readout)
+
+        def final_state():
+            self._apply_steps(
+                engine, plans, operands, state, range(split, steps.stop), slice(0, total)
+            )
+            self._check_noise_pinned(engine, pinned, 0, total)
+            return state
+
+        return joint, final_state
 
     def execute(self, bindings, engine, *, tile_plan: Optional[TilePlan] = None) -> np.ndarray:
         """Tiled execution: joint read-out probabilities, final states dropped.
@@ -713,14 +748,16 @@ class SweepProgram:
         The concatenated result is bit-identical to the untiled pass — per
         element the arithmetic is the same, only the batch extent differs.
         Peak engine memory is bounded by the largest tile instead of the
-        whole sweep.  The engine's step plans are resolved once for the
-        whole sweep, and a noise model mutated while the sweep runs raises
-        :class:`~repro.exceptions.SimulationError`.  Each tile evolves up
-        to the split of the engine's :class:`ReadoutPlan` and reads out
-        there: on the density engine the fixed tail after the split is
-        folded into the plan's measurement observable.  With a
-        ``tile_plan``, the leading steps constant within each of its grid
-        rows evolve once per row a tile touches (:meth:`_evolve_tile`).
+        whole sweep.  The engine's plans are resolved once for the whole
+        sweep, and a noise model mutated while the sweep runs raises
+        :class:`~repro.exceptions.SimulationError`.  How a tile reads out is
+        the engine's :class:`ReadoutPlan`: stepwise, at the split where the
+        density engine folded the fixed tail into a measurement observable,
+        or — for a SWAP test on the statevector engine — as the overlap of
+        its two register states (:meth:`_overlap_tile`), without building
+        the full state.  With a ``tile_plan``, the leading steps constant
+        within each of its grid rows evolve once per row a tile touches
+        (:meth:`_evolve_tile`).
         """
         bindings = self._check_bindings(bindings)
         if not self.measured_qubits:
@@ -738,18 +775,23 @@ class SweepProgram:
                 )
             tiles = tile_plan.flat_tiles()
         pinned = self._pin_noise(engine)
-        plans = engine.step_plans(self)
-        readout = engine.readout_plan(self, plans)
-        steps = range(readout.split)
+        plans, readout = engine.sweep_plans(self)
+        overlap = readout.mode == "overlap"
+        steps = range(len(self.steps) if overlap else readout.split)
         samples = None if tile_plan is None else tile_plan.samples
         operands = self._resolve_operands(bindings, steps, samples)
         # The prefix ends at the first per-element step.
         prefix = 0
         if samples is not None:
             batched = (i for i in steps if operands[i] and operands[i][0] == "batched")
-            prefix = next(batched, readout.split)
+            prefix = next(batched, steps.stop)
         out = np.empty((total, 2 ** len(self.measured_qubits)), dtype=float)
         for start, stop in tiles:
+            if overlap:
+                out[start:stop] = self._overlap_tile(
+                    engine, readout, operands, start, stop, prefix, tile_plan
+                )
+                continue
             state = self._evolve_tile(
                 engine,
                 plans,
@@ -767,6 +809,41 @@ class SweepProgram:
             del state  # free the tile before the next one is allocated
         return out
 
+    def _overlap_tile(
+        self,
+        engine,
+        readout: "ReadoutPlan",
+        operands: List,
+        start: int,
+        stop: int,
+        prefix: int,
+        tile_plan: Optional[TilePlan],
+    ) -> np.ndarray:
+        """The SWAP-test readout of tile ``[start, stop)`` from its two registers.
+
+        Each register sub-program evolves with the parent's operands: its
+        steps before the parent's ``prefix`` once per grid row the tile
+        touches, the rest per element (:meth:`_evolve_tile`).  Element
+        ``i`` then reads ``P(ancilla = 0) = (1 + f) / 2`` with
+        ``f = min(|<A_i|B_i>|**2, 1)`` (:func:`swap_test_probabilities`).
+        """
+        states = []
+        for register in readout.registers:
+            program = register.program
+            states.append(
+                program._evolve_tile(
+                    engine,
+                    engine.step_plans(program),
+                    [operands[index] for index in register.steps],
+                    start,
+                    stop,
+                    steps=range(len(program.steps)),
+                    prefix=bisect.bisect_left(register.steps, prefix),
+                    tile_plan=tile_plan,
+                )
+            )
+        return swap_test_probabilities(*states)
+
 
 # --------------------------------------------------------------------------- #
 # Execution engines
@@ -781,22 +858,53 @@ OBSERVABLE_MAX_AMPLITUDES = 2**23
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
+class RegisterProgram:
+    """One register of a SWAP test, as a sub-program of its parent.
+
+    ``program`` acts on the register's ``len(qubits)`` qubits: local qubit
+    ``i`` is parent qubit ``qubits[i]``.  Its steps are the parent steps
+    ``steps`` (ascending indices), moved onto the local qubits; they keep
+    the parent's slots, so they read the parent's bindings columns.
+    """
+
+    program: "SweepProgram"
+    qubits: Tuple[int, ...]
+    steps: Tuple[int, ...]
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class ReadoutPlan:
     """Where an engine stops evolving a program's tiles, and how it reads out.
 
-    Every tile evolves the first ``split`` steps.  With ``observable``
-    ``None`` the readout is *stepwise*: ``split`` is the end of the
-    program and the final state's diagonal is marginalised.  Otherwise
-    ``observable`` is the ``(4**n, 2**m)`` measurement observable of the
-    fixed tail after the split: column ``j`` maps a state at the split,
-    flattened in the physical axis order ``layout``, to the probability of
-    outcome ``j`` after the tail.  ``reason`` records the choice.
+    Three modes (:attr:`mode`):
+
+    * *stepwise* — every tile evolves the whole program (``split`` is its
+      length) and the final state's diagonal is marginalised;
+    * *observable* — every tile evolves the first ``split`` steps, and
+      ``observable`` is the ``(4**n, 2**m)`` measurement observable of the
+      fixed tail after the split: column ``j`` maps a state at the split,
+      flattened in the physical axis order ``layout``, to the probability
+      of outcome ``j`` after the tail (density engine);
+    * *overlap* — the program is a SWAP test, and ``registers`` holds its
+      two registers' sub-programs: a tile evolves those and reads
+      ``P(ancilla = 0)`` from their overlap (statevector engine).  ``split``
+      is the program's length, the steps ``run`` evolves for the state it
+      returns.
+
+    ``reason`` records the choice.
     """
 
     split: int
     observable: Optional[np.ndarray]
     layout: Optional[Tuple[int, ...]]
     reason: str
+    registers: Optional[Tuple[RegisterProgram, RegisterProgram]] = None
+
+    @property
+    def mode(self) -> str:
+        if self.registers is not None:
+            return "overlap"
+        return "stepwise" if self.observable is None else "observable"
 
 
 def density_readout_split(program: "SweepProgram") -> Tuple[Optional[int], str]:
@@ -855,11 +963,166 @@ def outcome_selectors(
     return selectors
 
 
+def prefix_partition(
+    program: "SweepProgram", stop: Optional[int] = None
+) -> Tuple[Tuple[int, ...], ...]:
+    """Qubit-grain partition of the interaction graph of ``steps[:stop]``.
+
+    Two qubits share a block when a chain of steps before ``stop`` (every
+    step by default) joins them; a qubit no step touches is a block of its
+    own.  Blocks are ascending tuples, ordered by their first qubit.  Until
+    a step joins two blocks their states evolve independently, so a block
+    is a factor the prefix's state is the product of.
+    """
+    parent = list(range(program.num_qubits))
+
+    def root(qubit: int) -> int:
+        while parent[qubit] != qubit:
+            parent[qubit] = parent[parent[qubit]]
+            qubit = parent[qubit]
+        return qubit
+
+    for step in program.steps[:stop]:
+        first = root(step.qubits[0])
+        for qubit in step.qubits[1:]:
+            parent[root(qubit)] = first
+    blocks: Dict[int, List[int]] = {}
+    for qubit in range(program.num_qubits):
+        blocks.setdefault(root(qubit), []).append(qubit)
+    return tuple(sorted(tuple(block) for block in blocks.values()))
+
+
+def swap_test_registers(
+    program: "SweepProgram",
+) -> Tuple[Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]], str]:
+    """The two registers of a SWAP-test program, in pairing order.
+
+    Returns ``((a, b), reason)`` when ``program`` reads out exactly as the
+    overlap ``P(ancilla = 0) = (1 + |<A|B>|**2) / 2``: it measures one
+    qubit, the ancilla; it ends with one fixed ``cswap(ancilla, a_i, b_i)``
+    per pair and then a fixed ``h(ancilla)``, the pairs a bijection between
+    registers A and B that with the ancilla cover every qubit; before that
+    tail only one fixed ``h`` touches the ancilla; and every other step
+    lies within A or within B (:func:`prefix_partition`).  ``a`` is
+    ascending and ``b[i]`` is ``a[i]``'s partner, so any pair order reads
+    the same overlap.  Otherwise returns ``(None, reason)``, the reason
+    naming the first condition that failed.  The rule reads only the
+    program, so a grid sweep, ``run`` and the VER2xx cost model share it.
+    """
+    steps = program.steps
+    if len(program.measured_qubits) != 1:
+        return None, (
+            f"stepwise: the program measures {len(program.measured_qubits)} "
+            "qubit(s), not one ancilla"
+        )
+    (ancilla,) = program.measured_qubits
+
+    def on_ancilla(step: GateStep, name: str) -> bool:
+        """A fixed ``name`` step whose first qubit is the ancilla."""
+        return step.name == name and step.is_fixed and step.qubits[0] == ancilla
+
+    if not steps or not (on_ancilla(steps[-1], "h") and len(steps[-1].qubits) == 1):
+        return None, (
+            f"stepwise: the program does not end with a fixed h on the "
+            f"measured qubit {ancilla}"
+        )
+    tail = len(steps) - 1
+    while tail and on_ancilla(steps[tail - 1], "cswap"):
+        tail -= 1
+    pairs = [steps[index].qubits[1:] for index in range(tail, len(steps) - 1)]
+    if not pairs:
+        return None, (
+            f"stepwise: no cswap controlled by qubit {ancilla} precedes the final h"
+        )
+    partner = dict(pairs)
+    a, b = set(partner), set(partner.values())
+    if len(partner) != len(pairs) or len(b) != len(pairs) or a & b:
+        return None, (
+            f"stepwise: the tail's cswap pairs {pairs} are not a bijection "
+            "between two registers"
+        )
+    idle = sorted(set(range(program.num_qubits)) - a - b - {ancilla})
+    if idle:
+        return None, (
+            f"stepwise: qubit(s) {idle} lie outside the ancilla and the "
+            "cswap pairs"
+        )
+    touching = [step for step in steps[:tail] if ancilla in step.qubits]
+    if len(touching) != 1 or not (
+        on_ancilla(touching[0], "h") and len(touching[0].qubits) == 1
+    ):
+        names = [step.name for step in touching]
+        return None, (
+            f"stepwise: before the tail the ancilla {ancilla} is touched by "
+            f"{names}, not by one fixed h"
+        )
+    for block in prefix_partition(program, tail):
+        if block != (ancilla,) and not (set(block) <= a or set(block) <= b):
+            return None, (
+                f"stepwise: prefix steps join qubits {list(block)} across the "
+                "cswap registers"
+            )
+    order = tuple(sorted(a))
+    registers = (order, tuple(partner[qubit] for qubit in order))
+    return registers, (
+        f"overlap: registers A {list(registers[0])} and B "
+        f"{list(registers[1])} read P(ancilla {ancilla} = 0) from <A|B>"
+    )
+
+
+def register_program(program: "SweepProgram", qubits: Tuple[int, ...]) -> RegisterProgram:
+    """The sub-program of ``program``'s steps that lie within ``qubits``."""
+    local = {qubit: index for index, qubit in enumerate(qubits)}
+    indices = tuple(
+        index
+        for index, step in enumerate(program.steps)
+        if all(qubit in local for qubit in step.qubits)
+    )
+    steps = [
+        dataclasses.replace(
+            program.steps[index],
+            qubits=tuple(local[qubit] for qubit in program.steps[index].qubits),
+        )
+        for index in indices
+    ]
+    sub = SweepProgram(
+        num_qubits=len(qubits),
+        num_clbits=0,
+        steps=steps,
+        measured_qubits=(),
+        clbits=(),
+        num_columns=program.num_columns,
+        parameters=program.parameters,
+        column_sites=program.column_sites,
+        name=f"{program.name}:register{list(qubits)}",
+    )
+    return RegisterProgram(sub, tuple(qubits), indices)
+
+
+def swap_test_probabilities(a: BatchedStatevector, b: BatchedStatevector) -> np.ndarray:
+    """``(batch, 2)`` ancilla distribution of a SWAP test of ``a_i`` with ``b_i``.
+
+    ``P(0) = (1 + f) / 2`` and ``P(1) = (1 - f) / 2`` with
+    ``f = min(|<a_i|b_i>|**2, 1)``.  Each overlap is one row's sum of
+    ``conj(a) * b``, so its arithmetic does not depend on the batch extent:
+    every tiling, the untiled pass and ``run`` agree bit for bit.  Consumes
+    ``a``: the product is formed in its buffer.
+    """
+    width = (2**a.num_qubits,)
+    product = a.view(width)
+    np.conjugate(product, out=product)
+    product *= b.view(width)
+    fidelity = np.minimum(np.abs(product.sum(axis=1)).astype(float) ** 2, 1.0)
+    return np.stack([(1.0 + fidelity) / 2.0, (1.0 - fidelity) / 2.0], axis=1)
+
+
 #: Certified kernel plans per program.  Module level, not per engine: the
 #: simulators and estimators build a fresh ``StatevectorEngine()`` per call,
 #: while a cached program lives across calls.
 _KERNEL_PLANS: "WeakKeyDictionary[SweepProgram, tuple]" = WeakKeyDictionary()
 _KERNEL_PLANS_LOCK = threading.Lock()
+#: Statevector readout plans per program, kept the same way.
+_READOUT_PLANS: "WeakKeyDictionary[SweepProgram, ReadoutPlan]" = WeakKeyDictionary()
 
 
 class StatevectorEngine:
@@ -868,7 +1131,10 @@ class StatevectorEngine:
     :meth:`step_plans` classifies each step once per program
     (:mod:`repro.quantum.kernels`: permutation, diagonal, controlled or
     dense), certifies every plan with VER405, and memoises the plans for as
-    long as the program lives; :meth:`apply_step` only dispatches.
+    long as the program lives; :meth:`apply_step` only dispatches.  A
+    SWAP-test program reads out from its two register sub-programs
+    (:meth:`readout_plan`), whose plans are built the same way; the full
+    program is planned only when its state is asked for.
     """
 
     name = "statevector"
@@ -904,14 +1170,38 @@ class StatevectorEngine:
         with _KERNEL_PLANS_LOCK:
             return _KERNEL_PLANS.setdefault(program, plans)
 
-    def readout_plan(self, program: SweepProgram, plans: tuple) -> ReadoutPlan:
-        """Always stepwise: a dense ``2**n x 2**n`` observable would not fit."""
-        return ReadoutPlan(
+    def sweep_plans(self, program: SweepProgram) -> Tuple[Optional[tuple], ReadoutPlan]:
+        """What one sweep of ``program`` runs: its step plans and readout plan.
+
+        An overlap readout runs only its register sub-programs, so the
+        whole program's step plans are not built for it (``None``).
+        """
+        readout = self.readout_plan(program)
+        if readout.mode == "overlap":
+            return None, readout
+        return self.step_plans(program), readout
+
+    def readout_plan(self, program: SweepProgram) -> ReadoutPlan:
+        """Overlap for a SWAP test (:func:`swap_test_registers`), else stepwise.
+
+        Reads the program alone and builds the register sub-programs once
+        per program.
+        """
+        readout = _READOUT_PLANS.get(program)
+        if readout is not None:
+            return readout
+        registers, reason = swap_test_registers(program)
+        readout = ReadoutPlan(
             len(program.steps),
             None,
             None,
-            "stepwise: the statevector engine reads the final state",
+            reason,
+            None
+            if registers is None
+            else tuple(register_program(program, qubits) for qubits in registers),
         )
+        with _KERNEL_PLANS_LOCK:
+            return _READOUT_PLANS.setdefault(program, readout)
 
     def apply_step(self, state, step: GateStep, plan, matrix) -> None:
         plan.apply(state, matrix)
@@ -1092,17 +1382,23 @@ class DensitySuperoperatorEngine:
         self.plans_compiled += 1
         return plans
 
-    def readout_plan(self, program: SweepProgram, plans: tuple) -> ReadoutPlan:
-        """The readout plan built with ``plans`` by :meth:`step_plans`.
+    def sweep_plans(self, program: SweepProgram) -> Tuple[tuple, ReadoutPlan]:
+        """What one sweep of ``program`` runs: its step plans and readout plan.
 
-        Cached beside the step plans under the same noise-model version, so
-        a mutated model replans both together; plans from another pass get
-        their own fold.
+        One :meth:`step_plans` call; the readout plan is the fold cached
+        beside those plans under the same noise-model version, so a mutated
+        model replans both together.
         """
+        plans = self.step_plans(program)
         cached = self._plans.get(program)
         if cached is not None and cached[1] is plans:
-            return cached[2]
-        return self._fold_tail(program, plans)
+            return plans, cached[2]
+        # Another thread replanned in between: fold these plans.
+        return plans, self._fold_tail(program, plans)
+
+    def readout_plan(self, program: SweepProgram) -> ReadoutPlan:
+        """The readout plan folded with the current :meth:`step_plans`."""
+        return self.sweep_plans(program)[1]
 
     def _fold_tail(self, program: SweepProgram, plans: tuple) -> ReadoutPlan:
         """Walk the tail's plans backwards from the outcome selectors.

@@ -22,7 +22,10 @@ Programs live in a structure-keyed LRU cache
   structure share a single cache entry; the call evolves a one-row bindings
   matrix and returns a :class:`SimulationResult` with the final state, the
   exact probabilities of the measured classical bits and (when shots are
-  requested) a :class:`~repro.quantum.measurement.Counts` histogram.
+  requested) a :class:`~repro.quantum.measurement.Counts` histogram.  A
+  SWAP test on the statevector engine reads out from its two registers, and
+  its ``2**n`` final state is evolved only when
+  :attr:`SimulationResult.statevector` is first read.
 * ``run_sweep_program`` executes a whole-grid program
   (:meth:`_SweepProgramCacheMixin._grid_program`) tile by tile under a
   :class:`~repro.quantum.program.TilePlan`, keeping only each element's
@@ -38,6 +41,7 @@ engines and serve as the independent reference for both routes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -79,22 +83,32 @@ class SimulationResult:
     counts:
         Sampled histogram; ``None`` when ``shots`` was ``None``.
     statevector:
-        Final pure state (statevector engine only, measurement-free circuits).
+        Final pure state (statevector engine only), evolved by
+        ``final_state`` when first read; ``None`` without one.
     density_matrix:
         Final mixed state (density-matrix engine only).
     shots:
         Number of shots sampled, or ``None`` for exact execution.
     metadata:
         Engine- and backend-specific extras (noise model name, queue delay...).
+    final_state:
+        Returns the final pure state; called once, on the first read of
+        :attr:`statevector`.
     """
 
     circuit_name: str
     probabilities: Dict[str, float]
     counts: Optional[Counts] = None
-    statevector: Optional[Statevector] = None
     density_matrix: Optional[DensityMatrix] = None
     shots: Optional[int] = None
     metadata: Dict[str, object] = dataclasses.field(default_factory=dict)
+    final_state: Optional[Callable[[], Statevector]] = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
+
+    @functools.cached_property
+    def statevector(self) -> Optional[Statevector]:
+        return None if self.final_state is None else self.final_state()
 
     def probability_of(self, bitstring: str) -> float:
         """Probability of a classical outcome, preferring sampled counts."""
@@ -291,14 +305,16 @@ class _SweepProgramCacheMixin:
     def _execute_run(self, circuit: QuantumCircuit, shots: Optional[int], engine):
         """Evolve one bound circuit through its cached program and read it out.
 
-        Returns ``(state, probabilities, counts)``: the engine's one-element
-        batched final state, the exact classical-bit probabilities (readout
-        error included on the density engine) and the sampled counts, drawn
-        with the same helper and RNG stream as every other read-out.  The
+        Returns ``(final_state, probabilities, counts)``: a callable that
+        returns the engine's one-element batched final state (call it at
+        most once), the exact classical-bit probabilities (readout error
+        included on the density engine) and the sampled counts, drawn with
+        the same helper and RNG stream as every other read-out.  The
         probabilities come from the route a one-element grid of the program
-        takes — evolve to the split of the engine's readout plan and read
-        out there — and the fixed tail is applied afterwards only for the
-        returned state.
+        takes (:meth:`~repro.quantum.program.SweepProgram.read_out`): on the
+        density engine ``final_state`` applies the fixed tail after the
+        readout, and a SWAP test on the statevector engine reads out as a
+        register overlap, ``final_state`` evolving the whole program.
         """
         if circuit.num_parameters:
             unbound = [p.name for p in circuit.parameters]
@@ -312,15 +328,12 @@ class _SweepProgramCacheMixin:
             ],
             dtype=float,
         )
-        bindings = row[None, :]
-        readout = engine.readout_plan(program, engine.step_plans(program))
-        state = program.evolve(bindings, engine, steps=range(readout.split))
+        joint, final_state = program.read_out(row[None, :], engine)
         probabilities: Dict[str, float] = {}
         counts: Optional[Counts] = None
         if program.measured_qubits:
-            joint = engine.joint_probabilities(state, program.measured_qubits, readout)[0]
             probabilities = exact_clbit_probabilities(
-                joint, program.measured_qubits, program.clbits, circuit.num_clbits
+                joint[0], program.measured_qubits, program.clbits, circuit.num_clbits
             )
             if shots is not None:
                 counts = counts_from_probabilities(
@@ -328,13 +341,7 @@ class _SweepProgramCacheMixin:
                 )
         elif shots is not None:
             raise SimulationError("cannot sample shots from a circuit without measurements")
-        state = program.evolve(
-            bindings,
-            engine,
-            steps=range(readout.split, len(program.steps)),
-            state=state,
-        )
-        return state, probabilities, counts
+        return final_state, probabilities, counts
 
 
 class StatevectorSimulator(_SweepProgramCacheMixin):
@@ -364,16 +371,16 @@ class StatevectorSimulator(_SweepProgramCacheMixin):
         measuring the same qubit twice — and mid-circuit resets raise
         :class:`~repro.exceptions.SimulationError`.
         """
-        state, probabilities, counts = self._execute_run(
+        final_state, probabilities, counts = self._execute_run(
             circuit, shots, StatevectorEngine()
         )
         return SimulationResult(
             circuit_name=circuit.name,
             probabilities=probabilities,
             counts=counts,
-            statevector=state.statevector(0),
             shots=shots,
             metadata={"engine": self.name},
+            final_state=lambda: final_state().statevector(0),
         )
 
     def statevector(self, circuit: QuantumCircuit) -> Statevector:
@@ -441,14 +448,14 @@ class DensityMatrixSimulator(_SweepProgramCacheMixin):
         self, circuit: QuantumCircuit, shots: Optional[int] = 1024
     ) -> SimulationResult:
         """Execute ``circuit`` under the configured noise model."""
-        state, probabilities, counts = self._execute_run(
+        final_state, probabilities, counts = self._execute_run(
             circuit, shots, self._program_engine()
         )
         return SimulationResult(
             circuit_name=circuit.name,
             probabilities=probabilities,
             counts=counts,
-            density_matrix=state.density_matrix(0),
+            density_matrix=final_state().density_matrix(0),
             shots=shots,
             metadata={"engine": self.name, "noisy": not self.noise_model.is_ideal},
         )

@@ -32,8 +32,23 @@ from repro.utils.rng import ensure_rng
 ACCURACY_FACTOR = 1.5
 
 
-def compile_discriminator(num_features, architecture="s", seed=2022):
-    """One bound QuClassi discriminator program plus its bindings row."""
+def measure_a_register_qubit(circuit):
+    """``circuit`` also measuring qubit 1, a register qubit, into a new clbit.
+
+    The result is no SWAP test, so the statevector engine reads it out
+    stepwise from the whole ``2**n`` state.
+    """
+    wider = QuantumCircuit(circuit.num_qubits, circuit.num_clbits + 1).compose(circuit)
+    return wider.measure(1, circuit.num_clbits)
+
+
+def compile_discriminator(num_features, architecture="s", seed=2022, stepwise=False):
+    """One bound QuClassi discriminator program plus its bindings row.
+
+    The discriminator is a SWAP test, which the statevector engine reads out
+    as a register overlap; ``stepwise`` also measures a register qubit
+    (:func:`measure_a_register_qubit`).
+    """
     rng = ensure_rng(seed)
     builder = QuClassi(
         num_features=num_features, num_classes=2, architecture=architecture, seed=seed
@@ -42,6 +57,8 @@ def compile_discriminator(num_features, architecture="s", seed=2022):
         rng.uniform(0.05, 1.0, size=num_features),
         rng.uniform(0.0, np.pi, size=len(builder.parameters)),
     )
+    if stepwise:
+        circuit = measure_a_register_qubit(circuit)
     program = SweepProgram.compile(circuit, bind_floats=True)
     row = [float(circuit.instructions[at].params[slot]) for at, slot in program.column_sites]
     return program, row
@@ -58,11 +75,20 @@ def codes_of(diagnostics):
 
 class TestEstimateCost:
     def test_statevector_element_is_2_to_n(self):
-        program, _ = compile_discriminator(4)
+        program, _ = compile_discriminator(4, stepwise=True)
         plan = TilePlan.for_circuit_sweep(4, 8, 2**program.num_qubits, 2**20)
         report = estimate_cost(program, plan)
         assert report.element_amplitudes == 2**program.num_qubits
         assert report.peak_amplitudes == report.tile_elements * 2**program.num_qubits
+
+    def test_an_overlap_tile_holds_both_registers_and_a_rows(self):
+        program, _ = compile_discriminator(4)
+        plan = TilePlan.for_circuit_sweep(4, 8, 2**program.num_qubits, 2**20)
+        report = estimate_cost(program, plan)
+        # The plan's unit stays the full element; the working set is each
+        # element's two 2-qubit registers plus register A's grid rows.
+        assert report.element_amplitudes == 2**program.num_qubits
+        assert report.peak_amplitudes == (2 * report.tile_elements + 4) * 2**2
 
     def test_density_element_is_4_to_n(self):
         program, _ = compile_discriminator(4)
@@ -71,8 +97,12 @@ class TestEstimateCost:
         assert report.element_amplitudes == 4**program.num_qubits
         assert report.superoperator_contractions == report.contractions
 
-    def test_contractions_scale_with_tiles(self):
-        program, _ = compile_discriminator(4)
+    @pytest.mark.parametrize("stepwise", [True, False])
+    def test_contractions_scale_with_tiles(self, stepwise):
+        program, _ = compile_discriminator(4, stepwise=stepwise)
+        # Stepwise every step runs; the overlap runs the register steps only,
+        # not the ancilla's two h steps and the two cswaps.
+        dispatched = len(program.steps) - (0 if stepwise else 4)
         element = 2**program.num_qubits
         one_tile = estimate_cost(
             program, TilePlan.for_circuit_sweep(4, 8, element, element * 32)
@@ -82,8 +112,8 @@ class TestEstimateCost:
         )
         assert one_tile.num_tiles == 1
         assert many_tiles.num_tiles > 1
-        assert many_tiles.contractions == many_tiles.num_tiles * len(program.steps)
-        assert one_tile.contractions == len(program.steps)
+        assert many_tiles.contractions == many_tiles.num_tiles * dispatched
+        assert one_tile.contractions == dispatched
 
     def test_state_overlap_mode_sums_row_and_sample_tiles(self):
         program, _ = compile_discriminator(4)
@@ -114,7 +144,7 @@ class TestEstimateCost:
     def test_shared_prefix_steps_discount_element_contractions(
         self, tile_elements, prefix_rows
     ):
-        program, _ = compile_discriminator(4)
+        program, _ = compile_discriminator(4, stepwise=True)
         element = 2**program.num_qubits
         plan = TilePlan.for_circuit_sweep(8, 4, element, element * tile_elements)
         baseline = estimate_cost(program, plan)
@@ -175,6 +205,74 @@ class TestEstimateCost:
         # Plus one observable readout matmul per density tile.
         assert report.contractions == len(elements) + density * plan.num_tiles
 
+    @pytest.mark.parametrize("num_features,architecture", [(4, "s"), (16, "s"), (16, "sde")])
+    def test_overlap_predictions_equal_the_traced_register_kernels(
+        self, num_features, architecture, monkeypatch
+    ):
+        """Iris QC-S and 17-qubit MNIST QC-S/QC-SDE read out as overlaps.
+
+        The prediction charges register A's steps per grid row of each
+        tile and register B's per element, on the register's width: the
+        traced ``apply_step`` calls, their elements and the kernels'
+        einsum and matmul calls all match it.
+        """
+        from repro import arrays
+
+        rng = ensure_rng(9)
+        builder = QuClassi(
+            num_features=num_features, num_classes=2, architecture=architecture, seed=9
+        ).builder
+        program = SweepProgram.compile(
+            builder.symbolic_discriminator(),
+            bind_floats=False,
+            parameters=builder.grid_parameters,
+        )
+        rows, samples = 2, 16
+        plan = TilePlan.for_grid_sweep(rows, samples, 2**program.num_qubits, 2**21)
+        bindings = builder.grid_bindings(
+            rng.uniform(0.0, np.pi, size=(rows, len(builder.parameters))),
+            rng.uniform(0.05, 0.95, size=(samples, num_features)),
+        )
+        engine = StatevectorEngine()
+        registers = engine.readout_plan(program).registers
+        assert registers is not None
+        for register in registers:
+            engine.step_plans(register.program)  # certify before counting
+        widths, calls = [], {"einsum": 0, "matmul": 0}
+        apply_step = engine.apply_step
+
+        def traced(state, step, step_plan, matrix):
+            widths.append((state.num_qubits, state.batch_size))
+            return apply_step(state, step, step_plan, matrix)
+
+        def counting(name):
+            original = getattr(arrays, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        engine.apply_step = traced
+        for name in calls:
+            monkeypatch.setattr(arrays, name, counting(name))
+        program.execute(bindings, engine, tile_plan=plan)
+        prefix = shared_prefix_length(program, bindings[:samples])
+        report = estimate_cost(program, plan, shared_prefix_steps=prefix)
+        assert {width for width, _ in widths} == {num_features // 2}
+        assert report.contractions == len(widths)
+        assert report.element_contractions == sum(batch for _, batch in widths)
+        assert report.einsum_contractions == calls["einsum"] == 0
+        assert report.matmul_contractions == calls["matmul"]
+        # Register A, the trained prefix, runs once per grid row of a tile.
+        tile_rows = sum(len(plan.tile_rows(*tile)[0]) for tile in plan.flat_tiles())
+        assert tile_rows == rows
+        assert sum(batch for _, batch in widths) == (
+            tile_rows * len(registers[0].steps)
+            + plan.total_elements * len(registers[1].steps)
+        )
+
     def test_shared_prefix_steps_out_of_range_rejected(self):
         program, _ = compile_discriminator(4)
         plan = TilePlan.for_circuit_sweep(2, 2, 2**program.num_qubits, 2**20)
@@ -184,30 +282,44 @@ class TestEstimateCost:
             estimate_cost(program, plan, shared_prefix_steps=len(program.steps) + 1)
 
     @pytest.mark.parametrize("architecture", ["s", "d", "e", "sde"])
+    @pytest.mark.parametrize("readout,num_features", [("stepwise", 4), ("overlap", 8)])
     def test_predicted_einsum_and_matmul_calls_equal_the_traced_calls(
-        self, architecture, monkeypatch
+        self, readout, num_features, architecture, monkeypatch
     ):
+        """Stepwise the whole program runs; an overlap runs its registers.
+
+        The overlap case takes 8 features, so each 4-qubit register has an
+        interior qubit whose one-qubit updates run the axpy.
+        """
         from repro import arrays
         from repro.quantum import kernels
 
         rng = ensure_rng(5)
         builder = QuClassi(
-            num_features=4, num_classes=2, architecture=architecture, seed=5
+            num_features=num_features, num_classes=2, architecture=architecture, seed=5
         ).builder
+        circuit = builder.symbolic_discriminator()
+        if readout == "stepwise":
+            circuit = measure_a_register_qubit(circuit)
         program = SweepProgram.compile(
-            builder.symbolic_discriminator(),
-            bind_floats=False,
-            parameters=builder.grid_parameters,
+            circuit, bind_floats=False, parameters=builder.grid_parameters
         )
         rows, samples = 2, 6
         element = 2**program.num_qubits
         plan = TilePlan.for_circuit_sweep(rows, samples, element, 4 * element)
         bindings = builder.grid_bindings(
             rng.uniform(0.0, np.pi, size=(rows, len(builder.parameters))),
-            rng.uniform(0.05, 0.95, size=(samples, 4)),
+            rng.uniform(0.05, 0.95, size=(samples, num_features)),
         )
         engine = StatevectorEngine()
-        plans = engine.step_plans(program)  # certify the plans before counting
+        assert engine.readout_plan(program).mode == readout
+        # Certify the plans that run before counting: a certificate runs
+        # its kernel.
+        if readout == "stepwise":
+            plans = list(engine.step_plans(program))
+        else:
+            registers = engine.readout_plan(program).registers
+            plans = [p for r in registers for p in engine.step_plans(r.program)]
         calls = {"einsum": 0, "matmul": 0}
 
         def counting(name):
@@ -345,8 +457,10 @@ class TestDensityScheduleCount:
 
 
 class TestVerifyCost:
+    """Budgets count full ``2**n`` states, so the corpus runs stepwise programs."""
+
     def test_tile_over_budget_is_ver201_error(self):
-        program, _ = compile_discriminator(4)
+        program, _ = compile_discriminator(4, stepwise=True)
         element = 2**program.num_qubits
         # Hand-built plan whose declared budget covers 4 elements but whose
         # tile holds 64 — the shape for_circuit_sweep would never produce.
@@ -358,7 +472,7 @@ class TestVerifyCost:
         assert diagnostics[0].severity is Severity.ERROR
 
     def test_single_element_over_budget_is_ver202_error(self):
-        program, _ = compile_discriminator(4)
+        program, _ = compile_discriminator(4, stepwise=True)
         plan = TilePlan(
             rows=8,
             samples=8,
@@ -371,7 +485,7 @@ class TestVerifyCost:
         assert diagnostics[0].severity is Severity.ERROR
 
     def test_underutilised_tiling_is_ver203_warning(self):
-        program, _ = compile_discriminator(4)
+        program, _ = compile_discriminator(4, stepwise=True)
         element = 2**program.num_qubits
         plan = TilePlan(
             rows=64, samples=8, row_tile=1, sample_tile=8, max_amplitudes=element * 512
@@ -386,7 +500,7 @@ class TestVerifyCost:
         The single-row twin of the same grid under the same budget is the
         under-utilised shape VER203 exists to flag.
         """
-        program, _ = compile_discriminator(4)
+        program, _ = compile_discriminator(4, stepwise=True)
         element = 2**program.num_qubits
         grid_plan = TilePlan.for_grid_sweep(64, 8, element, element * 256)
         assert (grid_plan.row_tile, grid_plan.num_tiles) == (32, 2)
@@ -397,7 +511,7 @@ class TestVerifyCost:
         assert codes_of(verify_cost(program, twin)) == ["VER203"]
 
     def test_density_unrunnable_budget_is_ver205_warning(self):
-        program, _ = compile_discriminator(16)  # 17-qubit MNIST discriminator
+        program, _ = compile_discriminator(16, stepwise=True)  # 17-qubit MNIST
         element = 2**program.num_qubits
         plan = TilePlan.for_circuit_sweep(6, 24, element, 2**21)
         diagnostics = verify_cost(program, plan)
@@ -405,19 +519,19 @@ class TestVerifyCost:
         assert 4**program.num_qubits > 2**21  # the property VER205 encodes
 
     def test_derived_plans_verify_clean(self):
-        program, _ = compile_discriminator(4)
+        program, _ = compile_discriminator(4, stepwise=True)
         element = 2**program.num_qubits
         plan = TilePlan.for_circuit_sweep(16, 64, element, element * 64)
         assert verify_cost(program, plan) == []
 
     def test_undeclared_budget_verifies_vacuously(self):
-        program, _ = compile_discriminator(4)
+        program, _ = compile_discriminator(4, stepwise=True)
         plan = TilePlan(rows=1024, samples=1024, row_tile=1024, sample_tile=1024)
         assert verify_cost(program, plan) == []
 
     def test_every_budget_exceeding_corpus_plan_is_rejected(self):
         """No budget violation slips through, across both engines."""
-        program, _ = compile_discriminator(8)
+        program, _ = compile_discriminator(8, stepwise=True)
         element = 2**program.num_qubits
         corpus = [
             TilePlan(rows=4, samples=4, row_tile=4, sample_tile=4,
@@ -434,6 +548,22 @@ class TestVerifyCost:
                     d.severity is Severity.ERROR and d.code in ("VER201", "VER202")
                     for d in diagnostics
                 ), (plan, engine)
+
+    def test_an_overlap_tile_under_uses_a_full_state_budget_ver203(self):
+        """The SWAP-test estimator still cuts tiles in full states.
+
+        An overlap tile of the 17-qubit MNIST discriminator holds two
+        8-qubit registers per element, far under the budget the plan was
+        cut for; VER203 reports it until the estimator budgets registers.
+        """
+        program, _ = compile_discriminator(16)
+        plan = TilePlan.for_circuit_sweep(2, 16, 2**program.num_qubits, 2**21)
+        assert plan.num_tiles == 2
+        diagnostics = verify_cost(program, plan)
+        assert codes_of(diagnostics) == ["VER203", "VER205"]
+        assert "each uses only 8448 of 2097152 budgeted amplitudes" in (
+            diagnostics[0].message
+        )
 
     def test_catalogue_codes(self):
         assert sorted(COST_CODES) == ["VER201", "VER202", "VER203", "VER205"]
@@ -487,8 +617,8 @@ class TestReferenceSuite:
 class TestTracemallocCalibration:
     """Predicted peak bytes within 1.5x of a measured tiled execution."""
 
-    def measure(self, num_features, rows, samples, budget_amplitudes):
-        program, row = compile_discriminator(num_features)
+    def measure(self, num_features, rows, samples, budget_amplitudes, stepwise):
+        program, row = compile_discriminator(num_features, stepwise=stepwise)
         plan = TilePlan.for_circuit_sweep(
             rows, samples, 2**program.num_qubits, budget_amplitudes
         )
@@ -501,6 +631,7 @@ class TestTracemallocCalibration:
         tracemalloc.stop()
         return report, peak
 
+    @pytest.mark.parametrize("stepwise", [True, False], ids=["stepwise", "overlap"])
     @pytest.mark.parametrize(
         "num_features,rows,samples,budget",
         [
@@ -513,9 +644,9 @@ class TestTracemallocCalibration:
         ],
     )
     def test_predicted_peak_within_factor_of_tracemalloc(
-        self, num_features, rows, samples, budget
+        self, num_features, rows, samples, budget, stepwise
     ):
-        report, measured = self.measure(num_features, rows, samples, budget)
+        report, measured = self.measure(num_features, rows, samples, budget, stepwise)
         assert measured > 0
         ratio = report.peak_bytes / measured
         assert 1 / ACCURACY_FACTOR <= ratio <= ACCURACY_FACTOR, (
@@ -528,7 +659,7 @@ class TestDtypeAwareCost:
     """Peak-bytes predictions track the repro.arrays precision knob."""
 
     def _report(self):
-        program, _ = compile_discriminator(4)
+        program, _ = compile_discriminator(4, stepwise=True)
         plan = TilePlan.for_circuit_sweep(4, 8, 2**program.num_qubits, 2**20)
         return estimate_cost(program, plan)
 

@@ -181,7 +181,7 @@ class TestObservableReadout:
 
         program, bindings = self.program_and_bindings()
         engine = DensitySuperoperatorEngine(london)
-        readout = engine.readout_plan(program, engine.step_plans(program))
+        readout = engine.readout_plan(program)
         assert readout.split == 1 and readout.observable is not None
         assert verify_observable_readout(program, bindings, london) == []
 

@@ -263,7 +263,7 @@ def check_against_reference(circuit, parameters, bindings, model, tiling, budget
         "grid": TilePlan.for_circuit_sweep(batch, 2, element, (2 * budget - 1) * element),
     }[tiling]
     engine = DensitySuperoperatorEngine(model)
-    readout = engine.readout_plan(program, engine.step_plans(program))
+    readout = engine.readout_plan(program)
     assert readout.observable is not None
     assert readout.split == density_readout_split(program)[0]
     assert all(step.is_fixed for step in program.steps[readout.split:])
@@ -602,12 +602,11 @@ class TestReadoutPlan:
         circuit, parameters, bindings, program = tail_program()
         model = per_qubit_model()
         engine = DensitySuperoperatorEngine(model)
-        before = engine.readout_plan(program, engine.step_plans(program))
-        assert engine.readout_plan(program, engine.step_plans(program)) is before
+        before = engine.readout_plan(program)
+        assert engine.readout_plan(program) is before
         program.execute(bindings, engine)
         model.add_all_qubit_error(depolarizing_kraus(0.2, 1), 1)
-        plans = engine.step_plans(program)
-        after = engine.readout_plan(program, plans)
+        after = engine.readout_plan(program)
         assert engine.plans_compiled == 2
         assert after is not before and after.split == before.split == 1
         assert not np.allclose(after.observable, before.observable)
@@ -620,15 +619,15 @@ class TestReadoutPlan:
             atol=ATOL,
         )
 
-    def test_plans_from_another_pass_get_their_own_fold(self):
+    def test_the_readout_plan_is_the_fold_of_the_current_step_plans(self):
         _, _, _, program = tail_program()
         engine = DensitySuperoperatorEngine(per_qubit_model())
-        plans = engine.step_plans(program)
-        cached = engine.readout_plan(program, plans)
-        other = engine.readout_plan(program, tuple(list(plans)))
-        assert other is not cached
-        assert (other.split, other.layout) == (cached.split, cached.layout)
-        np.testing.assert_array_equal(other.observable, cached.observable)
+        cached = engine.readout_plan(program)
+        fold = engine._fold_tail(program, engine.step_plans(program))
+        assert engine.readout_plan(program) is cached
+        assert engine.plans_compiled == 1
+        assert (fold.split, fold.layout) == (cached.split, cached.layout)
+        np.testing.assert_array_equal(fold.observable, cached.observable)
 
     def test_a_program_past_the_scope_bound_keeps_stepwise_readout(self):
         from repro.core.swap_test import SwapTestFidelityEstimator
@@ -641,7 +640,7 @@ class TestReadoutPlan:
         wide.measure(0, 1)
         program = SweepProgram.compile(wide, bind_floats=False)
         engine = DensitySuperoperatorEngine(per_qubit_model())
-        readout = engine.readout_plan(program, engine.step_plans(program))
+        readout = engine.readout_plan(program)
         assert (readout.split, readout.observable, readout.layout) == (2, None, None)
         assert readout.reason == (
             "stepwise: a 4 x 4194304 observable (16777216 amplitudes) exceeds "
@@ -659,7 +658,7 @@ class TestReadoutPlan:
         circuit, parameters, bindings, program = tail_program()
         monkeypatch.setattr(program_module, "OBSERVABLE_MAX_AMPLITUDES", 4**3)
         engine = DensitySuperoperatorEngine(per_qubit_model())
-        readout = engine.readout_plan(program, engine.step_plans(program))
+        readout = engine.readout_plan(program)
         assert readout.observable is None and readout.split == len(program.steps)
         assert readout.reason.startswith("stepwise: a 4 x 64 observable")
         model = per_qubit_model()
@@ -675,7 +674,7 @@ class TestReadoutPlan:
     def test_a_state_in_another_layout_fails_closed(self):
         _, _, bindings, program = tail_program()
         engine = DensitySuperoperatorEngine(per_qubit_model())
-        readout = engine.readout_plan(program, engine.step_plans(program))
+        readout = engine.readout_plan(program)
         # ry(1) moved qubit 1's axes last; the tail starts from there.
         assert readout.layout == (0, 2, 3, 5, 1, 4)
         fresh = BatchedDensityMatrix(bindings.shape[0], 3)
@@ -686,13 +685,13 @@ class TestReadoutPlan:
             "stack in axis order (0, 1, 2, 3, 4, 5)"
         )
 
-    def test_the_statevector_plan_is_always_stepwise(self):
+    def test_the_statevector_plan_of_a_non_swap_test_is_stepwise(self):
         _, _, _, program = tail_program()
-        engine = StatevectorEngine()
-        readout = engine.readout_plan(program, engine.step_plans(program))
+        readout = StatevectorEngine().readout_plan(program)
         assert (readout.split, readout.observable, readout.layout, readout.reason) == (
             len(program.steps),
             None,
             None,
-            "stepwise: the statevector engine reads the final state",
+            "stepwise: the program measures 2 qubit(s), not one ancilla",
         )
+        assert readout.mode == "stepwise" and readout.registers is None

@@ -69,7 +69,7 @@ def test_run_reads_out_like_the_one_element_grid(circuit_key, model_key, seed):
 
     program = simulator._run_program(circuit)
     engine = simulator._program_engine()
-    readout = engine.readout_plan(program, engine.step_plans(program))
+    readout = engine.readout_plan(program)
     assert readout.observable is not None
     assert 0 < readout.split < len(program.steps)
     row = np.array(
