@@ -15,10 +15,11 @@ Two claims of the whole-grid refactor are measured here and recorded in
    seed.
 
 2. **Predicted vs measured peak memory with a row-constant prefix.**  On
-   the 17-qubit synthetic-MNIST grid, under a
-   ``TilePlan.for_circuit_sweep`` plan, the executor evolves the
-   trained-state prefix once per grid row of each tile and repeats it
-   across the row's samples in the tile.  The VER2xx cost model predicts
+   the 17-qubit synthetic-MNIST grid, under the estimator's
+   ``TilePlan.for_circuit_sweep`` plan (elements charged in the overlap
+   readout's registers, ``SwapTestFidelityEstimator.grid_tile_plan``), the
+   executor evolves the trained-state prefix once per grid row of each tile
+   and repeats it across the row's samples in the tile.  The VER2xx cost model predicts
    the tiled sweep's peak bytes and its prefix-discounted per-element
    contraction count; tracemalloc measures the real peak alongside.
 
@@ -39,7 +40,7 @@ from repro.datasets import generate_synthetic_mnist, load_iris, prepare_task
 from repro.hardware import IBMQBackend
 from repro.quantum.backend import SampledBackend
 from repro.quantum.fidelity import fidelities_from_swap_test_probabilities
-from repro.quantum.program import SweepProgram, TilePlan
+from repro.quantum.program import SweepProgram
 
 DEVICE = "ibmq_london"
 SHOTS = 1024
@@ -176,10 +177,15 @@ def run_grid_memory_benchmark(rows=None, samples=None, budget_amplitudes=None):
         parameters=builder.grid_parameters,
         name="mnist-16-s:grid",
     )
-    element_amplitudes = 2**program.num_qubits
-    plan = TilePlan.for_circuit_sweep(
-        rows, features.shape[0], element_amplitudes, budget_amplitudes
+    estimator = SwapTestFidelityEstimator(
+        builder,
+        backend=SampledBackend(shots=SHOTS, seed=SEED),
+        shots=SHOTS,
+        max_batch_amplitudes=budget_amplitudes,
     )
+    # The plan the estimator executes: elements charged in the overlap
+    # readout's registers.
+    plan = estimator.grid_tile_plan(rows, features.shape[0])
     # The row-constant prefix: trained columns constant within a grid row.
     bindings = builder.grid_bindings(parameter_matrix, features)
     prefix_steps = shared_prefix_length(program, bindings[: features.shape[0]])
@@ -187,12 +193,6 @@ def run_grid_memory_benchmark(rows=None, samples=None, budget_amplitudes=None):
     unshared = estimate_cost(program, plan)
     cost_findings = [d.code for d in verify_cost(program, plan)]
 
-    estimator = SwapTestFidelityEstimator(
-        builder,
-        backend=SampledBackend(shots=SHOTS, seed=SEED),
-        shots=SHOTS,
-        max_batch_amplitudes=budget_amplitudes,
-    )
     estimator.fidelity_matrix(parameter_matrix, features)  # warm the caches
     tracemalloc.start()
     start = time.perf_counter()

@@ -14,12 +14,14 @@ in ``benchmarks/results/BENCH_program_compile.json``:
    program-sweep win.
 
 2. **MNIST 17-qubit peak-memory bound from two-axis tiling.**  The 16-feature
-   synthetic-MNIST task builds 17-qubit SWAP-test discriminators
-   (``2**17`` amplitudes per element), so an untiled (shift-row x sample)
-   sweep materialises hundreds of MiB.  With a ``TilePlan`` derived from
-   ``max_batch_amplitudes``, the same sweep streams through bounded tiles;
-   tracemalloc peaks for both modes are recorded and the tiled peak must
-   stay under the untiled requirement.
+   synthetic-MNIST task builds 17-qubit SWAP-test discriminators, which the
+   statevector engine reads out as the overlap of two 8-qubit registers;
+   the estimator charges each element what the engine holds for it (three
+   ``2**8`` registers, ``Backend.grid_element_amplitudes``).  With a
+   ``TilePlan`` derived from ``max_batch_amplitudes`` in those units
+   (``SwapTestFidelityEstimator.grid_tile_plan``), the sweep streams
+   through bounded tiles; tracemalloc peaks for both modes are recorded and
+   the tiled peak must stay under the untiled requirement.
 
 3. **Composed density schedule and observable readout.**  The density
    engine multiplies each run of fixed steps on one trailing block into a
@@ -62,10 +64,11 @@ REPEAT_SWEEPS = 3
 MIN_REPEAT_SPEEDUP = 1.2
 
 #: MNIST tiling workload: parameter-shift rows x test samples at 17 qubits.
-MNIST_ROWS = 6
-MNIST_SAMPLES = 24
-#: Amplitude budget for the tiled sweep (complex entries in flight).
-MNIST_BUDGET_AMPLITUDES = 2**21
+MNIST_ROWS = 8
+MNIST_SAMPLES = 64
+#: Amplitude budget for the tiled sweep (complex entries in flight): 170
+#: elements of three 2**8 registers, so the 8 x 64 sweep takes 4 tiles of 2 rows.
+MNIST_BUDGET_AMPLITUDES = 2**17
 
 
 def _trained_iris_model():
@@ -170,16 +173,23 @@ def run_mnist_tiling_benchmark(
     )
     features = data.x_train[:samples]
     num_qubits = model.num_qubits
-    element_amplitudes = 2**num_qubits
-    untiled_amplitudes = rows * features.shape[0] * element_amplitudes
 
-    def peak_sweep(max_batch_amplitudes):
-        estimator = SwapTestFidelityEstimator(
+    def estimator_for(max_batch_amplitudes):
+        return SwapTestFidelityEstimator(
             model.builder,
             backend=SampledBackend(shots=SHOTS, seed=SEED),
             shots=SHOTS,
             max_batch_amplitudes=max_batch_amplitudes,
         )
+
+    tiled_estimator = estimator_for(budget_amplitudes)
+    element_amplitudes = tiled_estimator.backend.grid_element_amplitudes(
+        model.builder.symbolic_discriminator(), model.builder.grid_parameters
+    )
+    untiled_amplitudes = rows * features.shape[0] * element_amplitudes
+
+    def peak_sweep(max_batch_amplitudes):
+        estimator = estimator_for(max_batch_amplitudes)
         tracemalloc.start()
         start = time.perf_counter()
         fidelities = estimator.fidelity_matrix(parameter_matrix, features)
@@ -199,9 +209,7 @@ def run_mnist_tiling_benchmark(
         bind_floats=True,
         name="mnist-16-s:discriminator",
     )
-    plan = TilePlan.for_circuit_sweep(
-        rows, features.shape[0], element_amplitudes, budget_amplitudes
-    )
+    plan = tiled_estimator.grid_tile_plan(rows, features.shape[0])
     predicted = estimate_cost(program, plan)
     cost_findings = [d.code for d in verify_cost(program, plan)]
 
@@ -217,6 +225,8 @@ def run_mnist_tiling_benchmark(
             "seed": SEED,
         },
         "budget_amplitudes": int(budget_amplitudes),
+        "element_amplitudes": int(element_amplitudes),
+        "tiles": int(plan.num_tiles),
         "budget_bytes": int(budget_amplitudes * 16),
         "untiled_requirement_bytes": int(untiled_amplitudes * 16),
         "tiled_peak_bytes": int(tiled_peak),

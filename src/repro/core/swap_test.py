@@ -16,7 +16,8 @@ Two estimators implement the same interface:
   the engine reads the ancilla from the overlap of the two registers
   (:func:`~repro.quantum.program.swap_test_registers`), the same
   ``|<omega|phi>|^2`` the analytic estimator computes, and samples shots
-  from it.  The tile budget still counts full discriminator states.
+  from it.  Its tiles are budgeted in those registers, not in full
+  discriminator states.
 """
 
 from __future__ import annotations
@@ -349,10 +350,11 @@ class SwapTestFidelityEstimator(FidelityEstimator):
         (only meaningful on noiseless backends).
     max_batch_amplitudes:
         Amplitude budget of one whole-grid sweep: every in-flight (parameter
-        row, data sample) pair costs its full discriminator state —
-        ``2**num_qubits`` complex entries on the statevector backends,
-        ``4**num_qubits`` on density backends — and the
-        :class:`~repro.quantum.program.TilePlan` is derived from this bound.
+        row, data sample) pair costs what the backend's engine holds for it
+        — three ``2**k`` registers for a SWAP test on the statevector
+        backends, ``4**num_qubits`` on density backends — and the
+        :class:`~repro.quantum.program.TilePlan` is derived from this bound
+        (:meth:`grid_tile_plan`).
     """
 
     #: Default amplitude budget per tile (~128 MiB of complex128).
@@ -378,41 +380,40 @@ class SwapTestFidelityEstimator(FidelityEstimator):
         #: Number of circuits executed so far (cost accounting for reports).
         self.circuits_executed = 0
 
-    def _per_element_amplitudes(self) -> int:
-        """Complex entries one in-flight discriminator state costs.
+    def grid_tile_plan(self, rows: int, samples: int) -> TilePlan:
+        """The tiling of a ``rows x samples`` whole-grid sweep.
 
-        A noisy backend simulates density matrices, whose per-element
-        footprint is ``4**n`` rather than ``2**n`` — budgeting against the
-        true working-set size keeps ``max_batch_amplitudes`` meaning
-        "complex entries in flight" on every backend.
+        Fills each tile to ``max_batch_amplitudes``, whole parameter rows at
+        a time when a row fits, charging each element what the backend's
+        engine holds for it
+        (:meth:`~repro.quantum.backend.Backend.grid_element_amplitudes`).
         """
-        num_qubits = self.builder.layout.total_qubits
-        if getattr(self.backend, "is_noisy", False):
-            return 2 ** (2 * num_qubits)
-        return 2**num_qubits
+        return TilePlan.for_circuit_sweep(
+            rows,
+            samples,
+            self.backend.grid_element_amplitudes(
+                self.builder.symbolic_discriminator(), self.builder.grid_parameters
+            ),
+            self._max_batch_amplitudes,
+        )
 
     def _grid_route(
         self, parameter_matrix: np.ndarray, feature_matrix: np.ndarray
     ) -> np.ndarray:
         """Ancilla readouts for one sweep via the whole-grid program route.
 
-        The :meth:`~repro.quantum.program.TilePlan.for_circuit_sweep` plan
-        fills each tile to the budget, whole parameter rows at a time when a
-        row fits; the executor evolves the trained-state prefix once per
-        row a tile touches and repeats it across that row's samples.
+        Tiled by :meth:`grid_tile_plan`; the executor evolves the
+        trained-state prefix once per row a tile touches and repeats it
+        across that row's samples.
         """
-        plan = TilePlan.for_circuit_sweep(
-            parameter_matrix.shape[0],
-            feature_matrix.shape[0],
-            self._per_element_amplitudes(),
-            self._max_batch_amplitudes,
-        )
         return self.backend.sweep_grid_zero_probabilities(
             self.builder.symbolic_discriminator(),
             self.builder.grid_parameters,
             self.builder.grid_bindings(parameter_matrix, feature_matrix),
             shots=self.shots,
-            tile_plan=plan,
+            tile_plan=self.grid_tile_plan(
+                parameter_matrix.shape[0], feature_matrix.shape[0]
+            ),
         )
 
     def clear_cache(self) -> None:

@@ -14,7 +14,6 @@ Two variants are provided:
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,34 +23,29 @@ from repro.exceptions import EncodingError
 from repro.quantum.circuit import QuantumCircuit
 
 
-def rotation_angle(value: float) -> float:
-    """The paper's angle map ``theta = 2 * asin(sqrt(x))`` for ``x`` in [0, 1].
+def rotation_angles(values) -> np.ndarray:
+    """The paper's angle map ``theta = 2 * asin(sqrt(x))``, element-wise, ``x`` in [0, 1].
 
     With this choice, measuring the qubit prepared by ``RY(theta)|0>`` yields
     ``P(|1>) = sin^2(theta / 2) = x``: the classical value becomes the qubit's
-    excited-state probability.
+    excited-state probability.  Every angle the encoders bind goes through
+    this one NumPy map — the per-sample ``encoding_circuit`` and the
+    whole-grid :meth:`~DualAngleEncoder.angle_matrix` alike — so the two
+    routes bind bitwise the same angles.  (NumPy's ``arcsin`` can differ
+    from ``math.asin`` in the last ULP.)
     """
-    if value < -1e-9 or value > 1.0 + 1e-9:
-        raise EncodingError(f"encoded values must lie in [0, 1], got {value}")
-    clipped = min(max(value, 0.0), 1.0)
-    return 2.0 * math.asin(math.sqrt(clipped))
+    values = np.asarray(values, dtype=float)
+    outside = (values < -1e-9) | (values > 1.0 + 1e-9)
+    if np.any(outside):
+        raise EncodingError(
+            f"encoded values must lie in [0, 1], got {values[outside].flat[0]}"
+        )
+    return 2.0 * np.arcsin(np.sqrt(np.clip(values, 0.0, 1.0)))
 
 
-def _angle_matrix(encoder: DataEncoder, feature_matrix) -> np.ndarray:
-    """Angles for every (sample, feature) cell via the scalar angle map.
-
-    Deliberately applies :func:`rotation_angle` element by element rather
-    than a vectorised ``np.arcsin``: the two differ in the last ULP on some
-    inputs, and the whole-grid SweepProgram path must bind *bitwise* the
-    same angles as the per-sample ``encoding_circuit`` walk so grid sweeps
-    stay seed-identical to the loop they replace.
-    """
-    feature_matrix = encoder.validate_feature_matrix(feature_matrix)
-    angles = np.empty(feature_matrix.shape, dtype=float)
-    for row in range(feature_matrix.shape[0]):
-        for column in range(feature_matrix.shape[1]):
-            angles[row, column] = rotation_angle(feature_matrix[row, column])
-    return angles
+def rotation_angle(value: float) -> float:
+    """:func:`rotation_angles` of one value."""
+    return float(rotation_angles([value])[0])
 
 
 def _check_symbolic_args(num_features: int, parameters: Sequence) -> None:
@@ -93,19 +87,17 @@ class DualAngleEncoder(DataEncoder):
                 f"total_qubits={total} too small for {width} data qubits at offset {offset}"
             )
         circuit = QuantumCircuit(total, 0, name="dual_angle_encoding")
+        angles = rotation_angles(features).tolist()
         for qubit_index in range(width):
-            first = features[2 * qubit_index]
-            circuit.ry(rotation_angle(first), offset + qubit_index, label="data")
+            circuit.ry(angles[2 * qubit_index], offset + qubit_index, label="data")
             second_index = 2 * qubit_index + 1
             if second_index < features.size:
-                second = features[second_index]
-                circuit.rz(rotation_angle(second), offset + qubit_index, label="data")
+                circuit.rz(angles[second_index], offset + qubit_index, label="data")
         return circuit
 
     def angles(self, features: Sequence[float]) -> np.ndarray:
         """Rotation angles (RY, RZ interleaved) used for a feature vector."""
-        features = self.validate_features(features)
-        return np.array([rotation_angle(x) for x in features])
+        return rotation_angles(self.validate_features(features))
 
     def symbolic_encoding_circuit(
         self,
@@ -132,7 +124,7 @@ class DualAngleEncoder(DataEncoder):
 
     def angle_matrix(self, feature_matrix) -> np.ndarray:
         """Per-sample angles in feature order (RY, RZ interleaved per qubit)."""
-        return _angle_matrix(self, feature_matrix)
+        return rotation_angles(self.validate_feature_matrix(feature_matrix))
 
 
 class SingleAngleEncoder(DataEncoder):
@@ -163,8 +155,8 @@ class SingleAngleEncoder(DataEncoder):
                 f"total_qubits={total} too small for {width} data qubits at offset {offset}"
             )
         circuit = QuantumCircuit(total, 0, name="single_angle_encoding")
-        for qubit_index, value in enumerate(features):
-            circuit.ry(rotation_angle(value), offset + qubit_index, label="data")
+        for qubit_index, angle in enumerate(rotation_angles(features).tolist()):
+            circuit.ry(angle, offset + qubit_index, label="data")
         return circuit
 
     def symbolic_encoding_circuit(
@@ -189,4 +181,4 @@ class SingleAngleEncoder(DataEncoder):
 
     def angle_matrix(self, feature_matrix) -> np.ndarray:
         """Per-sample RY angles in feature order."""
-        return _angle_matrix(self, feature_matrix)
+        return rotation_angles(self.validate_feature_matrix(feature_matrix))

@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.hardware.calibration import CalibrationProfile, get_calibration
 from repro.hardware.job import JobLedger
 from repro.quantum.backend import DeviceProperties, NoisyBackend
-from repro.quantum.simulator import SimulationResult
 from repro.utils.rng import RandomState
 
 
@@ -46,10 +45,6 @@ class IBMQBackend(NoisyBackend):
         super().__init__(properties, seed=seed)
         #: Ledger of every job executed on this backend instance.
         self.ledger = JobLedger()
-
-    def _record_job(self, result: SimulationResult) -> None:
-        """Ledger every executed circuit, single runs and batches alike."""
-        self.ledger.record(self.name, result, self.properties.queue_latency_seconds)
 
 
 def ibmq_london(seed: RandomState = None) -> IBMQBackend:

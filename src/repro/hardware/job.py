@@ -12,8 +12,6 @@ import dataclasses
 import itertools
 from typing import Dict, List, Optional
 
-from repro.quantum.simulator import SimulationResult
-
 
 @dataclasses.dataclass
 class JobRecord:
@@ -41,14 +39,25 @@ class JobLedger:
         self._records: List[JobRecord] = []
         self._counter = itertools.count()
 
-    def record(self, backend_name: str, result: SimulationResult, queue_latency_seconds: float) -> JobRecord:
-        """Append a record extracted from a backend's simulation result."""
-        transpile_stats: Dict[str, int] = result.metadata.get("transpile", {})  # type: ignore[assignment]
+    def record(
+        self,
+        backend_name: str,
+        circuit_name: str,
+        shots: Optional[int],
+        transpile_stats: Dict[str, int],
+        queue_latency_seconds: float,
+    ) -> JobRecord:
+        """Append the record of one executed circuit.
+
+        ``transpile_stats`` is the backend's summary of the transpilation
+        (``cx_count``, ``inserted_swaps``, ``depth``); a missing entry
+        records as 0.
+        """
         record = JobRecord(
             job_id=next(self._counter),
             backend_name=backend_name,
-            circuit_name=result.circuit_name,
-            shots=result.shots,
+            circuit_name=circuit_name,
+            shots=shots,
             cx_count=int(transpile_stats.get("cx_count", 0)),
             inserted_swaps=int(transpile_stats.get("inserted_swaps", 0)),
             depth=int(transpile_stats.get("depth", 0)),

@@ -31,8 +31,8 @@ from repro.quantum.fidelity import (
 )
 from repro.quantum.measurement import (
     Counts,
-    counts_from_probabilities,
     normalize_outcome_probabilities,
+    sample_counts,
 )
 from repro.quantum.noise import (
     NoiseModel,
@@ -94,8 +94,8 @@ __all__ = [
     "swap_test_fidelity_sampled",
     "swap_test_probability_from_fidelity",
     "Counts",
-    "counts_from_probabilities",
     "normalize_outcome_probabilities",
+    "sample_counts",
     "NoiseModel",
     "ReadoutError",
     "amplitude_damping_kraus",

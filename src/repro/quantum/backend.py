@@ -34,7 +34,17 @@ On the statevector backends both routes read a SWAP-test discriminator
 out as the overlap of its two registers: the engine evolves each register
 as a sub-program and reads ``P(ancilla = 0) = (1 + |<A|B>|**2) / 2``, never
 the ``2**n`` state (``run`` evolves that state only to return it).  So a
-grid element and ``run`` of one program read out through one routine.
+grid element and ``run`` of one program read out through one routine, and
+:meth:`Backend.grid_element_amplitudes` charges a tile's elements in those
+registers.
+
+Both routes also read out and sample through the simulators' one array
+helper: ``(N, 2**m)`` probabilities in classical-bit order and one stacked
+multinomial over their rows, so a grid sweep's counts equal a loop of
+``run`` calls draw for draw, and ``P(bit 0 = 0)`` is a column selection.
+:class:`NoisyBackend` ledgers each grid element straight from the
+template's transpile statistics, shots and circuit name, one record per
+element, with no per-element result object.
 
 Neither route is its own reference: the per-state classes
 :class:`~repro.quantum.statevector.Statevector` and
@@ -54,7 +64,7 @@ import numpy as np
 from repro.exceptions import BackendError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import NoiseModel
-from repro.quantum.program import TilePlan
+from repro.quantum.program import StatevectorEngine, TilePlan
 from repro.quantum.simulator import (
     DensityMatrixSimulator,
     SimulationResult,
@@ -111,6 +121,14 @@ class Backend(abc.ABC):
         result = self.run(circuit, shots=shots)
         return result.marginal_probability(0, value=0)
 
+    def grid_element_amplitudes(self, circuit: QuantumCircuit, parameters: Sequence) -> int:
+        """Complex entries one element of a grid sweep of ``circuit`` holds.
+
+        The unit a :class:`~repro.quantum.program.TilePlan` budget is cut
+        in; by default the full ``2**n`` statevector.
+        """
+        return 2**circuit.num_qubits
+
     def sweep_grid_zero_probabilities(
         self,
         circuit: QuantumCircuit,
@@ -137,6 +155,22 @@ class Backend(abc.ABC):
             "override sweep_grid_zero_probabilities to run angle-encoded "
             "SWAP-test sweeps on this backend"
         )
+
+
+def _statevector_element_amplitudes(
+    simulator: StatevectorSimulator, circuit: QuantumCircuit, parameters: Sequence
+) -> int:
+    """What one grid element holds, by the engine's own readout plan.
+
+    A stepwise element is its ``2**n`` state.  An overlap element holds two
+    ``2**k`` registers and a tile one more per grid row it touches, so
+    three per element keep the tile (``2 * elements + rows``) in budget.
+    """
+    program = simulator._grid_program(circuit, tuple(parameters))
+    registers = StatevectorEngine().readout_plan(program).registers
+    if registers is None:
+        return 2**program.num_qubits
+    return 3 * 2 ** len(registers[0].qubits)
 
 
 def _statevector_grid_sweep(
@@ -175,6 +209,9 @@ class IdealBackend(Backend):
         shots = validate_shots(shots, self.name)
         return self._simulator.run(circuit, shots=shots)
 
+    def grid_element_amplitudes(self, circuit: QuantumCircuit, parameters: Sequence) -> int:
+        return _statevector_element_amplitudes(self._simulator, circuit, parameters)
+
     def sweep_grid_zero_probabilities(
         self,
         circuit: QuantumCircuit,
@@ -210,6 +247,9 @@ class SampledBackend(Backend):
 
     def run(self, circuit: QuantumCircuit, shots: Optional[int] = None) -> SimulationResult:
         return self._simulator.run(circuit, shots=self._resolve_shots(shots))
+
+    def grid_element_amplitudes(self, circuit: QuantumCircuit, parameters: Sequence) -> int:
+        return _statevector_element_amplitudes(self._simulator, circuit, parameters)
 
     def sweep_grid_zero_probabilities(
         self,
@@ -291,6 +331,10 @@ class NoisyBackend(Backend):
         self.last_transpile_stats: Dict[str, int] = {}
         self._transpile_cache = TranspileCache()
         self._region_cache: Dict[int, CouplingMap] = {}
+        #: Job ledger (:class:`~repro.hardware.job.JobLedger`) of every
+        #: executed circuit; the simulated providers keep one, the base
+        #: class none.
+        self.ledger = None
 
     @property
     def is_noisy(self) -> bool:
@@ -344,15 +388,6 @@ class NoisyBackend(Backend):
             "depth": transpiled.depth,
         }
 
-    def _attach_metadata(self, result: SimulationResult, transpile_stats: Dict[str, int]) -> None:
-        result.metadata.update(
-            {
-                "backend": self.name,
-                "transpile": dict(transpile_stats),
-                "queue_latency_seconds": self.properties.queue_latency_seconds,
-            }
-        )
-
     def run(self, circuit: QuantumCircuit, shots: Optional[int] = None) -> SimulationResult:
         shots = self._resolve_shots(shots)
         self._check_width(circuit)
@@ -360,9 +395,19 @@ class NoisyBackend(Backend):
         transpiled = self._transpile_cache.transpile(circuit, local_map)
         self.last_transpile_stats = self._transpile_stats(transpiled)
         result = self._simulator.run(transpiled.circuit, shots=shots)
-        self._attach_metadata(result, self.last_transpile_stats)
-        self._record_job(result)
+        result.metadata.update(
+            {
+                "backend": self.name,
+                "transpile": dict(self.last_transpile_stats),
+                "queue_latency_seconds": self.properties.queue_latency_seconds,
+            }
+        )
+        self._record_job(result.circuit_name, shots, self.last_transpile_stats)
         return result
+
+    def grid_element_amplitudes(self, circuit: QuantumCircuit, parameters: Sequence) -> int:
+        """A density element: ``4**n`` entries."""
+        return 4**circuit.num_qubits
 
     def sweep_grid_zero_probabilities(
         self,
@@ -403,30 +448,23 @@ class NoisyBackend(Backend):
         readout = self._simulator.run_sweep_program(
             program, bindings, shots=shots, tile_plan=tile_plan
         )
-        for element in range(bindings.shape[0]):
-            result = SimulationResult(
-                circuit_name=f"{circuit.name}_basis_routed",
-                probabilities=readout.probabilities[element],
-                counts=readout.counts[element] if readout.counts is not None else None,
-                shots=shots,
-                metadata={
-                    "engine": self._simulator.name,
-                    "noisy": not self.properties.noise_model.is_ideal,
-                    "batched": True,
-                    "batch_size": int(bindings.shape[0]),
-                    "program_sweep": True,
-                    "grid_sweep": True,
-                },
-            )
-            self._attach_metadata(result, stats)
-            self._record_job(result)
+        for _ in range(bindings.shape[0]):
+            self._record_job(f"{circuit.name}_basis_routed", shots, stats)
         return readout.marginal_probabilities(0, 0)
 
-    def _record_job(self, result: SimulationResult) -> None:
-        """Per-job accounting hook, called once per executed circuit.
+    def _record_job(
+        self, circuit_name: str, shots: Optional[int], transpile_stats: Dict[str, int]
+    ) -> None:
+        """Ledger one executed circuit, a single run or a grid element alike.
 
-        The base class keeps no job records; the simulated providers in
-        :mod:`repro.hardware` override this to append to their
-        :class:`~repro.hardware.job.JobLedger`, so single runs and grid
-        sweeps share one accounting path.
+        Takes what a job record holds, so a grid sweep ledgers each element
+        without building a :class:`~repro.quantum.simulator.SimulationResult`.
         """
+        if self.ledger is not None:
+            self.ledger.record(
+                self.name,
+                circuit_name,
+                shots,
+                transpile_stats,
+                self.properties.queue_latency_seconds,
+            )

@@ -117,8 +117,8 @@ class DensityMatrix:
         ------
         SimulationError
             If the diagonal sums to zero or is not finite — dividing through
-            would silently yield NaN "probabilities" (mirrors the zero/empty
-            guard in :func:`~repro.quantum.measurement.counts_from_probabilities`).
+            would silently yield NaN "probabilities" (mirrors the zero guard
+            in :func:`~repro.quantum.measurement.normalize_outcome_probabilities`).
         """
         diagonal = np.clip(np.real(np.diag(self._matrix)), 0.0, None)
         total = diagonal.sum()

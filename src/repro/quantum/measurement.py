@@ -3,22 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Mapping, Optional
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro import arrays
 from repro.exceptions import SimulationError
-
-#: Default seed used when :func:`counts_from_probabilities` is called without
-#: an ``rng``.  Sampling used to fall back to a *seedless*
-#: ``np.random.default_rng()`` — a silent OS-entropy draw that made
-#: rng-less calls irreproducible (the REP001 contract violation the static
-#: analyser now flags).  Callers on the library's hot paths always inject a
-#: generator; this documented constant only covers ad-hoc interactive use,
-#: which is now deterministic run over run.
-DEFAULT_SAMPLING_SEED = 2022
-
 
 @dataclasses.dataclass
 class Counts:
@@ -100,12 +90,11 @@ class Counts:
 def normalize_outcome_probabilities(probabilities: np.ndarray) -> np.ndarray:
     """Clip negatives and normalise outcome probabilities along the last axis.
 
-    Shared by the per-circuit sampler (:func:`counts_from_probabilities`) and
-    the batched sampler used by both simulator engines
-    (``repro.quantum.simulator._sample_counts_batch``) so every path feeds
-    *identical* probability vectors to the RNG — the draw-for-draw
-    batched-vs-loop equivalence depends on this being a single code path.
-    Rows whose total is zero or non-finite raise :class:`SimulationError`.
+    The one normalisation in front of every read-out draw
+    (:func:`sample_counts`, which both simulators' ``run`` and grid sweeps
+    call, and :meth:`~repro.quantum.density_matrix.DensityMatrix.sample_counts`),
+    so every path feeds *identical* probability vectors to the RNG.  Rows
+    whose total is zero or non-finite raise :class:`SimulationError`.
     """
     probs = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
     totals = probs.sum(axis=-1)
@@ -116,66 +105,49 @@ def normalize_outcome_probabilities(probabilities: np.ndarray) -> np.ndarray:
     return probs / totals[..., None]
 
 
-def counts_from_probabilities(
-    probabilities: Mapping[str, float] | np.ndarray,
-    shots: int,
-    rng: Optional[np.random.Generator] = None,
-    num_bits: Optional[int] = None,
-) -> Counts:
-    """Sample a :class:`Counts` histogram from exact outcome probabilities.
+def sample_counts(
+    rng: np.random.Generator, probabilities: np.ndarray, shots: int
+) -> np.ndarray:
+    """``(N, K)`` counts of ``shots`` draws per row of outcome probabilities.
 
-    ``rng`` should be injected by the caller (every simulator/backend path
-    does); when omitted, a generator seeded with the documented
-    :data:`DEFAULT_SAMPLING_SEED` is used so results stay reproducible —
-    never a fresh OS-entropy stream.
+    One stacked multinomial: NumPy draws it row by row, so it equals a loop
+    of one-row calls however the rows were batched or tiled.  Zero columns
+    are drawn too, since dropping an exactly-zero *trailing* column moves
+    the bit generator's stream (an interior one does not).
     """
-    generator = (
-        rng if rng is not None else np.random.default_rng(DEFAULT_SAMPLING_SEED)
-    )
-    if isinstance(probabilities, np.ndarray):
-        probs = np.asarray(probabilities, dtype=float)
-        if probs.size == 0:
-            raise SimulationError("cannot sample counts from an empty probability vector")
-        if num_bits is None:
-            num_bits = int(np.round(np.log2(probs.size)))
-        keys = [format(i, f"0{num_bits}b") for i in range(probs.size)]
-    else:
-        keys = list(probabilities.keys())
-        if not keys:
-            raise SimulationError("cannot sample counts from an empty probability mapping")
-        probs = np.array([probabilities[key] for key in keys], dtype=float)
-        if num_bits is None:
-            num_bits = len(keys[0])
-    probs = normalize_outcome_probabilities(probs)
-    samples = arrays.multinomial(generator, shots, probs)
-    data = {key: int(count) for key, count in zip(keys, samples) if count > 0}
-    return Counts(data)
+    return arrays.multinomial(rng, shots, normalize_outcome_probabilities(probabilities))
 
 
-def exact_clbit_probabilities(
-    probabilities: np.ndarray,
-    measured_qubits,
-    clbits,
-    num_clbits: int,
-) -> Dict[str, float]:
-    """Re-index qubit-ordered probabilities into classical-bit-ordered strings.
+def clbit_probabilities(
+    joint: np.ndarray, clbits: Sequence[int]
+) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    """Re-index ``(N, 2**k)`` read-out probabilities into classical-bit order.
 
-    ``probabilities`` is the joint distribution over ``measured_qubits`` (in
-    that qubit order); the result maps full classical-register bit strings
-    (bit 0 leftmost) to probabilities, with zero-probability outcomes dropped
-    exactly as the sampling helpers expect.  Shared by the per-circuit
-    simulators and the compiled :class:`~repro.quantum.program.SweepProgram`
-    executor so both read-out routes produce identical outcome dictionaries.
+    Column ``j`` of ``joint`` is the outcome whose bits, in measurement
+    order (first most significant), spell ``j``; measurement ``i`` writes
+    classical bit ``clbits[i]``, a later write overwriting an earlier one.
+    Returns ``(probabilities, written)``: the ``m`` written bits, ascending,
+    and an ``(N, 2**m)`` float64 array whose column ``c`` is the outcome in
+    which bit ``written[i]`` reads bit ``m - 1 - i`` of ``c``, negative
+    rounding residue clipped to zero.  The column map is built once per
+    call.
     """
-    width = len(measured_qubits)
-    out: Dict[str, float] = {}
-    for index, prob in enumerate(probabilities):
-        if prob <= 0.0:
-            continue
-        bits_by_qubit = format(index, f"0{width}b")
-        clbit_string = ["0"] * num_clbits
-        for position, clbit in enumerate(clbits):
-            clbit_string[clbit] = bits_by_qubit[position]
-        key = "".join(clbit_string)
-        out[key] = out.get(key, 0.0) + float(prob)
-    return out
+    written = tuple(sorted(set(clbits)))
+    k, m = len(clbits), len(written)
+    outcomes = np.arange(2**k)
+    columns = np.zeros(2**k, dtype=np.intp)
+    for position, clbit in enumerate(clbits):
+        shift = m - 1 - written.index(clbit)
+        bit = (outcomes >> (k - 1 - position)) & 1
+        columns = (columns & ~(1 << shift)) | (bit << shift)
+    probabilities = np.zeros((joint.shape[0], 2**m))
+    np.add.at(probabilities, (slice(None), columns), np.clip(joint, 0.0, None))
+    return probabilities, written
+
+
+def clbit_key(column: int, written: Sequence[int], num_clbits: int) -> str:
+    """The bit string (classical bit 0 leftmost, unwritten bits ``0``) of a column."""
+    bits = ["0"] * num_clbits
+    for position, clbit in enumerate(written):
+        bits[clbit] = str((column >> (len(written) - 1 - position)) & 1)
+    return "".join(bits)

@@ -29,8 +29,17 @@ Programs live in a structure-keyed LRU cache
 * ``run_sweep_program`` executes a whole-grid program
   (:meth:`_SweepProgramCacheMixin._grid_program`) tile by tile under a
   :class:`~repro.quantum.program.TilePlan`, keeping only each element's
-  read-out.  Shot sampling draws every element from one stacked multinomial
-  call, which consumes the RNG exactly like a loop of ``run`` calls.
+  read-out.
+
+Read-out and sampling have one route, in arrays (:func:`_read_out`): an
+``(N, 2**m)`` :class:`SweepReadout` in classical-bit order, and shots from
+one stacked multinomial over its rows, zero columns included.  ``run``
+reads its one row out the same way and only then builds the dictionaries
+:class:`SimulationResult` exposes, so a grid sweep's counts equal a loop of
+``run`` calls draw for draw.  Earlier releases drew only the non-zero
+outcomes, in qubit order, so seeded draws differ from theirs where an
+outcome is exactly zero in a trailing column, or where a multi-bit circuit
+measures qubits into classical bits out of order.
 
 Mid-circuit resets are rejected by the compiler.  The per-state classes
 (:class:`~repro.quantum.statevector.Statevector`,
@@ -42,7 +51,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,9 +60,9 @@ from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density_matrix import DensityMatrix
 from repro.quantum.measurement import (
     Counts,
-    counts_from_probabilities,
-    exact_clbit_probabilities,
-    normalize_outcome_probabilities,
+    clbit_key,
+    clbit_probabilities,
+    sample_counts,
 )
 from repro.quantum.noise import NoiseModel
 from repro.quantum.program import (
@@ -110,12 +119,6 @@ class SimulationResult:
     def statevector(self) -> Optional[Statevector]:
         return None if self.final_state is None else self.final_state()
 
-    def probability_of(self, bitstring: str) -> float:
-        """Probability of a classical outcome, preferring sampled counts."""
-        if self.counts is not None:
-            return self.counts.probability(bitstring)
-        return self.probabilities.get(bitstring, 0.0)
-
     def marginal_probability(self, clbit: int, value: int = 1) -> float:
         """Probability that classical bit ``clbit`` reads ``value``."""
         if self.counts is not None:
@@ -127,72 +130,70 @@ class SimulationResult:
         return total
 
 
-def _sample_counts_batch(
-    rng: np.random.Generator,
-    probabilities_per_element: Sequence[Dict[str, float]],
-    shots: int,
-) -> List[Counts]:
-    """Sample counts for every batch element, matching the loop's RNG stream.
-
-    When all elements expose the same outcome keys (the common case — a
-    SWAP-test sweep always yields the ``{"0", "1"}`` pair), all elements are
-    drawn with one stacked multinomial call; NumPy consumes the bit generator
-    row by row, so the draws are identical to sequential
-    :func:`~repro.quantum.measurement.counts_from_probabilities` calls.
-    Heterogeneous key sets (some element has an exactly-zero outcome that the
-    exact read-out dropped) fall back to the sequential path to keep the
-    stream aligned with the per-circuit loop.
-    """
-    key_sets = [tuple(probs.keys()) for probs in probabilities_per_element]
-    if any(key_set != key_sets[0] for key_set in key_sets[1:]):
-        return [
-            counts_from_probabilities(probs, shots, rng=rng)
-            for probs in probabilities_per_element
-        ]
-    keys = key_sets[0]
-    pvals = normalize_outcome_probabilities(
-        [[probs[key] for key in keys] for probs in probabilities_per_element]
-    )
-    samples = rng.multinomial(shots, pvals)
-    return [
-        Counts({key: int(count) for key, count in zip(keys, row) if count > 0})
-        for row in samples
-    ]
-
-
 @dataclasses.dataclass
 class SweepReadout:
-    """Per-element read-out of one tiled program execution.
+    """The read-out of one program execution, as ``(N, 2**m)`` arrays.
 
-    Holds only what downstream consumers need — outcome-probability
-    dictionaries and (optionally) sampled counts — so a tiled sweep never
-    materialises per-element states.  Produced by the simulators'
-    ``run_sweep_program`` methods.
+    One row per element.  ``probabilities`` holds the exact, non-negative
+    outcome probabilities (readout error included on the density engine)
+    and ``counts`` one stacked multinomial draw of ``shots`` per row, or
+    ``None`` without shots.  Column ``c`` is the outcome in which classical
+    bit ``clbits[i]`` (ascending, the ``m`` bits the program writes) reads
+    bit ``m - 1 - i`` of ``c``; the other bits of the ``num_clbits``-bit
+    register read 0 (:func:`~repro.quantum.measurement.clbit_probabilities`).
+    Both simulators' ``run_sweep_program`` and ``run`` read out through
+    :func:`_read_out`, so a grid sweep builds no per-element object.
     """
 
-    probabilities: List[Dict[str, float]]
-    counts: Optional[List[Counts]]
+    probabilities: np.ndarray
+    counts: Optional[np.ndarray]
+    clbits: Tuple[int, ...]
     num_clbits: int
+    shots: Optional[int]
 
     def marginal_probabilities(self, clbit: int = 0, value: int = 0) -> np.ndarray:
         """Per-element ``P(clbit == value)``, preferring sampled counts.
 
-        Mirrors :meth:`SimulationResult.marginal_probability` element-wise so
-        the program sweep path reports exactly what a loop of full results
-        would.
+        A column selection and a row sum: element for element what
+        :meth:`SimulationResult.marginal_probability` of ``run`` reports.
         """
-        if self.counts is not None:
-            return np.array(
-                [c.marginal_probability(clbit, value) for c in self.counts],
-                dtype=float,
+        if not 0 <= clbit < self.num_clbits:
+            raise SimulationError(
+                f"bit index {clbit} out of range for {self.num_clbits}-bit outcomes"
             )
-        return np.array(
-            [
-                sum(p for key, p in probs.items() if int(key[clbit]) == value)
-                for probs in self.probabilities
-            ],
-            dtype=float,
-        )
+        width = len(self.clbits)
+        if clbit in self.clbits:
+            shift = width - 1 - self.clbits.index(clbit)
+            selected = (np.arange(2**width) >> shift) & 1 == value
+        else:
+            selected = np.full(2**width, value == 0)
+        if self.counts is None:
+            return self.probabilities[:, selected].sum(axis=1)
+        return self.counts[:, selected].sum(axis=1) / self.shots
+
+
+def _read_out(
+    program: SweepProgram,
+    joint: np.ndarray,
+    rng: np.random.Generator,
+    shots: Optional[int],
+) -> SweepReadout:
+    """Re-index ``joint`` into classical-bit order and sample it.
+
+    The one read-out of both engines and both routes: a grid sweep's
+    ``(N, 2**k)`` joint distribution and ``run``'s one row alike.
+    """
+    probabilities, clbits = clbit_probabilities(joint, program.clbits)
+    counts = None if shots is None else sample_counts(rng, probabilities, shots)
+    return SweepReadout(probabilities, counts, clbits, program.num_clbits, shots)
+
+
+def _outcomes(readout: SweepReadout, row: np.ndarray, kind: type) -> Dict[str, object]:
+    """``row``'s non-zero columns keyed by classical bit string, as ``run`` reports them."""
+    return {
+        clbit_key(int(column), readout.clbits, readout.num_clbits): kind(row[column])
+        for column in np.flatnonzero(row > 0)
+    }
 
 
 def _execute_sweep_readout(
@@ -203,29 +204,17 @@ def _execute_sweep_readout(
     shots: Optional[int],
     tile_plan: Optional[TilePlan],
 ) -> SweepReadout:
-    """Run one compiled sweep and sample its read-out (both engines).
+    """Run one compiled sweep tile by tile and read it out (both engines).
 
-    :func:`~repro.quantum.measurement.exact_clbit_probabilities` then
-    :func:`_sample_counts_batch` — the same read-out helpers as the
-    per-circuit ``run``, so the program path consumes the RNG draw-for-draw
-    like the per-circuit loop.
+    The read-out is ``run``'s (:func:`_read_out`), so the sweep's counts
+    are a loop of ``run`` calls' draw for draw.
     """
     bindings = np.asarray(bindings, dtype=float)
     if bindings.shape[0] == 0:
-        return SweepReadout([], [] if shots is not None else None, program.num_clbits)
-    if not program.measured_qubits:
-        raise SimulationError("cannot read out a sweep program without measurements")
-    joint = program.execute(bindings, engine, tile_plan=tile_plan)
-    probabilities = [
-        exact_clbit_probabilities(
-            joint[element], program.measured_qubits, program.clbits, program.num_clbits
-        )
-        for element in range(joint.shape[0])
-    ]
-    counts = (
-        _sample_counts_batch(rng, probabilities, shots) if shots is not None else None
-    )
-    return SweepReadout(probabilities, counts, program.num_clbits)
+        joint = np.zeros((0, 2 ** len(program.measured_qubits)))
+    else:
+        joint = program.execute(bindings, engine, tile_plan=tile_plan)
+    return _read_out(program, joint, rng, shots)
 
 
 class _SweepProgramCacheMixin:
@@ -308,11 +297,11 @@ class _SweepProgramCacheMixin:
         Returns ``(final_state, probabilities, counts)``: a callable that
         returns the engine's one-element batched final state (call it at
         most once), the exact classical-bit probabilities (readout error
-        included on the density engine) and the sampled counts, drawn with
-        the same helper and RNG stream as every other read-out.  The
-        probabilities come from the route a one-element grid of the program
-        takes (:meth:`~repro.quantum.program.SweepProgram.read_out`): on the
-        density engine ``final_state`` applies the fixed tail after the
+        included on the density engine) and the sampled counts, both from
+        the one-row :func:`_read_out` of a grid sweep, on the same RNG.  The
+        joint distribution comes from the route a one-element grid of the
+        program takes (:meth:`~repro.quantum.program.SweepProgram.read_out`):
+        on the density engine ``final_state`` applies the fixed tail after the
         readout, and a SWAP test on the statevector engine reads out as a
         register overlap, ``final_state`` evolving the whole program.
         """
@@ -332,13 +321,10 @@ class _SweepProgramCacheMixin:
         probabilities: Dict[str, float] = {}
         counts: Optional[Counts] = None
         if program.measured_qubits:
-            probabilities = exact_clbit_probabilities(
-                joint[0], program.measured_qubits, program.clbits, circuit.num_clbits
-            )
+            readout = _read_out(program, joint, self._rng, shots)
+            probabilities = _outcomes(readout, readout.probabilities[0], float)
             if shots is not None:
-                counts = counts_from_probabilities(
-                    probabilities, shots, rng=self._rng, num_bits=circuit.num_clbits
-                )
+                counts = Counts(_outcomes(readout, readout.counts[0], int))
         elif shots is not None:
             raise SimulationError("cannot sample shots from a circuit without measurements")
         return final_state, probabilities, counts

@@ -550,11 +550,13 @@ class TestVerifyCost:
                 ), (plan, engine)
 
     def test_an_overlap_tile_under_uses_a_full_state_budget_ver203(self):
-        """The SWAP-test estimator still cuts tiles in full states.
+        """A plan cut in full states under-uses an overlap tile.
 
         An overlap tile of the 17-qubit MNIST discriminator holds two
-        8-qubit registers per element, far under the budget the plan was
-        cut for; VER203 reports it until the estimator budgets registers.
+        8-qubit registers per element, far under a budget cut in 2**17
+        states, and VER203 reports it.  The SWAP-test estimator budgets in
+        registers, so its own plan for this sweep is one tile
+        (``test_the_17_qubit_mnist_sweep_is_one_tile_without_ver203``).
         """
         program, _ = compile_discriminator(16)
         plan = TilePlan.for_circuit_sweep(2, 16, 2**program.num_qubits, 2**21)

@@ -103,8 +103,9 @@ class TestPerfBenchEntryPointsTiny:
         assert payload_repeat["noise_plans_compiled"] == 1
         assert payload_repeat["transpile_cache"]["misses"] == 1
         payload_tiling = module.run_mnist_tiling_benchmark(
-            rows=2, samples=4, budget_amplitudes=2**18
+            rows=4, samples=96, budget_amplitudes=2**17
         )
+        assert payload_tiling["tiles"] == 4
         assert payload_tiling["seed_match_tiled_vs_untiled"] is True
         assert payload_tiling["tiled_peak_bytes"] < payload_tiling["untiled_peak_bytes"]
         payload_schedule = module.run_schedule_benchmark()

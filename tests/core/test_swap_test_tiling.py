@@ -11,13 +11,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.analysis.cost import verify_cost
 from repro.core.circuit_builder import DiscriminatorCircuitBuilder
 from repro.core.layers import LayerStack
 from repro.core.swap_test import AnalyticFidelityEstimator, SwapTestFidelityEstimator
-from repro.encoding import DualAngleEncoder
+from repro.encoding import DualAngleEncoder, SingleAngleEncoder
 from repro.exceptions import ValidationError
 from repro.hardware import ibmq_london
 from repro.quantum.backend import IdealBackend, SampledBackend
+from repro.quantum.program import StatevectorEngine
 
 
 def make_builder(num_features: int = 4, architecture: str = "s") -> DiscriminatorCircuitBuilder:
@@ -97,6 +99,51 @@ class TestTiledSwapTestIdentity:
             builder, SampledBackend(shots=200, seed=9), 200, parameter_matrix, samples
         )
         np.testing.assert_array_equal(tiled, loop)
+
+
+class TestRegisterBudget:
+    """Statevector tiles are budgeted in the overlap readout's registers."""
+
+    @pytest.mark.parametrize("architecture", ["s", "sd", "sde"])
+    @pytest.mark.parametrize("encoder", [DualAngleEncoder, SingleAngleEncoder])
+    def test_every_angle_encoded_grid_program_reads_out_as_an_overlap(
+        self, architecture, encoder
+    ):
+        encoder = encoder()
+        stack = LayerStack.from_architecture(architecture, encoder.num_qubits(4))
+        builder = DiscriminatorCircuitBuilder(stack, encoder, 4)
+        backend = IdealBackend()
+        circuit = builder.symbolic_discriminator()
+        program = backend._simulator._grid_program(circuit, tuple(builder.grid_parameters))
+        readout = StatevectorEngine().readout_plan(program)
+        assert readout.mode == "overlap", readout.reason
+        width = len(readout.registers[0].qubits)
+        assert 2 * width + 1 == program.num_qubits
+        assert backend.grid_element_amplitudes(circuit, builder.grid_parameters) == (
+            3 * 2**width
+        )
+
+    def test_the_17_qubit_mnist_sweep_is_one_tile_without_ver203(self):
+        """The ``mnist-17q-infer`` sweep: 2 classes x 16 samples under 2**21.
+
+        Charged full 2**17 states it took 2 tiles, each using 8448 of the
+        budgeted amplitudes (VER203).  Charged three 2**8 registers per
+        element it is one tile; only VER205 remains, because the budget
+        cannot hold one 17-qubit density element.
+        """
+        from repro.core.model import QuClassi
+
+        builder = QuClassi(num_features=16, num_classes=2, architecture="s", seed=0).builder
+        backend = SampledBackend(shots=64, seed=0)
+        estimator = SwapTestFidelityEstimator(
+            builder, backend=backend, shots=64, max_batch_amplitudes=2**21
+        )
+        plan = estimator.grid_tile_plan(2, 16)
+        assert plan.num_tiles == 1
+        program = backend._simulator._grid_program(
+            builder.symbolic_discriminator(), tuple(builder.grid_parameters)
+        )
+        assert [d.code for d in verify_cost(program, plan)] == ["VER205"]
 
 
 class TestAnalyticTiling:

@@ -23,6 +23,7 @@ from repro.quantum.backend import (
     validate_shots,
 )
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.measurement import clbit_key
 from repro.quantum.noise import NoiseModel, ReadoutError, depolarizing_kraus
 from repro.quantum.operations import Parameter
 from repro.quantum.program import StatevectorEngine, TilePlan
@@ -192,14 +193,23 @@ class TestShotsValidation:
 
 
 class RecordingBackend(NoisyBackend):
-    """Noisy backend that keeps every per-element result it ledgers."""
+    """Noisy backend that keeps every job it ledgers."""
 
     def __init__(self, properties, seed=None):
         super().__init__(properties, seed=seed)
-        self.results = []
+        self.jobs = []
 
-    def _record_job(self, result):
-        self.results.append(result)
+    def _record_job(self, circuit_name, shots, transpile_stats):
+        self.jobs.append((circuit_name, shots, dict(transpile_stats)))
+
+
+def element_outcomes(readout, element, array):
+    """Row ``element`` of a read-out array keyed like ``run``'s dictionaries."""
+    row = array[element]
+    return {
+        clbit_key(int(column), readout.clbits, readout.num_clbits): row[column]
+        for column in np.flatnonzero(row > 0)
+    }
 
 
 class TestGridRouteMatchesRun:
@@ -248,26 +258,30 @@ class TestGridRouteMatchesRun:
 
     def test_noisy_batch_exact_probabilities_match_loop(self):
         rows = bindings(5, seed=12)
-        backend = RecordingBackend(make_device(), seed=0)
+        backend = NoisyBackend(make_device(), seed=0)
         grid(backend, rows)
+        program = backend._transpile_cache.symbolic_template(
+            rotation_circuit(PARAMS), PARAMS, backend._local_coupling_map(2)
+        ).ensure_program()
+        readout = backend._simulator.run_sweep_program(program, rows, shots=None)
         loop_backend = NoisyBackend(make_device(), seed=0)
-        for row, result in zip(rows, backend.results):
+        for element, row in enumerate(rows):
+            probabilities = element_outcomes(readout, element, readout.probabilities)
             single = loop_backend.run(rotation_circuit(row))
-            assert set(result.probabilities) == set(single.probabilities)
+            assert set(probabilities) == set(single.probabilities)
             for key, value in single.probabilities.items():
-                assert result.probabilities[key] == pytest.approx(value, abs=1e-12)
+                assert probabilities[key] == pytest.approx(value, abs=1e-12)
 
     def test_noisy_batch_is_vectorised_and_reports_metadata(self):
         """One grid sweep is one compiled program with one ledger entry per element."""
         backend = RecordingBackend(make_device(), seed=0)
         grid(backend, bindings(3, seed=13), shots=100)
-        assert len(backend.results) == 3
-        for result in backend.results:
-            assert result.metadata["batched"] is True
-            assert result.metadata["batch_size"] == 3
-            assert result.metadata["backend"] == backend.name
-            assert result.metadata["transpile"]["cx_count"] >= 0
-            assert result.metadata["queue_latency_seconds"] == pytest.approx(42.0)
+        assert len(backend.jobs) == 3
+        for name, shots, stats in backend.jobs:
+            assert name == "rotations_basis_routed"
+            assert shots == 100
+            assert stats == backend.last_transpile_stats
+            assert stats["cx_count"] >= 0
         # One symbolic transpilation, reused by the next sweep.
         stats = backend.transpile_cache_stats
         assert (stats["hits"], stats["misses"]) == (0, 1)
@@ -288,10 +302,10 @@ class TestGridRouteMatchesRun:
     def test_noisy_batch_default_shots_match_run_default(self):
         row = np.array([0.4, 0.8, 1.2])
         backend = RecordingBackend(make_device(), seed=2)
-        grid(backend, row[None, :])
+        (zero,) = grid(backend, row[None, :])
         single = NoisyBackend(make_device(), seed=2).run(rotation_circuit(row))
-        assert backend.results[0].shots == single.shots == 1024
-        assert backend.results[0].counts.data == single.counts.data
+        assert backend.jobs[0][1] == single.shots == 1024
+        assert zero == single.marginal_probability(0, 0)
 
     def test_grid_entry_points_are_defined_on_each_class(self):
         # Defined on each class itself: tracing wraps ``vars(cls)`` entries.
@@ -436,7 +450,10 @@ def assert_simulator_counts_match_run(simulator_factory, seed, angles, shots):
     readout = simulator_grid(simulator_factory(seed), angles, shots)
     loop_simulator = simulator_factory(seed)
     looped = [loop_simulator.run(swap_discriminator(row), shots=shots) for row in angles]
-    assert [c.data for c in readout.counts] == [r.counts.data for r in looped]
+    counts = [
+        element_outcomes(readout, element, readout.counts) for element in range(len(angles))
+    ]
+    assert counts == [r.counts.data for r in looped]
     return readout, looped
 
 
@@ -447,7 +464,8 @@ class TestSimulatorGridRoute:
     def test_exact_probabilities_match_run(self, kind):
         angles = swap_angles(7, seed=0)
         readout = simulator_grid(SIMULATORS[kind](), angles, None)
-        for row, probabilities in zip(angles, readout.probabilities):
+        for element, row in enumerate(angles):
+            probabilities = element_outcomes(readout, element, readout.probabilities)
             single = SIMULATORS[kind]().run(swap_discriminator(row), shots=None)
             assert set(probabilities) == set(single.probabilities)
             for key, value in single.probabilities.items():
@@ -462,13 +480,14 @@ class TestSimulatorGridRoute:
         angles = np.tile([0.3, 0.7, 0.3, 0.7], (3, 1))
         readout = simulator_grid(SIMULATORS[kind](), angles, None)
         single = SIMULATORS[kind]().run(swap_discriminator(angles[0]), shots=None)
-        for probabilities in readout.probabilities:
+        for element in range(len(angles)):
+            probabilities = element_outcomes(readout, element, readout.probabilities)
             for key, value in single.probabilities.items():
                 assert probabilities[key] == pytest.approx(value, abs=1e-12)
 
     def test_empty_batch_yields_empty_results(self, kind):
         readout = simulator_grid(SIMULATORS[kind](), np.zeros((0, 4)), shots=16)
-        assert readout.probabilities == [] and readout.counts == []
+        assert readout.probabilities.shape == readout.counts.shape == (0, 2)
 
     def test_zero_shots_rejected(self, kind):
         with pytest.raises(SimulationError, match="shots must be positive"):
@@ -536,7 +555,8 @@ class TestDensitySimulatorNoiseModels:
         readout, looped = assert_simulator_counts_match_run(
             self.factory(noise), 6, swap_angles(5, seed=4), 256
         )
-        for probabilities, loop_result in zip(readout.probabilities, looped):
+        for element, loop_result in enumerate(looped):
+            probabilities = element_outcomes(readout, element, readout.probabilities)
             assert probabilities == pytest.approx(loop_result.probabilities)
 
     def test_ideal_model_matches_run(self):
@@ -544,7 +564,7 @@ class TestDensitySimulatorNoiseModels:
             self.factory(NoiseModel.ideal()), 3, swap_angles(4, seed=5), 128
         )
 
-    def test_grid_metadata_marks_the_vectorised_engine(self):
+    def test_grid_ledgers_one_job_per_element(self):
         backend = RecordingBackend(
             DeviceProperties(
                 name="line3",
@@ -557,10 +577,8 @@ class TestDensitySimulatorNoiseModels:
         backend.sweep_grid_zero_probabilities(
             swap_discriminator(SWAP_PARAMS), SWAP_PARAMS, swap_angles(2, seed=6), shots=64
         )
-        assert len(backend.results) == 2
-        assert all(r.metadata["batched"] for r in backend.results)
-        assert all(r.metadata["batch_size"] == 2 for r in backend.results)
-        assert all(r.metadata["noisy"] for r in backend.results)
+        assert [job[:2] for job in backend.jobs] == [("disc_basis_routed", 64)] * 2
+        assert all(job[2] == backend.last_transpile_stats for job in backend.jobs)
 
 
 def swap_grid(backend, rows, **kwargs):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.quantum.measurement import Counts, counts_from_probabilities
+from repro.quantum.measurement import (
+    Counts,
+    clbit_key,
+    clbit_probabilities,
+    sample_counts,
+)
 
 
 class TestCounts:
@@ -66,45 +71,64 @@ class TestCounts:
             Counts({"0": -1})
 
 
-class TestCountsFromProbabilities:
-    def test_from_dict(self):
-        counts = counts_from_probabilities({"0": 0.5, "1": 0.5}, shots=1000, rng=np.random.default_rng(0))
-        assert counts.shots == 1000
-
-    def test_from_array(self):
-        counts = counts_from_probabilities(np.array([0.25, 0.75]), shots=400, rng=np.random.default_rng(0))
-        assert counts.num_bits == 1
-        assert counts.shots == 400
+class TestSampleCounts:
+    def test_rows_draw_their_shots(self):
+        counts = sample_counts(np.random.default_rng(0), np.array([[0.25, 0.75]]), 400)
+        assert counts.shape == (1, 2)
+        assert counts.sum() == 400
 
     def test_deterministic_distribution(self):
-        counts = counts_from_probabilities(np.array([1.0, 0.0]), shots=100, rng=np.random.default_rng(0))
-        assert counts.data == {"0": 100}
+        counts = sample_counts(np.random.default_rng(0), np.array([[1.0, 0.0]]), 100)
+        assert counts.tolist() == [[100, 0]]
 
     def test_unnormalised_input_is_renormalised(self):
-        counts = counts_from_probabilities(np.array([2.0, 2.0]), shots=100, rng=np.random.default_rng(0))
-        assert counts.shots == 100
+        counts = sample_counts(np.random.default_rng(0), np.array([[2.0, 2.0]]), 100)
+        assert counts.sum() == 100
 
     def test_all_zero_probabilities_rejected(self):
         """Regression: used to divide by zero and build a NaN histogram."""
         with pytest.raises(SimulationError, match="all zero"):
-            counts_from_probabilities(np.array([0.0, 0.0]), shots=10, rng=np.random.default_rng(0))
-
-    def test_all_zero_mapping_rejected(self):
-        with pytest.raises(SimulationError, match="all zero"):
-            counts_from_probabilities({"0": 0.0, "1": 0.0}, shots=10, rng=np.random.default_rng(0))
-
-    def test_empty_mapping_rejected(self):
-        """Regression: used to raise an opaque IndexError on keys[0]."""
-        with pytest.raises(SimulationError, match="empty"):
-            counts_from_probabilities({}, shots=10, rng=np.random.default_rng(0))
-
-    def test_empty_array_rejected(self):
-        with pytest.raises(SimulationError, match="empty"):
-            counts_from_probabilities(np.array([]), shots=10, rng=np.random.default_rng(0))
+            sample_counts(np.random.default_rng(0), np.array([[0.0, 0.0]]), 10)
 
     def test_non_finite_probabilities_rejected(self):
         with pytest.raises(SimulationError):
-            counts_from_probabilities(np.array([np.nan, 1.0]), shots=10, rng=np.random.default_rng(0))
+            sample_counts(np.random.default_rng(0), np.array([[np.nan, 1.0]]), 10)
+
+    def test_stacked_rows_draw_like_a_loop_of_rows(self):
+        rows = np.array([[0.2, 0.8], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        stacked = sample_counts(np.random.default_rng(3), rows, 50)
+        rng = np.random.default_rng(3)
+        looped = np.concatenate([sample_counts(rng, row[None, :], 50) for row in rows])
+        np.testing.assert_array_equal(stacked, looped)
+
+
+class TestClbitProbabilities:
+    def test_single_measurement_is_unchanged(self):
+        joint = np.array([[0.3, 0.7]])
+        probabilities, written = clbit_probabilities(joint, (0,))
+        assert written == (0,)
+        np.testing.assert_array_equal(probabilities, joint)
+
+    def test_columns_follow_classical_bit_order(self):
+        # Measurement 0 writes clbit 2, measurement 1 writes clbit 0: the
+        # qubit-order outcome "ab" is the classical-order outcome "ba".
+        joint = np.array([[0.1, 0.2, 0.3, 0.4]])
+        probabilities, written = clbit_probabilities(joint, (2, 0))
+        assert written == (0, 2)
+        np.testing.assert_array_equal(probabilities, [[0.1, 0.3, 0.2, 0.4]])
+        assert [clbit_key(c, written, 3) for c in range(4)] == [
+            "000", "001", "100", "101"
+        ]
+
+    def test_a_later_measurement_overwrites_the_clbit(self):
+        joint = np.array([[0.1, 0.2, 0.3, 0.4]])
+        probabilities, written = clbit_probabilities(joint, (0, 0))
+        assert written == (0,)
+        np.testing.assert_allclose(probabilities, [[0.4, 0.6]])
+
+    def test_negative_residue_is_clipped(self):
+        probabilities, _ = clbit_probabilities(np.array([[1.0, -1e-18]]), (0,))
+        assert probabilities.tolist() == [[1.0, 0.0]]
 
 
 class TestNormalizeOutcomeProbabilities:
@@ -126,29 +150,3 @@ class TestNormalizeOutcomeProbabilities:
 
         with pytest.raises(SimulationError):
             normalize_outcome_probabilities([[0.5, 0.5], [0.0, 0.0]])
-
-
-class TestDefaultSamplingSeed:
-    """Omitting ``rng`` falls back to the documented seed, not OS entropy."""
-
-    PROBS = {"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}
-
-    def test_rngless_calls_are_deterministic(self):
-        first = counts_from_probabilities(self.PROBS, 1000)
-        second = counts_from_probabilities(self.PROBS, 1000)
-        assert first.data == second.data
-
-    def test_default_matches_documented_seed(self):
-        from repro.quantum.measurement import DEFAULT_SAMPLING_SEED
-
-        seeded = counts_from_probabilities(
-            self.PROBS, 1000, rng=np.random.default_rng(DEFAULT_SAMPLING_SEED)
-        )
-        assert counts_from_probabilities(self.PROBS, 1000).data == seeded.data
-
-    def test_explicit_rng_still_controls_the_draw(self):
-        a = counts_from_probabilities(self.PROBS, 1000, rng=np.random.default_rng(1))
-        b = counts_from_probabilities(self.PROBS, 1000, rng=np.random.default_rng(1))
-        c = counts_from_probabilities(self.PROBS, 1000, rng=np.random.default_rng(2))
-        assert a.data == b.data
-        assert a.data != c.data

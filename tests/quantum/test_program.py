@@ -430,5 +430,5 @@ class TestSimulatorTracksLiveNoiseModel:
             loop = DensityMatrixSimulator(noise_model=model).run(
                 sweep_circuit(row), shots=None
             )
-            assert probabilities["0"] == pytest.approx(loop.probabilities["0"], abs=1e-10)
+            assert probabilities[0] == pytest.approx(loop.probabilities["0"], abs=1e-10)
 

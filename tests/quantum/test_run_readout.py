@@ -15,6 +15,7 @@ import pytest
 from repro.analysis.equiv import reference_density_matrices
 from repro.hardware import ibmq_london
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.measurement import clbit_key
 from repro.quantum.noise import NoiseModel, ReadoutError, depolarizing_kraus
 from repro.quantum.simulator import DensityMatrixSimulator
 
@@ -76,7 +77,11 @@ def test_run_reads_out_like_the_one_element_grid(circuit_key, model_key, seed):
         [[float(circuit.instructions[at].params[slot]) for at, slot in program.column_sites]]
     )
     grid = simulator.run_sweep_program(program, row, shots=None)
-    assert result.probabilities == grid.probabilities[0]
+    assert result.probabilities == {
+        clbit_key(column, grid.clbits, grid.num_clbits): probability
+        for column, probability in enumerate(grid.probabilities[0])
+        if probability > 0
+    }
 
     expected = reference_density_matrices(program, row, model)[0]
     np.testing.assert_allclose(result.density_matrix.data, expected, rtol=0, atol=ATOL)

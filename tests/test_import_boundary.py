@@ -65,7 +65,7 @@ program = simulator._grid_program(circuit, params)
 readout = simulator.run_sweep_program(
     program, rng.uniform(0.0, np.pi, (4, 2)), shots=64
 )
-assert len(readout.counts) == 4
+assert readout.counts.shape == (4, 2)
 
 print(json.dumps({
     "kernels_certified": kernels_certified,
