@@ -35,10 +35,10 @@ import numpy as np
 from repro.analysis.cost import estimate_cost, verify_cost
 from repro.analysis.equiv import shared_prefix_length
 from repro.core.model import QuClassi
-from repro.core.swap_test import SwapTestFidelityEstimator, per_circuit_zero_probabilities
+from repro.core.swap_test import SwapTestFidelityEstimator
 from repro.datasets import generate_synthetic_mnist, load_iris, prepare_task
 from repro.hardware import IBMQBackend
-from repro.quantum.backend import SampledBackend
+from repro.quantum.backend import Backend, SampledBackend
 from repro.quantum.fidelity import fidelities_from_swap_test_probabilities
 from repro.quantum.program import SweepProgram
 
@@ -74,8 +74,13 @@ def _estimator(builder, backend_factory):
 
 
 def _run_loop_fidelities(builder, backend, rows, samples):
-    """The per-circuit reference: one ``Backend.run`` per grid element."""
-    zeros = per_circuit_zero_probabilities(builder, backend, rows, samples, SHOTS)
+    """The per-circuit reference: one ``Backend.run`` per grid element.
+
+    The base class's ``sweep_grid_zero_probabilities`` is that loop.
+    """
+    zeros = Backend.sweep_grid_zero_probabilities(
+        backend, *builder.grid_sweep(rows, samples), shots=SHOTS
+    )
     return fidelities_from_swap_test_probabilities(zeros).reshape(len(rows), len(samples))
 
 

@@ -27,9 +27,10 @@ import time
 import numpy as np
 
 from repro.core.model import QuClassi
-from repro.core.swap_test import SwapTestFidelityEstimator, per_circuit_zero_probabilities
+from repro.core.swap_test import SwapTestFidelityEstimator
 from repro.datasets import load_iris, prepare_task
 from repro.hardware import IBMQBackend
+from repro.quantum.backend import Backend
 from repro.quantum.fidelity import fidelities_from_swap_test_probabilities
 
 DEVICE = "ibmq_london"
@@ -69,8 +70,8 @@ def _noisy_sweep(mode: str, model, samples):
         estimator = SwapTestFidelityEstimator(model.builder, backend=backend, shots=SHOTS)
         fidelities = estimator.fidelity_matrix(model.parameters_, samples)
     else:
-        zeros = per_circuit_zero_probabilities(
-            model.builder, backend, model.parameters_, samples, SHOTS
+        zeros = Backend.sweep_grid_zero_probabilities(
+            backend, *model.builder.grid_sweep(model.parameters_, samples), shots=SHOTS
         )
         fidelities = fidelities_from_swap_test_probabilities(zeros).reshape(
             len(model.parameters_), len(samples)

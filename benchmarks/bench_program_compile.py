@@ -43,10 +43,10 @@ import numpy as np
 
 from repro.analysis.cost import estimate_cost, verify_cost
 from repro.core.model import QuClassi
-from repro.core.swap_test import SwapTestFidelityEstimator, per_circuit_zero_probabilities
+from repro.core.swap_test import SwapTestFidelityEstimator
 from repro.datasets import generate_synthetic_mnist, load_iris, prepare_task
 from repro.hardware import IBMQBackend
-from repro.quantum.backend import SampledBackend
+from repro.quantum.backend import Backend, SampledBackend
 from repro.quantum.fidelity import fidelities_from_swap_test_probabilities
 from repro.quantum.program import (
     DensitySuperoperatorEngine,
@@ -108,8 +108,8 @@ def run_repeat_sweep_benchmark():
     # warms its transpile cache; the repeat is measured.
     def run_loop(backend):
         start = time.perf_counter()
-        zeros = per_circuit_zero_probabilities(
-            model.builder, backend, model.parameters_, samples, SHOTS
+        zeros = Backend.sweep_grid_zero_probabilities(
+            backend, *model.builder.grid_sweep(model.parameters_, samples), shots=SHOTS
         )
         fidelities = fidelities_from_swap_test_probabilities(zeros).reshape(
             len(model.parameters_), len(samples)

@@ -25,10 +25,10 @@ import time
 import numpy as np
 
 from repro.core.model import QuClassi
-from repro.core.swap_test import SwapTestFidelityEstimator, per_circuit_zero_probabilities
+from repro.core.swap_test import SwapTestFidelityEstimator
 from repro.datasets import load_iris, prepare_task
 from repro.hardware import IBMQBackend
-from repro.quantum.backend import IdealBackend
+from repro.quantum.backend import Backend, IdealBackend
 from repro.quantum.fidelity import fidelities_from_swap_test_probabilities
 
 SHOTS_GRID = (128, 512, 2048, 8192, None)
@@ -49,8 +49,13 @@ def _trained_iris_model():
 
 
 def _run_loop_fidelities(builder, backend, parameter_matrix, samples, shots):
-    """The per-circuit reference: one bound discriminator and one ``Backend.run`` per pair."""
-    zeros = per_circuit_zero_probabilities(builder, backend, parameter_matrix, samples, shots)
+    """The per-circuit reference: one bound discriminator and one ``Backend.run`` per pair.
+
+    The base class's ``sweep_grid_zero_probabilities`` is that loop.
+    """
+    zeros = Backend.sweep_grid_zero_probabilities(
+        backend, *builder.grid_sweep(parameter_matrix, samples), shots=shots
+    )
     return fidelities_from_swap_test_probabilities(zeros).reshape(
         len(parameter_matrix), len(samples)
     )

@@ -7,7 +7,8 @@ computes what one tiled execution *will* allocate and contract —
 
 * the peak amplitude count of one tile's working set (``2**n`` complex
   entries per element on a statevector engine, ``4**n`` on a density
-  engine);
+  engine) and the size of one element in the unit the backends budget grid
+  tiles in (:func:`~repro.quantum.program.statevector_element_amplitudes`);
 * the peak resident bytes, modelling the engine's double-buffering
   (input and output amplitude arrays are live together during every step)
   plus the sweep-wide bindings matrix and read-out buffer;
@@ -97,7 +98,9 @@ class CostReport:
     engine: str  #: ``statevector`` or ``density``
     mode: str  #: ``circuit_sweep`` or ``state_overlap``
     num_qubits: int
-    #: Complex entries of one element's state: ``2**n`` or ``4**n``.
+    #: Complex entries one element holds: ``4**n`` on a density engine;
+    #: on a statevector engine ``2**n``, or for an overlap readout three
+    #: ``2**k`` registers (the unit the backends budget grid tiles in).
     element_amplitudes: int
     rows: int
     samples: int
@@ -159,10 +162,22 @@ class CostReport:
         return dataclasses.asdict(self)
 
 
-def _element_amplitudes(num_qubits: int, engine: str) -> int:
+def _element_amplitudes(program: "SweepProgram", engine: str, mode: str) -> int:
+    """Complex entries one element holds.
+
+    ``4**n`` on a density engine.  On the statevector engine a circuit-sweep
+    element holds what the engine's readout plan keeps for it
+    (:func:`~repro.quantum.program.statevector_element_amplitudes`, the rule
+    the backends budget grid tiles by); a state-overlap element is its
+    ``2**n`` state.
+    """
     if engine == "density":
-        return 4**num_qubits
-    return 2**num_qubits
+        return 4**program.num_qubits
+    if mode == "state_overlap":
+        return 2**program.num_qubits
+    from repro.quantum.program import statevector_element_amplitudes
+
+    return statevector_element_amplitudes(program)
 
 
 def _tile_counts(plan: "TilePlan", mode: str):
@@ -217,7 +232,7 @@ def estimate_cost(
         )
     from repro.arrays import complex_itemsize
 
-    element_amplitudes = _element_amplitudes(program.num_qubits, engine)
+    element_amplitudes = _element_amplitudes(program, engine, mode)
     tile_elements, num_tiles = _tile_counts(plan, mode)
     peak_amplitudes = tile_elements * element_amplitudes
     # Sweep-wide buffers resident across every tile: the float bindings
@@ -430,7 +445,7 @@ def verify_cost(
                 )
             )
         if engine == "statevector":
-            density_element = _element_amplitudes(program.num_qubits, "density")
+            density_element = _element_amplitudes(program, "density", mode)
             if density_element > budget:
                 out.append(
                     diag(
@@ -472,7 +487,7 @@ def _reference_sweeps() -> tuple:
             name=f"{label}:discriminator",
         )
         for engine in _ENGINE_KINDS:
-            element = _element_amplitudes(program.num_qubits, engine)
+            element = _element_amplitudes(program, engine, "circuit_sweep")
             plan = TilePlan.for_circuit_sweep(16, 64, element, budget)
             sweeps.append((program, plan, engine))
     return tuple(sweeps)

@@ -8,9 +8,11 @@ against one encoded data point:
 * qubits ``n+1 .. 2n`` — data register prepared by the data encoder,
 * classical bit 0 — the ancilla measurement.
 
-The builder produces circuits at three binding levels: fully symbolic
-(trainable parameters *and* data angles), data-bound (used per sample during
-training), and fully bound (ready for a backend).
+The builder holds one discriminator skeleton,
+:meth:`DiscriminatorCircuitBuilder.symbolic_discriminator`, with the
+trainable parameters *and* the encoder's angle sites unbound.  Whole-grid
+sweeps compile it once; :meth:`DiscriminatorCircuitBuilder.build` binds one
+feature row's angles (and optionally the trained values) into it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from repro.exceptions import ValidationError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.operations import Parameter
 from repro.quantum.register import ClassicalRegister, QuantumRegister
-from repro.utils.cache import LRUCache
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,22 +76,14 @@ class DiscriminatorCircuitBuilder:
         Dimensionality of the (already reduced/normalised) input vectors.
     """
 
-    #: Default bound on the memoised per-sample discriminator-circuit cache.
-    DEFAULT_DATA_CIRCUIT_CACHE_SIZE = 4096
-
     def __init__(
         self,
         layer_stack: LayerStack,
         encoder: DataEncoder,
         num_features: int,
-        data_circuit_cache_size: int = DEFAULT_DATA_CIRCUIT_CACHE_SIZE,
     ) -> None:
         if num_features <= 0:
             raise ValidationError(f"num_features must be positive, got {num_features}")
-        if data_circuit_cache_size <= 0:
-            raise ValidationError(
-                f"data_circuit_cache_size must be positive, got {data_circuit_cache_size}"
-            )
         expected_width = encoder.num_qubits(num_features)
         if layer_stack.num_qubits != expected_width:
             raise ValidationError(
@@ -104,17 +97,11 @@ class DiscriminatorCircuitBuilder:
         # The symbolic trained-state circuit never changes; cache it so the
         # trainer's many parameter-shift evaluations only pay for binding.
         self._symbolic_trained_circuit: Optional[QuantumCircuit] = None
-        # Fully symbolic discriminator (trained parameters *and* data
-        # angles): one circuit per builder, compiled once into a whole-grid
-        # SweepProgram by the estimator's grid path.
+        # The discriminator skeleton (trained parameters *and* data angles
+        # unbound): one circuit per builder, compiled once into a whole-grid
+        # SweepProgram and bound by :meth:`build`.
         self._symbolic_discriminator: Optional[QuantumCircuit] = None
         self._data_parameters: Optional[list] = None
-        # Data-bound (trained-state-symbolic) discriminators depend only on
-        # the feature vector, so they are memoised (bounded LRU): a sweep of
-        # hundreds of parameter shifts over the same samples re-binds the
-        # cached circuits instead of rebuilding layer stack, encoder and
-        # SWAP-test skeleton each time.
-        self._data_bound_cache: LRUCache = LRUCache(data_circuit_cache_size)
 
     # ------------------------------------------------------------------ #
     # Parameter bookkeeping
@@ -140,20 +127,15 @@ class DiscriminatorCircuitBuilder:
         return dict(zip(params, values.tolist()))
 
     # ------------------------------------------------------------------ #
-    # Whole-grid (fully symbolic) compilation support
+    # The discriminator skeleton
     # ------------------------------------------------------------------ #
     @property
-    def supports_grid_compile(self) -> bool:
-        """Whether the encoder can compile its angles as bind-site columns."""
-        return bool(getattr(self.encoder, "supports_angle_columns", False))
-
-    @property
     def data_parameters(self) -> list:
-        """Symbolic data-angle parameters, one per feature, in angle order."""
+        """Symbolic data-angle parameters, one per encoder angle site, in angle order."""
         if self._data_parameters is None:
             self._data_parameters = [
                 Parameter(f"__data_angle_{index}")
-                for index in range(self.num_features)
+                for index in range(self.encoder.num_angle_sites(self.num_features))
             ]
         return list(self._data_parameters)
 
@@ -163,21 +145,16 @@ class DiscriminatorCircuitBuilder:
         return self.parameters + self.data_parameters
 
     def symbolic_discriminator(self) -> QuantumCircuit:
-        """Fully symbolic discriminator: trained *and* data angles unbound.
+        """The discriminator skeleton: trained *and* data angles unbound.
 
-        Same instruction skeleton as :meth:`_construct_discriminator` — the
-        compiled whole-grid program is structure-identical to every bound
-        per-sample discriminator — with a barrier marking the
+        The one discriminator circuit: the whole-grid program compiles it
+        and :meth:`build` binds it, so every bound discriminator is
+        structure-identical to the compiled program.  A barrier marks the
         trained/encoder seam (the compiled program records no barriers; the
         executor finds the row-constant trained-state prefix from the bind
-        columns).  Cached: the circuit depends
-        only on the model structure.  Callers must not mutate it.
+        columns).  Cached: the circuit depends only on the model structure.
+        Callers must not mutate it.
         """
-        if not self.supports_grid_compile:
-            raise ValidationError(
-                f"{type(self.encoder).__name__} does not support symbolic "
-                "angle columns; the whole-grid discriminator is unavailable"
-            )
         if self._symbolic_discriminator is None:
             layout = self.layout
             qreg = QuantumRegister(layout.total_qubits, "q")
@@ -213,8 +190,8 @@ class DiscriminatorCircuitBuilder:
         """The ``(rows x samples, columns)`` bindings of a whole-grid sweep.
 
         Row-major grid order — row ``r * samples + s`` binds parameter-shift
-        row ``r`` and data sample ``s`` — matching the estimator's
-        per-sample circuit stream exactly.  Columns follow
+        row ``r`` and data sample ``s`` — the order of a loop of
+        :meth:`build` circuits.  Columns follow
         :attr:`grid_parameters`: trained values repeated per sample, then
         the encoder's angle matrix tiled per shift row.
         """
@@ -224,18 +201,27 @@ class DiscriminatorCircuitBuilder:
                 f"expected a (rows, {self.num_parameters}) parameter matrix, "
                 f"got shape {parameter_matrix.shape}"
             )
-        angles = self.encoder.angle_matrix(feature_matrix)
-        if angles.shape[1] != self.num_features:
-            raise ValidationError(
-                f"expected {self.num_features} angle column(s) per sample, "
-                f"got {angles.shape[1]}"
-            )
+        angles = self.encoder.angle_matrix(self._check_feature_matrix(feature_matrix))
         rows, samples = parameter_matrix.shape[0], angles.shape[0]
         return np.hstack(
             [
                 np.repeat(parameter_matrix, samples, axis=0),
                 np.tile(angles, (rows, 1)),
             ]
+        )
+
+    def grid_sweep(self, parameter_matrix, feature_matrix) -> tuple:
+        """``(circuit, parameters, bindings)`` of one whole-grid sweep.
+
+        The leading arguments of
+        :meth:`~repro.quantum.backend.Backend.sweep_grid_zero_probabilities`:
+        the :meth:`symbolic_discriminator`, :attr:`grid_parameters` and the
+        :meth:`grid_bindings` of the grid.
+        """
+        return (
+            self.symbolic_discriminator(),
+            self.grid_parameters,
+            self.grid_bindings(parameter_matrix, feature_matrix),
         )
 
     # ------------------------------------------------------------------ #
@@ -265,6 +251,16 @@ class DiscriminatorCircuitBuilder:
             )
         return features
 
+    def _check_feature_matrix(self, feature_matrix) -> np.ndarray:
+        """A ``(samples, num_features)`` matrix; other ranks go to the encoder's check."""
+        feature_matrix = np.asarray(feature_matrix, dtype=float)
+        if feature_matrix.ndim == 2 and feature_matrix.shape[1] != self.num_features:
+            raise ValidationError(
+                f"expected {self.num_features} feature column(s) per sample, "
+                f"got {feature_matrix.shape[1]}"
+            )
+        return feature_matrix
+
     def data_state_circuit(self, features: Sequence[float]) -> QuantumCircuit:
         """Data-state preparation on a standalone ``state_width``-qubit register."""
         return self.encoder.encoding_circuit(
@@ -274,69 +270,6 @@ class DiscriminatorCircuitBuilder:
     # ------------------------------------------------------------------ #
     # Full discriminator
     # ------------------------------------------------------------------ #
-    def _construct_discriminator(self, features: np.ndarray) -> QuantumCircuit:
-        """Assemble the data-bound, trained-state-symbolic discriminator."""
-        layout = self.layout
-        qreg = QuantumRegister(layout.total_qubits, "q")
-        creg = ClassicalRegister(1, "c")
-        circuit = QuantumCircuit(qreg, creg, name="quclassi_discriminator")
-
-        # Ancilla into superposition.
-        circuit.h(layout.ancilla)
-
-        # Trained state on qubits 1..n (symbolic parameters).
-        trained = self.layer_stack.build_circuit(
-            qubits=layout.trained_qubits,
-            total_qubits=layout.total_qubits,
-            name="trained_state",
-        )
-        circuit = circuit.compose(trained)
-
-        # Data point on qubits n+1..2n (bound angles).
-        data = self.encoder.encoding_circuit(
-            features,
-            offset=layout.data_qubits[0],
-            total_qubits=layout.total_qubits,
-        )
-        circuit = circuit.compose(data)
-
-        # SWAP test.
-        for trained_qubit, data_qubit in zip(layout.trained_qubits, layout.data_qubits):
-            circuit.cswap(layout.ancilla, trained_qubit, data_qubit)
-        circuit.h(layout.ancilla)
-        circuit.measure(layout.ancilla, 0)
-        return circuit
-
-    def _cached_data_bound_discriminator(self, features: Sequence[float]) -> QuantumCircuit:
-        """The memoised data-bound discriminator — the *shared* cached instance.
-
-        Internal: callers must not mutate the result (they bind or copy it
-        immediately).  The public :meth:`data_bound_discriminator` returns an
-        independent copy instead.
-        """
-        features = self._check_features(features)
-        key = tuple(np.round(features, 12))
-        cached = self._data_bound_cache.get(key)
-        if cached is None:
-            cached = self._construct_discriminator(features)
-            self._data_bound_cache.put(key, cached)
-        return cached
-
-    def data_bound_discriminator(self, features: Sequence[float]) -> QuantumCircuit:
-        """Discriminator with data angles bound and trained angles symbolic.
-
-        Memoised per feature vector (bounded LRU): the expensive part of a
-        discriminator — layer-stack construction, data encoding, composition —
-        depends only on the sample, so every parameter-shift variant of a
-        sweep re-binds the cached circuit.  Returns an independent copy, so
-        caller mutations cannot poison the cache.
-        """
-        return self._cached_data_bound_discriminator(features).copy()
-
-    def clear_cache(self) -> None:
-        """Drop memoised discriminator circuits (e.g. when switching datasets)."""
-        self._data_bound_cache.clear()
-
     def build(
         self,
         features: Sequence[float],
@@ -347,16 +280,16 @@ class DiscriminatorCircuitBuilder:
 
         The returned circuit measures the ancilla into classical bit 0; the
         probability of reading ``0`` is ``(1 + F) / 2`` where ``F`` is the
-        fidelity between the trained state and the encoded data point.
-        Construction is memoised per sample via
-        :meth:`data_bound_discriminator`, so repeated builds (a training
-        sweep) only pay for parameter binding.
+        fidelity between the trained state and the encoded data point.  The
+        circuit is :meth:`symbolic_discriminator` with the sample's encoder
+        angles bound, and the trained values too when given (otherwise the
+        trained parameters stay symbolic).
         """
-        circuit = self._cached_data_bound_discriminator(features)
+        angles = self.encoder.angles(self._check_features(features))
+        binding = dict(zip(self.data_parameters, angles.tolist()))
         if parameter_values is not None:
-            circuit = circuit.bind_parameters(self.parameter_binding(parameter_values))
-        else:
-            circuit = circuit.copy()
+            binding.update(self.parameter_binding(parameter_values))
+        circuit = self.symbolic_discriminator().bind_parameters(binding)
         if name is not None:
             circuit.name = name
         return circuit

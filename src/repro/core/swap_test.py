@@ -10,8 +10,9 @@ Two estimators implement the same interface:
   :class:`~repro.quantum.backend.Backend` (ideal, finite-shot, or a noisy
   simulated device), recovering the fidelity from the ancilla statistics.
   This is the path used for the hardware experiments and the shots ablation.
-  Angle encoders run a whole parameter-shift sweep as one compiled
-  whole-grid program; other encoders run one bound circuit per element.
+  Every encoder binds its angle columns into one discriminator skeleton, so
+  a whole parameter-shift sweep runs as one compiled whole-grid program
+  (:meth:`~repro.quantum.backend.Backend.sweep_grid_zero_probabilities`).
   On the statevector backends the discriminator is never evolved whole:
   the engine reads the ancilla from the overlap of the two registers
   (:func:`~repro.quantum.program.swap_test_registers`), the same
@@ -35,31 +36,6 @@ from repro.quantum.fidelity import fidelities_from_swap_test_probabilities
 from repro.quantum.program import StatevectorEngine, SweepProgram, TilePlan
 from repro.quantum.statevector import Statevector
 from repro.utils.cache import LRUCache
-
-
-def per_circuit_zero_probabilities(
-    builder: DiscriminatorCircuitBuilder,
-    backend: Backend,
-    parameter_matrix: np.ndarray,
-    feature_matrix: np.ndarray,
-    shots: Optional[int],
-) -> np.ndarray:
-    """Ancilla readouts via one :meth:`Backend.run` per (row, sample), row-major.
-
-    The per-circuit route of :class:`SwapTestFidelityEstimator` for
-    loop-only encoders, and the baseline the benchmarks time the whole-grid
-    program against.
-    """
-    return np.array(
-        [
-            backend.ancilla_zero_probability(
-                builder.build(features, parameter_values=row), shots=shots
-            )
-            for row in parameter_matrix
-            for features in feature_matrix
-        ],
-        dtype=float,
-    )
 
 
 class FidelityEstimator(abc.ABC):
@@ -105,11 +81,10 @@ class FidelityEstimator(abc.ABC):
 class AnalyticFidelityEstimator(FidelityEstimator):
     """Closed-form fidelity via statevector overlap.
 
-    Data states depend only on the features, so they are memoised (in an LRU
-    cache bounded by ``data_cache_size`` so multi-dataset sweeps cannot grow
-    memory without limit): the trainer sweeps hundreds of parameter shifts
-    against the same samples and the cached encodings turn each sweep into a
-    single matrix product.
+    Data states depend only on the features, so whole stacks of them are
+    memoised (in an LRU cache bounded by ``data_matrix_cache_size``): the
+    trainer sweeps hundreds of parameter shifts against the same samples
+    and the cached encodings turn each sweep into a single matrix product.
 
     The estimator is batch-native: :meth:`trained_statevectors` evolves a
     whole ``(batch, params)`` parameter matrix through the compiled gate
@@ -119,8 +94,6 @@ class AnalyticFidelityEstimator(FidelityEstimator):
     data-state matrix.
     """
 
-    #: Default bound on the memoised per-row data-state cache.
-    DEFAULT_DATA_CACHE_SIZE = 4096
     #: Default bound on the stacked data-state-matrix cache.  Each entry is a
     #: full ``(samples, 2**n)`` stack, so only the handful of (mini)batches
     #: live within an epoch are worth keeping.
@@ -133,15 +106,10 @@ class AnalyticFidelityEstimator(FidelityEstimator):
     def __init__(
         self,
         builder: DiscriminatorCircuitBuilder,
-        data_cache_size: int = DEFAULT_DATA_CACHE_SIZE,
         data_matrix_cache_size: int = DEFAULT_DATA_MATRIX_CACHE_SIZE,
         max_batch_amplitudes: int = DEFAULT_MAX_BATCH_AMPLITUDES,
     ) -> None:
         super().__init__(builder)
-        if data_cache_size <= 0:
-            raise ValidationError(
-                f"data_cache_size must be positive, got {data_cache_size}"
-            )
         if data_matrix_cache_size <= 0:
             raise ValidationError(
                 f"data_matrix_cache_size must be positive, got {data_matrix_cache_size}"
@@ -150,7 +118,6 @@ class AnalyticFidelityEstimator(FidelityEstimator):
             raise ValidationError(
                 f"max_batch_amplitudes must be positive, got {max_batch_amplitudes}"
             )
-        self._data_state_cache: LRUCache = LRUCache(data_cache_size)
         # Stacked data-state matrices, keyed by the raw bytes of the feature
         # matrix: the trainer feeds the same (mini)batch to every gradient
         # evaluation, so the whole (samples, 2**n) stack is reused thousands
@@ -166,9 +133,8 @@ class AnalyticFidelityEstimator(FidelityEstimator):
             parameters=self.builder.parameters,
             name="trained_state",
         )
-        # Compiled lazily: the symbolic data-encoder program that batches
-        # data_state_matrix (encoders without angle-column support keep the
-        # per-row loop).
+        # Compiled lazily: the symbolic data-encoder program that evolves
+        # every data_state_matrix.
         self._encoder_program: Optional[SweepProgram] = None
 
     # ------------------------------------------------------------------ #
@@ -178,19 +144,12 @@ class AnalyticFidelityEstimator(FidelityEstimator):
         return self.trained_statevectors(values[None, :]).statevector(0)
 
     def data_statevector(self, features: Sequence[float]) -> Statevector:
-        """Encoded data state ``|phi(x)>`` (memoised per feature vector, LRU)."""
-        key = tuple(np.round(np.asarray(features, dtype=float), 12))
-        cached = self._data_state_cache.get(key)
-        if cached is None:
-            circuit = self.builder.data_state_circuit(features)
-            cached = Statevector(circuit.num_qubits).evolve(circuit)
-            self._data_state_cache.put(key, cached)
-        return cached
+        """Encoded data state ``|phi(x)>``: a one-row :meth:`data_state_matrix`."""
+        features = self.builder._check_features(features)
+        return Statevector(self.data_state_matrix(features[None, :])[0])
 
-    def _data_encoder_program(self) -> Optional[SweepProgram]:
-        """The symbolic encoder program (``None`` without angle-column support)."""
-        if not getattr(self.builder.encoder, "supports_angle_columns", False):
-            return None
+    def _data_encoder_program(self) -> SweepProgram:
+        """The symbolic encoder program, compiled on first use."""
         if self._encoder_program is None:
             self._encoder_program = SweepProgram.compile(
                 self.builder.encoder.symbolic_encoding_circuit(
@@ -208,25 +167,22 @@ class AnalyticFidelityEstimator(FidelityEstimator):
     def data_state_matrix(self, feature_matrix: np.ndarray) -> np.ndarray:
         """Stacked data-state amplitudes, one row per sample (memoised).
 
-        Angle-column encoders evaluate the whole batch as **one** compiled
-        program pass through the :mod:`repro.arrays` kernels (no per-row
-        Python circuit walk); other encoders keep the per-row loop.  The
+        The whole batch is **one** compiled encoder-program pass through the
+        :mod:`repro.arrays` kernels (no per-row Python circuit walk).  The
         batched kernel evolution can differ from the per-row
         :class:`~repro.quantum.statevector.Statevector` contraction at the
         last ULP, like every other batched fast path.
         """
-        feature_matrix = np.ascontiguousarray(np.asarray(feature_matrix, dtype=float))
+        feature_matrix = np.ascontiguousarray(
+            self.builder._check_feature_matrix(feature_matrix)
+        )
         key = (feature_matrix.shape, feature_matrix.tobytes())
         cached = self._data_matrix_cache.get(key)
         if cached is None:
-            program = self._data_encoder_program()
-            if program is not None and feature_matrix.shape[0]:
-                angles = self.builder.encoder.angle_matrix(feature_matrix)
-                cached = program.evolve(angles, StatevectorEngine()).amplitudes
-            else:
-                cached = np.stack(
-                    [self.data_statevector(row).data for row in feature_matrix]
-                )
+            angles = self.builder.encoder.angle_matrix(feature_matrix)
+            cached = self._data_encoder_program().evolve(
+                angles, StatevectorEngine()
+            ).amplitudes
             cached.flags.writeable = False
             self._data_matrix_cache.put(key, cached)
         return cached
@@ -270,16 +226,16 @@ class AnalyticFidelityEstimator(FidelityEstimator):
     ) -> np.ndarray:
         """Vectorised ``(batch, samples)`` fidelity matrix, memory-bounded.
 
-        When both matmul operands — the ``(batch, 2**n)`` trained-state rows
-        *and* the ``(samples, 2**n)`` data-state columns — fit the
-        ``max_batch_amplitudes`` budget together, the whole sweep is one
+        Tiled along **both** axes under a
+        :class:`~repro.quantum.program.TilePlan` that charges the trained-state
+        rows *and* the data-state columns of a tile against
+        ``max_batch_amplitudes``: trained-state row tiles evolve through the
+        compiled program, data-state column tiles come from the memoised
+        :meth:`data_state_matrix`, and each output block is one matmul.  A
+        sweep whose operands fit the budget together is one tile: one
         program evolution plus one matmul against the memoised data-state
-        matrix (the fast path every repeat sweep hits).  Larger workloads
-        tile along **both** axes under a
-        :class:`~repro.quantum.program.TilePlan`: trained-state row tiles
-        evolve through the compiled program, data-state column tiles stack
-        from the per-row LRU cache, and each output block is one small
-        matmul, so neither operand is ever fully materialised.
+        matrix of the whole feature matrix (the path every repeat sweep
+        hits).
         """
         parameter_matrix = np.asarray(parameter_matrix, dtype=float)
         if parameter_matrix.ndim != 2:
@@ -288,13 +244,11 @@ class AnalyticFidelityEstimator(FidelityEstimator):
             )
         feature_matrix = np.asarray(feature_matrix, dtype=float)
         rows, samples = parameter_matrix.shape[0], feature_matrix.shape[0]
-        state_amplitudes = 2**self.builder.layout.state_width
-        if (rows + samples) * state_amplitudes <= self._max_batch_amplitudes:
-            omega = self.trained_statevectors(parameter_matrix)
-            data_matrix = self.data_state_matrix(feature_matrix)
-            return omega.fidelities(data_matrix)
         plan = TilePlan.for_state_overlap(
-            rows, samples, state_amplitudes, self._max_batch_amplitudes
+            rows,
+            samples,
+            2**self.builder.layout.state_width,
+            self._max_batch_amplitudes,
         )
         out = np.empty((rows, samples), dtype=float)
         for row_start, row_stop in plan.row_tiles():
@@ -302,8 +256,7 @@ class AnalyticFidelityEstimator(FidelityEstimator):
             for sample_start, sample_stop in plan.sample_tiles():
                 # Per-tile stacks go through the memoised helper, so the
                 # inner row-tile loop (and every repeat sweep over the same
-                # minibatch) reuses cached tile stacks instead of re-stacking
-                # — and the per-row LRU keeps even evicted tiles cheap.
+                # minibatch) reuses cached tile stacks instead of re-stacking.
                 data_tile = self.data_state_matrix(
                     feature_matrix[sample_start:sample_stop]
                 )
@@ -314,30 +267,25 @@ class AnalyticFidelityEstimator(FidelityEstimator):
 
     def clear_cache(self) -> None:
         """Drop memoised data states (e.g. when switching datasets)."""
-        self._data_state_cache.clear()
         self._data_matrix_cache.clear()
 
 
 class SwapTestFidelityEstimator(FidelityEstimator):
     """Fidelity from SWAP-test ancilla statistics on an execution backend.
 
-    Every evaluation goes through :meth:`fidelity_matrix`, which takes one of
-    two routes, chosen by the encoder alone:
-
-    * **Whole-grid program** (encoders with ``supports_angle_columns``): the
-      builder's symbolic discriminator and the ``(rows x samples, columns)``
-      bindings matrix go to
-      :meth:`~repro.quantum.backend.Backend.sweep_grid_zero_probabilities`,
-      which compiles the circuit once and executes the grid tile by tile
-      under a :class:`~repro.quantum.program.TilePlan` derived from
-      ``max_batch_amplitudes``.  No per-sample circuit is built.
-    * **Per-circuit loop** (loop-only encoders such as amplitude and basis
-      encoding, whose circuits change structure per sample): one
-      :meth:`~repro.quantum.backend.Backend.run` call per element.
-
-    Both routes walk elements in the same row-major order, so sampled
-    results are draw-for-draw identical to the per-circuit loop under a
-    shared seed.
+    Every evaluation goes through :meth:`fidelity_matrix`, which has one
+    route: the builder's symbolic discriminator and the
+    ``(rows x samples, columns)`` bindings matrix go to
+    :meth:`~repro.quantum.backend.Backend.sweep_grid_zero_probabilities`,
+    which compiles the circuit once and executes the grid tile by tile under
+    a :class:`~repro.quantum.program.TilePlan` derived from
+    ``max_batch_amplitudes``.  No per-sample circuit is built.  Elements are
+    walked in row-major order, so sampled results are draw-for-draw
+    identical to a loop of :meth:`~repro.quantum.backend.Backend.run` over
+    :meth:`~repro.core.circuit_builder.DiscriminatorCircuitBuilder.build`
+    circuits under a shared seed (the base class's
+    ``sweep_grid_zero_probabilities`` is that loop, so a ``run``-only
+    backend serves the estimator too).
 
     Parameters
     ----------
@@ -397,29 +345,6 @@ class SwapTestFidelityEstimator(FidelityEstimator):
             self._max_batch_amplitudes,
         )
 
-    def _grid_route(
-        self, parameter_matrix: np.ndarray, feature_matrix: np.ndarray
-    ) -> np.ndarray:
-        """Ancilla readouts for one sweep via the whole-grid program route.
-
-        Tiled by :meth:`grid_tile_plan`; the executor evolves the
-        trained-state prefix once per row a tile touches and repeats it
-        across that row's samples.
-        """
-        return self.backend.sweep_grid_zero_probabilities(
-            self.builder.symbolic_discriminator(),
-            self.builder.grid_parameters,
-            self.builder.grid_bindings(parameter_matrix, feature_matrix),
-            shots=self.shots,
-            tile_plan=self.grid_tile_plan(
-                parameter_matrix.shape[0], feature_matrix.shape[0]
-            ),
-        )
-
-    def clear_cache(self) -> None:
-        """Drop the builder's memoised discriminator circuits."""
-        self.builder.clear_cache()
-
     # ------------------------------------------------------------------ #
     # Fidelity evaluation
     # ------------------------------------------------------------------ #
@@ -436,7 +361,12 @@ class SwapTestFidelityEstimator(FidelityEstimator):
     def fidelity_matrix(
         self, parameter_matrix: np.ndarray, feature_matrix: np.ndarray
     ) -> np.ndarray:
-        """``(batch, samples)`` fidelity matrix through the encoder's route."""
+        """``(batch, samples)`` fidelity matrix of one whole-grid sweep.
+
+        Tiled by :meth:`grid_tile_plan`; the executor evolves the
+        trained-state prefix once per row a tile touches and repeats it
+        across that row's samples.
+        """
         parameter_matrix = np.asarray(parameter_matrix, dtype=float)
         if parameter_matrix.ndim != 2:
             raise ValidationError(
@@ -447,11 +377,10 @@ class SwapTestFidelityEstimator(FidelityEstimator):
         samples = feature_matrix.shape[0]
         if rows == 0 or samples == 0:
             return np.zeros((rows, samples))
-        if self.builder.supports_grid_compile:
-            zeros = self._grid_route(parameter_matrix, feature_matrix)
-        else:
-            zeros = per_circuit_zero_probabilities(
-                self.builder, self.backend, parameter_matrix, feature_matrix, self.shots
-            )
+        zeros = self.backend.sweep_grid_zero_probabilities(
+            *self.builder.grid_sweep(parameter_matrix, feature_matrix),
+            shots=self.shots,
+            tile_plan=self.grid_tile_plan(rows, samples),
+        )
         self.circuits_executed += int(zeros.shape[0])
         return fidelities_from_swap_test_probabilities(zeros).reshape(rows, samples)

@@ -4,12 +4,18 @@ Encodes ``2**n`` classical values into the amplitudes of an ``n``-qubit state.
 The paper mentions this as the qubit-cheapest but most noise-sensitive end of
 the encoding spectrum; it is provided for the encoding ablation benchmark and
 for users who want maximal data density.
+
+The skeleton is the full uniformly-controlled RY tree (Möttönen et al.,
+quant-ph/0407010) with no zero-angle site skipped, so its structure depends
+on the register width alone and amplitude-encoded sweeps compile into one
+whole-grid program.  A zero angle is an ``RY(0)`` site rather than no gate:
+on a noisy backend it pays that gate's noise.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -29,12 +35,17 @@ class AmplitudeEncoder(DataEncoder):
     rotation conditioned on the first ``d`` qubits splits the remaining norm
     between the two sub-branches.  Multiplexed rotations are decomposed
     recursively into RY and CX gates only, so the circuit stays in the native
-    basis of the simulated hardware.
+    basis of the simulated hardware.  Every site of the tree is kept, so the
+    circuit has ``2**n - 1`` RY and ``2**(n + 1) - 2 * n - 2`` CX gates
+    whatever the features.  :meth:`encode` returns the normalised amplitudes
+    directly, the independent reference the circuit is checked against.
 
     The encoder only supports non-negative features (as produced by the
     min-max normalisation used throughout the library); signs would require
     an extra multiplexed RZ stage that QuClassi never needs.
     """
+
+    circuit_name = "amplitude_encoding"
 
     def num_qubits(self, num_features: int) -> int:
         """Qubits needed: ``ceil(log2(num_features))`` (minimum one)."""
@@ -54,94 +65,109 @@ class AmplitudeEncoder(DataEncoder):
         width = self.num_qubits(features.size)
         padded = np.zeros(2**width, dtype=float)
         padded[: features.size] = features
-        norm = np.linalg.norm(padded)
-        if norm == 0:
+        # Scale by the largest entry first: the squared norm of very small
+        # (or very large) features would underflow to 0 (or overflow).
+        scale = padded.max()
+        if scale == 0:
             raise EncodingError("cannot amplitude-encode an all-zero feature vector")
-        return padded / norm
+        padded /= scale
+        return padded / np.linalg.norm(padded)
 
     def encode(self, features: Sequence[float]) -> Statevector:
         """Return the encoded state directly (no circuit synthesis needed)."""
         return Statevector(arrays.as_complex(self.amplitudes(features)))
 
-    def encoding_circuit(
-        self,
-        features: Sequence[float],
-        offset: int = 0,
-        total_qubits: Optional[int] = None,
-    ) -> QuantumCircuit:
-        """Synthesise an RY/CX state-preparation circuit for the amplitude vector."""
-        amplitudes = self.amplitudes(features)
-        width = self.num_qubits(len(np.asarray(features)))
-        total = total_qubits if total_qubits is not None else offset + width
-        if total < offset + width:
-            raise EncodingError(
-                f"total_qubits={total} too small for {width} data qubits at offset {offset}"
-            )
-        circuit = QuantumCircuit(total, 0, name="amplitude_encoding")
-        qubits = [offset + q for q in range(width)]
-        for depth in range(width):
-            angles = self._branch_angles(amplitudes, depth, width)
-            self._multiplexed_ry(circuit, angles, qubits[:depth], qubits[depth])
-        return circuit
+    def num_angle_sites(self, num_features: int) -> int:
+        """Sites of the full tree: ``2**d`` at depth ``d``, ``2**n - 1`` in all."""
+        return 2 ** self.num_qubits(num_features) - 1
 
-    # ------------------------------------------------------------------ #
-    # Internal synthesis helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _branch_angles(amplitudes: np.ndarray, depth: int, width: int) -> List[float]:
-        """Rotation angles of the multiplexed RY at tree depth ``depth``.
+    def angles(self, features: Sequence[float]) -> np.ndarray:
+        """The angle sites of one feature vector, validated like :meth:`amplitudes`."""
+        return self._site_angles(self.amplitudes(features)[None, :])[0]
 
-        For each prefix bit-pattern ``p`` of length ``depth``, the angle is
-        ``2 * atan2(||lower branch||, ||upper branch||)`` where the branches
-        split the amplitudes whose index starts with ``p``.
+    def angle_matrix(self, feature_matrix) -> np.ndarray:
+        """Per-sample site angles, shape ``(samples, 2**n - 1)``.
+
+        Each row is validated like :meth:`amplitudes`.
         """
-        block = 2 ** (width - depth)
-        half = block // 2
-        angles: List[float] = []
-        for prefix in range(2**depth):
-            segment = amplitudes[prefix * block : (prefix + 1) * block]
-            norm_upper = float(np.linalg.norm(segment[:half]))
-            norm_lower = float(np.linalg.norm(segment[half:]))
-            if norm_upper == 0.0 and norm_lower == 0.0:
-                angles.append(0.0)
-            else:
-                angles.append(2.0 * math.atan2(norm_lower, norm_upper))
-        return angles
+        feature_matrix = np.asarray(feature_matrix, dtype=float)
+        if feature_matrix.ndim != 2:
+            raise EncodingError(
+                f"expected a 2-D feature matrix, got shape {feature_matrix.shape}"
+            )
+        width = self.num_qubits(feature_matrix.shape[1])
+        amplitudes = np.array(
+            [self.amplitudes(row) for row in feature_matrix], dtype=float
+        ).reshape(-1, 2**width)
+        return self._site_angles(amplitudes)
+
+    @classmethod
+    def _site_angles(cls, amplitudes: np.ndarray) -> np.ndarray:
+        """Site angles of the tree for ``(samples, 2**n)`` amplitude rows.
+
+        At tree depth ``d`` the branch angle of prefix ``p`` is ``2 *
+        atan2(||lower||, ||upper||)`` over the amplitudes whose index starts
+        with ``p``; the ``2**d`` branch angles then map onto the multiplexed
+        rotation's sites by the recursive half-sum and half-difference
+        (:meth:`_multiplexed_sites`), in skeleton order.
+        """
+        width = int(amplitudes.shape[1]).bit_length() - 1
+        sites = []
+        for depth in range(width):
+            halves = amplitudes.reshape(-1, 2**depth, 2, 2 ** (width - depth - 1))
+            norms = np.linalg.norm(halves, axis=3)
+            branch = 2.0 * np.arctan2(norms[:, :, 1], norms[:, :, 0])
+            sites.append(cls._multiplexed_sites(branch))
+        return np.hstack(sites)
+
+    @classmethod
+    def _multiplexed_sites(cls, branch: np.ndarray) -> np.ndarray:
+        """Site angles of a multiplexed RY from its ``(samples, 2**c)`` branch angles.
+
+        Uses the identity ``RY(a) ⊕ RY(b) = RY((a+b)/2) · CX · RY((a-b)/2)
+        · CX`` (circuit order, left to right) on the most significant
+        control: the sites of the half-sums, then those of the
+        half-differences.
+        """
+        if branch.shape[1] == 1:
+            return branch
+        half = branch.shape[1] // 2
+        upper, lower = branch[:, :half], branch[:, half:]
+        return np.hstack(
+            [
+                cls._multiplexed_sites((upper + lower) / 2.0),
+                cls._multiplexed_sites((upper - lower) / 2.0),
+            ]
+        )
+
+    def _append_skeleton(self, circuit, sites, qubits, num_features) -> None:
+        """One multiplexed RY per tree depth, controlled by the qubits above it."""
+        start = 0
+        for depth, target in enumerate(qubits):
+            stop = start + 2**depth
+            self._multiplexed_ry(circuit, sites[start:stop], qubits[:depth], target)
+            start = stop
 
     @classmethod
     def _multiplexed_ry(
         cls,
         circuit: QuantumCircuit,
-        angles: Sequence[float],
+        sites: Sequence,
         controls: Sequence[int],
         target: int,
     ) -> None:
-        """Apply RY(angles[p]) on ``target`` for each control pattern ``p``.
+        """Apply the ``2**len(controls)`` sites of a multiplexed RY on ``target``.
 
-        Pattern indices treat ``controls[0]`` as the most significant bit.
-        Decomposed recursively with the identity ``RY(a) ⊕ RY(b) =
-        RY((a+b)/2) · CX · RY((a-b)/2) · CX`` (applied circuit-order
-        left-to-right), which uses only RY and CX gates.
+        ``controls[0]`` is the most significant control.  Decomposed
+        recursively into RY and CX gates only, so the circuit stays in the
+        native basis of the simulated hardware; every site is one RY.
         """
-        angles = list(angles)
-        if len(angles) != 2 ** len(controls):
-            raise EncodingError(
-                f"multiplexed rotation over {len(controls)} controls needs "
-                f"{2 ** len(controls)} angles, got {len(angles)}"
-            )
         if not controls:
-            if abs(angles[0]) > 1e-12:
-                circuit.ry(angles[0], target, label="data")
+            circuit.ry(sites[0], target, label="data")
             return
-        if all(abs(a) < 1e-12 for a in angles):
-            return
-        half = len(angles) // 2
-        upper = np.asarray(angles[:half])   # controls[0] == 0 branch
-        lower = np.asarray(angles[half:])   # controls[0] == 1 branch
-        sums = (upper + lower) / 2.0
-        diffs = (upper - lower) / 2.0
-        head, rest = controls[0], list(controls[1:])
-        cls._multiplexed_ry(circuit, sums, rest, target)
+        half = len(sites) // 2
+        head, rest = controls[0], controls[1:]
+        cls._multiplexed_ry(circuit, sites[:half], rest, target)
         circuit.cx(head, target)
-        cls._multiplexed_ry(circuit, diffs, rest, target)
+        cls._multiplexed_ry(circuit, sites[half:], rest, target)
         circuit.cx(head, target)

@@ -4,13 +4,20 @@ A data encoder translates a classical feature vector into (a) a state-
 preparation :class:`~repro.quantum.circuit.QuantumCircuit` acting on
 ``num_qubits`` qubits initialised to ``|0...0>``, and (b) the corresponding
 :class:`~repro.quantum.statevector.Statevector` for the fast analytic path.
-QuClassi's trainer uses whichever representation the execution backend needs.
+
+Every encoder keeps one contract: a fixed gate skeleton over a sequence of
+*angle sites*, whose structure depends on the number of features alone, and
+:meth:`DataEncoder.angle_matrix`, the per-sample angles of those sites.
+:meth:`DataEncoder.encoding_circuit` is the skeleton over one row of the
+angle matrix and :meth:`DataEncoder.symbolic_encoding_circuit` the skeleton
+over symbolic parameters, so every encoder compiles once into a whole-grid
+program whose data columns bind straight from the angle matrix.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,19 +29,42 @@ from repro.quantum.statevector import Statevector
 class DataEncoder(abc.ABC):
     """Translate classical feature vectors into quantum states."""
 
-    #: Whether this encoder can compile its rotation angles as symbolic
-    #: bind-site columns (:meth:`symbolic_encoding_circuit` +
-    #: :meth:`angle_matrix`).  Encoders whose circuit *structure* depends on
-    #: the feature values (amplitude/basis encodings) leave this ``False``
-    #: and the whole-grid SweepProgram path falls back to per-sample binding.
-    supports_angle_columns = False
+    #: Name of the circuits the encoder builds.
+    circuit_name = "encoding"
 
     @abc.abstractmethod
     def num_qubits(self, num_features: int) -> int:
         """Number of qubits needed to encode ``num_features`` features."""
 
     @abc.abstractmethod
-    def encoding_circuit(self, features: Sequence[float], offset: int = 0, total_qubits: int | None = None) -> QuantumCircuit:
+    def num_angle_sites(self, num_features: int) -> int:
+        """Number of rotation sites of the skeleton for ``num_features`` features."""
+
+    @abc.abstractmethod
+    def angle_matrix(self, feature_matrix) -> np.ndarray:
+        """Per-sample angles, shape ``(samples, num_angle_sites)``.
+
+        Row ``i`` holds the angles the skeleton binds for
+        ``feature_matrix[i]``, in :meth:`symbolic_encoding_circuit`
+        parameter order.
+        """
+
+    @abc.abstractmethod
+    def _append_skeleton(
+        self, circuit: QuantumCircuit, sites: Sequence, qubits: Sequence[int], num_features: int
+    ) -> None:
+        """Append the gate skeleton over ``sites`` (floats or parameters) to ``circuit``."""
+
+    def angles(self, features: Sequence[float]) -> np.ndarray:
+        """The angle sites of one feature vector: its :meth:`angle_matrix` row."""
+        return self.angle_matrix(self.validate_features(features)[None, :])[0]
+
+    def encoding_circuit(
+        self,
+        features: Sequence[float],
+        offset: int = 0,
+        total_qubits: Optional[int] = None,
+    ) -> QuantumCircuit:
         """State-preparation circuit for one feature vector.
 
         Parameters
@@ -50,37 +80,53 @@ class DataEncoder(abc.ABC):
             Total width of the returned circuit; defaults to
             ``offset + num_qubits(len(features))``.
         """
+        angles = self.angles(features)
+        return self._skeleton_circuit(
+            len(np.asarray(features)), angles.tolist(), offset, total_qubits
+        )
 
     def symbolic_encoding_circuit(
         self,
         num_features: int,
         parameters: Sequence,
         offset: int = 0,
-        total_qubits: int | None = None,
+        total_qubits: Optional[int] = None,
     ) -> QuantumCircuit:
-        """Structure-only twin of :meth:`encoding_circuit` over ``parameters``.
+        """The skeleton of :meth:`encoding_circuit` over ``parameters``.
 
-        One :class:`~repro.quantum.operations.Parameter` per rotation site,
-        in the same order :meth:`angle_matrix` emits columns, so compiling
-        the result with ``bind_floats=False`` yields a program whose encoder
-        columns bind straight from the angle matrix.  Only available when
-        :attr:`supports_angle_columns` is ``True``.
+        One :class:`~repro.quantum.operations.Parameter` per angle site, in
+        the order :meth:`angle_matrix` emits columns, so compiling the result
+        with ``bind_floats=False`` yields a program whose encoder columns
+        bind straight from the angle matrix.
         """
-        raise EncodingError(
-            f"{type(self).__name__} does not support symbolic angle columns"
-        )
+        if num_features <= 0:
+            raise EncodingError(f"num_features must be positive, got {num_features}")
+        sites = self.num_angle_sites(num_features)
+        if len(parameters) != sites:
+            raise EncodingError(
+                f"expected one parameter per angle site ({sites}), got "
+                f"{len(parameters)}"
+            )
+        return self._skeleton_circuit(num_features, parameters, offset, total_qubits)
 
-    def angle_matrix(self, feature_matrix) -> np.ndarray:
-        """Per-sample rotation angles, shape ``(samples, num_angle_sites)``.
-
-        Row ``i`` holds the angles :meth:`encoding_circuit` would bind for
-        ``feature_matrix[i]``, in :meth:`symbolic_encoding_circuit` parameter
-        order.  Only available when :attr:`supports_angle_columns` is
-        ``True``.
-        """
-        raise EncodingError(
-            f"{type(self).__name__} does not support symbolic angle columns"
+    def _skeleton_circuit(
+        self,
+        num_features: int,
+        sites: Sequence,
+        offset: int,
+        total_qubits: Optional[int],
+    ) -> QuantumCircuit:
+        width = self.num_qubits(num_features)
+        total = total_qubits if total_qubits is not None else offset + width
+        if total < offset + width:
+            raise EncodingError(
+                f"total_qubits={total} too small for {width} data qubits at offset {offset}"
+            )
+        circuit = QuantumCircuit(total, 0, name=self.circuit_name)
+        self._append_skeleton(
+            circuit, sites, [offset + q for q in range(width)], num_features
         )
+        return circuit
 
     def validate_feature_matrix(
         self, feature_matrix, low: float = 0.0, high: float = 1.0

@@ -11,42 +11,43 @@ provided here:
   a density-matrix simulator with the device's noise model.  This is the base
   class of the simulated IBM-Q and IonQ machines in :mod:`repro.hardware`.
 
-Execution routes
-----------------
-A SWAP-test fidelity reaches a backend by exactly one of two routes:
+Execution route
+---------------
+A SWAP-test fidelity reaches a backend by one route,
+:meth:`Backend.sweep_grid_zero_probabilities`.  One *symbolic*
+discriminator (trained parameters and data-encoder angles unbound) compiles
+once into a :class:`~repro.quantum.program.SweepProgram` and executes a
+``(rows x samples, columns)`` bindings matrix tile by tile.  The statevector
+backends compile through their simulator's structure-keyed program cache;
+:class:`NoisyBackend` transpiles the symbolic circuit once through its
+:class:`~repro.quantum.transpiler.TranspileCache` and runs the template's
+precomposed-superoperator program.  The base class's default is the one
+loop left: it binds each bindings row into the circuit and calls
+:meth:`Backend.run`, so a backend that implements only ``run`` serves the
+estimator too.
 
-* :meth:`Backend.sweep_grid_zero_probabilities` — the whole-grid program.
-  One *symbolic* discriminator (trained parameters and data-encoder angles
-  unbound) compiles once into a
-  :class:`~repro.quantum.program.SweepProgram` and executes a
-  ``(rows x samples, columns)`` bindings matrix tile by tile.  The
-  statevector backends compile through their simulator's structure-keyed
-  program cache; :class:`NoisyBackend` transpiles the symbolic circuit once
-  through its :class:`~repro.quantum.transpiler.TranspileCache` and runs the
-  template's precomposed-superoperator program.
-* :meth:`Backend.run` — one bound circuit per call, the route for encoders
-  whose circuits cannot be expressed as angle bind columns.  The simulators
-  compile it once per gate structure (every float angle a bind column) and
-  execute it on the same program engines as the grid route, so the two
-  agree draw for draw where shots are sampled.
+:meth:`Backend.run` executes one bound circuit per call.  The simulators
+compile it once per gate structure (every float angle a bind column) and
+execute it on the same program engines as the grid, so a grid sweep and a
+loop of ``run`` agree draw for draw where shots are sampled.
 
-On the statevector backends both routes read a SWAP-test discriminator
-out as the overlap of its two registers: the engine evolves each register
-as a sub-program and reads ``P(ancilla = 0) = (1 + |<A|B>|**2) / 2``, never
-the ``2**n`` state (``run`` evolves that state only to return it).  So a
-grid element and ``run`` of one program read out through one routine, and
+On the statevector backends both read a SWAP-test discriminator out as the
+overlap of its two registers: the engine evolves each register as a
+sub-program and reads ``P(ancilla = 0) = (1 + |<A|B>|**2) / 2``, never the
+``2**n`` state (``run`` evolves that state only to return it).  So a grid
+element and ``run`` of one program read out through one routine, and
 :meth:`Backend.grid_element_amplitudes` charges a tile's elements in those
 registers.
 
-Both routes also read out and sample through the simulators' one array
-helper: ``(N, 2**m)`` probabilities in classical-bit order and one stacked
+Both also read out and sample through the simulators' one array helper:
+``(N, 2**m)`` probabilities in classical-bit order and one stacked
 multinomial over their rows, so a grid sweep's counts equal a loop of
 ``run`` calls draw for draw, and ``P(bit 0 = 0)`` is a column selection.
 :class:`NoisyBackend` ledgers each grid element straight from the
 template's transpile statistics, shots and circuit name, one record per
 element, with no per-element result object.
 
-Neither route is its own reference: the per-state classes
+Neither is its own reference: the per-state classes
 :class:`~repro.quantum.statevector.Statevector` and
 :class:`~repro.quantum.density_matrix.DensityMatrix`, which share no code
 with the program engines, are the independent reference both are tested
@@ -64,7 +65,7 @@ import numpy as np
 from repro.exceptions import BackendError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import NoiseModel
-from repro.quantum.program import StatevectorEngine, TilePlan
+from repro.quantum.program import TilePlan, statevector_element_amplitudes
 from repro.quantum.simulator import (
     DensityMatrixSimulator,
     SimulationResult,
@@ -137,44 +138,49 @@ class Backend(abc.ABC):
         shots: Optional[int] = None,
         tile_plan: Optional[TilePlan] = None,
     ) -> np.ndarray:
-        """SWAP-test readouts of one whole-grid sweep — zero per-sample circuits.
+        """SWAP-test readouts of one whole-grid sweep: ``P(bit 0 = 0)`` per element.
 
         ``circuit`` is a single *symbolic* representative (trained parameters
         and data-encoder angles unbound), ``parameters`` its binding-column
         order, ``bindings`` the ``(rows x samples, columns)`` value matrix in
-        row-major grid order.  Implementations compile the circuit once,
-        execute the bindings straight through the tiled program executor
-        (steps constant within each grid row of ``tile_plan`` — the
-        trained-state prefix — evolve once per row a tile touches), and return
-        ``P(bit 0 = 0)`` per grid element — draw-for-draw identical to
-        calling :meth:`run` on each bound per-sample circuit in row-major
-        order.  A backend that only implements :meth:`run` raises here.
+        row-major grid order.  The simulator backends compile the circuit
+        once and execute the bindings straight through the tiled program
+        executor (steps constant within each grid row of ``tile_plan`` — the
+        trained-state prefix — evolve once per row a tile touches),
+        draw-for-draw identical to calling :meth:`run` on each bound
+        circuit in row-major order.  This default *is* that loop: it binds
+        each row into ``circuit`` and calls :meth:`run` (``tile_plan`` is
+        not needed), so a backend that implements only :meth:`run` still
+        serves the estimator.
         """
-        raise BackendError(
-            f"{self.name}: whole-grid program execution is not implemented; "
-            "override sweep_grid_zero_probabilities to run angle-encoded "
-            "SWAP-test sweeps on this backend"
+        bindings = _check_bindings(bindings, self.name)
+        parameters = list(parameters)
+        return np.array(
+            [
+                self.ancilla_zero_probability(
+                    circuit.bind_parameters(dict(zip(parameters, row.tolist()))),
+                    shots=shots,
+                )
+                for row in bindings
+            ],
+            dtype=float,
         )
 
 
-def _statevector_element_amplitudes(
-    simulator: StatevectorSimulator, circuit: QuantumCircuit, parameters: Sequence
-) -> int:
-    """What one grid element holds, by the engine's own readout plan.
-
-    A stepwise element is its ``2**n`` state.  An overlap element holds two
-    ``2**k`` registers and a tile one more per grid row it touches, so
-    three per element keep the tile (``2 * elements + rows``) in budget.
-    """
-    program = simulator._grid_program(circuit, tuple(parameters))
-    registers = StatevectorEngine().readout_plan(program).registers
-    if registers is None:
-        return 2**program.num_qubits
-    return 3 * 2 ** len(registers[0].qubits)
+def _check_bindings(bindings, backend_name: str) -> np.ndarray:
+    """A grid bindings matrix as a 2-D float array, or a :class:`BackendError`."""
+    bindings = np.asarray(bindings, dtype=float)
+    if bindings.ndim != 2:
+        raise BackendError(
+            f"{backend_name}: grid bindings must be 2-D (elements, columns), "
+            f"got shape {bindings.shape}"
+        )
+    return bindings
 
 
 def _statevector_grid_sweep(
     simulator: StatevectorSimulator,
+    backend_name: str,
     circuit: QuantumCircuit,
     parameters: Sequence,
     bindings,
@@ -182,12 +188,7 @@ def _statevector_grid_sweep(
     tile_plan: Optional[TilePlan],
 ) -> np.ndarray:
     """Shared whole-grid implementation of the statevector backends."""
-    bindings = np.asarray(bindings, dtype=float)
-    if bindings.ndim != 2:
-        raise BackendError(
-            f"grid bindings must be 2-D (elements, columns), got shape "
-            f"{bindings.shape}"
-        )
+    bindings = _check_bindings(bindings, backend_name)
     if bindings.shape[0] == 0:
         return np.zeros(0)
     program = simulator._grid_program(circuit, tuple(parameters))
@@ -210,7 +211,9 @@ class IdealBackend(Backend):
         return self._simulator.run(circuit, shots=shots)
 
     def grid_element_amplitudes(self, circuit: QuantumCircuit, parameters: Sequence) -> int:
-        return _statevector_element_amplitudes(self._simulator, circuit, parameters)
+        return statevector_element_amplitudes(
+            self._simulator._grid_program(circuit, tuple(parameters))
+        )
 
     def sweep_grid_zero_probabilities(
         self,
@@ -223,7 +226,7 @@ class IdealBackend(Backend):
         """Whole-grid compile-once sweep on the statevector engine."""
         shots = validate_shots(shots, self.name)
         return _statevector_grid_sweep(
-            self._simulator, circuit, parameters, bindings, shots, tile_plan
+            self._simulator, self.name, circuit, parameters, bindings, shots, tile_plan
         )
 
 
@@ -249,7 +252,9 @@ class SampledBackend(Backend):
         return self._simulator.run(circuit, shots=self._resolve_shots(shots))
 
     def grid_element_amplitudes(self, circuit: QuantumCircuit, parameters: Sequence) -> int:
-        return _statevector_element_amplitudes(self._simulator, circuit, parameters)
+        return statevector_element_amplitudes(
+            self._simulator._grid_program(circuit, tuple(parameters))
+        )
 
     def sweep_grid_zero_probabilities(
         self,
@@ -262,6 +267,7 @@ class SampledBackend(Backend):
         """Whole-grid compile-once sweep; every element is sampled."""
         return _statevector_grid_sweep(
             self._simulator,
+            self.name,
             circuit,
             parameters,
             bindings,
@@ -429,12 +435,7 @@ class NoisyBackend(Backend):
         matches the per-sample paths.
         """
         shots = self._resolve_shots(shots)
-        bindings = np.asarray(bindings, dtype=float)
-        if bindings.ndim != 2:
-            raise BackendError(
-                f"{self.name}: grid bindings must be 2-D (elements, columns), "
-                f"got shape {bindings.shape}"
-            )
+        bindings = _check_bindings(bindings, self.name)
         if bindings.shape[0] == 0:
             return np.zeros(0)
         self._check_width(circuit)

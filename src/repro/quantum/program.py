@@ -214,9 +214,17 @@ class TilePlan:
     def for_state_overlap(
         cls, rows: int, samples: int, state_amplitudes: int, max_amplitudes: int
     ) -> "TilePlan":
-        """Plan a tiled overlap matmul holding row states and sample columns."""
+        """Plan a tiled overlap matmul holding row states and sample columns.
+
+        One tile whenever all ``rows + samples`` states fit the budget;
+        otherwise up to half the budget holds sample columns and the rest
+        row states.
+        """
         budget_states = cls._fitting("state", state_amplitudes, max_amplitudes, 2)
-        sample_tile = min(samples, budget_states // 2) or 1
+        if rows + samples <= budget_states:
+            sample_tile = samples or 1
+        else:
+            sample_tile = min(samples, budget_states // 2) or 1
         row_tile = min(rows, budget_states - sample_tile) or 1
         return cls(
             rows=rows,
@@ -1210,6 +1218,20 @@ class StatevectorEngine:
         self, state, measured_qubits, readout: ReadoutPlan
     ) -> np.ndarray:
         return state.probabilities(measured_qubits)
+
+
+def statevector_element_amplitudes(program: SweepProgram) -> int:
+    """Complex entries one grid element of ``program`` holds on the statevector engine.
+
+    Read off the engine's readout plan (:meth:`StatevectorEngine.readout_plan`):
+    a stepwise element is its ``2**n`` state.  An overlap element holds two
+    ``2**k`` registers and a tile one more per grid row it touches, so three
+    per element keep the tile (``2 * elements + rows`` registers) in budget.
+    """
+    registers = StatevectorEngine().readout_plan(program).registers
+    if registers is None:
+        return 2**program.num_qubits
+    return 3 * 2 ** len(registers[0].qubits)
 
 
 def gate_noise_superoperator(

@@ -156,6 +156,9 @@ class SweepReadout:
 
         A column selection and a row sum: element for element what
         :meth:`SimulationResult.marginal_probability` of ``run`` reports.
+        The exact sum runs left to right (a cumulative sum), the order of
+        ``run``'s loop over its outcome dictionary; numpy's pairwise ``sum``
+        can differ from it in the last ULP from eight columns on.
         """
         if not 0 <= clbit < self.num_clbits:
             raise SimulationError(
@@ -168,7 +171,9 @@ class SweepReadout:
         else:
             selected = np.full(2**width, value == 0)
         if self.counts is None:
-            return self.probabilities[:, selected].sum(axis=1)
+            if not selected.any():
+                return np.zeros(self.probabilities.shape[0])
+            return np.cumsum(self.probabilities[:, selected], axis=1)[:, -1]
         return self.counts[:, selected].sum(axis=1) / self.shots
 
 

@@ -1,8 +1,8 @@
 """Bounded LRU mapping shared by the hot-path memoisation caches.
 
 The training and sweep hot paths memoise several kinds of derived objects —
-encoded data statevectors, stacked data-state matrices, data-bound
-discriminator circuits, transpile templates — and all of them need the same
+stacked data-state matrices, compiled sweep programs, transpile templates,
+kernel certificates — and all of them need the same
 behaviour: lookups refresh recency, inserts evict the stalest entries once a
 size bound is exceeded.  :class:`LRUCache` centralises that idiom so every
 cache evicts identically.

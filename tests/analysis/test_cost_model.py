@@ -85,9 +85,10 @@ class TestEstimateCost:
         program, _ = compile_discriminator(4)
         plan = TilePlan.for_circuit_sweep(4, 8, 2**program.num_qubits, 2**20)
         report = estimate_cost(program, plan)
-        # The plan's unit stays the full element; the working set is each
-        # element's two 2-qubit registers plus register A's grid rows.
-        assert report.element_amplitudes == 2**program.num_qubits
+        # An element is three 2-qubit registers, the unit the backends
+        # budget grid tiles in; the working set is each element's two
+        # registers plus register A's grid rows.
+        assert report.element_amplitudes == 3 * 2**2
         assert report.peak_amplitudes == (2 * report.tile_elements + 4) * 2**2
 
     def test_density_element_is_4_to_n(self):

@@ -17,12 +17,7 @@ import pytest
 from repro.core.circuit_builder import DiscriminatorCircuitBuilder
 from repro.core.layers import LayerStack
 from repro.core.swap_test import AnalyticFidelityEstimator, SwapTestFidelityEstimator
-from repro.encoding import (
-    AmplitudeEncoder,
-    BasisEncoder,
-    DualAngleEncoder,
-    SingleAngleEncoder,
-)
+from repro.encoding import DualAngleEncoder, SingleAngleEncoder
 from repro.hardware import ibmq_london
 from repro.quantum.backend import IdealBackend, SampledBackend
 
@@ -122,7 +117,6 @@ class TestGridMatchesRunBitwise:
         row = SwapTestFidelityEstimator(
             builder, backend=ibmq_london(seed=9), shots=128
         ).fidelities(values, samples)
-        assert len(builder._data_bound_cache) == 0
         grid, _ = grid_and_reference(
             run_reference, builder, "noisy", 2**23, values[None, :], samples
         )
@@ -134,57 +128,16 @@ class TestGridMatchesRunBitwise:
         assert empty.shape == (parameter_matrix.shape[0], 0)
         assert estimator.circuits_executed == 0
 
-    def test_grid_builds_no_per_sample_circuits(self, builder, parameter_matrix, samples):
+    def test_grid_builds_no_per_sample_circuits(
+        self, builder, parameter_matrix, samples, monkeypatch
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the grid route built a per-sample circuit")
+
+        monkeypatch.setattr(builder, "build", no_build)
         estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
         estimator.fidelity_matrix(parameter_matrix, samples)
-        assert len(builder._data_bound_cache) == 0  # the point of the grid path
         assert estimator.circuits_executed == parameter_matrix.shape[0] * samples.shape[0]
-
-
-class TestLoopOnlyEncoders:
-    """Encoders without angle columns run one ``Backend.run`` per element.
-
-    Basis-encoded discriminators change gate structure with every sample,
-    so they can never share one compiled program; the estimator must loop
-    ``run`` for them instead of rejecting the sweep.
-    """
-
-    @pytest.mark.parametrize("encoder_cls", [BasisEncoder, AmplitudeEncoder])
-    @pytest.mark.parametrize("backend_key", sorted(BACKENDS))
-    def test_fidelity_matrix_matches_run_reference(
-        self, encoder_cls, backend_key, run_reference
-    ):
-        # Two features keep basis encoding inside ibmq_london's 5 qubits.
-        builder = make_builder(encoder_cls(), num_features=2)
-        assert not builder.supports_grid_compile
-        rng = np.random.default_rng(45)
-        matrix = rng.uniform(0, np.pi, size=(2, builder.num_parameters))
-        features = rng.uniform(0.05, 0.95, size=(3, 2))
-        estimated, reference = grid_and_reference(
-            run_reference, builder, backend_key, 2**23, matrix, features
-        )
-        np.testing.assert_array_equal(estimated, reference)
-
-    def test_noisy_loop_ledgers_every_element(self):
-        builder = make_builder(BasisEncoder(), num_features=2)
-        matrix = np.random.default_rng(47).uniform(0, np.pi, (1, builder.num_parameters))
-        backend = ibmq_london(seed=1)
-        SwapTestFidelityEstimator(builder, backend=backend, shots=64).fidelity_matrix(
-            matrix, np.array([[0.1, 0.9], [0.9, 0.1]])
-        )
-        # One transpile per sample structure, one ledger record per element.
-        assert backend.transpile_cache_stats["misses"] == 2
-        assert backend.ledger.num_jobs == 2
-
-    def test_loop_counts_every_element(self):
-        builder = make_builder(BasisEncoder())
-        estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
-        rng = np.random.default_rng(46)
-        estimator.fidelity_matrix(
-            rng.uniform(0, np.pi, size=(2, builder.num_parameters)),
-            rng.uniform(0.05, 0.95, size=(3, 4)),
-        )
-        assert estimator.circuits_executed == 6
 
 
 class TestGridBindings:
@@ -209,18 +162,23 @@ class TestGridBindings:
 
 
 class TestVectorisedDataStates:
-    def test_batched_matrix_matches_per_row_loop(self, builder, samples):
-        estimator = AnalyticFidelityEstimator(builder)
-        batched = estimator.data_state_matrix(samples)
-        loop = np.stack([estimator.data_statevector(row).data for row in samples])
-        np.testing.assert_allclose(batched, loop, atol=1e-12)
+    def test_batched_matrix_matches_the_per_state_reference(self, builder, samples):
+        from repro.quantum.statevector import Statevector
 
-    def test_non_column_encoder_falls_back_to_the_loop(self, samples):
-        class LoopOnlyEncoder(DualAngleEncoder):
-            supports_angle_columns = False
+        batched = AnalyticFidelityEstimator(builder).data_state_matrix(samples)
+        reference = np.stack(
+            [
+                Statevector(builder.layout.state_width)
+                .evolve(builder.data_state_circuit(row))
+                .data
+                for row in samples
+            ]
+        )
+        np.testing.assert_allclose(batched, reference, atol=1e-12)
 
-        builder = make_builder(LoopOnlyEncoder())
+    def test_data_statevector_is_a_one_row_matrix(self, builder, samples):
         estimator = AnalyticFidelityEstimator(builder)
-        batched = estimator.data_state_matrix(samples)
-        loop = np.stack([estimator.data_statevector(row).data for row in samples])
-        np.testing.assert_array_equal(batched, loop)
+        np.testing.assert_array_equal(
+            estimator.data_statevector(samples[1]).data,
+            estimator.data_state_matrix(samples[1:2])[0],
+        )

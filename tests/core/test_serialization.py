@@ -84,7 +84,13 @@ class TestValidation:
             def num_qubits(self, num_features):
                 return num_features
 
-            def encoding_circuit(self, features, offset=0, total_qubits=None):
+            def num_angle_sites(self, num_features):
+                return num_features
+
+            def angle_matrix(self, feature_matrix):
+                raise NotImplementedError
+
+            def _append_skeleton(self, circuit, sites, qubits, num_features):
                 raise NotImplementedError
 
         model = QuClassi(num_features=4, num_classes=2, encoder=WeirdEncoder(), seed=0)

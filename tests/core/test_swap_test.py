@@ -6,7 +6,7 @@ import pytest
 from repro.core.circuit_builder import DiscriminatorCircuitBuilder
 from repro.core.layers import LayerStack
 from repro.core.swap_test import AnalyticFidelityEstimator, SwapTestFidelityEstimator
-from repro.encoding import BasisEncoder, DualAngleEncoder
+from repro.encoding import AmplitudeEncoder, DualAngleEncoder
 from repro.exceptions import ValidationError
 from repro.hardware import ibmq_london
 from repro.quantum.backend import IdealBackend, SampledBackend
@@ -73,15 +73,15 @@ class TestAnalyticEstimator:
     def test_data_state_cache_reused(self, builder, parameters, samples):
         estimator = AnalyticFidelityEstimator(builder)
         estimator.fidelities(parameters, samples)
-        cache_size = len(estimator._data_state_cache)
+        cache_size = len(estimator._data_matrix_cache)
         estimator.fidelities(parameters + 0.1, samples)
-        assert len(estimator._data_state_cache) == cache_size
+        assert len(estimator._data_matrix_cache) == cache_size == 1
 
     def test_clear_cache(self, builder, parameters, samples):
         estimator = AnalyticFidelityEstimator(builder)
         estimator.fidelities(parameters, samples)
         estimator.clear_cache()
-        assert len(estimator._data_state_cache) == 0
+        assert len(estimator._data_matrix_cache) == 0
 
     def test_perfect_match_gives_unit_fidelity(self, builder):
         encoder = DualAngleEncoder()
@@ -166,6 +166,23 @@ class TestAnalyticBatchedPath:
         with pytest.raises(ValidationError):
             estimator.trained_statevectors(np.zeros((2, builder.num_parameters + 1)))
 
+    @pytest.mark.parametrize("encoder", [DualAngleEncoder(), AmplitudeEncoder()])
+    def test_feature_width_validation(self, encoder):
+        """A matrix of the wrong width raises; amplitude encoding would zero-pad it."""
+        builder = make_builder(encoder=encoder)
+        parameters = np.zeros((1, builder.num_parameters))
+        narrow = np.full((2, 3), 0.5)
+        analytic = AnalyticFidelityEstimator(builder)
+        swap_test = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
+        for call in (
+            lambda: analytic.fidelity_matrix(parameters, narrow),
+            lambda: analytic.data_state_matrix(narrow),
+            lambda: swap_test.fidelity_matrix(parameters, narrow),
+            lambda: builder.grid_bindings(parameters, narrow),
+        ):
+            with pytest.raises(ValidationError, match="expected 4 feature column"):
+                call()
+
     def test_swap_test_fidelity_matrix_matches_loop(self, builder, samples, run_reference):
         estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
         rng = np.random.default_rng(12)
@@ -177,43 +194,39 @@ class TestAnalyticBatchedPath:
 
 class TestDataStateCacheBound:
     def test_cache_is_bounded_lru(self, builder, parameters):
-        # fidelities() itself now evaluates angle-column encoders in one
-        # batched program pass, so drive the per-row cache directly.
-        estimator = AnalyticFidelityEstimator(builder, data_cache_size=2)
+        estimator = AnalyticFidelityEstimator(builder, data_matrix_cache_size=2)
         rng = np.random.default_rng(13)
-        samples = rng.uniform(0.05, 0.95, size=(5, 4))
-        for row in samples:
-            estimator.data_statevector(row)
-        assert len(estimator._data_state_cache) == 2
+        for _ in range(5):
+            estimator.data_state_matrix(rng.uniform(0.05, 0.95, size=(3, 4)))
+        assert len(estimator._data_matrix_cache) == 2
 
     def test_recently_used_entries_survive(self, builder):
-        estimator = AnalyticFidelityEstimator(builder, data_cache_size=2)
-        a = np.array([0.1, 0.2, 0.3, 0.4])
-        b = np.array([0.5, 0.6, 0.7, 0.8])
-        c = np.array([0.9, 0.1, 0.2, 0.3])
-        estimator.data_statevector(a)
-        estimator.data_statevector(b)
-        estimator.data_statevector(a)  # refresh a
-        estimator.data_statevector(c)  # evicts b
-        key_a = tuple(np.round(a, 12))
-        key_b = tuple(np.round(b, 12))
-        assert key_a in estimator._data_state_cache
-        assert key_b not in estimator._data_state_cache
+        estimator = AnalyticFidelityEstimator(builder, data_matrix_cache_size=2)
+        a = np.array([[0.1, 0.2, 0.3, 0.4]])
+        b = np.array([[0.5, 0.6, 0.7, 0.8]])
+        c = np.array([[0.9, 0.1, 0.2, 0.3]])
+        estimator.data_state_matrix(a)
+        estimator.data_state_matrix(b)
+        estimator.data_state_matrix(a)  # refresh a
+        estimator.data_state_matrix(c)  # evicts b
+        assert (a.shape, a.tobytes()) in estimator._data_matrix_cache
+        assert (b.shape, b.tobytes()) not in estimator._data_matrix_cache
 
     def test_eviction_does_not_change_values(self, builder, parameters):
-        bounded = AnalyticFidelityEstimator(builder, data_cache_size=1)
+        bounded = AnalyticFidelityEstimator(builder, data_matrix_cache_size=1)
         unbounded = AnalyticFidelityEstimator(builder)
         rng = np.random.default_rng(14)
         samples = rng.uniform(0.05, 0.95, size=(4, 4))
-        np.testing.assert_allclose(
+        bounded.fidelities(parameters, samples)
+        bounded.fidelities(parameters, samples[::-1])  # evicts the first stack
+        np.testing.assert_array_equal(
             bounded.fidelities(parameters, samples),
             unbounded.fidelities(parameters, samples),
-            atol=1e-12,
         )
 
     def test_invalid_cache_size_rejected(self, builder):
         with pytest.raises(ValidationError):
-            AnalyticFidelityEstimator(builder, data_cache_size=0)
+            AnalyticFidelityEstimator(builder, data_matrix_cache_size=0)
 
 
 class TestSwapTestBatchedPath:
@@ -292,44 +305,9 @@ class TestSwapTestBatchedPath:
         estimator.fidelity_matrix(matrix, samples)
         assert estimator.circuits_executed == 3 * len(samples)
 
-    # The per-circuit loop (loop-only encoders) builds one memoised
-    # data-bound discriminator per sample; the caching tests drive it.
-    def test_builder_circuit_cache_is_bounded(self):
-        encoder = BasisEncoder()
-        stack = LayerStack.from_architecture("s", encoder.num_qubits(2))
-        bounded = DiscriminatorCircuitBuilder(stack, encoder, 2, data_circuit_cache_size=2)
-        estimator = SwapTestFidelityEstimator(bounded, backend=IdealBackend(), shots=None)
-        rng = np.random.default_rng(24)
-        parameters = rng.uniform(0, np.pi, bounded.num_parameters)
-        estimator.fidelities(parameters, rng.uniform(0.05, 0.95, size=(5, 2)))
-        assert len(bounded._data_bound_cache) == 2
-
-    def test_clear_cache_drops_memoised_circuits(self, samples):
-        builder = make_builder(num_features=2, encoder=BasisEncoder())
-        parameters = np.zeros(builder.num_parameters)
-        estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
-        estimator.fidelities(parameters, samples[:, :2])
-        assert len(builder._data_bound_cache) > 0
-        estimator.clear_cache()
-        assert len(builder._data_bound_cache) == 0
-
-    def test_cached_discriminator_reused_across_estimators(self, samples):
-        builder = make_builder(num_features=2, encoder=BasisEncoder())
-        parameters = np.zeros(builder.num_parameters)
-        first = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
-        first.fidelities(parameters, samples[:, :2])
-        cached = len(builder._data_bound_cache)
-        second = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
-        second.fidelities(parameters, samples[:, :2])
-        assert len(builder._data_bound_cache) == cached
-
     def test_invalid_configuration_rejected(self, builder):
         with pytest.raises(ValidationError):
             SwapTestFidelityEstimator(builder, max_batch_amplitudes=0)
-        encoder = DualAngleEncoder()
-        stack = LayerStack.from_architecture("s", encoder.num_qubits(4))
-        with pytest.raises(ValidationError):
-            DiscriminatorCircuitBuilder(stack, encoder, 4, data_circuit_cache_size=0)
 
     def test_parameter_matrix_must_be_2d(self, builder, parameters, samples):
         estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)

@@ -145,6 +145,33 @@ class TestRegisterBudget:
         )
         assert [d.code for d in verify_cost(program, plan)] == ["VER205"]
 
+    def test_the_cost_model_sizes_an_element_by_the_readout_rule(self):
+        """Under 2**15 the 17-qubit sweep runs as one tile, and VER202 agrees.
+
+        Charged a full 2**17 state, one element would not fit the budget
+        at all (VER202); charged three 2**8 registers, as the backend
+        budgets it, 32 elements fit in one tile.
+        """
+        from repro.analysis.cost import estimate_cost
+        from repro.core.model import QuClassi
+
+        builder = QuClassi(num_features=16, num_classes=2, architecture="s", seed=0).builder
+        backend = SampledBackend(shots=64, seed=0)
+        estimator = SwapTestFidelityEstimator(
+            builder, backend=backend, shots=64, max_batch_amplitudes=2**15
+        )
+        plan = estimator.grid_tile_plan(2, 16)
+        assert plan.num_tiles == 1
+        program = backend._simulator._grid_program(
+            builder.symbolic_discriminator(), tuple(builder.grid_parameters)
+        )
+        assert estimate_cost(program, plan).element_amplitudes == 3 * 2**8 == (
+            backend.grid_element_amplitudes(
+                builder.symbolic_discriminator(), builder.grid_parameters
+            )
+        )
+        assert [d.code for d in verify_cost(program, plan)] == ["VER205"]
+
 
 class TestAnalyticTiling:
     def test_tiled_matches_untiled(self, builder, parameter_matrix, samples):
@@ -174,6 +201,29 @@ class TestAnalyticTiling:
         np.testing.assert_allclose(
             estimator.fidelity_matrix(rows, many_samples), whole, atol=1e-12
         )
+
+    @pytest.mark.parametrize("spare_states", [0, 5])
+    def test_one_tile_is_the_untiled_product_bitwise(self, builder, spare_states):
+        """A sweep whose states fit is one tile: one evolution, one matmul.
+
+        13 samples are more than half of the 15-state edge budget, which
+        once split them; the one tile reads the data-state matrix of the
+        whole feature matrix, under the untiled product's cache key.
+        """
+        rng = np.random.default_rng(6)
+        rows = rng.uniform(0, np.pi, size=(2, builder.num_parameters))
+        samples = rng.uniform(0.05, 0.95, size=(13, 4))
+        state = 2**builder.layout.state_width
+        estimator = AnalyticFidelityEstimator(
+            builder, max_batch_amplitudes=(15 + spare_states) * state
+        )
+        fidelities = estimator.fidelity_matrix(rows, samples)
+        assert len(estimator._data_matrix_cache) == 1
+        assert (samples.shape, samples.tobytes()) in estimator._data_matrix_cache
+        untiled = estimator.trained_statevectors(rows).fidelities(
+            estimator.data_state_matrix(samples)
+        )
+        np.testing.assert_array_equal(fidelities, untiled)
 
     def test_budget_validated(self, builder):
         with pytest.raises(ValidationError):

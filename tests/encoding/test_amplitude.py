@@ -21,6 +21,12 @@ class TestAmplitudes:
         assert np.linalg.norm(amplitudes) == pytest.approx(1.0)
         np.testing.assert_allclose(amplitudes, [0.6, 0.8])
 
+    @pytest.mark.parametrize("scale", [1e-165, 1e200])
+    def test_normalisation_survives_extreme_magnitudes(self, scale):
+        # The squared norm of these would underflow to 0 or overflow to inf.
+        amplitudes = AmplitudeEncoder().amplitudes([3.0 * scale, 4.0 * scale])
+        np.testing.assert_allclose(amplitudes, [0.6, 0.8], rtol=0, atol=1e-15)
+
     def test_zero_padding(self):
         amplitudes = AmplitudeEncoder().amplitudes([1.0, 1.0, 1.0])
         assert amplitudes.shape == (4,)

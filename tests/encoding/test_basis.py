@@ -28,9 +28,10 @@ class TestBasisEncoder:
         # bits 101 -> index 5
         assert state.probabilities()[5] == pytest.approx(1.0)
 
-    def test_circuit_only_uses_x(self):
+    def test_circuit_is_one_ry_of_pi_b_per_qubit(self):
         circuit = BasisEncoder().encoding_circuit([0.9, 0.1])
-        assert set(circuit.count_ops()) <= {"x"}
+        assert circuit.count_ops() == {"ry": 2}
+        assert [inst.params[0] for inst in circuit.instructions] == [np.pi, 0.0]
 
     def test_all_below_threshold_gives_ground_state(self):
         state = BasisEncoder().encode([0.1, 0.2])

@@ -24,7 +24,7 @@ stays seed-identical to the loop as well.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.quantum.circuit import QuantumCircuit
@@ -162,6 +162,20 @@ class TestGridMatchesRunLoop:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(case=readout_cases())
+    # An unmeasured bit's P(0) sums all eight columns: numpy's pairwise sum
+    # differed from run's left-to-right loop in the last ULP.
+    @example(
+        case={
+            "num_qubits": 3,
+            "measured": [0, 1, 2],
+            "num_clbits": 4,
+            "clbits": [1, 0, 2],
+            "gates": [("ry", 0, 1), ("ry", 1, 1)],
+            "zero_rows": [False],
+            "seed": 21973,
+            "kind": "statevector",
+        }
+    )
     def test_counts_and_marginals_match_a_loop_of_run(self, case):
         circuit, parameters, bindings = build(case)
         assert_grid_matches_run_loop(

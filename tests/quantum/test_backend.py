@@ -312,13 +312,25 @@ class TestGridRouteMatchesRun:
         for cls in (IdealBackend, SampledBackend, NoisyBackend):
             assert "sweep_grid_zero_probabilities" in vars(cls)
 
-    def test_run_only_backend_has_no_grid_route(self):
+    @pytest.mark.parametrize("shots", [None, 64])
+    def test_the_base_default_equals_the_run_loop(self, shots):
         class MinimalBackend(Backend):
-            def run(self, circuit, shots=None):
-                return IdealBackend().run(circuit, shots=shots)
+            def __init__(self):
+                self._inner = SampledBackend(shots=64, seed=4) if shots else IdealBackend()
 
-        with pytest.raises(BackendError, match="grid program execution is not implemented"):
-            grid(MinimalBackend(), bindings(1, seed=0), shots=None)
+            def run(self, circuit, shots=None):
+                return self._inner.run(circuit, shots=shots)
+
+        rows = bindings(5, seed=0)
+        reference = MinimalBackend()
+        loop = [
+            reference.run(rotation_circuit(row), shots=shots).marginal_probability(0, 0)
+            for row in rows
+        ]
+        np.testing.assert_array_equal(grid(MinimalBackend(), rows, shots=shots), loop)
+        assert grid(MinimalBackend(), np.zeros((0, 3)), shots=shots).shape == (0,)
+        with pytest.raises(BackendError, match="grid bindings must be 2-D"):
+            grid(MinimalBackend(), rows[0], shots=shots)
 
     def test_run_only_backend_serves_the_loop_route(self):
         from repro.core.circuit_builder import DiscriminatorCircuitBuilder

@@ -101,6 +101,18 @@ class TestTilePlan:
         assert list(plan.sample_tiles())[0] == (0, 10)
         assert list(plan.row_tiles())[-1] == (90, 100)
 
+    def test_state_overlap_is_one_tile_whenever_every_state_fits(self):
+        # 20 states fit.  2 rows + 17 samples take one tile, although the
+        # samples alone are more than half the budget.
+        plan = TilePlan.for_state_overlap(2, 17, state_amplitudes=4, max_amplitudes=80)
+        assert (plan.row_tile, plan.sample_tile, plan.num_tiles) == (2, 17, 1)
+        # The edge: 3 + 17 states fill the budget exactly, still one tile.
+        edge = TilePlan.for_state_overlap(3, 17, state_amplitudes=4, max_amplitudes=80)
+        assert (edge.row_tile, edge.sample_tile, edge.num_tiles) == (3, 17, 1)
+        # One state more and the samples split at half the budget.
+        over = TilePlan.for_state_overlap(4, 17, state_amplitudes=4, max_amplitudes=80)
+        assert (over.row_tile, over.sample_tile) == (4, 10)
+
     def test_empty_grid_yields_no_tiles(self):
         plan = TilePlan.for_circuit_sweep(0, 5, element_amplitudes=2, max_amplitudes=16)
         assert list(plan.flat_tiles()) == []
