@@ -29,6 +29,11 @@ computes what one tiled execution *will* allocate and contract —
   update variant (:func:`repro.quantum.kernels.update_variant`, the
   kernels' own rule) is a matmul and none when it is the axpy, and
   permutation and diagonal steps contract nothing;
+* on a statevector engine, the leading one-qubit steps
+  (:func:`~repro.quantum.program.factor_region`, the engine's own rule)
+  charged on the two-amplitude factor they run on, with that width's
+  update variant (the left matmul), plus the bytes of the Kronecker
+  product that builds the register from the factors;
 * for a SWAP test on a statevector engine, which reads out as a register
   overlap (:meth:`~repro.quantum.program.StatevectorEngine.readout_plan`,
   the engine's own rule), the same accounts over the two register
@@ -151,10 +156,15 @@ class CostReport:
     #: Bytes each program step moves over the whole sweep: reading and
     #: writing every element's state once for its matmul or kernel, and
     #: again for a transpose; 0 for a step folded into a run head or into
-    #: the measurement observable.
+    #: the measurement observable.  A statevector factor step's state is
+    #: its two-amplitude factor.
     step_bytes_moved: Tuple[int, ...] = ()
-    #: Every step's bytes plus the readout's: it reads each element's
-    #: state once, and an observable readout reads the observable per tile.
+    #: Bytes the statevector factor products move over the whole sweep:
+    #: about one register step's (read and write) per product built.
+    product_bytes_moved: int = 0
+    #: Every step's bytes, the products' and the readout's: it reads each
+    #: element's state once, and an observable readout reads the
+    #: observable per tile.
     bytes_moved: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
@@ -261,18 +271,13 @@ def estimate_cost(
             from repro.quantum.program import StatevectorEngine
 
             registers = StatevectorEngine().readout_plan(program).registers
-    # Each step's qubits on the ``width``-qubit state it is dispatched to,
-    # or ``None`` for a step no tile dispatches.
     if registers is not None:
         # Overlap readout: only the two register sub-programs' steps run,
         # each on its ``2**k``-amplitude register; every tile holds both
         # registers of every element plus register A's grid rows, and the
         # readout reads both registers once.
         width = len(registers[0].qubits)
-        placements: List[Optional[Tuple[int, ...]]] = [None] * len(program.steps)
-        for register in registers:
-            for index, step in zip(register.steps, register.program.steps):
-                placements[index] = step.qubits
+        evolved = [(register.program, register.steps) for register in registers]
         state_bytes = 2**width * bytes_per_amplitude
         peak_amplitudes = (2 * tile_elements + max(tile_rows, default=0)) * 2**width
         # Register B's kernel output is live beside both registers.
@@ -280,8 +285,31 @@ def estimate_cost(
         readout_bytes_moved = sweep_elements * 2 * state_bytes
     else:
         width = program.num_qubits
-        placements = [step.qubits for step in program.steps]
+        evolved = [(program, range(len(program.steps)))]
         live_amplitudes = EINSUM_LIVE_ARRAYS * peak_amplitudes
+    # Each step's qubits on the state it is dispatched to (``None`` for a
+    # step no tile dispatches), and that state's width: a statevector
+    # factor step runs on its qubit's one-qubit factor
+    # (:func:`~repro.quantum.program.factor_region`), every other step on
+    # the ``width``-qubit state.  The factors' Kronecker product is built
+    # once per grid row of each tile when the shared prefix covers the
+    # factor region, else once per element.
+    from repro.quantum.program import factor_region
+
+    placements: List[Optional[Tuple[int, ...]]] = [None] * len(program.steps)
+    widths = [width] * len(program.steps)
+    product_elements = 0
+    for sub, indices in evolved:
+        region = factor_region(sub) if engine == "statevector" else 0
+        for local, (index, step) in enumerate(zip(indices, sub.steps)):
+            placements[index] = (0,) if local < region else step.qubits
+            widths[index] = 1 if local < region else width
+        if region:
+            shared = indices[region - 1] < shared_prefix_steps
+            product_elements += prefix_elements if shared else sweep_elements
+    # The product writes its partial products (under one register in all)
+    # and the register, about what one register step moves.
+    product_bytes_moved = 2 * product_elements * state_bytes
     peak_bytes = live_amplitudes * bytes_per_amplitude + bindings_bytes + readout_bytes
     if engine == "density":
         from repro.quantum.program import density_readout_split, density_schedule
@@ -322,8 +350,8 @@ def estimate_cost(
             for step, qubits in zip(program.steps, placements)
         ]
         variants = [
-            update_variant(kind, qubits, width) if qubits is not None else None
-            for kind, qubits in zip(kinds, placements)
+            update_variant(kind, qubits, step_width) if qubits is not None else None
+            for kind, qubits, step_width in zip(kinds, placements, widths)
         ]
         einsum_contractions = num_tiles * sum(
             kind == DENSE and variant is None for kind, variant in zip(kinds, variants)
@@ -338,9 +366,11 @@ def estimate_cost(
     element_contractions = sum(
         count * elements for count, elements in zip(dispatched, step_elements)
     )
+    # A factor step moves its two-amplitude factor: 2**(width - 1) times
+    # less than the register.
     step_bytes_moved = tuple(
-        2 * count * elements * state_bytes
-        for count, elements in zip(moves, step_elements)
+        2 * count * elements * (state_bytes >> (width - step_width))
+        for count, elements, step_width in zip(moves, step_elements, widths)
     )
     return CostReport(
         program=program.name,
@@ -366,7 +396,8 @@ def estimate_cost(
         element_contractions=element_contractions,
         transposes=transposes,
         step_bytes_moved=step_bytes_moved,
-        bytes_moved=sum(step_bytes_moved) + readout_bytes_moved,
+        product_bytes_moved=product_bytes_moved,
+        bytes_moved=sum(step_bytes_moved) + product_bytes_moved + readout_bytes_moved,
     )
 
 

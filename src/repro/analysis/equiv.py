@@ -33,15 +33,19 @@ VER408 the statevector engine's overlap readout of a SWAP test — its two
        overlap — equals the stepwise evolution of the whole program, its
        final state marginalised onto the ancilla (within ``1e-12`` in
        double precision)
+VER409 the statevector engine's factor region — leading one-qubit steps
+       evolved on per-qubit factors, the register built as their Kronecker
+       product — equals the region's steps applied one by one to the full
+       register (within ``1e-12`` in double precision)
 ====== ====================================================================
 
 The engines lift gate blocks with tensor-axis algebra; the certificates
 rebuild every lift from scratch with ``kron`` plus explicit
 qubit-permutation matrices (VER405) or walk full-space
 :class:`~repro.quantum.density_matrix.DensityMatrix` Kraus applications
-(VER406, VER407) or the whole program's state (VER408) — genuinely
-different code paths, so a bug in either side
-makes the two disagree and the certificate fail.
+(VER406, VER407), the whole program's state (VER408) or the full
+register's dense einsum (VER409) — genuinely different code paths, so a
+bug in either side makes the two disagree and the certificate fail.
 
 Findings surface through the shared CLI (``--verify``), its text/JSON
 outputs, and ``--select`` like every other family.
@@ -68,6 +72,7 @@ EQUIV_CODES = {
     "VER406": "layout-scheduled density evolution differs from the per-state reference",
     "VER407": "observable readout differs from the per-state evolution's marginal",
     "VER408": "overlap readout differs from the stepwise evolution's marginal",
+    "VER409": "factor-region Kronecker state differs from the flat evolution",
 }
 
 
@@ -498,6 +503,67 @@ def verify_overlap_readout(program: "SweepProgram", bindings) -> List[Diagnostic
     ]
 
 
+def verify_factor_prefix(program: "SweepProgram", bindings) -> List[Diagnostic]:
+    """VER409 — the factor region's Kronecker state equals its flat evolution.
+
+    Evolves ``bindings`` through the program's factor region
+    (:func:`~repro.quantum.program.factor_region`) on a fresh
+    :class:`~repro.quantum.program.StatevectorEngine` exactly as a tile
+    does — each qubit's steps on its one-qubit factor, then the factors'
+    Kronecker product — and compares with the region's steps applied one
+    by one to the full register through the dense einsum of
+    :meth:`~repro.quantum.batched.BatchedStatevector.apply_matrix`, within
+    ``1e-12`` in double precision (:func:`repro.arrays.sweep_atol` in
+    single).  An empty region compares ``|0...0>`` with itself.
+    """
+    from repro import arrays
+    from repro.quantum.batched import BatchedStatevector
+    from repro.quantum.gates import gate_matrix_batch
+    from repro.quantum.program import StatevectorEngine, SweepProgram, factor_region
+
+    bindings = np.asarray(bindings, dtype=float)
+    region = program.steps[: factor_region(program)]
+    head = SweepProgram(
+        num_qubits=program.num_qubits,
+        num_clbits=0,
+        steps=region,
+        measured_qubits=(),
+        clbits=(),
+        num_columns=program.num_columns,
+        parameters=program.parameters,
+        column_sites=program.column_sites,
+        name=f"{program.name}:factor region",
+    )
+    actual = head.evolve(bindings, StatevectorEngine()).amplitudes
+    flat = BatchedStatevector(bindings.shape[0], program.num_qubits)
+    for step in region:
+        matrix = step.matrix
+        if matrix is None:
+            matrix = gate_matrix_batch(
+                step.name,
+                *(
+                    slot[1] if slot[0] == "value" else slot[2] * bindings[:, slot[1]]
+                    for slot in step.slots
+                ),
+            )
+        flat.apply_matrix(matrix, step.qubits)
+    atol = max(1e-12, arrays.sweep_atol())
+    error = float(np.max(np.abs(actual - flat.amplitudes)))
+    if error <= atol:
+        return []
+    return [
+        _diag(
+            "VER409",
+            f"the Kronecker state of the {len(region)}-step factor region "
+            f"differs from the flat register evolution by {error:.3e} (atol {atol:g})",
+            obj=f"program '{program.name}' factor region",
+            hint="the product must take qubit 0's factor as its most "
+            "significant, and every factor step must act on its own "
+            "qubit's factor",
+        )
+    ]
+
+
 # --------------------------------------------------------------------------- #
 # Figure-suite reference equivalence (the CLI's ``--verify`` entry)
 # --------------------------------------------------------------------------- #
@@ -513,7 +579,7 @@ OVERLAP_REFERENCE_PROGRAMS = (
 
 
 def verify_reference_equivalence() -> List[Diagnostic]:
-    """Certify the reference programs' execution plans (VER403/405/406/407/408).
+    """Certify the reference programs' execution plans (VER403/405-409).
 
     For each reference workload: a parameter-shift bindings matrix over the
     transpile-template program is checked for shared-prefix legality
@@ -526,13 +592,16 @@ def verify_reference_equivalence() -> List[Diagnostic]:
     per-state reference, and VER407 checks the same programs' observable
     readout.  VER408 checks the overlap readout of the
     :data:`OVERLAP_REFERENCE_PROGRAMS` grid programs over two parameter
-    rows of three samples each.
+    rows of three samples each, and VER409 the factor region of their
+    register sub-programs on the same bindings, and of the QC-SDE
+    trained-state and dual-angle encoder programs the analytic estimator
+    evolves.
     """
     from repro.analysis.verify import reference_workloads
     from repro.core.model import QuClassi
     from repro.hardware.calibration import get_calibration
     from repro.quantum.kernels import classify_step
-    from repro.quantum.program import SweepProgram
+    from repro.quantum.program import StatevectorEngine, SweepProgram
     from repro.quantum.transpiler import TranspileCache
     from repro.utils.rng import ensure_rng
 
@@ -635,4 +704,39 @@ def verify_reference_equivalence() -> List[Diagnostic]:
             batch_rng.uniform(0.05, 0.95, size=(3, num_features)),
         )
         out.extend(verify_overlap_readout(grid, bindings))
+        for register in StatevectorEngine().readout_plan(grid).registers:
+            out.extend(verify_factor_prefix(register.program, bindings))
+    # The analytic estimator's programs: the QC-SDE trained state and the
+    # dual-angle data encoder, compiled as the estimator compiles them.
+    builder = QuClassi(
+        num_features=16, num_classes=2, architecture="sde", seed=2022
+    ).builder
+    trained = SweepProgram.compile(
+        builder.trained_state_circuit(None),
+        bind_floats=False,
+        parameters=builder.parameters,
+        name="mnist17-sde:trained_state",
+    )
+    encoder = SweepProgram.compile(
+        builder.encoder.symbolic_encoding_circuit(
+            builder.num_features,
+            builder.data_parameters,
+            offset=0,
+            total_qubits=builder.layout.state_width,
+        ),
+        bind_floats=False,
+        parameters=builder.data_parameters,
+        name="mnist17-sde:data_state",
+    )
+    out.extend(
+        verify_factor_prefix(
+            trained, batch_rng.uniform(0.0, np.pi, size=(3, len(builder.parameters)))
+        )
+    )
+    out.extend(
+        verify_factor_prefix(
+            encoder,
+            builder.encoder.angle_matrix(batch_rng.uniform(0.05, 0.95, size=(3, 16))),
+        )
+    )
     return out

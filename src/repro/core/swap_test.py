@@ -82,9 +82,14 @@ class AnalyticFidelityEstimator(FidelityEstimator):
     """Closed-form fidelity via statevector overlap.
 
     Data states depend only on the features, so whole stacks of them are
-    memoised (in an LRU cache bounded by ``data_matrix_cache_size``): the
-    trainer sweeps hundreds of parameter shifts against the same samples
-    and the cached encodings turn each sweep into a single matrix product.
+    memoised (in an LRU cache bounded by ``data_matrix_cache_size``, keyed
+    by the feature matrix's bytes).  One parameter-shift sweep evolves its
+    samples' stack once and reduces to a single matrix product against it.
+    The trainer reshuffles each class's minibatches every epoch, so a
+    minibatch stack rarely returns: the cache hits when the same feature
+    matrix is evaluated again, as in the epoch-end loss and score calls
+    (20 of 102 ``data_state_matrix`` calls on a traced seed-0
+    ``mnist-10class-analytic-train`` operation).
 
     The estimator is batch-native: :meth:`trained_statevectors` evolves a
     whole ``(batch, params)`` parameter matrix through the compiled gate
@@ -119,9 +124,9 @@ class AnalyticFidelityEstimator(FidelityEstimator):
                 f"max_batch_amplitudes must be positive, got {max_batch_amplitudes}"
             )
         # Stacked data-state matrices, keyed by the raw bytes of the feature
-        # matrix: the trainer feeds the same (mini)batch to every gradient
-        # evaluation, so the whole (samples, 2**n) stack is reused thousands
-        # of times per epoch.
+        # matrix.  Reshuffled minibatches rarely repeat, so the hits are the
+        # feature matrices evaluated again, such as the epoch-end loss and
+        # score calls.
         self._data_matrix_cache: LRUCache = LRUCache(data_matrix_cache_size)
         self._max_batch_amplitudes = int(max_batch_amplitudes)
         # Compile-once: the symbolic trained-state circuit never changes, so

@@ -102,6 +102,33 @@ class BatchedStatevector:
         state._amplitudes = amplitudes.copy()
         return state
 
+    @classmethod
+    def from_product(cls, factors: Sequence["BatchedStatevector"]) -> "BatchedStatevector":
+        """The Kronecker product of ``factors``, element by element.
+
+        Element ``i`` is ``kron(factors[0][i], factors[1][i], ...)``:
+        ``factors[0]`` holds the most significant qubits, so the product's
+        qubits are the factors' qubits in order.  The product is built by
+        one broadcast multiply per factor, elementwise over the batch axis,
+        so an element's amplitudes do not depend on the batch extent.
+        """
+        batch_size = factors[0].batch_size
+        if any(factor.batch_size != batch_size for factor in factors):
+            raise SimulationError(
+                f"product factors have batches {[f.batch_size for f in factors]}, "
+                "not one common batch"
+            )
+        amplitudes = factors[0]._amplitudes.copy()
+        for factor in factors[1:]:
+            amplitudes = (amplitudes[:, :, None] * factor._amplitudes[:, None, :]).reshape(
+                batch_size, -1
+            )
+        state = cls.__new__(cls)
+        state._amplitudes = amplitudes
+        state._batch_size = batch_size
+        state._num_qubits = sum(factor.num_qubits for factor in factors)
+        return state
+
     @property
     def batch_size(self) -> int:
         """Number of states in the stack."""

@@ -31,6 +31,10 @@ many**:
   sub-program and ``P(ancilla = 0) = (1 + |<A|B>|**2) / 2``, so the
   ``2**n`` discriminator state is never built.  Every other program reads
   its final state stepwise.
+* :class:`StatevectorEngine` also runs a program's leading one-qubit steps
+  (:func:`factor_region`) on per-qubit ``(batch, 2)`` factors and builds
+  the ``2**n`` register once, as their Kronecker product; every later step
+  runs on the register.
 * :meth:`SweepProgram.execute` streams the sweep through
   :class:`~repro.quantum.batched.BatchedStatevector` /
   :class:`~repro.quantum.batched_density.BatchedDensityMatrix` tile by tile
@@ -649,27 +653,67 @@ class SweepProgram:
     ):
         """Evolve one contiguous tile ``[start, stop)`` from ``|0...0>``.
 
-        ``steps`` starts at step 0.  The first ``prefix`` steps — every
-        operand fixed, ``shared`` or ``rows`` (:meth:`_resolve_operands`) —
-        evolve once per grid row of ``tile_plan`` that the tile touches, and
-        one ``repeat`` then expands each row's state to its elements.
-        Repeating an evolved state is bit-identical to evolving its copies
-        (every kernel is elementwise over the batch axis), and the prefix is
-        decided from the very bindings that feed the evolution, so it needs
-        no certificate of its own.
+        ``steps`` starts at step 0.  The engine's factor region
+        (:meth:`StatevectorEngine.factor_region`; empty on the density
+        engine) runs first: each qubit evolves its own one-qubit factor
+        through the region's steps, and the register is then built once as
+        the Kronecker product of the factors
+        (:meth:`~repro.quantum.batched.BatchedStatevector.from_product`).
+        The first ``prefix`` steps — every operand fixed, ``shared`` or
+        ``rows`` (:meth:`_resolve_operands`) — evolve once per grid row of
+        ``tile_plan`` that the tile touches, and one ``repeat`` then expands
+        each row's state to its elements: the register's when the prefix
+        covers the factor region, else the factors' before the region's
+        per-element steps.  Repeating an evolved state is bit-identical to
+        evolving its copies (every kernel and the product are elementwise
+        over the batch axis), and the prefix is decided from the very
+        bindings that feed the evolution, so it needs no certificate of its
+        own.
         """
+        tile = slice(start, stop)
+        rows = counts = None
+        batch = stop - start
         if prefix:
-            firsts, counts = tile_plan.tile_rows(start, stop)
-            state = engine.initial_state(len(firsts), self.num_qubits)
-            self._apply_steps(engine, plans, operands, state, range(prefix), firsts)
-            if len(firsts) < stop - start:
-                state = state.repeat(counts)
+            rows, counts = tile_plan.tile_rows(start, stop)
+            batch = len(rows)
+
+        def expand(state):
+            return state if batch == stop - start else state.repeat(counts)
+
+        region = min(engine.factor_region(self), steps.stop)
+        if region:
+            factors = [engine.initial_state(batch, 1) for _ in range(self.num_qubits)]
+            self._apply_factor_steps(
+                engine, plans, operands, factors, range(min(prefix, region)), rows
+            )
+            if prefix < region:
+                factors = [expand(factor) for factor in factors]
+                self._apply_factor_steps(
+                    engine, plans, operands, factors, range(prefix, region), tile
+                )
+            state = BatchedStatevector.from_product(factors)
         else:
-            state = engine.initial_state(stop - start, self.num_qubits)
+            state = engine.initial_state(batch, self.num_qubits)
+        self._apply_steps(engine, plans, operands, state, range(region, prefix), rows)
+        if prefix >= region:
+            state = expand(state)
         self._apply_steps(
-            engine, plans, operands, state, range(prefix, steps.stop), slice(start, stop)
+            engine, plans, operands, state, range(max(prefix, region), steps.stop), tile
         )
         return state
+
+    def _apply_factor_steps(
+        self, engine, plans, operands, factors: List, steps: range, elements
+    ) -> None:
+        """Apply the one-qubit ``steps`` each to its qubit's factor in ``factors``."""
+        for index in steps:
+            step = self.steps[index]
+            engine.apply_step(
+                factors[step.qubits[0]],
+                step,
+                plans[index],
+                self._step_matrix(step, operands[index], elements),
+            )
 
     def _pin_noise(self, engine) -> Optional[int]:
         """The noise-model version a sweep's plans were resolved under."""
@@ -1131,6 +1175,30 @@ _KERNEL_PLANS: "WeakKeyDictionary[SweepProgram, tuple]" = WeakKeyDictionary()
 _KERNEL_PLANS_LOCK = threading.Lock()
 #: Statevector readout plans per program, kept the same way.
 _READOUT_PLANS: "WeakKeyDictionary[SweepProgram, ReadoutPlan]" = WeakKeyDictionary()
+#: Factor regions per program (:func:`factor_region`), kept the same way.
+_FACTOR_REGIONS: "WeakKeyDictionary[SweepProgram, int]" = WeakKeyDictionary()
+
+
+def factor_region(program: SweepProgram) -> int:
+    """How many leading steps of ``program`` act on one qubit each.
+
+    Until a step acts on two or more qubits no step joins two qubits, so
+    the state after those steps is the Kronecker product of one-qubit
+    factors, each evolved by its own qubit's steps.  The statevector
+    engine runs this region on ``(batch, 2)`` factors and builds the
+    register once (:meth:`SweepProgram._evolve_tile`).  The rule reads
+    only the program, so the engine and the VER2xx cost model share it; it
+    is computed once per program.
+    """
+    region = _FACTOR_REGIONS.get(program)
+    if region is None:
+        region = next(
+            (index for index, step in enumerate(program.steps) if len(step.qubits) > 1),
+            len(program.steps),
+        )
+        with _KERNEL_PLANS_LOCK:
+            region = _FACTOR_REGIONS.setdefault(program, region)
+    return region
 
 
 class StatevectorEngine:
@@ -1139,10 +1207,13 @@ class StatevectorEngine:
     :meth:`step_plans` classifies each step once per program
     (:mod:`repro.quantum.kernels`: permutation, diagonal, controlled or
     dense), certifies every plan with VER405, and memoises the plans for as
-    long as the program lives; :meth:`apply_step` only dispatches.  A
-    SWAP-test program reads out from its two register sub-programs
-    (:meth:`readout_plan`), whose plans are built the same way; the full
-    program is planned only when its state is asked for.
+    long as the program lives; :meth:`apply_step` only dispatches.  The
+    leading one-qubit steps (:func:`factor_region`) run on per-qubit
+    ``(batch, 2)`` factors, so they are planned and certified on one
+    qubit; every later step on the register.  A SWAP-test program reads
+    out from its two register sub-programs (:meth:`readout_plan`), whose
+    plans are built the same way; the full program is planned only when
+    its state is asked for.
     """
 
     name = "statevector"
@@ -1158,25 +1229,38 @@ class StatevectorEngine:
         from repro.analysis.equiv import verify_kernel_plan
         from repro.analysis.verify import assert_clean
 
+        # Each step is planned at the width it is dispatched at: a factor
+        # step on its one-qubit factor, every later step on the register.
+        region = factor_region(program)
+        placed = [
+            (dataclasses.replace(step, qubits=(0,)), 1)
+            if index < region
+            else (step, program.num_qubits)
+            for index, step in enumerate(program.steps)
+        ]
         kinds = [kernels.classify_step(step) for step in program.steps]
         diagnostics = []
-        for index, (step, kind) in enumerate(zip(program.steps, kinds)):
+        for index, ((step, width), kind) in enumerate(zip(placed, kinds)):
             diagnostics.extend(
                 verify_kernel_plan(
                     step,
                     kind,
-                    num_qubits=program.num_qubits,
+                    num_qubits=width,
                     program_name=program.name,
                     index=index,
                 )
             )
         assert_clean(diagnostics, context=f"{program.name}: kernel-class plans")
         plans = tuple(
-            kernels.build_kernel(kind, step, program.num_qubits)
-            for step, kind in zip(program.steps, kinds)
+            kernels.build_kernel(kind, step, width)
+            for (step, width), kind in zip(placed, kinds)
         )
         with _KERNEL_PLANS_LOCK:
             return _KERNEL_PLANS.setdefault(program, plans)
+
+    def factor_region(self, program: SweepProgram) -> int:
+        """The leading steps that run on one-qubit factors (:func:`factor_region`)."""
+        return factor_region(program)
 
     def sweep_plans(self, program: SweepProgram) -> Tuple[Optional[tuple], ReadoutPlan]:
         """What one sweep of ``program`` runs: its step plans and readout plan.
@@ -1371,6 +1455,10 @@ class DensitySuperoperatorEngine:
 
     def initial_state(self, batch: int, num_qubits: int) -> BatchedDensityMatrix:
         return BatchedDensityMatrix(batch, num_qubits)
+
+    def factor_region(self, program: SweepProgram) -> int:
+        """Empty: every density step runs on the full ``4**n`` state."""
+        return 0
 
     def step_plans(self, program: SweepProgram) -> tuple:
         version = getattr(self.noise_model, "version", 0)

@@ -33,7 +33,7 @@ VERIFY_ONLY = tuple(sorted(VERIFIER_CODES)) + tuple(sorted(COST_CODES))
 EVERY_CODE = ("REP000",) + tuple(SELECTABLE) + VERIFY_ONLY
 #: The equivalence certificates kept today, pinned so a new or dropped code
 #: shows up here as well as in the docs.
-KEPT_EQUIV_CODES = ("VER403", "VER405", "VER406", "VER407", "VER408")
+KEPT_EQUIV_CODES = ("VER403", "VER405", "VER406", "VER407", "VER408", "VER409")
 CUT_CODES = (
     "REP002",
     "REP101",

@@ -25,7 +25,12 @@ from repro.analysis.diagnostics import Severity
 from repro.analysis.equiv import shared_prefix_length
 from repro.core.model import QuClassi
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.program import StatevectorEngine, SweepProgram, TilePlan
+from repro.quantum.program import (
+    StatevectorEngine,
+    SweepProgram,
+    TilePlan,
+    factor_region,
+)
 from repro.utils.rng import ensure_rng
 
 #: Calibration tolerance of the peak-bytes prediction (both directions).
@@ -261,7 +266,14 @@ class TestEstimateCost:
         program.execute(bindings, engine, tile_plan=plan)
         prefix = shared_prefix_length(program, bindings[:samples])
         report = estimate_cost(program, plan, shared_prefix_steps=prefix)
-        assert {width for width, _ in widths} == {num_features // 2}
+        # Factor steps run on one-qubit factors, the rest on the register,
+        # and the prediction charges each step the bytes of its state.
+        register_width = num_features // 2
+        assert {width for width, _ in widths} <= {1, register_width}
+        itemsize = report.bytes_per_amplitude
+        assert sum(report.step_bytes_moved) == sum(
+            2 * batch * 2**width * itemsize for width, batch in widths
+        )
         assert report.contractions == len(widths)
         assert report.element_contractions == sum(batch for _, batch in widths)
         assert report.einsum_contractions == calls["einsum"] == 0
@@ -273,6 +285,66 @@ class TestEstimateCost:
             tile_rows * len(registers[0].steps)
             + plan.total_elements * len(registers[1].steps)
         )
+
+    def test_sde_trained_state_predictions_equal_the_traced_kernels(self, monkeypatch):
+        """The analytic estimator's QC-SDE trained state, one 88-row evolve.
+
+        Its one-qubit QC-S and dual layers run on one-qubit factors and the
+        entangling layer on the 8-qubit register: the traced calls per
+        kernel width, their elements, bytes and contraction calls all match
+        the prediction.
+        """
+        from repro import arrays
+
+        builder = QuClassi(num_features=16, num_classes=2, architecture="sde", seed=3).builder
+        program = SweepProgram.compile(
+            builder.trained_state_circuit(None),
+            bind_floats=False,
+            parameters=builder.parameters,
+            name="trained_state",
+        )
+        rows = 88
+        bindings = ensure_rng(3).uniform(0.0, np.pi, size=(rows, len(builder.parameters)))
+        # ``evolve`` runs the whole batch as one tile of one-sample rows.
+        plan = TilePlan.for_circuit_sweep(rows, 1, 2**program.num_qubits, 2**20)
+        assert plan.num_tiles == 1
+        engine = StatevectorEngine()
+        engine.step_plans(program)  # certify before counting
+        traced_steps, calls = [], {"einsum": 0, "matmul": 0}
+        apply_step = engine.apply_step
+
+        def traced(state, step, step_plan, matrix):
+            traced_steps.append((len(step.qubits), state.num_qubits, state.batch_size))
+            return apply_step(state, step, step_plan, matrix)
+
+        def counting(name):
+            original = getattr(arrays, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        engine.apply_step = traced
+        for name in calls:
+            monkeypatch.setattr(arrays, name, counting(name))
+        program.evolve(bindings, engine)
+        report = estimate_cost(program, plan)
+        region = factor_region(program)
+        assert 0 < region < len(program.steps)
+        # Every one-qubit step precedes the entangling layer.
+        widths = [(k, width) for k, width, _ in traced_steps]
+        assert widths == [(1, 1)] * region + [(2, 8)] * (len(program.steps) - region)
+        assert report.contractions == len(traced_steps)
+        assert report.element_contractions == rows * len(traced_steps)
+        assert report.einsum_contractions == calls["einsum"] == 0
+        assert report.matmul_contractions == calls["matmul"]
+        itemsize = report.bytes_per_amplitude
+        assert sum(report.step_bytes_moved) == sum(
+            2 * batch * 2**width * itemsize for _, width, batch in traced_steps
+        )
+        assert report.product_bytes_moved == 2 * rows * 2**8 * itemsize
 
     def test_shared_prefix_steps_out_of_range_rejected(self):
         program, _ = compile_discriminator(4)
@@ -339,9 +411,11 @@ class TestEstimateCost:
         assert report.einsum_contractions == calls["einsum"]
         assert report.matmul_contractions == calls["matmul"]
         assert 0 < report.matmul_contractions < report.contractions
-        # Interior one-qubit dense steps run the axpy: no contraction call.
+        # Interior targets on the register run the axpy, no contraction
+        # call: the entangling layer's controlled steps.  The one-qubit
+        # steps before it run on their factors, a left matmul each.
         variants = {getattr(getattr(p, "update", None), "variant", None) for p in plans}
-        assert kernels.AXPY in variants
+        assert (kernels.AXPY in variants) == ("e" in architecture)
         density = estimate_cost(program, plan, engine="density")
         assert density.matmul_contractions == density.contractions
         assert density.einsum_contractions == 0
@@ -355,9 +429,9 @@ class TestEstimateCost:
         program = SweepProgram.compile(circuit, bind_floats=True)
         plan = TilePlan.for_circuit_sweep(1, 3, 16, 64)
         report = estimate_cost(program, plan)
-        # h(0): left matmul, h(1), h(2): axpy, h(3): right matmul; rxx: the
+        # h(0) .. h(3): left matmuls on their one-qubit factors; rxx: the
         # einsum; cry on (0, 3): the right matmul of the control=1 half.
-        assert (report.einsum_contractions, report.matmul_contractions) == (1, 3)
+        assert (report.einsum_contractions, report.matmul_contractions) == (1, 5)
 
 
 class TestDensityScheduleCount:
@@ -449,7 +523,16 @@ class TestDensityScheduleCount:
         # The readout reads the tile and the 2-row observable once.
         assert report.bytes_moved - sum(moved) == 4 * state_bytes + 2 * state_bytes
         statevector = estimate_cost(program, TilePlan.for_circuit_sweep(4, 1, 32, 128))
-        assert statevector.step_bytes_moved == (2 * 4 * 32 * report.bytes_per_amplitude,) * 68
+        # The leading one-qubit steps move their two-amplitude factors, the
+        # rest the 32-amplitude register; the product is built once per
+        # element.
+        region = factor_region(program)
+        assert 0 < region < 68
+        bpa = report.bytes_per_amplitude
+        assert statevector.step_bytes_moved == (
+            (2 * 4 * 2 * bpa,) * region + (2 * 4 * 32 * bpa,) * (68 - region)
+        )
+        assert statevector.product_bytes_moved == 2 * 4 * 32 * bpa
 
 
 # --------------------------------------------------------------------------- #

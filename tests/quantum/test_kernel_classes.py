@@ -393,14 +393,21 @@ class TestVER405:
         monkeypatch.setattr(kernels.TargetUpdate, "_axpy", wrong_axpy)
         monkeypatch.setattr(equiv, "_KERNEL_CERTIFICATES", LRUCache(max_entries=64))
         theta = Parameter("theta")
+        # A leading ry runs on its one-qubit factor, a left matmul, so the
+        # wrong axpy certifies there.
+        factor = QuantumCircuit(NUM_QUBITS)
+        factor.ry(theta, 2)
+        factor.cx(3, 4)
+        StatevectorEngine().step_plans(SweepProgram.compile(factor, bind_floats=False))
+        # After the cx every step runs on the register.
         edges = QuantumCircuit(NUM_QUBITS)
-        edges.x(4)
+        edges.cx(3, 4)
         edges.ry(theta, 0)
         edges.ry(theta, NUM_QUBITS - 1)
         # The edge qubits run the matmuls, so the same wrong axpy certifies.
         StatevectorEngine().step_plans(SweepProgram.compile(edges, bind_floats=False))
         interior = QuantumCircuit(NUM_QUBITS)
-        interior.x(4)
+        interior.cx(3, 4)
         interior.ry(theta, 2)
         program = SweepProgram.compile(interior, bind_floats=False, name="sabotaged")
         with pytest.raises(SimulationError) as excinfo:

@@ -368,12 +368,15 @@ class TestRunState:
         monkeypatch.setattr(StatevectorEngine, "apply_step", traced)
         simulator = StatevectorSimulator(seed=2)
         result = simulator.run(circuit, shots=SHOTS)
-        # Only the 2-qubit registers ran: three steps each.
-        assert widths == [2] * 6
+        # Only the 2-qubit registers ran: three steps each, the two
+        # rotations on their one-qubit factors and the cx on the register.
+        assert widths == [1, 1, 2] * 2
         state = result.statevector
         assert result.statevector is state
         program = simulator._run_program(circuit)
-        assert widths[6:] == [5] * len(program.steps)
+        region = program_module.factor_region(program)
+        assert region == 3
+        assert widths[6:] == [1] * region + [5] * (len(program.steps) - region)
         row = [
             float(circuit.instructions[at].params[slot])
             for at, slot in program.column_sites
