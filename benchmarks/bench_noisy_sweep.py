@@ -8,10 +8,15 @@ and executes it with ``Backend.run`` (transpilation cache-amortised, one
 density-matrix simulation per circuit).  The batched path hands the whole
 sweep to ``SwapTestFidelityEstimator.fidelity_matrix``, which the noisy
 backend executes as one compiled whole-grid program: one symbolic transpile
-per sweep feeding a vectorised density-matrix evolution (one matmul per gate,
-its noise channels precomposed into the same superoperator, and at most one
-transpose copy where the layout schedule moves the gate's axes) plus one
-stacked multinomial shot draw.
+per sweep feeding a vectorised density-matrix evolution plus one stacked
+multinomial shot draw.  Both paths evolve the same way per element: the
+leading one-qubit steps before the readout split run on per-qubit ``(batch,
+4)`` density factors, one small matmul each, and the ``4**n`` stack is built
+once as their Kronecker product; every later gate is one matmul, its noise
+channels precomposed into the same superoperator, with at most one
+transpose copy where the layout schedule moves the gate's axes, and the
+fixed tail is one readout matmul.  So the loop baseline speeds up with the
+factor region too.
 
 The two paths must agree draw for draw under a shared seed (counts bit-equal,
 hence identical fidelity estimates) and the batched sweep must be at least 3x

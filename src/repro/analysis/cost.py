@@ -29,17 +29,23 @@ computes what one tiled execution *will* allocate and contract —
   update variant (:func:`repro.quantum.kernels.update_variant`, the
   kernels' own rule) is a matmul and none when it is the axpy, and
   permutation and diagonal steps contract nothing;
-* on a statevector engine, the leading one-qubit steps
-  (:func:`~repro.quantum.program.factor_region`, the engine's own rule)
-  charged on the two-amplitude factor they run on, with that width's
-  update variant (the left matmul), plus the bytes of the Kronecker
-  product that builds the register from the factors;
+* the leading one-qubit steps (the engines' own rules: on a statevector
+  engine :func:`~repro.quantum.program.factor_region`, on a density engine
+  :func:`~repro.quantum.program.density_factor_region`, which ends at the
+  readout split) charged on the one-qubit factor they run on — two
+  amplitudes with that width's update variant (the left matmul), or four
+  density entries — plus the bytes of the Kronecker product that builds
+  the register or the ``4**n`` stack from the factors; the density
+  schedule after the region starts from the product's layout;
 * for a SWAP test on a statevector engine, which reads out as a register
   overlap (:meth:`~repro.quantum.program.StatevectorEngine.readout_plan`,
   the engine's own rule), the same accounts over the two register
   sub-programs alone, at the register's width and placement: no full
   ``2**n`` state is built, and a tile holds both registers of each
-  element plus register A's grid rows.
+  element plus register A's grid rows;
+* in ``state_overlap`` mode (the analytic estimator) the program's steps
+  and products at the trained-state rows alone: the sample states come
+  from the cached encoder program, and only the resident peak holds both.
 
 and verifies the prediction against the plan's declared
 ``max_amplitudes`` budget (the ``max_batch_amplitudes`` knob of the
@@ -156,11 +162,11 @@ class CostReport:
     #: Bytes each program step moves over the whole sweep: reading and
     #: writing every element's state once for its matmul or kernel, and
     #: again for a transpose; 0 for a step folded into a run head or into
-    #: the measurement observable.  A statevector factor step's state is
-    #: its two-amplitude factor.
+    #: the measurement observable.  A factor step's state is its one-qubit
+    #: factor: two amplitudes, or four density entries.
     step_bytes_moved: Tuple[int, ...] = ()
-    #: Bytes the statevector factor products move over the whole sweep:
-    #: about one register step's (read and write) per product built.
+    #: Bytes the factor products move over the whole sweep: about one
+    #: full-state step's (read and write) per product built.
     product_bytes_moved: int = 0
     #: Every step's bytes, the products' and the readout's: it reads each
     #: element's state once, and an observable readout reads the
@@ -254,6 +260,10 @@ def estimate_cost(
     sweep_elements = (
         plan.rows + plan.samples if mode == "state_overlap" else plan.total_elements
     )
+    # The elements the program evolves: a state-overlap sweep evolves its
+    # trained-state rows only, since its sample states come from the cached
+    # encoder program.
+    evolved_elements = plan.rows if mode == "state_overlap" else sweep_elements
     bindings_bytes = sweep_elements * program.num_columns * 8
     readout_bytes = sweep_elements * (2 ** len(program.measured_qubits)) * 8
     state_bytes = element_amplitudes * bytes_per_amplitude
@@ -288,25 +298,30 @@ def estimate_cost(
         evolved = [(program, range(len(program.steps)))]
         live_amplitudes = EINSUM_LIVE_ARRAYS * peak_amplitudes
     # Each step's qubits on the state it is dispatched to (``None`` for a
-    # step no tile dispatches), and that state's width: a statevector
-    # factor step runs on its qubit's one-qubit factor
-    # (:func:`~repro.quantum.program.factor_region`), every other step on
-    # the ``width``-qubit state.  The factors' Kronecker product is built
-    # once per grid row of each tile when the shared prefix covers the
-    # factor region, else once per element.
-    from repro.quantum.program import factor_region
+    # step no tile dispatches), that state's width and its bytes: a factor
+    # step runs on its qubit's one-qubit factor (the engine's factor
+    # region), every other step on the ``width``-qubit state.  The
+    # factors' Kronecker product is built once per grid row of each tile
+    # when the shared prefix covers the factor region, else once per
+    # element.
+    from repro.quantum.program import density_factor_region, factor_region
 
+    statevector = engine == "statevector"
+    region_of = factor_region if statevector else density_factor_region
+    factor_bytes = (2 if statevector else 4) * bytes_per_amplitude
     placements: List[Optional[Tuple[int, ...]]] = [None] * len(program.steps)
     widths = [width] * len(program.steps)
+    step_state_bytes = [state_bytes] * len(program.steps)
     product_elements = 0
     for sub, indices in evolved:
-        region = factor_region(sub) if engine == "statevector" else 0
+        region = region_of(sub)
         for local, (index, step) in enumerate(zip(indices, sub.steps)):
             placements[index] = (0,) if local < region else step.qubits
             widths[index] = 1 if local < region else width
+            step_state_bytes[index] = factor_bytes if local < region else state_bytes
         if region:
             shared = indices[region - 1] < shared_prefix_steps
-            product_elements += prefix_elements if shared else sweep_elements
+            product_elements += prefix_elements if shared else evolved_elements
     # The product writes its partial products (under one register in all)
     # and the register, about what one register step moves.
     product_bytes_moved = 2 * product_elements * state_bytes
@@ -360,17 +375,15 @@ def estimate_cost(
             variant in (MATMUL_LEFT, MATMUL_RIGHT) for variant in variants
         )
     step_elements = [
-        prefix_elements if index < shared_prefix_steps else sweep_elements
+        prefix_elements if index < shared_prefix_steps else evolved_elements
         for index in range(len(program.steps))
     ]
     element_contractions = sum(
         count * elements for count, elements in zip(dispatched, step_elements)
     )
-    # A factor step moves its two-amplitude factor: 2**(width - 1) times
-    # less than the register.
     step_bytes_moved = tuple(
-        2 * count * elements * (state_bytes >> (width - step_width))
-        for count, elements, step_width in zip(moves, step_elements, widths)
+        2 * count * elements * moved
+        for count, elements, moved in zip(moves, step_elements, step_state_bytes)
     )
     return CostReport(
         program=program.name,

@@ -503,28 +503,44 @@ def verify_overlap_readout(program: "SweepProgram", bindings) -> List[Diagnostic
     ]
 
 
-def verify_factor_prefix(program: "SweepProgram", bindings) -> List[Diagnostic]:
+def verify_factor_prefix(
+    program: "SweepProgram", bindings, engine=None
+) -> List[Diagnostic]:
     """VER409 — the factor region's Kronecker state equals its flat evolution.
 
-    Evolves ``bindings`` through the program's factor region
-    (:func:`~repro.quantum.program.factor_region`) on a fresh
-    :class:`~repro.quantum.program.StatevectorEngine` exactly as a tile
-    does — each qubit's steps on its one-qubit factor, then the factors'
-    Kronecker product — and compares with the region's steps applied one
-    by one to the full register through the dense einsum of
-    :meth:`~repro.quantum.batched.BatchedStatevector.apply_matrix`, within
-    ``1e-12`` in double precision (:func:`repro.arrays.sweep_atol` in
-    single).  An empty region compares ``|0...0>`` with itself.
+    Evolves ``bindings`` through the factor region of ``engine`` (a
+    :class:`~repro.quantum.program.StatevectorEngine` by default; its
+    :meth:`factor_region`) exactly as a tile does — each qubit's steps on
+    its one-qubit factor, then the factors' Kronecker product — and
+    compares with the region's steps applied one by one to the full state.
+    On the statevector engine that is the register, through the dense
+    einsum of :meth:`~repro.quantum.batched.BatchedStatevector.apply_matrix`.
+    On a :class:`~repro.quantum.program.DensitySuperoperatorEngine` it is
+    the ``4**n`` stack, each gate's conjugation and then its noise channels
+    under the engine's model, each through
+    :meth:`~repro.quantum.batched_density.BatchedDensityMatrix.apply_superoperator`;
+    the Kronecker stack must also lie in
+    :func:`~repro.quantum.batched_density.product_layout`, where the
+    engine's schedule resumes.  Within ``1e-12`` in double precision
+    (:func:`repro.arrays.sweep_atol` in single).  An empty region compares
+    the initial state with itself.
     """
     from repro import arrays
     from repro.quantum.batched import BatchedStatevector
+    from repro.quantum.batched_density import BatchedDensityMatrix, product_layout
     from repro.quantum.gates import gate_matrix_batch
-    from repro.quantum.program import StatevectorEngine, SweepProgram, factor_region
+    from repro.quantum.program import (
+        StatevectorEngine,
+        SweepProgram,
+        gate_noise_superoperator,
+    )
 
+    engine = StatevectorEngine() if engine is None else engine
     bindings = np.asarray(bindings, dtype=float)
-    region = program.steps[: factor_region(program)]
+    batch, n = bindings.shape[0], program.num_qubits
+    region = program.steps[: engine.factor_region(program)]
     head = SweepProgram(
-        num_qubits=program.num_qubits,
+        num_qubits=n,
         num_clbits=0,
         steps=region,
         measured_qubits=(),
@@ -534,8 +550,8 @@ def verify_factor_prefix(program: "SweepProgram", bindings) -> List[Diagnostic]:
         column_sites=program.column_sites,
         name=f"{program.name}:factor region",
     )
-    actual = head.evolve(bindings, StatevectorEngine()).amplitudes
-    flat = BatchedStatevector(bindings.shape[0], program.num_qubits)
+    actual = head.evolve(bindings, engine)
+    flat = (BatchedDensityMatrix if engine.is_noisy else BatchedStatevector)(batch, n)
     for step in region:
         matrix = step.matrix
         if matrix is None:
@@ -547,19 +563,42 @@ def verify_factor_prefix(program: "SweepProgram", bindings) -> List[Diagnostic]:
                 ),
             )
         flat.apply_matrix(matrix, step.qubits)
+        if engine.is_noisy:
+            noise = gate_noise_superoperator(step.name, step.qubits, engine.noise_model)
+            if noise is not None:
+                flat.apply_superoperator(noise, step.qubits)
+    obj = f"program '{program.name}' factor region"
+    hint = (
+        "the product must take qubit 0's factor as its most significant, "
+        "and every factor step must act on its own qubit's factor"
+    )
+    if engine.is_noisy and region and actual.layout != product_layout(n):
+        return [
+            _diag(
+                "VER409",
+                f"the Kronecker stack of the {len(region)}-step factor region "
+                f"lies in axis order {actual.layout}, not the product layout "
+                f"{product_layout(n)} the schedule resumes from",
+                obj=obj,
+                hint=hint,
+            )
+        ]
+    if engine.is_noisy:
+        actual, expected = actual.matrices, flat.matrices
+    else:
+        actual, expected = actual.amplitudes, flat.amplitudes
     atol = max(1e-12, arrays.sweep_atol())
-    error = float(np.max(np.abs(actual - flat.amplitudes)))
+    error = float(np.max(np.abs(actual - expected)))
     if error <= atol:
         return []
     return [
         _diag(
             "VER409",
             f"the Kronecker state of the {len(region)}-step factor region "
-            f"differs from the flat register evolution by {error:.3e} (atol {atol:g})",
-            obj=f"program '{program.name}' factor region",
-            hint="the product must take qubit 0's factor as its most "
-            "significant, and every factor step must act on its own "
-            "qubit's factor",
+            f"differs from the flat {'stack' if engine.is_noisy else 'register'} "
+            f"evolution by {error:.3e} (atol {atol:g})",
+            obj=obj,
+            hint=hint,
         )
     ]
 
@@ -595,13 +634,19 @@ def verify_reference_equivalence() -> List[Diagnostic]:
     rows of three samples each, and VER409 the factor region of their
     register sub-programs on the same bindings, and of the QC-SDE
     trained-state and dual-angle encoder programs the analytic estimator
-    evolves.
+    evolves.  VER409 also checks the density engine's factor region under
+    the London model on the Iris QC-S grid program and on its London
+    template, the transpiled grid program the emulated London backend runs.
     """
     from repro.analysis.verify import reference_workloads
     from repro.core.model import QuClassi
     from repro.hardware.calibration import get_calibration
     from repro.quantum.kernels import classify_step
-    from repro.quantum.program import StatevectorEngine, SweepProgram
+    from repro.quantum.program import (
+        DensitySuperoperatorEngine,
+        StatevectorEngine,
+        SweepProgram,
+    )
     from repro.quantum.transpiler import TranspileCache
     from repro.utils.rng import ensure_rng
 
@@ -689,6 +734,23 @@ def verify_reference_equivalence() -> List[Diagnostic]:
         ):
             out.extend(verify_density_schedule(program, bindings, noise))
             out.extend(verify_observable_readout(program, bindings, noise))
+        if label == "iris-s":
+            # The London template: the grid routed onto the chip region the
+            # emulated backend simulates.
+            chip = london.coupling_map()
+            template = cache.symbolic_template(
+                builder.symbolic_discriminator(),
+                builder.grid_parameters,
+                chip.induced_subgraph(
+                    chip.select_connected_region(builder.layout.total_qubits)
+                ),
+            )
+            for program in (grid, template.ensure_program()):
+                out.extend(
+                    verify_factor_prefix(
+                        program, tile, DensitySuperoperatorEngine(noise)
+                    )
+                )
     for label, num_features, architecture in OVERLAP_REFERENCE_PROGRAMS:
         builder = QuClassi(
             num_features=num_features, num_classes=2, architecture=architecture, seed=2022

@@ -120,6 +120,17 @@ def canonical_layout(num_qubits: int) -> Tuple[int, ...]:
     return tuple(range(2 * num_qubits))
 
 
+def product_layout(num_qubits: int) -> Tuple[int, ...]:
+    """The axis order of a Kronecker product of one-qubit factors.
+
+    Each factor is a vectorised ``(row, column)`` pair, qubit 0 most
+    significant, so the product holds qubit ``q``'s row axis ``q`` and
+    column axis ``n + q`` side by side: ``(0, n, 1, n + 1, ...)``
+    (:meth:`BatchedDensityMatrix.from_product`).
+    """
+    return tuple(axis for q in range(num_qubits) for axis in (q, num_qubits + q))
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class LayoutStep:
     """How one contraction meets a stack's tracked axis layout.
@@ -146,14 +157,43 @@ class LayoutStep:
     gather: np.ndarray
     mask: Optional[np.ndarray]
 
+    @functools.cached_property
+    def _canonical_block(self) -> bool:
+        """Whether the block already lies in the step's canonical order."""
+        return self.mask is None and bool(
+            np.array_equal(self.gather, np.arange(self.gather.size))
+        )
+
     def physical(self, superop: np.ndarray) -> np.ndarray:
         """A canonical superoperator, shared or per element, in block order.
 
         Pure reindexing (and, for a lift, zeroing): the entries are the
-        canonical ones, so the result is exact.
+        canonical ones, so the result is exact.  A block already in
+        canonical order, such as every one-qubit factor's, takes
+        ``superop`` as it is.
         """
+        if self._canonical_block:
+            return superop
         operator = np.take(np.take(superop, self.gather, axis=-2), self.gather, axis=-1)
         return operator if self.mask is None else operator * self.mask
+
+
+def _row_stable_matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """``a @ b`` for a 2-D ``a``, by one BLAS route whatever ``a``'s row count.
+
+    NumPy hands a one-row product to a matrix-vector kernel, whose sums can
+    round differently from the matrix-matrix kernel every other row count
+    takes.  A one-row ``a`` is therefore multiplied as two copies of its
+    row, so a tile of one element reads and evolves to the same bits as
+    that element in a larger tile.
+    """
+    if a.shape[0] != 1:
+        return arrays.matmul(a, b, out=out)
+    product = arrays.matmul(np.concatenate([a, a]), b)[:1]
+    if out is None:
+        return product
+    out[...] = product
+    return out
 
 
 def _normalised(marginal: np.ndarray) -> np.ndarray:
@@ -297,6 +337,56 @@ class BatchedDensityMatrix:
         )
         return state
 
+    @classmethod
+    def from_product(
+        cls, factors: Sequence["BatchedDensityMatrix"]
+    ) -> "BatchedDensityMatrix":
+        """The Kronecker product of ``factors``, element by element.
+
+        Element ``i`` is ``kron(factors[0][i], factors[1][i], ...)`` with
+        ``factors[0]`` holding the most significant qubits, as
+        :meth:`BatchedStatevector.from_product
+        <repro.quantum.batched.BatchedStatevector.from_product>` builds a
+        register.  The buffers are multiplied as they lie, so each factor's
+        axes keep their physical order side by side: one-qubit factors give
+        :func:`product_layout`, and no axis is moved.  The product is built
+        as a balanced tree of broadcast multiplies — each half's product
+        first, then the two halves — which writes fewer and wider
+        intermediates than a left-to-right chain; every multiply is
+        elementwise over the batch axis, so an element's entries do not
+        depend on the batch extent.
+        """
+        batch_size = factors[0].batch_size
+        if any(factor.batch_size != batch_size for factor in factors):
+            raise SimulationError(
+                f"product factors have batches {[f.batch_size for f in factors]}, "
+                "not one common batch"
+            )
+        num_qubits = sum(factor.num_qubits for factor in factors)
+        layout: Tuple[int, ...] = ()
+        offset = 0
+        for factor in factors:
+            k = factor.num_qubits
+            layout += tuple(
+                offset + axis if axis < k else num_qubits + offset + axis - k
+                for axis in factor.layout
+            )
+            offset += k
+
+        def product(blocks):
+            if len(blocks) == 1:
+                return blocks[0]
+            half = len(blocks) // 2
+            left, right = product(blocks[:half]), product(blocks[half:])
+            return (left[:, :, None] * right[:, None, :]).reshape(batch_size, -1)
+
+        matrices = product([factor._matrices for factor in factors])
+        state = cls.__new__(cls)
+        state._adopt(
+            matrices.copy() if len(factors) == 1 else matrices, num_qubits, layout
+        )
+        return state
+
     @property
     def batch_size(self) -> int:
         """Number of states in the stack."""
@@ -409,8 +499,9 @@ class BatchedDensityMatrix:
         an element, flattened in the physical axis order ``layout``, to the
         probability of outcome ``j`` (see
         :meth:`~repro.quantum.program.DensitySuperoperatorEngine.readout_plan`).
-        The readout is one ``(batch, 4**n) @ (4**n, 2**m)`` matmul, clipped
-        and renormalised as :meth:`probabilities` does.  An observable
+        The readout is one ``(batch, 4**n) @ (4**n, 2**m)`` matmul, the same
+        BLAS route for every batch extent, clipped and renormalised as
+        :meth:`probabilities` does.  An observable
         planned for another layout raises instead of reading the wrong
         entries.
         """
@@ -420,7 +511,7 @@ class BatchedDensityMatrix:
                 f"stack in axis order {self._layout}"
             )
         observable = observable.astype(self._matrices.dtype, copy=False)
-        return _normalised(np.real(arrays.matmul(self._matrices, observable)))
+        return _normalised(np.real(_row_stable_matmul(self._matrices, observable)))
 
     # ------------------------------------------------------------------ #
     # Evolution
@@ -457,7 +548,7 @@ class BatchedDensityMatrix:
                 out=spare.reshape(self._batch_size, -1, width),
             )
         else:
-            arrays.matmul(
+            _row_stable_matmul(
                 current.reshape(-1, width), operator.T, out=spare.reshape(-1, width)
             )
         self._matrices, self._spare = spare, current

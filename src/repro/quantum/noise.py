@@ -372,8 +372,11 @@ def apply_readout_error(
     Accepts a single ``(2**w,)`` distribution or a stacked ``(batch, 2**w)``
     array over ``measured_qubits`` (in that order); the confusion matrices
     contract over the outcome axes only, so the batched convolution applies
-    every element's error in one :func:`numpy.tensordot` per measured qubit.
-    The read-out of the compiled-program density engine, which both
+    every element's error in one broadcast step per measured qubit.  The
+    step is elementwise (each outcome is ``c[i, 0] * p0 + c[i, 1] * p1``),
+    so an element's result does not depend on the batch extent, as a BLAS
+    contraction's would for a batch of one.  The read-out of the
+    compiled-program density engine, which both
     :class:`~repro.quantum.simulator.DensityMatrixSimulator` routes share.
     """
     joint = np.asarray(joint, dtype=float)
@@ -386,7 +389,13 @@ def apply_readout_error(
         if error is None:
             continue
         confusion = error.confusion_matrix()
-        tensor = np.tensordot(confusion, tensor, axes=([1], [axis + 1]))
-        tensor = np.moveaxis(tensor, 0, axis + 1)
+        moved = np.moveaxis(tensor, axis + 1, 0)
+        shape = (2,) + (1,) * (moved.ndim - 1)
+        tensor = np.moveaxis(
+            confusion[:, 0].reshape(shape) * moved[0]
+            + confusion[:, 1].reshape(shape) * moved[1],
+            0,
+            axis + 1,
+        )
     flattened = tensor.reshape(batch, -1)
     return flattened[0] if single else flattened

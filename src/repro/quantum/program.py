@@ -31,10 +31,12 @@ many**:
   sub-program and ``P(ancilla = 0) = (1 + |<A|B>|**2) / 2``, so the
   ``2**n`` discriminator state is never built.  Every other program reads
   its final state stepwise.
-* :class:`StatevectorEngine` also runs a program's leading one-qubit steps
-  (:func:`factor_region`) on per-qubit ``(batch, 2)`` factors and builds
-  the ``2**n`` register once, as their Kronecker product; every later step
-  runs on the register.
+* Both engines run a program's leading one-qubit steps
+  (:func:`factor_region`; on the density engine at most up to the readout
+  split, :func:`density_factor_region`) on per-qubit factors — ``(batch,
+  2)`` amplitudes or ``(batch, 4)`` density entries — and build the ``2**n``
+  register or ``4**n`` stack once, as their Kronecker product; every later
+  step runs on the full state.
 * :meth:`SweepProgram.execute` streams the sweep through
   :class:`~repro.quantum.batched.BatchedStatevector` /
   :class:`~repro.quantum.batched_density.BatchedDensityMatrix` tile by tile
@@ -77,6 +79,7 @@ from repro.quantum.batched_density import (
     channel_superoperator,
     conjugation_superoperator,
     plan_layout,
+    product_layout,
 )
 from repro.quantum.noise import NoiseModel, apply_readout_error
 from repro.quantum.operations import Parameter, ScaledParameter
@@ -654,11 +657,13 @@ class SweepProgram:
         """Evolve one contiguous tile ``[start, stop)`` from ``|0...0>``.
 
         ``steps`` starts at step 0.  The engine's factor region
-        (:meth:`StatevectorEngine.factor_region`; empty on the density
-        engine) runs first: each qubit evolves its own one-qubit factor
-        through the region's steps, and the register is then built once as
-        the Kronecker product of the factors
-        (:meth:`~repro.quantum.batched.BatchedStatevector.from_product`).
+        (:meth:`StatevectorEngine.factor_region`,
+        :meth:`DensitySuperoperatorEngine.factor_region`) runs first: each
+        qubit evolves its own one-qubit factor through the region's steps,
+        and the full state is then built once as the Kronecker product of
+        the factors, by the factors' own class
+        (:meth:`~repro.quantum.batched.BatchedStatevector.from_product`,
+        :meth:`~repro.quantum.batched_density.BatchedDensityMatrix.from_product`).
         The first ``prefix`` steps — every operand fixed, ``shared`` or
         ``rows`` (:meth:`_resolve_operands`) — evolve once per grid row of
         ``tile_plan`` that the tile touches, and one ``repeat`` then expands
@@ -691,7 +696,7 @@ class SweepProgram:
                 self._apply_factor_steps(
                     engine, plans, operands, factors, range(prefix, region), tile
                 )
-            state = BatchedStatevector.from_product(factors)
+            state = type(factors[0]).from_product(factors)
         else:
             state = engine.initial_state(batch, self.num_qubits)
         self._apply_steps(engine, plans, operands, state, range(region, prefix), rows)
@@ -705,13 +710,20 @@ class SweepProgram:
     def _apply_factor_steps(
         self, engine, plans, operands, factors: List, steps: range, elements
     ) -> None:
-        """Apply the one-qubit ``steps`` each to its qubit's factor in ``factors``."""
+        """Apply the one-qubit ``steps`` each to its qubit's factor in ``factors``.
+
+        A ``None`` plan marks a step folded into an earlier step on the
+        same factor (:func:`density_schedule`), as in :meth:`_apply_steps`.
+        """
         for index in steps:
+            plan = plans[index]
+            if plan is None:
+                continue
             step = self.steps[index]
             engine.apply_step(
                 factors[step.qubits[0]],
                 step,
-                plans[index],
+                plan,
                 self._step_matrix(step, operands[index], elements),
             )
 
@@ -1175,8 +1187,20 @@ _KERNEL_PLANS: "WeakKeyDictionary[SweepProgram, tuple]" = WeakKeyDictionary()
 _KERNEL_PLANS_LOCK = threading.Lock()
 #: Statevector readout plans per program, kept the same way.
 _READOUT_PLANS: "WeakKeyDictionary[SweepProgram, ReadoutPlan]" = WeakKeyDictionary()
-#: Factor regions per program (:func:`factor_region`), kept the same way.
+#: Factor regions per program (:func:`factor_region`,
+#: :func:`density_factor_region`), kept the same way.
 _FACTOR_REGIONS: "WeakKeyDictionary[SweepProgram, int]" = WeakKeyDictionary()
+_DENSITY_FACTOR_REGIONS: "WeakKeyDictionary[SweepProgram, int]" = WeakKeyDictionary()
+
+
+def _memoised(cache: WeakKeyDictionary, program: SweepProgram, rule) -> int:
+    """``rule(program)``, computed once per program and kept in ``cache``."""
+    value = cache.get(program)
+    if value is None:
+        value = rule(program)
+        with _KERNEL_PLANS_LOCK:
+            value = cache.setdefault(program, value)
+    return value
 
 
 def factor_region(program: SweepProgram) -> int:
@@ -1186,19 +1210,42 @@ def factor_region(program: SweepProgram) -> int:
     the state after those steps is the Kronecker product of one-qubit
     factors, each evolved by its own qubit's steps.  The statevector
     engine runs this region on ``(batch, 2)`` factors and builds the
-    register once (:meth:`SweepProgram._evolve_tile`).  The rule reads
-    only the program, so the engine and the VER2xx cost model share it; it
-    is computed once per program.
+    register once (:meth:`SweepProgram._evolve_tile`); the density engine
+    runs it up to its readout split (:func:`density_factor_region`).  The
+    rule reads only the program, so the engines and the VER2xx cost model
+    share it; it is computed once per program.
     """
-    region = _FACTOR_REGIONS.get(program)
-    if region is None:
-        region = next(
+    return _memoised(
+        _FACTOR_REGIONS,
+        program,
+        lambda program: next(
             (index for index, step in enumerate(program.steps) if len(step.qubits) > 1),
             len(program.steps),
-        )
-        with _KERNEL_PLANS_LOCK:
-            region = _FACTOR_REGIONS.setdefault(program, region)
-    return region
+        ),
+    )
+
+
+def density_factor_region(program: SweepProgram) -> int:
+    """The density engine's factor region: :func:`factor_region`, cut at the split.
+
+    The density engine runs these leading one-qubit steps on per-qubit
+    ``(batch, 4)`` density factors and builds the ``4**n`` stack once, in
+    :func:`~repro.quantum.batched_density.product_layout`.  A one-qubit
+    step's noise acts within its qubit
+    (:func:`gate_noise_superoperator` attaches only one-qubit channels to
+    it), so the factors stay a product.  The region ends at the readout
+    split (:func:`density_readout_split`): the fixed tail after it is
+    folded into the measurement observable, which reads the full stack.
+    A rule on the program alone, shared with :func:`density_schedule` and
+    the VER2xx cost model, and computed once per program.
+    """
+
+    def rule(program: SweepProgram) -> int:
+        split, _ = density_readout_split(program)
+        region = factor_region(program)
+        return region if split is None else min(region, split)
+
+    return _memoised(_DENSITY_FACTOR_REGIONS, program, rule)
 
 
 class StatevectorEngine:
@@ -1372,29 +1419,44 @@ def density_schedule(
 ) -> Tuple[Tuple[LayoutStep, ...], Tuple[int, ...]]:
     """A density program's layout schedule and the run each step folds into.
 
-    Walks the steps from the canonical axis order through
-    :func:`~repro.quantum.batched_density.plan_layout`, giving each step its
+    A step of the factor region (:func:`density_factor_region`) runs on its
+    qubit's one-qubit factor, so its entry is the one-qubit step on
+    ``plan_layout(canonical_layout(1), (0,))``.  The steps after the region
+    walk on from the axis order the factors' Kronecker product leaves,
+    :func:`~repro.quantum.batched_density.product_layout` (the canonical
+    order when the region is empty), through
+    :func:`~repro.quantum.batched_density.plan_layout`, each getting its
     :class:`~repro.quantum.batched_density.LayoutStep`.  ``heads[i]`` is
     ``i`` for a step the engine dispatches, or the index of the earlier
     fixed step whose operator absorbs it.  A fixed step joins the run of the
     fixed step before it when it needs no transpose and contracts a block of
     the run head's width: the layout has not moved since the head, so that
-    is the head's own trailing block.  Parametric steps and transposes end a
-    run.  The grouping reads only qubit supports and fixedness, never a
-    noise model, so the engine and the VER2xx cost model share it.
+    is the head's own trailing block.  In the region a run joins only
+    steps on one qubit, and no run crosses the region's end.  Parametric
+    steps and transposes end a run.  The grouping reads only qubit supports
+    and fixedness, never a noise model, so the engine and the VER2xx cost
+    model share it.
     """
-    layout = canonical_layout(program.num_qubits)
+    region = density_factor_region(program)
+    factor = plan_layout(canonical_layout(1), (0,))
+    n = program.num_qubits
+    layout = product_layout(n) if region else canonical_layout(n)
     entries: List[LayoutStep] = []
     heads: List[int] = []
     head: Optional[int] = None
     for index, step in enumerate(program.steps):
-        entry = plan_layout(layout, step.qubits)
-        layout = entry.target
+        if index < region:
+            entry = factor
+        else:
+            entry = plan_layout(layout, step.qubits)
+            layout = entry.target
         joins = (
             step.is_fixed
             and head is not None
             and entry.transpose is None
             and entry.gather.size == entries[head].gather.size
+            and (head < region) == (index < region)
+            and (index >= region or program.steps[head].qubits == step.qubits)
         )
         if not joins:
             head = index if step.is_fixed else None
@@ -1437,6 +1499,15 @@ class DensitySuperoperatorEngine:
     ``None`` plan.  A dispatched step is one matmul and at most one
     transpose copy, with no Kraus-channel resolution on repeat sweeps.
 
+    The leading one-qubit steps before the readout split
+    (:func:`density_factor_region`) run on per-qubit ``(batch, 4)``
+    factors: each is planned on one qubit, its canonical ``(4, 4)``
+    noise-and-conjugation superoperator on the factor's layout, and the
+    ``4**n`` stack is built once as the factors' Kronecker product, in
+    :func:`~repro.quantum.batched_density.product_layout`, where the rest
+    of the schedule starts.  A one-qubit gate carries only one-qubit noise
+    channels, so the noise acts within its factor.
+
     The same pass folds the fixed tail after the program's last parametric
     step (:func:`density_readout_split`) into a measurement observable by
     walking the tail's plans backwards (:meth:`readout_plan`).  A tile then
@@ -1457,8 +1528,8 @@ class DensitySuperoperatorEngine:
         return BatchedDensityMatrix(batch, num_qubits)
 
     def factor_region(self, program: SweepProgram) -> int:
-        """Empty: every density step runs on the full ``4**n`` state."""
-        return 0
+        """The leading steps that run on one-qubit factors (:func:`density_factor_region`)."""
+        return density_factor_region(program)
 
     def step_plans(self, program: SweepProgram) -> tuple:
         version = getattr(self.noise_model, "version", 0)
@@ -1524,8 +1595,11 @@ class DensitySuperoperatorEngine:
         if split is None:
             return ReadoutPlan(len(program.steps), None, None, reason)
         n, rows = program.num_qubits, 2 ** len(program.measured_qubits)
-        layout = canonical_layout(n)
-        for plan in plans:
+        # The full stack starts where the factor region ends (at most the
+        # split), in the order the factors' product leaves.
+        region = density_factor_region(program)
+        layout = product_layout(n) if region else canonical_layout(n)
+        for plan in plans[region:]:
             if plan is not None:
                 layout = plan.layout.target
         observable = outcome_selectors(program.measured_qubits, n, layout)

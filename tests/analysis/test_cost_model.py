@@ -346,6 +346,44 @@ class TestEstimateCost:
         )
         assert report.product_bytes_moved == 2 * rows * 2**8 * itemsize
 
+    def test_a_state_overlap_sweep_charges_the_program_at_its_rows(self):
+        """The analytic estimator evolves its 88 trained-state rows only.
+
+        Its sample states come from the cached encoder program, so the
+        program's steps and products are charged at the plan's rows: 88 x
+        58 = 5104 element contractions, as the traced ``apply_step`` calls
+        of one ``evolve`` count.  The resident peak still holds the rows
+        and the samples.
+        """
+        builder = QuClassi(num_features=16, num_classes=2, architecture="sde", seed=3).builder
+        program = SweepProgram.compile(
+            builder.trained_state_circuit(None),
+            bind_floats=False,
+            parameters=builder.parameters,
+            name="trained_state",
+        )
+        rows, samples = 88, 40
+        bindings = ensure_rng(3).uniform(0.0, np.pi, size=(rows, len(builder.parameters)))
+        plan = TilePlan.for_state_overlap(rows, samples, 2**program.num_qubits, 2**20)
+        assert plan.num_tiles == 1
+        engine = StatevectorEngine()
+        elements = []
+        apply_step = engine.apply_step
+
+        def traced(state, step, step_plan, matrix):
+            elements.append(state.batch_size)
+            return apply_step(state, step, step_plan, matrix)
+
+        engine.apply_step = traced
+        program.evolve(bindings, engine)
+        report = estimate_cost(program, plan, mode="state_overlap")
+        assert len(program.steps) == 58
+        assert report.element_contractions == sum(elements) == 88 * 58 == 5104
+        itemsize = report.bytes_per_amplitude
+        assert report.product_bytes_moved == 2 * rows * 2**8 * itemsize
+        assert report.tile_elements == rows + samples
+        assert report.peak_amplitudes == (rows + samples) * 2**8
+
     def test_shared_prefix_steps_out_of_range_rejected(self):
         program, _ = compile_discriminator(4)
         plan = TilePlan.for_circuit_sweep(2, 2, 2**program.num_qubits, 2**20)
@@ -466,11 +504,83 @@ class TestDensityScheduleCount:
         )
         program.execute(bindings, engine, tile_plan=plan)
         assert len(program.steps) == 68
-        # Steps 0-8 are dispatched; the fixed tail 9-67 is one readout matmul.
+        # Steps 0-8 are dispatched on one-qubit factors, with no transpose;
+        # the fixed tail 9-67 is one readout matmul.
         assert len(calls) == 9
         assert report.contractions == report.superoperator_contractions == len(matmuls) == 10
         assert report.matmul_contractions == 10
-        assert report.transposes == sum(transposes) == 5
+        assert report.transposes == sum(transposes) == 0
+
+    @pytest.mark.parametrize("row_constant", [False, True])
+    def test_london_grid_predictions_equal_the_traced_density_steps(
+        self, london_template, row_constant, monkeypatch
+    ):
+        """Transposes, matmuls, step and product bytes, as the engine runs them.
+
+        A 3 x 4 grid in tiles of 8 and 4 elements.  On the grid the data
+        angles vary per sample, so the row-constant prefix (steps 0-4) ends
+        inside the 9-step factor region and the product is built per
+        element; with every angle constant within a row the prefix covers
+        the region and the product is built once per row of each tile.
+        """
+        from repro import arrays
+        from repro.quantum.batched_density import BatchedDensityMatrix
+        from repro.quantum.program import DensitySuperoperatorEngine
+
+        program, noise = london_template
+        rows, samples = 3, 4
+        rng = ensure_rng(8)
+        bindings = np.repeat(rng.uniform(0.0, np.pi, size=(rows, 8)), samples, axis=0)
+        if not row_constant:
+            bindings[:, 4:] = rng.uniform(0.0, np.pi, size=(rows * samples, 4))
+        element = 4**program.num_qubits
+        plan = TilePlan.for_circuit_sweep(rows, samples, element, 8 * element)
+        assert list(plan.flat_tiles()) == [(0, 8), (8, 12)]
+        prefix = shared_prefix_length(program, bindings[:samples])
+        assert prefix == (len(program.steps) if row_constant else 5)
+        engine = DensitySuperoperatorEngine(noise)
+        engine.step_plans(program)  # plan (and fold the tail) before counting
+        itemsize = arrays.complex_itemsize()
+        index_of = {id(step): index for index, step in enumerate(program.steps)}
+        step_bytes = [0] * len(program.steps)
+        traced = {"transposes": 0, "matmuls": 0, "products": 0}
+        real_apply = DensitySuperoperatorEngine.apply_step
+
+        def counted(self, state, step, step_plan, matrix):
+            transpose = step_plan.layout.transpose is not None
+            traced["transposes"] += transpose
+            step_bytes[index_of[id(step)]] += (
+                2 * (1 + transpose) * state.batch_size * 4**state.num_qubits * itemsize
+            )
+            return real_apply(self, state, step, step_plan, matrix)
+
+        real_product = BatchedDensityMatrix.from_product.__func__
+
+        def product(cls, factors):
+            state = real_product(cls, factors)
+            traced["products"] += 2 * state.batch_size * 4**state.num_qubits * itemsize
+            return state
+
+        matmul = arrays.matmul
+
+        def counted_matmul(*args, **kwargs):
+            traced["matmuls"] += 1
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(DensitySuperoperatorEngine, "apply_step", counted)
+        monkeypatch.setattr(BatchedDensityMatrix, "from_product", classmethod(product))
+        monkeypatch.setattr(arrays, "matmul", counted_matmul)
+        program.execute(bindings, engine, tile_plan=plan)
+        report = estimate_cost(
+            program, plan, engine="density", shared_prefix_steps=prefix
+        )
+        assert report.transposes == traced["transposes"] == 0
+        assert report.matmul_contractions == traced["matmuls"] == 2 * (9 + 1)
+        assert list(report.step_bytes_moved) == step_bytes
+        assert report.product_bytes_moved == traced["products"]
+        # Tile (0, 8) holds rows 0 and 1, tile (8, 12) row 2.
+        built = rows if row_constant else rows * samples
+        assert report.product_bytes_moved == 2 * built * element * itemsize
 
     def test_every_tile_pays_the_schedule(self, london_template):
         program, _ = london_template
@@ -506,7 +616,7 @@ class TestDensityScheduleCount:
         )
 
     def test_bytes_moved_follow_the_split(self, london_template):
-        from repro.quantum.program import density_readout_split
+        from repro.quantum.program import density_factor_region, density_readout_split
 
         program, _ = london_template
         element = 4**program.num_qubits
@@ -517,11 +627,15 @@ class TestDensityScheduleCount:
         moved = report.step_bytes_moved
         assert len(moved) == len(program.steps)
         assert not any(moved[split:])
-        # Each prefix step reads and writes the 4-element tile, twice with
-        # a transpose.
-        assert sum(moved) == 2 * 4 * state_bytes * (9 + 5)
+        # Each prefix step reads and writes the 4-element tile's 4-entry
+        # one-qubit factors, and the product the tile's stack once.
+        assert split == density_factor_region(program) == 9
+        assert moved == (2 * 4 * 4 * report.bytes_per_amplitude,) * 9 + (0,) * 59
+        assert report.product_bytes_moved == 2 * 4 * state_bytes
         # The readout reads the tile and the 2-row observable once.
-        assert report.bytes_moved - sum(moved) == 4 * state_bytes + 2 * state_bytes
+        assert report.bytes_moved - sum(moved) - report.product_bytes_moved == (
+            4 * state_bytes + 2 * state_bytes
+        )
         statevector = estimate_cost(program, TilePlan.for_circuit_sweep(4, 1, 32, 128))
         # The leading one-qubit steps move their two-amplitude factors, the
         # rest the 32-amplitude register; the product is built once per

@@ -52,6 +52,7 @@ from repro.quantum.program import (
     StatevectorEngine,
     SweepProgram,
     TilePlan,
+    density_factor_region,
     density_readout_split,
     density_schedule,
 )
@@ -444,7 +445,11 @@ class TestComposedSchedule:
         entries, _ = density_schedule(program)
         assert len(program.steps) == 68
         assert len(folded_steps(program)) == 26
-        assert sum(entry.transpose is not None for entry in entries) == 28
+        # The 9 steps before the split run on one-qubit factors and need no
+        # transpose; the tail keeps its 23.
+        assert density_factor_region(program) == 9
+        assert sum(entry.transpose is not None for entry in entries[:9]) == 0
+        assert sum(entry.transpose is not None for entry in entries) == 23
 
 
 # --------------------------------------------------------------------------- #
@@ -675,13 +680,14 @@ class TestReadoutPlan:
         _, _, bindings, program = tail_program()
         engine = DensitySuperoperatorEngine(per_qubit_model())
         readout = engine.readout_plan(program)
-        # ry(1) moved qubit 1's axes last; the tail starts from there.
-        assert readout.layout == (0, 2, 3, 5, 1, 4)
+        # ry(1) ran on its qubit's factor; the tail starts from the
+        # factors' product layout.
+        assert readout.layout == (0, 3, 1, 4, 2, 5)
         fresh = BatchedDensityMatrix(bindings.shape[0], 3)
         with pytest.raises(SimulationError) as excinfo:
             engine.joint_probabilities(fresh, program.measured_qubits, readout)
         assert str(excinfo.value) == (
-            "observable planned for axis order (0, 2, 3, 5, 1, 4) read out of a "
+            "observable planned for axis order (0, 3, 1, 4, 2, 5) read out of a "
             "stack in axis order (0, 1, 2, 3, 4, 5)"
         )
 
